@@ -211,10 +211,10 @@ class Cone:
         gens = self.generators
         rows = []
         for k in range(self.ambient_rank):
-            rows.append(tuple([g[k] for g in gens] + [-rat(x[k])]))
+            rows.append(tuple([g[k].numerator for g in gens] + [-rat(x[k])]))
         system = FeasibilitySystem(
             equalities=tuple(rows),
-            rhs=zero_vec(self.ambient_rank),
+            rhs=(0,) * self.ambient_rank,
             lower_bounds=tuple([Fraction(1)] * len(gens) + [Fraction(1)]),
         )
         return system.solve() is not None
@@ -318,19 +318,20 @@ def relints_meet_in(c1: Cone, c2: Optional[Cone], v: Cone) -> Optional[Vec]:
         offsets.append(off)
         off += len(b)
 
-    rows: list[Vec] = []
-    # sum over block 0 equals sum over each later block, coordinatewise
+    # sum over block 0 equals sum over each later block, coordinatewise;
+    # generators are primitive integer vectors, so the rows are ints
+    rows = []
     for other in range(1, len(blocks)):
         for k in range(n):
-            row = [Fraction(0)] * nvars
+            row = [0] * nvars
             for i, g in enumerate(blocks[0]):
-                row[offsets[0] + i] += g[k]
+                row[offsets[0] + i] = g[k].numerator
             for j, h in enumerate(blocks[other]):
-                row[offsets[other] + j] -= h[k]
+                row[offsets[other] + j] = -h[k].numerator
             rows.append(tuple(row))
     system = FeasibilitySystem(
         equalities=tuple(rows),
-        rhs=zero_vec(len(rows)),
+        rhs=(0,) * len(rows),
         lower_bounds=tuple(bounds),
     )
     sol = system.solve()

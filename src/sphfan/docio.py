@@ -45,6 +45,13 @@ def _load_json(text: str) -> Any:
         return json.loads(text, parse_float=_reject_float)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno, column=e.colno) from e
+    except ParseError:
+        raise
+    except ValueError as e:
+        # an integer literal past the interpreter's digit limit
+        raise ParseError(f"invalid JSON: {e}") from e
+    except RecursionError as e:
+        raise ParseError("invalid JSON: nested too deeply") from e
 
 
 def _expect_object(value, path: str, fields: dict) -> dict:

@@ -1,9 +1,17 @@
 """Exact rational linear feasibility.
 
-The workhorse is a phase-1 simplex over Fractions with Bland's rule, so
-termination is unconditional and every answer is exact.  A
-:class:`FeasibilitySystem` holds equalities plus per-variable lower bounds
-(``None`` = free) and either produces a witness point or reports
+The workhorse is a phase-1 simplex with Bland's rule, so termination is
+unconditional and every answer is exact.  It pivots fraction-free
+(Edmonds' integer-preserving elimination, as in Avis's *lrs*): the whole
+system is scaled by one common positive denominator, and the tableau of
+Python ints, cost row included, is always d times the rational tableau,
+where d > 0 is the last pivot (1 before the first).  Signs and ratio
+comparisons are therefore those of the rational tableau, so Bland's rule
+takes the same pivots, and the witness ``Fraction(T[i][-1], d)`` is the
+same rational point.  ``Fraction`` appears only at the boundary.
+
+A :class:`FeasibilitySystem` holds equalities plus per-variable lower
+bounds (``None`` = free) and either produces a witness point or reports
 infeasibility.
 
 When oracle cross-checking is enabled (CLI flag ``--oracle``), every
@@ -15,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from . import fourier_motzkin
@@ -34,65 +43,80 @@ class OracleDisagreement(RuntimeError):
 
 def solve_eq_nonneg(a: Sequence[Sequence[Fraction]],
                     b: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """Find y >= 0 with a @ y = b, or None.  Phase-1 simplex, Bland's rule."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    rows = []
-    rhs = []
-    for i in range(m):
-        if b[i] < 0:
-            rows.append([-x for x in a[i]])
-            rhs.append(-b[i])
-        else:
-            rows.append(list(a[i]))
-            rhs.append(Fraction(b[i]))
+    """Find y >= 0 with a @ y = b, or None.  Phase-1 simplex, Bland's rule.
 
-    # tableau columns: n originals, m artificials, then rhs
-    tab = [rows[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [rhs[i]]
-           for i in range(m)]
+    Entries may be ints or Fractions.  With no rows the variable count is
+    unknown and the witness is ``[]``.
+    """
+    return _solve_eq_nonneg(a, b, len(a[0]) if a else 0)
+
+
+def _solve_eq_nonneg(a, b, n: int) -> Optional[list[Fraction]]:
+    # One common positive scale for the whole system: scaling rows apart
+    # would reweight the phase-1 objective and could change Bland's pivots.
+    scale = lcm(*(q.denominator for row in a for q in row),
+                *(q.denominator for q in b))
+    tab = []
+    for row, r in zip(a, b):
+        ints = [q.numerator * (scale // q.denominator) for q in row]
+        ints.append(r.numerator * (scale // r.denominator))
+        tab.append([-x for x in ints] if r < 0 else ints)
+    m = len(tab)
+    # The artificial columns are never read, so they are not stored.  The
+    # last row is the phase-1 cost row (minimize the sum of artificials);
+    # its last entry is -d times that sum at the current basic solution.
+    tab.append([-sum(col) for col in zip(*tab)] if tab else [0] * (n + 1))
+    cost = tab[m]
     basis = [n + i for i in range(m)]
-    # reduced costs of the phase-1 objective (minimize sum of artificials)
-    cost = [-sum(tab[i][j] for i in range(m)) for j in range(n)]
-    obj = -sum(rhs, Fraction(0))
+    d = 1
 
     while True:
         enter = next((j for j in range(n) if cost[j] < 0), None)
         if enter is None:
             break
         leave = None
-        best = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
+            t = tab[i][enter]
+            if t > 0:
+                # ratio rhs_i / t, compared by cross-multiplication
+                if leave is None:
+                    leave, num, den = i, tab[i][-1], t
+                    continue
+                lhs, rhs = tab[i][-1] * den, num * t
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, tab[i][-1], t
         if leave is None:
             # phase-1 objective is bounded below by 0, so this cannot happen
             raise RuntimeError("unbounded phase-1 problem")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
-        for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        f = cost[enter]
-        obj -= f * tab[leave][-1]
-        cost = [c - f * tab[leave][j] for j, c in enumerate(cost[:n])]
+        prow = tab[leave]
+        p = prow[enter]
+        for i, row in enumerate(tab):
+            if i == leave:
+                continue
+            f = row[enter]
+            if f:
+                tab[i] = [(x * p - f * y) // d for x, y in zip(row, prow)]
+            elif p != d:
+                tab[i] = [x * p // d for x in row]
+        cost = tab[m]
+        d = p
         basis[leave] = enter
 
-    if obj != 0:
+    if cost[-1] != 0:
         return None
     y = [Fraction(0)] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            y[bv] = tab[i][-1]
+            y[bv] = Fraction(tab[i][-1], d)
     return y
 
 
 @dataclass(frozen=True)
 class FeasibilitySystem:
-    """Equalities ``A x = b`` with per-variable lower bounds (None = free)."""
+    """Equalities ``A x = b`` with per-variable lower bounds (None = free).
+
+    Entries may be ints or Fractions; witnesses are tuples of Fractions.
+    """
 
     equalities: tuple[Vec, ...]
     rhs: Vec
@@ -118,42 +142,37 @@ class FeasibilitySystem:
         return witness
 
     def _solve_simplex(self) -> Optional[Vec]:
-        nvars = len(self.lower_bounds)
         # substitute x_i = y_i + lb_i (y_i >= 0) for bounded variables,
-        # x_i = y_i - y'_i for free ones
-        cols: list[list[int]] = []  # (column index, sign) pairs per variable
-        ncols = 0
-        col_spec = []
-        for lb in self.lower_bounds:
-            if lb is None:
-                col_spec.append((ncols, ncols + 1))
-                ncols += 2
-            else:
-                col_spec.append((ncols, None))
-                ncols += 1
+        # x_i = y_i - y'_i for free ones; whole lower bounds as ints keep
+        # the shifts in int arithmetic
+        bounds = [lb if lb is None or lb.denominator != 1 else lb.numerator
+                  for lb in self.lower_bounds]
         a = []
         b = []
         for row, r in zip(self.equalities, self.rhs):
-            arow = [Fraction(0)] * ncols
-            shift = Fraction(0)
-            for coeff, lb, spec in zip(row, self.lower_bounds, col_spec):
-                pos, neg = spec
-                arow[pos] += coeff
-                if neg is not None:
-                    arow[neg] -= coeff
+            arow = []
+            shift = 0
+            for coeff, lb in zip(row, bounds):
+                arow.append(coeff)
+                if lb is None:
+                    arow.append(-coeff)
                 else:
                     shift += coeff * lb
             a.append(arow)
             b.append(r - shift)
-        y = solve_eq_nonneg(a, b)
+        ncols = len(bounds) + bounds.count(None)
+        y = _solve_eq_nonneg(a, b, ncols)
         if y is None:
             return None
         x = []
-        for lb, (pos, neg) in zip(self.lower_bounds, col_spec):
-            if neg is None:
-                x.append(y[pos] + lb)
+        col = 0
+        for lb in self.lower_bounds:
+            if lb is None:
+                x.append(y[col] - y[col + 1])
+                col += 2
             else:
-                x.append(y[pos] - y[neg])
+                x.append(y[col] + lb)
+                col += 1
         return tuple(x)
 
     def _as_inequalities(self):

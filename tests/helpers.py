@@ -7,7 +7,99 @@ from fractions import Fraction
 
 from sphfan.cones import Cone
 from sphfan.fourier_motzkin import feasible
+from sphfan.lp import FeasibilitySystem
 from sphfan.spherical import ColoredCone, SphericalDatum, validate_colored_cone
+
+
+def reference_solve_eq_nonneg(a, b):
+    """The Fraction-tableau phase-1 Bland simplex that ``sphfan.lp`` replaced.
+
+    Kept as the reference the integer simplex must match witness for
+    witness.
+    """
+    m = len(a)
+    n = len(a[0]) if m else 0
+    rows = []
+    rhs = []
+    for i in range(m):
+        if b[i] < 0:
+            rows.append([-x for x in a[i]])
+            rhs.append(-b[i])
+        else:
+            rows.append(list(a[i]))
+            rhs.append(Fraction(b[i]))
+
+    # tableau columns: n originals, m artificials, then rhs
+    tab = [rows[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [rhs[i]]
+           for i in range(m)]
+    basis = [n + i for i in range(m)]
+    # reduced costs of the phase-1 objective (minimize sum of artificials)
+    cost = [-sum(tab[i][j] for i in range(m)) for j in range(n)]
+    obj = -sum(rhs, Fraction(0))
+
+    while True:
+        enter = next((j for j in range(n) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        f = cost[enter]
+        obj -= f * tab[leave][-1]
+        cost = [c - f * tab[leave][j] for j, c in enumerate(cost[:n])]
+        basis[leave] = enter
+
+    if obj != 0:
+        return None
+    y = [Fraction(0)] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            y[bv] = tab[i][-1]
+    return y
+
+
+def reference_solve(system: FeasibilitySystem):
+    """``FeasibilitySystem.solve`` as it was on the Fraction simplex."""
+    ncols = 0
+    col_spec = []
+    for lb in system.lower_bounds:
+        if lb is None:
+            col_spec.append((ncols, ncols + 1))
+            ncols += 2
+        else:
+            col_spec.append((ncols, None))
+            ncols += 1
+    a = []
+    b = []
+    for row, r in zip(system.equalities, system.rhs):
+        arow = [Fraction(0)] * ncols
+        shift = Fraction(0)
+        for coeff, lb, (pos, neg) in zip(row, system.lower_bounds, col_spec):
+            arow[pos] += coeff
+            if neg is not None:
+                arow[neg] -= coeff
+            else:
+                shift += coeff * lb
+        a.append(arow)
+        b.append(r - shift)
+    y = reference_solve_eq_nonneg(a, b)
+    if y is None:
+        return None
+    x = []
+    for lb, (pos, neg) in zip(system.lower_bounds, col_spec):
+        x.append(y[pos] + lb if neg is None else y[pos] - y[neg])
+    return tuple(x)
 
 
 def random_vec(rng: random.Random, n: int, lo: int = -5, hi: int = 5):

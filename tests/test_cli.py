@@ -183,6 +183,17 @@ class TestInvariant:
                    for c in report["checks"])
 
 
+    def test_closure_of_an_infinite_order_element_exits_1(self, files, capsys):
+        shear = BAD_ACTION.replace("[[1]]", "[[1, 0], [0, 1]]").replace(
+            "[[2]]", "[[1, 1], [0, 1]]")
+        code, out = run(capsys, "invariant", files("d.json", PLANE_DATUM),
+                        files("f.json", QUAD_FAN), files("a.json", shear),
+                        "--closure")
+        assert code == 1
+        report = json.loads(out)
+        assert {"axiom": "ACT", "subject": "closed", "result": "fail"} in report["checks"]
+
+
 class TestMorphism:
     def test_identity(self, files, capsys):
         ident = PROJECTION.replace('[["1", "0"]]', '[["1", "0"], ["0", "1"]]')
@@ -219,3 +230,17 @@ class TestMaxDim:
         code, _ = run(capsys, "validate", files("d.json", PLANE_DATUM),
                       files("f.json", QUAD_FAN))
         assert code == 0
+
+
+class TestDecodeLimits:
+    def test_integer_past_the_digit_limit_exits_2(self, files, capsys):
+        datum = DATUM.replace('"rank": 1', '"rank": 1' + "0" * 5000)
+        code, out = run(capsys, "validate", files("d.json", datum),
+                        files("f.json", P1_FAN))
+        assert code == 2 and out == ""
+
+    def test_deep_nesting_exits_2(self, files, capsys):
+        deep = "[" * 100_000 + "]" * 100_000
+        code, out = run(capsys, "validate", files("d.json", DATUM),
+                        files("f.json", deep))
+        assert code == 2 and out == ""

@@ -5,6 +5,8 @@ from sphfan import lp
 from sphfan.fourier_motzkin import feasible
 from sphfan.lp import FeasibilitySystem, solve_eq_nonneg
 
+from helpers import reference_solve, reference_solve_eq_nonneg
+
 
 def F(x):
     return Fraction(x)
@@ -64,6 +66,49 @@ class TestFeasibilitySystem:
                     assert sum(c * x for c, x in zip(row, witness)) == b
                 for x, lb in zip(witness, bounds):
                     assert lb is None or x >= lb
+
+
+    def test_no_equalities_gives_the_lower_bounds(self):
+        sys_ = FeasibilitySystem((), (), (F(1), None, Fraction(-2, 3)))
+        assert sys_.solve() == (F(1), F(0), Fraction(-2, 3))
+
+
+def _random_system(rng):
+    """Rational rows, some repeated (scaled, or with a shifted rhs), some
+    with rhs 0, so inconsistent rows and ratio ties both come up."""
+    def q():
+        return Fraction(rng.randint(-4, 4), rng.choice([1, 1, 2, 3]))
+    nvars = rng.randint(1, 5)
+    a = [[q() for _ in range(nvars)] for _ in range(rng.randint(1, 3))]
+    b = [q() if rng.random() < 0.6 else F(0) for _ in a]
+    for _ in range(rng.randint(0, 2)):
+        i = rng.randrange(len(a))
+        k = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+        a.append([k * x for x in a[i]])
+        b.append(k * b[i] + rng.choice([0, 0, 0, 1]))
+    bounds = tuple(rng.choice([None, F(0), F(1), F(-2), Fraction(1, 3),
+                               Fraction(-5, 2)]) for _ in range(nvars))
+    return a, b, bounds
+
+
+class TestAgainstFractionSimplex:
+    """The integer tableau must take the Fraction tableau's pivots, so the
+    witnesses are identical, not merely both valid."""
+
+    def test_same_witnesses(self):
+        rng = random.Random(1967)
+        verdicts = set()
+        for _ in range(400):
+            a, b, bounds = _random_system(rng)
+            y = solve_eq_nonneg(a, b)
+            assert y == reference_solve_eq_nonneg(a, b)
+            sys_ = FeasibilitySystem(tuple(map(tuple, a)), tuple(b), bounds)
+            x = sys_.solve()
+            assert x == reference_solve(sys_)
+            for w in (y, x):
+                assert w is None or all(type(v) is Fraction for v in w)
+            verdicts.add(x is None)
+        assert verdicts == {True, False}
 
 
 class TestCrossCheck:
