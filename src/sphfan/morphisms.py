@@ -125,9 +125,17 @@ def is_morphism_of_fans(m: FanMorphism, f1: ColoredFan,
 
 
 def compose(first: FanMorphism, second: FanMorphism) -> FanMorphism:
-    """second ∘ first; the composed color domain is the pullback."""
-    if first.target is not second.source and first.target.rank != second.source.rank:
+    """second ∘ first; the composed color domain is the pullback.
+
+    The target of first and the source of second must be equal data:
+    the same rank, valuation cone, colors and rho.
+    """
+    mid, src = first.target, second.source
+    if mid.rank != src.rank:
         raise RankMismatchError("composition rank mismatch")
+    if (mid.valuation_cone.key != src.valuation_cone.key
+            or set(mid.colors) != set(src.colors) or mid.rho != src.rho):
+        raise ValueError("composition: the first target is not the second source")
     domain = [c for c in first.domain_colors
               if first.color_map[c] in second.domain_colors]
     cmap = {c: second.color_map[first.color_map[c]] for c in domain}

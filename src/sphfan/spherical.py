@@ -15,7 +15,7 @@ the cone whose relative interior contains any given valuation vector
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .cones import Cone, cones_equal, relint_meets_cone, relints_meet_in
 from .rational import Vec, is_zero_vec, rat
@@ -90,27 +90,33 @@ class ColoredCone:
     def __repr__(self):
         return f"ColoredCone({self.cone!r}, {sorted(self.palette)})"
 
+    @property
+    def key(self) -> tuple:
+        """Hashable canonical form: the cone's key and the sorted palette."""
+        return self.cone.key, tuple(sorted(self.palette))
+
 
 def colored_cones_equal(a: ColoredCone, b: ColoredCone) -> bool:
-    return a.palette == b.palette and cones_equal(a.cone, b.cone)
+    return a.key == b.key
 
 
 class ColoredFan:
-    """Nonempty, duplicate-free finite collection of colored cones."""
+    """Nonempty, duplicate-free finite collection of colored cones.
+
+    Of equal colored cones the first is kept, generators as given."""
 
     __slots__ = ("cones",)
 
     def __init__(self, cones: Iterable[ColoredCone]):
-        members: list[ColoredCone] = []
+        members: dict[tuple, ColoredCone] = {}
         for cc in cones:
-            if not any(colored_cones_equal(cc, m) for m in members):
-                members.append(cc)
+            members.setdefault(cc.key, cc)
         if not members:
             raise ValueError("a colored fan must be nonempty")
-        ranks = {cc.cone.ambient_rank for cc in members}
+        ranks = {cc.cone.ambient_rank for cc in members.values()}
         if len(ranks) != 1:
             raise RankMismatchError("fan members have mixed ambient ranks")
-        object.__setattr__(self, "cones", tuple(members))
+        object.__setattr__(self, "cones", tuple(members.values()))
 
     def __setattr__(self, name, value):
         raise AttributeError("ColoredFan is immutable")
@@ -123,8 +129,7 @@ class ColoredFan:
 
 
 def fans_equal(a: ColoredFan, b: ColoredFan) -> bool:
-    return (len(a) == len(b)
-            and all(any(colored_cones_equal(x, y) for y in b) for x in a))
+    return {x.key for x in a} == {y.key for y in b}
 
 
 @dataclass(frozen=True)
@@ -215,20 +220,10 @@ def validate_colored_fan(d: SphericalDatum, fan: ColoredFan) -> ColoredFanReport
         _check(d, cc)
     reports = tuple(validate_colored_cone(d, cc) for cc in fan)
 
-    cf1_missing = []
-    for i, cc in enumerate(fan):
-        for face in colored_faces(d, cc):
-            if not any(colored_cones_equal(face, m) for m in fan):
-                cf1_missing.append((i, face))
-
-    cf2_failures = []
-    members = fan.cones
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            w = relints_meet_in(members[i].cone, members[j].cone, d.valuation_cone)
-            if w is not None:
-                cf2_failures.append((i, j, w))
-
+    keys = {cc.key for cc in fan}
+    cf1_missing = [(i, face) for i, cc in enumerate(fan)
+                   for face in colored_faces(d, cc) if face.key not in keys]
+    cf2_failures = list(_cf2_failures(d, fan.cones))
     return ColoredFanReport(
         cone_reports=reports,
         cf1=not cf1_missing,
@@ -236,6 +231,17 @@ def validate_colored_fan(d: SphericalDatum, fan: ColoredFan) -> ColoredFanReport
         cf2=not cf2_failures,
         cf2_failures=tuple(cf2_failures),
     )
+
+
+def _cf2_failures(d: SphericalDatum,
+                  members: Sequence[ColoredCone]) -> Iterator[tuple[int, int, Vec]]:
+    """(i, j, witness) for each pair i < j whose relative interiors meet
+    inside V, lazily: a consumer that stops early solves no more LPs."""
+    for i in range(len(members)):
+        for j in range(i + 1, len(members)):
+            w = relints_meet_in(members[i].cone, members[j].cone, d.valuation_cone)
+            if w is not None:
+                yield i, j, w
 
 
 def is_strictly_convex_fan(d: SphericalDatum, fan: ColoredFan) -> bool:
@@ -247,17 +253,10 @@ def maximal_cones(d: SphericalDatum, fan: ColoredFan) -> list[ColoredCone]:
 
     The fan is "simple" (one closed orbit) iff exactly one maximal cone.
     """
-    face_lists = [colored_faces(d, cc) for cc in fan]
-    out = []
+    proper: set[tuple] = set()
     for cc in fan:
-        proper_face = any(
-            other is not cc
-            and not colored_cones_equal(cc, other)
-            and any(colored_cones_equal(cc, f) for f in faces)
-            for other, faces in zip(fan, face_lists))
-        if not proper_face:
-            out.append(cc)
-    return out
+        proper |= {f.key for f in colored_faces(d, cc)} - {cc.key}
+    return [cc for cc in fan if cc.key not in proper]
 
 
 def is_simple(d: SphericalDatum, fan: ColoredFan) -> bool:
@@ -275,19 +274,14 @@ def faces_closure(d: SphericalDatum, cones: Sequence[ColoredCone]) -> ColoredFan
     Raises FanAxiomError (with witness) on a CF2 violation; the returned
     fan is ordered by dimension, then first occurrence.
     """
-    collected: list[ColoredCone] = []
+    collected: dict[tuple, ColoredCone] = {}
     for cc in cones:
         for face in colored_faces(d, cc):
-            if not any(colored_cones_equal(face, m) for m in collected):
-                collected.append(face)
-    collected.sort(key=lambda cc: cc.cone.dim)
-    fan = ColoredFan(collected)
-    for i in range(len(fan.cones)):
-        for j in range(i + 1, len(fan.cones)):
-            w = relints_meet_in(fan.cones[i].cone, fan.cones[j].cone,
-                                d.valuation_cone)
-            if w is not None:
-                raise FanAxiomError(
-                    "CF2 violation: two cones share a valuation point in their "
-                    "relative interiors", witness=w)
+            collected.setdefault(face.key, face)
+    fan = ColoredFan(sorted(collected.values(), key=lambda cc: cc.cone.dim))
+    failure = next(_cf2_failures(d, fan.cones), None)
+    if failure is not None:
+        raise FanAxiomError(
+            "CF2 violation: two cones share a valuation point in their "
+            "relative interiors", witness=failure[2])
     return fan

@@ -102,6 +102,15 @@ def reference_solve(system: FeasibilitySystem):
     return tuple(x)
 
 
+def reference_cones_equal(a: Cone, b: Cone) -> bool:
+    """Cone equality by mutual inclusion of generator sets, as ``cones_equal``
+    decided it before the canonical key; the reference the key must match."""
+    if a.ambient_rank != b.ambient_rank:
+        return False
+    return (all(b.contains(g) for g in a.generators)
+            and all(a.contains(g) for g in b.generators))
+
+
 def random_vec(rng: random.Random, n: int, lo: int = -5, hi: int = 5):
     return tuple(Fraction(rng.randint(lo, hi)) for _ in range(n))
 

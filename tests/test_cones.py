@@ -3,12 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from sphfan.cones import (Cone, DimensionMismatch, cone_from_generators,
-                          cones_equal, relint_meets_cone, relints_meet_in)
+from sphfan.cones import (Cone, DimensionMismatch, cones_equal,
+                          relint_meets_cone, relints_meet_in)
 from sphfan.rational import dot
 
 from helpers import (brute_force_faces, fm_relint_meets_cone, random_cone,
-                     random_vec)
+                     random_vec, reference_cones_equal)
 
 
 def F(x):
@@ -21,7 +21,7 @@ def quadrant():
 
 class TestConstruction:
     def test_quadrant(self):
-        c = cone_from_generators(2, [(1, 0), (0, 1)])
+        c = Cone(2, [(1, 0), (0, 1)])
         assert len(c.generators) == 2
 
     def test_zero_cone(self):
@@ -68,6 +68,61 @@ class TestEquality:
 
     def test_same_ray_scaled(self):
         assert cones_equal(Cone(2, [(2, 0)]), Cone(2, [(1, 0)]))
+
+    def test_different_ambient_ranks(self):
+        assert not cones_equal(Cone(1), Cone(2))
+
+
+def equal_by_construction(rng: random.Random, c: Cone) -> Cone:
+    """Another generator list for c: rescaled, shuffled, with redundant
+    combinations, or shifted along the lineality space."""
+    n = c.ambient_rank
+    scales = [Fraction(rng.randint(1, 5), rng.randint(1, 5)) for _ in c.generators]
+    gens = [tuple(s * x for x in g) for s, g in zip(scales, c.generators)]
+    kind = rng.randrange(3)
+    if kind == 1 and gens:
+        for _ in range(rng.randint(1, 3)):
+            coeffs = [rng.randint(0, 2) for _ in gens]
+            gens.append(tuple(sum((a * g[k] for a, g in zip(coeffs, gens)), Fraction(0))
+                              for k in range(n)))
+    elif kind == 2:
+        lin = c.lineality_basis
+        shifted = []
+        for g in gens:
+            t = [rng.randint(-3, 3) for _ in lin]
+            shifted.append(tuple(g[k] + sum((a * l[k] for a, l in zip(t, lin)), Fraction(0))
+                                 for k in range(n)))
+        gens = shifted + list(lin) + [tuple(-x for x in l) for l in lin]
+    rng.shuffle(gens)
+    return Cone(n, gens)
+
+
+class TestKeyAgainstReference:
+    def test_equal_by_construction(self):
+        rng = random.Random(67)
+        for _ in range(150):
+            a = random_cone(rng, max_rank=4, max_gens=5)
+            b = equal_by_construction(rng, a)
+            assert reference_cones_equal(a, b)
+            assert cones_equal(a, b) and hash(a.key) == hash(b.key)
+
+    def test_agreement_on_random_pairs(self):
+        rng = random.Random(71)
+        equal = 0
+        for _ in range(300):
+            a = random_cone(rng, max_rank=3, max_gens=4)
+            n = a.ambient_rank
+            pick = rng.randrange(3)
+            if pick == 0:
+                b = Cone(n, [random_vec(rng, n, -1, 1) for _ in range(rng.randint(0, 4))])
+            elif pick == 1:
+                b = Cone(n, list(a.generators) + [random_vec(rng, n, -2, 2)])
+            else:
+                b = Cone(n, a.generators[1:])
+            got = cones_equal(a, b)
+            assert got == reference_cones_equal(a, b)
+            equal += got
+        assert 30 < equal < 270
 
 
 class TestIntersect:
@@ -140,6 +195,31 @@ class TestFaceOracle:
             assert len(got) == len(expected)
             for f in got:
                 assert any(cones_equal(f, e) for e in expected)
+
+    def test_agreement_on_random_non_pointed_cones(self):
+        rng = random.Random(37)
+        done = 0
+        while done < 20:
+            c = random_cone(rng, max_rank=3, max_gens=5)
+            if c.is_strictly_convex():
+                continue
+            done += 1
+            got = c.faces()
+            assert len({f.key for f in got}) == len(got)
+            expected = []
+            for f in brute_force_faces(c):
+                if not any(reference_cones_equal(f, e) for e in expected):
+                    expected.append(f)
+            assert len(got) == len(expected)
+            for f in got:
+                assert any(reference_cones_equal(f, e) for e in expected)
+
+    def test_faces_have_distinct_keys(self):
+        rng = random.Random(43)
+        for _ in range(100):
+            c = random_cone(rng)
+            faces = c.faces()
+            assert len({f.key for f in faces}) == len(faces)
 
 
 class TestRelint:

@@ -154,3 +154,17 @@ class TestRoundTrip:
 def test_detect_kind():
     assert docio.detect_kind(MINIMAL_DATUM) == "datum"
     assert docio.detect_kind(P1_FAN) == "fan"
+
+
+class TestFirstOccurrence:
+    def test_fan_keeps_the_first_of_equal_members(self):
+        quad = ColoredCone(Cone(2, [(1, 0), (0, 1)]))
+        again = ColoredCone(Cone(2, [(0, 2), (1, 1), (3, 0)]))
+        colored = ColoredCone(Cone(2, [(0, 1), (1, 0)]), ["a"])
+        for first, gens in ((quad, [["1", "0"], ["0", "1"]]),
+                            (again, [["0", "1"], ["1", "1"], ["1", "0"]])):
+            second = again if first is quad else quad
+            fan = ColoredFan([first, second, colored])
+            cones = json.loads(docio.serialize_fan(fan))["payload"]["cones"]
+            assert cones == [{"generators": gens, "colors": []},
+                             {"generators": [["0", "1"], ["1", "0"]], "colors": ["a"]}]

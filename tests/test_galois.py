@@ -174,6 +174,24 @@ class TestOrbit:
                 continue
             assert len(a.elements) % len(orbit(a, cc)) == 0
 
+    def test_images_in_element_order(self):
+        d = swap_datum()
+        ident = GroupElement("id", Mat.identity(2), {"a": "a", "b": "b"})
+        swap = GroupElement("s", Mat([[0, 1], [1, 0]]), {"a": "b", "b": "a"})
+        cc = ColoredCone(Cone(2, [(1, 0)]), ["a"])
+        for elements, order in (([ident, swap], ["a", "b"]), ([swap, ident], ["b", "a"])):
+            out = orbit(GaloisAction(d, elements), cc)
+            assert [sorted(c.palette) for c in out] == [[x] for x in order]
+
+    def test_equal_images_keep_the_first(self):
+        d = swap_datum()
+        ident = GroupElement("id", Mat.identity(2), {"a": "a", "b": "b"})
+        neg = GroupElement("n", Mat([[-1, 0], [0, -1]]), {"a": "a", "b": "b"})
+        line = ColoredCone(Cone(2, [(1, 0), (-1, 0)]))
+        for elements, gens in (([ident, neg], (1, -1)), ([neg, ident], (-1, 1))):
+            (image,) = orbit(GaloisAction(d, elements), line)
+            assert [g[0] for g in image.cone.generators] == list(gens)
+
 
 class TestInvariantClosure:
     def test_seed_ray_gives_p1(self):

@@ -142,3 +142,16 @@ class TestProperties:
         assert validate_morphism(comp).ok
         quad_fan = faces_closure(d2, [ColoredCone(Cone(2, [(1, 0), (0, 1)]))])
         assert is_morphism_of_fans(comp, quad_fan, p1_fan()).ok
+
+    def test_composition_rejects_different_intermediate_data(self):
+        ray = SphericalDatum(1, Cone(1, [(1,)]))
+        into_ray = FanMorphism(line_datum(), ray, Mat.identity(1))
+        from_line = FanMorphism(line_datum(), line_datum(), Mat.identity(1))
+        with pytest.raises(ValueError):
+            compose(into_ray, from_line)
+        colored = SphericalDatum(1, Cone(1, [(1,), (-1,)]), ["a"], {"a": (1,)})
+        with pytest.raises(ValueError):
+            compose(FanMorphism(line_datum(), line_datum(), Mat.identity(1)),
+                    FanMorphism(colored, line_datum(), Mat.identity(1)))
+        with pytest.raises(RankMismatchError):
+            compose(from_line, projection())
