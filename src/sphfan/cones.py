@@ -13,8 +13,8 @@ from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .lp import FeasibilitySystem
-from .rational import (Mat, Vec, dot, is_zero_vec, primitive, rat, vec_scale,
-                       vec_sub, zero_vec)
+from .rational import (Mat, Vec, dot, integer_rows, is_zero_vec, primitive,
+                       primitive_ints, rat, vec_scale, zero_vec)
 
 
 class DimensionMismatch(ValueError):
@@ -57,13 +57,34 @@ def _reduce_mod(v: Vec, rref_rows: Sequence[Vec]) -> Vec:
     return tuple(x)
 
 
+def _idot(a: Sequence[int], r: Sequence[int]) -> int:
+    return sum(x * y for x, y in zip(a, r))
+
+
+def _combine(p: int, u: Sequence[int], q: int, v: Sequence[int]) -> tuple[int, ...]:
+    """The primitive integer vector along p*u - q*v."""
+    return primitive_ints([p * x - q * y for x, y in zip(u, v)])
+
+
 def dual_description(ineqs: Sequence[Vec], n: int) -> tuple[list[Vec], list[Vec]]:
     """Generators of {x in Q^n : a . x >= 0 for all a in ineqs}.
 
     Returns (lineality_basis, extreme_rays).  Incremental double
-    description; extremeness and adjacency are decided by exact rank
-    tests against the inequalities processed so far, which keeps the ray
-    list minimal even for non-pointed intermediate cones.
+    description on primitive integer vectors (Fukuda & Prodon 1996):
+    after each inequality, ``lin`` spans the lineality space L and the
+    rays are the extreme rays modulo L, each once.  Every ray carries
+    Z(r), the indices of the processed inequalities tight on it, fixed
+    when it is made: vectors of L are tight on all of them, and a new
+    ray p*u + q*v (p, q > 0) is tight exactly where u and v both are.
+
+    An inequality not vanishing on L turns one l0 in L into a ray and
+    moves the other rays along l0 onto its hyperplane.  Otherwise each
+    adjacent pair of rays on opposite sides gives a new ray on the
+    hyperplane: u and v are adjacent iff no third ray r has
+    Z(r) ⊇ Z(u) ∩ Z(v).  This is exact because the list is minimal: the
+    rays whose sets contain Z(u) ∩ Z(v) are the extreme rays of the
+    smallest face holding u and v, which is a 2-face iff there are no
+    others.  So every step keeps the list minimal, with no filtering.
 
     The output is canonical: the lineality basis is in reduced row
     echelon form, and each extreme ray is primitive and reduced modulo
@@ -71,67 +92,38 @@ def dual_description(ineqs: Sequence[Vec], n: int) -> tuple[list[Vec], list[Vec]
     describe the same cone iff the bases are equal and the rays are
     equal as sets.
     """
-    lin: list[Vec] = [tuple(Fraction(1 if i == j else 0) for j in range(n))
-                      for i in range(n)]
-    lin_rref = lin
-    rays: list[Vec] = []
-    processed: list[Vec] = []
+    lin = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    rays: list[tuple[tuple[int, ...], frozenset[int]]] = []
 
-    for a in ineqs:
-        pivots = [(l, dot(a, l)) for l in lin]
-        hit = next(((l, s) for l, s in pivots if s != 0), None)
+    for k, a in enumerate(integer_rows(ineqs)):
+        dots = [_idot(a, l) for l in lin]
+        hit = next((i for i, s in enumerate(dots) if s != 0), None)
         if hit is not None:
-            l0, s0 = hit
+            l0, s0 = lin[hit], dots[hit]
             if s0 < 0:
-                l0, s0 = vec_scale(Fraction(-1), l0), -s0
-            new_lin = []
-            for l, s in pivots:
-                if l is hit[0]:
-                    continue
-                new_lin.append(vec_sub(l, vec_scale(s / s0, l0)) if s != 0 else l)
-            rays = [vec_sub(r, vec_scale(dot(a, r) / s0, l0)) for r in rays]
-            rays.append(l0)
-            lin = new_lin
-        else:
-            pos, zero, neg = [], [], []
-            for r in rays:
-                s = dot(a, r)
-                (pos if s > 0 else zero if s == 0 else neg).append(r)
-            new: dict[Vec, Vec] = {}
-            if pos and neg:
-                target = n - len(lin) - 2
-                tight = {r: [q for q in processed if dot(q, r) == 0] for r in rays}
-                for u in pos:
-                    for v in neg:
-                        common = [q for q in tight[u] if dot(q, v) == 0]
-                        if len(rays) > 2 and Mat(common).rank() != target:
-                            continue
-                        w = vec_sub(vec_scale(dot(a, u), v), vec_scale(dot(a, v), u))
-                        w = primitive(w)
-                        new.setdefault(w, w)
-            rays = pos + zero + list(new)
-        processed.append(a)
-        lin_rref = _rref(lin)
-        rays = [primitive(_reduce_mod(r, lin_rref)) for r in rays]
-        rays = _extreme_filter(rays, processed, n, len(lin))
-    return lin_rref, rays
-
-
-def _extreme_filter(rays: list[Vec], processed: list[Vec], n: int,
-                    lin_dim: int) -> list[Vec]:
-    """Keep only rays whose tight constraint set has rank n - lin_dim - 1."""
-    target = n - lin_dim - 1
-    out = []
-    seen = set()
-    for r in rays:
-        p = primitive(r)
-        if is_zero_vec(p) or p in seen:
+                l0, s0 = tuple(-x for x in l0), -s0
+            lin = [_combine(s0, l, s, l0) if s != 0 else l
+                   for i, (l, s) in enumerate(zip(lin, dots)) if i != hit]
+            rays = [(_combine(s0, r, _idot(a, r), l0), z | {k}) for r, z in rays]
+            rays.append((l0, frozenset(range(k))))
             continue
-        tight = [a for a in processed if dot(a, r) == 0]
-        if Mat(tight).rank() == target if tight else target == 0:
-            seen.add(p)
-            out.append(r)
-    return out
+        dots = [_idot(a, r) for r, _ in rays]
+        pos = [i for i, s in enumerate(dots) if s > 0]
+        neg = [i for i, s in enumerate(dots) if s < 0]
+        new = []
+        for i in pos:
+            for j in neg:
+                common = rays[i][1] & rays[j][1]
+                if any(common <= z for h, (_, z) in enumerate(rays) if h != i and h != j):
+                    continue
+                new.append((_combine(dots[i], rays[j][0], dots[j], rays[i][0]),
+                            common | {k}))
+        rays = ([rays[i] for i in pos]
+                + [(r, z | {k}) for (r, z), s in zip(rays, dots) if s == 0] + new)
+
+    lin_rref = _rref([tuple(Fraction(x) for x in l) for l in lin])
+    return lin_rref, [primitive(_reduce_mod(tuple(Fraction(x) for x in r), lin_rref))
+                      for r, _ in rays]
 
 
 class Cone:

@@ -104,6 +104,14 @@ def _vectors_at(value, path: str, rank: Optional[int] = None) -> list:
             for i, v in enumerate(_expect_list(value, path))]
 
 
+def _matrix_at(rows: list, path: str) -> Mat:
+    for r, row in enumerate(rows):
+        if len(row) != len(rows[0]):
+            raise ParseError(f"expected a row of length {len(rows[0])}",
+                             path=f"{path}[{r}]")
+    return Mat(rows)
+
+
 def _int_at(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError("expected an integer", path=path)
@@ -201,14 +209,18 @@ def parse_action(text: str, datum: SphericalDatum) -> GaloisAction:
     p = _envelope(text, "action")
     _expect_object(p, "$.payload", {"elements": True})
     elements = []
+    names = set()
     for i, entry in enumerate(_expect_list(p["elements"], "$.payload.elements")):
         path = f"$.payload.elements[{i}]"
         _expect_object(entry, path, {"name": True, "matrix": True, "color_perm": True})
         name = _expect_str(entry["name"], f"{path}.name")
+        if name in names:
+            raise ParseError(f"duplicate element name {name!r}", path=f"{path}.name")
+        names.add(name)
         rows = _expect_list(entry["matrix"], f"{path}.matrix")
-        matrix = Mat([[_int_at(x, f"{path}.matrix[{r}][{c}]")
-                       for c, x in enumerate(_expect_list(row, f"{path}.matrix[{r}]"))]
-                      for r, row in enumerate(rows)])
+        matrix = _matrix_at([[_int_at(x, f"{path}.matrix[{r}][{c}]")
+                              for c, x in enumerate(_expect_list(row, f"{path}.matrix[{r}]"))]
+                             for r, row in enumerate(rows)], f"{path}.matrix")
         perm_raw = entry["color_perm"]
         if not isinstance(perm_raw, dict):
             raise ParseError("expected an object", path=f"{path}.color_perm")
@@ -219,6 +231,8 @@ def parse_action(text: str, datum: SphericalDatum) -> GaloisAction:
             perm[k] = _expect_str(v, f"{path}.color_perm.{k}")
             if perm[k] not in datum.colors:
                 raise ParseError(f"unknown color {perm[k]!r}", path=f"{path}.color_perm.{k}")
+        if len(perm) != len(datum.colors) or len(set(perm.values())) != len(perm):
+            raise ParseError("not a permutation of the colors", path=f"{path}.color_perm")
         elements.append(GroupElement(name, matrix, perm))
     return GaloisAction(datum, elements)
 
@@ -246,7 +260,8 @@ def parse_morphism(text: str, source: SphericalDatum,
     _expect_object(p, "$.payload",
                    {"matrix": True, "domain_colors": True, "color_map": True})
     rows = _expect_list(p["matrix"], "$.payload.matrix")
-    matrix = Mat([_vector_at(row, f"$.payload.matrix[{r}]") for r, row in enumerate(rows)])
+    matrix = _matrix_at([_vector_at(row, f"$.payload.matrix[{r}]")
+                         for r, row in enumerate(rows)], "$.payload.matrix")
     domain = [_expect_str(c, f"$.payload.domain_colors[{i}]")
               for i, c in enumerate(_expect_list(p["domain_colors"],
                                                  "$.payload.domain_colors"))]

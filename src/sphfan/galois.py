@@ -30,9 +30,6 @@ class GroupElement:
     def __setattr__(self, name, value):
         raise AttributeError("GroupElement is immutable")
 
-    def same_action(self, other: "GroupElement") -> bool:
-        return self.matrix == other.matrix and self.color_perm == other.color_perm
-
 
 class GaloisAction:
     """Finite quotient of a Galois group acting on a spherical datum."""

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
 Rat = Fraction
@@ -62,14 +62,6 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
-
-
-def vec_sub(u: Vec, v: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(u, v))
-
-
 def vec_scale(c: Fraction, u: Sequence[Fraction]) -> Vec:
     return tuple(c * a for a in u)
 
@@ -82,17 +74,19 @@ def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
 
 
+def primitive_ints(ints: Sequence[int]) -> tuple[int, ...]:
+    """Divide integers by their gcd; a zero vector stays as it is."""
+    g = gcd(*ints)
+    return tuple(i // g for i in ints) if g > 1 else tuple(ints)
+
+
 def primitive(u: Sequence[Fraction]) -> Vec:
     """Scale a nonzero vector to coprime integer entries, same direction."""
-    if is_zero_vec(u):
-        return tuple(Fraction(0) for _ in u)
-    m = lcm(*(a.denominator for a in u))
-    ints = [a.numerator * (m // a.denominator) for a in u]
-    g = gcd(*(abs(i) for i in ints))
-    return tuple(Fraction(i // g) for i in ints)
+    return tuple(Fraction(i) for i in primitive_ints(integer_rows([u])[0]))
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+def integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
+    """Each row scaled by the lcm of its denominators, as Python ints."""
     out = []
     for row in rows:
         m = lcm(*(a.denominator for a in row)) if row else 1
@@ -147,23 +141,28 @@ class Mat:
         cols = list(zip(*other.rows))
         return Mat([[dot(row, col) for col in cols] for row in self.rows])
 
-    def _bareiss_echelon(self) -> tuple[list[list[int]], list[int]]:
+    def _bareiss_echelon(self) -> tuple[list[list[int]], list[int], int]:
         """Fraction-free row echelon form.
 
-        Returns the integer echelon grid together with the pivot column
-        list; rows are scaled (Bareiss), so only zero-patterns and exact
-        linear relations are meaningful.
+        Returns the integer echelon grid, the pivot column list and the
+        sign of the row permutation; rows are scaled (Bareiss), so only
+        zero-patterns and exact linear relations are meaningful.  For a
+        nonsingular square matrix the last pivot is the determinant of
+        the row-scaled integer matrix, up to that sign.
         """
-        a = _integer_rows(self.rows)
+        a = integer_rows(self.rows)
         nrows, ncols = self.nrows, self.ncols
         pivots: list[int] = []
+        sign = 1
         r = 0
         prev = 1
         for col in range(ncols):
             piv = next((i for i in range(r, nrows) if a[i][col] != 0), None)
             if piv is None:
                 continue
-            a[r], a[piv] = a[piv], a[r]
+            if piv != r:
+                a[r], a[piv] = a[piv], a[r]
+                sign = -sign
             for i in range(r + 1, nrows):
                 for j in range(col + 1, ncols):
                     a[i][j] = (a[i][j] * a[r][col] - a[i][col] * a[r][j]) // prev
@@ -173,15 +172,15 @@ class Mat:
             r += 1
             if r == nrows:
                 break
-        return a, pivots
+        return a, pivots, sign
 
     def rank(self) -> int:
-        _, pivots = self._bareiss_echelon()
+        _, pivots, _ = self._bareiss_echelon()
         return len(pivots)
 
     def solve_homogeneous(self) -> list[Vec]:
         """Basis of the exact kernel {x : self @ x = 0}."""
-        ech, pivots = self._bareiss_echelon()
+        ech, pivots, _ = self._bareiss_echelon()
         free = [j for j in range(self.ncols) if j not in pivots]
         basis: list[Vec] = []
         for f in free:
@@ -202,22 +201,11 @@ class Mat:
         n = self.nrows
         if n == 0:
             return Fraction(1)
-        a = [list(row) for row in self.rows]
-        sign = 1
-        prev = Fraction(1)
-        for col in range(n):
-            piv = next((i for i in range(col, n) if a[i][col] != 0), None)
-            if piv is None:
-                return Fraction(0)
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                sign = -sign
-            for i in range(col + 1, n):
-                for j in range(col + 1, n):
-                    a[i][j] = (a[i][j] * a[col][col] - a[i][col] * a[col][j]) / prev
-                a[i][col] = Fraction(0)
-            prev = a[col][col]
-        return sign * a[n - 1][n - 1]
+        ech, pivots, sign = self._bareiss_echelon()
+        if len(pivots) < n:
+            return Fraction(0)
+        scales = prod(lcm(*(a.denominator for a in row)) for row in self.rows)
+        return Fraction(sign * ech[n - 1][n - 1], scales)
 
     def is_integral_unimodular(self) -> bool:
         """True iff square, all entries integers, and det = ±1."""

@@ -5,9 +5,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from sphfan.cones import Cone
+from sphfan.cones import Cone, _reduce_mod, _rref
 from sphfan.fourier_motzkin import feasible
 from sphfan.lp import FeasibilitySystem
+from sphfan.rational import Mat, Vec, dot, is_zero_vec, primitive, vec_scale
 from sphfan.spherical import ColoredCone, SphericalDatum, validate_colored_cone
 
 
@@ -109,6 +110,105 @@ def reference_cones_equal(a: Cone, b: Cone) -> bool:
         return False
     return (all(b.contains(g) for g in a.generators)
             and all(a.contains(g) for g in b.generators))
+
+
+def vec_sub(u: Vec, v: Vec) -> Vec:
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def reference_dual_description(ineqs, n):
+    """The Fraction double description that ``sphfan.cones`` replaced: rank
+    tests for adjacency, then a rescan that drops non-extreme rays, with
+    the canonical form recomputed on every step.
+
+    Kept as the reference the integer double description must match.
+    """
+    lin: list[Vec] = [tuple(Fraction(1 if i == j else 0) for j in range(n))
+                      for i in range(n)]
+    lin_rref = lin
+    rays: list[Vec] = []
+    processed: list[Vec] = []
+
+    for a in ineqs:
+        pivots = [(l, dot(a, l)) for l in lin]
+        hit = next(((l, s) for l, s in pivots if s != 0), None)
+        if hit is not None:
+            l0, s0 = hit
+            if s0 < 0:
+                l0, s0 = vec_scale(Fraction(-1), l0), -s0
+            new_lin = []
+            for l, s in pivots:
+                if l is hit[0]:
+                    continue
+                new_lin.append(vec_sub(l, vec_scale(s / s0, l0)) if s != 0 else l)
+            rays = [vec_sub(r, vec_scale(dot(a, r) / s0, l0)) for r in rays]
+            rays.append(l0)
+            lin = new_lin
+        else:
+            pos, zero, neg = [], [], []
+            for r in rays:
+                s = dot(a, r)
+                (pos if s > 0 else zero if s == 0 else neg).append(r)
+            new: dict[Vec, Vec] = {}
+            if pos and neg:
+                target = n - len(lin) - 2
+                tight = {r: [q for q in processed if dot(q, r) == 0] for r in rays}
+                for u in pos:
+                    for v in neg:
+                        common = [q for q in tight[u] if dot(q, v) == 0]
+                        if len(rays) > 2 and Mat(common).rank() != target:
+                            continue
+                        w = vec_sub(vec_scale(dot(a, u), v), vec_scale(dot(a, v), u))
+                        w = primitive(w)
+                        new.setdefault(w, w)
+            rays = pos + zero + list(new)
+        processed.append(a)
+        lin_rref = _rref(lin)
+        rays = [primitive(_reduce_mod(r, lin_rref)) for r in rays]
+        rays = _reference_extreme_filter(rays, processed, n, len(lin))
+    return lin_rref, rays
+
+
+def _reference_extreme_filter(rays, processed, n, lin_dim):
+    """Keep only rays whose tight constraint set has rank n - lin_dim - 1."""
+    target = n - lin_dim - 1
+    out = []
+    seen = set()
+    for r in rays:
+        p = primitive(r)
+        if is_zero_vec(p) or p in seen:
+            continue
+        tight = [a for a in processed if dot(a, r) == 0]
+        if Mat(tight).rank() == target if tight else target == 0:
+            seen.add(p)
+            out.append(r)
+    return out
+
+
+def reference_det(m: Mat) -> Fraction:
+    """``Mat.det`` as it was: a Fraction-valued Bareiss elimination of its
+    own, the reference the shared integer elimination must match."""
+    if m.nrows != m.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    n = m.nrows
+    if n == 0:
+        return Fraction(1)
+    a = [list(row) for row in m.rows]
+    sign = 1
+    prev = Fraction(1)
+    for col in range(n):
+        piv = next((i for i in range(col, n) if a[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        for i in range(col + 1, n):
+            for j in range(col + 1, n):
+                a[i][j] = (a[i][j] * a[col][col] - a[i][col] * a[col][j]) / prev
+            a[i][col] = Fraction(0)
+        prev = a[col][col]
+    return sign * a[n - 1][n - 1]
 
 
 def random_vec(rng: random.Random, n: int, lo: int = -5, hi: int = 5):

@@ -244,3 +244,45 @@ class TestDecodeLimits:
         code, out = run(capsys, "validate", files("d.json", DATUM),
                         files("f.json", deep))
         assert code == 2 and out == ""
+
+
+COLORED_DATUM = """
+{"kind": "datum", "version": "1",
+ "payload": {"rank": 2,
+             "valuation_cone": {"generators": [["1", "0"], ["-1", "0"],
+                                               ["0", "1"], ["0", "-1"]]},
+             "colors": [{"name": "a", "rho": ["1", "0"]},
+                        {"name": "b", "rho": ["0", "1"]}]}}
+"""
+
+
+def _action(*elements):
+    return json.dumps({"kind": "action", "version": "1",
+                       "payload": {"elements": [
+                           {"name": name, "matrix": matrix, "color_perm": perm}
+                           for name, matrix, perm in elements]}})
+
+
+ID_MATRIX = [[1, 0], [0, 1]]
+ID_PERM = {"a": "a", "b": "b"}
+
+
+@pytest.mark.parametrize("command, document", [
+    ("invariant", _action(("id", [[1, 0], [0]], ID_PERM))),
+    ("invariant", _action(("g", ID_MATRIX, ID_PERM),
+                          ("g", [[0, 1], [1, 0]], {"a": "b", "b": "a"}))),
+    ("invariant", _action(("id", ID_MATRIX, {"a": "a", "b": "a"}))),
+    ("morphism", PROJECTION.replace('[["1", "0"]]', '[["1", "0"], ["0"]]')),
+], ids=["ragged-action-matrix", "duplicate-element-name", "color-perm-not-a-permutation",
+        "ragged-morphism-matrix"])
+def test_malformed_action_or_morphism_exits_2(files, capsys, command, document):
+    datum = files("d.json", COLORED_DATUM)
+    fan = files("f.json", QUAD_FAN)
+    if command == "invariant":
+        argv = ["invariant", datum, fan, files("a.json", document)]
+    else:
+        argv = ["morphism", datum, datum, files("m.json", document), fan, fan]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("sphfan: error:")

@@ -1,14 +1,24 @@
+import importlib.util
+import os
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from sphfan.cones import (Cone, DimensionMismatch, cones_equal,
+from sphfan.cones import (Cone, DimensionMismatch, cones_equal, dual_description,
                           relint_meets_cone, relints_meet_in)
 from sphfan.rational import dot
 
 from helpers import (brute_force_faces, fm_relint_meets_cone, random_cone,
-                     random_vec, reference_cones_equal)
+                     random_vec, reference_cones_equal, reference_dual_description)
+
+_spec = importlib.util.spec_from_file_location(
+    "perfbench_inputs", os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "perfbench", "inputs.py"))
+bench_inputs = importlib.util.module_from_spec(_spec)
+sys.modules[_spec.name] = bench_inputs  # dataclasses look their module up here
+_spec.loader.exec_module(bench_inputs)
 
 
 def F(x):
@@ -311,3 +321,83 @@ class TestDoubleDescription:
         assert quadrant().is_strictly_convex()
         assert not Cone(2, [(1, 0), (-1, 0)]).is_strictly_convex()
         assert Cone(2).is_strictly_convex()
+
+
+def assert_same_description(got, want):
+    """Equal lists in the same order, every vector a tuple of Fractions."""
+    assert got == want
+    for vecs in got:
+        assert type(vecs) is list
+        assert all(type(v) is tuple and all(type(x) is Fraction for x in v)
+                   for v in vecs)
+
+
+def random_ineqs(rng: random.Random, n: int, k: int) -> list:
+    """Inequalities with zero vectors, ± pairs, rescaled duplicates and
+    rational entries mixed in."""
+    out = []
+    for _ in range(k):
+        kind = rng.randrange(6)
+        if kind == 0:
+            out.append((Fraction(0),) * n)
+        elif kind == 1 and out:
+            out.append(tuple(-x for x in rng.choice(out)))
+        elif kind == 2 and out:
+            c = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            out.append(tuple(c * x for x in rng.choice(out)))
+        elif kind == 3:
+            out.append(tuple(Fraction(rng.randint(-7, 7), rng.randint(1, 4))
+                             for _ in range(n)))
+        else:
+            out.append(random_vec(rng, n, -3, 3))
+    return out
+
+
+class TestDualDescriptionAgainstReference:
+    def test_random_inputs(self):
+        rng = random.Random(73)
+        non_trivial = 0
+        for _ in range(2000):
+            n = rng.randint(0, 4)
+            ineqs = random_ineqs(rng, n, rng.randint(0, 7))
+            want = reference_dual_description(ineqs, n)
+            assert_same_description(dual_description(ineqs, n), want)
+            non_trivial += 0 < len(want[0]) < n
+        assert non_trivial > 300
+
+    def test_intersection_inputs(self):
+        # the facet normals and ± span equations that Cone.intersect feeds
+        # back in; span equations in RREF carry rational entries
+        rng = random.Random(79)
+        rational = 0
+        for _ in range(200):
+            a = random_cone(rng, max_rank=4, max_gens=5)
+            b = Cone(a.ambient_rank, [random_vec(rng, a.ambient_rank)
+                                      for _ in range(rng.randint(0, 5))])
+            ineqs = []
+            for c in (a, b):
+                ineqs.extend(c.facets)
+                for w in c.span_equations:
+                    ineqs += [w, tuple(-x for x in w)]
+            rational += any(x.denominator != 1 for w in ineqs for x in w)
+            assert_same_description(dual_description(ineqs, a.ambient_rank),
+                                    reference_dual_description(ineqs, a.ambient_rank))
+        assert rational > 10
+
+    @pytest.mark.parametrize("rank, seed", [(3, 0), (4, 0), (4, 1), (5, 0), (5, 1), (6, 0)])
+    def test_cube_cones_both_directions(self, rank, seed):
+        gens = Cone(rank, bench_inputs.cube_cone(random.Random(seed), rank).generators)
+        self._both_directions(rank, gens.generators)
+
+    @pytest.mark.parametrize("ts", [tuple(range(-3, 4)), tuple(range(-4, 4))])
+    def test_cyclic_cones_both_directions(self, ts):
+        gens = Cone(5, bench_inputs.cyclic_cone(random.Random(2), ts).generators)
+        self._both_directions(5, gens.generators)
+
+    @staticmethod
+    def _both_directions(n, generators):
+        want = reference_dual_description(generators, n)
+        assert_same_description(dual_description(generators, n), want)
+        facets = want[1]
+        assert_same_description(dual_description(facets, n),
+                                reference_dual_description(facets, n))

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from sphfan.rational import Mat, dot, format_rat, parse_rat, primitive
 
+from helpers import reference_det
+
 
 class TestParseFormat:
     def test_integer(self):
@@ -114,6 +116,23 @@ class TestUnimodular:
             inv = Mat([[m[1][1] / d, -m[0][1] / d], [-m[1][0] / d, m[0][0] / d]])
             assert inv.is_integral_unimodular()
             assert mat.matmul(inv) == Mat.identity(2)
+
+
+def test_det_matches_the_fraction_elimination():
+    rng = random.Random(11)
+    singular = 0
+    for _ in range(500):
+        n = rng.randint(0, 5)
+        rows = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) if rng.random() < 0.7
+                 else Fraction(0) for _ in range(n)] for _ in range(n)]
+        if n > 1 and rng.random() < 0.3:
+            c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+            rows[rng.randrange(1, n)] = [c * x for x in rows[0]]
+        m = Mat(rows)
+        got = m.det()
+        assert got == reference_det(m) and type(got) is Fraction
+        singular += got == 0
+    assert 50 < singular < 450
 
 
 def test_dot_dimension_mismatch():
