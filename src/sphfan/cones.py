@@ -26,44 +26,63 @@ def _check_dim(n: int, v: Sequence[Fraction]) -> None:
         raise DimensionMismatch(f"expected a vector of length {n}, got {len(v)}")
 
 
-def _rref(rows: Sequence[Vec]) -> list[Vec]:
-    """Reduced row echelon form basis of the row space."""
-    work = [list(r) for r in rows]
-    out: list[list[Fraction]] = []
+def _combine(p: int, u: Sequence[int], q: int, v: Sequence[int]) -> tuple[int, ...]:
+    """The primitive integer vector along p*u - q*v."""
+    return primitive_ints([p * x - q * y for x, y in zip(u, v)])
+
+
+def _echelon(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Reduced row echelon basis of the row space of int rows, fraction-free.
+
+    Each row is primitive with a positive pivot entry and is zero in the
+    pivot column of every other row; pivots increase.  Dividing each row
+    by its pivot entry gives the reduced row echelon form.
+    """
+    work = [primitive_ints(r) for r in rows if any(r)]
+    out: list[tuple[int, ...]] = []
     ncols = len(rows[0]) if rows else 0
-    col = 0
-    while work and col < ncols:
+    for col in range(ncols):
         piv = next((r for r in work if r[col] != 0), None)
         if piv is None:
-            col += 1
             continue
         work.remove(piv)
-        piv = [x / piv[col] for x in piv]
-        work = [[x - r[col] * p for x, p in zip(r, piv)] for r in work]
-        out = [[x - r[col] * p for x, p in zip(r, piv)] for r in out]
+        p = piv[col]
+        if p < 0:
+            piv, p = tuple(-x for x in piv), -p
+        # p > 0, so each reduced row is a positive multiple of the row
+        # the Fraction elimination gives
+        work = [_combine(p, r, r[col], piv) if r[col] else r for r in work]
+        work = [r for r in work if any(r)]
+        out = [_combine(p, r, r[col], piv) if r[col] else r for r in out]
         out.append(piv)
-        col += 1
-    return [tuple(r) for r in out]
+    return out
 
 
-def _reduce_mod(v: Vec, rref_rows: Sequence[Vec]) -> Vec:
-    """Canonical representative of v modulo the span of RREF rows."""
-    x = list(v)
-    for row in rref_rows:
-        p = next(i for i, e in enumerate(row) if e != 0)
-        if x[p] != 0:
-            c = x[p] / row[p]
-            x = [a - c * b for a, b in zip(x, row)]
-    return tuple(x)
+def _pivots(basis: Sequence[Sequence[int]]) -> list[int]:
+    return [next(i for i, x in enumerate(r) if x != 0) for r in basis]
+
+
+def _divide_by_pivots(basis: Sequence[Sequence[int]]) -> list[Vec]:
+    """The reduced row echelon form of ``_echelon`` rows, as Fractions."""
+    return [tuple(Fraction(x, r[p]) for x in r) for r, p in zip(basis, _pivots(basis))]
+
+
+def _rref(rows: Sequence[Vec]) -> list[Vec]:
+    """Reduced row echelon form basis of the row space."""
+    return _divide_by_pivots(_echelon(integer_rows(rows)))
+
+
+def _reduce_ints(v: Sequence[int], basis: Sequence[Sequence[int]],
+                 pivots: Sequence[int]) -> tuple[int, ...]:
+    """The primitive representative of int v modulo the span of ``_echelon`` rows."""
+    for row, p in zip(basis, pivots):
+        if v[p] != 0:
+            v = _combine(row[p], v, v[p], row)
+    return primitive_ints(v)
 
 
 def _idot(a: Sequence[int], r: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, r))
-
-
-def _combine(p: int, u: Sequence[int], q: int, v: Sequence[int]) -> tuple[int, ...]:
-    """The primitive integer vector along p*u - q*v."""
-    return primitive_ints([p * x - q * y for x, y in zip(u, v)])
 
 
 def dual_description(ineqs: Sequence[Vec], n: int) -> tuple[list[Vec], list[Vec]]:
@@ -121,9 +140,10 @@ def dual_description(ineqs: Sequence[Vec], n: int) -> tuple[list[Vec], list[Vec]
         rays = ([rays[i] for i in pos]
                 + [(r, z | {k}) for (r, z), s in zip(rays, dots) if s == 0] + new)
 
-    lin_rref = _rref([tuple(Fraction(x) for x in l) for l in lin])
-    return lin_rref, [primitive(_reduce_mod(tuple(Fraction(x) for x in r), lin_rref))
-                      for r, _ in rays]
+    basis = _echelon(lin)
+    pivots = _pivots(basis)
+    return _divide_by_pivots(basis), [tuple(Fraction(x) for x in _reduce_ints(r, basis, pivots))
+                                      for r, _ in rays]
 
 
 class Cone:
@@ -192,12 +212,24 @@ class Cone:
             return 0
         return Mat(self.generators).rank()
 
-    def contains(self, x: Sequence[Fraction]) -> bool:
-        """Membership via facet inequalities plus span membership."""
-        _check_dim(self.ambient_rank, x)
+    @cached_property
+    def _int_dual(self) -> tuple[list[list[int]], list[list[int]]]:
+        """``_dual`` with each row scaled to ints; scaling by a positive
+        factor keeps the sign of every dot product."""
         eqs, facets = self._dual
-        return (all(dot(w, x) == 0 for w in eqs)
-                and all(dot(w, x) >= 0 for w in facets))
+        return integer_rows(eqs), integer_rows(facets)
+
+    def contains(self, x: Sequence[Fraction]) -> bool:
+        """Membership via facet inequalities plus span membership.
+
+        x is scaled once to ints by the lcm of its denominators, so the
+        signs of int dot products decide.
+        """
+        _check_dim(self.ambient_rank, x)
+        eqs, facets = self._int_dual
+        (xi,) = integer_rows([x])
+        return (all(_idot(w, xi) == 0 for w in eqs)
+                and all(_idot(w, xi) >= 0 for w in facets))
 
     def is_strictly_convex(self) -> bool:
         return not self.lineality_basis

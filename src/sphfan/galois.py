@@ -9,7 +9,7 @@ inverse checks can be exhaustive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from .cones import Cone, cones_equal
 from .rational import Mat
@@ -64,12 +64,6 @@ class GaloisAction:
         perm = {c: g.color_perm[h.color_perm[c]] for c in self.datum.colors}
         return matrix, perm
 
-    def _find(self, matrix: Mat, perm: dict) -> Optional[GroupElement]:
-        for e in self.elements:
-            if e.matrix == matrix and e.color_perm == perm:
-                return e
-        return None
-
 
 @dataclass(frozen=True)
 class ActionReport:
@@ -87,30 +81,41 @@ class ActionReport:
                 and self.unimodular and self.v_stable and self.rho_equivariant)
 
 
+def _action_key(matrix: Mat, perm: Mapping[str, str]) -> tuple:
+    """Hashable form of an action: equal iff matrix and color map are."""
+    return matrix.rows, tuple(sorted(perm.items()))
+
+
 def validate_action(a: GaloisAction) -> ActionReport:
+    """Group axioms, unimodularity, V-stability and rho-equivariance.
+
+    Each composite g∘h is formed once and looked up by its key, so the
+    group checks take O(|Γ|²) compositions.
+    """
     d = a.datum
     failures = []
 
-    ident_mat = Mat.identity(d.rank)
-    ident_perm = {c: c for c in d.colors}
-    has_identity = a._find(ident_mat, ident_perm) is not None
+    present = {_action_key(e.matrix, e.color_perm) for e in a.elements}
+    ident = _action_key(Mat.identity(d.rank), {c: c for c in d.colors})
+    has_identity = ident in present
     if not has_identity:
         failures.append("no identity element")
 
+    # composites[i][j] is the key of elements[i]∘elements[j]
+    composites = [[_action_key(*a.compose(g, h)) for h in a.elements]
+                  for g in a.elements]
+
     closed = True
-    for g in a.elements:
-        for h in a.elements:
-            if a._find(*a.compose(g, h)) is None:
+    for g, row in zip(a.elements, composites):
+        for h, key in zip(a.elements, row):
+            if key not in present:
                 closed = False
                 failures.append(f"composite {g.name!r}∘{h.name!r} is not in the list")
 
     has_inverses = True
-    for g in a.elements:
-        inv = next((h for h in a.elements
-                    if a._find(*a.compose(g, h)) is not None
-                    and a.compose(g, h)[0] == ident_mat
-                    and a.compose(g, h)[1] == ident_perm), None)
-        if inv is None:
+    for g, row in zip(a.elements, composites):
+        # an inverse h gives g∘h = identity, which must itself be listed
+        if not (has_identity and ident in row):
             has_inverses = False
             failures.append(f"element {g.name!r} has no inverse in the list")
 

@@ -16,7 +16,10 @@ infeasibility.
 
 When oracle cross-checking is enabled (CLI flag ``--oracle``), every
 simplex verdict is replayed through the independent Fourier-Motzkin
-eliminator and a disagreement raises :class:`OracleDisagreement`.
+eliminator of :mod:`sphfan.fourier_motzkin`, and a disagreement raises
+:class:`OracleDisagreement`.  The eliminator shares no code with the
+simplex: it runs on primitive int rows, substitutes the equalities
+first and bounds row growth by Chernikov's rule.
 """
 
 from __future__ import annotations
@@ -184,6 +187,5 @@ class FeasibilitySystem:
             ineqs.append((tuple(-c for c in row), -r))
         for i, lb in enumerate(self.lower_bounds):
             if lb is not None:
-                coeffs = tuple(Fraction(1 if j == i else 0) for j in range(nvars))
-                ineqs.append((coeffs, lb))
+                ineqs.append((tuple(1 if j == i else 0 for j in range(nvars)), lb))
         return ineqs

@@ -2,14 +2,37 @@
 
 from __future__ import annotations
 
+import importlib.util
+import os
 import random
+import sys
 from fractions import Fraction
+from math import gcd, lcm
+from typing import Sequence
 
-from sphfan.cones import Cone, _reduce_mod, _rref
-from sphfan.fourier_motzkin import feasible
+from sphfan.cones import Cone, cones_equal
+from sphfan.fourier_motzkin import Ineq, feasible
+from sphfan.galois import ActionReport, GaloisAction
 from sphfan.lp import FeasibilitySystem
 from sphfan.rational import Mat, Vec, dot, is_zero_vec, primitive, vec_scale
 from sphfan.spherical import ColoredCone, SphericalDatum, validate_colored_cone
+
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench")
+
+
+def load_perfbench(name: str):
+    """The benchmark's ``perfbench/<name>.py``, loaded read-only as module
+    ``name``; ``workloads`` imports ``inputs`` by that name, so load
+    ``inputs`` first."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.spec_from_file_location(name, os.path.join(PERFBENCH, name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
 
 
 def reference_solve_eq_nonneg(a, b):
@@ -103,6 +126,110 @@ def reference_solve(system: FeasibilitySystem):
     return tuple(x)
 
 
+def _reference_normalize(coeffs: Sequence[Fraction], rhs: Fraction) -> Ineq:
+    """Scale an inequality to coprime integer data (direction preserved)."""
+    vals = list(coeffs) + [rhs]
+    if all(v == 0 for v in vals):
+        return (tuple(Fraction(0) for _ in coeffs), Fraction(0))
+    m = lcm(*(v.denominator for v in vals))
+    ints = [v.numerator * (m // v.denominator) for v in vals]
+    g = gcd(*(abs(i) for i in ints))
+    ints = [i // g for i in ints]
+    return (tuple(Fraction(i) for i in ints[:-1]), Fraction(ints[-1]))
+
+
+def _reference_prune(rows: set[Ineq]) -> set[Ineq]:
+    """Keep only the tightest bound for each coefficient direction."""
+    best: dict[tuple[Fraction, ...], Fraction] = {}
+    for coeffs, rhs in rows:
+        prev = best.get(coeffs)
+        if prev is None or rhs > prev:
+            best[coeffs] = rhs
+    return {(c, r) for c, r in best.items()}
+
+
+def _reference_substitute_equality(rows: set[Ineq], remaining: list[int]):
+    """Eliminate one variable pinned by an opposite pair of rows, if any.
+
+    A pair ``c . x >= r`` and ``-c . x >= -r`` forces ``c . x = r``; any
+    variable with a nonzero coefficient there can be solved for and
+    substituted away without growing the system.
+    """
+    for coeffs, rhs in rows:
+        neg = (tuple(-x for x in coeffs), -rhs)
+        if neg not in rows:
+            continue
+        var = next((v for v in remaining if coeffs[v] != 0), None)
+        if var is None:
+            continue
+        pivot = coeffs[var]
+        out = set()
+        for c2, r2 in rows:
+            if (c2, r2) in ((coeffs, rhs), neg):
+                continue
+            f = c2[var] / pivot
+            if f == 0:
+                out.add((c2, r2))
+            else:
+                out.add(_reference_normalize(
+                    tuple(a - f * b for a, b in zip(c2, coeffs)), r2 - f * rhs))
+        remaining.remove(var)
+        return _reference_prune(out)
+    return None
+
+
+def reference_feasible(ineqs: Sequence[Ineq], nvars: int) -> bool:
+    """The Fraction Fourier-Motzkin eliminator that ``sphfan.fourier_motzkin``
+    replaced: a set of Fraction rows, equalities substituted as found, no
+    row-growth bound.
+
+    Kept as the reference the integer eliminator must match verdict for
+    verdict.
+    """
+    rows = _reference_prune({_reference_normalize(c, r) for c, r in ineqs})
+    remaining = list(range(nvars))
+    while remaining:
+        substituted = _reference_substitute_equality(rows, remaining)
+        if substituted is not None:
+            rows = substituted
+            for coeffs, rhs in rows:
+                if all(c == 0 for c in coeffs) and rhs > 0:
+                    return False
+            continue
+
+        # eliminate the variable producing the fewest new rows first
+        def cost(v: int) -> int:
+            lo = sum(1 for coeffs, _ in rows if coeffs[v] > 0)
+            hi = sum(1 for coeffs, _ in rows if coeffs[v] < 0)
+            return lo * hi - lo - hi
+
+        var = min(remaining, key=cost)
+        remaining.remove(var)
+        lower, upper, rest = [], [], []
+        for coeffs, rhs in rows:
+            cj = coeffs[var]
+            if cj > 0:
+                lower.append((coeffs, rhs))
+            elif cj < 0:
+                upper.append((coeffs, rhs))
+            else:
+                rest.append((coeffs, rhs))
+        new = set()
+        for cl, rl in lower:
+            for cu, ru in upper:
+                # positive combination cancelling x_var
+                a = -cu[var]
+                b = cl[var]
+                coeffs = tuple(a * x + b * y for x, y in zip(cl, cu))
+                new.add(_reference_normalize(coeffs, a * rl + b * ru))
+        rows = _reference_prune(set(rest) | new)
+        # early exit on a constant contradiction
+        for coeffs, rhs in rows:
+            if all(c == 0 for c in coeffs) and rhs > 0:
+                return False
+    return all(rhs <= 0 for coeffs, rhs in rows)
+
+
 def reference_cones_equal(a: Cone, b: Cone) -> bool:
     """Cone equality by mutual inclusion of generator sets, as ``cones_equal``
     decided it before the canonical key; the reference the key must match."""
@@ -112,8 +239,52 @@ def reference_cones_equal(a: Cone, b: Cone) -> bool:
             and all(a.contains(g) for g in b.generators))
 
 
+def reference_contains(c: Cone, x) -> bool:
+    """``Cone.contains`` as it was, with Fraction dot products: the reference
+    the int dot products must match."""
+    eqs, facets = c.span_equations, c.facets
+    return (all(dot(w, x) == 0 for w in eqs)
+            and all(dot(w, x) >= 0 for w in facets))
+
+
 def vec_sub(u: Vec, v: Vec) -> Vec:
     return tuple(a - b for a, b in zip(u, v))
+
+
+def reference_rref(rows: Sequence[Vec]) -> list[Vec]:
+    """The Fraction Gauss-Jordan elimination that ``sphfan.cones._rref``
+    replaced: the reduced row echelon form basis of the row space.
+
+    Kept as the reference the fraction-free elimination must match.
+    """
+    work = [list(r) for r in rows]
+    out: list[list[Fraction]] = []
+    ncols = len(rows[0]) if rows else 0
+    col = 0
+    while work and col < ncols:
+        piv = next((r for r in work if r[col] != 0), None)
+        if piv is None:
+            col += 1
+            continue
+        work.remove(piv)
+        piv = [x / piv[col] for x in piv]
+        work = [[x - r[col] * p for x, p in zip(r, piv)] for r in work]
+        out = [[x - r[col] * p for x, p in zip(r, piv)] for r in out]
+        out.append(piv)
+        col += 1
+    return [tuple(r) for r in out]
+
+
+def reference_reduce_mod(v: Vec, rref_rows: Sequence[Vec]) -> Vec:
+    """Canonical representative of v modulo the span of RREF rows, as the
+    double description computed it before it reduced int rays."""
+    x = list(v)
+    for row in rref_rows:
+        p = next(i for i, e in enumerate(row) if e != 0)
+        if x[p] != 0:
+            c = x[p] / row[p]
+            x = [a - c * b for a, b in zip(x, row)]
+    return tuple(x)
 
 
 def reference_dual_description(ineqs, n):
@@ -163,8 +334,8 @@ def reference_dual_description(ineqs, n):
                         new.setdefault(w, w)
             rays = pos + zero + list(new)
         processed.append(a)
-        lin_rref = _rref(lin)
-        rays = [primitive(_reduce_mod(r, lin_rref)) for r in rays]
+        lin_rref = reference_rref(lin)
+        rays = [primitive(reference_reduce_mod(r, lin_rref)) for r in rays]
         rays = _reference_extreme_filter(rays, processed, n, len(lin))
     return lin_rref, rays
 
@@ -209,6 +380,70 @@ def reference_det(m: Mat) -> Fraction:
             a[i][col] = Fraction(0)
         prev = a[col][col]
     return sign * a[n - 1][n - 1]
+
+
+def _reference_find(a: GaloisAction, matrix: Mat, perm: dict):
+    for e in a.elements:
+        if e.matrix == matrix and e.color_perm == perm:
+            return e
+    return None
+
+
+def reference_validate_action(a: GaloisAction) -> ActionReport:
+    """``galois.validate_action`` as it was, with a linear scan per lookup and
+    three compositions per inverse candidate; the reference the keyed
+    lookups must match report for report."""
+    d = a.datum
+    failures = []
+
+    ident_mat = Mat.identity(d.rank)
+    ident_perm = {c: c for c in d.colors}
+    has_identity = _reference_find(a, ident_mat, ident_perm) is not None
+    if not has_identity:
+        failures.append("no identity element")
+
+    closed = True
+    for g in a.elements:
+        for h in a.elements:
+            if _reference_find(a, *a.compose(g, h)) is None:
+                closed = False
+                failures.append(f"composite {g.name!r}∘{h.name!r} is not in the list")
+
+    has_inverses = True
+    for g in a.elements:
+        inv = next((h for h in a.elements
+                    if _reference_find(a, *a.compose(g, h)) is not None
+                    and a.compose(g, h)[0] == ident_mat
+                    and a.compose(g, h)[1] == ident_perm), None)
+        if inv is None:
+            has_inverses = False
+            failures.append(f"element {g.name!r} has no inverse in the list")
+
+    unimodular = True
+    for g in a.elements:
+        if not g.matrix.is_integral_unimodular():
+            unimodular = False
+            failures.append(f"element {g.name!r} is not integral unimodular")
+
+    v_stable = True
+    v = d.valuation_cone
+    for g in a.elements:
+        image = Cone(d.rank, [g.matrix.matvec(x) for x in v.generators])
+        if not cones_equal(image, v):
+            v_stable = False
+            failures.append(f"element {g.name!r} does not map V onto V")
+
+    rho_equivariant = True
+    for g in a.elements:
+        for c in d.colors:
+            if g.matrix.matvec(d.rho[c]) != d.rho[g.color_perm[c]]:
+                rho_equivariant = False
+                failures.append(f"element {g.name!r} breaks rho-equivariance at color {c!r}")
+
+    return ActionReport(has_identity=has_identity, closed=closed,
+                        has_inverses=has_inverses, unimodular=unimodular,
+                        v_stable=v_stable, rho_equivariant=rho_equivariant,
+                        failures=tuple(failures))
 
 
 def random_vec(rng: random.Random, n: int, lo: int = -5, hi: int = 5):

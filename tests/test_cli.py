@@ -1,8 +1,12 @@
 import json
+import random
 
 import pytest
 
+from sphfan import fourier_motzkin
 from sphfan.cli import main
+
+from helpers import load_perfbench, reference_feasible
 
 DATUM = """
 {"kind": "datum", "version": "1",
@@ -286,3 +290,32 @@ def test_malformed_action_or_morphism_exits_2(files, capsys, command, document):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("sphfan: error:")
+
+
+class TestOracleOnBenchmarkDocuments:
+    """The ``--oracle`` validate calls of the benchmark's ``cli_twisted``
+    workload: every Fourier-Motzkin system they replay gets the reference
+    eliminator's verdict, and the flag changes no byte of stdout."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_seed(self, seed, tmp_path, capsys, monkeypatch):
+        load_perfbench("inputs")
+        workloads = load_perfbench("workloads")
+        calls = workloads.cli_twisted(random.Random(seed), str(tmp_path))
+        argvs = [c.argv for c in calls if c.argv[0] == "--oracle"]
+        assert len(argvs) == 7
+        systems = {}
+        feasible = fourier_motzkin.feasible
+
+        def record(ineqs, nvars):
+            verdict = feasible(ineqs, nvars)
+            systems[tuple(ineqs), nvars] = verdict
+            return verdict
+        monkeypatch.setattr(fourier_motzkin, "feasible", record)
+        for argv in argvs:
+            with_oracle = run(capsys, *argv)
+            assert with_oracle[0] == 1
+            assert with_oracle == run(capsys, *argv[1:])
+        assert {True, False} <= set(systems.values())
+        for (ineqs, nvars), verdict in systems.items():
+            assert verdict == reference_feasible(ineqs, nvars)

@@ -1,24 +1,17 @@
-import importlib.util
-import os
 import random
-import sys
 from fractions import Fraction
 
 import pytest
 
-from sphfan.cones import (Cone, DimensionMismatch, cones_equal, dual_description,
-                          relint_meets_cone, relints_meet_in)
+from sphfan.cones import (Cone, DimensionMismatch, _rref, cones_equal,
+                          dual_description, relint_meets_cone, relints_meet_in)
 from sphfan.rational import dot
 
-from helpers import (brute_force_faces, fm_relint_meets_cone, random_cone,
-                     random_vec, reference_cones_equal, reference_dual_description)
+from helpers import (brute_force_faces, fm_relint_meets_cone, load_perfbench,
+                     random_cone, random_vec, reference_cones_equal,
+                     reference_contains, reference_dual_description, reference_rref)
 
-_spec = importlib.util.spec_from_file_location(
-    "perfbench_inputs", os.path.join(os.path.dirname(os.path.dirname(
-        os.path.abspath(__file__))), "perfbench", "inputs.py"))
-bench_inputs = importlib.util.module_from_spec(_spec)
-sys.modules[_spec.name] = bench_inputs  # dataclasses look their module up here
-_spec.loader.exec_module(bench_inputs)
+bench_inputs = load_perfbench("inputs")
 
 
 def F(x):
@@ -67,6 +60,74 @@ class TestContains:
     def test_mismatch(self):
         with pytest.raises(DimensionMismatch):
             quadrant().contains((F(1),))
+
+
+def random_member_point(rng: random.Random, gens) -> tuple:
+    """A nonnegative rational combination of some of the generators."""
+    n = len(gens[0])
+    point = [Fraction(0)] * n
+    for g in gens:
+        if rng.random() < 0.6:
+            t = Fraction(rng.randint(0, 4), rng.randint(1, 3))
+            point = [p + t * x for p, x in zip(point, g)]
+    return tuple(point)
+
+
+class TestContainsAgainstReference:
+    """The int dot products must give the Fraction dot products' verdicts."""
+
+    def test_random_cones_and_points(self):
+        rng = random.Random(83)
+        kinds = {"facet": 0, "lineality": 0}
+        verdicts = set()
+        for _ in range(400):
+            c = random_cone(rng, max_rank=4, max_gens=5)
+            n = c.ambient_rank
+            points = [random_vec(rng, n, -3, 3),
+                      tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n))]
+            if c.generators:
+                points.append(random_member_point(rng, c.generators))
+                # on a facet: a combination of the generators tight on it
+                for w in c.facets[:2]:
+                    tight = [g for g in c.generators if dot(w, g) == 0]
+                    if tight:
+                        points.append(random_member_point(rng, tight))
+                        kinds["facet"] += 1
+            if c.lineality_basis:
+                lin = list(c.lineality_basis)
+                lin += [tuple(-x for x in l) for l in lin]
+                points.append(random_member_point(rng, lin))
+                kinds["lineality"] += 1
+            # just outside: a member point pushed across a facet
+            for w in c.facets[:1]:
+                p = points[-1]
+                points.append(tuple(x - Fraction(1, 7) * y for x, y in zip(p, w)))
+            for x in points:
+                got = c.contains(x)
+                assert got == reference_contains(c, x)
+                verdicts.add(got)
+            # int coordinates are accepted as well
+            xi = tuple(rng.randint(-3, 3) for _ in range(n))
+            assert c.contains(xi) == reference_contains(c, xi)
+        assert verdicts == {True, False}
+        assert kinds["facet"] > 100 and kinds["lineality"] > 30
+
+
+class TestRrefAgainstReference:
+    """The fraction-free elimination must return the Fraction RREF: the same
+    Fraction tuples in the same order."""
+
+    def test_int_and_rational_bases(self):
+        rng = random.Random(89)
+        rational = 0
+        for _ in range(1500):
+            n = rng.randint(0, 5)
+            rows = random_ineqs(rng, n, rng.randint(0, 6))
+            rational += any(x.denominator != 1 for r in rows for x in r)
+            got = _rref(rows)
+            assert got == reference_rref(rows)
+            assert all(type(x) is Fraction for r in got for x in r)
+        assert rational > 300
 
 
 class TestEquality:

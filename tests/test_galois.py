@@ -12,7 +12,10 @@ from sphfan.spherical import (ColoredCone, ColoredFan, FanAxiomError,
                               is_strictly_convex_colored,
                               validate_colored_cone)
 
-from helpers import random_valid_colored_cone
+from helpers import (load_perfbench, random_valid_colored_cone,
+                     reference_validate_action)
+
+bench_inputs = load_perfbench("inputs")
 
 
 def line_datum():
@@ -85,6 +88,49 @@ class TestValidateAction:
 
     def test_swap_action_is_valid(self):
         assert validate_action(swap_action()).ok
+
+
+def rotations(names):
+    """The named powers of the quarter turn on swap_datum, the odd ones
+    swapping the colors: all four form a group of order 4 (though not a
+    rho-equivariant one, which these tests do not need)."""
+    turn = Mat([[0, -1], [1, 0]])
+    power = {"id": Mat.identity(2), "r": turn, "r2": turn.matmul(turn),
+             "r3": turn.matmul(turn).matmul(turn)}
+    odd = {"a": "b", "b": "a"}
+    perm = {"id": {"a": "a", "b": "b"}, "r": odd, "r2": {"a": "a", "b": "b"}, "r3": odd}
+    return GaloisAction(swap_datum(), [GroupElement(k, power[k], perm[k]) for k in names])
+
+
+class TestValidateActionAgainstReference:
+    """Keyed lookups must give the linear scans' report, failure order included."""
+
+    @pytest.mark.parametrize("names, broken", [
+        (["r", "r2", "r3"], "has_identity"),      # no identity, so no inverses
+        (["id", "r"], "has_inverses"),            # r has no inverse, r∘r missing
+        (["id", "r", "r3"], "closed"),            # inverses present, r∘r missing
+        (["r3", "id", "r2", "r"], None),          # the whole group, shuffled
+    ])
+    def test_rotation_subsets(self, names, broken):
+        a = rotations(names)
+        r = validate_action(a)
+        assert r == reference_validate_action(a)
+        if broken is None:
+            assert r.has_identity and r.closed and r.has_inverses
+        else:
+            assert not getattr(r, broken)
+
+    def test_random_subsets_of_b2(self):
+        rng = random.Random(97)
+        d, _, full = bench_inputs.build_twisted(bench_inputs.twisted_p1(rng, 2))
+        seen = set()
+        for _ in range(40):
+            elements = rng.sample(full.elements, rng.randint(1, len(full.elements)))
+            a = GaloisAction(d, elements)
+            r = validate_action(a)
+            assert r == reference_validate_action(a)
+            seen.add((r.has_identity, r.closed, r.has_inverses))
+        assert len(seen) >= 3
 
 
 class TestApplyElement:

@@ -5,7 +5,7 @@ from sphfan import lp
 from sphfan.fourier_motzkin import feasible
 from sphfan.lp import FeasibilitySystem, solve_eq_nonneg
 
-from helpers import reference_solve, reference_solve_eq_nonneg
+from helpers import reference_feasible, reference_solve, reference_solve_eq_nonneg
 
 
 def F(x):
@@ -136,3 +136,87 @@ class TestFourierMotzkin:
 
     def test_constant_contradiction(self):
         assert not feasible([((F(0),), F(1))], 1)
+
+
+def random_fm_system(rng, max_rows=7, max_vars=5):
+    """Rows c . x >= r, each tagged with how it was made: int or rational
+    entries, an opposite of an earlier row (rescaled, its rhs sometimes
+    shifted into a slab or a contradiction), the negated sum of two rows
+    (an implicit equality when the rhs is not shifted), or all zero."""
+    nvars = rng.choice([0] + [v for v in range(1, max_vars + 1) for _ in (0, 1)])
+
+    def q():
+        if rng.random() < 0.3:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        return rng.randint(-3, 3)
+    rows, kinds = [], set()
+    for _ in range(rng.randint(0, max_rows)):
+        kind = rng.choice(["zero", "opposite", "sum", "random", "random", "random",
+                           "random", "random"])
+        if kind == "zero":
+            rows.append(((0,) * nvars, rng.randint(-1, 1)))
+        elif kind == "opposite" and rows:
+            c, r = rng.choice(rows)
+            s = rng.choice([1, 1, 2, Fraction(1, 2)])
+            rows.append((tuple(-s * x for x in c), -s * r + rng.choice([0, 0, 0, 1, -1])))
+        elif kind == "sum" and len(rows) >= 2:
+            (c1, r1), (c2, r2) = rng.sample(rows, 2)
+            rows.append((tuple(-(a + b) for a, b in zip(c1, c2)),
+                         -(r1 + r2) + rng.choice([0, 0, 1])))
+        else:
+            kind = "random"
+            rows.append((tuple(q() for _ in range(nvars)),
+                         q() if rng.random() < 0.6 else 0))
+        kinds.add(kind)
+    if any(type(x) is Fraction and x.denominator != 1 for c, r in rows for x in c + (r,)):
+        kinds.add("rational")
+    rng.shuffle(rows)
+    return rows, nvars, kinds
+
+
+class TestFourierMotzkinAgainstReference:
+    """The integer eliminator must give the Fraction eliminator's verdict."""
+
+    def test_random_systems(self):
+        rng = random.Random(1965)
+        seen = {True: 0, False: 0}
+        kinds = {"zero": 0, "opposite": 0, "sum": 0, "rational": 0, "nvars=0": 0}
+        for _ in range(5000):
+            rows, nvars, made = random_fm_system(rng)
+            got = feasible(rows, nvars)
+            assert got == reference_feasible(rows, nvars), (rows, nvars)
+            seen[got] += 1
+            for k in made & kinds.keys():
+                kinds[k] += 1
+            kinds["nvars=0"] += nvars == 0
+        assert min(seen.values()) > 1000
+        assert min(kinds.values()) > 300, kinds
+
+    def test_duplicate_rows_keep_every_needed_history(self):
+        # infeasible; keeping, among rows with equal coefficients, only the
+        # tightest one with the smallest history lets Chernikov's rule drop
+        # a combination that is needed, and calls this system feasible
+        rows = [((2, 2, 2, 0), -2), ((1, 0, 1, 2), 1), ((-1, 0, 2, 2), -2),
+                ((-2, -1, -2, 2), 1), ((1, 2, -1, -1), -2), ((1, 0, -1, -1), -1),
+                ((-1, 0, -2, 1), 2), ((1, -2, 1, 2), 0), ((-1, -2, 1, -1), 0),
+                ((0, 1, 2, 1), 1)]
+        assert not reference_feasible(rows, 4)
+        assert not feasible(rows, 4)
+
+    def test_larger_systems_against_the_simplex(self):
+        # past the size at which the Fraction eliminator's rows explode
+        # (some systems of 8 rows in 5 variables take it seconds), so the
+        # simplex gives the verdict: c . x - s = r with x free and s >= 0
+        rng = random.Random(1993)
+        seen = {True: 0, False: 0}
+        for _ in range(1500):
+            rows, nvars, _ = random_fm_system(rng, max_rows=14, max_vars=7)
+            m = len(rows)
+            eqs = tuple(tuple(c) + tuple(-1 if j == i else 0 for j in range(m))
+                        for i, (c, _) in enumerate(rows))
+            system = FeasibilitySystem(eqs, tuple(F(r) for _, r in rows),
+                                       (None,) * nvars + (F(0),) * m)
+            got = feasible(rows, nvars)
+            assert got == (system.solve() is not None), (rows, nvars)
+            seen[got] += 1
+        assert min(seen.values()) > 300
