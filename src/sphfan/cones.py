@@ -1,20 +1,26 @@
 """Finitely generated rational polyhedral cones.
 
-A cone is stored by its generators; the dual (facet) description is
-computed lazily by an incremental double description pass and cached.
+A cone stores its generators as primitive int vectors; the dual (facet)
+description is computed lazily on ints by an incremental double
+description pass and cached, and the canonical key is read off it.
 Relative-interior and intersection queries reduce to exact LP
-feasibility (see :mod:`sphfan.lp`).
+feasibility on int rows (see :mod:`sphfan.lp`).  ``Fraction`` appears
+only at the boundary: the constructor accepts rationals, and
+``generators``, ``facets``, ``span_equations`` and witnesses are
+Fraction views.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import neg
 from typing import Iterable, Optional, Sequence
 
 from .lp import FeasibilitySystem
-from .rational import (Mat, Vec, dot, integer_rows, is_zero_vec, primitive,
-                       primitive_ints, rat, vec_scale, zero_vec)
+from .rational import (Mat, Vec, all_ints, bareiss, integer_rows, is_zero_vec,
+                       primitive_ints, rat, vec)
 
 
 class DimensionMismatch(ValueError):
@@ -85,13 +91,15 @@ def _idot(a: Sequence[int], r: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, r))
 
 
-def dual_description(ineqs: Sequence[Vec], n: int) -> tuple[list[Vec], list[Vec]]:
-    """Generators of {x in Q^n : a . x >= 0 for all a in ineqs}.
+def _dual_ints(ineqs: Sequence[Sequence[int]],
+               n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """``dual_description`` of int rows, in int form.
 
-    Returns (lineality_basis, extreme_rays).  Incremental double
-    description on primitive integer vectors (Fukuda & Prodon 1996):
-    after each inequality, ``lin`` spans the lineality space L and the
-    rays are the extreme rays modulo L, each once.  Every ray carries
+    Returns the ``_echelon`` basis of the lineality space and the extreme
+    rays, each primitive and reduced modulo that basis.  Incremental
+    double description on primitive integer vectors (Fukuda & Prodon
+    1996): after each inequality, ``lin`` spans the lineality space L and
+    the rays are the extreme rays modulo L, each once.  Every ray carries
     Z(r), the indices of the processed inequalities tight on it, fixed
     when it is made: vectors of L are tight on all of them, and a new
     ray p*u + q*v (p, q > 0) is tight exactly where u and v both are.
@@ -104,17 +112,11 @@ def dual_description(ineqs: Sequence[Vec], n: int) -> tuple[list[Vec], list[Vec]
     rays whose sets contain Z(u) ∩ Z(v) are the extreme rays of the
     smallest face holding u and v, which is a 2-face iff there are no
     others.  So every step keeps the list minimal, with no filtering.
-
-    The output is canonical: the lineality basis is in reduced row
-    echelon form, and each extreme ray is primitive and reduced modulo
-    it, the unique representative of its ray.  So two inequality lists
-    describe the same cone iff the bases are equal and the rays are
-    equal as sets.
     """
     lin = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
     rays: list[tuple[tuple[int, ...], frozenset[int]]] = []
 
-    for k, a in enumerate(integer_rows(ineqs)):
+    for k, a in enumerate(ineqs):
         dots = [_idot(a, l) for l in lin]
         hit = next((i for i, s in enumerate(dots) if s != 0), None)
         if hit is not None:
@@ -142,82 +144,115 @@ def dual_description(ineqs: Sequence[Vec], n: int) -> tuple[list[Vec], list[Vec]
 
     basis = _echelon(lin)
     pivots = _pivots(basis)
-    return _divide_by_pivots(basis), [tuple(Fraction(x) for x in _reduce_ints(r, basis, pivots))
-                                      for r, _ in rays]
+    return basis, [_reduce_ints(r, basis, pivots) for r, _ in rays]
+
+
+def dual_description(ineqs: Sequence[Vec], n: int) -> tuple[list[Vec], list[Vec]]:
+    """Generators of {x in Q^n : a . x >= 0 for all a in ineqs}.
+
+    Returns (lineality_basis, extreme_rays) as Fraction vectors; the
+    work is done on int rows by ``_dual_ints``.  The output is
+    canonical: the lineality basis is in reduced row echelon form, and
+    each extreme ray is primitive and reduced modulo it, the unique
+    representative of its ray.  So two inequality lists describe the
+    same cone iff the bases are equal and the rays are equal as sets.
+    """
+    basis, rays = _dual_ints(integer_rows(ineqs), n)
+    return _divide_by_pivots(basis), [tuple(Fraction(x) for x in r) for r in rays]
+
+
+def _neg(v: Sequence[int]) -> tuple[int, ...]:
+    return tuple(map(neg, v))
 
 
 class Cone:
-    """Rational polyhedral cone, cone(generators) in Q^ambient_rank."""
+    """Rational polyhedral cone, cone(generators) in Q^ambient_rank.
 
-    __slots__ = ("ambient_rank", "generators", "__dict__")
+    The generators are kept as primitive int tuples in ``_ints``; the
+    public ``generators`` is their Fraction view.
+    """
+
+    __slots__ = ("ambient_rank", "_ints", "__dict__")
 
     def __init__(self, ambient_rank: int, generators: Iterable[Iterable] = ()):
         gens = []
         seen = set()
         for g in generators:
-            v = tuple(rat(e) for e in g)
+            v = tuple(g)
+            if not all_ints(v):
+                (v,) = integer_rows([[rat(e) for e in v]])
             _check_dim(ambient_rank, v)
-            p = primitive(v)
-            if is_zero_vec(p) or p in seen:
+            p = primitive_ints(v)
+            if not any(p) or p in seen:
                 continue
             seen.add(p)
             gens.append(p)
         object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "generators", tuple(gens))
+        object.__setattr__(self, "_ints", tuple(gens))
+
+    @classmethod
+    def _of_ints(cls, ambient_rank: int, ints: Iterable[tuple[int, ...]]) -> "Cone":
+        """The cone on generators already primitive, nonzero and distinct."""
+        cone = object.__new__(cls)
+        object.__setattr__(cone, "ambient_rank", ambient_rank)
+        object.__setattr__(cone, "_ints", tuple(ints))
+        return cone
 
     def __setattr__(self, name, value):
         raise AttributeError("Cone is immutable")
 
     def __repr__(self):
-        return f"Cone({self.ambient_rank}, {[tuple(map(str, g)) for g in self.generators]})"
+        return f"Cone({self.ambient_rank}, {[tuple(map(str, g)) for g in self._ints]})"
+
+    @cached_property
+    def generators(self) -> tuple[Vec, ...]:
+        """Primitive integer generators as Fraction vectors, in input order."""
+        return tuple(tuple(Fraction(x) for x in g) for g in self._ints)
 
     @property
     def is_zero(self) -> bool:
-        return not self.generators
+        return not self._ints
 
     @cached_property
-    def _dual(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        """(span_equations, facets): lineality and extreme rays of the dual cone."""
-        lin, rays = dual_description(self.generators, self.ambient_rank)
+    def _idual(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(span_equations, facets) as int rows: the ``_echelon`` basis of
+        the dual cone's lineality and its reduced primitive extreme rays."""
+        lin, rays = _dual_ints(self._ints, self.ambient_rank)
         return tuple(lin), tuple(rays)
 
-    @property
+    @cached_property
     def facets(self) -> tuple[Vec, ...]:
         """Inward facet normals (extreme rays of the dual cone)."""
-        return self._dual[1]
+        return tuple(tuple(Fraction(x) for x in w) for w in self._idual[1])
 
-    @property
+    @cached_property
     def span_equations(self) -> tuple[Vec, ...]:
         """Normals w with span(cone) = {x : w . x = 0 for all w}, in RREF."""
-        return self._dual[0]
+        return tuple(_divide_by_pivots(self._idual[0]))
 
     @cached_property
     def key(self) -> tuple:
-        """Hashable canonical form, equal iff the cones are equal: the dual
-        description is canonical (see ``dual_description``)."""
-        return self.ambient_rank, self.span_equations, tuple(sorted(self.facets))
+        """Hashable canonical form, equal iff the cones are equal.
+
+        The dual description is canonical (see ``dual_description``), and
+        primitive rows with positive pivots match RREF rows one to one,
+        so the int form is canonical too.
+        """
+        eqs, facets = self._idual
+        return self.ambient_rank, eqs, tuple(sorted(facets))
 
     @cached_property
     def lineality_basis(self) -> tuple[Vec, ...]:
         """Basis of the largest linear subspace inside the cone."""
-        eqs, facets = self._dual
-        rows = list(eqs) + list(facets)
+        eqs, facets = self._idual
+        rows = eqs + facets
         if not rows:
             return tuple(Mat.identity(self.ambient_rank).rows)
         return tuple(Mat(rows).solve_homogeneous())
 
     @cached_property
     def dim(self) -> int:
-        if self.is_zero:
-            return 0
-        return Mat(self.generators).rank()
-
-    @cached_property
-    def _int_dual(self) -> tuple[list[list[int]], list[list[int]]]:
-        """``_dual`` with each row scaled to ints; scaling by a positive
-        factor keeps the sign of every dot product."""
-        eqs, facets = self._dual
-        return integer_rows(eqs), integer_rows(facets)
+        return len(bareiss(self._ints)[1])
 
     def contains(self, x: Sequence[Fraction]) -> bool:
         """Membership via facet inequalities plus span membership.
@@ -226,7 +261,7 @@ class Cone:
         signs of int dot products decide.
         """
         _check_dim(self.ambient_rank, x)
-        eqs, facets = self._int_dual
+        eqs, facets = self._idual
         (xi,) = integer_rows([x])
         return (all(_idot(w, xi) == 0 for w in eqs)
                 and all(_idot(w, xi) >= 0 for w in facets))
@@ -238,40 +273,58 @@ class Cone:
         """True iff x is a strictly positive combination of the generators.
 
         Decided as feasibility of sum(l_i g_i) = t x with l_i >= 1,
-        t >= 1 (the scaling variable absorbs strict positivity).
+        t >= 1 (the scaling variable absorbs strict positivity, so x may
+        be scaled to ints first).
         """
         _check_dim(self.ambient_rank, x)
         if self.is_zero:
             return is_zero_vec(x)
-        gens = self.generators
-        rows = []
-        for k in range(self.ambient_rank):
-            rows.append(tuple([g[k].numerator for g in gens] + [-rat(x[k])]))
+        gens = self._ints
+        (xi,) = integer_rows([vec(x)])
+        rows = tuple(tuple([g[k] for g in gens] + [-xi[k]])
+                     for k in range(self.ambient_rank))
         system = FeasibilitySystem(
-            equalities=tuple(rows),
+            equalities=rows,
             rhs=(0,) * self.ambient_rank,
-            lower_bounds=tuple([Fraction(1)] * len(gens) + [Fraction(1)]),
+            lower_bounds=(1,) * (len(gens) + 1),
         )
         return system.solve() is not None
 
     def intersect(self, other: "Cone") -> "Cone":
-        """Intersection, via the union of the two facet descriptions."""
+        """Intersection, via the union of the two facet descriptions.
+
+        Its generators are the extreme rays of the double description
+        and ±l for each lineality basis row l: primitive, nonzero and
+        distinct, since the rays are zero in every pivot column.
+        """
         if self.ambient_rank != other.ambient_rank:
             raise DimensionMismatch("intersect: ambient ranks differ")
-        n = self.ambient_rank
-        ineqs: list[Vec] = []
+        ineqs: list[tuple[int, ...]] = []
         for cone in (self, other):
-            eqs, facets = cone._dual
+            eqs, facets = cone._idual
             ineqs.extend(facets)
             for w in eqs:
                 ineqs.append(w)
-                ineqs.append(vec_scale(Fraction(-1), w))
-        lin, rays = dual_description(ineqs, n)
+                ineqs.append(_neg(w))
+        lin, rays = _dual_ints(ineqs, self.ambient_rank)
         gens = list(rays)
         for l in lin:
             gens.append(l)
-            gens.append(vec_scale(Fraction(-1), l))
-        return Cone(n, gens)
+            gens.append(_neg(l))
+        return Cone._of_ints(self.ambient_rank, gens)
+
+    def image(self, m: Mat) -> "Cone":
+        """The cone generated by the images m·g of the generators.
+
+        m is scaled to ints by one common denominator, which maps each
+        generator to a positive multiple of m·g; the constructor then
+        normalises, since m may be singular or not yet validated.
+        """
+        if self._ints and m.ncols != self.ambient_rank:
+            raise ValueError(f"dimension mismatch: {m.ncols} cols vs {self.ambient_rank}")
+        scale = lcm(*(e.denominator for row in m.rows for e in row))
+        rows = [[e.numerator * (scale // e.denominator) for e in row] for row in m.rows]
+        return Cone(m.nrows, [tuple(_idot(row, g) for row in rows) for g in self._ints])
 
     def faces(self) -> list["Cone"]:
         """All faces, self and the minimal face included, each once.
@@ -282,10 +335,9 @@ class Cone:
         intersections of facet tight-sets (the empty intersection being
         all generators), and the list needs no dedupe.
         """
-        gens = self.generators
-        facets = self.facets
-        tight_sets = [frozenset(i for i, g in enumerate(gens) if dot(w, g) == 0)
-                      for w in facets]
+        gens = self._ints
+        tight_sets = [frozenset(i for i, g in enumerate(gens) if _idot(w, g) == 0)
+                      for w in self._idual[1]]
         all_idx = frozenset(range(len(gens)))
         closed = {all_idx}
         queue = [all_idx]
@@ -296,7 +348,7 @@ class Cone:
                 if u not in closed:
                     closed.add(u)
                     queue.append(u)
-        out = [Cone(self.ambient_rank, [gens[i] for i in s])
+        out = [Cone._of_ints(self.ambient_rank, [gens[i] for i in s])
                for s in sorted(closed, key=sorted)]
         out.sort(key=lambda c: c.dim)
         return out
@@ -323,31 +375,19 @@ def relints_meet_in(c1: Cone, c2: Optional[Cone], v: Cone) -> Optional[Vec]:
     for c in cones:
         if c.ambient_rank != n:
             raise DimensionMismatch("relint test: ambient ranks differ")
-    blocks = [c.generators for c in cones]
-    bounds: list[Optional[Fraction]] = []
-    bounds += [Fraction(1)] * len(blocks[0])
-    if c2 is not None:
-        bounds += [Fraction(1)] * len(blocks[1])
-    bounds += [Fraction(0)] * len(blocks[-1])
-    nvars = len(bounds)
+    blocks = [c._ints for c in cones]
+    nvars = sum(len(b) for b in blocks)
+    bounds = [1] * (nvars - len(blocks[-1])) + [0] * len(blocks[-1])
 
-    offsets = []
-    off = 0
-    for b in blocks:
-        offsets.append(off)
-        off += len(b)
-
-    # sum over block 0 equals sum over each later block, coordinatewise;
-    # generators are primitive integer vectors, so the rows are ints
+    # sum over block 0 equals sum over each later block, coordinatewise:
+    # row k is block 0's k-th coordinates, then minus the other block's
+    cols = [list(zip(*b)) if b else [()] * n for b in blocks]
     rows = []
     for other in range(1, len(blocks)):
+        before = (0,) * sum(len(b) for b in blocks[1:other])
+        after = (0,) * sum(len(b) for b in blocks[other + 1:])
         for k in range(n):
-            row = [0] * nvars
-            for i, g in enumerate(blocks[0]):
-                row[offsets[0] + i] = g[k].numerator
-            for j, h in enumerate(blocks[other]):
-                row[offsets[other] + j] = -h[k].numerator
-            rows.append(tuple(row))
+            rows.append(cols[0][k] + before + _neg(cols[other][k]) + after)
     system = FeasibilitySystem(
         equalities=tuple(rows),
         rhs=(0,) * len(rows),
@@ -356,7 +396,9 @@ def relints_meet_in(c1: Cone, c2: Optional[Cone], v: Cone) -> Optional[Vec]:
     sol = system.solve()
     if sol is None:
         return None
-    witness = zero_vec(n)
-    for i, g in enumerate(blocks[0]):
-        witness = tuple(w + sol[offsets[0] + i] * gk for w, gk in zip(witness, g))
-    return witness
+    # the witness over one common denominator, one Fraction per coordinate
+    lam = sol[:len(blocks[0])]
+    d = lcm(*(s.denominator for s in lam))
+    nums = [s.numerator * (d // s.denominator) for s in lam]
+    return tuple(Fraction(sum(c * g[k] for c, g in zip(nums, blocks[0])), d)
+                 for k in range(n))

@@ -39,6 +39,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
+from .rational import all_ints
+
 Ineq = tuple[tuple[Fraction, ...], Fraction]
 
 
@@ -53,6 +55,8 @@ def _primitive_row(vals: list[int]) -> tuple[tuple[int, ...], int]:
 def _int_row(coeffs: Sequence, rhs) -> tuple[tuple[int, ...], int]:
     """An int-or-Fraction row scaled to a primitive int row, same direction."""
     vals = list(coeffs) + [rhs]
+    if all_ints(vals):
+        return _primitive_row(vals)
     m = lcm(*(v.denominator for v in vals))
     return _primitive_row([v.numerator * (m // v.denominator) for v in vals])
 

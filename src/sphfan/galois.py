@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .cones import Cone, cones_equal
+from .cones import cones_equal
 from .rational import Mat
 from .spherical import (ColoredCone, ColoredFan, FanAxiomError,
                         RankMismatchError, SphericalDatum, faces_closure)
@@ -128,7 +128,7 @@ def validate_action(a: GaloisAction) -> ActionReport:
     v_stable = True
     v = d.valuation_cone
     for g in a.elements:
-        image = Cone(d.rank, [g.matrix.matvec(x) for x in v.generators])
+        image = v.image(g.matrix)
         if not cones_equal(image, v):
             v_stable = False
             failures.append(f"element {g.name!r} does not map V onto V")
@@ -150,9 +150,8 @@ def apply_element(a: GaloisAction, gamma: str | GroupElement,
                   cc: ColoredCone) -> ColoredCone:
     """The translated colored cone (M·C, perm(F))."""
     e = a.element(gamma) if isinstance(gamma, str) else gamma
-    cone = Cone(a.datum.rank, [e.matrix.matvec(g) for g in cc.cone.generators])
     palette = {e.color_perm[f] for f in cc.palette}
-    return ColoredCone(cone, palette)
+    return ColoredCone(cc.cone.image(e.matrix), palette)
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from . import fourier_motzkin
-from .rational import Vec
+from .rational import Vec, all_ints
 
 _cross_check = False
 
@@ -51,19 +53,29 @@ def solve_eq_nonneg(a: Sequence[Sequence[Fraction]],
     Entries may be ints or Fractions.  With no rows the variable count is
     unknown and the witness is ``[]``.
     """
-    return _solve_eq_nonneg(a, b, len(a[0]) if a else 0)
+    sol = _solve_eq_nonneg(a, b, len(a[0]) if a else 0)
+    if sol is None:
+        return None
+    y, d = sol
+    return [Fraction(v, d) for v in y]
 
 
-def _solve_eq_nonneg(a, b, n: int) -> Optional[list[Fraction]]:
-    # One common positive scale for the whole system: scaling rows apart
-    # would reweight the phase-1 objective and could change Bland's pivots.
-    scale = lcm(*(q.denominator for row in a for q in row),
-                *(q.denominator for q in b))
-    tab = []
-    for row, r in zip(a, b):
-        ints = [q.numerator * (scale // q.denominator) for q in row]
-        ints.append(r.numerator * (scale // r.denominator))
-        tab.append([-x for x in ints] if r < 0 else ints)
+def _solve_eq_nonneg(a, b, n: int) -> Optional[tuple[list[int], int]]:
+    """``solve_eq_nonneg`` with its witness as int numerators over one
+    common denominator d > 0."""
+    if all_ints(chain.from_iterable(a)) and all_ints(b):
+        tab = [list(row) + [r] if r >= 0 else [-x for x in row] + [-r]
+               for row, r in zip(a, b)]
+    else:
+        # One common positive scale for the whole system: scaling rows apart
+        # would reweight the phase-1 objective and could change Bland's pivots.
+        scale = lcm(*(q.denominator for row in a for q in row),
+                    *(q.denominator for q in b))
+        tab = []
+        for row, r in zip(a, b):
+            ints = [q.numerator * (scale // q.denominator) for q in row]
+            ints.append(r.numerator * (scale // r.denominator))
+            tab.append([-x for x in ints] if r < 0 else ints)
     m = len(tab)
     # The artificial columns are never read, so they are not stored.  The
     # last row is the phase-1 cost row (minimize the sum of artificials);
@@ -107,11 +119,11 @@ def _solve_eq_nonneg(a, b, n: int) -> Optional[list[Fraction]]:
 
     if cost[-1] != 0:
         return None
-    y = [Fraction(0)] * n
+    y = [0] * n
     for i, bv in enumerate(basis):
         if bv < n:
-            y[bv] = Fraction(tab[i][-1], d)
-    return y
+            y[bv] = tab[i][-1]
+    return y, d
 
 
 @dataclass(frozen=True)
@@ -150,31 +162,27 @@ class FeasibilitySystem:
         # the shifts in int arithmetic
         bounds = [lb if lb is None or lb.denominator != 1 else lb.numerator
                   for lb in self.lower_bounds]
-        a = []
-        b = []
-        for row, r in zip(self.equalities, self.rhs):
-            arow = []
-            shift = 0
-            for coeff, lb in zip(row, bounds):
-                arow.append(coeff)
-                if lb is None:
-                    arow.append(-coeff)
-                else:
-                    shift += coeff * lb
-            a.append(arow)
-            b.append(r - shift)
-        ncols = len(bounds) + bounds.count(None)
-        y = _solve_eq_nonneg(a, b, ncols)
-        if y is None:
+        if None not in bounds:
+            a = self.equalities
+        else:
+            a = [[x for coeff, lb in zip(row, bounds)
+                  for x in ((coeff,) if lb is not None else (coeff, -coeff))]
+                 for row in self.equalities]
+        shifts = [lb or 0 for lb in bounds]
+        b = [r - sum(map(mul, row, shifts)) for row, r in zip(self.equalities, self.rhs)]
+        sol = _solve_eq_nonneg(a, b, len(bounds) + bounds.count(None))
+        if sol is None:
             return None
+        y, d = sol
+        # x_i = (y_i + lb_i * d) / d over the common denominator d
         x = []
         col = 0
-        for lb in self.lower_bounds:
+        for lb in bounds:
             if lb is None:
-                x.append(y[col] - y[col + 1])
+                x.append(Fraction(y[col] - y[col + 1], d))
                 col += 2
             else:
-                x.append(y[col] + lb)
+                x.append(Fraction(y[col] + lb * d, d))
                 col += 1
         return tuple(x)
 

@@ -45,7 +45,7 @@ class FanMorphism:
         raise AttributeError("FanMorphism is immutable")
 
     def push_cone(self, c: Cone) -> Cone:
-        return Cone(self.target.rank, [self.linear_map.matvec(g) for g in c.generators])
+        return c.image(self.linear_map)
 
 
 @dataclass(frozen=True)

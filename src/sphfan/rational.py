@@ -74,6 +74,11 @@ def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
 
 
+def all_ints(values: Iterable) -> bool:
+    """True iff every value is a plain int (bools and Fractions are not)."""
+    return {int}.issuperset(map(type, values))
+
+
 def primitive_ints(ints: Sequence[int]) -> tuple[int, ...]:
     """Divide integers by their gcd; a zero vector stays as it is."""
     g = gcd(*ints)
@@ -92,6 +97,39 @@ def integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
         m = lcm(*(a.denominator for a in row)) if row else 1
         out.append([a.numerator * (m // a.denominator) for a in row])
     return out
+
+
+def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Fraction-free row echelon form of int rows (Bareiss), on a copy.
+
+    Returns the integer echelon grid, the pivot column list and the
+    sign of the row permutation; rows are scaled, so only zero-patterns
+    and exact linear relations are meaningful.  For a nonsingular square
+    matrix the last pivot is its determinant, up to that sign.
+    """
+    a = [list(r) for r in rows]
+    nrows, ncols = len(a), len(a[0]) if a else 0
+    pivots: list[int] = []
+    sign = 1
+    r = 0
+    prev = 1
+    for col in range(ncols):
+        piv = next((i for i in range(r, nrows) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        for i in range(r + 1, nrows):
+            for j in range(col + 1, ncols):
+                a[i][j] = (a[i][j] * a[r][col] - a[i][col] * a[r][j]) // prev
+            a[i][col] = 0
+        prev = a[r][col]
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots, sign
 
 
 class Mat:
@@ -141,46 +179,12 @@ class Mat:
         cols = list(zip(*other.rows))
         return Mat([[dot(row, col) for col in cols] for row in self.rows])
 
-    def _bareiss_echelon(self) -> tuple[list[list[int]], list[int], int]:
-        """Fraction-free row echelon form.
-
-        Returns the integer echelon grid, the pivot column list and the
-        sign of the row permutation; rows are scaled (Bareiss), so only
-        zero-patterns and exact linear relations are meaningful.  For a
-        nonsingular square matrix the last pivot is the determinant of
-        the row-scaled integer matrix, up to that sign.
-        """
-        a = integer_rows(self.rows)
-        nrows, ncols = self.nrows, self.ncols
-        pivots: list[int] = []
-        sign = 1
-        r = 0
-        prev = 1
-        for col in range(ncols):
-            piv = next((i for i in range(r, nrows) if a[i][col] != 0), None)
-            if piv is None:
-                continue
-            if piv != r:
-                a[r], a[piv] = a[piv], a[r]
-                sign = -sign
-            for i in range(r + 1, nrows):
-                for j in range(col + 1, ncols):
-                    a[i][j] = (a[i][j] * a[r][col] - a[i][col] * a[r][j]) // prev
-                a[i][col] = 0
-            prev = a[r][col]
-            pivots.append(col)
-            r += 1
-            if r == nrows:
-                break
-        return a, pivots, sign
-
     def rank(self) -> int:
-        _, pivots, _ = self._bareiss_echelon()
-        return len(pivots)
+        return len(bareiss(integer_rows(self.rows))[1])
 
     def solve_homogeneous(self) -> list[Vec]:
         """Basis of the exact kernel {x : self @ x = 0}."""
-        ech, pivots, _ = self._bareiss_echelon()
+        ech, pivots, _ = bareiss(integer_rows(self.rows))
         free = [j for j in range(self.ncols) if j not in pivots]
         basis: list[Vec] = []
         for f in free:
@@ -201,7 +205,7 @@ class Mat:
         n = self.nrows
         if n == 0:
             return Fraction(1)
-        ech, pivots, sign = self._bareiss_echelon()
+        ech, pivots, sign = bareiss(integer_rows(self.rows))
         if len(pivots) < n:
             return Fraction(0)
         scales = prod(lcm(*(a.denominator for a in row)) for row in self.rows)

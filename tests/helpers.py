@@ -10,11 +10,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from sphfan.cones import Cone, cones_equal
+from sphfan.cones import (Cone, DimensionMismatch, cones_equal,
+                          dual_description)
 from sphfan.fourier_motzkin import Ineq, feasible
 from sphfan.galois import ActionReport, GaloisAction
 from sphfan.lp import FeasibilitySystem
-from sphfan.rational import Mat, Vec, dot, is_zero_vec, primitive, vec_scale
+from sphfan.rational import (Mat, Vec, dot, is_zero_vec, primitive, rat,
+                             vec_scale, zero_vec)
 from sphfan.spherical import ColoredCone, SphericalDatum, validate_colored_cone
 
 
@@ -245,6 +247,137 @@ def reference_contains(c: Cone, x) -> bool:
     eqs, facets = c.span_equations, c.facets
     return (all(dot(w, x) == 0 for w in eqs)
             and all(dot(w, x) >= 0 for w in facets))
+
+
+class ReferenceCone:
+    """``Cone`` as it was when it stored Fraction generators: the same
+    normalisation, Fraction dual, key, ``dim``, ``faces``, ``intersect``
+    and ``relint_contains``.  Kept as the
+    reference the integer-native cone must match in value, order and type.
+    """
+
+    def __init__(self, ambient_rank: int, generators=()):
+        gens = []
+        seen = set()
+        for g in generators:
+            v = tuple(rat(e) for e in g)
+            if len(v) != ambient_rank:
+                raise DimensionMismatch(
+                    f"expected a vector of length {ambient_rank}, got {len(v)}")
+            p = primitive(v)
+            if is_zero_vec(p) or p in seen:
+                continue
+            seen.add(p)
+            gens.append(p)
+        self.ambient_rank = ambient_rank
+        self.generators = tuple(gens)
+        lin, rays = dual_description(self.generators, ambient_rank)
+        self.span_equations, self.facets = tuple(lin), tuple(rays)
+        self.key = ambient_rank, self.span_equations, tuple(sorted(self.facets))
+
+    contains = reference_contains
+
+    @property
+    def dim(self) -> int:
+        if not self.generators:
+            return 0
+        return Mat(self.generators).rank()
+
+    def faces(self) -> list["ReferenceCone"]:
+        gens = self.generators
+        tight_sets = [frozenset(i for i, g in enumerate(gens) if dot(w, g) == 0)
+                      for w in self.facets]
+        all_idx = frozenset(range(len(gens)))
+        closed = {all_idx}
+        queue = [all_idx]
+        while queue:
+            s = queue.pop()
+            for t in tight_sets:
+                u = s & t
+                if u not in closed:
+                    closed.add(u)
+                    queue.append(u)
+        out = [ReferenceCone(self.ambient_rank, [gens[i] for i in s])
+               for s in sorted(closed, key=sorted)]
+        out.sort(key=lambda c: c.dim)
+        return out
+
+    def intersect(self, other) -> "ReferenceCone":
+        n = self.ambient_rank
+        ineqs = []
+        for cone in (self, other):
+            ineqs.extend(cone.facets)
+            for w in cone.span_equations:
+                ineqs.append(w)
+                ineqs.append(vec_scale(Fraction(-1), w))
+        lin, rays = dual_description(ineqs, n)
+        gens = list(rays)
+        for l in lin:
+            gens.append(l)
+            gens.append(vec_scale(Fraction(-1), l))
+        return ReferenceCone(n, gens)
+
+    def relint_contains(self, x) -> bool:
+        if not self.generators:
+            return is_zero_vec(x)
+        gens = self.generators
+        rows = []
+        for k in range(self.ambient_rank):
+            rows.append(tuple([g[k].numerator for g in gens] + [-rat(x[k])]))
+        system = FeasibilitySystem(
+            equalities=tuple(rows),
+            rhs=(0,) * self.ambient_rank,
+            lower_bounds=tuple([Fraction(1)] * len(gens) + [Fraction(1)]),
+        )
+        return system.solve() is not None
+
+
+def reference_relints_meet_in(c1, c2, v):
+    """``relints_meet_in`` as it was, with Fraction bounds and a witness
+    summed in Fraction arithmetic; takes ``ReferenceCone`` or ``Cone``."""
+    cones = [c1] + ([c2] if c2 is not None else []) + [v]
+    n = c1.ambient_rank
+    blocks = [c.generators for c in cones]
+    bounds = []
+    bounds += [Fraction(1)] * len(blocks[0])
+    if c2 is not None:
+        bounds += [Fraction(1)] * len(blocks[1])
+    bounds += [Fraction(0)] * len(blocks[-1])
+    nvars = len(bounds)
+
+    offsets = []
+    off = 0
+    for b in blocks:
+        offsets.append(off)
+        off += len(b)
+
+    rows = []
+    for other in range(1, len(blocks)):
+        for k in range(n):
+            row = [0] * nvars
+            for i, g in enumerate(blocks[0]):
+                row[offsets[0] + i] = g[k].numerator
+            for j, h in enumerate(blocks[other]):
+                row[offsets[other] + j] = -h[k].numerator
+            rows.append(tuple(row))
+    system = FeasibilitySystem(
+        equalities=tuple(rows),
+        rhs=(0,) * len(rows),
+        lower_bounds=tuple(bounds),
+    )
+    sol = system.solve()
+    if sol is None:
+        return None
+    witness = zero_vec(n)
+    for i, g in enumerate(blocks[0]):
+        witness = tuple(w + sol[offsets[0] + i] * gk for w, gk in zip(witness, g))
+    return witness
+
+
+def reference_image(m: Mat, c) -> ReferenceCone:
+    """The image cone as ``apply_element`` and ``push_cone`` built it:
+    Fraction ``matvec`` on every generator."""
+    return ReferenceCone(m.nrows, [m.matvec(g) for g in c.generators])
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:

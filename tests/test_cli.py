@@ -1,7 +1,10 @@
+import contextlib
+import io
 import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sphfan import fourier_motzkin
 from sphfan.cli import main
@@ -319,3 +322,118 @@ class TestOracleOnBenchmarkDocuments:
         assert {True, False} <= set(systems.values())
         for (ineqs, nvars), verdict in systems.items():
             assert verdict == reference_feasible(ineqs, nvars)
+
+
+# ------------------------------------------------------ exit-code fuzzing
+
+FUZZ_DATUM = {"kind": "datum", "version": "1", "payload": {
+    "rank": 2,
+    "valuation_cone": {"generators": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]]},
+    "colors": [{"name": "a", "rho": ["1", "0"]}, {"name": "b", "rho": [0, "1/2"]}]}}
+
+FUZZ_FAN = {"kind": "fan", "version": "1", "payload": {"cones": [
+    {"generators": [], "colors": []},
+    {"generators": [["1", "0"]], "colors": ["a"]},
+    {"generators": [["1", "0"], ["0", "1"]], "colors": ["a", "b"]},
+    {"generators": [["-2", "1"]], "colors": []}]}}
+
+FUZZ_ACTION = {"kind": "action", "version": "1", "payload": {"elements": [
+    {"name": "id", "matrix": [[1, 0], [0, 1]], "color_perm": {"a": "a", "b": "b"}},
+    {"name": "s", "matrix": [[0, 1], [1, 0]], "color_perm": {"a": "b", "b": "a"}}]}}
+
+FUZZ_LINE_DATUM = {"kind": "datum", "version": "1", "payload": {
+    "rank": 1, "valuation_cone": {"generators": [["1"], ["-1"]]},
+    "colors": [{"name": "c", "rho": ["1"]}]}}
+
+FUZZ_LINE_FAN = {"kind": "fan", "version": "1", "payload": {"cones": [
+    {"generators": [], "colors": []}, {"generators": [["1"]], "colors": ["c"]}]}}
+
+FUZZ_MORPHISM = {"kind": "morphism", "version": "1", "payload": {
+    "matrix": [["1", "0"]], "domain_colors": ["a"], "color_map": {"a": "c"}}}
+
+# argv before the document paths, argv after them, and the base documents
+FUZZ_COMMANDS = [
+    (["validate"], [], [FUZZ_DATUM, FUZZ_FAN]),
+    (["validate"], ["--strict", "--autocomplete"], [FUZZ_DATUM, FUZZ_FAN]),
+    (["--oracle", "validate"], [], [FUZZ_DATUM, FUZZ_FAN]),
+    (["faces"], [], [FUZZ_DATUM, FUZZ_FAN]),
+    (["invariant"], [], [FUZZ_DATUM, FUZZ_FAN, FUZZ_ACTION]),
+    (["invariant"], ["--closure"], [FUZZ_DATUM, FUZZ_FAN, FUZZ_ACTION]),
+    (["morphism"], [], [FUZZ_DATUM, FUZZ_LINE_DATUM, FUZZ_MORPHISM, FUZZ_FAN, FUZZ_LINE_FAN]),
+]
+
+# replacement values: floats, huge ints, bad rationals and colors, wrong
+# ranks, ragged, empty and nested vectors, wrong JSON types
+ODD_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-3, 10),
+    st.integers(min_value=10 ** 18, max_value=10 ** 60),
+    st.sampled_from(["1/0", "1/2", "-3", "x", "", "0.5", "1e3", "a", "b", "c", "zz",
+                     "99999999999999999999/7", "-0"]),
+    st.sampled_from([None, True, False, [], {}, [[]], [["1"]], ["1"], ["1", "0", "0"],
+                     [1, 2], [[1, 0], [0]], {"name": "a"}]),
+    st.lists(st.integers(-2, 2), max_size=4),
+)
+
+
+def _paths(node, path=()):
+    """Every (container path, key) in a JSON tree, root excluded."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for k, v in items:
+        yield path, k
+        yield from _paths(v, path + (k,))
+
+
+def _mutate(doc, data):
+    """One structural mutation of a deep copy of doc, drawn from data."""
+    doc = json.loads(json.dumps(doc))
+    spots = list(_paths(doc))
+    path, key = data.draw(st.sampled_from(spots))
+    parent = doc
+    for k in path:
+        parent = parent[k]
+    kind = data.draw(st.sampled_from(["drop", "extra", "replace", "replace", "ragged"]))
+    node = parent[key]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "extra" and isinstance(node, dict):
+        node[data.draw(st.sampled_from(["extra", "rank", "x"]))] = data.draw(ODD_VALUES)
+    elif kind == "ragged" and isinstance(node, list):
+        if node and data.draw(st.booleans()):
+            node.pop()
+        else:
+            node.append(data.draw(ODD_VALUES))
+    else:
+        parent[key] = data.draw(ODD_VALUES)
+    return doc
+
+
+# derandomized: the same 150 examples on every run, so tier-1 stays
+# deterministic and adds about 1.5 s
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_documents_exit_0_1_or_2(tmp_path_factory, data):
+    """Every mutated input ends with exit code 0, 1 or 2, never a
+    traceback, and exit 2 writes nothing to stdout."""
+    head, tail, docs = data.draw(st.sampled_from(FUZZ_COMMANDS))
+    docs = list(docs)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(docs) - 1))
+        docs[i] = _mutate(docs[i], data)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    paths = []
+    for i, doc in enumerate(docs):
+        p = tmp / f"doc{i}.json"
+        p.write_text(json.dumps(doc))
+        paths.append(str(p))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(head + paths + tail)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out.getvalue() == ""

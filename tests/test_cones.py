@@ -7,9 +7,10 @@ from sphfan.cones import (Cone, DimensionMismatch, _rref, cones_equal,
                           dual_description, relint_meets_cone, relints_meet_in)
 from sphfan.rational import dot
 
-from helpers import (brute_force_faces, fm_relint_meets_cone, load_perfbench,
-                     random_cone, random_vec, reference_cones_equal,
-                     reference_contains, reference_dual_description, reference_rref)
+from helpers import (ReferenceCone, brute_force_faces, fm_relint_meets_cone,
+                     load_perfbench, random_cone, random_vec, reference_cones_equal,
+                     reference_contains, reference_dual_description,
+                     reference_relints_meet_in, reference_rref)
 
 bench_inputs = load_perfbench("inputs")
 
@@ -44,6 +45,21 @@ class TestConstruction:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             Cone(2, [(1, 0, 0)])
+
+    @pytest.mark.parametrize("bad, error", [(True, TypeError), (1.5, TypeError),
+                                            (None, TypeError), ("1.5", ValueError)])
+    def test_rejects_bools_floats_and_bad_strings(self, bad, error):
+        # the plain-int fast path must not let a bool through
+        with pytest.raises(error):
+            Cone(2, [(1, 0), (bad, 1)])
+
+    def test_int_fraction_and_string_entries_agree(self):
+        want = Cone(2, [(2, -4), (0, 3), (1, -2)])
+        for gens in ([(F(2), F(-4)), (F(0), F(3))], [("1/3", "-2/3"), ("0", "5")],
+                     [(1, "-2"), (F(0), 1)]):
+            got = Cone(2, gens)
+            assert got.generators == want.generators == ((F(1), F(-2)), (F(0), F(1)))
+            assert got.key == want.key
 
 
 class TestContains:
@@ -462,3 +478,144 @@ class TestDualDescriptionAgainstReference:
         facets = want[1]
         assert_same_description(dual_description(facets, n),
                                 reference_dual_description(facets, n))
+
+
+def as_given(rng: random.Random, gens) -> list:
+    """The same generators as ints, Fractions or "p/q" strings, at random."""
+    out = []
+    for g in gens:
+        kind = rng.randrange(3)
+        if kind == 0 and all(x.denominator == 1 for x in g):
+            out.append(tuple(int(x) for x in g))
+        elif kind == 1:
+            out.append(tuple(f"{x.numerator * 3}/{x.denominator * 3}" for x in g))
+        else:
+            out.append(tuple(g))
+    return out
+
+
+def random_cone_family(rng: random.Random) -> list[list]:
+    """Generator lists of one random cone: the base, with a zero and a
+    duplicate in it, plus equal cones built from it (rescaled, shuffled,
+    rational, shifted along the lineality space) and one perturbed cone."""
+    n = rng.randint(1, 4)
+    base = [random_vec(rng, n, -3, 3) for _ in range(rng.randint(0, 5))]
+    if base and rng.random() < 0.3:
+        l = rng.choice(base)
+        base.append(tuple(-x for x in l))
+    c = Cone(n, base)
+    lists = [base + [(Fraction(0),) * n] + base[:1]]
+    for _ in range(4):
+        lists.append(as_given(rng, equal_by_construction(rng, c).generators))
+    perturbed = [list(g) for g in base] or [[Fraction(0)] * n]
+    perturbed[0][rng.randrange(n)] += rng.choice((-1, 1))
+    lists.append([tuple(g) for g in perturbed])
+    return [[n, gens] for gens in lists]
+
+
+def assert_fraction_vectors(vs):
+    assert all(type(v) is tuple and all(type(x) is Fraction for x in v) for v in vs)
+
+
+class TestIntegerConeAgainstReference:
+    """The integer-native cone against the Fraction cone it replaced
+    (``ReferenceCone``): the same public values, order and types, the
+    same equality classes, faces and witnesses."""
+
+    @pytest.fixture(scope="class")
+    def cones(self):
+        rng = random.Random(97)
+        specs = [spec for _ in range(100) for spec in random_cone_family(rng)]
+        return [(Cone(n, gens), ReferenceCone(n, gens), group)
+                for group, (n, gens) in zip([i // 6 for i in range(len(specs))], specs)]
+
+    def test_public_views(self, cones):
+        assert len(cones) >= 500
+        for c, ref, _ in cones:
+            assert c.generators == ref.generators
+            assert c.facets == ref.facets
+            assert c.span_equations == ref.span_equations
+            for vs in (c.generators, c.facets, c.span_equations):
+                assert type(vs) is tuple
+                assert_fraction_vectors(vs)
+            assert c.dim == ref.dim
+            assert c.is_zero == (not ref.generators)
+
+    def test_key_classes(self, cones):
+        rng = random.Random(101)
+        for i, (a, ra, _) in enumerate(cones):
+            for b, rb, _ in cones[i + 1:]:
+                assert (a.key == b.key) == (ra.key == rb.key)
+        # mutual inclusion on every pair within a family and on random pairs
+        pairs = [(x, y) for x in cones for y in cones if x[2] == y[2]]
+        pairs += [tuple(rng.sample(cones, 2)) for _ in range(1500)]
+        equal = 0
+        for (a, ra, _), (b, rb, _) in pairs:
+            got = a.key == b.key
+            assert got == reference_cones_equal(ra, rb)
+            if got:
+                assert hash(a.key) == hash(b.key)
+            equal += got
+        assert 500 < equal < len(pairs) - 500
+
+    def test_faces(self, cones):
+        for c, ref, _ in cones[::2]:
+            got, want = c.faces(), ref.faces()
+            assert [f.generators for f in got] == [f.generators for f in want]
+            assert [f.dim for f in got] == [f.dim for f in want]
+            assert [f.facets for f in got] == [f.facets for f in want]
+
+    def test_intersect(self, cones):
+        rng = random.Random(103)
+        by_rank = {}
+        for c in cones:
+            by_rank.setdefault(c[0].ambient_rank, []).append(c)
+        lineality = 0
+        for _ in range(300):
+            (a, ra, _), (b, rb, _) = rng.sample(by_rank[rng.choice(sorted(by_rank))], 2)
+            got, want = a.intersect(b), ra.intersect(rb)
+            assert got.generators == want.generators
+            assert got.facets == want.facets and got.span_equations == want.span_equations
+            # the trusted constructor gives what normalising would
+            assert got.key == Cone(got.ambient_rank, got.generators).key
+            lineality += bool(got.lineality_basis)
+        assert lineality > 30
+
+    def test_relints_meet_in_witnesses(self):
+        rng = random.Random(107)
+        met = {"pair": 0, "single": 0}
+        for _ in range(400):
+            n = rng.randint(1, 3)
+            specs = [[random_vec(rng, n, -2, 2) for _ in range(rng.randint(0, 3))]
+                     for _ in range(3)]
+            if rng.random() < 0.5:
+                specs[2] = [tuple(Fraction(s * (i == j)) for j in range(n))
+                            for i in range(n) for s in (1, -1)]
+            new = [Cone(n, g) for g in specs]
+            ref = [ReferenceCone(n, g) for g in specs]
+            for kind, c2, r2 in (("pair", new[1], ref[1]), ("single", None, None)):
+                got = relints_meet_in(new[0], c2, new[2])
+                want = reference_relints_meet_in(ref[0], r2, ref[2])
+                assert got == want
+                if got is not None:
+                    assert_fraction_vectors([got])
+                    met[kind] += 1
+        assert met["pair"] > 100 and met["single"] > 100
+
+    def test_relint_contains(self):
+        rng = random.Random(109)
+        verdicts = []
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            gens = [random_vec(rng, n, -3, 3) for _ in range(rng.randint(0, 4))]
+            c, ref = Cone(n, gens), ReferenceCone(n, gens)
+            points = [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n))]
+            if c.generators:
+                points.append(tuple(sum(g[k] for g in c.generators) for k in range(n)))
+                points.append(tuple(Fraction(x, 3) for x in points[-1]))
+                points.append(c.generators[0])
+            for x in points:
+                got = c.relint_contains(x)
+                assert got == ref.relint_contains(x)
+                verdicts.append(got)
+        assert 100 < sum(verdicts) < len(verdicts) - 100

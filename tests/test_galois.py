@@ -6,14 +6,15 @@ from sphfan.cones import Cone, cones_equal
 from sphfan.galois import (GaloisAction, GroupElement, apply_element,
                            invariant_closure, is_invariant_fan, orbit,
                            validate_action)
+from sphfan.morphisms import FanMorphism
 from sphfan.rational import Mat
 from sphfan.spherical import (ColoredCone, ColoredFan, FanAxiomError,
                               SphericalDatum, colored_cones_equal, fans_equal,
                               is_strictly_convex_colored,
                               validate_colored_cone)
 
-from helpers import (load_perfbench, random_valid_colored_cone,
-                     reference_validate_action)
+from helpers import (load_perfbench, random_cone, random_valid_colored_cone,
+                     reference_image, reference_validate_action)
 
 bench_inputs = load_perfbench("inputs")
 
@@ -275,3 +276,77 @@ class TestInvariantClosure:
         assert is_invariant_fan(a, fan).ok
         again = invariant_closure(a, list(fan.cones))
         assert fans_equal(fan, again)
+
+
+def assert_same_image(m: Mat, c: Cone, got: Cone):
+    """got is the image of c under m as the Fraction ``matvec`` path built
+    it: the same generators, dual and key."""
+    want = reference_image(m, c)
+    assert got.ambient_rank == want.ambient_rank
+    assert got.generators == want.generators
+    assert got.facets == want.facets and got.span_equations == want.span_equations
+    assert got.key == Cone(m.nrows, [m.matvec(g) for g in c.generators]).key
+
+
+def random_unimodular(rng: random.Random, n: int) -> Mat:
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            f = rng.choice((-2, -1, 1, 2))
+            rows[i] = [a + f * b for a, b in zip(rows[i], rows[j])]
+        else:
+            rows[i] = [-a for a in rows[i]]
+    rng.shuffle(rows)
+    return Mat(rows)
+
+
+class TestIntegralImages:
+    """``Cone.image`` maps int generators when the matrix is integral; the
+    images must equal those of the Fraction path it replaced."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_twisted_actions(self, seed):
+        rng = random.Random(seed)
+        for t in (bench_inputs.twisted_p1(rng, 2), bench_inputs.sign_changes(rng, 3)):
+            d, seeds, a = bench_inputs.build_twisted(t)
+            fan = invariant_closure(a, seeds)
+            for e in a.elements:
+                assert_same_image(e.matrix, d.valuation_cone,
+                                  d.valuation_cone.image(e.matrix))
+                for cc in fan:
+                    assert_same_image(e.matrix, cc.cone, apply_element(a, e, cc).cone)
+
+    def test_random_unimodular_matrices(self):
+        rng = random.Random(113)
+        for _ in range(200):
+            c = random_cone(rng, max_rank=4, max_gens=5)
+            m = random_unimodular(rng, c.ambient_rank)
+            assert abs(m.det()) == 1
+            assert_same_image(m, c, c.image(m))
+
+    def test_singular_matrices(self):
+        rng = random.Random(127)
+        fixed = Mat([[1, 2, 0], [2, 4, 0], [0, 0, 0]])
+        for k in range(100):
+            c = random_cone(rng, max_rank=4, max_gens=5)
+            n = c.ambient_rank
+            if k % 4 == 0 and n == 3:
+                m = fixed
+            else:
+                rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+                rows[-1] = list(rows[0]) if n > 1 else [0]
+                m = Mat(rows)
+            assert m.det() == 0
+            assert_same_image(m, c, c.image(m))
+
+    def test_rational_projection(self):
+        rng = random.Random(131)
+        src = SphericalDatum(3, Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]))
+        tgt = SphericalDatum(2, Cone(2, [(1, 0), (-1, 0), (0, 1), (0, -1)]))
+        m = Mat([["1/2", 0, 1], [0, "-1/3", "2/5"]])
+        mor = FanMorphism(src, tgt, m)
+        for _ in range(100):
+            c = random_cone(rng, max_rank=3, max_gens=5)
+            if c.ambient_rank == 3:
+                assert_same_image(m, c, mor.push_cone(c))

@@ -110,6 +110,29 @@ class TestAgainstFractionSimplex:
             verdicts.add(x is None)
         assert verdicts == {True, False}
 
+    def test_int_and_fraction_encodings(self):
+        # the all-int path skips the common-denominator scaling; the same
+        # system written with Fractions must give the same witness
+        rng = random.Random(2000)
+        verdicts = {True: 0, False: 0}
+        for _ in range(400):
+            nvars = rng.randint(1, 6)
+            a = [[rng.randint(-3, 3) for _ in range(nvars)] for _ in range(rng.randint(1, 4))]
+            b = [rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in a]
+            bounds = tuple(rng.choice([None, 0, 1, 1, -2]) for _ in range(nvars))
+            y = solve_eq_nonneg(a, b)
+            assert y == solve_eq_nonneg([[F(x) for x in r] for r in a], [F(r) for r in b])
+            ints = FeasibilitySystem(tuple(map(tuple, a)), tuple(b), bounds)
+            fracs = FeasibilitySystem(tuple(tuple(F(x) for x in r) for r in a),
+                                      tuple(F(r) for r in b),
+                                      tuple(lb if lb is None else F(lb) for lb in bounds))
+            x = ints.solve()
+            assert x == fracs.solve() == reference_solve(fracs)
+            for w in (y, x):
+                assert w is None or all(type(v) is Fraction for v in w)
+            verdicts[x is not None] += 1
+        assert min(verdicts.values()) > 100
+
 
 class TestCrossCheck:
     def test_hook_replays_through_fm(self):
