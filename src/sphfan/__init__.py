@@ -6,7 +6,7 @@ from .galois import (GaloisAction, GroupElement, apply_element, invariant_closur
 from .lp import FeasibilitySystem, OracleDisagreement
 from .morphisms import (FanMorphism, is_morphism_of_cones, is_morphism_of_fans,
                         validate_morphism)
-from .rational import Mat, Rat, Vec, format_rat, parse_rat
+from .rational import Mat, Vec, format_rat, parse_rat
 from .spherical import (ColoredCone, ColoredFan, FanAxiomError, SphericalDatum,
                         UnknownColorError, colored_cones_equal, colored_faces,
                         faces_closure, fans_equal, is_simple,
@@ -20,7 +20,7 @@ __all__ = [
     "invariant_closure", "is_invariant_fan", "orbit", "validate_action",
     "FeasibilitySystem", "OracleDisagreement", "FanMorphism",
     "is_morphism_of_cones", "is_morphism_of_fans", "validate_morphism",
-    "Mat", "Rat", "Vec", "format_rat", "parse_rat", "ColoredCone", "ColoredFan",
+    "Mat", "Vec", "format_rat", "parse_rat", "ColoredCone", "ColoredFan",
     "FanAxiomError", "SphericalDatum", "UnknownColorError", "colored_cones_equal",
     "colored_faces", "faces_closure", "fans_equal", "is_simple",
     "is_strictly_convex_colored", "is_strictly_convex_fan", "maximal_cones",

@@ -73,11 +73,6 @@ def _divide_by_pivots(basis: Sequence[Sequence[int]]) -> list[Vec]:
     return [tuple(Fraction(x, r[p]) for x in r) for r, p in zip(basis, _pivots(basis))]
 
 
-def _rref(rows: Sequence[Vec]) -> list[Vec]:
-    """Reduced row echelon form basis of the row space."""
-    return _divide_by_pivots(_echelon(integer_rows(rows)))
-
-
 def _reduce_ints(v: Sequence[int], basis: Sequence[Sequence[int]],
                  pivots: Sequence[int]) -> tuple[int, ...]:
     """The primitive representative of int v modulo the span of ``_echelon`` rows."""

@@ -8,15 +8,16 @@ inverse checks can be exhaustive.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from .cones import cones_equal
 from .rational import Mat
-from .spherical import (ColoredCone, ColoredFan, FanAxiomError,
-                        RankMismatchError, SphericalDatum, faces_closure)
-# not called here: the benchmark's tracer wraps this name in this module
-from .spherical import colored_cones_equal  # noqa: F401
+from .spherical import (ColoredCone, ColoredFan, RankMismatchError,
+                        SphericalDatum, _closed_fan)
+# not called here: the benchmark's tracer wraps these names in this module
+from .spherical import colored_cones_equal, faces_closure  # noqa: F401
 
 
 class GroupElement:
@@ -183,31 +184,23 @@ def orbit(a: GaloisAction, cc: ColoredCone) -> list[ColoredCone]:
 def invariant_closure(a: GaloisAction, seeds: Sequence[ColoredCone]) -> ColoredFan:
     """Minimal Γ-invariant colored fan containing the seeds.
 
-    Alternates orbit expansion and face expansion to a fixed point, then
-    runs the final CF2 pass (raising FanAxiomError with a witness on
-    failure).  Both expansions are monotone, so the fixed point does not
-    depend on the interleaving order.
+    One first-in-first-out worklist, started with the seeds: a colored
+    cone taken off the front whose key is new becomes a member, its
+    colored faces are recorded, and its orbit and then those faces go to
+    the back, so each member's orbit and faces are computed once.  The
+    recorded faces go through the finisher of ``faces_closure``:
+    dimension order, then the CF2 pass (FanAxiomError with a witness on
+    failure).  Γ must be finite: an element of infinite order makes
+    orbits of ever new cones, and the worklist never empties.
     """
+    # looked up per call, so a wrapper put on spherical.colored_faces sees it
     from .spherical import colored_faces
 
-    members: dict[tuple, ColoredCone] = {}
-
-    def add(cc: ColoredCone) -> bool:
-        if cc.key in members:
-            return False
-        members[cc.key] = cc
-        return True
-
-    for s in seeds:
-        add(s)
-    changed = True
-    while changed:
-        changed = False
-        for cc in list(members.values()):
-            for e in a.elements:
-                if add(apply_element(a, e, cc)):
-                    changed = True
-            for face in colored_faces(a.datum, cc):
-                if add(face):
-                    changed = True
-    return faces_closure(a.datum, list(members.values()))
+    faces: dict[tuple, list[ColoredCone]] = {}
+    queue = deque(seeds)
+    while queue:
+        cc = queue.popleft()
+        if cc.key not in faces:
+            faces[cc.key] = colored_faces(a.datum, cc)
+            queue += orbit(a, cc) + faces[cc.key]
+    return _closed_fan(a.datum, faces.values())

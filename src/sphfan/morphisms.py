@@ -97,8 +97,9 @@ def validate_morphism(m: FanMorphism, warn_rho: bool = False) -> MorphismReport:
 
 def is_morphism_of_cones(m: FanMorphism, cc1: ColoredCone, cc2: ColoredCone) -> bool:
     """Image of C1 inside C2, and mapped domain colors of F1 inside F2."""
-    if not all(cc2.cone.contains(m.linear_map.matvec(g))
-               for g in cc1.cone.generators):
+    # the pushed generators are positive multiples of the nonzero m·g,
+    # and the zero images it drops lie in every cone
+    if not all(cc2.cone.contains(g) for g in m.push_cone(cc1.cone).generators):
         return False
     mapped = {m.color_map[f] for f in cc1.palette & m.domain_colors}
     return mapped <= cc2.palette

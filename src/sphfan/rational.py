@@ -11,7 +11,6 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Iterable, Sequence
 
-Rat = Fraction
 Vec = tuple[Fraction, ...]
 
 _RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")

@@ -15,6 +15,7 @@ the cone whose relative interior contains any given valuation vector
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .cones import Cone, cones_equal, relint_meets_cone, relints_meet_in
@@ -274,11 +275,14 @@ def faces_closure(d: SphericalDatum, cones: Sequence[ColoredCone]) -> ColoredFan
     Raises FanAxiomError (with witness) on a CF2 violation; the returned
     fan is ordered by dimension, then first occurrence.
     """
-    collected: dict[tuple, ColoredCone] = {}
-    for cc in cones:
-        for face in colored_faces(d, cc):
-            collected.setdefault(face.key, face)
-    fan = ColoredFan(sorted(collected.values(), key=lambda cc: cc.cone.dim))
+    return _closed_fan(d, [colored_faces(d, cc) for cc in cones])
+
+
+def _closed_fan(d: SphericalDatum,
+                face_lists: Iterable[Sequence[ColoredCone]]) -> ColoredFan:
+    """The fan of the colored cones in face_lists, each key at its first
+    occurrence, ordered by dimension, after the lazy CF2 pass."""
+    fan = ColoredFan(sorted(chain.from_iterable(face_lists), key=lambda cc: cc.cone.dim))
     failure = next(_cf2_failures(d, fan.cones), None)
     if failure is not None:
         raise FanAxiomError(

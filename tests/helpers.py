@@ -13,11 +13,13 @@ from typing import Sequence
 from sphfan.cones import (Cone, DimensionMismatch, cones_equal,
                           dual_description)
 from sphfan.fourier_motzkin import Ineq, feasible
-from sphfan.galois import ActionReport, GaloisAction
+from sphfan.galois import ActionReport, GaloisAction, apply_element
 from sphfan.lp import FeasibilitySystem
+from sphfan.morphisms import FanMorphism
 from sphfan.rational import (Mat, Vec, dot, is_zero_vec, primitive, rat,
                              vec_scale, zero_vec)
-from sphfan.spherical import ColoredCone, SphericalDatum, validate_colored_cone
+from sphfan.spherical import (ColoredCone, ColoredFan, SphericalDatum,
+                              faces_closure, validate_colored_cone)
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -385,7 +387,7 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
 
 
 def reference_rref(rows: Sequence[Vec]) -> list[Vec]:
-    """The Fraction Gauss-Jordan elimination that ``sphfan.cones._rref``
+    """The Fraction Gauss-Jordan elimination that ``sphfan.cones._echelon``
     replaced: the reduced row echelon form basis of the row space.
 
     Kept as the reference the fraction-free elimination must match.
@@ -577,6 +579,47 @@ def reference_validate_action(a: GaloisAction) -> ActionReport:
                         has_inverses=has_inverses, unimodular=unimodular,
                         v_stable=v_stable, rho_equivariant=rho_equivariant,
                         failures=tuple(failures))
+
+
+def reference_invariant_closure(a: GaloisAction, seeds: Sequence[ColoredCone]) -> ColoredFan:
+    """The pass-by-pass fixed point that the worklist of
+    ``galois.invariant_closure`` replaced: every member re-walked on
+    every pass, then every member's colored faces again in
+    ``faces_closure``."""
+    from sphfan.spherical import colored_faces
+
+    members: dict[tuple, ColoredCone] = {}
+
+    def add(cc: ColoredCone) -> bool:
+        if cc.key in members:
+            return False
+        members[cc.key] = cc
+        return True
+
+    for s in seeds:
+        add(s)
+    changed = True
+    while changed:
+        changed = False
+        for cc in list(members.values()):
+            for e in a.elements:
+                if add(apply_element(a, e, cc)):
+                    changed = True
+            for face in colored_faces(a.datum, cc):
+                if add(face):
+                    changed = True
+    return faces_closure(a.datum, list(members.values()))
+
+
+def reference_is_morphism_of_cones(m: FanMorphism, cc1: ColoredCone,
+                                   cc2: ColoredCone) -> bool:
+    """The Fraction ``matvec`` per source generator that pushing the cone
+    once on ints replaced."""
+    if not all(cc2.cone.contains(m.linear_map.matvec(g))
+               for g in cc1.cone.generators):
+        return False
+    mapped = {m.color_map[f] for f in cc1.palette & m.domain_colors}
+    return mapped <= cc2.palette
 
 
 def random_vec(rng: random.Random, n: int, lo: int = -5, hi: int = 5):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from sphfan import docio, galois, spherical
 from sphfan.cones import Cone, cones_equal
 from sphfan.galois import (GaloisAction, GroupElement, apply_element,
                            invariant_closure, is_invariant_fan, orbit,
@@ -14,7 +15,8 @@ from sphfan.spherical import (ColoredCone, ColoredFan, FanAxiomError,
                               validate_colored_cone)
 
 from helpers import (load_perfbench, random_cone, random_valid_colored_cone,
-                     reference_image, reference_validate_action)
+                     random_vec, reference_image, reference_invariant_closure,
+                     reference_validate_action)
 
 bench_inputs = load_perfbench("inputs")
 
@@ -276,6 +278,128 @@ class TestInvariantClosure:
         assert is_invariant_fan(a, fan).ok
         again = invariant_closure(a, list(fan.cones))
         assert fans_equal(fan, again)
+
+
+def closure_outcome(close, a, seeds):
+    """The closure's fan document, or the witness of its CF2 failure."""
+    try:
+        return docio.serialize_fan(close(a, seeds))
+    except FanAxiomError as e:
+        return ("CF2", e.witness)
+
+
+def assert_same_closure(a, seeds):
+    got = closure_outcome(invariant_closure, a, seeds)
+    assert got == closure_outcome(reference_invariant_closure, a, seeds)
+    return got
+
+
+def half_plane_action():
+    """x -> -x on the lower half plane, swapping the colors on ±e_1."""
+    v = Cone(2, [(1, 0), (-1, 0), (0, -1)])
+    d = SphericalDatum(2, v, ["a", "b"], {"a": (1, 0), "b": (-1, 0)})
+    return GaloisAction(d, [GroupElement("id", Mat.identity(2), {"a": "a", "b": "b"}),
+                            GroupElement("s", Mat([[-1, 0], [0, 1]]), {"a": "b", "b": "a"})])
+
+
+class TestInvariantClosureAgainstReference:
+    """The worklist must give the pass-by-pass fixed point's fan, byte for
+    byte, or the same CF2 witness."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_twisted_actions(self, seed):
+        rng = random.Random(seed)
+        for t in (bench_inputs.twisted_p1(rng, 2), bench_inputs.sign_changes(rng, 3),
+                  bench_inputs.twisted_p1(rng, 3)):
+            d, seeds, a = bench_inputs.build_twisted(t)
+            got = assert_same_closure(a, seeds)
+            assert len(docio.parse_fan(got, d)) == t.n_cones
+
+    def test_duplicate_keys_keep_the_first(self):
+        d, (seed,), a = bench_inputs.build_twisted(
+            bench_inputs.twisted_p1(random.Random(5), 2))
+        gens = list(seed.cone.generators)
+        flipped = ColoredCone(Cone(2, gens[::-1]), seed.palette)
+        ray = ColoredCone(Cone(2, [gens[1]]), seed.palette)
+        image = apply_element(a, a.elements[3], seed)
+        outcomes = [assert_same_closure(a, seeds) for seeds in
+                    ([seed, flipped, ray], [flipped, seed], [ray, image, seed, image])]
+        # the first of two equal seeds is kept: its generator order shows
+        assert outcomes[0] != outcomes[1]
+
+    def test_seed_failing_cc2(self):
+        a = half_plane_action()
+        up = ColoredCone(Cone(2, [(0, 1)]))
+        assert not validate_colored_cone(a.datum, up).cc2
+        below = ColoredCone(Cone(2, [(1, 0), (1, -1)]), ["a"])
+        for seeds in ([up], [up, below], [below, up, below]):
+            assert isinstance(assert_same_closure(a, seeds), str)
+
+    def test_random_seeds(self):
+        rng = random.Random(139)
+        d, _, a = bench_inputs.build_twisted(bench_inputs.twisted_p1(rng, 2))
+        cf2 = 0
+        for _ in range(40):
+            seeds = [ColoredCone(Cone(2, [random_vec(rng, 2, -2, 2)
+                                          for _ in range(rng.randint(0, 3))]),
+                                 [c for c in d.colors if rng.random() < 0.3])
+                     for _ in range(rng.randint(1, 3))]
+            cf2 += not isinstance(assert_same_closure(a, seeds), str)
+        assert 0 < cf2 < 40
+
+    def test_cf2_violation(self):
+        v = Cone(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
+        turn = Mat([[0, -1], [1, 0]])
+        powers = [Mat.identity(2), turn, turn.matmul(turn), turn.matmul(turn).matmul(turn)]
+        a = GaloisAction(SphericalDatum(2, v),
+                         [GroupElement(f"r{i}", m, {}) for i, m in enumerate(powers)])
+        got = assert_same_closure(a, [ColoredCone(Cone(2, [(1, 0), (-1, 1)]))])
+        assert got[0] == "CF2" and got[1] is not None
+
+    def test_lists_that_are_not_groups(self):
+        d = swap_datum()
+        fix = {"a": "a", "b": "b"}
+        involution = GaloisAction(line_datum(), [GroupElement("sigma", Mat([[-1]]), {})])
+        assert not validate_action(involution).has_identity
+        assert_same_closure(involution, [ColoredCone(Cone(1, [(1,)]))])
+        reflections = GaloisAction(d, [GroupElement("x", Mat([[1, 0], [0, -1]]), fix),
+                                       GroupElement("y", Mat([[-1, 0], [0, 1]]), fix)])
+        assert not validate_action(reflections).closed
+        got = assert_same_closure(reflections, [ColoredCone(Cone(2, [(1, 0), (0, 1)]))])
+        assert len(docio.parse_fan(got, d)) == 9
+        mirrors = GaloisAction(d, [GroupElement("x", Mat([[1, 0], [0, -1]]), fix),
+                                   GroupElement("s", Mat([[0, 1], [1, 0]]),
+                                                {"a": "b", "b": "a"})])
+        got = assert_same_closure(mirrors, [ColoredCone(Cone(2, [(1, 0), (1, 1)]))])
+        assert len(docio.parse_fan(got, d)) == 17
+
+
+class TestInvariantClosureCounts:
+    """Each member's colored faces once, and one image per element."""
+
+    @pytest.mark.parametrize("make, members", [
+        (lambda rng: bench_inputs.twisted_p1(rng, 2), 9),
+        (lambda rng: bench_inputs.sign_changes(rng, 3), 27),
+    ])
+    def test_work_per_member(self, monkeypatch, make, members):
+        d, seeds, a = bench_inputs.build_twisted(make(random.Random(1)))
+        faces_of, images = [], []
+        colored_faces, apply = spherical.colored_faces, galois.apply_element
+
+        def count_faces(datum, cc):
+            faces_of.append(cc.key)
+            return colored_faces(datum, cc)
+
+        def count_images(action, e, cc):
+            images.append(cc.key)
+            return apply(action, e, cc)
+
+        monkeypatch.setattr(spherical, "colored_faces", count_faces)
+        monkeypatch.setattr(galois, "apply_element", count_images)
+        fan = invariant_closure(a, seeds)
+        assert len(fan) == members
+        assert len(faces_of) == len(set(faces_of)) == members
+        assert len(images) == len(a.elements) * members
 
 
 def assert_same_image(m: Mat, c: Cone, got: Cone):

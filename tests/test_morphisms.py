@@ -9,7 +9,10 @@ from sphfan.rational import Mat
 from sphfan.spherical import (ColoredCone, ColoredFan, RankMismatchError,
                               SphericalDatum, faces_closure)
 
-from helpers import random_valid_colored_cone
+from helpers import (load_perfbench, random_valid_colored_cone, random_vec,
+                     reference_is_morphism_of_cones)
+
+bench_inputs = load_perfbench("inputs")
 
 
 def full_plane():
@@ -155,3 +158,54 @@ class TestProperties:
                     FanMorphism(colored, line_datum(), Mat.identity(1)))
         with pytest.raises(RankMismatchError):
             compose(from_line, projection())
+
+
+def verdicts(is_morphism, m, f1, f2):
+    return [[is_morphism(m, cc1, cc2) for cc2 in f2] for cc1 in f1]
+
+
+class TestMorphismOfConesAgainstReference:
+    """Pushing the source cone once must give the per-generator
+    ``matvec`` verdicts."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_p1_projections(self, seed):
+        for drop in range(3):
+            p = bench_inputs.projection(random.Random(seed), 3, drop, 2)
+            m = bench_inputs.build_projection(p)
+            f1 = bench_inputs.build_p1_cones(p.source)
+            f2 = bench_inputs.build_p1_cones(p.target)
+            got = verdicts(is_morphism_of_cones, m, f1, f2)
+            assert got == verdicts(reference_is_morphism_of_cones, m, f1, f2)
+            assert [row.index(True) for row in got] == p.matches()
+
+    def test_random_rational_maps(self):
+        rng = random.Random(149)
+        entries = [0, 0, 1, -1, 2, "1/2", "-2/3", "3/4"]
+        hits = singular = 0
+        for k in range(150):
+            n, r = rng.randint(1, 3), rng.randint(1, 3)
+            rows = [[rng.choice(entries) for _ in range(n)] for _ in range(r)]
+            if k % 3 == 0:
+                rows[-1] = [0] * n if r == 1 else list(rows[0])
+            lin = Mat(rows)
+            singular += lin.rank() < r
+            src = SphericalDatum(n, Cone(n), ["a", "b"],
+                                 {"a": random_vec(rng, n), "b": random_vec(rng, n)})
+            tgt = SphericalDatum(r, Cone(r), ["x", "y"],
+                                 {"x": random_vec(rng, r), "y": random_vec(rng, r)})
+            domain = [c for c in src.colors if rng.random() < 0.5]
+            m = FanMorphism(src, tgt, lin, domain, {c: rng.choice("xy") for c in domain})
+            f1 = [ColoredCone(Cone(n, [random_vec(rng, n, -2, 2)
+                                       for _ in range(rng.randint(0, 3))]),
+                              [c for c in src.colors if rng.random() < 0.5])
+                  for _ in range(3)]
+            f2 = [ColoredCone(Cone(r, [random_vec(rng, r, -2, 2)
+                                       for _ in range(rng.randint(0, 3))]),
+                              [c for c in tgt.colors if rng.random() < 0.5])
+                  for _ in range(3)]
+            f2 += [ColoredCone(m.push_cone(cc.cone), ["x", "y"]) for cc in f1]
+            got = verdicts(is_morphism_of_cones, m, f1, f2)
+            assert got == verdicts(reference_is_morphism_of_cones, m, f1, f2)
+            hits += sum(map(sum, got))
+        assert singular > 40 and 150 < hits < 150 * 18
