@@ -19,7 +19,7 @@ from operator import neg
 from typing import Iterable, Optional, Sequence
 
 from .lp import FeasibilitySystem
-from .rational import (Mat, Vec, all_ints, bareiss, integer_rows, is_zero_vec,
+from .rational import (Mat, Vec, _idot, all_ints, bareiss, integer_rows,
                        primitive_ints, rat, vec)
 
 
@@ -80,10 +80,6 @@ def _reduce_ints(v: Sequence[int], basis: Sequence[Sequence[int]],
         if v[p] != 0:
             v = _combine(row[p], v, v[p], row)
     return primitive_ints(v)
-
-
-def _idot(a: Sequence[int], r: Sequence[int]) -> int:
-    return sum(x * y for x, y in zip(a, r))
 
 
 def _dual_ints(ineqs: Sequence[Sequence[int]],
@@ -272,18 +268,8 @@ class Cone:
         be scaled to ints first).
         """
         _check_dim(self.ambient_rank, x)
-        if self.is_zero:
-            return is_zero_vec(x)
-        gens = self._ints
         (xi,) = integer_rows([vec(x)])
-        rows = tuple(tuple([g[k] for g in gens] + [-xi[k]])
-                     for k in range(self.ambient_rank))
-        system = FeasibilitySystem(
-            equalities=rows,
-            rhs=(0,) * self.ambient_rank,
-            lower_bounds=(1,) * (len(gens) + 1),
-        )
-        return system.solve() is not None
+        return _meet_system([self._ints, [xi]], self.ambient_rank, 1).solve() is not None
 
     def intersect(self, other: "Cone") -> "Cone":
         """Intersection, via the union of the two facet descriptions.
@@ -311,15 +297,13 @@ class Cone:
     def image(self, m: Mat) -> "Cone":
         """The cone generated by the images m·g of the generators.
 
-        m is scaled to ints by one common denominator, which maps each
-        generator to a positive multiple of m·g; the constructor then
-        normalises, since m may be singular or not yet validated.
+        m's int grid maps each generator to den·m·g, a positive multiple;
+        the constructor then normalises, since m may be singular or not
+        yet validated.
         """
         if self._ints and m.ncols != self.ambient_rank:
             raise ValueError(f"dimension mismatch: {m.ncols} cols vs {self.ambient_rank}")
-        scale = lcm(*(e.denominator for row in m.rows for e in row))
-        rows = [[e.numerator * (scale // e.denominator) for e in row] for row in m.rows]
-        return Cone(m.nrows, [tuple(_idot(row, g) for row in rows) for g in self._ints])
+        return Cone(m.nrows, [tuple(_idot(row, g) for row in m.ints) for g in self._ints])
 
     def faces(self) -> list["Cone"]:
         """All faces, self and the minimal face included, each once.
@@ -358,6 +342,27 @@ def relint_meets_cone(c: Cone, v: Cone) -> Optional[Vec]:
     return relints_meet_in(c, None, v)
 
 
+def _meet_system(blocks: Sequence[Sequence[tuple[int, ...]]], n: int,
+                 last_bound: int) -> FeasibilitySystem:
+    """sum(block 0) = sum(each later block), coordinatewise, as an LP.
+
+    One variable per vector, block by block; the last block's variables
+    are >= last_bound, all others >= 1.  Row k is block 0's k-th
+    coordinates, then minus the other block's.
+    """
+    cols = [list(zip(*b)) if b else [()] * n for b in blocks]
+    rows = []
+    for other in range(1, len(blocks)):
+        before = (0,) * sum(len(b) for b in blocks[1:other])
+        after = (0,) * sum(len(b) for b in blocks[other + 1:])
+        for k in range(n):
+            rows.append(cols[0][k] + before + _neg(cols[other][k]) + after)
+    nvars = sum(len(b) for b in blocks)
+    bounds = [1] * (nvars - len(blocks[-1])) + [last_bound] * len(blocks[-1])
+    return FeasibilitySystem(equalities=tuple(rows), rhs=(0,) * len(rows),
+                             lower_bounds=tuple(bounds))
+
+
 def relints_meet_in(c1: Cone, c2: Optional[Cone], v: Cone) -> Optional[Vec]:
     """Witness x ∈ relint(c1) [∩ relint(c2)] ∩ v, or None.
 
@@ -371,24 +376,7 @@ def relints_meet_in(c1: Cone, c2: Optional[Cone], v: Cone) -> Optional[Vec]:
         if c.ambient_rank != n:
             raise DimensionMismatch("relint test: ambient ranks differ")
     blocks = [c._ints for c in cones]
-    nvars = sum(len(b) for b in blocks)
-    bounds = [1] * (nvars - len(blocks[-1])) + [0] * len(blocks[-1])
-
-    # sum over block 0 equals sum over each later block, coordinatewise:
-    # row k is block 0's k-th coordinates, then minus the other block's
-    cols = [list(zip(*b)) if b else [()] * n for b in blocks]
-    rows = []
-    for other in range(1, len(blocks)):
-        before = (0,) * sum(len(b) for b in blocks[1:other])
-        after = (0,) * sum(len(b) for b in blocks[other + 1:])
-        for k in range(n):
-            rows.append(cols[0][k] + before + _neg(cols[other][k]) + after)
-    system = FeasibilitySystem(
-        equalities=tuple(rows),
-        rhs=(0,) * len(rows),
-        lower_bounds=tuple(bounds),
-    )
-    sol = system.solve()
+    sol = _meet_system(blocks, n, 0).solve()
     if sol is None:
         return None
     # the witness over one common denominator, one Fraction per coordinate

@@ -237,16 +237,12 @@ def parse_action(text: str, datum: SphericalDatum) -> GaloisAction:
     return GaloisAction(datum, elements)
 
 
-def _as_int(x: Fraction) -> int:
-    if x.denominator != 1:
-        raise ValueError("action matrices must be integral")
-    return x.numerator
-
-
 def serialize_action(a: GaloisAction) -> str:
+    if any(e.matrix.den != 1 for e in a.elements):
+        raise ValueError("action matrices must be integral")
     payload = {"elements": [
         {"name": e.name,
-         "matrix": [[_as_int(x) for x in row] for row in e.matrix.rows],
+         "matrix": [list(row) for row in e.matrix.ints],
          "color_perm": {c: e.color_perm[c] for c in sorted(e.color_perm)}}
         for e in a.elements]}
     return _dump("action", payload)

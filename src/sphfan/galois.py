@@ -84,7 +84,7 @@ class ActionReport:
 
 def _action_key(matrix: Mat, perm: Mapping[str, str]) -> tuple:
     """Hashable form of an action: equal iff matrix and color map are."""
-    return matrix.rows, tuple(sorted(perm.items()))
+    return matrix.den, matrix.ints, tuple(sorted(perm.items()))
 
 
 def validate_action(a: GaloisAction) -> ActionReport:

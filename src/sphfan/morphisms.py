@@ -60,6 +60,11 @@ class MorphismReport:
         return self.surjective and self.v_onto_v
 
 
+def _first_outside(a: Cone, b: Cone) -> Optional[Vec]:
+    """The first generator of a that b does not contain, or None."""
+    return next((g for g in a.generators if not b.contains(g)), None)
+
+
 def validate_morphism(m: FanMorphism, warn_rho: bool = False) -> MorphismReport:
     """Check surjectivity of the linear map and V1 -> onto -> V2.
 
@@ -70,19 +75,9 @@ def validate_morphism(m: FanMorphism, warn_rho: bool = False) -> MorphismReport:
 
     image = m.push_cone(m.source.valuation_cone)
     v2 = m.target.valuation_cone
-    counterexample = None
-    v_onto = True
-    for g in image.generators:
-        if not v2.contains(g):
-            v_onto = False
-            counterexample = g
-            break
-    if v_onto:
-        for g in v2.generators:
-            if not image.contains(g):
-                v_onto = False
-                counterexample = g
-                break
+    counterexample = _first_outside(image, v2)
+    if counterexample is None:
+        counterexample = _first_outside(v2, image)
 
     warnings = []
     if warn_rho:
@@ -90,19 +85,25 @@ def validate_morphism(m: FanMorphism, warn_rho: bool = False) -> MorphismReport:
             pushed = m.linear_map.matvec(m.source.rho[c])
             if pushed != m.target.rho[m.color_map[c]]:
                 warnings.append(c)
-    return MorphismReport(surjective=surjective, v_onto_v=v_onto,
+    return MorphismReport(surjective=surjective, v_onto_v=counterexample is None,
                           v_counterexample=counterexample,
                           rho_warnings=tuple(warnings))
 
 
-def is_morphism_of_cones(m: FanMorphism, cc1: ColoredCone, cc2: ColoredCone) -> bool:
-    """Image of C1 inside C2, and mapped domain colors of F1 inside F2."""
+def _mapped_palette(m: FanMorphism, cc1: ColoredCone) -> set[str]:
+    return {m.color_map[f] for f in cc1.palette & m.domain_colors}
+
+
+def _maps_into(image: Cone, mapped: set[str], cc2: ColoredCone) -> bool:
+    """The pushed cone inside C2, and the mapped colors inside F2."""
     # the pushed generators are positive multiples of the nonzero m·g,
     # and the zero images it drops lie in every cone
-    if not all(cc2.cone.contains(g) for g in m.push_cone(cc1.cone).generators):
-        return False
-    mapped = {m.color_map[f] for f in cc1.palette & m.domain_colors}
-    return mapped <= cc2.palette
+    return all(cc2.cone.contains(g) for g in image.generators) and mapped <= cc2.palette
+
+
+def is_morphism_of_cones(m: FanMorphism, cc1: ColoredCone, cc2: ColoredCone) -> bool:
+    """Image of C1 inside C2, and mapped domain colors of F1 inside F2."""
+    return _maps_into(m.push_cone(cc1.cone), _mapped_palette(m, cc1), cc2)
 
 
 @dataclass(frozen=True)
@@ -119,9 +120,10 @@ def is_morphism_of_fans(m: FanMorphism, f1: ColoredFan,
                         f2: ColoredFan) -> FanMorphismReport:
     matches = []
     for cc1 in f1:
-        hit = next((j for j, cc2 in enumerate(f2)
-                    if is_morphism_of_cones(m, cc1, cc2)), None)
-        matches.append(hit)
+        # each source cone is pushed, and its colors mapped, once
+        image, mapped = m.push_cone(cc1.cone), _mapped_palette(m, cc1)
+        matches.append(next((j for j, cc2 in enumerate(f2)
+                             if _maps_into(image, mapped, cc2)), None))
     return FanMorphismReport(matches=tuple(matches))
 
 

@@ -1,14 +1,17 @@
 """Exact rational scalars, vectors, and matrices.
 
 Scalars are ``fractions.Fraction`` (always in lowest terms, positive
-denominator).  Vectors are tuples of Fractions.  No floats anywhere.
+denominator).  Vectors are tuples of Fractions.  A matrix stores one int
+grid over a common positive denominator, and its arithmetic runs on
+that grid.  No floats anywhere.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
@@ -55,20 +58,6 @@ def vec(entries: Iterable) -> Vec:
     return tuple(rat(e) for e in entries)
 
 
-def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum((a * b for a, b in zip(u, v)), Fraction(0))
-
-
-def vec_scale(c: Fraction, u: Sequence[Fraction]) -> Vec:
-    return tuple(c * a for a in u)
-
-
-def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
 def is_zero_vec(u: Sequence[Fraction]) -> bool:
     return all(a == 0 for a in u)
 
@@ -84,9 +73,8 @@ def primitive_ints(ints: Sequence[int]) -> tuple[int, ...]:
     return tuple(i // g for i in ints) if g > 1 else tuple(ints)
 
 
-def primitive(u: Sequence[Fraction]) -> Vec:
-    """Scale a nonzero vector to coprime integer entries, same direction."""
-    return tuple(Fraction(i) for i in primitive_ints(integer_rows([u])[0]))
+def _idot(u: Sequence[int], v: Sequence[int]) -> int:
+    return sum(map(mul, u, v))
 
 
 def integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
@@ -132,26 +120,37 @@ def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], 
 
 
 class Mat:
-    """Immutable rectangular matrix of exact rationals."""
+    """Immutable rectangular matrix of exact rationals.
 
-    __slots__ = ("rows", "nrows", "ncols")
+    The matrix is stored once as an int grid over one common positive
+    denominator: entry (i, j) is ``ints[i][j] / den``, and ``den`` is the
+    least such denominator, so equal matrices have equal grids.  Rank,
+    kernel, determinant and products read the grid; ``rows`` is the
+    Fraction view.
+    """
+
+    __slots__ = ("rows", "nrows", "ncols", "ints", "den")
 
     def __init__(self, rows: Iterable[Iterable]):
         grid = tuple(tuple(rat(e) for e in row) for row in rows)
         if grid and any(len(r) != len(grid[0]) for r in grid):
             raise ValueError("ragged rows")
+        den = lcm(*(e.denominator for row in grid for e in row))
         object.__setattr__(self, "rows", grid)
         object.__setattr__(self, "nrows", len(grid))
         object.__setattr__(self, "ncols", len(grid[0]) if grid else 0)
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "ints", tuple(
+            tuple(e.numerator * (den // e.denominator) for e in row) for row in grid))
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
 
     def __eq__(self, other):
-        return isinstance(other, Mat) and self.rows == other.rows
+        return isinstance(other, Mat) and self.den == other.den and self.ints == other.ints
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash((self.den, self.ints))
 
     def __repr__(self):
         return f"Mat({[list(map(format_rat, r)) for r in self.rows]})"
@@ -170,20 +169,24 @@ class Mat:
     def matvec(self, v: Sequence[Fraction]) -> Vec:
         if len(v) != self.ncols:
             raise ValueError(f"dimension mismatch: {self.ncols} cols vs {len(v)}")
-        return tuple(dot(row, v) for row in self.rows)
+        scale = lcm(*(a.denominator for a in v))
+        vi = [a.numerator * (scale // a.denominator) for a in v]
+        d = self.den * scale
+        return tuple(Fraction(_idot(row, vi), d) for row in self.ints)
 
     def matmul(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matmul")
-        cols = list(zip(*other.rows))
-        return Mat([[dot(row, col) for col in cols] for row in self.rows])
+        cols = list(zip(*other.ints))
+        d = self.den * other.den
+        return Mat([[Fraction(_idot(row, col), d) for col in cols] for row in self.ints])
 
     def rank(self) -> int:
-        return len(bareiss(integer_rows(self.rows))[1])
+        return len(bareiss(self.ints)[1])
 
     def solve_homogeneous(self) -> list[Vec]:
         """Basis of the exact kernel {x : self @ x = 0}."""
-        ech, pivots, _ = bareiss(integer_rows(self.rows))
+        ech, pivots, _ = bareiss(self.ints)
         free = [j for j in range(self.ncols) if j not in pivots]
         basis: list[Vec] = []
         for f in free:
@@ -199,21 +202,19 @@ class Mat:
         return basis
 
     def det(self) -> Fraction:
+        """The last Bareiss pivot of the grid is det(den * self) = den**n det(self)."""
         if self.nrows != self.ncols:
             raise ValueError("determinant of a non-square matrix")
         n = self.nrows
         if n == 0:
             return Fraction(1)
-        ech, pivots, sign = bareiss(integer_rows(self.rows))
+        ech, pivots, sign = bareiss(self.ints)
         if len(pivots) < n:
             return Fraction(0)
-        scales = prod(lcm(*(a.denominator for a in row)) for row in self.rows)
-        return Fraction(sign * ech[n - 1][n - 1], scales)
+        return Fraction(sign * ech[n - 1][n - 1], self.den ** n)
 
     def is_integral_unimodular(self) -> bool:
         """True iff square, all entries integers, and det = ±1."""
         if self.nrows != self.ncols:
             raise ValueError("unimodularity requires a square matrix")
-        if any(e.denominator != 1 for row in self.rows for e in row):
-            return False
-        return abs(self.det()) == 1
+        return self.den == 1 and abs(self.det()) == 1

@@ -16,8 +16,7 @@ from sphfan.fourier_motzkin import Ineq, feasible
 from sphfan.galois import ActionReport, GaloisAction, apply_element
 from sphfan.lp import FeasibilitySystem
 from sphfan.morphisms import FanMorphism
-from sphfan.rational import (Mat, Vec, dot, is_zero_vec, primitive, rat,
-                             vec_scale, zero_vec)
+from sphfan.rational import Mat, Vec, integer_rows, is_zero_vec, primitive_ints, rat
 from sphfan.spherical import (ColoredCone, ColoredFan, SphericalDatum,
                               faces_closure, validate_colored_cone)
 
@@ -37,6 +36,42 @@ def load_perfbench(name: str):
     sys.modules[name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
+    """The Fraction dot product the old-algorithm references are written in."""
+    if len(u) != len(v):
+        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
+    return sum((a * b for a, b in zip(u, v)), Fraction(0))
+
+
+def vec_scale(c: Fraction, u: Sequence[Fraction]) -> Vec:
+    return tuple(c * a for a in u)
+
+
+def zero_vec(n: int) -> Vec:
+    return (Fraction(0),) * n
+
+
+def primitive(u: Sequence[Fraction]) -> Vec:
+    """Scale a nonzero vector to coprime integer entries, same direction."""
+    return tuple(Fraction(i) for i in primitive_ints(integer_rows([u])[0]))
+
+
+def reference_matvec(m: Mat, v: Sequence[Fraction]) -> Vec:
+    """``Mat.matvec`` as it was: a Fraction ``dot`` per row, the reference
+    the products on the int grid must match."""
+    if len(v) != m.ncols:
+        raise ValueError(f"dimension mismatch: {m.ncols} cols vs {len(v)}")
+    return tuple(dot(row, v) for row in m.rows)
+
+
+def reference_matmul(a: Mat, b: Mat) -> Mat:
+    """``Mat.matmul`` as it was: a Fraction ``dot`` per entry."""
+    if a.ncols != b.nrows:
+        raise ValueError("shape mismatch in matmul")
+    cols = list(zip(*b.rows))
+    return Mat([[dot(row, col) for col in cols] for row in a.rows])
 
 
 def reference_solve_eq_nonneg(a, b):
@@ -379,7 +414,7 @@ def reference_relints_meet_in(c1, c2, v):
 def reference_image(m: Mat, c) -> ReferenceCone:
     """The image cone as ``apply_element`` and ``push_cone`` built it:
     Fraction ``matvec`` on every generator."""
-    return ReferenceCone(m.nrows, [m.matvec(g) for g in c.generators])
+    return ReferenceCone(m.nrows, [reference_matvec(m, g) for g in c.generators])
 
 
 def vec_sub(u: Vec, v: Vec) -> Vec:
@@ -517,6 +552,21 @@ def reference_det(m: Mat) -> Fraction:
     return sign * a[n - 1][n - 1]
 
 
+def reference_is_integral_unimodular(m: Mat) -> bool:
+    """``Mat.is_integral_unimodular`` on the Fraction entries and ``reference_det``."""
+    if m.nrows != m.ncols:
+        raise ValueError("unimodularity requires a square matrix")
+    if any(e.denominator != 1 for row in m.rows for e in row):
+        return False
+    return abs(reference_det(m)) == 1
+
+
+def _reference_compose(a: GaloisAction, g, h) -> tuple[Mat, dict]:
+    """``GaloisAction.compose`` on the Fraction product."""
+    return (reference_matmul(g.matrix, h.matrix),
+            {c: g.color_perm[h.color_perm[c]] for c in a.datum.colors})
+
+
 def _reference_find(a: GaloisAction, matrix: Mat, perm: dict):
     for e in a.elements:
         if e.matrix == matrix and e.color_perm == perm:
@@ -540,30 +590,30 @@ def reference_validate_action(a: GaloisAction) -> ActionReport:
     closed = True
     for g in a.elements:
         for h in a.elements:
-            if _reference_find(a, *a.compose(g, h)) is None:
+            if _reference_find(a, *_reference_compose(a, g, h)) is None:
                 closed = False
                 failures.append(f"composite {g.name!r}∘{h.name!r} is not in the list")
 
     has_inverses = True
     for g in a.elements:
         inv = next((h for h in a.elements
-                    if _reference_find(a, *a.compose(g, h)) is not None
-                    and a.compose(g, h)[0] == ident_mat
-                    and a.compose(g, h)[1] == ident_perm), None)
+                    if _reference_find(a, *_reference_compose(a, g, h)) is not None
+                    and _reference_compose(a, g, h)[0] == ident_mat
+                    and _reference_compose(a, g, h)[1] == ident_perm), None)
         if inv is None:
             has_inverses = False
             failures.append(f"element {g.name!r} has no inverse in the list")
 
     unimodular = True
     for g in a.elements:
-        if not g.matrix.is_integral_unimodular():
+        if not reference_is_integral_unimodular(g.matrix):
             unimodular = False
             failures.append(f"element {g.name!r} is not integral unimodular")
 
     v_stable = True
     v = d.valuation_cone
     for g in a.elements:
-        image = Cone(d.rank, [g.matrix.matvec(x) for x in v.generators])
+        image = Cone(d.rank, [reference_matvec(g.matrix, x) for x in v.generators])
         if not cones_equal(image, v):
             v_stable = False
             failures.append(f"element {g.name!r} does not map V onto V")
@@ -571,7 +621,7 @@ def reference_validate_action(a: GaloisAction) -> ActionReport:
     rho_equivariant = True
     for g in a.elements:
         for c in d.colors:
-            if g.matrix.matvec(d.rho[c]) != d.rho[g.color_perm[c]]:
+            if reference_matvec(g.matrix, d.rho[c]) != d.rho[g.color_perm[c]]:
                 rho_equivariant = False
                 failures.append(f"element {g.name!r} breaks rho-equivariance at color {c!r}")
 
@@ -615,7 +665,7 @@ def reference_is_morphism_of_cones(m: FanMorphism, cc1: ColoredCone,
                                    cc2: ColoredCone) -> bool:
     """The Fraction ``matvec`` per source generator that pushing the cone
     once on ints replaced."""
-    if not all(cc2.cone.contains(m.linear_map.matvec(g))
+    if not all(cc2.cone.contains(reference_matvec(m.linear_map, g))
                for g in cc1.cone.generators):
         return False
     mapped = {m.color_map[f] for f in cc1.palette & m.domain_colors}

@@ -6,9 +6,9 @@ import pytest
 from sphfan.cones import (Cone, DimensionMismatch, _divide_by_pivots, _echelon,
                           cones_equal, dual_description, relint_meets_cone,
                           relints_meet_in)
-from sphfan.rational import dot, integer_rows
+from sphfan.rational import integer_rows
 
-from helpers import (ReferenceCone, brute_force_faces, fm_relint_meets_cone,
+from helpers import (ReferenceCone, brute_force_faces, dot, fm_relint_meets_cone,
                      load_perfbench, random_cone, random_vec, reference_cones_equal,
                      reference_contains, reference_dual_description,
                      reference_relints_meet_in, reference_rref)
@@ -615,6 +615,8 @@ class TestIntegerConeAgainstReference:
                 points.append(tuple(sum(g[k] for g in c.generators) for k in range(n)))
                 points.append(tuple(Fraction(x, 3) for x in points[-1]))
                 points.append(c.generators[0])
+            else:
+                points.append((Fraction(0),) * n)
             for x in points:
                 got = c.relint_contains(x)
                 assert got == ref.relint_contains(x)

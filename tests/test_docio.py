@@ -136,6 +136,13 @@ class TestRoundTrip:
             assert m2.domain_colors == morphism.domain_colors
             assert m2.color_map == morphism.color_map
 
+    def test_non_integral_action_is_not_serialized(self):
+        d = docio.parse_datum(MINIMAL_DATUM)
+        action = GaloisAction(d, [GroupElement("id", Mat([[1]]), {}),
+                                  GroupElement("half", Mat([["1/2"]]), {})])
+        with pytest.raises(ValueError, match="integral"):
+            docio.serialize_action(action)
+
     def test_byte_determinism(self):
         rng = random.Random(3002)
         for d, fan, action, morphism in _random_objects(rng, 10):

@@ -179,6 +179,27 @@ class TestMorphismOfConesAgainstReference:
             assert got == verdicts(reference_is_morphism_of_cones, m, f1, f2)
             assert [row.index(True) for row in got] == p.matches()
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_fans_push_each_source_cone_once(self, seed, monkeypatch):
+        image = Cone.image
+        calls = []
+
+        def counted(cone, mat):
+            calls.append(cone)
+            return image(cone, mat)
+        monkeypatch.setattr(Cone, "image", counted)
+        for drop in range(3):
+            p = bench_inputs.projection(random.Random(seed), 3, drop, 2)
+            m = bench_inputs.build_projection(p)
+            f1 = ColoredFan(bench_inputs.build_p1_cones(p.source))
+            f2 = ColoredFan(bench_inputs.build_p1_cones(p.target))
+            calls.clear()
+            report = is_morphism_of_fans(m, f1, f2)
+            assert len(calls) == len(f1) == 27
+            want = [row.index(True) for row in
+                    verdicts(reference_is_morphism_of_cones, m, f1, f2)]
+            assert list(report.matches) == want == p.matches()
+
     def test_random_rational_maps(self):
         rng = random.Random(149)
         entries = [0, 0, 1, -1, 2, "1/2", "-2/3", "3/4"]

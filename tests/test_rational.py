@@ -4,9 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from sphfan.rational import Mat, dot, format_rat, parse_rat, primitive
+from sphfan.rational import Mat, format_rat, parse_rat
 
-from helpers import reference_det
+from helpers import (primitive, reference_det, reference_is_integral_unimodular,
+                     reference_matmul, reference_matvec, reference_rref)
 
 
 class TestParseFormat:
@@ -135,6 +136,54 @@ def test_det_matches_the_fraction_elimination():
     assert 50 < singular < 450
 
 
-def test_dot_dimension_mismatch():
-    with pytest.raises(ValueError):
-        dot((Fraction(1),), (Fraction(1), Fraction(2)))
+def _random_mat(rng: random.Random, nrows: int, ncols: int) -> Mat:
+    """A random matrix: integral, rational, or square unimodular (signed
+    permutation times elementary row operations); a rational one gets a
+    row proportional to row 0 now and then."""
+    kind = rng.choice(("int", "rat", "rat", "unimodular"))
+    if kind == "unimodular" and nrows == ncols:
+        perm = rng.sample(range(nrows), nrows)
+        rows = [[rng.choice((-1, 1)) if j == perm[i] else 0 for j in range(ncols)]
+                for i in range(nrows)]
+        for _ in range(rng.randint(0, 4) if nrows > 1 else 0):
+            i, j = rng.sample(range(nrows), 2)
+            c = rng.randint(-3, 3)
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        return Mat(rows)
+    dens = (1,) if kind == "int" else (1, 1, 2, 3, 4)
+    rows = [[Fraction(rng.randint(-6, 6), rng.choice(dens)) if rng.random() < 0.7
+             else Fraction(0) for _ in range(ncols)] for _ in range(nrows)]
+    if nrows > 1 and rng.random() < 0.3:
+        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+        rows[rng.randrange(1, nrows)] = [c * x for x in rows[0]]
+    return Mat(rows)
+
+
+def test_int_grid_matches_the_fraction_references():
+    """Products, rank, det, unimodularity, ``==`` and ``hash`` on the int
+    grid agree with the Fraction computations they replaced."""
+    rng = random.Random(29)
+    seen = {"square": 0, "singular": 0, "unimodular": 0, "integral": 0}
+    for _ in range(500):
+        n, k, p = (rng.randint(0, 4) for _ in range(3))
+        a = _random_mat(rng, n, n if rng.random() < 0.6 else k)
+        b = _random_mat(rng, a.ncols, p)
+        v = tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(a.ncols))
+        assert all(q * a.den == x for row, r in zip(a.rows, a.ints) for q, x in zip(row, r))
+        got, want = a.matmul(b), reference_matmul(a, b)
+        assert got == want and got.rows == want.rows
+        assert a.matvec(v) == reference_matvec(a, v)
+        assert all(type(x) is Fraction for x in a.matvec(v))
+        assert a.rank() == len(reference_rref(a.rows))
+        same = Mat([[format_rat(x) for x in row] for row in a.rows])
+        assert same == a and hash(same) == hash(a)
+        assert (a == b) == (a.rows == b.rows)
+        if a.nrows == a.ncols:
+            seen["square"] += 1
+            assert a.det() == reference_det(a)
+            seen["singular"] += a.det() == 0
+            unimodular = a.is_integral_unimodular()
+            assert unimodular == reference_is_integral_unimodular(a)
+            seen["unimodular"] += unimodular
+            seen["integral"] += a.den == 1
+    assert all(count > 20 for count in seen.values()), seen
