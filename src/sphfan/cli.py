@@ -115,14 +115,14 @@ def cmd_faces(args) -> int:
     if args.cone is not None:
         if not 0 <= args.cone < len(fan.cones):
             raise InputError(f"cone index {args.cone} out of range")
-        targets = [fan.cones[args.cone]]
+        targets = [(args.cone, fan.cones[args.cone])]
     else:
-        targets = list(fan.cones)
+        targets = list(enumerate(fan.cones))
 
     checks = []
     ok = True
     faces_out = []
-    for idx, cc in enumerate(targets):
+    for idx, cc in targets:
         r = spherical.validate_colored_cone(d, cc)
         checks.append(_check("CC1", f"cone[{idx}]", r.cc1))
         checks.append(_check("CC2", f"cone[{idx}]", r.cc2, r.cc2_witness))

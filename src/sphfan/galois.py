@@ -9,8 +9,7 @@ inverse checks can be exhaustive.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .cones import cones_equal
 from .rational import Mat
@@ -66,8 +65,7 @@ class GaloisAction:
         return matrix, perm
 
 
-@dataclass(frozen=True)
-class ActionReport:
+class ActionReport(NamedTuple):
     has_identity: bool
     closed: bool
     has_inverses: bool
@@ -155,8 +153,7 @@ def apply_element(a: GaloisAction, gamma: str | GroupElement,
     return ColoredCone(cc.cone.image(e.matrix), palette)
 
 
-@dataclass(frozen=True)
-class InvarianceReport:
+class InvarianceReport(NamedTuple):
     # (element name, member index) pairs whose image is not a member
     failures: tuple[tuple[str, int], ...]
 

@@ -24,7 +24,6 @@ first and bounds row growth by Chernikov's rule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -126,24 +125,26 @@ def _solve_eq_nonneg(a, b, n: int) -> Optional[tuple[list[int], int]]:
     return y, d
 
 
-@dataclass(frozen=True)
 class FeasibilitySystem:
     """Equalities ``A x = b`` with per-variable lower bounds (None = free).
 
     Entries may be ints or Fractions; witnesses are tuples of Fractions.
     """
 
-    equalities: tuple[Vec, ...]
-    rhs: Vec
-    lower_bounds: tuple[Optional[Fraction], ...]
+    __slots__ = ("equalities", "rhs", "lower_bounds")
 
-    def __post_init__(self):
-        nvars = len(self.lower_bounds)
-        for row in self.equalities:
-            if len(row) != nvars:
-                raise ValueError("equality row length does not match variable count")
-        if len(self.rhs) != len(self.equalities):
+    def __init__(self, equalities: tuple[Vec, ...], rhs: Vec,
+                 lower_bounds: tuple[Optional[Fraction], ...]):
+        if any(len(row) != len(lower_bounds) for row in equalities):
+            raise ValueError("equality row length does not match variable count")
+        if len(rhs) != len(equalities):
             raise ValueError("rhs length does not match equality count")
+        object.__setattr__(self, "equalities", equalities)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "lower_bounds", lower_bounds)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("FeasibilitySystem is immutable")
 
     def solve(self) -> Optional[Vec]:
         """Exact witness x, or None if the system is infeasible."""
@@ -191,8 +192,7 @@ class FeasibilitySystem:
         ineqs = []
         nvars = len(self.lower_bounds)
         for row, r in zip(self.equalities, self.rhs):
-            ineqs.append((tuple(row), r))
-            ineqs.append((tuple(-c for c in row), -r))
+            ineqs += [(tuple(row), r), (tuple(-c for c in row), -r)]
         for i, lb in enumerate(self.lower_bounds):
             if lb is not None:
                 ineqs.append((tuple(1 if j == i else 0 for j in range(nvars)), lb))

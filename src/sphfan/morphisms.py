@@ -9,8 +9,7 @@ not determine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .cones import Cone
 from .rational import Mat, Vec
@@ -48,8 +47,7 @@ class FanMorphism:
         return c.image(self.linear_map)
 
 
-@dataclass(frozen=True)
-class MorphismReport:
+class MorphismReport(NamedTuple):
     surjective: bool
     v_onto_v: bool
     v_counterexample: Optional[Vec]   # generator witnessing the failed inclusion
@@ -106,8 +104,7 @@ def is_morphism_of_cones(m: FanMorphism, cc1: ColoredCone, cc2: ColoredCone) -> 
     return _maps_into(m.push_cone(cc1.cone), _mapped_palette(m, cc1), cc2)
 
 
-@dataclass(frozen=True)
-class FanMorphismReport:
+class FanMorphismReport(NamedTuple):
     # per source cone: index of the first matching target cone, or None
     matches: tuple[Optional[int], ...]
 

@@ -178,8 +178,17 @@ class Mat:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matmul")
         cols = list(zip(*other.ints))
-        d = self.den * other.den
-        return Mat([[Fraction(_idot(row, col), d) for col in cols] for row in self.ints])
+        ints = [[_idot(row, col) for col in cols] for row in self.ints]
+        # the least denominator: den·den' over its gcd with every product
+        g = gcd(self.den * other.den, *(x for row in ints for x in row))
+        out = object.__new__(Mat)
+        object.__setattr__(out, "den", self.den * other.den // g)
+        object.__setattr__(out, "ints", tuple(tuple(x // g for x in row) for row in ints))
+        object.__setattr__(out, "rows", tuple(
+            tuple(Fraction(x, out.den) for x in row) for row in out.ints))
+        object.__setattr__(out, "nrows", self.nrows)
+        object.__setattr__(out, "ncols", other.ncols)
+        return out
 
     def rank(self) -> int:
         return len(bareiss(self.ints)[1])

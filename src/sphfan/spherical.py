@@ -14,9 +14,8 @@ the cone whose relative interior contains any given valuation vector
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .cones import Cone, cones_equal, relint_meets_cone, relints_meet_in
 from .rational import Vec, is_zero_vec, rat
@@ -133,8 +132,7 @@ def fans_equal(a: ColoredFan, b: ColoredFan) -> bool:
     return {x.key for x in a} == {y.key for y in b}
 
 
-@dataclass(frozen=True)
-class ColoredConeReport:
+class ColoredConeReport(NamedTuple):
     cc1: bool
     cc2: bool
     cc2_witness: Optional[Vec]
@@ -145,8 +143,7 @@ class ColoredConeReport:
         return self.cc1 and self.cc2
 
 
-@dataclass(frozen=True)
-class ColoredFanReport:
+class ColoredFanReport(NamedTuple):
     cone_reports: tuple[ColoredConeReport, ...]
     cf1: bool
     cf1_missing: tuple[tuple[int, ColoredCone], ...]

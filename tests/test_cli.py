@@ -1,11 +1,15 @@
 import contextlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import sphfan
 from sphfan import fourier_motzkin
 from sphfan.cli import main
 
@@ -141,6 +145,19 @@ class TestFaces:
         dims = [f["dim"] for f in report["faces"]]
         assert dims == sorted(dims)
         assert len(report["faces"]) == 4
+
+    def test_restricted_cone_reports_its_fan_index(self, files, capsys):
+        d, f = files("d.json", PLANE_DATUM), files("f.json", QUAD_FAN)
+        code, out = run(capsys, "faces", d, f, "--cone", "3")
+        assert code == 0
+        report = json.loads(out)
+        assert {c["subject"] for c in report["checks"]} == {"cone[3]"}
+        assert {face["of"] for face in report["faces"]} == {3}
+        # the same faces and checks as member 3 of the unrestricted listing
+        _, full = run(capsys, "faces", d, f)
+        full = json.loads(full)
+        assert report["faces"] == [x for x in full["faces"] if x["of"] == 3]
+        assert report["checks"] == [c for c in full["checks"] if c["subject"] == "cone[3]"]
 
     def test_invalid_cone_exits_1(self, files, capsys):
         datum = DATUM.replace('["1"], ["-1"]', '["1"]')
@@ -437,3 +454,20 @@ def test_mutated_documents_exit_0_1_or_2(tmp_path_factory, data):
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    """Every verdict from the command line pays for a fresh interpreter, so
+    ``import sphfan.cli`` must not pull in ``dataclasses`` and ``inspect``
+    (with ``ast``, ``dis`` and ``tokenize`` behind them).  Compared with the
+    modules the bare interpreter had already loaded, so a site hook that
+    imports them cannot fail the test."""
+    probe = ("import sys; before = set(sys.modules); import sphfan.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sphfan.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from sphfan import lp
 from sphfan.fourier_motzkin import feasible
 from sphfan.lp import FeasibilitySystem, solve_eq_nonneg
@@ -71,6 +73,33 @@ class TestFeasibilitySystem:
     def test_no_equalities_gives_the_lower_bounds(self):
         sys_ = FeasibilitySystem((), (), (F(1), None, Fraction(-2, 3)))
         assert sys_.solve() == (F(1), F(0), Fraction(-2, 3))
+
+    def test_positional_and_keyword_construction(self):
+        eqs, rhs, bounds = ((1, 2), (0, 1)), (3, 1), (None, F(0))
+        by_position = FeasibilitySystem(eqs, rhs, bounds)
+        by_keyword = FeasibilitySystem(lower_bounds=bounds, rhs=rhs, equalities=eqs)
+        for sys_ in (by_position, by_keyword):
+            assert (sys_.equalities, sys_.rhs, sys_.lower_bounds) == (eqs, rhs, bounds)
+            assert sys_.solve() == (F(1), F(1))
+
+    def test_row_length_must_match_the_variable_count(self):
+        with pytest.raises(ValueError, match="row length"):
+            FeasibilitySystem(((1, 2), (1,)), (0, 0), (None, None))
+        with pytest.raises(ValueError, match="row length"):
+            FeasibilitySystem(((1, 2, 3),), (0,), (None, None))
+
+    def test_rhs_length_must_match_the_equality_count(self):
+        with pytest.raises(ValueError, match="rhs length"):
+            FeasibilitySystem(((1, 2),), (0, 1), (None, None))
+        with pytest.raises(ValueError, match="rhs length"):
+            FeasibilitySystem((), (0,), (None,))
+
+    def test_immutable(self):
+        sys_ = FeasibilitySystem(((1,),), (1,), (None,))
+        for name in ("equalities", "rhs", "lower_bounds", "other"):
+            with pytest.raises(AttributeError):
+                setattr(sys_, name, ())
+        assert (sys_.equalities, sys_.rhs, sys_.lower_bounds) == (((1,),), (1,), (None,))
 
 
 def _random_system(rng):

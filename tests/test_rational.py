@@ -172,6 +172,8 @@ def test_int_grid_matches_the_fraction_references():
         assert all(q * a.den == x for row, r in zip(a.rows, a.ints) for q, x in zip(row, r))
         got, want = a.matmul(b), reference_matmul(a, b)
         assert got == want and got.rows == want.rows
+        assert (got.nrows, got.ncols, got.den) == (want.nrows, want.ncols, want.den)
+        assert hash(got) == hash(want)
         assert a.matvec(v) == reference_matvec(a, v)
         assert all(type(x) is Fraction for x in a.matvec(v))
         assert a.rank() == len(reference_rref(a.rows))
@@ -187,3 +189,17 @@ def test_int_grid_matches_the_fraction_references():
             seen["unimodular"] += unimodular
             seen["integral"] += a.den == 1
     assert all(count > 20 for count in seen.values()), seen
+    # denominators that cancel in the product, fully or in part
+    F = Fraction
+    for a, b in (([[F(1, 2)]], [[2]]),
+                 ([[F(1, 2), F(1, 3)]], [[2], [3]]),
+                 ([[F(1, 6)]], [[F(3, 4)]]),
+                 ([[F(1, 2), F(1, 2)], [F(-1, 2), F(1, 2)]], [[1, -1], [1, 1]]),
+                 ([[F(2, 3), 0]], [[F(3, 2), 0], [0, F(5, 7)]])):
+        a, b = Mat(a), Mat(b)
+        got, want = a.matmul(b), reference_matmul(a, b)
+        assert got == want and got.rows == want.rows and got.den == want.den
+        assert got.ints == tuple(tuple(q * want.den for q in row) for row in want.rows)
+        assert hash(got) == hash(want)
+    assert Mat([[F(1, 2)]]).matmul(Mat([[2]])).den == 1
+    assert Mat([[F(1, 6)]]).matmul(Mat([[F(3, 4)]])).den == 8
