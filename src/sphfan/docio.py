@@ -2,8 +2,9 @@
 
 Every document is an envelope {"kind", "version", "payload"}.  Rationals
 travel as integers or "p/q" strings; float literals are a parse error.
-Unknown fields are rejected, structural errors carry the field path, and
-serialization is deterministic (sorted keys, canonical rational strings).
+Unknown fields and a key repeated in any object are rejected, structural
+errors carry the field path, and serialization is deterministic (sorted
+keys, canonical rational strings).
 """
 
 from __future__ import annotations
@@ -40,9 +41,19 @@ def _reject_float(value: str):
     raise ParseError(f"float literal {value!r} is not allowed; use 'p/q' strings")
 
 
+def _reject_repeated_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        key = next(k for k in keys if keys.count(k) > 1)
+        raise ParseError(f"repeated key {key!r} in an object")
+    return obj
+
+
 def _load_json(text: str) -> Any:
     try:
-        return json.loads(text, parse_float=_reject_float)
+        return json.loads(text, parse_float=_reject_float,
+                          object_pairs_hook=_reject_repeated_keys)
     except json.JSONDecodeError as e:
         raise ParseError(f"invalid JSON: {e.msg}", line=e.lineno, column=e.colno) from e
     except ParseError:

@@ -10,6 +10,17 @@ comparisons are therefore those of the rational tableau, so Bland's rule
 takes the same pivots, and the witness ``Fraction(T[i][-1], d)`` is the
 same rational point.  ``Fraction`` appears only at the boundary.
 
+Before any tableau is built, the "infeasible row" rule of LP presolve
+(Andersen & Andersen, "Presolving in linear programming", Math.
+Programming 71, 1995) looks for a row with a positive rhs and no positive
+coefficient, or a negative rhs and no negative one; then no y >= 0 meets
+that row, so the system is infeasible.  The rule only detects: it never
+changes a system that goes on to the simplex, so pivots and witnesses are
+those of the simplex alone.  The meet system of two cones whose relative
+interiors lie on opposite sides of a coordinate hyperplane x_k = 0 (one
+of them possibly inside it) has such a row: row k, once the lower bounds
+are shifted out.
+
 A :class:`FeasibilitySystem` holds equalities plus per-variable lower
 bounds (``None`` = free) and either produces a witness point or reports
 infeasibility.
@@ -62,6 +73,14 @@ def solve_eq_nonneg(a: Sequence[Sequence[Fraction]],
 def _solve_eq_nonneg(a, b, n: int) -> Optional[tuple[list[int], int]]:
     """``solve_eq_nonneg`` with its witness as int numerators over one
     common denominator d > 0."""
+    # Infeasible-row presolve (Andersen & Andersen 1995), detection only:
+    # a row whose rhs is nonzero while no coefficient has the rhs's sign has
+    # no solution y >= 0, and the unit vector on that row is a Farkas
+    # certificate.  Every other system goes to the unchanged simplex below,
+    # so pivots and witnesses do not move.
+    for row, r in zip(a, b):
+        if r > 0 and max(row, default=0) <= 0 or r < 0 and min(row, default=0) >= 0:
+            return None
     if all_ints(chain.from_iterable(a)) and all_ints(b):
         tab = [list(row) + [r] if r >= 0 else [-x for x in row] + [-r]
                for row, r in zip(a, b)]

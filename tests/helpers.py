@@ -165,6 +165,26 @@ def reference_solve(system: FeasibilitySystem):
     return tuple(x)
 
 
+def one_sign_row(a, b) -> bool:
+    """Whether some row has a nonzero rhs and no coefficient of its sign,
+    which makes y >= 0 with a @ y = b infeasible."""
+    return any(r > 0 and all(x <= 0 for x in row) or r < 0 and all(x >= 0 for x in row)
+               for row, r in zip(a, b))
+
+
+def presolve_certifies(system: FeasibilitySystem) -> bool:
+    """``one_sign_row`` after the lower bounds are shifted out.  A free
+    variable is split into two columns of opposite sign, so a row with a
+    nonzero coefficient on one is never one-signed."""
+    for row, r in zip(system.equalities, system.rhs):
+        if any(c and lb is None for c, lb in zip(row, system.lower_bounds)):
+            continue
+        shifted = r - sum(c * lb for c, lb in zip(row, system.lower_bounds) if c)
+        if one_sign_row([row], [shifted]):
+            return True
+    return False
+
+
 def _reference_normalize(coeffs: Sequence[Fraction], rhs: Fraction) -> Ineq:
     """Scale an inequality to coprime integer data (direction preserved)."""
     vals = list(coeffs) + [rhs]

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sphfan
-from sphfan import fourier_motzkin
+from sphfan import fourier_motzkin, lp
 from sphfan.cli import main
 
-from helpers import load_perfbench, reference_feasible
+from helpers import load_perfbench, presolve_certifies, reference_feasible
 
 DATUM = """
 {"kind": "datum", "version": "1",
@@ -339,6 +339,73 @@ class TestOracleOnBenchmarkDocuments:
         assert {True, False} <= set(systems.values())
         for (ineqs, nvars), verdict in systems.items():
             assert verdict == reference_feasible(ineqs, nvars)
+
+
+def test_repeated_key_exits_2(files, capsys):
+    datum = files("d.json", DATUM.replace('"rank": 1', '"rank": 3, "rank": 1'))
+    code = main(["faces", datum, files("f.json", P1_FAN)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("sphfan: error: repeated key 'rank'")
+
+
+P1_SQUARED_WITH_A_RAY = json.dumps({"kind": "fan", "version": "1", "payload": {"cones": [
+    {"generators": gens, "colors": []}
+    for gens in ([], [[1, 0]], [[-1, 0]], [[0, 1]], [[0, -1]],
+                 [[1, 0], [0, 1]], [[1, 0], [0, -1]], [[-1, 0], [0, 1]], [[-1, 0], [0, -1]],
+                 [[1, 1]])]}})
+
+
+class TestOracleCoversThePresolve:
+    """``--oracle`` replays the verdicts that the simplex's infeasible-row
+    presolve settles, like every other verdict."""
+
+    @pytest.fixture
+    def argv(self, files):
+        return ["--oracle", "validate", files("d.json", PLANE_DATUM),
+                files("f.json", P1_SQUARED_WITH_A_RAY)]
+
+    @pytest.fixture
+    def solved(self, monkeypatch):
+        systems = []
+        solve = lp.FeasibilitySystem.solve
+
+        def record(system):
+            systems.append(system)
+            return solve(system)
+        monkeypatch.setattr(lp.FeasibilitySystem, "solve", record)
+        return systems
+
+    def test_every_solve_is_replayed(self, argv, solved, capsys, monkeypatch):
+        replays = []
+        feasible = fourier_motzkin.feasible
+
+        def count(ineqs, nvars):
+            replays.append(nvars)
+            return feasible(ineqs, nvars)
+        monkeypatch.setattr(fourier_motzkin, "feasible", count)
+        code, out = run(capsys, *argv)
+        assert code == 1
+        failures = [c for c in json.loads(out)["checks"]
+                    if c["axiom"] == "CF2" and c["result"] == "fail"]
+        assert [c["subject"] for c in failures] == ["cone[5]∩cone[9]"]
+        assert len(replays) == len(solved)
+        # the presolve settles all C(10, 2) CF2 pairs but the one that meets
+        assert sum(map(presolve_certifies, solved)) == 44
+
+    def test_a_certified_verdict_is_cross_checked(self, argv, solved, capsys, monkeypatch):
+        monkeypatch.setattr(fourier_motzkin, "feasible", lambda ineqs, nvars: True)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sphfan: oracle disagreement: simplex says infeasible")
+        assert presolve_certifies(solved[-1])
+        lp.set_oracle_cross_check(True)
+        try:
+            with pytest.raises(lp.OracleDisagreement):
+                solved[-1].solve()
+        finally:
+            lp.set_oracle_cross_check(False)
 
 
 # ------------------------------------------------------ exit-code fuzzing

@@ -175,3 +175,99 @@ class TestFirstOccurrence:
             cones = json.loads(docio.serialize_fan(fan))["payload"]["cones"]
             assert cones == [{"generators": gens, "colors": []},
                              {"generators": [["0", "1"], ["1", "0"]], "colors": ["a"]}]
+
+
+COLORED_DATUM = """
+{"kind": "datum", "version": "1",
+ "payload": {"rank": 2,
+             "valuation_cone": {"generators": [["1", "0"], ["-1", "0"], ["0", "1"]]},
+             "colors": [{"name": "a", "rho": ["1", "0"]}, {"name": "b", "rho": ["0", "1"]}]}}
+"""
+
+COLORED_FAN = """
+{"kind": "fan", "version": "1",
+ "payload": {"cones": [{"generators": [], "colors": []},
+                       {"generators": [["1", "0"], ["0", "1"]], "colors": ["a"]}]}}
+"""
+
+SWAP_ACTION = """
+{"kind": "action", "version": "1",
+ "payload": {"elements": [{"name": "id", "matrix": [[1, 0], [0, 1]],
+                           "color_perm": {"a": "a", "b": "b"}},
+                          {"name": "swap", "matrix": [[0, 1], [1, 0]],
+                           "color_perm": {"a": "b", "b": "a"}}]}}
+"""
+
+IDENTITY_MORPHISM = """
+{"kind": "morphism", "version": "1",
+ "payload": {"matrix": [["1", "0"], ["0", "1"]], "domain_colors": ["a"],
+             "color_map": {"a": "a"}}}
+"""
+
+
+DOCUMENTS = {"datum": COLORED_DATUM, "fan": COLORED_FAN, "action": SWAP_ACTION,
+             "morphism": IDENTITY_MORPHISM}
+
+
+def _parse(kind: str, text: str):
+    if kind == "datum":
+        return docio.parse_datum(text)
+    d = docio.parse_datum(COLORED_DATUM)
+    if kind == "fan":
+        return docio.parse_fan(text, d)
+    if kind == "action":
+        return docio.parse_action(text, d)
+    return docio.parse_morphism(text, d, d)
+
+
+def _with_repeat(text: str, path: tuple, key: str, first=None) -> str:
+    """``text`` with ``key`` written twice in the object at ``path``: first
+    ``first`` (default: the key's own value), then the key's own value, the
+    one a parser that lets the last value win would keep."""
+    doc = json.loads(text)
+    target = doc
+    for step in path:
+        target = target[step]
+
+    def emit(v) -> str:
+        if isinstance(v, dict):
+            pairs = list(v.items())
+            if v is target:
+                pairs.insert(0, (key, v[key] if first is None else first))
+            return "{" + ", ".join(f"{json.dumps(k)}: {emit(x)}" for k, x in pairs) + "}"
+        if isinstance(v, list):
+            return "[" + ", ".join(map(emit, v)) + "]"
+        return json.dumps(v)
+    return emit(doc)
+
+
+class TestRepeatedKeys:
+    """A key repeated in any object is a parse error, at the envelope and at
+    every nested level, although the document with the last value kept is
+    valid."""
+
+    @pytest.mark.parametrize("kind, path, key", [
+        ("datum", (), "payload"),
+        ("datum", ("payload",), "rank"),
+        ("datum", ("payload", "colors", 1), "rho"),
+        ("fan", (), "kind"),
+        ("fan", ("payload", "cones", 1), "generators"),
+        ("action", (), "version"),
+        ("action", ("payload", "elements", 1, "color_perm"), "b"),
+        ("morphism", (), "payload"),
+        ("morphism", ("payload", "color_map"), "a"),
+    ], ids=lambda v: ".".join(map(str, v)) or "$" if isinstance(v, tuple) else v)
+    def test_rejected(self, kind, path, key):
+        text = DOCUMENTS[kind]
+        _parse(kind, text)
+        with pytest.raises(ParseError, match=f"repeated key '{key}'"):
+            _parse(kind, _with_repeat(text, path, key))
+
+    def test_the_last_value_does_not_win(self):
+        # with the last value kept these would be a rank-2 datum and the
+        # 2-cone, both valid
+        with pytest.raises(ParseError, match="repeated key 'rank'"):
+            docio.parse_datum(_with_repeat(COLORED_DATUM, ("payload",), "rank", 3))
+        with pytest.raises(ParseError, match="repeated key 'generators'"):
+            _parse("fan", _with_repeat(COLORED_FAN, ("payload", "cones", 1), "generators",
+                                       [["1", "0"]]))

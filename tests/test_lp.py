@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from sphfan import lp
+from sphfan.cones import Cone, _meet_system, relints_meet_in
 from sphfan.fourier_motzkin import feasible
 from sphfan.lp import FeasibilitySystem, solve_eq_nonneg
 
-from helpers import reference_feasible, reference_solve, reference_solve_eq_nonneg
+from helpers import (one_sign_row, presolve_certifies, reference_feasible, reference_solve,
+                     reference_solve_eq_nonneg)
 
 
 def F(x):
@@ -161,6 +163,126 @@ class TestAgainstFractionSimplex:
                 assert w is None or all(type(v) is Fraction for v in w)
             verdicts[x is not None] += 1
         assert min(verdicts.values()) > 100
+
+
+def _plant_row(rng, a, b, bounds, kind):
+    """Insert a row that no solution meets once the lower bounds are shifted
+    out: a nonzero rhs and coefficients of the other sign or zero
+    ("one-sign"), or all zero ("zero").  "free" makes one variable free and
+    puts a nonzero coefficient on it, which the presolve must let through.
+    Returns the bounds."""
+    s = rng.choice([1, -1])
+    bounds = list(bounds)
+    if kind == "free":
+        k = rng.randrange(len(bounds))
+        bounds[k] = None
+    # zero on the other free variables, which would give the row both signs
+    row = [F(0) if kind == "zero" or lb is None
+           else -s * Fraction(rng.randint(0, 4), rng.choice([1, 1, 2, 3])) for lb in bounds]
+    if kind == "free":
+        row[k] = F(rng.choice([1, -1]) * rng.randint(1, 3))
+    shift = sum((c * lb for c, lb in zip(row, bounds) if lb is not None), F(0))
+    at = rng.randint(0, len(a))
+    a.insert(at, row)
+    b.insert(at, shift + s * Fraction(rng.randint(1, 5), rng.choice([1, 1, 2])))
+    return tuple(bounds)
+
+
+class TestInfeasibleRowPresolve:
+    """The presolve may end a solve early only where the Fraction simplex,
+    which has no presolve, reports infeasibility too; every other system
+    keeps its simplex witness."""
+
+    def test_planted_rows_against_the_fraction_simplex(self):
+        rng = random.Random(1995)
+        seen = {"one-sign": 0, "zero": 0, "free": 0, "free-feasible": 0}
+        for _ in range(600):
+            a, b, bounds = _random_system(rng)
+            kind = rng.choice(["one-sign", "zero", "free"])
+            bounds = _plant_row(rng, a, b, bounds, kind)
+            # the bare y >= 0 form, bounds ignored
+            y = solve_eq_nonneg(a, b)
+            assert y == reference_solve_eq_nonneg(a, b)
+            assert y is None or not one_sign_row(a, b)
+            system = FeasibilitySystem(tuple(map(tuple, a)), tuple(b), bounds)
+            x = system.solve()
+            assert x == reference_solve(system)
+            if kind == "free":
+                seen["free-feasible"] += x is not None
+            else:
+                assert presolve_certifies(system) and x is None
+            seen[kind] += 1
+        assert min(seen.values()) > 20, seen
+
+    def test_int_systems_certified_or_not(self):
+        rng = random.Random(71)
+        verdicts = {"certified": 0, "feasible": 0, "infeasible by the simplex": 0}
+        for _ in range(600):
+            nvars = rng.randint(1, 5)
+            a = [[rng.randint(-2, 2) for _ in range(nvars)] for _ in range(rng.randint(1, 4))]
+            b = [rng.randint(-3, 3) for _ in a]
+            bounds = tuple(rng.choice([None, 0, 0, 1, -1]) for _ in range(nvars))
+            y = solve_eq_nonneg(a, b)
+            # the reference needs Fractions: its ratio test divides
+            assert y == reference_solve_eq_nonneg([[F(x) for x in r] for r in a], [F(r) for r in b])
+            system = FeasibilitySystem(tuple(map(tuple, a)), tuple(b), bounds)
+            x = system.solve()
+            assert x == reference_solve(system)
+            if presolve_certifies(system):
+                assert x is None
+                verdicts["certified"] += 1
+            else:
+                verdicts["feasible" if x is not None else "infeasible by the simplex"] += 1
+        assert min(verdicts.values()) > 50, verdicts
+
+    def test_zero_rows(self):
+        for n in (0, 1, 3):
+            zero = [0] * n
+            for r in (1, -1, Fraction(-1, 2)):
+                assert solve_eq_nonneg([zero], [r]) is None
+                assert reference_solve_eq_nonneg([zero], [r]) is None
+            assert solve_eq_nonneg([zero], [0]) == [F(0)] * n
+        system = FeasibilitySystem(((0, 0),), (F(2),), (None, F(1)))
+        assert presolve_certifies(system) and system.solve() is None
+
+    def test_meet_systems_of_cone_triples(self):
+        # c1 and c2 on opposite sides of x_k = 0 (c2 possibly inside it):
+        # the meet system is certified; arbitrary triples are compared too
+        rng = random.Random(1512)
+        seen = {"separated": 0, "certified": 0, "meets": 0, "apart": 0}
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            separated = rng.random() < 0.5
+            k = rng.randrange(n)
+
+            def gens(side):
+                out = [[rng.randint(-3, 3) for _ in range(n)]
+                       for _ in range(rng.randint(1, 4))]
+                if separated:
+                    for g in out:
+                        g[k] = side * abs(g[k])
+                    if side > 0:
+                        out[0][k] = rng.randint(1, 3)
+                    elif rng.random() < 0.3:
+                        for g in out:
+                            g[k] = 0
+                return out
+            c1, c2 = Cone(n, gens(1)), Cone(n, gens(-1))
+            v = Cone(n, [[rng.randint(-3, 3) for _ in range(n)]
+                         for _ in range(rng.randint(0, 2 * n))])
+            if not c1._ints or not c2._ints:
+                continue
+            system = _meet_system([c1._ints, c2._ints, v._ints], n, 0)
+            x = system.solve()
+            assert x == reference_solve(system)
+            assert (relints_meet_in(c1, c2, v) is None) == (x is None)
+            if separated:
+                assert presolve_certifies(system) and x is None
+                seen["separated"] += 1
+            else:
+                seen["certified"] += presolve_certifies(system)
+                seen["meets" if x is not None else "apart"] += 1
+        assert min(seen.values()) > 20, seen
 
 
 class TestCrossCheck:
