@@ -182,11 +182,15 @@ class Cone:
         object.__setattr__(self, "_ints", tuple(gens))
 
     @classmethod
-    def _of_ints(cls, ambient_rank: int, ints: Iterable[tuple[int, ...]]) -> "Cone":
-        """The cone on generators already primitive, nonzero and distinct."""
+    def _of_ints(cls, ambient_rank: int, ints: Iterable[tuple[int, ...]],
+                 dim: Optional[int] = None) -> "Cone":
+        """The cone on generators already primitive, nonzero and distinct,
+        with ``dim`` preset when the caller knows it."""
         cone = object.__new__(cls)
         object.__setattr__(cone, "ambient_rank", ambient_rank)
         object.__setattr__(cone, "_ints", tuple(ints))
+        if dim is not None:
+            cone.__dict__["dim"] = dim
         return cone
 
     def __setattr__(self, name, value):
@@ -257,6 +261,23 @@ class Cone:
         return (all(_idot(w, xi) == 0 for w in eqs)
                 and all(_idot(w, xi) >= 0 for w in facets))
 
+    def _carrier(self, x: Sequence[Fraction]) -> Optional[frozenset[tuple[int, ...]]]:
+        """The generators of the smallest face holding x, or None if x lies
+        outside: those tight on every facet that vanishes at x."""
+        _check_dim(self.ambient_rank, x)
+        eqs, facets = self._idual
+        (xi,) = integer_rows([x])
+        if any(_idot(w, xi) for w in eqs):
+            return None
+        idx = frozenset(range(len(self._ints)))
+        for w, t in zip(facets, self._tight_sets):
+            s = _idot(w, xi)
+            if s < 0:
+                return None
+            if s == 0:
+                idx &= t
+        return frozenset(self._ints[i] for i in idx)
+
     def is_strictly_convex(self) -> bool:
         return not self.lineality_basis
 
@@ -305,32 +326,54 @@ class Cone:
             raise ValueError(f"dimension mismatch: {m.ncols} cols vs {self.ambient_rank}")
         return Cone(m.nrows, [tuple(_idot(row, g) for row in m.ints) for g in self._ints])
 
+    @cached_property
+    def _tight_sets(self) -> tuple[frozenset[int], ...]:
+        """For each facet, the indices of the generators it vanishes on."""
+        gens = self._ints
+        return tuple(frozenset(i for i, g in enumerate(gens) if _idot(w, g) == 0)
+                     for w in self._idual[1])
+
     def faces(self) -> list["Cone"]:
-        """All faces, self and the minimal face included, each once.
+        """All faces, self and the minimal face included, each once, by
+        dimension and then by sorted generator indices.
 
         A face is generated by the generators it contains, and the
         generators a face contains are those tight on the facets
         containing it.  So the faces correspond one-to-one to the
         intersections of facet tight-sets (the empty intersection being
         all generators), and the list needs no dedupe.
+
+        The dimensions come off the face lattice, which is graded
+        (Ziegler, Lectures on Polytopes, 2.2), with one rank, self's.
+        Each cover G ⋗ F is F = G ∩ t for some facet t of self, and a
+        face strictly inside another has a smaller dimension, so
+        dim(u) = min(dim(s) - 1) over the pairs u = s & t != s.  The
+        closure records each such s under u, and the sets are read in
+        decreasing size, so every s has its dimension before it is used.
+        Each face lists its generators in the iteration order of the
+        first intersection that found it.
         """
         gens = self._ints
-        tight_sets = [frozenset(i for i, g in enumerate(gens) if _idot(w, g) == 0)
-                      for w in self._idual[1]]
+        tight_sets = self._tight_sets
         all_idx = frozenset(range(len(gens)))
-        closed = {all_idx}
+        above = {all_idx: []}
         queue = [all_idx]
         while queue:
             s = queue.pop()
             for t in tight_sets:
                 u = s & t
-                if u not in closed:
-                    closed.add(u)
+                if u == s:
+                    continue
+                if u in above:
+                    above[u].append(s)
+                else:
+                    above[u] = [s]
                     queue.append(u)
-        out = [Cone._of_ints(self.ambient_rank, [gens[i] for i in s])
-               for s in sorted(closed, key=sorted)]
-        out.sort(key=lambda c: c.dim)
-        return out
+        dims = {}
+        for s in sorted(above, key=len, reverse=True):
+            dims[s] = min(dims[a] for a in above[s]) - 1 if above[s] else self.dim
+        return [Cone._of_ints(self.ambient_rank, [gens[i] for i in s], dims[s])
+                for s in sorted(above, key=lambda s: (dims[s], sorted(s)))]
 
 
 def cones_equal(a: Cone, b: Cone) -> bool:

@@ -200,14 +200,23 @@ def is_strictly_convex_colored(d: SphericalDatum, cc: ColoredCone) -> bool:
 
 def colored_faces(d: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
     """Colored faces of cc: faces whose relative interior meets V, with
-    the induced palette {f : rho(f) in face}.  cc itself is included."""
+    the induced palette {f : rho(f) in face}.  cc itself is included.
+
+    Each color's carrier, the generators of the smallest face of cc
+    holding rho(f) (None if rho(f) lies outside cc), is read once off
+    cc's facets.  A face is generated by the generators it contains, so
+    rho(f) lies in a face iff the carrier is among the face's generators,
+    and no face needs a dual description of its own.
+    """
     _check(d, cc)
     v = d.valuation_cone
+    carriers = {f: cc.cone._carrier(d.rho[f]) for f in cc.palette}
     out = []
     for face in cc.cone.faces():
         if relint_meets_cone(face, v) is None:
             continue
-        palette = {f for f in cc.palette if face.contains(d.rho[f])}
+        gens = set(face._ints)
+        palette = {f for f, c in carriers.items() if c is not None and c <= gens}
         out.append(ColoredCone(face, palette))
     return out
 

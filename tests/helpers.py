@@ -11,7 +11,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from sphfan.cones import (Cone, DimensionMismatch, cones_equal,
-                          dual_description)
+                          dual_description, relint_meets_cone)
 from sphfan.fourier_motzkin import Ineq, feasible
 from sphfan.galois import ActionReport, GaloisAction, apply_element
 from sphfan.lp import FeasibilitySystem
@@ -78,19 +78,21 @@ def reference_solve_eq_nonneg(a, b):
     """The Fraction-tableau phase-1 Bland simplex that ``sphfan.lp`` replaced.
 
     Kept as the reference the integer simplex must match witness for
-    witness.
+    witness.  The rows are converted to ``Fraction`` first, so int rows
+    divide exactly.
     """
     m = len(a)
     n = len(a[0]) if m else 0
     rows = []
     rhs = []
     for i in range(m):
-        if b[i] < 0:
-            rows.append([-x for x in a[i]])
-            rhs.append(-b[i])
+        row, r = [Fraction(x) for x in a[i]], Fraction(b[i])
+        if r < 0:
+            rows.append([-x for x in row])
+            rhs.append(-r)
         else:
-            rows.append(list(a[i]))
-            rhs.append(Fraction(b[i]))
+            rows.append(row)
+            rhs.append(r)
 
     # tableau columns: n originals, m artificials, then rhs
     tab = [rows[i] + [Fraction(1 if j == i else 0) for j in range(m)] + [rhs[i]]
@@ -768,6 +770,17 @@ def random_datum(rng: random.Random, max_rank: int = 3,
     names = ["c%d" % i for i in range(rng.randint(0, max_colors))]
     rho = {name: random_vec(rng, n, -3, 3) for name in names}
     return SphericalDatum(n, Cone(n, vgens), names, rho)
+
+
+def reference_colored_faces(d: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
+    """``colored_faces`` with the palette decided by ``face.contains``, one
+    dual description per face: the reference the carriers must match."""
+    out = []
+    for face in cc.cone.faces():
+        if relint_meets_cone(face, d.valuation_cone) is None:
+            continue
+        out.append(ColoredCone(face, {f for f in cc.palette if face.contains(d.rho[f])}))
+    return out
 
 
 def random_valid_colored_cone(rng: random.Random, d: SphericalDatum,

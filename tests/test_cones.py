@@ -6,7 +6,7 @@ import pytest
 from sphfan.cones import (Cone, DimensionMismatch, _divide_by_pivots, _echelon,
                           cones_equal, dual_description, relint_meets_cone,
                           relints_meet_in)
-from sphfan.rational import integer_rows
+from sphfan.rational import bareiss, integer_rows
 
 from helpers import (ReferenceCone, brute_force_faces, dot, fm_relint_meets_cone,
                      load_perfbench, random_cone, random_vec, reference_cones_equal,
@@ -308,6 +308,76 @@ class TestFaceOracle:
             c = random_cone(rng)
             faces = c.faces()
             assert len({f.key for f in faces}) == len(faces)
+
+
+def assert_face_dims(c: Cone) -> list[Cone]:
+    """Every face's dim, read off the face lattice, equals its own rank."""
+    faces = c.faces()
+    assert [f.dim for f in faces] == [len(bareiss(f._ints)[1]) for f in faces]
+    return faces
+
+
+class TestFaceDimensions:
+    """``faces()`` ranks only the parent; the graded lattice gives the rest."""
+
+    def test_random_cones(self):
+        rng = random.Random(113)
+        seen = {"lineality": 0, "lower": 0, "redundant": 0}
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            gens = [random_vec(rng, n, -3, 3) for _ in range(rng.randint(1, 8))]
+            kind = rng.choice(["plain", "lineality", "lower", "redundant"])
+            if kind == "lineality":
+                gens.append(tuple(-x for x in rng.choice(gens)))
+            elif kind == "lower" and n > 1:
+                gens = [g[:-1] + (0,) for g in gens]
+            elif kind == "redundant":
+                a, b = rng.choice(gens), rng.choice(gens)
+                gens.append(tuple(x + 2 * y for x, y in zip(a, b)))
+            c = Cone(n, gens)
+            faces = assert_face_dims(c)
+            for f in faces[1:-1]:
+                assert_face_dims(f)
+            seen["lineality"] += not c.is_strictly_convex()
+            seen["lower"] += 0 < c.dim < n
+            seen["redundant"] += len(c._ints) > sum(f.dim - faces[0].dim == 1 for f in faces)
+        assert min(seen.values()) > 30
+
+    @pytest.mark.parametrize("c", [
+        Cone(3),
+        Cone(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0)]),
+        Cone(3, [(1, 1, 0), (-1, 0, 0), (0, -1, 0)]),
+        Cone(2, [(1, 0), (0, 1), (-1, -1)]),
+        Cone(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0)]),
+    ], ids=["zero", "plane", "plane-by-three", "whole-space", "half-plane"])
+    def test_special_cones(self, c):
+        faces = assert_face_dims(c)
+        assert faces[-1].dim == c.dim
+        assert len(faces) == (2 if c.facets else 1)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_cube_and_cyclic_cones(self, seed):
+        rng = random.Random(seed)
+        for p in (bench_inputs.cube_cone(rng, 5), bench_inputs.cyclic_cone(rng, (-3, -1, 0, 2, 3))):
+            faces = assert_face_dims(Cone(p.rank, p.generators))
+            assert len(faces) == p.n_faces
+
+    def test_generator_order_on_many_generators(self):
+        # past eight generators a frozenset of indices need not iterate in
+        # order, so each face's generator order pins which set was kept
+        rng = random.Random(127)
+        unordered = 0
+        for _ in range(12):
+            n = rng.randint(4, 5)
+            gens = [(1,) + random_vec(rng, n - 1, -3, 3) for _ in range(rng.randint(10, 16))]
+            c = Cone(n, gens)
+            got, want = c.faces(), ReferenceCone(n, gens).faces()
+            assert [f.generators for f in got] == [f.generators for f in want]
+            assert [f.dim for f in got] == [f.dim for f in want]
+            index = {g: i for i, g in enumerate(c._ints)}
+            unordered += any([index[g] for g in f._ints] != sorted(index[g] for g in f._ints)
+                             for f in got)
+        assert unordered > 6
 
 
 class TestRelint:

@@ -141,6 +141,16 @@ class TestAgainstFractionSimplex:
             verdicts.add(x is None)
         assert verdicts == {True, False}
 
+    def test_reference_on_int_rows(self):
+        # int rows once made the reference pivot in floats and miss this
+        # feasible system
+        a = [[2, 1, -2, 0, 1], [-1, 1, 2, 1, 1], [-1, 1, 1, 1, -1], [2, -1, -2, 2, -2]]
+        b = [1, 2, 0, -2]
+        want = tuple(Fraction(x, 11) for x in (7, 6, 8, 0, 7))
+        assert tuple(solve_eq_nonneg(a, b)) == want
+        y = reference_solve_eq_nonneg(a, b)
+        assert tuple(y) == want and all(type(v) is Fraction for v in y)
+
     def test_int_and_fraction_encodings(self):
         # the all-int path skips the common-denominator scaling; the same
         # system written with Fractions must give the same witness

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from sphfan import cones
 from sphfan.cones import Cone, cones_equal
 from sphfan.spherical import (ColoredCone, ColoredFan, FanAxiomError,
                               RankMismatchError, SphericalDatum,
@@ -13,7 +15,10 @@ from sphfan.spherical import (ColoredCone, ColoredFan, FanAxiomError,
                               orbit_count, validate_colored_cone,
                               validate_colored_fan)
 
-from helpers import random_datum, random_valid_colored_cone
+from helpers import (load_perfbench, random_cone, random_datum, random_valid_colored_cone,
+                     random_vec, reference_colored_faces)
+
+bench_inputs = load_perfbench("inputs")
 
 
 def full_line():
@@ -140,6 +145,98 @@ class TestColoredFaces:
             assert validate_colored_cone(d, f).ok
             for ff in colored_faces(d, f):
                 assert any(colored_cones_equal(ff, g) for g in faces)
+
+
+def combination(rng: random.Random, n: int, gens) -> tuple:
+    """A positive integer combination of gens in Q^n (zero for none)."""
+    coeffs = [rng.randint(1, 3) for _ in gens]
+    return tuple(sum(a * g[k] for a, g in zip(coeffs, gens)) for k in range(n))
+
+
+def rho_images(rng: random.Random, c: Cone) -> dict[str, tuple]:
+    """One image of each kind for c: in its relative interior, in the
+    relative interior of a proper face, outside it, zero, and in its
+    lineality space, where such points exist."""
+    n = c.ambient_rank
+    faces = c.faces()
+    images = {"zero": (0,) * n}
+    if c.generators:
+        images["interior"] = combination(rng, n, c.generators)
+    if faces[0].generators:
+        images["lineality"] = combination(rng, n, faces[0].generators)
+    if len(faces) > 1:
+        images["face"] = combination(rng, n, rng.choice(faces[1:-1] or faces[:1]).generators)
+    for _ in range(20):
+        x = random_vec(rng, n, -3, 3)
+        if not c.contains(x):
+            images["outside"] = x
+            break
+    return images
+
+
+class TestColoredFacesAgainstReference:
+    """Palettes from carriers against ``face.contains`` on every face."""
+
+    def test_random_cones(self):
+        rng = random.Random(131)
+        # per kind, how often it landed in some palette and was left out of another
+        kept, dropped = Counter(), Counter()
+        for _ in range(250):
+            c = random_cone(rng, max_rank=4, max_gens=6)
+            if c.generators and rng.random() < 0.5:
+                c = Cone(c.ambient_rank, c.generators + (tuple(-x for x in c.generators[0]),))
+            images = rho_images(rng, c)
+            n = c.ambient_rank
+            if rng.random() < 0.5:
+                v = Cone(n, [tuple(s * (i == j) for j in range(n)) for i in range(n)
+                             for s in (1, -1)])
+            else:
+                v = Cone(n, [random_vec(rng, n, -2, 2) for _ in range(rng.randint(1, 2 * n))])
+            d = SphericalDatum(n, v, list(images), images)
+            cc = ColoredCone(c, images)
+            got, want = colored_faces(d, cc), reference_colored_faces(d, cc)
+            assert [f.cone.generators for f in got] == [f.cone.generators for f in want]
+            assert [f.palette for f in got] == [f.palette for f in want]
+            assert [f.key for f in got] == [f.key for f in want]
+            for kind in images:
+                kept[kind] += any(kind in f.palette for f in got)
+                dropped[kind] += any(kind not in f.palette for f in got)
+        assert min(kept[k] for k in ("interior", "face", "zero", "lineality")) > 50
+        assert kept["outside"] == 0 and dropped["outside"] > 100
+        assert min(dropped[k] for k in ("interior", "face")) > 40
+
+
+class TestColoredFacesWork:
+    """Pinned work: one rank per ``faces()``, one ``faces()`` per
+    ``colored_faces``, and, with no face key asked, one double
+    description, the parent's."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_one_rank_one_faces_one_dual(self, seed, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+        monkeypatch.setattr(cones, "bareiss", counted("rank", cones.bareiss))
+        monkeypatch.setattr(cones, "_dual_ints", counted("dual", cones._dual_ints))
+        monkeypatch.setattr(Cone, "faces", counted("faces", Cone.faces))
+        rng = random.Random(seed)
+        for p in (bench_inputs.cube_cone(rng, 4, 2), bench_inputs.cube_cone(rng, 5, 3),
+                  bench_inputs.cyclic_cone(rng, tuple(range(-3, 4)))):
+            calls.clear()
+            faces = Cone(p.rank, p.generators).faces()
+            assert len(faces) == p.n_faces
+            assert calls == {"rank": 1, "dual": 1, "faces": 1}
+            d, cc = bench_inputs.build_pointed(p)
+            calls.clear()
+            out = colored_faces(d, cc)
+            assert len(out) == p.n_faces
+            assert calls == {"rank": 1, "dual": 1, "faces": 1}
+            assert "_idual" in vars(cc.cone)
+            assert not any("_idual" in vars(f.cone) for f in out)
 
 
 class TestValidateColoredFan:
