@@ -15,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import neg
+from operator import mul, neg
 from typing import Iterable, Optional, Sequence
 
 from .lp import FeasibilitySystem
@@ -156,6 +156,14 @@ def _neg(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(neg, v))
 
 
+def _block(vecs: Sequence[tuple[int, ...]], n: int) -> tuple:
+    """A meet system's pieces for one list of int vectors: its length, and
+    for each coordinate k the vectors' k-th entries, their negations and
+    their sum."""
+    rows = tuple(zip(*vecs)) if vecs else ((),) * n
+    return len(vecs), rows, tuple(map(_neg, rows)), tuple(map(sum, rows))
+
+
 class Cone:
     """Rational polyhedral cone, cone(generators) in Q^ambient_rank.
 
@@ -290,7 +298,13 @@ class Cone:
         """
         _check_dim(self.ambient_rank, x)
         (xi,) = integer_rows([vec(x)])
-        return _meet_system([self._ints, [xi]], self.ambient_rank, 1).solve() is not None
+        block = _block([xi], self.ambient_rank)
+        return _meet_system([self._meet_block, block], 1).solve() is not None
+
+    def relint_meets(self, v: "Cone") -> bool:
+        """Whether relint(self) meets v: ``relint_meets_cone`` without
+        assembling the witness."""
+        return _meet([self, v]) is not None
 
     def intersect(self, other: "Cone") -> "Cone":
         """Intersection, via the union of the two facet descriptions.
@@ -325,6 +339,12 @@ class Cone:
         if self._ints and m.ncols != self.ambient_rank:
             raise ValueError(f"dimension mismatch: {m.ncols} cols vs {self.ambient_rank}")
         return Cone(m.nrows, [tuple(_idot(row, g) for row in m.ints) for g in self._ints])
+
+    @cached_property
+    def _meet_block(self) -> tuple:
+        """``_block`` of the generators, built once for every meet system
+        the cone takes part in."""
+        return _block(self._ints, self.ambient_rank)
 
     @cached_property
     def _tight_sets(self) -> tuple[frozenset[int], ...]:
@@ -385,25 +405,37 @@ def relint_meets_cone(c: Cone, v: Cone) -> Optional[Vec]:
     return relints_meet_in(c, None, v)
 
 
-def _meet_system(blocks: Sequence[Sequence[tuple[int, ...]]], n: int,
-                 last_bound: int) -> FeasibilitySystem:
+def _meet_system(blocks: Sequence[tuple], last_bound: int) -> FeasibilitySystem:
     """sum(block 0) = sum(each later block), coordinatewise, as an LP.
 
-    One variable per vector, block by block; the last block's variables
-    are >= last_bound, all others >= 1.  Row k is block 0's k-th
-    coordinates, then minus the other block's.
+    One variable per vector, block by block, on ``_block``s; the last
+    block's variables are >= last_bound, all others >= 1.  Row k is block
+    0's k-th coordinates, then minus the other block's.  The bounds are
+    shifted out here (x = y + bound): every variable is >= 0 and row k's
+    rhs is bound * (other's k-th sum) - (block 0's k-th sum), which is
+    the system ``FeasibilitySystem`` would make of the unshifted one, so
+    the simplex takes the same pivots.
     """
-    cols = [list(zip(*b)) if b else [()] * n for b in blocks]
-    rows = []
+    _, cols, _, sums0 = blocks[0]
+    widths = [b[0] for b in blocks]
+    rows, rhs = [], []
     for other in range(1, len(blocks)):
-        before = (0,) * sum(len(b) for b in blocks[1:other])
-        after = (0,) * sum(len(b) for b in blocks[other + 1:])
-        for k in range(n):
-            rows.append(cols[0][k] + before + _neg(cols[other][k]) + after)
-    nvars = sum(len(b) for b in blocks)
-    bounds = [1] * (nvars - len(blocks[-1])) + [last_bound] * len(blocks[-1])
-    return FeasibilitySystem(equalities=tuple(rows), rhs=(0,) * len(rows),
-                             lower_bounds=tuple(bounds))
+        _, _, negs, sums = blocks[other]
+        bound = last_bound if other == len(blocks) - 1 else 1
+        before = (0,) * sum(widths[1:other])
+        after = (0,) * sum(widths[other + 1:])
+        rows += [col + before + minus + after for col, minus in zip(cols, negs)]
+        rhs += [bound * s - s0 for s, s0 in zip(sums, sums0)]
+    return FeasibilitySystem(equalities=tuple(rows), rhs=tuple(rhs),
+                             lower_bounds=(0,) * sum(widths))
+
+
+def _meet(cones: Sequence[Cone]) -> Optional[Vec]:
+    """Solve the meet system of relint(cones[0]) [∩ relint(cones[1])] ∩
+    cones[-1]: the shifted multipliers (l - 1, m - 1, n), or None."""
+    if len({c.ambient_rank for c in cones}) > 1:
+        raise DimensionMismatch("relint test: ambient ranks differ")
+    return _meet_system([c._meet_block for c in cones], 0).solve()
 
 
 def relints_meet_in(c1: Cone, c2: Optional[Cone], v: Cone) -> Optional[Vec]:
@@ -411,20 +443,14 @@ def relints_meet_in(c1: Cone, c2: Optional[Cone], v: Cone) -> Optional[Vec]:
 
     Feasibility of sum(l_i g_i) = sum(m_j h_j) = sum(n_k k_k) with
     l, m >= 1 and n >= 0; the witness is scale-free, so no extra
-    normalization variable is needed.
+    normalization variable is needed.  ``_meet_system`` shifts l and m
+    by 1, which is added back here.
     """
-    cones = [c1] + ([c2] if c2 is not None else []) + [v]
-    n = c1.ambient_rank
-    for c in cones:
-        if c.ambient_rank != n:
-            raise DimensionMismatch("relint test: ambient ranks differ")
-    blocks = [c._ints for c in cones]
-    sol = _meet_system(blocks, n, 0).solve()
+    sol = _meet([c1] + ([c2] if c2 is not None else []) + [v])
     if sol is None:
         return None
-    # the witness over one common denominator, one Fraction per coordinate
-    lam = sol[:len(blocks[0])]
-    d = lcm(*(s.denominator for s in lam))
-    nums = [s.numerator * (d // s.denominator) for s in lam]
-    return tuple(Fraction(sum(c * g[k] for c, g in zip(nums, blocks[0])), d)
-                 for k in range(n))
+    # l = y + 1 over one common denominator, one Fraction per coordinate
+    ys = sol[:len(c1._ints)]
+    d = lcm(*(y.denominator for y in ys))
+    nums = [y.numerator * (d // y.denominator) + d for y in ys]
+    return tuple(Fraction(sum(map(mul, nums, col)), d) for col in c1._meet_block[1])

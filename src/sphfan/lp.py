@@ -18,8 +18,9 @@ that row, so the system is infeasible.  The rule only detects: it never
 changes a system that goes on to the simplex, so pivots and witnesses are
 those of the simplex alone.  The meet system of two cones whose relative
 interiors lie on opposite sides of a coordinate hyperplane x_k = 0 (one
-of them possibly inside it) has such a row: row k, once the lower bounds
-are shifted out.
+of them possibly inside it) has such a row: row k, whose rhs
+``sphfan.cones._meet_system`` has already shifted by the lower bounds.
+A system whose bounds are all 0 or free goes to the tableau as it is.
 
 A :class:`FeasibilitySystem` holds equalities plus per-variable lower
 bounds (``None`` = free) and either produces a witness point or reports
@@ -45,6 +46,7 @@ from . import fourier_motzkin
 from .rational import Vec, all_ints
 
 _cross_check = False
+_ZERO = Fraction(0)
 
 
 def set_oracle_cross_check(enabled: bool) -> None:
@@ -154,7 +156,7 @@ class FeasibilitySystem:
 
     def __init__(self, equalities: tuple[Vec, ...], rhs: Vec,
                  lower_bounds: tuple[Optional[Fraction], ...]):
-        if any(len(row) != len(lower_bounds) for row in equalities):
+        if not {len(lower_bounds)}.issuperset(map(len, equalities)):
             raise ValueError("equality row length does not match variable count")
         if len(rhs) != len(equalities):
             raise ValueError("rhs length does not match equality count")
@@ -180,30 +182,38 @@ class FeasibilitySystem:
         # substitute x_i = y_i + lb_i (y_i >= 0) for bounded variables,
         # x_i = y_i - y'_i for free ones; whole lower bounds as ints keep
         # the shifts in int arithmetic
-        bounds = [lb if lb is None or lb.denominator != 1 else lb.numerator
-                  for lb in self.lower_bounds]
+        bounds = self.lower_bounds
+        if not all_ints(bounds):
+            bounds = [lb if lb is None or lb.denominator != 1 else lb.numerator
+                      for lb in bounds]
         if None not in bounds:
             a = self.equalities
         else:
             a = [[x for coeff, lb in zip(row, bounds)
                   for x in ((coeff,) if lb is not None else (coeff, -coeff))]
                  for row in self.equalities]
-        shifts = [lb or 0 for lb in bounds]
-        b = [r - sum(map(mul, row, shifts)) for row, r in zip(self.equalities, self.rhs)]
+        if any(bounds):
+            shifts = [lb or 0 for lb in bounds]
+            b = [r - sum(map(mul, row, shifts)) for row, r in zip(self.equalities, self.rhs)]
+        else:
+            # every bound is 0 or free: nothing to shift
+            b = self.rhs
         sol = _solve_eq_nonneg(a, b, len(bounds) + bounds.count(None))
         if sol is None:
             return None
         y, d = sol
-        # x_i = (y_i + lb_i * d) / d over the common denominator d
+        # x_i = (y_i + lb_i * d) / d over the common denominator d; most
+        # entries of a basic solution are 0, and share one Fraction
         x = []
         col = 0
         for lb in bounds:
             if lb is None:
-                x.append(Fraction(y[col] - y[col + 1], d))
+                v = y[col] - y[col + 1]
                 col += 2
             else:
-                x.append(Fraction(y[col] + lb * d, d))
+                v = y[col] + lb * d
                 col += 1
+            x.append(Fraction(v, d) if v else _ZERO)
         return tuple(x)
 
     def _as_inequalities(self):

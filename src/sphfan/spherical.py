@@ -206,14 +206,16 @@ def colored_faces(d: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
     holding rho(f) (None if rho(f) lies outside cc), is read once off
     cc's facets.  A face is generated by the generators it contains, so
     rho(f) lies in a face iff the carrier is among the face's generators,
-    and no face needs a dual description of its own.
+    and no face needs a dual description of its own.  The relative
+    interiors are tested with ``Cone.relint_meets``, which solves the
+    same LP as ``relint_meets_cone`` but assembles no witness.
     """
     _check(d, cc)
     v = d.valuation_cone
     carriers = {f: cc.cone._carrier(d.rho[f]) for f in cc.palette}
     out = []
     for face in cc.cone.faces():
-        if relint_meets_cone(face, v) is None:
+        if not face.relint_meets(v):
             continue
         gens = set(face._ints)
         palette = {f for f, c in carriers.items() if c is not None and c <= gens}

@@ -174,17 +174,42 @@ def one_sign_row(a, b) -> bool:
                for row, r in zip(a, b))
 
 
+def shifted_rhs(system: FeasibilitySystem) -> tuple:
+    """The rhs once the lower bounds are shifted out (x = y + lb); free
+    variables shift nothing."""
+    return tuple(r - sum(c * lb for c, lb in zip(row, system.lower_bounds)
+                         if c and lb is not None)
+                 for row, r in zip(system.equalities, system.rhs))
+
+
 def presolve_certifies(system: FeasibilitySystem) -> bool:
     """``one_sign_row`` after the lower bounds are shifted out.  A free
     variable is split into two columns of opposite sign, so a row with a
     nonzero coefficient on one is never one-signed."""
-    for row, r in zip(system.equalities, system.rhs):
+    for row, shifted in zip(system.equalities, shifted_rhs(system)):
         if any(c and lb is None for c, lb in zip(row, system.lower_bounds)):
             continue
-        shifted = r - sum(c * lb for c, lb in zip(row, system.lower_bounds) if c)
         if one_sign_row([row], [shifted]):
             return True
     return False
+
+
+def reference_meet_system(blocks: Sequence[Sequence[tuple[int, ...]]], n: int,
+                          last_bound: int) -> FeasibilitySystem:
+    """``cones._meet_system`` as it was, on lists of int vectors: rhs 0 and
+    the bounds left for the simplex to shift, the last block's variables
+    >= last_bound and all others >= 1."""
+    cols = [list(zip(*b)) if b else [()] * n for b in blocks]
+    rows = []
+    for other in range(1, len(blocks)):
+        before = (0,) * sum(len(b) for b in blocks[1:other])
+        after = (0,) * sum(len(b) for b in blocks[other + 1:])
+        for k in range(n):
+            rows.append(cols[0][k] + before + tuple(-x for x in cols[other][k]) + after)
+    nvars = sum(len(b) for b in blocks)
+    bounds = [1] * (nvars - len(blocks[-1])) + [last_bound] * len(blocks[-1])
+    return FeasibilitySystem(equalities=tuple(rows), rhs=(0,) * len(rows),
+                             lower_bounds=tuple(bounds))
 
 
 def _reference_normalize(coeffs: Sequence[Fraction], rhs: Fraction) -> Ineq:

@@ -450,6 +450,36 @@ class TestRelintMeets:
             if w is not None:
                 assert c.relint_contains(w) and v.contains(w)
 
+    def test_yes_no_query_on_faces(self):
+        # relint_meets asks relint_meets_cone's question without the witness:
+        # every face of random cones, the zero face among them, against
+        # random V, the zero cone, the whole space and a V with lineality
+        rng = random.Random(1513)
+        seen = {"meets": 0, "apart": 0, "zero face": 0, "rank 1": 0}
+        for _ in range(80):
+            c = random_cone(rng, max_rank=3, max_gens=5)
+            n = c.ambient_rank
+            axes = [tuple(F(i == j) for j in range(n)) for i in range(n)]
+            line = [axes[0], tuple(-x for x in axes[0])]
+            vs = [Cone(n), Cone(n, axes + [tuple(-x for x in a) for a in axes]),
+                  Cone(n, line + [random_vec(rng, n) for _ in range(rng.randint(0, 2))]),
+                  Cone(n, [random_vec(rng, n) for _ in range(rng.randint(1, 3))])]
+            for face in c.faces():
+                seen["zero face"] += face.is_zero
+                seen["rank 1"] += n == 1
+                for v in vs:
+                    got = face.relint_meets(v)
+                    assert got == (relint_meets_cone(face, v) is not None)
+                    assert got == fm_relint_meets_cone(face, v)
+                    seen["meets" if got else "apart"] += 1
+        assert min(seen.values()) > 20, seen
+
+    def test_yes_no_query_checks_ranks(self):
+        for c, v in ((Cone(2), Cone(3)), (quadrant(), Cone(1, [(1,)])),
+                     (Cone(1, [(1,)]), quadrant())):
+            with pytest.raises(DimensionMismatch):
+                c.relint_meets(v)
+
 
 class TestDoubleDescription:
     def test_consistency_on_random_cones(self):

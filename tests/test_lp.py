@@ -1,15 +1,17 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from sphfan import lp
-from sphfan.cones import Cone, _meet_system, relints_meet_in
+from sphfan.cones import Cone, _block, _meet_system, relints_meet_in
 from sphfan.fourier_motzkin import feasible
 from sphfan.lp import FeasibilitySystem, solve_eq_nonneg
 
-from helpers import (one_sign_row, presolve_certifies, reference_feasible, reference_solve,
-                     reference_solve_eq_nonneg)
+from helpers import (one_sign_row, presolve_certifies, reference_feasible,
+                     reference_meet_system, reference_relints_meet_in, reference_solve,
+                     reference_solve_eq_nonneg, shifted_rhs)
 
 
 def F(x):
@@ -255,9 +257,16 @@ class TestInfeasibleRowPresolve:
         system = FeasibilitySystem(((0, 0),), (F(2),), (None, F(1)))
         assert presolve_certifies(system) and system.solve() is None
 
-    def test_meet_systems_of_cone_triples(self):
+    def test_meet_systems_of_cone_triples(self, monkeypatch):
         # c1 and c2 on opposite sides of x_k = 0 (c2 possibly inside it):
         # the meet system is certified; arbitrary triples are compared too
+        tableaux = []
+        solve = lp._solve_eq_nonneg
+
+        def recorded(a, b, n):
+            tableaux.append(([tuple(row) for row in a], list(b), n))
+            return solve(a, b, n)
+        monkeypatch.setattr(lp, "_solve_eq_nonneg", recorded)
         rng = random.Random(1512)
         seen = {"separated": 0, "certified": 0, "meets": 0, "apart": 0}
         for _ in range(300):
@@ -282,10 +291,31 @@ class TestInfeasibleRowPresolve:
                          for _ in range(rng.randint(0, 2 * n))])
             if not c1._ints or not c2._ints:
                 continue
-            system = _meet_system([c1._ints, c2._ints, v._ints], n, 0)
+            system = _meet_system([c1._meet_block, c2._meet_block, v._meet_block], 0)
             x = system.solve()
             assert x == reference_solve(system)
             assert (relints_meet_in(c1, c2, v) is None) == (x is None)
+            # the shifted system is the one the simplex got from the unshifted
+            # one, so the pivots are the same; and so is the witness
+            x0 = tuple(rng.randint(-3, 3) for _ in range(n))
+            for blocks, last_bound in (([c1._ints, c2._ints, v._ints], 0),
+                                       ([c1._ints, v._ints], 0), ([c2._ints, v._ints], 0),
+                                       ([c1._ints, [x0]], 1), ([v._ints, [x0]], 1)):
+                new = _meet_system([_block(b, n) for b in blocks], last_bound)
+                old = reference_meet_system(blocks, n, last_bound)
+                assert new.equalities == old.equalities
+                assert new.rhs == shifted_rhs(old)
+                assert set(new.lower_bounds) <= {0}
+                tableaux.clear()
+                y = new.solve()
+                want = old.solve()
+                assert tableaux[0] == tableaux[1]
+                assert want == reference_solve(old)
+                assert (y is None) == (want is None)
+                if y is not None:
+                    assert tuple(a + lb for a, lb in zip(y, old.lower_bounds)) == want
+            assert relints_meet_in(c1, c2, v) == reference_relints_meet_in(c1, c2, v)
+            assert relints_meet_in(c1, None, v) == reference_relints_meet_in(c1, None, v)
             if separated:
                 assert presolve_certifies(system) and x is None
                 seen["separated"] += 1
@@ -293,6 +323,17 @@ class TestInfeasibleRowPresolve:
                 seen["certified"] += presolve_certifies(system)
                 seen["meets" if x is not None else "apart"] += 1
         assert min(seen.values()) > 20, seen
+
+
+def test_solve_is_the_only_lp_entry_point():
+    # the benchmark counts LPs at FeasibilitySystem.solve, so a module that
+    # reached the simplex another way would solve LPs nobody counts
+    paths = sorted(Path(lp.__file__).parent.glob("*.py"))
+    assert {"cones.py", "spherical.py"} <= {p.name for p in paths}
+    for path in paths:
+        if path.name != "lp.py":
+            text = path.read_text()
+            assert "_solve_eq_nonneg" not in text and "_solve_simplex" not in text, path.name
 
 
 class TestCrossCheck:

@@ -1,10 +1,11 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
-from sphfan import cones
+from sphfan import cones, lp, spherical
 from sphfan.cones import Cone, cones_equal
 from sphfan.spherical import (ColoredCone, ColoredFan, FanAxiomError,
                               RankMismatchError, SphericalDatum,
@@ -237,6 +238,74 @@ class TestColoredFacesWork:
             assert calls == {"rank": 1, "dual": 1, "faces": 1}
             assert "_idual" in vars(cc.cone)
             assert not any("_idual" in vars(f.cone) for f in out)
+
+
+def orthant_faces(signs, rho):
+    """The faces of the orthant cone(s_i e_i), each colored by the colors
+    whose rho image is one of its generators."""
+    n = len(signs)
+    axes = [tuple(s * (i == j) for j in range(n)) for i, s in enumerate(signs)]
+    out = []
+    for mask in range(2 ** n):
+        gens = [axes[i] for i in range(n) if mask >> i & 1]
+        out.append(ColoredCone(Cone(n, gens), [f for f, r in rho.items() if r in gens]))
+    return out
+
+
+class TestLPWork:
+    """Pinned work: one LP per CF2 pair, per CC2 test and per face test,
+    each through ``FeasibilitySystem.solve``, and no witness assembled
+    for a face test."""
+
+    def fans(self):
+        plane = SphericalDatum(2, full_plane())
+        p1p1 = ColoredFan(chain.from_iterable(
+            orthant_faces(s, {}) for s in ((1, 1), (-1, 1), (-1, -1), (1, -1))))
+        space = Cone(3, [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0),
+                         (0, 0, 1), (0, 0, -1)])
+        rho = {"a": (0, 0, 1), "b": (0, -1, 0)}
+        colored = SphericalDatum(3, space, list(rho), rho)
+        sub = ColoredFan(chain.from_iterable(
+            orthant_faces(s, rho)
+            for s in ((1, 1, 1), (-1, 1, 1), (1, -1, 1), (-1, -1, 1))))
+        return [(plane, p1p1, 9), (colored, sub, 18)]
+
+    def test_solves_per_validation(self, monkeypatch):
+        solves = []
+        solve = lp.FeasibilitySystem.solve
+
+        def counted(system):
+            solves.append(system)
+            return solve(system)
+        monkeypatch.setattr(lp.FeasibilitySystem, "solve", counted)
+        for d, fan, m in self.fans():
+            assert len(fan) == m
+            faces = sum(len(cc.cone.faces()) for cc in fan)
+            solves.clear()
+            assert validate_colored_fan(d, fan).ok
+            assert len(solves) == m * (m - 1) // 2 + m + faces
+
+    def test_face_tests_build_no_witness(self, monkeypatch):
+        solves, meets = [], []
+        solve = lp.FeasibilitySystem.solve
+        meet = cones.relints_meet_in
+
+        def counted(system):
+            solves.append(system)
+            return solve(system)
+
+        def counted_meet(*args):
+            meets.append(args)
+            return meet(*args)
+        monkeypatch.setattr(lp.FeasibilitySystem, "solve", counted)
+        monkeypatch.setattr(cones, "relints_meet_in", counted_meet)
+        monkeypatch.setattr(spherical, "relints_meet_in", counted_meet)
+        for d, fan, _ in self.fans():
+            for cc in fan:
+                solves.clear()
+                out = colored_faces(d, cc)
+                assert len(solves) == len(out) == len(cc.cone.faces())
+        assert not meets
 
 
 class TestValidateColoredFan:
