@@ -3,8 +3,10 @@
 A cone stores its generators as primitive int vectors; the dual (facet)
 description is computed lazily on ints by an incremental double
 description pass and cached, and the canonical key is read off it.
-Relative-interior and intersection queries reduce to exact LP
-feasibility on int rows (see :mod:`sphfan.lp`).  ``Fraction`` appears
+Point questions (x in C, x in relint C, the face holding x) and the
+dimension are read off it with no LP; only whether relative interiors
+meet inside V is exact LP feasibility on int rows, built by
+``_meet_system`` (see :mod:`sphfan.lp`).  ``Fraction`` appears
 only at the boundary: the constructor accepts rationals, and
 ``generators``, ``facets``, ``span_equations`` and witnesses are
 Fraction views.
@@ -19,8 +21,8 @@ from operator import mul, neg
 from typing import Iterable, Optional, Sequence
 
 from .lp import FeasibilitySystem
-from .rational import (Mat, Vec, _idot, all_ints, bareiss, integer_rows,
-                       primitive_ints, rat, vec)
+from .rational import (Mat, Vec, _idot, all_ints, integer_rows, primitive_ints,
+                       rat, vec)
 
 
 class DimensionMismatch(ValueError):
@@ -156,14 +158,6 @@ def _neg(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(neg, v))
 
 
-def _block(vecs: Sequence[tuple[int, ...]], n: int) -> tuple:
-    """A meet system's pieces for one list of int vectors: its length, and
-    for each coordinate k the vectors' k-th entries, their negations and
-    their sum."""
-    rows = tuple(zip(*vecs)) if vecs else ((),) * n
-    return len(vecs), rows, tuple(map(_neg, rows)), tuple(map(sum, rows))
-
-
 class Cone:
     """Rational polyhedral cone, cone(generators) in Q^ambient_rank.
 
@@ -255,56 +249,54 @@ class Cone:
 
     @cached_property
     def dim(self) -> int:
-        return len(bareiss(self._ints)[1])
+        """n minus the number of span equations, read off the dual."""
+        return self.ambient_rank - len(self._idual[0])
 
-    def contains(self, x: Sequence[Fraction]) -> bool:
-        """Membership via facet inequalities plus span membership.
-
-        x is scaled once to ints by the lcm of its denominators, so the
-        signs of int dot products decide.
-        """
-        _check_dim(self.ambient_rank, x)
-        eqs, facets = self._idual
-        (xi,) = integer_rows([x])
-        return (all(_idot(w, xi) == 0 for w in eqs)
-                and all(_idot(w, xi) >= 0 for w in facets))
-
-    def _carrier(self, x: Sequence[Fraction]) -> Optional[frozenset[tuple[int, ...]]]:
-        """The generators of the smallest face holding x, or None if x lies
-        outside: those tight on every facet that vanishes at x."""
+    def _face_facets(self, x: Sequence[Fraction]) -> Optional[list[int]]:
+        """The indices of the facets vanishing at x, which cut out the
+        smallest face holding x, or None if x lies outside.  x is scaled
+        once to ints by the lcm of its denominators, so the signs of int
+        dot products decide."""
         _check_dim(self.ambient_rank, x)
         eqs, facets = self._idual
         (xi,) = integer_rows([x])
         if any(_idot(w, xi) for w in eqs):
             return None
-        idx = frozenset(range(len(self._ints)))
-        for w, t in zip(facets, self._tight_sets):
+        tight = []
+        for i, w in enumerate(facets):
             s = _idot(w, xi)
             if s < 0:
                 return None
             if s == 0:
-                idx &= t
-        return frozenset(self._ints[i] for i in idx)
+                tight.append(i)
+        return tight
+
+    def contains(self, x: Sequence[Fraction]) -> bool:
+        """Membership: x on every span equation and on no facet's negative side."""
+        return self._face_facets(x) is not None
+
+    def _carrier(self, x: Sequence[Fraction]) -> Optional[frozenset[tuple[int, ...]]]:
+        """The generators of the smallest face holding x, or None if x lies
+        outside: those tight on every facet that vanishes at x."""
+        tight = self._face_facets(x)
+        if tight is None:
+            return None
+        return frozenset(g for i, g in enumerate(self._ints)
+                         if all(i in self._tight_sets[f] for f in tight))
 
     def is_strictly_convex(self) -> bool:
         return not self.lineality_basis
 
-    def relint_contains(self, x: Sequence[Fraction]) -> bool:
-        """True iff x is a strictly positive combination of the generators.
-
-        Decided as feasibility of sum(l_i g_i) = t x with l_i >= 1,
-        t >= 1 (the scaling variable absorbs strict positivity, so x may
-        be scaled to ints first).
-        """
-        _check_dim(self.ambient_rank, x)
-        (xi,) = integer_rows([vec(x)])
-        block = _block([xi], self.ambient_rank)
-        return _meet_system([self._meet_block, block], 1).solve() is not None
+    def relint_contains(self, x: Sequence) -> bool:
+        """True iff x is a strictly positive combination of the generators,
+        i.e. its smallest face is the cone itself: no facet vanishes at x.
+        Entries may be ints, Fractions or 'p/q' strings."""
+        return self._face_facets(vec(x)) == []
 
     def relint_meets(self, v: "Cone") -> bool:
         """Whether relint(self) meets v: ``relint_meets_cone`` without
         assembling the witness."""
-        return _meet([self, v]) is not None
+        return _meet_system([self, v]).solve() is not None
 
     def intersect(self, other: "Cone") -> "Cone":
         """Intersection, via the union of the two facet descriptions.
@@ -341,10 +333,19 @@ class Cone:
         return Cone(m.nrows, [tuple(_idot(row, g) for row in m.ints) for g in self._ints])
 
     @cached_property
-    def _meet_block(self) -> tuple:
-        """``_block`` of the generators, built once for every meet system
-        the cone takes part in."""
-        return _block(self._ints, self.ambient_rank)
+    def _cols(self) -> tuple[tuple[int, ...], ...]:
+        """The generators by axis, for every meet system the cone is in."""
+        return tuple(zip(*self._ints)) if self._ints else ((),) * self.ambient_rank
+
+    @cached_property
+    def _col_sums(self) -> tuple[int, ...]:
+        return tuple(map(sum, self._cols))
+
+    @cached_property
+    def _neg_cols(self) -> tuple[tuple[int, ...], ...]:
+        """``_cols`` negated: only a cone after the first in a meet system
+        reads them, so a face tested by ``relint_meets`` never builds them."""
+        return tuple(map(_neg, self._cols))
 
     @cached_property
     def _tight_sets(self) -> tuple[frozenset[int], ...]:
@@ -405,52 +406,47 @@ def relint_meets_cone(c: Cone, v: Cone) -> Optional[Vec]:
     return relints_meet_in(c, None, v)
 
 
-def _meet_system(blocks: Sequence[tuple], last_bound: int) -> FeasibilitySystem:
-    """sum(block 0) = sum(each later block), coordinatewise, as an LP.
+def _meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
+    """relint(cones[0]) [∩ relint(cones[1])] ∩ cones[-1] as an LP, the only
+    one in this module: whether relative interiors meet inside V.
 
-    One variable per vector, block by block, on ``_block``s; the last
-    block's variables are >= last_bound, all others >= 1.  Row k is block
-    0's k-th coordinates, then minus the other block's.  The bounds are
-    shifted out here (x = y + bound): every variable is >= 0 and row k's
-    rhs is bound * (other's k-th sum) - (block 0's k-th sum), which is
-    the system ``FeasibilitySystem`` would make of the unshifted one, so
-    the simplex takes the same pivots.
+    sum(l_i g_i) = sum(m_j h_j) = sum(n_k k_k), one multiplier per
+    generator; the last cone's are >= 0, all others >= 1.  Row k is the
+    first cone's k-th coordinates, then minus the other's.  The bounds
+    are shifted out here (x = y + bound): every variable is >= 0 and row
+    k's rhs is bound * (other's k-th sum) - (first's k-th sum), the
+    system ``FeasibilitySystem`` would make of the unshifted one, so the
+    simplex takes the same pivots.
     """
-    _, cols, _, sums0 = blocks[0]
-    widths = [b[0] for b in blocks]
-    rows, rhs = [], []
-    for other in range(1, len(blocks)):
-        _, _, negs, sums = blocks[other]
-        bound = last_bound if other == len(blocks) - 1 else 1
-        before = (0,) * sum(widths[1:other])
-        after = (0,) * sum(widths[other + 1:])
-        rows += [col + before + minus + after for col, minus in zip(cols, negs)]
-        rhs += [bound * s - s0 for s, s0 in zip(sums, sums0)]
-    return FeasibilitySystem(equalities=tuple(rows), rhs=tuple(rhs),
-                             lower_bounds=(0,) * sum(widths))
-
-
-def _meet(cones: Sequence[Cone]) -> Optional[Vec]:
-    """Solve the meet system of relint(cones[0]) [∩ relint(cones[1])] ∩
-    cones[-1]: the shifted multipliers (l - 1, m - 1, n), or None."""
     if len({c.ambient_rank for c in cones}) > 1:
         raise DimensionMismatch("relint test: ambient ranks differ")
-    return _meet_system([c._meet_block for c in cones], 0).solve()
+    first, others = cones[0], cones[1:]
+    widths = [len(c._ints) for c in others]
+    rows, rhs = [], []
+    for i, other in enumerate(others):
+        bound = 0 if i == len(others) - 1 else 1
+        before = (0,) * sum(widths[:i])
+        after = (0,) * sum(widths[i + 1:])
+        rows += [col + before + minus + after
+                 for col, minus in zip(first._cols, other._neg_cols)]
+        rhs += [bound * s - s0 for s, s0 in zip(other._col_sums, first._col_sums)]
+    return FeasibilitySystem(equalities=tuple(rows), rhs=tuple(rhs),
+                             lower_bounds=(0,) * (len(first._ints) + sum(widths)))
 
 
 def relints_meet_in(c1: Cone, c2: Optional[Cone], v: Cone) -> Optional[Vec]:
     """Witness x ∈ relint(c1) [∩ relint(c2)] ∩ v, or None.
 
-    Feasibility of sum(l_i g_i) = sum(m_j h_j) = sum(n_k k_k) with
-    l, m >= 1 and n >= 0; the witness is scale-free, so no extra
-    normalization variable is needed.  ``_meet_system`` shifts l and m
-    by 1, which is added back here.
+    Feasibility of ``_meet_system``, the only question here that needs
+    an LP; the witness is scale-free, so no extra normalization variable
+    is needed.  ``_meet_system`` shifts l and m by 1, which is added back
+    here.
     """
-    sol = _meet([c1] + ([c2] if c2 is not None else []) + [v])
+    sol = _meet_system([c1] + ([c2] if c2 is not None else []) + [v]).solve()
     if sol is None:
         return None
     # l = y + 1 over one common denominator, one Fraction per coordinate
     ys = sol[:len(c1._ints)]
     d = lcm(*(y.denominator for y in ys))
     nums = [y.numerator * (d // y.denominator) + d for y in ys]
-    return tuple(Fraction(sum(map(mul, nums, col)), d) for col in c1._meet_block[1])
+    return tuple(Fraction(sum(map(mul, nums, col)), d) for col in c1._cols)

@@ -20,6 +20,9 @@ those of the simplex alone.  The meet system of two cones whose relative
 interiors lie on opposite sides of a coordinate hyperplane x_k = 0 (one
 of them possibly inside it) has such a row: row k, whose rhs
 ``sphfan.cones._meet_system`` has already shifted by the lower bounds.
+That meet system, whether relative interiors meet inside V, is the only
+LP the library builds; point questions and dimensions of cones are read
+off their int facet descriptions.
 A system whose bounds are all 0 or free goes to the tableau as it is.
 
 A :class:`FeasibilitySystem` holds equalities plus per-variable lower

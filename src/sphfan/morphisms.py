@@ -63,11 +63,11 @@ def _first_outside(a: Cone, b: Cone) -> Optional[Vec]:
     return next((g for g in a.generators if not b.contains(g)), None)
 
 
-def validate_morphism(m: FanMorphism, warn_rho: bool = False) -> MorphismReport:
+def validate_morphism(m: FanMorphism) -> MorphismReport:
     """Check surjectivity of the linear map and V1 -> onto -> V2.
 
-    With warn_rho, colors whose target rho image disagrees with the
-    pushed source image are listed as warnings (not failures).
+    Colors whose target rho image disagrees with the pushed source image
+    are listed as warnings, not failures.
     """
     surjective = m.linear_map.rank() == m.target.rank
 
@@ -77,15 +77,10 @@ def validate_morphism(m: FanMorphism, warn_rho: bool = False) -> MorphismReport:
     if counterexample is None:
         counterexample = _first_outside(v2, image)
 
-    warnings = []
-    if warn_rho:
-        for c in sorted(m.domain_colors):
-            pushed = m.linear_map.matvec(m.source.rho[c])
-            if pushed != m.target.rho[m.color_map[c]]:
-                warnings.append(c)
+    warnings = tuple(c for c in sorted(m.domain_colors)
+                     if m.linear_map.matvec(m.source.rho[c]) != m.target.rho[m.color_map[c]])
     return MorphismReport(surjective=surjective, v_onto_v=counterexample is None,
-                          v_counterexample=counterexample,
-                          rho_warnings=tuple(warnings))
+                          v_counterexample=counterexample, rho_warnings=warnings)
 
 
 def _mapped_palette(m: FanMorphism, cc1: ColoredCone) -> set[str]:

@@ -6,6 +6,7 @@ import pytest
 from sphfan.cones import (Cone, DimensionMismatch, _divide_by_pivots, _echelon,
                           cones_equal, dual_description, relint_meets_cone,
                           relints_meet_in)
+from sphfan.lp import FeasibilitySystem
 from sphfan.rational import bareiss, integer_rows
 
 from helpers import (ReferenceCone, brute_force_faces, dot, fm_relint_meets_cone,
@@ -394,6 +395,21 @@ class TestRelint:
         assert Cone(2).relint_contains((F(0), F(0)))
         assert not Cone(2).relint_contains((F(1), F(0)))
 
+    def test_input(self):
+        c = quadrant()
+        assert c.relint_contains([1, "1/3"]) and not c.relint_contains(["0", 2])
+        with pytest.raises(TypeError):
+            c.relint_contains((True, 1))
+        with pytest.raises(DimensionMismatch):
+            c.relint_contains((1, 1, 1))
+
+    def test_point_questions_read_tight_sets_only_for_a_carrier(self):
+        c, edge = quadrant(), (F(3), F(0))
+        assert c.contains(edge) and not c.relint_contains(edge)
+        assert "_tight_sets" not in vars(c)
+        assert c._carrier(edge) == {(1, 0)} and c._carrier((F(1), F(1))) == set(c._ints)
+        assert c._carrier((F(-1), F(1))) is None
+
     def test_partition_into_face_relints(self):
         rng = random.Random(41)
         c = Cone(3, [(1, 0, 0), (0, 1, 0), (1, 1, 2)])
@@ -703,22 +719,69 @@ class TestIntegerConeAgainstReference:
                     met[kind] += 1
         assert met["pair"] > 100 and met["single"] > 100
 
-    def test_relint_contains(self):
-        rng = random.Random(109)
-        verdicts = []
+    @staticmethod
+    def relint_cases(rng):
+        """(n, generators, kind) of random cones, some with lineality, and
+        of the zero cone, the whole space and a half-space."""
         for _ in range(300):
             n = rng.randint(1, 4)
             gens = [random_vec(rng, n, -3, 3) for _ in range(rng.randint(0, 4))]
+            if gens and rng.random() < 0.3:
+                gens.append(tuple(-x for x in gens[0]))
+            yield n, gens, "random"
+        for n in (1, 2, 3):
+            units = [tuple(Fraction(s * (i == j)) for j in range(n)) for i in range(n)
+                     for s in (1, -1)]
+            yield n, [], "zero"
+            yield n, units, "space"
+            yield n, units[:-1], "half-space"
+
+    def test_relint_contains(self, monkeypatch):
+        # the int dual scan against the LP formulation: random points, the
+        # sum of every generator, points on proper faces, the zero vector
+        # (in cones with lineality too) and 'p/q' strings; no LP is solved
+        solves = []
+        solve = FeasibilitySystem.solve
+
+        def counted(system):
+            solves.append(system)
+            return solve(system)
+        monkeypatch.setattr(FeasibilitySystem, "solve", counted)
+        rng = random.Random(109)
+        verdicts = []
+        kinds = {"proper face": 0, "zero in lineality": 0, "string": 0}
+        for n, gens, _ in self.relint_cases(rng):
             c, ref = Cone(n, gens), ReferenceCone(n, gens)
-            points = [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n))]
+            points = [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)),
+                      (Fraction(0),) * n]
             if c.generators:
                 points.append(tuple(sum(g[k] for g in c.generators) for k in range(n)))
                 points.append(tuple(Fraction(x, 3) for x in points[-1]))
                 points.append(c.generators[0])
-            else:
-                points.append((Fraction(0),) * n)
+            for face in c.faces()[:-1]:
+                points.append(tuple(sum((rng.randint(1, 3) * g[k] for g in face.generators),
+                                        Fraction(0)) for k in range(n)))
+                kinds["proper face"] += 1
+            kinds["zero in lineality"] += bool(c.lineality_basis) and bool(c.generators)
             for x in points:
+                solves.clear()
                 got = c.relint_contains(x)
+                assert not solves
                 assert got == ref.relint_contains(x)
                 verdicts.append(got)
+                strings = tuple(str(a) for a in x)
+                assert c.relint_contains(strings) == got
+                kinds["string"] += any("/" in a for a in strings)
         assert 100 < sum(verdicts) < len(verdicts) - 100
+        assert min(kinds.values()) > 50, kinds
+
+    def test_dim_is_a_rank(self):
+        rng = random.Random(113)
+        dims = set()
+        for n, gens, kind in self.relint_cases(rng):
+            c = Cone(n, gens)
+            assert c.dim == len(bareiss(c._ints)[1])
+            dims.add((kind, c.dim == n, bool(c.lineality_basis)))
+        assert {("random", False, False), ("random", False, True),
+                ("random", True, True), ("zero", False, False),
+                ("space", True, True), ("half-space", True, True)} <= dims

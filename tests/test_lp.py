@@ -1,3 +1,4 @@
+import ast
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from sphfan import lp
-from sphfan.cones import Cone, _block, _meet_system, relints_meet_in
+from sphfan.cones import Cone, _meet_system, relints_meet_in
 from sphfan.fourier_motzkin import feasible
 from sphfan.lp import FeasibilitySystem, solve_eq_nonneg
 
@@ -291,18 +292,15 @@ class TestInfeasibleRowPresolve:
                          for _ in range(rng.randint(0, 2 * n))])
             if not c1._ints or not c2._ints:
                 continue
-            system = _meet_system([c1._meet_block, c2._meet_block, v._meet_block], 0)
+            system = _meet_system([c1, c2, v])
             x = system.solve()
             assert x == reference_solve(system)
             assert (relints_meet_in(c1, c2, v) is None) == (x is None)
             # the shifted system is the one the simplex got from the unshifted
             # one, so the pivots are the same; and so is the witness
-            x0 = tuple(rng.randint(-3, 3) for _ in range(n))
-            for blocks, last_bound in (([c1._ints, c2._ints, v._ints], 0),
-                                       ([c1._ints, v._ints], 0), ([c2._ints, v._ints], 0),
-                                       ([c1._ints, [x0]], 1), ([v._ints, [x0]], 1)):
-                new = _meet_system([_block(b, n) for b in blocks], last_bound)
-                old = reference_meet_system(blocks, n, last_bound)
+            for triple in ([c1, c2, v], [c1, v], [c2, v]):
+                new = _meet_system(triple)
+                old = reference_meet_system([c._ints for c in triple], n, 0)
                 assert new.equalities == old.equalities
                 assert new.rhs == shifted_rhs(old)
                 assert set(new.lower_bounds) <= {0}
@@ -327,13 +325,29 @@ class TestInfeasibleRowPresolve:
 
 def test_solve_is_the_only_lp_entry_point():
     # the benchmark counts LPs at FeasibilitySystem.solve, so a module that
-    # reached the simplex another way would solve LPs nobody counts
+    # reached the simplex another way would solve LPs nobody counts; and
+    # cones._meet_system is the one place outside lp that builds a system
     paths = sorted(Path(lp.__file__).parent.glob("*.py"))
     assert {"cones.py", "spherical.py"} <= {p.name for p in paths}
+    builders = []
     for path in paths:
         if path.name != "lp.py":
             text = path.read_text()
             assert "_solve_eq_nonneg" not in text and "_solve_simplex" not in text, path.name
+            builders += [(path.name, where) for where in _constructions(ast.parse(text))]
+    assert builders == [("cones.py", "_meet_system")]
+
+
+def _constructions(tree, where=None):
+    """The enclosing function name of every ``FeasibilitySystem(...)`` call."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield from _constructions(node, where or getattr(node, "name", "<lambda>"))
+            continue
+        if isinstance(node, ast.Call) and "FeasibilitySystem" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            yield where
+        yield from _constructions(node, where)
 
 
 class TestCrossCheck:

@@ -5,7 +5,7 @@ from itertools import chain
 
 import pytest
 
-from sphfan import cones, lp, spherical
+from sphfan import cones, lp, rational, spherical
 from sphfan.cones import Cone, cones_equal
 from sphfan.spherical import (ColoredCone, ColoredFan, FanAxiomError,
                               RankMismatchError, SphericalDatum,
@@ -208,12 +208,12 @@ class TestColoredFacesAgainstReference:
 
 
 class TestColoredFacesWork:
-    """Pinned work: one rank per ``faces()``, one ``faces()`` per
-    ``colored_faces``, and, with no face key asked, one double
-    description, the parent's."""
+    """Pinned work: no rank (the parent's dimension comes off its dual),
+    one ``faces()`` per ``colored_faces``, and, with no face key asked,
+    one double description, the parent's."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_one_rank_one_faces_one_dual(self, seed, monkeypatch):
+    def test_no_rank_one_faces_one_dual(self, seed, monkeypatch):
         calls = Counter()
 
         def counted(name, fn):
@@ -221,7 +221,9 @@ class TestColoredFacesWork:
                 calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
-        monkeypatch.setattr(cones, "bareiss", counted("rank", cones.bareiss))
+        rank = counted("rank", rational.bareiss)
+        monkeypatch.setattr(rational, "bareiss", rank)
+        monkeypatch.setattr(cones, "bareiss", rank, raising=False)
         monkeypatch.setattr(cones, "_dual_ints", counted("dual", cones._dual_ints))
         monkeypatch.setattr(Cone, "faces", counted("faces", Cone.faces))
         rng = random.Random(seed)
@@ -230,14 +232,40 @@ class TestColoredFacesWork:
             calls.clear()
             faces = Cone(p.rank, p.generators).faces()
             assert len(faces) == p.n_faces
-            assert calls == {"rank": 1, "dual": 1, "faces": 1}
+            assert calls == {"dual": 1, "faces": 1}
             d, cc = bench_inputs.build_pointed(p)
             calls.clear()
             out = colored_faces(d, cc)
             assert len(out) == p.n_faces
-            assert calls == {"rank": 1, "dual": 1, "faces": 1}
+            assert calls == {"dual": 1, "faces": 1}
             assert "_idual" in vars(cc.cone)
             assert not any("_idual" in vars(f.cone) for f in out)
+
+    def test_faces_never_negate(self, monkeypatch):
+        # a face only stands first in a meet system, so its negated columns
+        # are never read, nor built; V and the second cone of a CF2 pair are
+        # read negated, and the first cone of the fan never is
+        seen = []
+        colored = spherical.colored_faces
+
+        def recorded(d, cc):
+            out = colored(d, cc)
+            seen.extend(out)
+            return out
+        monkeypatch.setattr(spherical, "colored_faces", recorded)
+        rng = random.Random(14)
+        d_cube, cube = bench_inputs.build_pointed(bench_inputs.cube_cone(rng, 4, 2))
+        p1 = bench_inputs.p1_fan(rng, 3, 3, 2)
+        for d, fan in ((d_cube, faces_closure(d_cube, [cube])),
+                       (bench_inputs.build_p1_datum(p1),
+                        ColoredFan(bench_inputs.build_p1_cones(p1)))):
+            seen.clear()
+            assert validate_colored_fan(d, fan).ok
+            assert len(seen) > len(fan)
+            assert not any("_neg_cols" in vars(face.cone) for face in seen)
+            assert "_neg_cols" in vars(d.valuation_cone)
+            assert (["_neg_cols" in vars(cc.cone) for cc in fan]
+                    == [False] + [True] * (len(fan) - 1))
 
 
 def orthant_faces(signs, rho):
