@@ -228,6 +228,16 @@ class Cone:
         return tuple(_divide_by_pivots(self._idual[0]))
 
     @cached_property
+    def _gens_key(self) -> tuple:
+        """(ambient_rank, generator set): equal only for equal cones, with
+        no double description.  Generators are kept primitive, nonzero and
+        distinct, so two cones with the same set are the same cone; equal
+        cones given by different sets (redundant generators, lineality)
+        are told apart here and settled by ``key``.  The rank keeps the
+        zero cones of different ranks apart."""
+        return self.ambient_rank, frozenset(self._ints)
+
+    @cached_property
     def key(self) -> tuple:
         """Hashable canonical form, equal iff the cones are equal.
 
@@ -398,7 +408,10 @@ class Cone:
 
 
 def cones_equal(a: Cone, b: Cone) -> bool:
-    return a.key == b.key
+    """Equality, settled by the generator set first and otherwise by the
+    canonical key, so a cone repeating a known generator set runs no
+    double description."""
+    return a._gens_key == b._gens_key or a.key == b.key
 
 
 def relint_meets_cone(c: Cone, v: Cone) -> Optional[Vec]:

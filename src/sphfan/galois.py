@@ -163,18 +163,28 @@ class InvarianceReport(NamedTuple):
 
 
 def is_invariant_fan(a: GaloisAction, fan: ColoredFan) -> InvarianceReport:
+    """Each image is looked up by generator set and palette first, and
+    otherwise by canonical key."""
     keys = {cc.key for cc in fan}
     failures = [(e.name, i) for e in a.elements for i, cc in enumerate(fan)
-                if apply_element(a, e, cc).key not in keys]
+                if fan._member_key(apply_element(a, e, cc)) not in keys]
     return InvarianceReport(failures=tuple(failures))
 
 
 def orbit(a: GaloisAction, cc: ColoredCone) -> list[ColoredCone]:
-    """The distinct images of cc, each at its first element."""
+    """The distinct images of cc, each at its first element.
+
+    An image repeating the generator set and palette of an earlier one is
+    skipped with no key computed; the others are told apart by key.
+    """
+    seen: set[tuple] = set()
     out: dict[tuple, ColoredCone] = {}
     for e in a.elements:
         image = apply_element(a, e, cc)
-        out.setdefault(image.key, image)
+        gens = image._gens_key
+        if gens not in seen:
+            seen.add(gens)
+            out.setdefault(image.key, image)
     return list(out.values())
 
 
@@ -182,21 +192,27 @@ def invariant_closure(a: GaloisAction, seeds: Sequence[ColoredCone]) -> ColoredF
     """Minimal Γ-invariant colored fan containing the seeds.
 
     One first-in-first-out worklist, started with the seeds: a colored
-    cone taken off the front whose key is new becomes a member, its
-    colored faces are recorded, and its orbit and then those faces go to
-    the back, so each member's orbit and faces are computed once.  The
-    recorded faces go through the finisher of ``faces_closure``:
-    dimension order, then the CF2 pass (FanAxiomError with a witness on
-    failure).  Γ must be finite: an element of infinite order makes
-    orbits of ever new cones, and the worklist never empties.
+    cone taken off the front whose generator set and palette were seen
+    before is dropped with no key computed; otherwise, if its key is new,
+    it becomes a member, its colored faces are recorded, and its orbit
+    and then those faces go to the back, so each member's orbit and faces
+    are computed once.  The recorded faces go through the finisher of
+    ``faces_closure``: dimension order, then the CF2 pass (FanAxiomError
+    with a witness on failure).  Γ must be finite: an element of infinite
+    order makes orbits of ever new cones, and the worklist never empties.
     """
     # looked up per call, so a wrapper put on spherical.colored_faces sees it
     from .spherical import colored_faces
 
+    seen: set[tuple] = set()
     faces: dict[tuple, list[ColoredCone]] = {}
     queue = deque(seeds)
     while queue:
         cc = queue.popleft()
+        gens = cc._gens_key
+        if gens in seen:
+            continue
+        seen.add(gens)
         if cc.key not in faces:
             faces[cc.key] = colored_faces(a.datum, cc)
             queue += orbit(a, cc) + faces[cc.key]

@@ -95,6 +95,12 @@ class ColoredCone:
         """Hashable canonical form: the cone's key and the sorted palette."""
         return self.cone.key, tuple(sorted(self.palette))
 
+    @property
+    def _gens_key(self) -> tuple:
+        """The cone's generator key and the palette: equal only for equal
+        colored cones, with no double description."""
+        return self.cone._gens_key, self.palette
+
 
 def colored_cones_equal(a: ColoredCone, b: ColoredCone) -> bool:
     return a.key == b.key
@@ -103,20 +109,29 @@ def colored_cones_equal(a: ColoredCone, b: ColoredCone) -> bool:
 class ColoredFan:
     """Nonempty, duplicate-free finite collection of colored cones.
 
-    Of equal colored cones the first is kept, generators as given."""
+    Of equal colored cones the first is kept, generators as given.
+    Equality is settled by the generator set and palette first, and
+    otherwise by the canonical key: a colored cone repeating a generator
+    set and palette already seen is a duplicate with no key computed.
+    ``_keys`` maps each colored generator key seen to its key."""
 
-    __slots__ = ("cones",)
+    __slots__ = ("cones", "_keys")
 
     def __init__(self, cones: Iterable[ColoredCone]):
+        keys: dict[tuple, tuple] = {}
         members: dict[tuple, ColoredCone] = {}
         for cc in cones:
-            members.setdefault(cc.key, cc)
+            gens = cc._gens_key
+            if gens not in keys:
+                keys[gens] = cc.key
+                members.setdefault(keys[gens], cc)
         if not members:
             raise ValueError("a colored fan must be nonempty")
         ranks = {cc.cone.ambient_rank for cc in members.values()}
         if len(ranks) != 1:
             raise RankMismatchError("fan members have mixed ambient ranks")
         object.__setattr__(self, "cones", tuple(members.values()))
+        object.__setattr__(self, "_keys", keys)
 
     def __setattr__(self, name, value):
         raise AttributeError("ColoredFan is immutable")
@@ -126,6 +141,12 @@ class ColoredFan:
 
     def __iter__(self):
         return iter(self.cones)
+
+    def _member_key(self, cc: ColoredCone) -> tuple:
+        """The key of the member equal to cc if its generator set and
+        palette were seen here, else cc's own key (a double description)."""
+        key = self._keys.get(cc._gens_key)
+        return cc.key if key is None else key
 
 
 def fans_equal(a: ColoredFan, b: ColoredFan) -> bool:
@@ -166,7 +187,10 @@ def validate_colored_cone(d: SphericalDatum, cc: ColoredCone) -> ColoredConeRepo
 
     CC1 is equivalent to: rho(palette) lies in the cone, and the cone is
     regenerated by rho(palette) together with generators of its
-    intersection with V.
+    intersection with V.  A cone whose generators all lie in V is its
+    own intersection with V, so then CC1 holds with no intersection;
+    otherwise the regenerated cone is compared by ``cones_equal``, by
+    generator set first and otherwise by canonical key.
     """
     _check(d, cc)
     c = cc.cone
@@ -180,7 +204,7 @@ def validate_colored_cone(d: SphericalDatum, cc: ColoredCone) -> ColoredConeRepo
             cc1 = False
             detail = f"rho({f}) lies outside the cone"
             break
-    if cc1:
+    if cc1 and not all(v.contains(g) for g in c._ints):
         regen = Cone(d.rank, list(rho_imgs) + list(c.intersect(v).generators))
         if not cones_equal(regen, c):
             cc1 = False
@@ -231,7 +255,7 @@ def validate_colored_fan(d: SphericalDatum, fan: ColoredFan) -> ColoredFanReport
 
     keys = {cc.key for cc in fan}
     cf1_missing = [(i, face) for i, cc in enumerate(fan)
-                   for face in colored_faces(d, cc) if face.key not in keys]
+                   for face in colored_faces(d, cc) if fan._member_key(face) not in keys]
     cf2_failures = list(_cf2_failures(d, fan.cones))
     return ColoredFanReport(
         cone_reports=reports,
@@ -264,7 +288,7 @@ def maximal_cones(d: SphericalDatum, fan: ColoredFan) -> list[ColoredCone]:
     """
     proper: set[tuple] = set()
     for cc in fan:
-        proper |= {f.key for f in colored_faces(d, cc)} - {cc.key}
+        proper |= {fan._member_key(f) for f in colored_faces(d, cc)} - {cc.key}
     return [cc for cc in fan if cc.key not in proper]
 
 
@@ -289,7 +313,8 @@ def faces_closure(d: SphericalDatum, cones: Sequence[ColoredCone]) -> ColoredFan
 def _closed_fan(d: SphericalDatum,
                 face_lists: Iterable[Sequence[ColoredCone]]) -> ColoredFan:
     """The fan of the colored cones in face_lists, each key at its first
-    occurrence, ordered by dimension, after the lazy CF2 pass."""
+    occurrence, ordered by dimension, after the lazy CF2 pass: one double
+    description per distinct generator set and palette."""
     fan = ColoredFan(sorted(chain.from_iterable(face_lists), key=lambda cc: cc.cone.dim))
     failure = next(_cf2_failures(d, fan.cones), None)
     if failure is not None:

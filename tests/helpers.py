@@ -6,18 +6,23 @@ import importlib.util
 import os
 import random
 import sys
+from collections import deque
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
 from typing import Sequence
 
 from sphfan.cones import (Cone, DimensionMismatch, cones_equal,
                           dual_description, relint_meets_cone)
+from sphfan.docio import serialize_fan
 from sphfan.fourier_motzkin import Ineq, feasible
 from sphfan.galois import ActionReport, GaloisAction, apply_element
 from sphfan.lp import FeasibilitySystem
 from sphfan.morphisms import FanMorphism
 from sphfan.rational import Mat, Vec, integer_rows, is_zero_vec, primitive_ints, rat
-from sphfan.spherical import (ColoredCone, ColoredFan, SphericalDatum,
+from sphfan.spherical import (ColoredCone, ColoredConeReport, ColoredFan,
+                              ColoredFanReport, FanAxiomError, RankMismatchError,
+                              SphericalDatum, _cf2_failures, colored_faces,
                               faces_closure, validate_colored_cone)
 
 
@@ -806,6 +811,111 @@ def reference_colored_faces(d: SphericalDatum, cc: ColoredCone) -> list[ColoredC
             continue
         out.append(ColoredCone(face, {f for f in cc.palette if face.contains(d.rho[f])}))
     return out
+
+
+class KeyOnlyColoredFan:
+    """``ColoredFan`` as it was before the generator-set lookup: every
+    colored cone's key computed, each key kept at its first occurrence.
+    The reference the lookup must match member for member; ``serialize_fan``
+    reads its ``cones`` like a fan's."""
+
+    def __init__(self, cones):
+        members: dict[tuple, ColoredCone] = {}
+        for cc in cones:
+            members.setdefault(cc.key, cc)
+        if not members:
+            raise ValueError("a colored fan must be nonempty")
+        if len({cc.cone.ambient_rank for cc in members.values()}) != 1:
+            raise RankMismatchError("fan members have mixed ambient ranks")
+        self.cones = tuple(members.values())
+
+    def __len__(self):
+        return len(self.cones)
+
+    def __iter__(self):
+        return iter(self.cones)
+
+
+def intersect_cc1(d: SphericalDatum, cc: ColoredCone) -> tuple[bool, str]:
+    """CC1 and its detail as ``validate_colored_cone`` decided them before
+    the containment shortcut: always through ``cone ∩ V`` and a
+    regenerated cone compared by key."""
+    c = cc.cone
+    for f in sorted(cc.palette):
+        if not c.contains(d.rho[f]):
+            return False, f"rho({f}) lies outside the cone"
+    rho_imgs = [d.rho[f] for f in sorted(cc.palette)]
+    regen = Cone(d.rank, rho_imgs + list(c.intersect(d.valuation_cone).generators))
+    if regen.key != c.key:
+        return False, "cone is not generated by rho(palette) and cone ∩ V"
+    return True, ""
+
+
+def key_only_cf1_missing(d: SphericalDatum, fan) -> list[tuple[int, ColoredCone]]:
+    """CF1 as it was: every colored face's key looked up among the members'."""
+    keys = {cc.key for cc in fan}
+    return [(i, face) for i, cc in enumerate(fan)
+            for face in colored_faces(d, cc) if face.key not in keys]
+
+
+def key_only_validate_colored_fan(d: SphericalDatum, fan) -> ColoredFanReport:
+    """``validate_colored_fan`` on the key-only path: ``intersect_cc1`` and
+    ``key_only_cf1_missing``; CC2 and CF2 as in ``sphfan.spherical``."""
+    reports = []
+    for cc in fan:
+        cc1, detail = intersect_cc1(d, cc)
+        witness = relint_meets_cone(cc.cone, d.valuation_cone)
+        reports.append(ColoredConeReport(cc1=cc1, cc2=witness is not None,
+                                         cc2_witness=witness, cc1_detail=detail))
+    missing = key_only_cf1_missing(d, fan)
+    failures = list(_cf2_failures(d, fan.cones))
+    return ColoredFanReport(cone_reports=tuple(reports), cf1=not missing,
+                            cf1_missing=tuple(missing), cf2=not failures,
+                            cf2_failures=tuple(failures))
+
+
+def _key_only_closed_fan(d: SphericalDatum, face_lists) -> KeyOnlyColoredFan:
+    fan = KeyOnlyColoredFan(sorted(chain.from_iterable(face_lists),
+                                   key=lambda cc: cc.cone.dim))
+    failure = next(_cf2_failures(d, fan.cones), None)
+    if failure is not None:
+        raise FanAxiomError("CF2 violation", witness=failure[2])
+    return fan
+
+
+def key_only_faces_closure(d: SphericalDatum, cones) -> KeyOnlyColoredFan:
+    """``faces_closure`` with a key for every colored face."""
+    return _key_only_closed_fan(d, [colored_faces(d, cc) for cc in cones])
+
+
+def key_only_orbit(a: GaloisAction, cc: ColoredCone) -> list[ColoredCone]:
+    """``orbit`` as it was: every image's key computed."""
+    out: dict[tuple, ColoredCone] = {}
+    for e in a.elements:
+        image = apply_element(a, e, cc)
+        out.setdefault(image.key, image)
+    return list(out.values())
+
+
+def key_only_invariant_closure(a: GaloisAction, seeds) -> KeyOnlyColoredFan:
+    """The ``invariant_closure`` worklist as it was: every popped colored
+    cone's key computed, and the key-only fan and orbits."""
+    faces: dict[tuple, list[ColoredCone]] = {}
+    queue = deque(seeds)
+    while queue:
+        cc = queue.popleft()
+        if cc.key not in faces:
+            faces[cc.key] = colored_faces(a.datum, cc)
+            queue += key_only_orbit(a, cc) + faces[cc.key]
+    return _key_only_closed_fan(a.datum, faces.values())
+
+
+def closure_outcome(close, *args):
+    """The closure's fan document, or the witness of its CF2 failure."""
+    try:
+        return serialize_fan(close(*args))
+    except FanAxiomError as e:
+        return ("CF2", e.witness)
 
 
 def random_valid_colored_cone(rng: random.Random, d: SphericalDatum,

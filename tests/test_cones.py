@@ -214,6 +214,55 @@ class TestKeyAgainstReference:
         assert 30 < equal < 270
 
 
+class TestGeneratorKey:
+    """``cones_equal`` settles equal generator sets with no key and
+    otherwise agrees with the key."""
+
+    def test_same_set_needs_no_key(self):
+        rng = random.Random(83)
+        for _ in range(100):
+            a = random_cone(rng, max_rank=4, max_gens=5)
+            scales = [rng.randint(1, 4) for _ in a.generators]
+            gens = [tuple(s * x for x in g) for s, g in zip(scales, a.generators)]
+            gens += rng.sample(gens, rng.randint(0, len(gens)))
+            rng.shuffle(gens)
+            b = Cone(a.ambient_rank, gens)
+            assert cones_equal(a, b)
+            assert "key" not in vars(a) and "key" not in vars(b)
+            assert a.key == b.key
+
+    def test_agrees_with_key(self):
+        rng = random.Random(89)
+        kinds = {"same set": 0, "equal": 0, "different": 0}
+        for _ in range(300):
+            a = random_cone(rng, max_rank=3, max_gens=4)
+            n = a.ambient_rank
+            pick = rng.randrange(4)
+            if pick == 0:
+                b = equal_by_construction(rng, a)
+            elif pick == 1 and len(a.generators) > 1:
+                # a redundant generator: the same cone, another set
+                g, h = rng.sample(a.generators, 2)
+                b = Cone(n, list(a.generators) + [tuple(map(sum, zip(g, h)))])
+            elif pick == 2:
+                b = Cone(n, list(a.generators) + [random_vec(rng, n, -2, 2)])
+            else:
+                b = Cone(n, [random_vec(rng, n, -1, 1) for _ in range(rng.randint(0, 4))])
+            got = cones_equal(a, b)
+            assert got == (a.key == b.key)
+            if a._gens_key == b._gens_key:
+                kinds["same set"] += 1
+            else:
+                kinds["equal" if got else "different"] += 1
+        assert min(kinds.values()) > 30
+
+    def test_zero_cones_of_different_ranks(self):
+        for m, n in ((1, 2), (2, 3), (3, 1)):
+            assert Cone(m)._gens_key != Cone(n)._gens_key
+            assert not cones_equal(Cone(m), Cone(n))
+            assert not cones_equal(Cone(m, [(0,) * m]), Cone(n))
+
+
 class TestIntersect:
     def test_wedge_inside_quadrant(self):
         got = quadrant().intersect(Cone(2, [(1, 1), (0, 1)]))

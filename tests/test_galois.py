@@ -14,7 +14,8 @@ from sphfan.spherical import (ColoredCone, ColoredFan, FanAxiomError,
                               is_strictly_convex_colored,
                               validate_colored_cone)
 
-from helpers import (load_perfbench, random_cone, random_valid_colored_cone,
+from helpers import (closure_outcome, key_only_invariant_closure, key_only_orbit,
+                     load_perfbench, random_cone, random_valid_colored_cone,
                      random_vec, reference_image, reference_invariant_closure,
                      reference_validate_action)
 
@@ -280,14 +281,6 @@ class TestInvariantClosure:
         assert fans_equal(fan, again)
 
 
-def closure_outcome(close, a, seeds):
-    """The closure's fan document, or the witness of its CF2 failure."""
-    try:
-        return docio.serialize_fan(close(a, seeds))
-    except FanAxiomError as e:
-        return ("CF2", e.witness)
-
-
 def assert_same_closure(a, seeds):
     got = closure_outcome(invariant_closure, a, seeds)
     assert got == closure_outcome(reference_invariant_closure, a, seeds)
@@ -372,6 +365,61 @@ class TestInvariantClosureAgainstReference:
                                                 {"a": "b", "b": "a"})])
         got = assert_same_closure(mirrors, [ColoredCone(Cone(2, [(1, 0), (1, 1)]))])
         assert len(docio.parse_fan(got, d)) == 17
+
+
+class TestGeneratorLookupAgainstKeyOnly:
+    """Orbits, closures and invariance checks that skip repeated generator
+    sets must match the path that computes every key."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_closure_bytes(self, seed):
+        rng = random.Random(seed)
+        for t in (bench_inputs.twisted_p1(rng, 2), bench_inputs.sign_changes(rng, 3),
+                  bench_inputs.twisted_p1(rng, 3)):
+            _, seeds, a = bench_inputs.build_twisted(t)
+            got = closure_outcome(invariant_closure, a, seeds)
+            assert got == closure_outcome(key_only_invariant_closure, a, seeds)
+
+    def test_random_seeds(self):
+        rng = random.Random(173)
+        d, _, a = bench_inputs.build_twisted(bench_inputs.twisted_p1(rng, 2))
+        for _ in range(30):
+            seeds = [ColoredCone(Cone(2, [random_vec(rng, 2, -2, 2)
+                                          for _ in range(rng.randint(0, 3))]),
+                                 [c for c in d.colors if rng.random() < 0.3])
+                     for _ in range(rng.randint(1, 3))]
+            got = closure_outcome(invariant_closure, a, seeds)
+            assert got == closure_outcome(key_only_invariant_closure, a, seeds)
+
+    def test_orbits(self):
+        rng = random.Random(179)
+        _, _, a = bench_inputs.build_twisted(bench_inputs.twisted_p1(rng, 3))
+        for _ in range(40):
+            cc = ColoredCone(Cone(3, [random_vec(rng, 3, -2, 2)
+                                      for _ in range(rng.randint(0, 4))]),
+                             [c for c in a.datum.colors if rng.random() < 0.3])
+            got, want = orbit(a, cc), key_only_orbit(a, cc)
+            assert ([(x.cone.generators, x.palette) for x in got]
+                    == [(y.cone.generators, y.palette) for y in want])
+
+    def test_invariance_with_redundant_generators(self):
+        rng = random.Random(181)
+        for t in (bench_inputs.twisted_p1(rng, 2), bench_inputs.sign_changes(rng, 3)):
+            d, seeds, a = bench_inputs.build_twisted(t)
+            members = list(invariant_closure(a, seeds))
+            # members given with a redundant generator miss the generator
+            # map, and a dropped member makes its orbit fail
+            for i, cc in enumerate(members):
+                gens = cc.cone.generators
+                if len(gens) > 1 and rng.random() < 0.5:
+                    extra = tuple(map(sum, zip(*gens)))
+                    members[i] = ColoredCone(Cone(d.rank, gens + (extra,)), cc.palette)
+            for fan in (ColoredFan(members), ColoredFan(members[:-1])):
+                keys = {cc.key for cc in fan}
+                want = [(e.name, i) for e in a.elements for i, cc in enumerate(fan)
+                        if apply_element(a, e, cc).key not in keys]
+                assert list(is_invariant_fan(a, fan).failures) == want
+            assert not is_invariant_fan(a, ColoredFan(members[:-1])).ok
 
 
 class TestInvariantClosureCounts:

@@ -16,8 +16,10 @@ from sphfan.spherical import (ColoredCone, ColoredFan, FanAxiomError,
                               orbit_count, validate_colored_cone,
                               validate_colored_fan)
 
-from helpers import (load_perfbench, random_cone, random_datum, random_valid_colored_cone,
-                     random_vec, reference_colored_faces)
+from helpers import (KeyOnlyColoredFan, closure_outcome, intersect_cc1,
+                     key_only_faces_closure, key_only_validate_colored_fan,
+                     load_perfbench, random_cone, random_datum,
+                     random_valid_colored_cone, random_vec, reference_colored_faces)
 
 bench_inputs = load_perfbench("inputs")
 
@@ -432,3 +434,152 @@ class TestFacesClosure:
         rep = validate_colored_fan(d, fan)
         assert rep.ok
         assert orbit_count(fan) == 9  # 4 quadrants + 4 rays + origin
+
+
+def proper_datum(rng: random.Random) -> SphericalDatum:
+    """A datum of rank 2 or 3 whose V is a nonzero cone other than the
+    whole space, with one to three colors."""
+    n = rng.randint(2, 3)
+    while True:
+        v = Cone(n, [random_vec(rng, n, -2, 2) for _ in range(rng.randint(1, n + 1))])
+        if any(not v.contains(tuple(-x for x in g)) for g in v.generators):
+            break
+    names = [f"c{i}" for i in range(rng.randint(1, 3))]
+    return SphericalDatum(n, v, names, {f: random_vec(rng, n, -2, 2) for f in names})
+
+
+def with_redundant(rng: random.Random, cc: ColoredCone) -> ColoredCone:
+    """cc with one more generator, a positive combination of two of its own:
+    the same colored cone under another generator set."""
+    gens = cc.cone.generators
+    if len(gens) < 2:
+        return cc
+    extra = combination(rng, cc.cone.ambient_rank, rng.sample(gens, 2))
+    return ColoredCone(Cone(cc.cone.ambient_rank, gens + (extra,)), cc.palette)
+
+
+def random_top(rng: random.Random, d: SphericalDatum) -> ColoredCone:
+    """A colored cone on rho images of (most of) its palette, points of V
+    and sometimes a random vector, so CC1 goes every way."""
+    n = d.rank
+    palette = [f for f in d.colors if rng.random() < 0.5]
+    gens = [d.rho[f] for f in palette if rng.random() < 0.8]
+    vgens = d.valuation_cone.generators
+    gens += [combination(rng, n, rng.sample(vgens, rng.randint(1, len(vgens))))
+             for _ in range(rng.randint(0, 2))]
+    gens += [random_vec(rng, n, -2, 2) for _ in range(rng.randint(0, 1))]
+    return ColoredCone(Cone(n, gens), palette)
+
+
+def random_members(rng: random.Random, d: SphericalDatum, redundant: bool) -> list:
+    """One or two colored cones and most of their colored faces, shuffled;
+    with ``redundant``, most given with a redundant generator."""
+    tops = [random_top(rng, d) for _ in range(rng.randint(1, 2))]
+    members = tops + [f for cc in tops for f in colored_faces(d, cc) if rng.random() < 0.8]
+    if redundant:
+        members = [with_redundant(rng, cc) if rng.random() < 0.8 else cc for cc in members]
+    rng.shuffle(members)
+    return members
+
+
+def report_form(rep):
+    """A fan report with each missing face as (index, generators, palette)."""
+    return rep._replace(cf1_missing=tuple((i, f.cone.generators, f.palette)
+                                          for i, f in rep.cf1_missing))
+
+
+class TestGeneratorLookupAgainstKeyOnly:
+    """The generator-set lookups and the CC1 containment shortcut must
+    give the key-only path's members, reports and closures."""
+
+    def test_cc1_against_intersection(self):
+        rng = random.Random(151)
+        seen = Counter()
+        for _ in range(300):
+            d = proper_datum(rng)
+            cc = random_top(rng, d)
+            rep = validate_colored_cone(d, cc)
+            assert (rep.cc1, rep.cc1_detail) == intersect_cc1(d, cc)
+            inside = all(d.valuation_cone.contains(g) for g in cc.cone.generators)
+            seen[inside, rep.cc1_detail] += 1
+        # the intersection ran both ways, and the shortcut was taken
+        assert seen[False, ""] > 10
+        assert seen[False, "cone is not generated by rho(palette) and cone ∩ V"] > 10
+        assert sum(v for (_, detail), v in seen.items() if detail.startswith("rho(")) > 10
+        assert seen[True, ""] > 10
+
+    def test_members_in_order(self):
+        rng = random.Random(157)
+        for _ in range(150):
+            d = proper_datum(rng)
+            members = random_members(rng, d, redundant=rng.random() < 0.5)
+            members += rng.sample(members, rng.randint(0, len(members)))
+            got, want = ColoredFan(members).cones, KeyOnlyColoredFan(members).cones
+            assert len(got) == len(want)
+            assert all(x is y for x, y in zip(got, want))
+
+    def test_mixed_ranks_with_one_generator_set(self):
+        for members in ([ColoredCone(Cone(2)), ColoredCone(Cone(3))],
+                        [ColoredCone(Cone(2, [(1, 0)])), ColoredCone(Cone(2)),
+                         ColoredCone(Cone(3))]):
+            for make in (ColoredFan, KeyOnlyColoredFan):
+                with pytest.raises(RankMismatchError):
+                    make(members)
+
+    @pytest.mark.parametrize("redundant", [False, True])
+    def test_validate_reports(self, redundant):
+        rng = random.Random(163 + redundant)
+        cf1 = Counter()
+        key_hits = 0
+        for _ in range(120):
+            d = proper_datum(rng)
+            fan = ColoredFan(random_members(rng, d, redundant))
+            got = validate_colored_fan(d, fan)
+            assert report_form(got) == report_form(key_only_validate_colored_fan(d, fan))
+            cf1[got.cf1] += 1
+            keys = {cc.key for cc in fan}
+            key_hits += sum(face._gens_key not in fan._keys
+                            and face.key in keys
+                            for cc in fan for face in colored_faces(d, cc))
+        assert min(cf1[True], cf1[False]) > 10
+        # with redundant generators, faces miss the map and the key finds them
+        assert (key_hits > 15) if redundant else (key_hits == 0)
+
+    def test_faces_closure_bytes(self):
+        rng = random.Random(167)
+        outcomes = Counter()
+        for _ in range(60):
+            d = proper_datum(rng)
+            tops = [random_top(rng, d) for _ in range(rng.randint(1, 3))]
+            tops = [with_redundant(rng, cc) if rng.random() < 0.5 else cc for cc in tops]
+            got = closure_outcome(faces_closure, d, tops)
+            assert got == closure_outcome(key_only_faces_closure, d, tops)
+            outcomes[isinstance(got, str)] += 1
+        assert min(outcomes.values()) > 5
+
+
+class TestDualWork:
+    """Pinned double descriptions, counted at ``cones._dual_ints``: on the
+    complete uncolored P1^n fan, validation runs one per member key and
+    one for V's facets, read by the CC1 containment scan; ``faces_closure``
+    runs one per member key and one per maximal cone, for its face
+    lattice.  No face, regenerated cone or intersection runs one."""
+
+    @pytest.mark.parametrize("n, validate, closure", [(3, 28, 35), (4, 82, 97)])
+    def test_complete_p1(self, monkeypatch, n, validate, closure):
+        calls = []
+        dual = cones._dual_ints
+
+        def counted(*args):
+            calls.append(args)
+            return dual(*args)
+        monkeypatch.setattr(cones, "_dual_ints", counted)
+        f = bench_inputs.p1_fan(random.Random(1), n, n, 0)
+        fan = ColoredFan(bench_inputs.build_p1_cones(f))
+        assert validate_colored_fan(bench_inputs.build_p1_datum(f), fan).ok
+        assert len(calls) == validate == len(fan) + 1
+        calls.clear()
+        maximal = bench_inputs.build_p1_cones(f, maximal_only=True)
+        fan = faces_closure(bench_inputs.build_p1_datum(f), maximal)
+        assert len(fan) == f.n_cones
+        assert len(calls) == closure == len(fan) + len(maximal)
