@@ -4,19 +4,18 @@ A cone stores its generators as primitive int vectors; the dual (facet)
 description is computed lazily on ints by an incremental double
 description pass and cached, and the canonical key is read off it.
 Point questions (x in C, x in relint C, the face holding x) and the
-dimension are read off it with no LP; only whether relative interiors
-meet inside V is exact LP feasibility on int rows, built by
-``_meet_system`` (see :mod:`sphfan.lp`).  ``Fraction`` appears
+dimension are read off it with no LP.  Only whether relative interiors
+meet inside V needs one: ``_meet_system`` builds it as int rows A and
+an int rhs b with y >= 0 (see :mod:`sphfan.lp`).  ``Fraction`` appears
 only at the boundary: the constructor accepts rationals, and
-``generators``, ``facets``, ``span_equations`` and witnesses are
-Fraction views.
+``generators``, ``facets``, ``span_equations`` and the witnesses of
+``relints_meet_in`` are Fraction views.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from operator import mul, neg
 from typing import Iterable, Optional, Sequence
 
@@ -426,10 +425,9 @@ def _meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
     sum(l_i g_i) = sum(m_j h_j) = sum(n_k k_k), one multiplier per
     generator; the last cone's are >= 0, all others >= 1.  Row k is the
     first cone's k-th coordinates, then minus the other's.  The bounds
-    are shifted out here (x = y + bound): every variable is >= 0 and row
-    k's rhs is bound * (other's k-th sum) - (first's k-th sum), the
-    system ``FeasibilitySystem`` would make of the unshifted one, so the
-    simplex takes the same pivots.
+    are shifted out here (l = y + 1, m = y + 1, n = y), so every variable
+    is >= 0 and row k's rhs is bound * (other's k-th sum) - (first's k-th
+    sum).
     """
     if len({c.ambient_rank for c in cones}) > 1:
         raise DimensionMismatch("relint test: ambient ranks differ")
@@ -443,8 +441,7 @@ def _meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
         rows += [col + before + minus + after
                  for col, minus in zip(first._cols, other._neg_cols)]
         rhs += [bound * s - s0 for s, s0 in zip(other._col_sums, first._col_sums)]
-    return FeasibilitySystem(equalities=tuple(rows), rhs=tuple(rhs),
-                             lower_bounds=(0,) * (len(first._ints) + sum(widths)))
+    return FeasibilitySystem(tuple(rows), tuple(rhs), len(first._ints) + sum(widths))
 
 
 def relints_meet_in(c1: Cone, c2: Optional[Cone], v: Cone) -> Optional[Vec]:
@@ -452,14 +449,13 @@ def relints_meet_in(c1: Cone, c2: Optional[Cone], v: Cone) -> Optional[Vec]:
 
     Feasibility of ``_meet_system``, the only question here that needs
     an LP; the witness is scale-free, so no extra normalization variable
-    is needed.  ``_meet_system`` shifts l and m by 1, which is added back
-    here.
+    is needed.  The simplex's point is int numerators y over one d > 0,
+    and ``_meet_system`` shifted c1's multipliers by 1, so l = (y + d) / d;
+    this is the one place that makes a Fraction of it.
     """
     sol = _meet_system([c1] + ([c2] if c2 is not None else []) + [v]).solve()
     if sol is None:
         return None
-    # l = y + 1 over one common denominator, one Fraction per coordinate
-    ys = sol[:len(c1._ints)]
-    d = lcm(*(y.denominator for y in ys))
-    nums = [y.numerator * (d // y.denominator) + d for y in ys]
+    y, d = sol
+    nums = [x + d for x in y[:len(c1._ints)]]
     return tuple(Fraction(sum(map(mul, nums, col)), d) for col in c1._cols)

@@ -1,14 +1,21 @@
-"""Exact rational linear feasibility.
+"""Exact linear feasibility of A·y = b, y >= 0 over the integers.
+
+A :class:`FeasibilitySystem` is int rows A, an int rhs b and a variable
+count; ``solve`` finds y >= 0 with A·y = b or reports infeasibility.
+That system is the only LP the library builds:
+``sphfan.cones._meet_system`` asks whether relative interiors meet
+inside V, with the bounds of its multipliers shifted into the rhs.  Point
+questions and dimensions of cones are read off their int facet
+descriptions.
 
 The workhorse is a phase-1 simplex with Bland's rule, so termination is
 unconditional and every answer is exact.  It pivots fraction-free
-(Edmonds' integer-preserving elimination, as in Avis's *lrs*): the whole
-system is scaled by one common positive denominator, and the tableau of
-Python ints, cost row included, is always d times the rational tableau,
-where d > 0 is the last pivot (1 before the first).  Signs and ratio
-comparisons are therefore those of the rational tableau, so Bland's rule
-takes the same pivots, and the witness ``Fraction(T[i][-1], d)`` is the
-same rational point.  ``Fraction`` appears only at the boundary.
+(Edmonds' integer-preserving elimination, as in Avis's *lrs*): the
+tableau of Python ints, cost row included, is always d times the
+rational tableau, where d > 0 is the last pivot (1 before the first).
+Signs and ratio comparisons are therefore those of the rational tableau,
+so Bland's rule takes the same pivots, and the witness, int numerators
+over d, is the same rational point.
 
 Before any tableau is built, the "infeasible row" rule of LP presolve
 (Andersen & Andersen, "Presolving in linear programming", Math.
@@ -18,16 +25,7 @@ that row, so the system is infeasible.  The rule only detects: it never
 changes a system that goes on to the simplex, so pivots and witnesses are
 those of the simplex alone.  The meet system of two cones whose relative
 interiors lie on opposite sides of a coordinate hyperplane x_k = 0 (one
-of them possibly inside it) has such a row: row k, whose rhs
-``sphfan.cones._meet_system`` has already shifted by the lower bounds.
-That meet system, whether relative interiors meet inside V, is the only
-LP the library builds; point questions and dimensions of cones are read
-off their int facet descriptions.
-A system whose bounds are all 0 or free goes to the tableau as it is.
-
-A :class:`FeasibilitySystem` holds equalities plus per-variable lower
-bounds (``None`` = free) and either produces a witness point or reports
-infeasibility.
+of them possibly inside it) has such a row: row k.
 
 When oracle cross-checking is enabled (CLI flag ``--oracle``), every
 simplex verdict is replayed through the independent Fourier-Motzkin
@@ -39,17 +37,13 @@ first and bounds row growth by Chernikov's rule.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain
-from math import lcm
-from operator import mul
 from typing import Optional, Sequence
 
 from . import fourier_motzkin
-from .rational import Vec, all_ints
+from .rational import all_ints
 
 _cross_check = False
-_ZERO = Fraction(0)
 
 
 def set_oracle_cross_check(enabled: bool) -> None:
@@ -61,23 +55,10 @@ class OracleDisagreement(RuntimeError):
     """Simplex and Fourier-Motzkin disagreed on a feasibility verdict."""
 
 
-def solve_eq_nonneg(a: Sequence[Sequence[Fraction]],
-                    b: Sequence[Fraction]) -> Optional[list[Fraction]]:
-    """Find y >= 0 with a @ y = b, or None.  Phase-1 simplex, Bland's rule.
-
-    Entries may be ints or Fractions.  With no rows the variable count is
-    unknown and the witness is ``[]``.
-    """
-    sol = _solve_eq_nonneg(a, b, len(a[0]) if a else 0)
-    if sol is None:
-        return None
-    y, d = sol
-    return [Fraction(v, d) for v in y]
-
-
-def _solve_eq_nonneg(a, b, n: int) -> Optional[tuple[list[int], int]]:
-    """``solve_eq_nonneg`` with its witness as int numerators over one
-    common denominator d > 0."""
+def _solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int],
+                     n: int) -> Optional[tuple[list[int], int]]:
+    """y >= 0 with a @ y = b on n int columns, as int numerators over one
+    common denominator d > 0, or None.  Phase-1 simplex, Bland's rule."""
     # Infeasible-row presolve (Andersen & Andersen 1995), detection only:
     # a row whose rhs is nonzero while no coefficient has the rhs's sign has
     # no solution y >= 0, and the unit vector on that row is a Farkas
@@ -86,19 +67,8 @@ def _solve_eq_nonneg(a, b, n: int) -> Optional[tuple[list[int], int]]:
     for row, r in zip(a, b):
         if r > 0 and max(row, default=0) <= 0 or r < 0 and min(row, default=0) >= 0:
             return None
-    if all_ints(chain.from_iterable(a)) and all_ints(b):
-        tab = [list(row) + [r] if r >= 0 else [-x for x in row] + [-r]
-               for row, r in zip(a, b)]
-    else:
-        # One common positive scale for the whole system: scaling rows apart
-        # would reweight the phase-1 objective and could change Bland's pivots.
-        scale = lcm(*(q.denominator for row in a for q in row),
-                    *(q.denominator for q in b))
-        tab = []
-        for row, r in zip(a, b):
-            ints = [q.numerator * (scale // q.denominator) for q in row]
-            ints.append(r.numerator * (scale // r.denominator))
-            tab.append([-x for x in ints] if r < 0 else ints)
+    tab = [list(row) + [r] if r >= 0 else [-x for x in row] + [-r]
+           for row, r in zip(a, b)]
     m = len(tab)
     # The artificial columns are never read, so they are not stored.  The
     # last row is the phase-1 cost row (minimize the sum of artificials);
@@ -150,82 +120,44 @@ def _solve_eq_nonneg(a, b, n: int) -> Optional[tuple[list[int], int]]:
 
 
 class FeasibilitySystem:
-    """Equalities ``A x = b`` with per-variable lower bounds (None = free).
+    """``A y = b`` with ``y >= 0``: int rows ``equalities`` of length
+    ``nvars`` and an int ``rhs``.  Any other entry raises ``TypeError``,
+    so only ints reach the tableau's floor divisions."""
 
-    Entries may be ints or Fractions; witnesses are tuples of Fractions.
-    """
+    __slots__ = ("equalities", "rhs", "nvars")
 
-    __slots__ = ("equalities", "rhs", "lower_bounds")
-
-    def __init__(self, equalities: tuple[Vec, ...], rhs: Vec,
-                 lower_bounds: tuple[Optional[Fraction], ...]):
-        if not {len(lower_bounds)}.issuperset(map(len, equalities)):
+    def __init__(self, equalities: tuple[tuple[int, ...], ...], rhs: tuple[int, ...],
+                 nvars: int):
+        if not all_ints(chain(chain.from_iterable(equalities), rhs, (nvars,))):
+            raise TypeError("FeasibilitySystem entries must be ints")
+        if not {nvars}.issuperset(map(len, equalities)):
             raise ValueError("equality row length does not match variable count")
         if len(rhs) != len(equalities):
             raise ValueError("rhs length does not match equality count")
         object.__setattr__(self, "equalities", equalities)
         object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "lower_bounds", lower_bounds)
+        object.__setattr__(self, "nvars", nvars)
 
     def __setattr__(self, name, value):
         raise AttributeError("FeasibilitySystem is immutable")
 
-    def solve(self) -> Optional[Vec]:
-        """Exact witness x, or None if the system is infeasible."""
-        witness = self._solve_simplex()
+    def solve(self) -> Optional[tuple[list[int], int]]:
+        """``(numerators, d)`` with d > 0 and y = numerators / d a basic
+        solution, or None if the system is infeasible."""
+        sol = _solve_eq_nonneg(self.equalities, self.rhs, self.nvars)
         if _cross_check:
-            fm = fourier_motzkin.feasible(self._as_inequalities(), len(self.lower_bounds))
-            if fm != (witness is not None):
+            fm = fourier_motzkin.feasible(self._as_inequalities(), self.nvars)
+            if fm != (sol is not None):
                 raise OracleDisagreement(
-                    f"simplex says {'feasible' if witness is not None else 'infeasible'}, "
+                    f"simplex says {'feasible' if sol is not None else 'infeasible'}, "
                     f"Fourier-Motzkin says {'feasible' if fm else 'infeasible'}")
-        return witness
-
-    def _solve_simplex(self) -> Optional[Vec]:
-        # substitute x_i = y_i + lb_i (y_i >= 0) for bounded variables,
-        # x_i = y_i - y'_i for free ones; whole lower bounds as ints keep
-        # the shifts in int arithmetic
-        bounds = self.lower_bounds
-        if not all_ints(bounds):
-            bounds = [lb if lb is None or lb.denominator != 1 else lb.numerator
-                      for lb in bounds]
-        if None not in bounds:
-            a = self.equalities
-        else:
-            a = [[x for coeff, lb in zip(row, bounds)
-                  for x in ((coeff,) if lb is not None else (coeff, -coeff))]
-                 for row in self.equalities]
-        if any(bounds):
-            shifts = [lb or 0 for lb in bounds]
-            b = [r - sum(map(mul, row, shifts)) for row, r in zip(self.equalities, self.rhs)]
-        else:
-            # every bound is 0 or free: nothing to shift
-            b = self.rhs
-        sol = _solve_eq_nonneg(a, b, len(bounds) + bounds.count(None))
-        if sol is None:
-            return None
-        y, d = sol
-        # x_i = (y_i + lb_i * d) / d over the common denominator d; most
-        # entries of a basic solution are 0, and share one Fraction
-        x = []
-        col = 0
-        for lb in bounds:
-            if lb is None:
-                v = y[col] - y[col + 1]
-                col += 2
-            else:
-                v = y[col] + lb * d
-                col += 1
-            x.append(Fraction(v, d) if v else _ZERO)
-        return tuple(x)
+        return sol
 
     def _as_inequalities(self):
-        """The same system as a list of (coeffs, rhs) rows meaning c.x >= rhs."""
+        """The same system as a list of (coeffs, rhs) rows meaning c.y >= rhs."""
         ineqs = []
-        nvars = len(self.lower_bounds)
         for row, r in zip(self.equalities, self.rhs):
             ineqs += [(tuple(row), r), (tuple(-c for c in row), -r)]
-        for i, lb in enumerate(self.lower_bounds):
-            if lb is not None:
-                ineqs.append((tuple(1 if j == i else 0 for j in range(nvars)), lb))
+        for i in range(self.nvars):
+            ineqs.append((tuple(1 if j == i else 0 for j in range(self.nvars)), 0))
         return ineqs

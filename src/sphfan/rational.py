@@ -16,7 +16,7 @@ from typing import Iterable, Sequence
 
 Vec = tuple[Fraction, ...]
 
-_RAT_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RAT_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def rat(x: int | str | Fraction) -> Fraction:
@@ -33,10 +33,12 @@ def rat(x: int | str | Fraction) -> Fraction:
 def parse_rat(s: str) -> Fraction:
     """Parse 'p/q' or a decimal integer string, exactly.
 
-    Denominators must be positive digit strings; anything else (floats,
-    whitespace, empty strings) is rejected.
+    Both parts are ASCII digit strings (0-9), the numerator optionally
+    signed and the denominator positive; anything else (floats,
+    whitespace, a trailing newline included, non-ASCII digits, empty
+    strings) is rejected.
     """
-    if not _RAT_RE.match(s):
+    if not _RAT_RE.fullmatch(s):
         raise ValueError(f"not a rational literal: {s!r}")
     if "/" in s:
         num, den = s.split("/")

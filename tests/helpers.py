@@ -10,14 +10,13 @@ from collections import deque
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from sphfan.cones import (Cone, DimensionMismatch, cones_equal,
                           dual_description, relint_meets_cone)
 from sphfan.docio import serialize_fan
 from sphfan.fourier_motzkin import Ineq, feasible
 from sphfan.galois import ActionReport, GaloisAction, apply_element
-from sphfan.lp import FeasibilitySystem
 from sphfan.morphisms import FanMorphism
 from sphfan.rational import Mat, Vec, integer_rows, is_zero_vec, primitive_ints, rat
 from sphfan.spherical import (ColoredCone, ColoredConeReport, ColoredFan,
@@ -139,8 +138,28 @@ def reference_solve_eq_nonneg(a, b):
     return y
 
 
-def reference_solve(system: FeasibilitySystem):
-    """``FeasibilitySystem.solve`` as it was on the Fraction simplex."""
+class ReferenceSystem(NamedTuple):
+    """``A x = b`` with per-variable lower bounds (None = free): the general
+    system the references solve on the Fraction simplex, independent of
+    ``sphfan.lp``, whose systems are ``A y = b`` with ``y >= 0`` only."""
+    equalities: tuple
+    rhs: tuple
+    lower_bounds: tuple
+
+    @classmethod
+    def of(cls, system) -> "ReferenceSystem":
+        """A ``ReferenceSystem`` as it is; a ``FeasibilitySystem`` with
+        every lower bound 0."""
+        if isinstance(system, cls):
+            return system
+        return cls(system.equalities, system.rhs, (0,) * system.nvars)
+
+
+def reference_shift(system):
+    """The y >= 0 system the Fraction simplex solves for ``system``: x = y + lb
+    for bounded variables and x = y - y' for free ones.  Returns the rows,
+    the rhs and, per variable, its column and the column of y' (or None)."""
+    system = ReferenceSystem.of(system)
     ncols = 0
     col_spec = []
     for lb in system.lower_bounds:
@@ -163,13 +182,27 @@ def reference_solve(system: FeasibilitySystem):
                 shift += coeff * lb
         a.append(arow)
         b.append(r - shift)
+    return a, b, col_spec
+
+
+def reference_solve(system):
+    """Witness x of a ``ReferenceSystem`` (or a ``FeasibilitySystem``) on
+    the Fraction simplex, or None."""
+    system = ReferenceSystem.of(system)
+    a, b, col_spec = reference_shift(system)
     y = reference_solve_eq_nonneg(a, b)
     if y is None:
         return None
-    x = []
-    for lb, (pos, neg) in zip(system.lower_bounds, col_spec):
-        x.append(y[pos] + lb if neg is None else y[pos] - y[neg])
-    return tuple(x)
+    return tuple(y[pos] + lb if neg is None else y[pos] - y[neg]
+                 for lb, (pos, neg) in zip(system.lower_bounds, col_spec))
+
+
+def as_fractions(sol):
+    """``FeasibilitySystem.solve``'s ``(numerators, d)`` as a Fraction tuple."""
+    if sol is None:
+        return None
+    y, d = sol
+    return tuple(Fraction(v, d) for v in y)
 
 
 def one_sign_row(a, b) -> bool:
@@ -179,18 +212,20 @@ def one_sign_row(a, b) -> bool:
                for row, r in zip(a, b))
 
 
-def shifted_rhs(system: FeasibilitySystem) -> tuple:
+def shifted_rhs(system) -> tuple:
     """The rhs once the lower bounds are shifted out (x = y + lb); free
     variables shift nothing."""
+    system = ReferenceSystem.of(system)
     return tuple(r - sum(c * lb for c, lb in zip(row, system.lower_bounds)
                          if c and lb is not None)
                  for row, r in zip(system.equalities, system.rhs))
 
 
-def presolve_certifies(system: FeasibilitySystem) -> bool:
+def presolve_certifies(system) -> bool:
     """``one_sign_row`` after the lower bounds are shifted out.  A free
     variable is split into two columns of opposite sign, so a row with a
     nonzero coefficient on one is never one-signed."""
+    system = ReferenceSystem.of(system)
     for row, shifted in zip(system.equalities, shifted_rhs(system)):
         if any(c and lb is None for c, lb in zip(row, system.lower_bounds)):
             continue
@@ -200,7 +235,7 @@ def presolve_certifies(system: FeasibilitySystem) -> bool:
 
 
 def reference_meet_system(blocks: Sequence[Sequence[tuple[int, ...]]], n: int,
-                          last_bound: int) -> FeasibilitySystem:
+                          last_bound: int) -> ReferenceSystem:
     """``cones._meet_system`` as it was, on lists of int vectors: rhs 0 and
     the bounds left for the simplex to shift, the last block's variables
     >= last_bound and all others >= 1."""
@@ -213,8 +248,7 @@ def reference_meet_system(blocks: Sequence[Sequence[tuple[int, ...]]], n: int,
             rows.append(cols[0][k] + before + tuple(-x for x in cols[other][k]) + after)
     nvars = sum(len(b) for b in blocks)
     bounds = [1] * (nvars - len(blocks[-1])) + [last_bound] * len(blocks[-1])
-    return FeasibilitySystem(equalities=tuple(rows), rhs=(0,) * len(rows),
-                             lower_bounds=tuple(bounds))
+    return ReferenceSystem(tuple(rows), (0,) * len(rows), tuple(bounds))
 
 
 def _reference_normalize(coeffs: Sequence[Fraction], rhs: Fraction) -> Ineq:
@@ -413,17 +447,15 @@ class ReferenceCone:
         rows = []
         for k in range(self.ambient_rank):
             rows.append(tuple([g[k].numerator for g in gens] + [-rat(x[k])]))
-        system = FeasibilitySystem(
-            equalities=tuple(rows),
-            rhs=(0,) * self.ambient_rank,
-            lower_bounds=tuple([Fraction(1)] * len(gens) + [Fraction(1)]),
-        )
-        return system.solve() is not None
+        system = ReferenceSystem(tuple(rows), (0,) * self.ambient_rank,
+                                 (Fraction(1),) * (len(gens) + 1))
+        return reference_solve(system) is not None
 
 
 def reference_relints_meet_in(c1, c2, v):
-    """``relints_meet_in`` as it was, with Fraction bounds and a witness
-    summed in Fraction arithmetic; takes ``ReferenceCone`` or ``Cone``."""
+    """``relints_meet_in`` as it was, with Fraction bounds, solved on the
+    Fraction simplex, and a witness summed in Fraction arithmetic; takes
+    ``ReferenceCone`` or ``Cone``."""
     cones = [c1] + ([c2] if c2 is not None else []) + [v]
     n = c1.ambient_rank
     blocks = [c.generators for c in cones]
@@ -449,12 +481,7 @@ def reference_relints_meet_in(c1, c2, v):
             for j, h in enumerate(blocks[other]):
                 row[offsets[other] + j] = -h[k].numerator
             rows.append(tuple(row))
-    system = FeasibilitySystem(
-        equalities=tuple(rows),
-        rhs=(0,) * len(rows),
-        lower_bounds=tuple(bounds),
-    )
-    sol = system.solve()
+    sol = reference_solve(ReferenceSystem(tuple(rows), (0,) * len(rows), tuple(bounds)))
     if sol is None:
         return None
     witness = zero_vec(n)

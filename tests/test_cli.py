@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sphfan
-from sphfan import fourier_motzkin, lp
+from sphfan import docio, fourier_motzkin, lp
 from sphfan.cli import main
 
 from helpers import load_perfbench, presolve_certifies, reference_feasible
@@ -117,6 +117,17 @@ class TestValidate:
         code, _ = run(capsys, "validate", files("d.json", DATUM),
                       files("f.json", "{bad"))
         assert code == 2
+
+    def test_entry_with_a_trailing_newline_exits_2(self, files, capsys):
+        doc = json.loads(DATUM)
+        doc["payload"]["valuation_cone"]["generators"][0] = ["1\n"]
+        text = json.dumps(doc)
+        with pytest.raises(docio.ParseError, match=r"not a rational literal: '1\\n'"):
+            docio.parse_datum(text)
+        code = main(["validate", files("d.json", text), files("f.json", P1_FAN)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("sphfan: error: not a rational literal")
 
     def test_missing_file_exits_2(self, files, capsys):
         code, _ = run(capsys, "validate", files("d.json", DATUM),

@@ -1,6 +1,8 @@
 import ast
 import random
 from fractions import Fraction
+from itertools import chain
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -8,103 +10,132 @@ import pytest
 from sphfan import lp
 from sphfan.cones import Cone, _meet_system, relints_meet_in
 from sphfan.fourier_motzkin import feasible
-from sphfan.lp import FeasibilitySystem, solve_eq_nonneg
+from sphfan.lp import FeasibilitySystem
 
-from helpers import (one_sign_row, presolve_certifies, reference_feasible,
-                     reference_meet_system, reference_relints_meet_in, reference_solve,
-                     reference_solve_eq_nonneg, shifted_rhs)
+from helpers import (as_fractions, one_sign_row, presolve_certifies, reference_feasible,
+                     reference_meet_system, reference_relints_meet_in, reference_shift,
+                     reference_solve, reference_solve_eq_nonneg, shifted_rhs)
 
 
 def F(x):
     return Fraction(x)
 
 
+def int_system(a, b):
+    """Rational rows and rhs as one ``FeasibilitySystem``, scaled by ONE
+    common denominator: scaling rows apart would reweight the phase-1 cost
+    row and could change Bland's pivots.  The solutions are unchanged."""
+    scale = lcm(*(Fraction(x).denominator for x in chain(chain.from_iterable(a), b)))
+    rows = tuple(tuple(int(x * scale) for x in row) for row in a)
+    return FeasibilitySystem(rows, tuple(int(r * scale) for r in b),
+                             len(a[0]) if a else 0)
+
+
+def solve_fractions(a, b):
+    """The witness of ``int_system(a, b)`` as Fractions, or None."""
+    return as_fractions(int_system(a, b).solve())
+
+
 class TestSimplexCore:
     def test_trivial_feasible(self):
-        y = solve_eq_nonneg([[F(1), F(1)]], [F(2)])
+        y = solve_fractions([[1, 1]], [2])
         assert y is not None
         assert y[0] + y[1] == 2 and y[0] >= 0 and y[1] >= 0
 
     def test_infeasible_negative_sum(self):
-        assert solve_eq_nonneg([[F(1), F(1)]], [F(-1)]) is None
+        assert solve_fractions([[1, 1]], [-1]) is None
 
     def test_degenerate_system(self):
-        a = [[F(1), F(0)], [F(1), F(0)]]
-        y = solve_eq_nonneg(a, [F(1), F(1)])
+        a = [[1, 0], [1, 0]]
+        y = solve_fractions(a, [1, 1])
         assert y is not None and y[0] == 1
 
     def test_inconsistent_equalities(self):
-        a = [[F(1), F(0)], [F(1), F(0)]]
-        assert solve_eq_nonneg(a, [F(1), F(2)]) is None
+        a = [[1, 0], [1, 0]]
+        assert solve_fractions(a, [1, 2]) is None
 
 
 class TestFeasibilitySystem:
-    def test_free_variables(self):
-        # x + y = 1, x >= 3 forces y <= -2, y free
-        sys_ = FeasibilitySystem(
-            equalities=((F(1), F(1)),), rhs=(F(1),),
-            lower_bounds=(F(3), None))
-        x = sys_.solve()
-        assert x is not None
-        assert x[0] >= 3 and x[0] + x[1] == 1
-
-    def test_bounded_infeasible(self):
-        # x + y = 1 with both >= 1
-        sys_ = FeasibilitySystem(
-            equalities=((F(1), F(1)),), rhs=(F(1),),
-            lower_bounds=(F(1), F(1)))
-        assert sys_.solve() is None
-
     def test_random_agreement_with_fm(self):
         rng = random.Random(23)
         for _ in range(60):
             nvars = rng.randint(1, 4)
             neq = rng.randint(1, 3)
-            eqs = tuple(tuple(F(rng.randint(-3, 3)) for _ in range(nvars))
+            eqs = tuple(tuple(rng.randint(-3, 3) for _ in range(nvars))
                         for _ in range(neq))
-            rhs = tuple(F(rng.randint(-3, 3)) for _ in range(neq))
-            bounds = tuple(rng.choice([None, F(0), F(1), F(-2)])
-                           for _ in range(nvars))
-            sys_ = FeasibilitySystem(eqs, rhs, bounds)
-            witness = sys_.solve()
+            rhs = tuple(rng.randint(-3, 3) for _ in range(neq))
+            sys_ = FeasibilitySystem(eqs, rhs, nvars)
+            witness = as_fractions(sys_.solve())
             assert feasible(sys_._as_inequalities(), nvars) == (witness is not None)
             if witness is not None:
                 for row, b in zip(eqs, rhs):
                     assert sum(c * x for c, x in zip(row, witness)) == b
-                for x, lb in zip(witness, bounds):
-                    assert lb is None or x >= lb
+                assert min(witness) >= 0
 
+    def test_solutions_are_int_pairs(self):
+        # a planted y >= 0 makes every system feasible; the solution is
+        # (list[int], d) with d > 0 and A·y = d·b on ints
+        rng = random.Random(2302)
+        for _ in range(200):
+            nvars = rng.randint(1, 6)
+            eqs = tuple(tuple(rng.randint(-4, 4) for _ in range(nvars))
+                        for _ in range(rng.randint(0, 4)))
+            point = [rng.randint(0, 3) for _ in range(nvars)]
+            rhs = tuple(sum(c * x for c, x in zip(row, point)) for row in eqs)
+            sol = FeasibilitySystem(eqs, rhs, nvars).solve()
+            assert sol is not None
+            y, d = sol
+            assert type(y) is list and len(y) == nvars and {int} >= set(map(type, y))
+            assert type(d) is int and d > 0 and min(y) >= 0
+            for row, b in zip(eqs, rhs):
+                assert sum(c * v for c, v in zip(row, y)) == d * b
 
     def test_no_equalities_gives_the_lower_bounds(self):
-        sys_ = FeasibilitySystem((), (), (F(1), None, Fraction(-2, 3)))
-        assert sys_.solve() == (F(1), F(0), Fraction(-2, 3))
+        # every lower bound is 0
+        assert FeasibilitySystem((), (), 3).solve() == ([0, 0, 0], 1)
+        assert FeasibilitySystem((), (), 0).solve() == ([], 1)
 
     def test_positional_and_keyword_construction(self):
-        eqs, rhs, bounds = ((1, 2), (0, 1)), (3, 1), (None, F(0))
-        by_position = FeasibilitySystem(eqs, rhs, bounds)
-        by_keyword = FeasibilitySystem(lower_bounds=bounds, rhs=rhs, equalities=eqs)
+        eqs, rhs = ((1, 2), (0, 1)), (3, 1)
+        by_position = FeasibilitySystem(eqs, rhs, 2)
+        by_keyword = FeasibilitySystem(nvars=2, rhs=rhs, equalities=eqs)
         for sys_ in (by_position, by_keyword):
-            assert (sys_.equalities, sys_.rhs, sys_.lower_bounds) == (eqs, rhs, bounds)
-            assert sys_.solve() == (F(1), F(1))
+            assert (sys_.equalities, sys_.rhs, sys_.nvars) == (eqs, rhs, 2)
+            assert sys_.solve() == ([1, 1], 1)
+
+    @pytest.mark.parametrize("eqs, rhs, nvars", [
+        (((F(1), 2),), (0,), 2),
+        (((1, 2),), (Fraction(1, 2),), 2),
+        (((1, 2),), (F(3),), 2),
+        (((True, 2),), (0,), 2),
+        (((1, 2),), (False,), 2),
+        (((1, 2),), (0,), True),
+        (((1, 2.0),), (0,), 2),
+    ])
+    def test_rejects_non_int_entries(self, eqs, rhs, nvars):
+        # a Fraction, even a whole one, or a bool would reach the tableau's
+        # floor divisions
+        with pytest.raises(TypeError, match="must be ints"):
+            FeasibilitySystem(eqs, rhs, nvars)
 
     def test_row_length_must_match_the_variable_count(self):
         with pytest.raises(ValueError, match="row length"):
-            FeasibilitySystem(((1, 2), (1,)), (0, 0), (None, None))
+            FeasibilitySystem(((1, 2), (1,)), (0, 0), 2)
         with pytest.raises(ValueError, match="row length"):
-            FeasibilitySystem(((1, 2, 3),), (0,), (None, None))
+            FeasibilitySystem(((1, 2, 3),), (0,), 2)
 
     def test_rhs_length_must_match_the_equality_count(self):
         with pytest.raises(ValueError, match="rhs length"):
-            FeasibilitySystem(((1, 2),), (0, 1), (None, None))
+            FeasibilitySystem(((1, 2),), (0, 1), 2)
         with pytest.raises(ValueError, match="rhs length"):
-            FeasibilitySystem((), (0,), (None,))
+            FeasibilitySystem((), (0,), 1)
 
     def test_immutable(self):
-        sys_ = FeasibilitySystem(((1,),), (1,), (None,))
-        for name in ("equalities", "rhs", "lower_bounds", "other"):
+        sys_ = FeasibilitySystem(((1,),), (1,), 1)
+        for name in ("equalities", "rhs", "nvars", "other"):
             with pytest.raises(AttributeError):
                 setattr(sys_, name, ())
-        assert (sys_.equalities, sys_.rhs, sys_.lower_bounds) == (((1,),), (1,), (None,))
+        assert (sys_.equalities, sys_.rhs, sys_.nvars) == (((1,),), (1,), 1)
 
 
 def _random_system(rng):
@@ -120,9 +151,7 @@ def _random_system(rng):
         k = Fraction(rng.randint(1, 3), rng.randint(1, 2))
         a.append([k * x for x in a[i]])
         b.append(k * b[i] + rng.choice([0, 0, 0, 1]))
-    bounds = tuple(rng.choice([None, F(0), F(1), F(-2), Fraction(1, 3),
-                               Fraction(-5, 2)]) for _ in range(nvars))
-    return a, b, bounds
+    return a, b
 
 
 class TestAgainstFractionSimplex:
@@ -133,15 +162,11 @@ class TestAgainstFractionSimplex:
         rng = random.Random(1967)
         verdicts = set()
         for _ in range(400):
-            a, b, bounds = _random_system(rng)
-            y = solve_eq_nonneg(a, b)
-            assert y == reference_solve_eq_nonneg(a, b)
-            sys_ = FeasibilitySystem(tuple(map(tuple, a)), tuple(b), bounds)
-            x = sys_.solve()
-            assert x == reference_solve(sys_)
-            for w in (y, x):
-                assert w is None or all(type(v) is Fraction for v in w)
-            verdicts.add(x is None)
+            a, b = _random_system(rng)
+            y = solve_fractions(a, b)
+            want = reference_solve_eq_nonneg(a, b)
+            assert y == (None if want is None else tuple(want))
+            verdicts.add(y is None)
         assert verdicts == {True, False}
 
     def test_reference_on_int_rows(self):
@@ -150,55 +175,20 @@ class TestAgainstFractionSimplex:
         a = [[2, 1, -2, 0, 1], [-1, 1, 2, 1, 1], [-1, 1, 1, 1, -1], [2, -1, -2, 2, -2]]
         b = [1, 2, 0, -2]
         want = tuple(Fraction(x, 11) for x in (7, 6, 8, 0, 7))
-        assert tuple(solve_eq_nonneg(a, b)) == want
+        assert solve_fractions(a, b) == want
         y = reference_solve_eq_nonneg(a, b)
         assert tuple(y) == want and all(type(v) is Fraction for v in y)
 
-    def test_int_and_fraction_encodings(self):
-        # the all-int path skips the common-denominator scaling; the same
-        # system written with Fractions must give the same witness
-        rng = random.Random(2000)
-        verdicts = {True: 0, False: 0}
-        for _ in range(400):
-            nvars = rng.randint(1, 6)
-            a = [[rng.randint(-3, 3) for _ in range(nvars)] for _ in range(rng.randint(1, 4))]
-            b = [rng.randint(-3, 3) if rng.random() < 0.5 else 0 for _ in a]
-            bounds = tuple(rng.choice([None, 0, 1, 1, -2]) for _ in range(nvars))
-            y = solve_eq_nonneg(a, b)
-            assert y == solve_eq_nonneg([[F(x) for x in r] for r in a], [F(r) for r in b])
-            ints = FeasibilitySystem(tuple(map(tuple, a)), tuple(b), bounds)
-            fracs = FeasibilitySystem(tuple(tuple(F(x) for x in r) for r in a),
-                                      tuple(F(r) for r in b),
-                                      tuple(lb if lb is None else F(lb) for lb in bounds))
-            x = ints.solve()
-            assert x == fracs.solve() == reference_solve(fracs)
-            for w in (y, x):
-                assert w is None or all(type(v) is Fraction for v in w)
-            verdicts[x is not None] += 1
-        assert min(verdicts.values()) > 100
 
-
-def _plant_row(rng, a, b, bounds, kind):
-    """Insert a row that no solution meets once the lower bounds are shifted
-    out: a nonzero rhs and coefficients of the other sign or zero
-    ("one-sign"), or all zero ("zero").  "free" makes one variable free and
-    puts a nonzero coefficient on it, which the presolve must let through.
-    Returns the bounds."""
+def _plant_row(rng, a, b, kind):
+    """Insert a row that no y >= 0 meets: a nonzero rhs and coefficients of
+    the other sign or zero ("one-sign"), or all zero ("zero")."""
     s = rng.choice([1, -1])
-    bounds = list(bounds)
-    if kind == "free":
-        k = rng.randrange(len(bounds))
-        bounds[k] = None
-    # zero on the other free variables, which would give the row both signs
-    row = [F(0) if kind == "zero" or lb is None
-           else -s * Fraction(rng.randint(0, 4), rng.choice([1, 1, 2, 3])) for lb in bounds]
-    if kind == "free":
-        row[k] = F(rng.choice([1, -1]) * rng.randint(1, 3))
-    shift = sum((c * lb for c, lb in zip(row, bounds) if lb is not None), F(0))
+    row = [F(0) if kind == "zero"
+           else -s * Fraction(rng.randint(0, 4), rng.choice([1, 1, 2, 3])) for _ in a[0]]
     at = rng.randint(0, len(a))
     a.insert(at, row)
-    b.insert(at, shift + s * Fraction(rng.randint(1, 5), rng.choice([1, 1, 2])))
-    return tuple(bounds)
+    b.insert(at, s * Fraction(rng.randint(1, 5), rng.choice([1, 1, 2])))
 
 
 class TestInfeasibleRowPresolve:
@@ -208,24 +198,17 @@ class TestInfeasibleRowPresolve:
 
     def test_planted_rows_against_the_fraction_simplex(self):
         rng = random.Random(1995)
-        seen = {"one-sign": 0, "zero": 0, "free": 0, "free-feasible": 0}
-        for _ in range(600):
-            a, b, bounds = _random_system(rng)
-            kind = rng.choice(["one-sign", "zero", "free"])
-            bounds = _plant_row(rng, a, b, bounds, kind)
-            # the bare y >= 0 form, bounds ignored
-            y = solve_eq_nonneg(a, b)
-            assert y == reference_solve_eq_nonneg(a, b)
-            assert y is None or not one_sign_row(a, b)
-            system = FeasibilitySystem(tuple(map(tuple, a)), tuple(b), bounds)
-            x = system.solve()
-            assert x == reference_solve(system)
-            if kind == "free":
-                seen["free-feasible"] += x is not None
-            else:
-                assert presolve_certifies(system) and x is None
+        seen = {"one-sign": 0, "zero": 0}
+        for _ in range(400):
+            a, b = _random_system(rng)
+            kind = rng.choice(["one-sign", "zero"])
+            _plant_row(rng, a, b, kind)
+            system = int_system(a, b)
+            assert one_sign_row(a, b) and presolve_certifies(system)
+            assert system.solve() is None
+            assert reference_solve_eq_nonneg(a, b) is None
             seen[kind] += 1
-        assert min(seen.values()) > 20, seen
+        assert min(seen.values()) > 100, seen
 
     def test_int_systems_certified_or_not(self):
         rng = random.Random(71)
@@ -234,29 +217,23 @@ class TestInfeasibleRowPresolve:
             nvars = rng.randint(1, 5)
             a = [[rng.randint(-2, 2) for _ in range(nvars)] for _ in range(rng.randint(1, 4))]
             b = [rng.randint(-3, 3) for _ in a]
-            bounds = tuple(rng.choice([None, 0, 0, 1, -1]) for _ in range(nvars))
-            y = solve_eq_nonneg(a, b)
-            # the reference needs Fractions: its ratio test divides
-            assert y == reference_solve_eq_nonneg([[F(x) for x in r] for r in a], [F(r) for r in b])
-            system = FeasibilitySystem(tuple(map(tuple, a)), tuple(b), bounds)
-            x = system.solve()
-            assert x == reference_solve(system)
+            system = FeasibilitySystem(tuple(map(tuple, a)), tuple(b), nvars)
+            y = as_fractions(system.solve())
+            assert y == reference_solve(system)
             if presolve_certifies(system):
-                assert x is None
+                assert y is None
                 verdicts["certified"] += 1
             else:
-                verdicts["feasible" if x is not None else "infeasible by the simplex"] += 1
+                verdicts["feasible" if y is not None else "infeasible by the simplex"] += 1
         assert min(verdicts.values()) > 50, verdicts
 
     def test_zero_rows(self):
         for n in (0, 1, 3):
-            zero = [0] * n
-            for r in (1, -1, Fraction(-1, 2)):
-                assert solve_eq_nonneg([zero], [r]) is None
+            zero = (0,) * n
+            for r in (1, -1):
+                assert FeasibilitySystem((zero,), (r,), n).solve() is None
                 assert reference_solve_eq_nonneg([zero], [r]) is None
-            assert solve_eq_nonneg([zero], [0]) == [F(0)] * n
-        system = FeasibilitySystem(((0, 0),), (F(2),), (None, F(1)))
-        assert presolve_certifies(system) and system.solve() is None
+            assert FeasibilitySystem((zero,), (0,), n).solve() == ([0] * n, 1)
 
     def test_meet_systems_of_cone_triples(self, monkeypatch):
         # c1 and c2 on opposite sides of x_k = 0 (c2 possibly inside it):
@@ -293,25 +270,26 @@ class TestInfeasibleRowPresolve:
             if not c1._ints or not c2._ints:
                 continue
             system = _meet_system([c1, c2, v])
-            x = system.solve()
+            x = as_fractions(system.solve())
             assert x == reference_solve(system)
             assert (relints_meet_in(c1, c2, v) is None) == (x is None)
-            # the shifted system is the one the simplex got from the unshifted
-            # one, so the pivots are the same; and so is the witness
+            # the shifted system is the one the Fraction simplex makes of the
+            # unshifted reference, so the int simplex gets the same tableau,
+            # takes the same pivots and returns the same witness
             for triple in ([c1, c2, v], [c1, v], [c2, v]):
                 new = _meet_system(triple)
                 old = reference_meet_system([c._ints for c in triple], n, 0)
                 assert new.equalities == old.equalities
                 assert new.rhs == shifted_rhs(old)
-                assert set(new.lower_bounds) <= {0}
+                assert new.nvars == len(old.lower_bounds)
+                a, b, _ = reference_shift(old)
                 tableaux.clear()
                 y = new.solve()
-                want = old.solve()
-                assert tableaux[0] == tableaux[1]
-                assert want == reference_solve(old)
+                assert tableaux == [(list(map(tuple, a)), b, new.nvars)]
+                want = reference_solve(old)
                 assert (y is None) == (want is None)
                 if y is not None:
-                    assert tuple(a + lb for a, lb in zip(y, old.lower_bounds)) == want
+                    assert tuple(x + lb for x, lb in zip(as_fractions(y), old.lower_bounds)) == want
             assert relints_meet_in(c1, c2, v) == reference_relints_meet_in(c1, c2, v)
             assert relints_meet_in(c1, None, v) == reference_relints_meet_in(c1, None, v)
             if separated:
@@ -329,11 +307,15 @@ def test_solve_is_the_only_lp_entry_point():
     # cones._meet_system is the one place outside lp that builds a system
     paths = sorted(Path(lp.__file__).parent.glob("*.py"))
     assert {"cones.py", "spherical.py"} <= {p.name for p in paths}
+    internal = {node.name for node in ast.walk(ast.parse(Path(lp.__file__).read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+                and not node.name.startswith("__")}
+    assert internal == {"_solve_eq_nonneg", "_as_inequalities"}
     builders = []
     for path in paths:
         if path.name != "lp.py":
             text = path.read_text()
-            assert "_solve_eq_nonneg" not in text and "_solve_simplex" not in text, path.name
+            assert not any(name in text for name in internal), path.name
             builders += [(path.name, where) for where in _constructions(ast.parse(text))]
     assert builders == [("cones.py", "_meet_system")]
 
@@ -351,15 +333,21 @@ def _constructions(tree, where=None):
 
 
 class TestCrossCheck:
-    def test_hook_replays_through_fm(self):
-        sys_ = FeasibilitySystem(
-            equalities=((F(1), F(-1)),), rhs=(F(0),),
-            lower_bounds=(F(1), F(1)))
+    def test_hook_replays_through_fm(self, monkeypatch):
+        replays = []
+        fm = lp.fourier_motzkin.feasible
+
+        def count(ineqs, nvars):
+            replays.append((ineqs, nvars))
+            return fm(ineqs, nvars)
+        monkeypatch.setattr(lp.fourier_motzkin, "feasible", count)
+        sys_ = FeasibilitySystem(((1, -1),), (0,), 2)
         lp.set_oracle_cross_check(True)
         try:
-            assert sys_.solve() is not None
+            assert sys_.solve() == ([0, 0], 1)
         finally:
             lp.set_oracle_cross_check(False)
+        assert replays == [([((1, -1), 0), ((-1, 1), 0), ((1, 0), 0), ((0, 1), 0)], 2)]
 
 
 class TestFourierMotzkin:
@@ -445,16 +433,16 @@ class TestFourierMotzkinAgainstReference:
     def test_larger_systems_against_the_simplex(self):
         # past the size at which the Fraction eliminator's rows explode
         # (some systems of 8 rows in 5 variables take it seconds), so the
-        # simplex gives the verdict: c . x - s = r with x free and s >= 0
+        # simplex gives the verdict: c . (x+ - x-) - s = r with x+, x- and
+        # s >= 0, each free x written as the two columns x+ - x-
         rng = random.Random(1993)
         seen = {True: 0, False: 0}
         for _ in range(1500):
             rows, nvars, _ = random_fm_system(rng, max_rows=14, max_vars=7)
             m = len(rows)
-            eqs = tuple(tuple(c) + tuple(-1 if j == i else 0 for j in range(m))
-                        for i, (c, _) in enumerate(rows))
-            system = FeasibilitySystem(eqs, tuple(F(r) for _, r in rows),
-                                       (None,) * nvars + (F(0),) * m)
+            eqs = [[x for v in c for x in (v, -v)] + [-1 if j == i else 0 for j in range(m)]
+                   for i, (c, _) in enumerate(rows)]
+            system = int_system(eqs, [r for _, r in rows])
             got = feasible(rows, nvars)
             assert got == (system.solve() is not None), (rows, nvars)
             seen[got] += 1

@@ -19,7 +19,8 @@ class TestParseFormat:
         assert parse_rat("-3/7") == Fraction(-3, 7)
         assert parse_rat("4/2") == Fraction(2)
 
-    @pytest.mark.parametrize("bad", ["", "1.5", "1/0", "1/-2", "a", "1 /2", "+/3"])
+    @pytest.mark.parametrize("bad", ["", "1.5", "1/0", "1/-2", "a", "1 /2", "+/3",
+                                     "3\n", "1/2\n", "\u0663", "1/\u0662"])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
             parse_rat(bad)
