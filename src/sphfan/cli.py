@@ -96,17 +96,35 @@ def _emit(report: dict, ok: bool) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+def _dropped_checks(d, members, closed: ColoredFan) -> list[dict]:
+    """The failing CC1 and CC2 checks, as ``input[i]``, of each input
+    member i that the closure dropped: one whose relative interior misses
+    V or whose palette holds a color outside it has no equal in the
+    closure, and every other member has."""
+    keys = {cc.key for cc in closed}
+    checks = []
+    for i, cc in enumerate(members):
+        if cc.key not in keys:
+            r = spherical.validate_colored_cone(d, cc)
+            checks += [_check(axiom, f"input[{i}]", False)
+                       for axiom, ok in (("CC1", r.cc1), ("CC2", r.cc2)) if not ok]
+    return checks
+
+
 def cmd_validate(args) -> int:
     d = _load_datum(args.datum)
     fan = docio.parse_fan(_read(args.fan), d)
+    dropped = []
     if args.autocomplete:
+        members = fan.cones
         try:
-            fan = spherical.faces_closure(d, list(fan.cones))
+            fan = spherical.faces_closure(d, list(members))
         except FanAxiomError as e:
             report = {"checks": [_check("CF2", "autocomplete", False, e.witness)]}
             return _emit(report, False)
+        dropped = _dropped_checks(d, members, fan)
     checks, ok = _fan_checks(d, fan, args.strict)
-    return _emit({"checks": checks}, ok)
+    return _emit({"checks": dropped + checks}, ok and not dropped)
 
 
 def cmd_faces(args) -> int:

@@ -5,8 +5,10 @@ description is computed lazily on ints by an incremental double
 description pass and cached, and the canonical key is read off it.
 Point questions (x in C, x in relint C, the face holding x) and the
 dimension are read off it with no LP.  Only whether relative interiors
-meet inside V needs one: ``_meet_system`` builds it as int rows A and
-an int rhs b with y >= 0 (see :mod:`sphfan.lp`).  ``Fraction`` appears
+meet inside V needs one: ``_meet_system`` makes it, int rows A and an
+int rhs b with y >= 0 (see :mod:`sphfan.lp`), built only when read.  It
+settles the infeasible-row presolve from two sign masks cached per
+cone, so an LP the presolve ends builds no row.  ``Fraction`` appears
 only at the boundary: the constructor accepts rationals, and
 ``generators``, ``facets``, ``span_equations`` and the witnesses of
 ``relints_meet_in`` are Fraction views.
@@ -15,7 +17,8 @@ only at the boundary: the constructor accepts rationals, and
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
+from itertools import chain
 from operator import mul, neg
 from typing import Iterable, Optional, Sequence
 
@@ -343,8 +346,25 @@ class Cone:
 
     @cached_property
     def _cols(self) -> tuple[tuple[int, ...], ...]:
-        """The generators by axis, for every meet system the cone is in."""
+        """The generators by axis, for every meet system the cone is in.
+        Their entries are checked here, once per cone, so only ints reach
+        the simplex's floor divisions."""
+        if not all_ints(chain.from_iterable(self._ints)):
+            raise TypeError("cone generators must be ints")
         return tuple(zip(*self._ints)) if self._ints else ((),) * self.ambient_rank
+
+    @cached_property
+    def _signs(self) -> tuple[int, int]:
+        """Two masks over the axes: bit k of the first is set when some
+        generator is > 0 on axis k, of the second when some is < 0."""
+        pos = neg = 0
+        for k, col in enumerate(self._cols):
+            if col:
+                if max(col) > 0:
+                    pos |= 1 << k
+                if min(col) < 0:
+                    neg |= 1 << k
+        return pos, neg
 
     @cached_property
     def _col_sums(self) -> tuple[int, ...]:
@@ -352,8 +372,9 @@ class Cone:
 
     @cached_property
     def _neg_cols(self) -> tuple[tuple[int, ...], ...]:
-        """``_cols`` negated: only a cone after the first in a meet system
-        reads them, so a face tested by ``relint_meets`` never builds them."""
+        """``_cols`` negated: only the rows of a meet system read them, for
+        a cone after the first, so a face tested by ``relint_meets`` and a
+        cone whose systems the presolve ends never build them."""
         return tuple(map(_neg, self._cols))
 
     @cached_property
@@ -427,11 +448,36 @@ def _meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
     first cone's k-th coordinates, then minus the other's.  The bounds
     are shifted out here (l = y + 1, m = y + 1, n = y), so every variable
     is >= 0 and row k's rhs is bound * (other's k-th sum) - (first's k-th
-    sum).
+    sum).  The rows are built only when read.
+
+    The infeasible-row rule of LP presolve (Andersen & Andersen 1995) is
+    settled here from the cones' ``_signs``, with no row built.  Row k
+    has a nonzero rhs and no coefficient of its sign, so no y >= 0 meets
+    it, exactly when
+    - first has no entry of one sign on axis k, and other none of the
+      opposite sign, and
+    - first is nonzero on axis k, or other's multipliers are bounded by 1
+      and other is:
+    the row's coefficients then share one sign or are 0, and its rhs is a
+    sum of terms of the opposite sign, one of them nonzero.
     """
-    if len({c.ambient_rank for c in cones}) > 1:
-        raise DimensionMismatch("relint test: ambient ranks differ")
     first, others = cones[0], cones[1:]
+    pos, neg = first._signs
+    nvars = len(first._ints)
+    one_signed = 0
+    for i, other in enumerate(others):
+        if other.ambient_rank != first.ambient_rank:
+            raise DimensionMismatch("relint test: ambient ranks differ")
+        nvars += len(other._ints)
+        opos, oneg = other._signs
+        nonzero = pos | neg | opos | oneg if i < len(others) - 1 else pos | neg
+        one_signed |= nonzero & ~((pos | oneg) & (neg | opos))
+    return FeasibilitySystem.deferred(nvars, partial(_meet_rows, first, others),
+                                      one_signed != 0)
+
+
+def _meet_rows(first: Cone, others: Sequence[Cone]) -> tuple[tuple, tuple]:
+    """The rows and rhs of ``_meet_system``."""
     widths = [len(c._ints) for c in others]
     rows, rhs = [], []
     for i, other in enumerate(others):
@@ -441,7 +487,7 @@ def _meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
         rows += [col + before + minus + after
                  for col, minus in zip(first._cols, other._neg_cols)]
         rhs += [bound * s - s0 for s, s0 in zip(other._col_sums, first._col_sums)]
-    return FeasibilitySystem(tuple(rows), tuple(rhs), len(first._ints) + sum(widths))
+    return tuple(rows), tuple(rhs)
 
 
 def relints_meet_in(c1: Cone, c2: Optional[Cone], v: Cone) -> Optional[Vec]:

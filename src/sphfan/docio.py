@@ -2,9 +2,9 @@
 
 Every document is an envelope {"kind", "version", "payload"}.  Rationals
 travel as integers or "p/q" strings; float literals are a parse error.
-Unknown fields and a key repeated in any object are rejected, structural
-errors carry the field path, and serialization is deterministic (sorted
-keys, canonical rational strings).
+Unknown fields, a key repeated in any object and a fan member equal to
+an earlier one are rejected, structural errors carry the field path, and
+serialization is deterministic (sorted keys, canonical rational strings).
 """
 
 from __future__ import annotations
@@ -203,7 +203,14 @@ def parse_fan(text: str, datum: SphericalDatum) -> ColoredFan:
     if not members:
         raise ParseError("a fan document must list at least one cone",
                          path="$.payload.cones")
-    return ColoredFan(members)
+    fan = ColoredFan(members)
+    if len(fan) < len(members):
+        # merging a repeat would shift every later index in the reports
+        keys = [cc.key for cc in members]
+        i = next(i for i, key in enumerate(keys) if key in keys[:i])
+        raise ParseError("repeated cone: an earlier member has the same cone and colors",
+                         path=f"$.payload.cones[{i}]")
+    return fan
 
 
 def serialize_fan(fan: ColoredFan) -> str:

@@ -17,28 +17,29 @@ Signs and ratio comparisons are therefore those of the rational tableau,
 so Bland's rule takes the same pivots, and the witness, int numerators
 over d, is the same rational point.
 
-Before any tableau is built, the "infeasible row" rule of LP presolve
-(Andersen & Andersen, "Presolving in linear programming", Math.
-Programming 71, 1995) looks for a row with a positive rhs and no positive
-coefficient, or a negative rhs and no negative one; then no y >= 0 meets
-that row, so the system is infeasible.  The rule only detects: it never
-changes a system that goes on to the simplex, so pivots and witnesses are
-those of the simplex alone.  The meet system of two cones whose relative
-interiors lie on opposite sides of a coordinate hyperplane x_k = 0 (one
-of them possibly inside it) has such a row: row k.
+A meet system that the "infeasible row" rule of LP presolve (Andersen &
+Andersen, "Presolving in linear programming", Math. Programming 71,
+1995) proves infeasible is certified by ``sphfan.cones._meet_system``
+from sign masks cached per cone, and made by ``FeasibilitySystem.deferred``.
+It still goes through ``solve``, so every LP is counted there, but
+``solve`` answers None without building a row.  The rows of a deferred
+system are built on first read: by the simplex, by the oracle replay
+below, or by a caller.  The rule only detects, so every system that
+reaches the simplex is the one it always was, and pivots and witnesses
+are those of the simplex alone.
 
 When oracle cross-checking is enabled (CLI flag ``--oracle``), every
-simplex verdict is replayed through the independent Fourier-Motzkin
-eliminator of :mod:`sphfan.fourier_motzkin`, and a disagreement raises
-:class:`OracleDisagreement`.  The eliminator shares no code with the
-simplex: it runs on primitive int rows, substitutes the equalities
-first and bounds row growth by Chernikov's rule.
+verdict, certified ones included, is replayed through the independent
+Fourier-Motzkin eliminator of :mod:`sphfan.fourier_motzkin`, and a
+disagreement raises :class:`OracleDisagreement`.  The eliminator shares
+no code with the simplex: it runs on primitive int rows, substitutes the
+equalities first and bounds row growth by Chernikov's rule.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import fourier_motzkin
 from .rational import all_ints
@@ -59,14 +60,6 @@ def _solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int],
                      n: int) -> Optional[tuple[list[int], int]]:
     """y >= 0 with a @ y = b on n int columns, as int numerators over one
     common denominator d > 0, or None.  Phase-1 simplex, Bland's rule."""
-    # Infeasible-row presolve (Andersen & Andersen 1995), detection only:
-    # a row whose rhs is nonzero while no coefficient has the rhs's sign has
-    # no solution y >= 0, and the unit vector on that row is a Farkas
-    # certificate.  Every other system goes to the unchanged simplex below,
-    # so pivots and witnesses do not move.
-    for row, r in zip(a, b):
-        if r > 0 and max(row, default=0) <= 0 or r < 0 and min(row, default=0) >= 0:
-            return None
     tab = [list(row) + [r] if r >= 0 else [-x for x in row] + [-r]
            for row, r in zip(a, b)]
     m = len(tab)
@@ -122,9 +115,12 @@ def _solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int],
 class FeasibilitySystem:
     """``A y = b`` with ``y >= 0``: int rows ``equalities`` of length
     ``nvars`` and an int ``rhs``.  Any other entry raises ``TypeError``,
-    so only ints reach the tableau's floor divisions."""
+    so only ints reach the tableau's floor divisions.
 
-    __slots__ = ("equalities", "rhs", "nvars")
+    ``one_signed_row`` is True only for a ``deferred`` system whose maker
+    found a row with a nonzero rhs and no coefficient of its sign."""
+
+    __slots__ = ("nvars", "one_signed_row", "_rows")
 
     def __init__(self, equalities: tuple[tuple[int, ...], ...], rhs: tuple[int, ...],
                  nvars: int):
@@ -134,17 +130,46 @@ class FeasibilitySystem:
             raise ValueError("equality row length does not match variable count")
         if len(rhs) != len(equalities):
             raise ValueError("rhs length does not match equality count")
-        object.__setattr__(self, "equalities", equalities)
-        object.__setattr__(self, "rhs", rhs)
         object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "one_signed_row", False)
+        object.__setattr__(self, "_rows", (equalities, rhs))
+
+    @classmethod
+    def deferred(cls, nvars: int, build: Callable[[], tuple],
+                 one_signed_row: bool) -> "FeasibilitySystem":
+        """The system whose ``(equalities, rhs)`` ``build()`` returns when
+        they are first read, unchecked: the caller vouches for int rows of
+        length ``nvars``.  With ``one_signed_row`` the caller vouches for
+        a row no y >= 0 meets, and ``solve`` builds none."""
+        system = object.__new__(cls)
+        object.__setattr__(system, "nvars", nvars)
+        object.__setattr__(system, "one_signed_row", one_signed_row)
+        object.__setattr__(system, "_rows", build)
+        return system
 
     def __setattr__(self, name, value):
         raise AttributeError("FeasibilitySystem is immutable")
 
+    def _built_rows(self) -> tuple:
+        """``(equalities, rhs)``, built now if they were deferred."""
+        rows = self._rows
+        if callable(rows):
+            rows = rows()
+            object.__setattr__(self, "_rows", rows)
+        return rows
+
+    @property
+    def equalities(self) -> tuple[tuple[int, ...], ...]:
+        return self._built_rows()[0]
+
+    @property
+    def rhs(self) -> tuple[int, ...]:
+        return self._built_rows()[1]
+
     def solve(self) -> Optional[tuple[list[int], int]]:
         """``(numerators, d)`` with d > 0 and y = numerators / d a basic
         solution, or None if the system is infeasible."""
-        sol = _solve_eq_nonneg(self.equalities, self.rhs, self.nvars)
+        sol = None if self.one_signed_row else _solve_eq_nonneg(*self._built_rows(), self.nvars)
         if _cross_check:
             fm = fourier_motzkin.feasible(self._as_inequalities(), self.nvars)
             if fm != (sol is not None):

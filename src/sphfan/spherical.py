@@ -304,8 +304,12 @@ def orbit_count(fan: ColoredFan) -> int:
 def faces_closure(d: SphericalDatum, cones: Sequence[ColoredCone]) -> ColoredFan:
     """Close the given colored cones under faces and check CF2.
 
-    Raises FanAxiomError (with witness) on a CF2 violation; the returned
-    fan is ordered by dimension, then first occurrence.
+    Only colored faces are kept, so a given colored cone whose relative
+    interior misses V, or whose palette holds a color f with rho(f)
+    outside the cone, is dropped (the second with its face under the
+    smaller palette kept).  Raises FanAxiomError (with witness) on a CF2
+    violation; the returned fan is ordered by dimension, then first
+    occurrence.
     """
     return _closed_fan(d, [colored_faces(d, cc) for cc in cones])
 

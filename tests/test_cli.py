@@ -113,6 +113,30 @@ class TestValidate:
         assert code1 == code2 == 0
         assert out1 == out2
 
+    @pytest.mark.parametrize("datum, member", [
+        # V = cone((-1)) misses the relative interior of the ray
+        ('{"rank": 1, "valuation_cone": {"generators": [["-1"]]}, "colors": []}',
+         '{"generators": [["1"]], "colors": []}'),
+        # rho(a) lies outside the ray, whose face keeps no color
+        ('{"rank": 1, "valuation_cone": {"generators": [["1"], ["-1"]]},'
+         ' "colors": [{"name": "a", "rho": ["-1"]}]}',
+         '{"generators": [["1"]], "colors": ["a"]}'),
+    ])
+    def test_autocomplete_reports_a_dropped_member(self, files, capsys, datum, member):
+        d = files("d.json", f'{{"kind": "datum", "version": "1", "payload": {datum}}}')
+        f = files("f.json", f'{{"kind": "fan", "version": "1", "payload": {{"cones": [{member}]}}}}')
+        plain_code, plain = run(capsys, "validate", d, f)
+        code, out = run(capsys, "validate", d, f, "--autocomplete")
+        assert plain_code == code == 1
+        failing = [c for c in json.loads(plain)["checks"]
+                   if c["subject"] == "cone[0]" and c["axiom"] in ("CC1", "CC2")
+                   and c["result"] == "fail"]
+        checks = json.loads(out)["checks"]
+        assert failing and checks[:len(failing)] == [dict(c, subject="input[0]") for c in failing]
+        # the closure itself, the zero cone, passes
+        assert all(c["result"] == "pass" for c in checks[len(failing):])
+        assert json.loads(out)["overall"] == "fail"
+
     def test_parse_error_exits_2(self, files, capsys):
         code, _ = run(capsys, "validate", files("d.json", DATUM),
                       files("f.json", "{bad"))
@@ -360,6 +384,19 @@ def test_repeated_key_exits_2(files, capsys):
     assert captured.err.startswith("sphfan: error: repeated key 'rank'")
 
 
+def test_repeated_member_exits_2(files, capsys):
+    # merged, member 3 would be reported as cone[2] and be out of range
+    datum = files("d.json", DATUM.replace('["1"], ["-1"]', '["-1"]'))
+    fan = files("f.json", json.dumps({"kind": "fan", "version": "1", "payload": {"cones": [
+        {"generators": [[g]], "colors": []} for g in (0, 1, 2, -1)]}}))
+    for argv in (["validate", datum, fan], ["faces", datum, fan, "--cone", "3"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == ("sphfan: error: repeated cone: an earlier member has the "
+                                "same cone and colors (field $.payload.cones[2])\n")
+
+
 P1_SQUARED_WITH_A_RAY = json.dumps({"kind": "fan", "version": "1", "payload": {"cones": [
     {"generators": gens, "colors": []}
     for gens in ([], [[1, 0]], [[-1, 0]], [[0, 1]], [[0, -1]],
@@ -368,8 +405,8 @@ P1_SQUARED_WITH_A_RAY = json.dumps({"kind": "fan", "version": "1", "payload": {"
 
 
 class TestOracleCoversThePresolve:
-    """``--oracle`` replays the verdicts that the simplex's infeasible-row
-    presolve settles, like every other verdict."""
+    """``--oracle`` replays the verdicts that the infeasible-row presolve
+    settles, like every other verdict; only the replay builds their rows."""
 
     @pytest.fixture
     def argv(self, files):
@@ -403,6 +440,19 @@ class TestOracleCoversThePresolve:
         assert len(replays) == len(solved)
         # the presolve settles all C(10, 2) CF2 pairs but the one that meets
         assert sum(map(presolve_certifies, solved)) == 44
+
+    def test_rows_are_built_only_when_read(self, argv, solved, capsys):
+        code, out = run(capsys, *argv[1:])
+        assert (code, out) == run(capsys, *argv)
+        without_oracle, with_oracle = solved[:len(solved) // 2], solved[len(solved) // 2:]
+        certified = [s.one_signed_row for s in without_oracle]
+        assert certified == [s.one_signed_row for s in with_oracle]
+        assert sum(certified) == 44
+        # without the oracle a certified system builds no row and every
+        # other one is built by the simplex; the replay reads them all
+        assert [callable(s._rows) for s in without_oracle] == certified
+        assert not any(callable(s._rows) for s in with_oracle)
+        assert certified == list(map(presolve_certifies, without_oracle))
 
     def test_a_certified_verdict_is_cross_checked(self, argv, solved, capsys, monkeypatch):
         monkeypatch.setattr(fourier_motzkin, "feasible", lambda ineqs, nvars: True)

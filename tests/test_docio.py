@@ -79,6 +79,30 @@ class TestParseFan:
         with pytest.raises(ParseError, match="at least one"):
             docio.parse_fan('{"kind": "fan", "version": "1", "payload": {"cones": []}}', d)
 
+    @pytest.mark.parametrize("cones, index", [
+        # the same generator set and palette
+        ([[["1", "0"]], [["0", "1"]], [["2", "0"]]], 2),
+        # the same cone on another generator set
+        ([[["1", "0"], ["0", "1"]], [["0", "2"], ["1", "1"], ["3", "0"]]], 1),
+        ([[], [["1", "0"], ["0", "1"]], [], [["1", "0"]]], 2),
+    ])
+    def test_repeated_member(self, cones, index):
+        d = docio.parse_datum(PLANE_DATUM)
+        doc = {"kind": "fan", "version": "1",
+               "payload": {"cones": [{"generators": g, "colors": []} for g in cones]}}
+        with pytest.raises(ParseError, match="repeated cone") as info:
+            docio.parse_fan(json.dumps(doc), d)
+        assert info.value.path == f"$.payload.cones[{index}]"
+        # the library's ColoredFan still keeps the first of equal members
+        members = [ColoredCone(Cone(2, [[int(x) for x in v] for v in g])) for g in cones]
+        assert len(ColoredFan(members)) < len(members)
+
+    def test_a_cone_with_another_palette_is_no_repeat(self):
+        d = docio.parse_datum(COLORED_DATUM)
+        doc = json.loads(COLORED_FAN)
+        doc["payload"]["cones"].append({"generators": [["0", "1"], ["1", "0"]], "colors": []})
+        assert len(docio.parse_fan(json.dumps(doc), d)) == 3
+
 
 class TestCanonicalRationals:
     def test_four_halves(self):
@@ -156,6 +180,13 @@ class TestRoundTrip:
         d = docio.parse_datum(MINIMAL_DATUM)
         text = docio.serialize_datum(d)
         assert docio.serialize_datum(docio.parse_datum(text)) == text
+
+PLANE_DATUM = """
+{"kind": "datum", "version": "1",
+ "payload": {"rank": 2,
+             "valuation_cone": {"generators": [["1", "0"], ["-1", "0"], ["0", "1"], ["0", "-1"]]},
+             "colors": []}}
+"""
 
 
 def test_detect_kind():

@@ -285,7 +285,10 @@ class TestInfeasibleRowPresolve:
                 a, b, _ = reference_shift(old)
                 tableaux.clear()
                 y = new.solve()
-                assert tableaux == [(list(map(tuple, a)), b, new.nvars)]
+                # only a system the presolve leaves reaches the simplex
+                assert new.one_signed_row == presolve_certifies(old)
+                assert tableaux == ([] if new.one_signed_row
+                                    else [(list(map(tuple, a)), b, new.nvars)])
                 want = reference_solve(old)
                 assert (y is None) == (want is None)
                 if y is not None:
@@ -301,6 +304,83 @@ class TestInfeasibleRowPresolve:
         assert min(seen.values()) > 20, seen
 
 
+def _signed_cone(rng, n):
+    """A cone of 0-4 generators whose axes each carry entries of both
+    signs, of one sign, or none, so one-signed rows and zero axes are
+    common."""
+    signs = [rng.choice([(-2, -1, 0, 1, 2), (0, 1, 2), (-2, -1, 0), (0,)]) for _ in range(n)]
+    return Cone(n, [[rng.choice(s) for s in signs] for _ in range(rng.randint(0, 4))])
+
+
+class TestSignMaskPresolve:
+    """``_meet_system`` settles the infeasible-row rule from each cone's
+    sign masks; the reference applies it row by row to the system built
+    from the generators with the bounds shifted out."""
+
+    def test_masks_agree_with_the_row_rule(self):
+        rng = random.Random(1995)
+        seen = {"certified": 0, "left": 0, "pair 0-1 only": 0, "pair 0-2 only": 0}
+        zero_at = set()
+        for _ in range(4000):
+            n = rng.randint(1, 4)
+            cones = [_signed_cone(rng, n) for _ in range(rng.choice([2, 3]))]
+            ref = reference_meet_system([c._ints for c in cones], n, 0)
+            system = _meet_system(cones)
+            assert system.one_signed_row == presolve_certifies(ref)
+            seen["certified" if system.one_signed_row else "left"] += 1
+            zero_at |= {(len(cones), i) for i, c in enumerate(cones) if c.is_zero}
+            if len(cones) == 3 and system.one_signed_row:
+                pairs = [presolve_certifies(reference_meet_system(
+                    [cones[0]._ints, cones[i]._ints], n, 1 if i == 1 else 0)) for i in (1, 2)]
+                if pairs != [True, True]:
+                    seen[f"pair 0-{pairs.index(True) + 1} only"] += 1
+        assert min(seen.values()) > 100, seen
+        assert zero_at == {(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)}
+
+    def test_only_systems_the_rule_leaves_reach_the_simplex(self, monkeypatch):
+        tableaux = []
+        solve = lp._solve_eq_nonneg
+
+        def recorded(a, b, n):
+            tableaux.append(([tuple(row) for row in a], list(b), n))
+            return solve(a, b, n)
+        monkeypatch.setattr(lp, "_solve_eq_nonneg", recorded)
+        rng = random.Random(2015)
+        verdicts = set()
+        for _ in range(1500):
+            n = rng.randint(1, 3)
+            cones = [_signed_cone(rng, n) for _ in range(rng.choice([2, 3]))]
+            ref = reference_meet_system([c._ints for c in cones], n, 0)
+            system = _meet_system(cones)
+            tableaux.clear()
+            y = system.solve()
+            if system.one_signed_row:
+                # settled with no row built
+                assert y is None and tableaux == [] and callable(system._rows)
+            else:
+                a, b, _ = reference_shift(ref)
+                assert tableaux == [(list(map(tuple, a)), b, system.nvars)]
+            assert as_fractions(y) == reference_solve(system)
+            assert system.equalities == ref.equalities
+            assert system.rhs == shifted_rhs(ref)
+            verdicts.add((system.one_signed_row, y is None))
+        assert verdicts == {(True, True), (False, True), (False, False)}
+
+    def test_a_non_int_generator_raises_before_any_solve(self, monkeypatch):
+        solved = []
+        monkeypatch.setattr(FeasibilitySystem, "solve", solved.append)
+        ray, line = Cone(2, [(1, 0)]), Cone(2, [(1, 0), (-1, 0)])
+        for bad in (Fraction(1), True, 1.0):
+            cone = Cone._of_ints(2, [(bad, 0)])
+            # certified against the opposite ray, left to the simplex
+            # against the line; in every position
+            for cones in ([cone, Cone(2, [(-1, 0)])], [cone, line], [ray, cone],
+                          [cone, ray, line], [ray, cone, line], [ray, line, cone]):
+                with pytest.raises(TypeError, match="must be ints"):
+                    _meet_system(cones).solve()
+        assert solved == []
+
+
 def test_solve_is_the_only_lp_entry_point():
     # the benchmark counts LPs at FeasibilitySystem.solve, so a module that
     # reached the simplex another way would solve LPs nobody counts; and
@@ -310,7 +390,7 @@ def test_solve_is_the_only_lp_entry_point():
     internal = {node.name for node in ast.walk(ast.parse(Path(lp.__file__).read_text()))
                 if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                 and not node.name.startswith("__")}
-    assert internal == {"_solve_eq_nonneg", "_as_inequalities"}
+    assert internal == {"_solve_eq_nonneg", "_as_inequalities", "_built_rows"}
     builders = []
     for path in paths:
         if path.name != "lp.py":
@@ -321,13 +401,13 @@ def test_solve_is_the_only_lp_entry_point():
 
 
 def _constructions(tree, where=None):
-    """The enclosing function name of every ``FeasibilitySystem(...)`` call."""
+    """The enclosing function name of every ``FeasibilitySystem(...)`` or
+    ``FeasibilitySystem.deferred(...)`` call, however qualified."""
     for node in ast.iter_child_nodes(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
             yield from _constructions(node, where or getattr(node, "name", "<lambda>"))
             continue
-        if isinstance(node, ast.Call) and "FeasibilitySystem" in (
-                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+        if isinstance(node, ast.Call) and "FeasibilitySystem" in ast.unparse(node.func).split("."):
             yield where
         yield from _constructions(node, where)
 

@@ -24,6 +24,8 @@ def test_documents_validate_strictly(tmp_path, capsys):
     assert json.loads(datum)["kind"] == "datum" and json.loads(fan)["kind"] == "fan"
     (tmp_path / "datum.json").write_text(datum)
     (tmp_path / "fan.json").write_text(fan)
-    assert main(["validate", str(tmp_path / "datum.json"), str(tmp_path / "fan.json"),
-                 "--strict"]) == 0
-    assert json.loads(capsys.readouterr().out)["overall"] == "pass"
+    files = [str(tmp_path / "datum.json"), str(tmp_path / "fan.json")]
+    for argv in (["validate", *files, "--strict"],
+                 ["--oracle", "validate", *files, "--strict", "--autocomplete"]):
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["overall"] == "pass"

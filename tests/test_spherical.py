@@ -18,8 +18,9 @@ from sphfan.spherical import (ColoredCone, ColoredFan, FanAxiomError,
 
 from helpers import (KeyOnlyColoredFan, closure_outcome, intersect_cc1,
                      key_only_faces_closure, key_only_validate_colored_fan,
-                     load_perfbench, random_cone, random_datum,
-                     random_valid_colored_cone, random_vec, reference_colored_faces)
+                     load_perfbench, presolve_certifies, random_cone, random_datum,
+                     random_valid_colored_cone, random_vec, reference_colored_faces,
+                     reference_meet_system)
 
 bench_inputs = load_perfbench("inputs")
 
@@ -245,8 +246,9 @@ class TestColoredFacesWork:
 
     def test_faces_never_negate(self, monkeypatch):
         # a face only stands first in a meet system, so its negated columns
-        # are never read, nor built; V and the second cone of a CF2 pair are
-        # read negated, and the first cone of the fan never is
+        # are never read, nor built; V is read negated, and so is the second
+        # cone of a CF2 pair whose rows are built, which happens just when
+        # the presolve leaves the pair to the simplex
         seen = []
         colored = spherical.colored_faces
 
@@ -258,6 +260,7 @@ class TestColoredFacesWork:
         rng = random.Random(14)
         d_cube, cube = bench_inputs.build_pointed(bench_inputs.cube_cone(rng, 4, 2))
         p1 = bench_inputs.p1_fan(rng, 3, 3, 2)
+        outcomes = []
         for d, fan in ((d_cube, faces_closure(d_cube, [cube])),
                        (bench_inputs.build_p1_datum(p1),
                         ColoredFan(bench_inputs.build_p1_cones(p1)))):
@@ -266,8 +269,15 @@ class TestColoredFacesWork:
             assert len(seen) > len(fan)
             assert not any("_neg_cols" in vars(face.cone) for face in seen)
             assert "_neg_cols" in vars(d.valuation_cone)
-            assert (["_neg_cols" in vars(cc.cone) for cc in fan]
-                    == [False] + [True] * (len(fan) - 1))
+            v = d.valuation_cone
+            simplex_second = [
+                any(not presolve_certifies(reference_meet_system(
+                    [a.cone._ints, b.cone._ints, v._ints], d.rank, 0)) for a in fan.cones[:j])
+                for j, b in enumerate(fan.cones)]
+            assert ["_neg_cols" in vars(cc.cone) for cc in fan] == simplex_second
+            outcomes.append(any(simplex_second))
+        # the cube's faces leave some pairs to the simplex, the P1 fan none
+        assert outcomes == [True, False]
 
 
 def orthant_faces(signs, rho):
