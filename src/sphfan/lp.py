@@ -117,8 +117,8 @@ class FeasibilitySystem:
     ``nvars`` and an int ``rhs``.  Any other entry raises ``TypeError``,
     so only ints reach the tableau's floor divisions.
 
-    ``one_signed_row`` is True only for a ``deferred`` system whose maker
-    found a row with a nonzero rhs and no coefficient of its sign."""
+    ``one_signed_row`` is True only for a ``deferred`` system that its
+    maker certified by the infeasible-row rule."""
 
     __slots__ = ("nvars", "one_signed_row", "_rows")
 
