@@ -101,10 +101,9 @@ def _dropped_checks(d, members, closed: ColoredFan) -> list[dict]:
     member i that the closure dropped: one whose relative interior misses
     V or whose palette holds a color outside it has no equal in the
     closure, and every other member has."""
-    keys = {cc.key for cc in closed}
     checks = []
     for i, cc in enumerate(members):
-        if cc.key not in keys:
+        if closed.index(cc) is None:
             r = spherical.validate_colored_cone(d, cc)
             checks += [_check(axiom, f"input[{i}]", False)
                        for axiom, ok in (("CC1", r.cc1), ("CC2", r.cc2)) if not ok]

@@ -205,9 +205,9 @@ def parse_fan(text: str, datum: SphericalDatum) -> ColoredFan:
                          path="$.payload.cones")
     fan = ColoredFan(members)
     if len(fan) < len(members):
-        # merging a repeat would shift every later index in the reports
-        keys = [cc.key for cc in members]
-        i = next(i for i, key in enumerate(keys) if key in keys[:i])
+        # merging a repeat would shift every later index in the reports;
+        # the fan kept the first copy, so the path names the next one
+        i = next(i for i, cc in enumerate(members) if fan.cones[fan.index(cc)] is not cc)
         raise ParseError("repeated cone: an earlier member has the same cone and colors",
                          path=f"$.payload.cones[{i}]")
     return fan

@@ -8,13 +8,12 @@ inverse checks can be exhaustive.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Mapping, NamedTuple, Sequence
 
 from .cones import cones_equal
 from .rational import Mat
 from .spherical import (ColoredCone, ColoredFan, RankMismatchError,
-                        SphericalDatum, _closed_fan)
+                        SphericalDatum, _closed_fan, _distinct)
 # not called here: the benchmark's tracer wraps these names in this module
 from .spherical import colored_cones_equal, faces_closure  # noqa: F401
 
@@ -163,40 +162,27 @@ class InvarianceReport(NamedTuple):
 
 
 def is_invariant_fan(a: GaloisAction, fan: ColoredFan) -> InvarianceReport:
-    """Each image is looked up by generator set and palette first, and
-    otherwise by canonical key."""
-    keys = {cc.key for cc in fan}
+    """Each image is looked up with ``ColoredFan.index``, by the rule of
+    ``spherical._distinct``."""
     failures = [(e.name, i) for e in a.elements for i, cc in enumerate(fan)
-                if fan._member_key(apply_element(a, e, cc)) not in keys]
+                if fan.index(apply_element(a, e, cc)) is None]
     return InvarianceReport(failures=tuple(failures))
 
 
 def orbit(a: GaloisAction, cc: ColoredCone) -> list[ColoredCone]:
-    """The distinct images of cc, each at its first element.
-
-    An image repeating the generator set and palette of an earlier one is
-    skipped with no key computed; the others are told apart by key.
-    """
-    seen: set[tuple] = set()
-    out: dict[tuple, ColoredCone] = {}
-    for e in a.elements:
-        image = apply_element(a, e, cc)
-        gens = image._gens_key
-        if gens not in seen:
-            seen.add(gens)
-            out.setdefault(image.key, image)
-    return list(out.values())
+    """The distinct images of cc (``spherical._distinct``), each at its
+    first element."""
+    return list(_distinct(apply_element(a, e, cc) for e in a.elements))
 
 
 def invariant_closure(a: GaloisAction, seeds: Sequence[ColoredCone]) -> ColoredFan:
     """Minimal Γ-invariant colored fan containing the seeds.
 
-    One first-in-first-out worklist, started with the seeds: a colored
-    cone taken off the front whose generator set and palette were seen
-    before is dropped with no key computed; otherwise, if its key is new,
-    it becomes a member, its colored faces are recorded, and its orbit
-    and then those faces go to the back, so each member's orbit and faces
-    are computed once.  The recorded faces go through the finisher of
+    One first-in-first-out worklist, started with the seeds and read
+    through ``spherical._distinct``: each colored cone new there becomes
+    a member, its colored faces are recorded, and its orbit and then
+    those faces go to the back, so each member's orbit and faces are
+    computed once.  The recorded faces go through the finisher of
     ``faces_closure``: dimension order, then the CF2 pass (FanAxiomError
     with a witness on failure).  Γ must be finite: an element of infinite
     order makes orbits of ever new cones, and the worklist never empties.
@@ -204,16 +190,11 @@ def invariant_closure(a: GaloisAction, seeds: Sequence[ColoredCone]) -> ColoredF
     # looked up per call, so a wrapper put on spherical.colored_faces sees it
     from .spherical import colored_faces
 
-    seen: set[tuple] = set()
-    faces: dict[tuple, list[ColoredCone]] = {}
-    queue = deque(seeds)
-    while queue:
-        cc = queue.popleft()
-        gens = cc._gens_key
-        if gens in seen:
-            continue
-        seen.add(gens)
-        if cc.key not in faces:
-            faces[cc.key] = colored_faces(a.datum, cc)
-            queue += orbit(a, cc) + faces[cc.key]
-    return _closed_fan(a.datum, faces.values())
+    worklist = list(seeds)
+    face_lists = []
+    # a list iterator also reads the items appended while it runs
+    for cc in _distinct(worklist):
+        faces = colored_faces(a.datum, cc)
+        face_lists.append(faces)
+        worklist += orbit(a, cc) + faces
+    return _closed_fan(a.datum, face_lists)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Mapping, NamedTuple, Optional, Sequence
 
-from .cones import Cone
+from .cones import Cone, cones_equal
 from .rational import Mat, Vec
 from .spherical import (ColoredCone, ColoredFan, RankMismatchError,
                         SphericalDatum, UnknownColorError)
@@ -128,7 +128,7 @@ def compose(first: FanMorphism, second: FanMorphism) -> FanMorphism:
     mid, src = first.target, second.source
     if mid.rank != src.rank:
         raise RankMismatchError("composition rank mismatch")
-    if (mid.valuation_cone.key != src.valuation_cone.key
+    if (not cones_equal(mid.valuation_cone, src.valuation_cone)
             or set(mid.colors) != set(src.colors) or mid.rho != src.rho):
         raise ValueError("composition: the first target is not the second source")
     domain = [c for c in first.domain_colors

@@ -103,35 +103,44 @@ class ColoredCone:
 
 
 def colored_cones_equal(a: ColoredCone, b: ColoredCone) -> bool:
-    return a.key == b.key
+    """Equality, settled like ``cones_equal``: by generator set and
+    palette first, otherwise by canonical key."""
+    return a._gens_key == b._gens_key or a.key == b.key
+
+
+def _distinct(ccs: Iterable[ColoredCone]) -> Iterator[ColoredCone]:
+    """Each colored cone whose key is new, in order, lazily.
+
+    This is the library's one identity rule: a colored cone repeating a
+    generator set and palette seen before is skipped with no key
+    computed, and the others are told apart by key."""
+    gens: set[tuple] = set()
+    keys: set[tuple] = set()
+    for cc in ccs:
+        if cc._gens_key not in gens:
+            gens.add(cc._gens_key)
+            if cc.key not in keys:
+                keys.add(cc.key)
+                yield cc
 
 
 class ColoredFan:
     """Nonempty, duplicate-free finite collection of colored cones.
 
-    Of equal colored cones the first is kept, generators as given.
-    Equality is settled by the generator set and palette first, and
-    otherwise by the canonical key: a colored cone repeating a generator
-    set and palette already seen is a duplicate with no key computed.
-    ``_keys`` maps each colored generator key seen to its key."""
+    Of equal colored cones the first is kept, generators as given
+    (``_distinct``); ``index`` finds a member."""
 
-    __slots__ = ("cones", "_keys")
+    __slots__ = ("cones", "_by_gens", "_by_key")
 
     def __init__(self, cones: Iterable[ColoredCone]):
-        keys: dict[tuple, tuple] = {}
-        members: dict[tuple, ColoredCone] = {}
-        for cc in cones:
-            gens = cc._gens_key
-            if gens not in keys:
-                keys[gens] = cc.key
-                members.setdefault(keys[gens], cc)
+        members = tuple(_distinct(cones))
         if not members:
             raise ValueError("a colored fan must be nonempty")
-        ranks = {cc.cone.ambient_rank for cc in members.values()}
-        if len(ranks) != 1:
+        if len({cc.cone.ambient_rank for cc in members}) != 1:
             raise RankMismatchError("fan members have mixed ambient ranks")
-        object.__setattr__(self, "cones", tuple(members.values()))
-        object.__setattr__(self, "_keys", keys)
+        object.__setattr__(self, "cones", members)
+        object.__setattr__(self, "_by_gens", {cc._gens_key: i for i, cc in enumerate(members)})
+        object.__setattr__(self, "_by_key", {cc.key: i for i, cc in enumerate(members)})
 
     def __setattr__(self, name, value):
         raise AttributeError("ColoredFan is immutable")
@@ -142,15 +151,17 @@ class ColoredFan:
     def __iter__(self):
         return iter(self.cones)
 
-    def _member_key(self, cc: ColoredCone) -> tuple:
-        """The key of the member equal to cc if its generator set and
-        palette were seen here, else cc's own key (a double description)."""
-        key = self._keys.get(cc._gens_key)
-        return cc.key if key is None else key
+    def index(self, cc: ColoredCone) -> Optional[int]:
+        """Position of the member equal to cc, or None: by generator set
+        and palette first, otherwise by canonical key (a double
+        description of cc's cone if it has none yet)."""
+        i = self._by_gens.get(cc._gens_key)
+        return self._by_key.get(cc.key) if i is None else i
 
 
 def fans_equal(a: ColoredFan, b: ColoredFan) -> bool:
-    return {x.key for x in a} == {y.key for y in b}
+    # members are pairwise distinct, so a ⊆ b of equal size is a = b
+    return len(a) == len(b) and all(b.index(cc) is not None for cc in a)
 
 
 class ColoredConeReport(NamedTuple):
@@ -253,9 +264,8 @@ def validate_colored_fan(d: SphericalDatum, fan: ColoredFan) -> ColoredFanReport
         _check(d, cc)
     reports = tuple(validate_colored_cone(d, cc) for cc in fan)
 
-    keys = {cc.key for cc in fan}
     cf1_missing = [(i, face) for i, cc in enumerate(fan)
-                   for face in colored_faces(d, cc) if fan._member_key(face) not in keys]
+                   for face in colored_faces(d, cc) if fan.index(face) is None]
     cf2_failures = list(_cf2_failures(d, fan.cones))
     return ColoredFanReport(
         cone_reports=reports,
@@ -286,10 +296,10 @@ def maximal_cones(d: SphericalDatum, fan: ColoredFan) -> list[ColoredCone]:
 
     The fan is "simple" (one closed orbit) iff exactly one maximal cone.
     """
-    proper: set[tuple] = set()
-    for cc in fan:
-        proper |= {fan._member_key(f) for f in colored_faces(d, cc)} - {cc.key}
-    return [cc for cc in fan if cc.key not in proper]
+    proper: set[Optional[int]] = set()
+    for i, cc in enumerate(fan):
+        proper |= {fan.index(f) for f in colored_faces(d, cc)} - {i}
+    return [cc for i, cc in enumerate(fan) if i not in proper]
 
 
 def is_simple(d: SphericalDatum, fan: ColoredFan) -> bool:

@@ -85,6 +85,9 @@ class TestParseFan:
         # the same cone on another generator set
         ([[["1", "0"], ["0", "1"]], [["0", "2"], ["1", "1"], ["3", "0"]]], 1),
         ([[], [["1", "0"], ["0", "1"]], [], [["1", "0"]]], 2),
+        # three copies of one member: the path names the second
+        ([[["1", "0"], ["0", "1"]], [["1", "0"]], [["0", "1"], ["1", "1"], ["1", "0"]],
+          [["0", "3"], ["2", "0"]]], 2),
     ])
     def test_repeated_member(self, cones, index):
         d = docio.parse_datum(PLANE_DATUM)

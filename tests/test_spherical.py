@@ -1,7 +1,9 @@
+import ast
 import random
 from collections import Counter
 from fractions import Fraction
 from itertools import chain
+from pathlib import Path
 
 import pytest
 
@@ -547,13 +549,36 @@ class TestGeneratorLookupAgainstKeyOnly:
             got = validate_colored_fan(d, fan)
             assert report_form(got) == report_form(key_only_validate_colored_fan(d, fan))
             cf1[got.cf1] += 1
-            keys = {cc.key for cc in fan}
-            key_hits += sum(face._gens_key not in fan._keys
-                            and face.key in keys
-                            for cc in fan for face in colored_faces(d, cc))
+            found = [(face, fan.index(face)) for cc in fan for face in colored_faces(d, cc)]
+            key_hits += sum(i is not None and fan.cones[i]._gens_key != face._gens_key
+                            for face, i in found)
         assert min(cf1[True], cf1[False]) > 10
-        # with redundant generators, faces miss the map and the key finds them
+        # with redundant generators, faces miss the generator sets and the
+        # key finds them
         assert (key_hits > 15) if redundant else (key_hits == 0)
+
+    def test_index_against_key_only(self):
+        rng = random.Random(173)
+        hits = Counter()
+        for _ in range(150):
+            d = proper_datum(rng)
+            members = random_members(rng, d, redundant=rng.random() < 0.5)
+            members += rng.sample(members, rng.randint(0, len(members)))
+            fan = ColoredFan(members)
+            keys = [cc.key for cc in KeyOnlyColoredFan(members)]
+            # the members, copies with a redundant generator, the same
+            # cones under other palettes, and other cones
+            probes = members + [with_redundant(rng, cc) for cc in members]
+            probes += [ColoredCone(cc.cone, [f for f in d.colors if rng.random() < 0.5])
+                       for cc in members]
+            probes += random_members(rng, d, redundant=True)
+            for cc in probes:
+                got = fan.index(cc)
+                assert got == (keys.index(cc.key) if cc.key in keys else None)
+                by_gens = got is not None and fan.cones[got]._gens_key == cc._gens_key
+                hits[got is None, by_gens] += 1
+        # misses, hits by generator set and hits by key alone
+        assert min(hits[True, False], hits[False, True], hits[False, False]) > 50
 
     def test_faces_closure_bytes(self):
         rng = random.Random(167)
@@ -593,3 +618,36 @@ class TestDualWork:
         fan = faces_closure(bench_inputs.build_p1_datum(f), maximal)
         assert len(fan) == f.n_cones
         assert len(calls) == closure == len(fan) + len(maximal)
+
+    def test_colored_cones_equal_by_generator_set(self, monkeypatch):
+        calls = []
+        dual = cones._dual_ints
+
+        def counted(*args):
+            calls.append(args)
+            return dual(*args)
+        monkeypatch.setattr(cones, "_dual_ints", counted)
+        a = ColoredCone(Cone(2, [(1, 0), (0, 1)]), ["x"])
+        assert colored_cones_equal(a, ColoredCone(Cone(2, [(0, 2), (1, 0)]), {"x"}))
+        assert calls == []
+        # another generator set of the same cone is settled by key
+        assert colored_cones_equal(a, ColoredCone(Cone(2, [(1, 0), (1, 1), (0, 1)]), ["x"]))
+        assert len(calls) == 2
+        assert not colored_cones_equal(a, ColoredCone(a.cone))
+
+
+def test_colored_cone_identity_is_decided_in_spherical():
+    # spherical._distinct and ColoredFan.index decide whether two colored
+    # cones are equal; another module reading a key would decide it again
+    paths = sorted(Path(spherical.__file__).parent.glob("*.py"))
+    assert {"cones.py", "spherical.py", "galois.py", "docio.py"} <= {p.name for p in paths}
+    reads = {}
+    for path in paths:
+        text = path.read_text()
+        assert "_member_key" not in text, path.name
+        reads[path.name] = sorted({node.attr for node in ast.walk(ast.parse(text))
+                                   if isinstance(node, ast.Attribute)
+                                   and node.attr in ("key", "_gens_key")})
+    assert reads["spherical.py"] == ["_gens_key", "key"]
+    assert {name: got for name, got in reads.items()
+            if got and name not in ("cones.py", "spherical.py")} == {}
