@@ -23,8 +23,8 @@ from operator import mul, neg
 from typing import Iterable, Optional, Sequence
 
 from .lp import FeasibilitySystem
-from .rational import (Mat, Vec, _idot, all_ints, integer_rows, primitive_ints,
-                       rat, vec)
+from .rational import (Mat, Vec, _combine, _echelon, _idot, _pivots, _reduce_ints,
+                       all_ints, bareiss, integer_rows, primitive_ints, rat, vec)
 
 
 class DimensionMismatch(ValueError):
@@ -36,54 +36,9 @@ def _check_dim(n: int, v: Sequence[Fraction]) -> None:
         raise DimensionMismatch(f"expected a vector of length {n}, got {len(v)}")
 
 
-def _combine(p: int, u: Sequence[int], q: int, v: Sequence[int]) -> tuple[int, ...]:
-    """The primitive integer vector along p*u - q*v."""
-    return primitive_ints([p * x - q * y for x, y in zip(u, v)])
-
-
-def _echelon(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Reduced row echelon basis of the row space of int rows, fraction-free.
-
-    Each row is primitive with a positive pivot entry and is zero in the
-    pivot column of every other row; pivots increase.  Dividing each row
-    by its pivot entry gives the reduced row echelon form.
-    """
-    work = [primitive_ints(r) for r in rows if any(r)]
-    out: list[tuple[int, ...]] = []
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        piv = next((r for r in work if r[col] != 0), None)
-        if piv is None:
-            continue
-        work.remove(piv)
-        p = piv[col]
-        if p < 0:
-            piv, p = tuple(-x for x in piv), -p
-        # p > 0, so each reduced row is a positive multiple of the row
-        # the Fraction elimination gives
-        work = [_combine(p, r, r[col], piv) if r[col] else r for r in work]
-        work = [r for r in work if any(r)]
-        out = [_combine(p, r, r[col], piv) if r[col] else r for r in out]
-        out.append(piv)
-    return out
-
-
-def _pivots(basis: Sequence[Sequence[int]]) -> list[int]:
-    return [next(i for i, x in enumerate(r) if x != 0) for r in basis]
-
-
 def _divide_by_pivots(basis: Sequence[Sequence[int]]) -> list[Vec]:
     """The reduced row echelon form of ``_echelon`` rows, as Fractions."""
     return [tuple(Fraction(x, r[p]) for x in r) for r, p in zip(basis, _pivots(basis))]
-
-
-def _reduce_ints(v: Sequence[int], basis: Sequence[Sequence[int]],
-                 pivots: Sequence[int]) -> tuple[int, ...]:
-    """The primitive representative of int v modulo the span of ``_echelon`` rows."""
-    for row, p in zip(basis, pivots):
-        if v[p] != 0:
-            v = _combine(row[p], v, v[p], row)
-    return primitive_ints(v)
 
 
 def _dual_ints(ineqs: Sequence[Sequence[int]],
@@ -145,7 +100,7 @@ def _dual_ints(ineqs: Sequence[Sequence[int]],
 def dual_description(ineqs: Sequence[Vec], n: int) -> tuple[list[Vec], list[Vec]]:
     """Generators of {x in Q^n : a . x >= 0 for all a in ineqs}.
 
-    Returns (lineality_basis, extreme_rays) as Fraction vectors; the
+    Returns (lineality basis, extreme rays) as Fraction vectors; the
     work is done on int rows by ``_dual_ints``.  The output is
     canonical: the lineality basis is in reduced row echelon form, and
     each extreme ray is primitive and reduced modulo it, the unique
@@ -251,15 +206,6 @@ class Cone:
         return self.ambient_rank, eqs, tuple(sorted(facets))
 
     @cached_property
-    def lineality_basis(self) -> tuple[Vec, ...]:
-        """Basis of the largest linear subspace inside the cone."""
-        eqs, facets = self._idual
-        rows = eqs + facets
-        if not rows:
-            return tuple(Mat.identity(self.ambient_rank).rows)
-        return tuple(Mat(rows).solve_homogeneous())
-
-    @cached_property
     def dim(self) -> int:
         """n minus the number of span equations, read off the dual."""
         return self.ambient_rank - len(self._idual[0])
@@ -297,7 +243,11 @@ class Cone:
                          if all(i in self._tight_sets[f] for f in tight))
 
     def is_strictly_convex(self) -> bool:
-        return not self.lineality_basis
+        """Pointed, holding no line: C is pointed iff its dual C∨ is
+        full-dimensional, i.e. the dual's span equations and facets have
+        rank n."""
+        eqs, facets = self._idual
+        return len(bareiss(eqs + facets)[1]) == self.ambient_rank
 
     def relint_contains(self, x: Sequence) -> bool:
         """True iff x is a strictly positive combination of the generators,

@@ -91,7 +91,7 @@ def _maps_into(image: Cone, mapped: set[str], cc2: ColoredCone) -> bool:
     """The pushed cone inside C2, and the mapped colors inside F2."""
     # the pushed generators are positive multiples of the nonzero m·g,
     # and the zero images it drops lie in every cone
-    return all(cc2.cone.contains(g) for g in image.generators) and mapped <= cc2.palette
+    return all(cc2.cone.contains(g) for g in image._ints) and mapped <= cc2.palette
 
 
 def is_morphism_of_cones(m: FanMorphism, cc1: ColoredCone, cc2: ColoredCone) -> bool:

@@ -1,9 +1,13 @@
 """Exact rational scalars, vectors, and matrices.
 
 Scalars are ``fractions.Fraction`` (always in lowest terms, positive
-denominator).  Vectors are tuples of Fractions.  A matrix stores one int
-grid over a common positive denominator, and its arithmetic runs on
-that grid.  No floats anywhere.
+denominator).  Vectors are tuples of Fractions.  A matrix stores only
+one int grid over a common positive denominator, and its arithmetic
+runs on that grid; its Fraction entries, ``rows``, are built when read.
+The two exact eliminations live here and run on ints: ``bareiss`` for
+rank and determinant, ``_echelon`` for the reduced row echelon basis
+that kernels and the double description's lineality read.  No floats
+anywhere.
 """
 
 from __future__ import annotations
@@ -121,29 +125,79 @@ def bareiss(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], 
     return a, pivots, sign
 
 
+def _combine(p: int, u: Sequence[int], q: int, v: Sequence[int]) -> tuple[int, ...]:
+    """The primitive integer vector along p*u - q*v."""
+    return primitive_ints([p * x - q * y for x, y in zip(u, v)])
+
+
+def _echelon(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Reduced row echelon basis of the row space of int rows, fraction-free.
+
+    Each row is primitive with a positive pivot entry and is zero in the
+    pivot column of every other row; pivots increase.  Dividing each row
+    by its pivot entry gives the reduced row echelon form.
+    """
+    work = [primitive_ints(r) for r in rows if any(r)]
+    out: list[tuple[int, ...]] = []
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        piv = next((r for r in work if r[col] != 0), None)
+        if piv is None:
+            continue
+        work.remove(piv)
+        p = piv[col]
+        if p < 0:
+            piv, p = tuple(-x for x in piv), -p
+        # p > 0, so each reduced row is a positive multiple of the row
+        # the Fraction elimination gives
+        work = [_combine(p, r, r[col], piv) if r[col] else r for r in work]
+        work = [r for r in work if any(r)]
+        out = [_combine(p, r, r[col], piv) if r[col] else r for r in out]
+        out.append(piv)
+    return out
+
+
+def _pivots(basis: Sequence[Sequence[int]]) -> list[int]:
+    return [next(i for i, x in enumerate(r) if x != 0) for r in basis]
+
+
+def _reduce_ints(v: Sequence[int], basis: Sequence[Sequence[int]],
+                 pivots: Sequence[int]) -> tuple[int, ...]:
+    """The primitive representative of int v modulo the span of ``_echelon`` rows."""
+    for row, p in zip(basis, pivots):
+        if v[p] != 0:
+            v = _combine(row[p], v, v[p], row)
+    return primitive_ints(v)
+
+
 class Mat:
     """Immutable rectangular matrix of exact rationals.
 
     The matrix is stored once as an int grid over one common positive
     denominator: entry (i, j) is ``ints[i][j] / den``, and ``den`` is the
     least such denominator, so equal matrices have equal grids.  Rank,
-    kernel, determinant and products read the grid; ``rows`` is the
-    Fraction view.
+    kernel, determinant and products read the grid; ``rows``, the
+    Fraction view, is built each time it is read.
     """
 
-    __slots__ = ("rows", "nrows", "ncols", "ints", "den")
+    __slots__ = ("nrows", "ncols", "ints", "den")
 
     def __init__(self, rows: Iterable[Iterable]):
-        grid = tuple(tuple(rat(e) for e in row) for row in rows)
+        grid = [[rat(e) for e in row] for row in rows]
         if grid and any(len(r) != len(grid[0]) for r in grid):
             raise ValueError("ragged rows")
         den = lcm(*(e.denominator for row in grid for e in row))
-        object.__setattr__(self, "rows", grid)
-        object.__setattr__(self, "nrows", len(grid))
-        object.__setattr__(self, "ncols", len(grid[0]) if grid else 0)
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "ints", tuple(
-            tuple(e.numerator * (den // e.denominator) for e in row) for row in grid))
+        self._store([[e.numerator * (den // e.denominator) for e in row] for row in grid],
+                    den, len(grid[0]) if grid else 0)
+
+    def _store(self, ints: list[list[int]], den: int, ncols: int) -> None:
+        """Store int rows over den, both divided by their common gcd, so
+        ``den`` is the least denominator."""
+        g = gcd(den, *(x for row in ints for x in row))
+        object.__setattr__(self, "den", den // g)
+        object.__setattr__(self, "ints", tuple(tuple(x // g for x in row) for row in ints))
+        object.__setattr__(self, "nrows", len(ints))
+        object.__setattr__(self, "ncols", ncols)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -157,16 +211,14 @@ class Mat:
     def __repr__(self):
         return f"Mat({[list(map(format_rat, r)) for r in self.rows]})"
 
+    @property
+    def rows(self) -> tuple[Vec, ...]:
+        """The entries as Fractions, row by row."""
+        return tuple(tuple(Fraction(x, self.den) for x in row) for row in self.ints)
+
     @classmethod
     def identity(cls, n: int) -> "Mat":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zero(cls, nrows: int, ncols: int) -> "Mat":
-        return cls([[0] * ncols for _ in range(nrows)])
-
-    def transpose(self) -> "Mat":
-        return Mat(zip(*self.rows)) if self.rows else Mat([])
 
     def matvec(self, v: Sequence[Fraction]) -> Vec:
         if len(v) != self.ncols:
@@ -180,37 +232,30 @@ class Mat:
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in matmul")
         cols = list(zip(*other.ints))
-        ints = [[_idot(row, col) for col in cols] for row in self.ints]
-        # the least denominator: den·den' over its gcd with every product
-        g = gcd(self.den * other.den, *(x for row in ints for x in row))
         out = object.__new__(Mat)
-        object.__setattr__(out, "den", self.den * other.den // g)
-        object.__setattr__(out, "ints", tuple(tuple(x // g for x in row) for row in ints))
-        object.__setattr__(out, "rows", tuple(
-            tuple(Fraction(x, out.den) for x in row) for row in out.ints))
-        object.__setattr__(out, "nrows", self.nrows)
-        object.__setattr__(out, "ncols", other.ncols)
+        out._store([[_idot(row, col) for col in cols] for row in self.ints],
+                   self.den * other.den, other.ncols)
         return out
 
     def rank(self) -> int:
         return len(bareiss(self.ints)[1])
 
     def solve_homogeneous(self) -> list[Vec]:
-        """Basis of the exact kernel {x : self @ x = 0}."""
-        ech, pivots, _ = bareiss(self.ints)
-        free = [j for j in range(self.ncols) if j not in pivots]
-        basis: list[Vec] = []
-        for f in free:
+        """Basis of the exact kernel {x : self @ x = 0}, read off the
+        reduced echelon form: for each free column f, x[f] = 1, the other
+        free entries 0 and x[p] = -row[f] / row[p] on each pivot row."""
+        basis = _echelon(self.ints)
+        pivots = _pivots(basis)
+        out: list[Vec] = []
+        for f in range(self.ncols):
+            if f in pivots:
+                continue
             x = [Fraction(0)] * self.ncols
             x[f] = Fraction(1)
-            # back-substitute the pivot variables
-            for i in reversed(range(len(pivots))):
-                p = pivots[i]
-                s = sum((Fraction(ech[i][j]) * x[j] for j in range(p + 1, self.ncols)),
-                        Fraction(0))
-                x[p] = -s / ech[i][p]
-            basis.append(tuple(x))
-        return basis
+            for row, p in zip(basis, pivots):
+                x[p] = Fraction(-row[f], row[p])
+            out.append(tuple(x))
+        return out
 
     def det(self) -> Fraction:
         """The last Bareiss pivot of the grid is det(den * self) = den**n det(self)."""

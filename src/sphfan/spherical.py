@@ -216,7 +216,7 @@ def validate_colored_cone(d: SphericalDatum, cc: ColoredCone) -> ColoredConeRepo
             detail = f"rho({f}) lies outside the cone"
             break
     if cc1 and not all(v.contains(g) for g in c._ints):
-        regen = Cone(d.rank, list(rho_imgs) + list(c.intersect(v).generators))
+        regen = Cone(d.rank, list(rho_imgs) + list(c.intersect(v)._ints))
         if not cones_equal(regen, c):
             cc1 = False
             detail = "cone is not generated by rho(palette) and cone ∩ V"

@@ -18,7 +18,8 @@ from sphfan.docio import serialize_fan
 from sphfan.fourier_motzkin import Ineq, feasible
 from sphfan.galois import ActionReport, GaloisAction, apply_element
 from sphfan.morphisms import FanMorphism
-from sphfan.rational import Mat, Vec, integer_rows, is_zero_vec, primitive_ints, rat
+from sphfan.rational import (Mat, Vec, bareiss, integer_rows, is_zero_vec,
+                             primitive_ints, rat)
 from sphfan.spherical import (ColoredCone, ColoredConeReport, ColoredFan,
                               ColoredFanReport, FanAxiomError, RankMismatchError,
                               SphericalDatum, _cf2_failures, colored_faces,
@@ -501,7 +502,7 @@ def vec_sub(u: Vec, v: Vec) -> Vec:
 
 
 def reference_rref(rows: Sequence[Vec]) -> list[Vec]:
-    """The Fraction Gauss-Jordan elimination that ``sphfan.cones._echelon``
+    """The Fraction Gauss-Jordan elimination that ``sphfan.rational._echelon``
     replaced: the reduced row echelon form basis of the row space.
 
     Kept as the reference the fraction-free elimination must match.
@@ -522,6 +523,36 @@ def reference_rref(rows: Sequence[Vec]) -> list[Vec]:
         out.append(piv)
         col += 1
     return [tuple(r) for r in out]
+
+
+def reference_solve_homogeneous(m: Mat) -> list[Vec]:
+    """``Mat.solve_homogeneous`` as it was: Fraction back-substitution on
+    the Bareiss echelon grid, one vector per free column.  Kept as the
+    reference the kernel read off the reduced echelon form must match."""
+    ech, pivots, _ = bareiss(m.ints)
+    free = [j for j in range(m.ncols) if j not in pivots]
+    basis: list[Vec] = []
+    for f in free:
+        x = [Fraction(0)] * m.ncols
+        x[f] = Fraction(1)
+        for i in reversed(range(len(pivots))):
+            p = pivots[i]
+            s = sum((Fraction(ech[i][j]) * x[j] for j in range(p + 1, m.ncols)),
+                    Fraction(0))
+            x[p] = -s / ech[i][p]
+        basis.append(tuple(x))
+    return basis
+
+
+def reference_lineality(c: Cone) -> tuple[Vec, ...]:
+    """``Cone.lineality_basis`` as it was: the Fraction kernel of the dual's
+    span equations and facets, a basis of the largest linear subspace in
+    c.  ``Cone.is_strictly_convex`` must answer ``not reference_lineality(c)``."""
+    eqs, facets = c._idual
+    rows = eqs + facets
+    if not rows:
+        return tuple(Mat.identity(c.ambient_rank).rows)
+    return tuple(reference_solve_homogeneous(Mat(rows)))
 
 
 def reference_reduce_mod(v: Vec, rref_rows: Sequence[Vec]) -> Vec:

@@ -3,15 +3,14 @@ from fractions import Fraction
 
 import pytest
 
-from sphfan.cones import (Cone, DimensionMismatch, _divide_by_pivots, _echelon,
-                          cones_equal, dual_description, relint_meets_cone,
-                          relints_meet_in)
+from sphfan.cones import (Cone, DimensionMismatch, _divide_by_pivots, cones_equal,
+                          dual_description, relint_meets_cone, relints_meet_in)
 from sphfan.lp import FeasibilitySystem
-from sphfan.rational import bareiss, integer_rows
+from sphfan.rational import _echelon, bareiss, integer_rows
 
 from helpers import (ReferenceCone, brute_force_faces, dot, fm_relint_meets_cone,
                      load_perfbench, random_cone, random_vec, reference_cones_equal,
-                     reference_contains, reference_dual_description,
+                     reference_contains, reference_dual_description, reference_lineality,
                      reference_relints_meet_in, reference_rref)
 
 bench_inputs = load_perfbench("inputs")
@@ -40,7 +39,7 @@ class TestConstruction:
 
     def test_line(self):
         c = Cone(2, [(1, 0), (-1, 0)])
-        assert len(c.lineality_basis) == 1
+        assert not c.is_strictly_convex() and len(reference_lineality(c)) == 1
         for g in [(1, 0), (-1, 0)]:
             assert all(dot(w, g) >= 0 for w in c.facets)
 
@@ -111,8 +110,8 @@ class TestContainsAgainstReference:
                     if tight:
                         points.append(random_member_point(rng, tight))
                         kinds["facet"] += 1
-            if c.lineality_basis:
-                lin = list(c.lineality_basis)
+            lin = list(reference_lineality(c))
+            if lin:
                 lin += [tuple(-x for x in l) for l in lin]
                 points.append(random_member_point(rng, lin))
                 kinds["lineality"] += 1
@@ -148,6 +147,36 @@ class TestRrefAgainstReference:
         assert rational > 300
 
 
+class TestStrictConvexityAgainstReference:
+    """One rank of the int dual against the Fraction kernel it replaced:
+    C is pointed iff it holds no line."""
+
+    def test_random_cones(self):
+        rng = random.Random(79)
+        answers = {True: 0, False: 0}
+        kinds = set()
+        for i in range(600):
+            n = rng.randint(0, 4)
+            units = [tuple(s * (a == b) for b in range(n)) for a in range(n) for s in (1, -1)]
+            kind = ("zero", "space", "lineality", "random")[i % 4]
+            if kind == "zero":
+                gens = []
+            elif kind == "space":
+                gens = units + [random_vec(rng, n, -3, 3) for _ in range(rng.randint(0, 2))]
+            else:
+                gens = [random_vec(rng, n, -3, 3) for _ in range(rng.randint(1, 5))]
+                if kind == "lineality":
+                    gens.append(tuple(-x for x in rng.choice(gens)))
+            c = Cone(n, gens)
+            got = c.is_strictly_convex()
+            assert got == (not reference_lineality(c))
+            answers[got] += 1
+            kinds.add((kind, n == 0, got))
+        assert min(answers.values()) > 100, answers
+        assert {("zero", True, True), ("zero", False, True), ("space", False, False),
+                ("lineality", False, False), ("random", False, True)} <= kinds
+
+
 class TestEquality:
     def test_redundant_generator(self):
         assert cones_equal(quadrant(), Cone(2, [(0, 1), (1, 0), (1, 1)]))
@@ -175,7 +204,7 @@ def equal_by_construction(rng: random.Random, c: Cone) -> Cone:
             gens.append(tuple(sum((a * g[k] for a, g in zip(coeffs, gens)), Fraction(0))
                               for k in range(n)))
     elif kind == 2:
-        lin = c.lineality_basis
+        lin = reference_lineality(c)
         shifted = []
         for g in gens:
             t = [rng.randint(-3, 3) for _ in lin]
@@ -744,7 +773,7 @@ class TestIntegerConeAgainstReference:
             assert got.facets == want.facets and got.span_equations == want.span_equations
             # the trusted constructor gives what normalising would
             assert got.key == Cone(got.ambient_rank, got.generators).key
-            lineality += bool(got.lineality_basis)
+            lineality += not got.is_strictly_convex()
         assert lineality > 30
 
     def test_relints_meet_in_witnesses(self):
@@ -811,7 +840,7 @@ class TestIntegerConeAgainstReference:
                 points.append(tuple(sum((rng.randint(1, 3) * g[k] for g in face.generators),
                                         Fraction(0)) for k in range(n)))
                 kinds["proper face"] += 1
-            kinds["zero in lineality"] += bool(c.lineality_basis) and bool(c.generators)
+            kinds["zero in lineality"] += not c.is_strictly_convex() and bool(c.generators)
             for x in points:
                 solves.clear()
                 got = c.relint_contains(x)
@@ -830,7 +859,7 @@ class TestIntegerConeAgainstReference:
         for n, gens, kind in self.relint_cases(rng):
             c = Cone(n, gens)
             assert c.dim == len(bareiss(c._ints)[1])
-            dims.add((kind, c.dim == n, bool(c.lineality_basis)))
+            dims.add((kind, c.dim == n, not c.is_strictly_convex()))
         assert {("random", False, False), ("random", False, True),
                 ("random", True, True), ("zero", False, False),
                 ("space", True, True), ("half-space", True, True)} <= dims

@@ -1,13 +1,18 @@
+import ast
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from sphfan import rational
 from sphfan.rational import Mat, format_rat, parse_rat
 
 from helpers import (primitive, reference_det, reference_is_integral_unimodular,
-                     reference_matmul, reference_matvec, reference_rref)
+                     reference_matmul, reference_matvec, reference_rref,
+                     reference_solve_homogeneous)
 
 
 class TestParseFormat:
@@ -40,7 +45,7 @@ class TestRank:
         assert Mat.identity(3).rank() == 3
 
     def test_zero(self):
-        assert Mat.zero(2, 4).rank() == 0
+        assert Mat([[0] * 4] * 2).rank() == 0
 
     def test_proportional_rows(self):
         assert Mat([[1, 2], [2, 4]]).rank() == 1
@@ -52,7 +57,7 @@ class TestRank:
             cols = rng.randint(1, 4)
             m = Mat([[Fraction(rng.randint(-9, 9), rng.randint(1, 4))
                       for _ in range(cols)] for _ in range(rows)])
-            assert m.rank() == m.transpose().rank()
+            assert m.rank() == Mat(zip(*m.rows)).rank()
 
 
 class TestKernel:
@@ -81,6 +86,35 @@ class TestKernel:
             assert m.rank() + len(basis) == cols
             for x in basis:
                 assert all(v == 0 for v in m.matvec(x))
+
+    def test_against_back_substitution(self):
+        # the kernel read off the reduced echelon form against the Fraction
+        # back-substitution it replaced: the same Fraction tuples, in order
+        rng = random.Random(13)
+        shapes = [(n, k) for n in range(5) for k in range(6)]
+        seen = {"zero row": 0, "zero matrix": 0, "0 x n": 0, "n x 0": 0,
+                "full rank": 0, "rank-deficient": 0}
+        for i in range(600):
+            n, k = shapes[i % len(shapes)]
+            m = _random_mat(rng, n, k)
+            if n and k and rng.random() < 0.3:
+                rows = [list(r) for r in m.rows]
+                rows[rng.randrange(n)] = [0] * k
+                m = Mat(rows)
+            elif not n:
+                # a matrix the constructor makes with no rows has no columns either
+                m = object.__new__(Mat)
+                m._store([], 1, k)
+            got = m.solve_homogeneous()
+            assert got == reference_solve_homogeneous(m)
+            assert all(type(x) is Fraction for v in got for x in v)
+            seen["zero row"] += any(not any(r) for r in m.ints)
+            seen["zero matrix"] += not any(map(any, m.ints))
+            seen["0 x n"] += not m.nrows
+            seen["n x 0"] += m.nrows and not m.ncols
+            seen["full rank"] += m.rank() == min(m.nrows, m.ncols)
+            seen["rank-deficient"] += m.rank() < min(m.nrows, m.ncols)
+        assert min(seen.values()) > 50, seen
 
 
 class TestUnimodular:
@@ -204,3 +238,33 @@ def test_int_grid_matches_the_fraction_references():
         assert hash(got) == hash(want)
     assert Mat([[F(1, 2)]]).matmul(Mat([[2]])).den == 1
     assert Mat([[F(1, 6)]]).matmul(Mat([[F(3, 4)]])).den == 8
+
+
+def test_the_int_core_has_one_form():
+    # Mat keeps only its int grid, and the int eliminations live here: a
+    # module reading rows, a cone kernel or a copy of the elimination
+    # would compute in Fractions again
+    paths = sorted(Path(rational.__file__).parent.glob("*.py"))
+    assert {"rational.py", "cones.py", "docio.py"} <= {p.name for p in paths}
+    assert "rows" not in Mat.__slots__
+    for path in paths:
+        text = path.read_text()
+        tree = ast.parse(text)
+        assert "lineality_basis" not in text, path.name
+        if path.name not in ("rational.py", "docio.py"):
+            assert not any(isinstance(node, ast.Attribute) and node.attr == "rows"
+                           for node in ast.walk(tree)), path.name
+        if path.name == "cones.py":
+            defined = {node.name for node in ast.walk(tree)
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+            assert not defined & {"_echelon", "_combine", "_pivots", "_reduce_ints",
+                                  "bareiss"}, defined
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            assert {n.split(".")[0] for n in names} <= sys.stdlib_module_names, (
+                path.name, names)
