@@ -66,12 +66,16 @@ def _check(axiom: str, subject: str, ok: bool, witness=None) -> dict:
     return entry
 
 
+def _cone_checks(subject: str, r: spherical.ColoredConeReport) -> list[dict]:
+    """The CC1 and CC2 rows of one colored cone's report."""
+    return [_check("CC1", subject, r.cc1), _check("CC2", subject, r.cc2, r.cc2_witness)]
+
+
 def _fan_checks(d, fan: ColoredFan, strict: bool) -> tuple[list[dict], bool]:
     report = spherical.validate_colored_fan(d, fan)
     checks = []
     for i, r in enumerate(report.cone_reports):
-        checks.append(_check("CC1", f"cone[{i}]", r.cc1))
-        checks.append(_check("CC2", f"cone[{i}]", r.cc2, r.cc2_witness))
+        checks += _cone_checks(f"cone[{i}]", r)
     for i, face in report.cf1_missing:
         checks.append(_check("CF1", f"cone[{i}]", False))
     if not report.cf1_missing:
@@ -105,8 +109,7 @@ def _dropped_checks(d, members, closed: ColoredFan) -> list[dict]:
     for i, cc in enumerate(members):
         if closed.index(cc) is None:
             r = spherical.validate_colored_cone(d, cc)
-            checks += [_check(axiom, f"input[{i}]", False)
-                       for axiom, ok in (("CC1", r.cc1), ("CC2", r.cc2)) if not ok]
+            checks += [c for c in _cone_checks(f"input[{i}]", r) if c["result"] == "fail"]
     return checks
 
 
@@ -141,8 +144,7 @@ def cmd_faces(args) -> int:
     faces_out = []
     for idx, cc in targets:
         r = spherical.validate_colored_cone(d, cc)
-        checks.append(_check("CC1", f"cone[{idx}]", r.cc1))
-        checks.append(_check("CC2", f"cone[{idx}]", r.cc2, r.cc2_witness))
+        checks += _cone_checks(f"cone[{idx}]", r)
         if not r.ok:
             ok = False
             continue

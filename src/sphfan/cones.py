@@ -23,8 +23,8 @@ from operator import mul, neg
 from typing import Iterable, Optional, Sequence
 
 from .lp import FeasibilitySystem
-from .rational import (Mat, Vec, _combine, _echelon, _idot, _pivots, _reduce_ints,
-                       all_ints, bareiss, integer_rows, primitive_ints, rat, vec)
+from .rational import (Frozen, Mat, Vec, _combine, _echelon, _idot, _pivots,
+                       _reduce_ints, all_ints, bareiss, integer_rows, primitive_ints, rat, vec)
 
 
 class DimensionMismatch(ValueError):
@@ -115,7 +115,7 @@ def _neg(v: Sequence[int]) -> tuple[int, ...]:
     return tuple(map(neg, v))
 
 
-class Cone:
+class Cone(Frozen):
     """Rational polyhedral cone, cone(generators) in Q^ambient_rank.
 
     The generators are kept as primitive int tuples in ``_ints``; the
@@ -151,9 +151,6 @@ class Cone:
         if dim is not None:
             cone.__dict__["dim"] = dim
         return cone
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Cone is immutable")
 
     def __repr__(self):
         return f"Cone({self.ambient_rank}, {[tuple(map(str, g)) for g in self._ints]})"

@@ -10,14 +10,15 @@ serialization is deterministic (sorted keys, canonical rational strings).
 from __future__ import annotations
 
 import json
+from collections import Counter
 from fractions import Fraction
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from .cones import Cone
 from .galois import GaloisAction, GroupElement
 from .morphisms import FanMorphism
 from .rational import Mat, format_rat, parse_rat
-from .spherical import ColoredCone, ColoredFan, SphericalDatum
+from .spherical import ColoredCone, ColoredFan, SphericalDatum, UnknownColorError
 
 FORMAT_VERSION = "1"
 KINDS = ("datum", "fan", "action", "morphism")
@@ -44,8 +45,8 @@ def _reject_float(value: str):
 def _reject_repeated_keys(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [k for k, _ in pairs]
-        key = next(k for k in keys if keys.count(k) > 1)
+        counts = Counter(k for k, _ in pairs)
+        key = next(k for k, _ in pairs if counts[k] > 1)
         raise ParseError(f"repeated key {key!r} in an object")
     return obj
 
@@ -123,6 +124,14 @@ def _matrix_at(rows: list, path: str) -> Mat:
     return Mat(rows)
 
 
+def _colors_at(datum: SphericalDatum, names: Iterable[str], path: str) -> None:
+    """``datum.check_colors(names)``, failing as a ParseError at path."""
+    try:
+        datum.check_colors(names)
+    except UnknownColorError as e:
+        raise ParseError(e.args[0], path=path) from e
+
+
 def _int_at(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ParseError("expected an integer", path=path)
@@ -195,10 +204,7 @@ def parse_fan(text: str, datum: SphericalDatum) -> ColoredFan:
         gens = _vectors_at(entry["generators"], f"{path}.generators", datum.rank)
         palette = [_expect_str(c, f"{path}.colors[{j}]")
                    for j, c in enumerate(_expect_list(entry["colors"], f"{path}.colors"))]
-        unknown = set(palette) - set(datum.colors)
-        if unknown:
-            raise ParseError(f"unknown color {sorted(unknown)[0]!r}",
-                             path=f"{path}.colors")
+        _colors_at(datum, palette, f"{path}.colors")
         members.append(ColoredCone(Cone(datum.rank, gens), palette))
     if not members:
         raise ParseError("a fan document must list at least one cone",
@@ -244,12 +250,10 @@ def parse_action(text: str, datum: SphericalDatum) -> GaloisAction:
             raise ParseError("expected an object", path=f"{path}.color_perm")
         perm = {}
         for k, v in perm_raw.items():
-            if k not in datum.colors:
-                raise ParseError(f"unknown color {k!r}", path=f"{path}.color_perm")
+            _colors_at(datum, [k], f"{path}.color_perm")
             perm[k] = _expect_str(v, f"{path}.color_perm.{k}")
-            if perm[k] not in datum.colors:
-                raise ParseError(f"unknown color {perm[k]!r}", path=f"{path}.color_perm.{k}")
-        if len(perm) != len(datum.colors) or len(set(perm.values())) != len(perm):
+            _colors_at(datum, [perm[k]], f"{path}.color_perm.{k}")
+        if not datum.permutes_colors(perm):
             raise ParseError("not a permutation of the colors", path=f"{path}.color_perm")
         elements.append(GroupElement(name, matrix, perm))
     return GaloisAction(datum, elements)
@@ -283,12 +287,8 @@ def parse_morphism(text: str, source: SphericalDatum,
     if not isinstance(cmap_raw, dict):
         raise ParseError("expected an object", path="$.payload.color_map")
     cmap = {k: _expect_str(v, f"$.payload.color_map.{k}") for k, v in cmap_raw.items()}
-    for c in domain:
-        if c not in source.colors:
-            raise ParseError(f"unknown color {c!r}", path="$.payload.domain_colors")
-    for c in cmap.values():
-        if c not in target.colors:
-            raise ParseError(f"unknown color {c!r}", path="$.payload.color_map")
+    _colors_at(source, domain, "$.payload.domain_colors")
+    _colors_at(target, cmap.values(), "$.payload.color_map")
     return FanMorphism(source, target, matrix, domain, cmap)
 
 
@@ -302,8 +302,7 @@ def serialize_morphism(m: FanMorphism) -> str:
 
 
 def _dump(kind: str, payload: dict) -> str:
-    doc = {"kind": kind, "version": FORMAT_VERSION, "payload": payload}
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return dump_json({"kind": kind, "version": FORMAT_VERSION, "payload": payload})
 
 
 def dump_json(obj) -> str:

@@ -36,29 +36,25 @@ runs in two phases, on Python ints only:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
 from typing import Sequence
 
-from .rational import all_ints
+from .rational import all_ints, integer_rows, primitive_ints
 
 Ineq = tuple[tuple[Fraction, ...], Fraction]
 
 
-def _primitive_row(vals: list[int]) -> tuple[tuple[int, ...], int]:
+def _primitive_row(vals: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """(coefficients, rhs) of an int row divided by the gcd of all its entries."""
-    g = gcd(*vals)
-    if g > 1:
-        vals = [v // g for v in vals]
-    return tuple(vals[:-1]), vals[-1]
+    p = primitive_ints(vals)
+    return p[:-1], p[-1]
 
 
 def _int_row(coeffs: Sequence, rhs) -> tuple[tuple[int, ...], int]:
     """An int-or-Fraction row scaled to a primitive int row, same direction."""
     vals = list(coeffs) + [rhs]
-    if all_ints(vals):
-        return _primitive_row(vals)
-    m = lcm(*(v.denominator for v in vals))
-    return _primitive_row([v.numerator * (m // v.denominator) for v in vals])
+    if not all_ints(vals):
+        (vals,) = integer_rows([vals])
+    return _primitive_row(vals)
 
 
 def _tighten(rows: dict[tuple[int, ...], int], c: tuple[int, ...], r: int) -> bool:

@@ -42,7 +42,7 @@ from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from . import fourier_motzkin
-from .rational import all_ints
+from .rational import Frozen, all_ints
 
 _cross_check = False
 
@@ -112,7 +112,7 @@ def _solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int],
     return y, d
 
 
-class FeasibilitySystem:
+class FeasibilitySystem(Frozen):
     """``A y = b`` with ``y >= 0``: int rows ``equalities`` of length
     ``nvars`` and an int ``rhs``.  Any other entry raises ``TypeError``,
     so only ints reach the tableau's floor divisions.
@@ -146,9 +146,6 @@ class FeasibilitySystem:
         object.__setattr__(system, "one_signed_row", one_signed_row)
         object.__setattr__(system, "_rows", build)
         return system
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FeasibilitySystem is immutable")
 
     def _built_rows(self) -> tuple:
         """``(equalities, rhs)``, built now if they were deferred."""

@@ -12,12 +12,12 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .cones import Cone, cones_equal
-from .rational import Mat, Vec
+from .rational import Frozen, Mat, Vec
 from .spherical import (ColoredCone, ColoredFan, RankMismatchError,
                         SphericalDatum, UnknownColorError)
 
 
-class FanMorphism:
+class FanMorphism(Frozen):
     """Linear map (target_rank x source_rank) + partial color map."""
 
     __slots__ = ("source", "target", "linear_map", "domain_colors", "color_map")
@@ -39,9 +39,6 @@ class FanMorphism:
         object.__setattr__(self, "linear_map", linear_map)
         object.__setattr__(self, "domain_colors", frozenset(domain_colors))
         object.__setattr__(self, "color_map", color_map)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FanMorphism is immutable")
 
     def push_cone(self, c: Cone) -> Cone:
         return c.image(self.linear_map)

@@ -170,7 +170,21 @@ def _reduce_ints(v: Sequence[int], basis: Sequence[Sequence[int]],
     return primitive_ints(v)
 
 
-class Mat:
+class Frozen:
+    """Base of the immutable value types: assigning or deleting an
+    attribute raises ``AttributeError``.  Constructors set slots only
+    through ``object.__setattr__``, which goes past this guard."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class Mat(Frozen):
     """Immutable rectangular matrix of exact rationals.
 
     The matrix is stored once as an int grid over one common positive
@@ -198,9 +212,6 @@ class Mat:
         object.__setattr__(self, "ints", tuple(tuple(x // g for x in row) for row in ints))
         object.__setattr__(self, "nrows", len(ints))
         object.__setattr__(self, "ncols", ncols)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat is immutable")
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.den == other.den and self.ints == other.ints

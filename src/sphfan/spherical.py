@@ -18,7 +18,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .cones import Cone, cones_equal, relint_meets_cone, relints_meet_in
-from .rational import Vec, is_zero_vec, rat
+from .rational import Frozen, Vec, is_zero_vec, rat
 
 
 class UnknownColorError(KeyError):
@@ -37,7 +37,7 @@ class FanAxiomError(ValueError):
         self.witness = witness
 
 
-class SphericalDatum:
+class SphericalDatum(Frozen):
     """The input tuple: rank, valuation cone V, color set D, map rho."""
 
     __slots__ = ("rank", "valuation_cone", "colors", "rho")
@@ -66,16 +66,17 @@ class SphericalDatum:
         object.__setattr__(self, "colors", tuple(colors))
         object.__setattr__(self, "rho", images)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("SphericalDatum is immutable")
-
     def check_colors(self, palette: Iterable[str]) -> None:
         unknown = set(palette) - set(self.colors)
         if unknown:
             raise UnknownColorError(f"unknown colors: {sorted(unknown)}")
 
+    def permutes_colors(self, perm: Mapping[str, str]) -> bool:
+        """True iff perm maps the colors one-to-one onto the colors."""
+        return set(perm) == set(perm.values()) == set(self.colors)
 
-class ColoredCone:
+
+class ColoredCone(Frozen):
     """A pair (cone, palette).  Validity only via validate_colored_cone."""
 
     __slots__ = ("cone", "palette")
@@ -83,9 +84,6 @@ class ColoredCone:
     def __init__(self, cone: Cone, palette: Iterable[str] = ()):
         object.__setattr__(self, "cone", cone)
         object.__setattr__(self, "palette", frozenset(palette))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ColoredCone is immutable")
 
     def __repr__(self):
         return f"ColoredCone({self.cone!r}, {sorted(self.palette)})"
@@ -124,7 +122,7 @@ def _distinct(ccs: Iterable[ColoredCone]) -> Iterator[ColoredCone]:
                 yield cc
 
 
-class ColoredFan:
+class ColoredFan(Frozen):
     """Nonempty, duplicate-free finite collection of colored cones.
 
     Of equal colored cones the first is kept, generators as given
@@ -141,9 +139,6 @@ class ColoredFan:
         object.__setattr__(self, "cones", members)
         object.__setattr__(self, "_by_gens", {cc._gens_key: i for i, cc in enumerate(members)})
         object.__setattr__(self, "_by_key", {cc.key: i for i, cc in enumerate(members)})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ColoredFan is immutable")
 
     def __len__(self):
         return len(self.cones)
@@ -201,28 +196,25 @@ def validate_colored_cone(d: SphericalDatum, cc: ColoredCone) -> ColoredConeRepo
     intersection with V.  A cone whose generators all lie in V is its
     own intersection with V, so then CC1 holds with no intersection;
     otherwise the regenerated cone is compared by ``cones_equal``, by
-    generator set first and otherwise by canonical key.
+    generator set first and otherwise by canonical key.  CC1 holds iff
+    ``cc1_detail``, the first failed test, is empty.
     """
     _check(d, cc)
     c = cc.cone
     v = d.valuation_cone
-    rho_imgs = [d.rho[f] for f in sorted(cc.palette)]
+    palette = sorted(cc.palette)
 
-    cc1 = True
     detail = ""
-    for f in sorted(cc.palette):
-        if not c.contains(d.rho[f]):
-            cc1 = False
-            detail = f"rho({f}) lies outside the cone"
-            break
-    if cc1 and not all(v.contains(g) for g in c._ints):
-        regen = Cone(d.rank, list(rho_imgs) + list(c.intersect(v)._ints))
+    outside = next((f for f in palette if not c.contains(d.rho[f])), None)
+    if outside is not None:
+        detail = f"rho({outside}) lies outside the cone"
+    elif not all(v.contains(g) for g in c._ints):
+        regen = Cone(d.rank, [d.rho[f] for f in palette] + list(c.intersect(v)._ints))
         if not cones_equal(regen, c):
-            cc1 = False
             detail = "cone is not generated by rho(palette) and cone ∩ V"
 
     witness = relint_meets_cone(c, v)
-    return ColoredConeReport(cc1=cc1, cc2=witness is not None,
+    return ColoredConeReport(cc1=not detail, cc2=witness is not None,
                              cc2_witness=witness, cc1_detail=detail)
 
 

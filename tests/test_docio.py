@@ -1,5 +1,6 @@
 import json
 import random
+import time
 
 import pytest
 
@@ -305,3 +306,51 @@ class TestRepeatedKeys:
         with pytest.raises(ParseError, match="repeated key 'generators'"):
             _parse("fan", _with_repeat(COLORED_FAN, ("payload", "cones", 1), "generators",
                                        [["1", "0"]]))
+
+    def test_first_listed_of_two_repeats(self):
+        for text, key in (('{"a": 1, "b": 1, "b": 2, "a": 2}', "a"),
+                          ('{"b": 1, "a": 1, "a": 2, "b": 2}', "b")):
+            with pytest.raises(ParseError, match=f"repeated key '{key}'"):
+                docio.detect_kind(text)
+
+    def test_linear_in_the_number_of_keys(self):
+        # counting each key's occurrences one key at a time took about 30 s
+        # CPU for 40,000 keys
+        keys = ", ".join(f'"k{i}": 0' for i in range(100_000))
+        text = '{"kind": "fan", "version": "1", "payload": {' + keys + ', "k99999": 1}}'
+        d = docio.parse_datum(COLORED_DATUM)
+        start = time.process_time()
+        with pytest.raises(ParseError, match="repeated key 'k99999'"):
+            docio.parse_fan(text, d)
+        assert time.process_time() - start < 5
+
+
+class TestColorPaths:
+    """Every color check fails as a ParseError at the field it names."""
+
+    @pytest.mark.parametrize("kind, path, value, field", [
+        ("fan", ("payload", "cones", 1, "colors"), ["a", "zz"], "$.payload.cones[1].colors"),
+        ("action", ("payload", "elements", 1, "color_perm"), {"a": "b", "zz": "a"},
+         "$.payload.elements[1].color_perm"),
+        ("action", ("payload", "elements", 1, "color_perm"), {"a": "zz", "b": "a"},
+         "$.payload.elements[1].color_perm.a"),
+        ("morphism", ("payload", "domain_colors"), ["a", "zz"], "$.payload.domain_colors"),
+        ("morphism", ("payload", "color_map"), {"a": "zz"}, "$.payload.color_map"),
+    ])
+    def test_unknown_color(self, kind, path, value, field):
+        doc = json.loads(DOCUMENTS[kind])
+        target = doc
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        with pytest.raises(ParseError, match="unknown color") as info:
+            _parse(kind, json.dumps(doc))
+        assert info.value.path == field
+
+    @pytest.mark.parametrize("perm", [{"a": "a", "b": "a"}, {"b": "a"}, {}])
+    def test_not_a_permutation(self, perm):
+        doc = json.loads(SWAP_ACTION)
+        doc["payload"]["elements"][1]["color_perm"] = perm
+        with pytest.raises(ParseError, match="not a permutation") as info:
+            _parse("action", json.dumps(doc))
+        assert info.value.path == "$.payload.elements[1].color_perm"

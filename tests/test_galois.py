@@ -4,7 +4,7 @@ import pytest
 
 from sphfan import docio, galois, spherical
 from sphfan.cones import Cone, cones_equal
-from sphfan.galois import (GaloisAction, GroupElement, apply_element,
+from sphfan.galois import (ActionReport, GaloisAction, GroupElement, apply_element,
                            invariant_closure, is_invariant_fan, orbit,
                            validate_action)
 from sphfan.morphisms import FanMorphism
@@ -135,6 +135,32 @@ class TestValidateActionAgainstReference:
             assert r == reference_validate_action(a)
             seen.add((r.has_identity, r.closed, r.has_inverses))
         assert len(seen) >= 3
+
+    def test_every_failure_kind(self):
+        # B2 elements mixed with three broken ones: 2·I is not unimodular
+        # (and scales rho), a singular projection moves V = Q^2, and the
+        # identity matrix with two colors swapped breaks only rho
+        rng = random.Random(53)
+        d, _, full = bench_inputs.build_twisted(bench_inputs.twisted_p1(rng, 2))
+        c0, c1 = d.colors[:2]
+        fixed = {c: c for c in d.colors}
+        broken = [GroupElement("twice", Mat([[2, 0], [0, 2]]), fixed),
+                  GroupElement("flat", Mat([[1, 0], [0, 0]]), fixed),
+                  GroupElement("swap", Mat.identity(2), {**fixed, c0: c1, c1: c0})]
+        false_counts = dict.fromkeys(ActionReport._fields[:6], 0)
+        for _ in range(60):
+            elements = rng.sample(full.elements, rng.randint(0, len(full.elements)))
+            elements += [e for e in broken if rng.random() < 0.4]
+            if not elements:
+                continue
+            rng.shuffle(elements)
+            a = GaloisAction(d, elements)
+            r = validate_action(a)
+            assert r == reference_validate_action(a)
+            assert r.ok == (not r.failures)
+            for flag in false_counts:
+                false_counts[flag] += not getattr(r, flag)
+        assert min(false_counts.values()) >= 5, false_counts
 
 
 class TestApplyElement:

@@ -8,7 +8,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sphfan import rational
+from sphfan.cones import Cone
+from sphfan.galois import GaloisAction, GroupElement
+from sphfan.lp import FeasibilitySystem
+from sphfan.morphisms import FanMorphism
 from sphfan.rational import Mat, format_rat, parse_rat
+from sphfan.spherical import ColoredCone, ColoredFan, SphericalDatum
 
 from helpers import (primitive, reference_det, reference_is_integral_unimodular,
                      reference_matmul, reference_matvec, reference_rref,
@@ -268,3 +273,83 @@ def test_the_int_core_has_one_form():
                 continue
             assert {n.split(".")[0] for n in names} <= sys.stdlib_module_names, (
                 path.name, names)
+
+
+def _frozen_instances() -> list:
+    """One instance of each value type built on ``rational.Frozen``."""
+    d = SphericalDatum(1, Cone(1, [(1,), (-1,)]), ["a"], {"a": (1,)})
+    cc = ColoredCone(Cone(1, [(1,)]), ["a"])
+    e = GroupElement("id", Mat.identity(1), {"a": "a"})
+    return [Mat([[1, Fraction(1, 2)], [3, 4]]), Cone(2, [(1, 0), (0, 1)]),
+            FeasibilitySystem(((1, 1),), (1,), 2), d, cc, ColoredFan([cc]), e,
+            GaloisAction(d, [e]), FanMorphism(d, d, Mat.identity(1), ["a"], {"a": "a"})]
+
+
+@pytest.mark.parametrize("obj", _frozen_instances(), ids=lambda obj: type(obj).__name__)
+def test_value_types_are_immutable(obj):
+    assert isinstance(obj, rational.Frozen)
+    slots = [s for cls in type(obj).__mro__ for s in vars(cls).get("__slots__", ())
+             if s != "__dict__"]
+    before = {s: getattr(obj, s) for s in slots}
+    h = hash(obj)
+    for name in slots + ["other"]:
+        with pytest.raises(AttributeError, match=f"{type(obj).__name__} is immutable"):
+            setattr(obj, name, None)
+        with pytest.raises(AttributeError, match=f"{type(obj).__name__} is immutable"):
+            delattr(obj, name)
+    assert all(getattr(obj, s) is v for s, v in before.items())
+    assert hash(obj) == h
+    if isinstance(obj, Mat):
+        assert obj == Mat([[1, Fraction(1, 2)], [3, 4]])
+
+
+def test_each_fact_has_one_home():
+    # immutability, row scaling, color membership and each action flag are
+    # decided in one place; a second copy could drift from the first
+    trees = {p.name: ast.parse(p.read_text())
+             for p in sorted(Path(rational.__file__).parent.glob("*.py"))}
+    assert {"rational.py", "fourier_motzkin.py", "docio.py", "galois.py"} <= set(trees)
+
+    def sets_slots(node) -> bool:
+        return any(isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                   and n.func.attr == "__setattr__"
+                   and isinstance(n.func.value, ast.Name) and n.func.value.id == "object"
+                   for n in ast.walk(node))
+
+    overrides = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                overrides += [(name, node.name) for f in node.body
+                              if isinstance(f, ast.FunctionDef)
+                              and f.name in ("__setattr__", "__delattr__")]
+        for stmt in tree.body:
+            if sets_slots(stmt):
+                assert isinstance(stmt, ast.ClassDef), (name, stmt.lineno)
+                assert "Frozen" in {b.id for b in stmt.bases if isinstance(b, ast.Name)}, (
+                    name, stmt.name)
+    assert overrides == [("rational.py", "Frozen")] * 2
+
+    fm = trees["fourier_motzkin.py"]
+    used = ({n.id for n in ast.walk(fm) if isinstance(n, ast.Name)}
+            | {n.attr for n in ast.walk(fm) if isinstance(n, ast.Attribute)}
+            | {a.name for n in ast.walk(fm) if isinstance(n, ast.ImportFrom) for a in n.names})
+    assert not used & {"gcd", "lcm"}
+
+    # docio reads a datum's colors only to write them out; every membership
+    # test goes through SphericalDatum.check_colors or permutes_colors
+    readers = {f.name for f in ast.walk(trees["docio.py"]) if isinstance(f, ast.FunctionDef)
+               and any(isinstance(n, ast.Attribute) and n.attr == "colors"
+                       for n in ast.walk(f))}
+    assert readers <= {"serialize_datum"}, readers
+
+    # each flag of validate_action is read off its failure list: no name
+    # is set to a boolean or bound twice
+    fn = next(f for f in ast.walk(trees["galois.py"])
+              if isinstance(f, ast.FunctionDef) and f.name == "validate_action")
+    assert not any(isinstance(n, ast.Constant) and isinstance(n.value, bool)
+                   for n in ast.walk(fn))
+    bound = [t.id for n in ast.walk(fn) if isinstance(n, (ast.Assign, ast.AugAssign))
+             for t in (n.targets if isinstance(n, ast.Assign) else [n.target])
+             if isinstance(t, ast.Name)]
+    assert len(bound) == len(set(bound)), bound
