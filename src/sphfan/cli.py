@@ -71,8 +71,8 @@ def _cone_checks(subject: str, r: spherical.ColoredConeReport) -> list[dict]:
     return [_check("CC1", subject, r.cc1), _check("CC2", subject, r.cc2, r.cc2_witness)]
 
 
-def _fan_checks(d, fan: ColoredFan, strict: bool) -> tuple[list[dict], bool]:
-    report = spherical.validate_colored_fan(d, fan)
+def _fan_checks(d, fan: ColoredFan, report: spherical.ColoredFanReport,
+                strict: bool) -> tuple[list[dict], bool]:
     checks = []
     for i, r in enumerate(report.cone_reports):
         checks += _cone_checks(f"cone[{i}]", r)
@@ -116,16 +116,16 @@ def _dropped_checks(d, members, closed: ColoredFan) -> list[dict]:
 def cmd_validate(args) -> int:
     d = _load_datum(args.datum)
     fan = docio.parse_fan(_read(args.fan), d)
-    dropped = []
+    members = fan.cones
     if args.autocomplete:
-        members = fan.cones
-        try:
-            fan = spherical.faces_closure(d, list(members))
-        except FanAxiomError as e:
-            report = {"checks": [_check("CF2", "autocomplete", False, e.witness)]}
-            return _emit(report, False)
-        dropped = _dropped_checks(d, members, fan)
-    checks, ok = _fan_checks(d, fan, args.strict)
+        # closed with no CF2 pass of its own: the fan report runs the one pass
+        fan = spherical._faces_fan(d, members)
+    report = spherical.validate_colored_fan(d, fan)
+    if args.autocomplete and report.cf2_failures:
+        witness = report.cf2_failures[0][2]
+        return _emit({"checks": [_check("CF2", "autocomplete", False, witness)]}, False)
+    dropped = _dropped_checks(d, members, fan) if args.autocomplete else []
+    checks, ok = _fan_checks(d, fan, report, args.strict)
     return _emit({"checks": dropped + checks}, ok and not dropped)
 
 

@@ -3,7 +3,9 @@
 The group is given by an explicit finite list of elements (matrix on the
 ambient lattice plus a permutation of colors); continuity means every
 relevant action factors through such a finite quotient, so closure and
-inverse checks can be exhaustive.
+inverse checks can be exhaustive.  The invariant closure of a set of
+colored cones is the closure of the seeds under the elements, handed to
+``spherical.faces_closure``: faces are closed in that one place.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from typing import Mapping, NamedTuple, Sequence
 from .cones import cones_equal
 from .rational import Frozen, Mat
 from .spherical import (ColoredCone, ColoredFan, RankMismatchError,
-                        SphericalDatum, _closed_fan, _distinct)
-# not called here: the benchmark's tracer wraps these names in this module
-from .spherical import colored_cones_equal, faces_closure  # noqa: F401
+                        SphericalDatum, _distinct, faces_closure)
+# not called here: the benchmark's tracer wraps this name in this module
+from .spherical import colored_cones_equal  # noqa: F401
 
 
 class GroupElement(Frozen):
@@ -69,8 +71,7 @@ class ActionReport(NamedTuple):
 
     @property
     def ok(self) -> bool:
-        return (self.has_identity and self.closed and self.has_inverses
-                and self.unimodular and self.v_stable and self.rho_equivariant)
+        return not self.failures
 
 
 def _action_key(matrix: Mat, perm: Mapping[str, str]) -> tuple:
@@ -149,23 +150,26 @@ def orbit(a: GaloisAction, cc: ColoredCone) -> list[ColoredCone]:
 def invariant_closure(a: GaloisAction, seeds: Sequence[ColoredCone]) -> ColoredFan:
     """Minimal Γ-invariant colored fan containing the seeds.
 
-    One first-in-first-out worklist, started with the seeds and read
-    through ``spherical._distinct``: each colored cone new there becomes
-    a member, its colored faces are recorded, and its orbit and then
-    those faces go to the back, so each member's orbit and faces are
-    computed once.  The recorded faces go through the finisher of
-    ``faces_closure``: dimension order, then the CF2 pass (FanAxiomError
-    with a witness on failure).  Γ must be finite: an element of infinite
-    order makes orbits of ever new cones, and the worklist never empties.
-    """
-    # looked up per call, so a wrapper put on spherical.colored_faces sees it
-    from .spherical import colored_faces
+    Precondition: every element is invertible and rho-equivariant (the
+    CLI calls this only after ``validate_action`` passes).  Such a γ maps
+    the faces of a cone C onto the faces of γC, and rho(γf) = γ·rho(f)
+    puts rho(γf) in γF iff rho(f) is in F, so γ maps the colored faces of
+    C, palettes included, onto the colored faces of γC.  Faces of faces
+    and images of faces therefore add no member: the closure is
+    ``faces_closure`` of the seeds closed under the elements.
 
+    That closure is one first-in-first-out worklist, started with the
+    seeds and read through ``spherical._distinct``: each colored cone new
+    there is kept and its orbit goes to the back.  ``faces_closure``
+    orders by dimension, then first occurrence, and raises FanAxiomError
+    with a witness on a CF2 failure.  Γ must be finite: an element of
+    infinite order makes orbits of ever new cones, and the worklist never
+    empties.
+    """
     worklist = list(seeds)
-    face_lists = []
+    members = []
     # a list iterator also reads the items appended while it runs
     for cc in _distinct(worklist):
-        faces = colored_faces(a.datum, cc)
-        face_lists.append(faces)
-        worklist += orbit(a, cc) + faces
-    return _closed_fan(a.datum, face_lists)
+        members.append(cc)
+        worklist += orbit(a, cc)
+    return faces_closure(a.datum, members)

@@ -310,21 +310,20 @@ def faces_closure(d: SphericalDatum, cones: Sequence[ColoredCone]) -> ColoredFan
     interior misses V, or whose palette holds a color f with rho(f)
     outside the cone, is dropped (the second with its face under the
     smaller palette kept).  Raises FanAxiomError (with witness) on a CF2
-    violation; the returned fan is ordered by dimension, then first
-    occurrence.
+    violation, found by the lazy pass of ``_cf2_failures``; the returned
+    fan is ordered by dimension, then first occurrence.
     """
-    return _closed_fan(d, [colored_faces(d, cc) for cc in cones])
-
-
-def _closed_fan(d: SphericalDatum,
-                face_lists: Iterable[Sequence[ColoredCone]]) -> ColoredFan:
-    """The fan of the colored cones in face_lists, each key at its first
-    occurrence, ordered by dimension, after the lazy CF2 pass: one double
-    description per distinct generator set and palette."""
-    fan = ColoredFan(sorted(chain.from_iterable(face_lists), key=lambda cc: cc.cone.dim))
+    fan = _faces_fan(d, cones)
     failure = next(_cf2_failures(d, fan.cones), None)
     if failure is not None:
         raise FanAxiomError(
             "CF2 violation: two cones share a valuation point in their "
             "relative interiors", witness=failure[2])
     return fan
+
+
+def _faces_fan(d: SphericalDatum, cones: Iterable[ColoredCone]) -> ColoredFan:
+    """The fan of the colored faces of the given cones, ordered by
+    dimension, each at its first occurrence; CF2 is not checked."""
+    faces = chain.from_iterable(colored_faces(d, cc) for cc in cones)
+    return ColoredFan(sorted(faces, key=lambda cc: cc.cone.dim))

@@ -137,6 +137,34 @@ class TestValidate:
         assert all(c["result"] == "pass" for c in checks[len(failing):])
         assert json.loads(out)["overall"] == "fail"
 
+    @pytest.mark.parametrize("n_colored", [1, 2, 3])
+    def test_autocomplete_runs_cf2_once(self, files, capsys, monkeypatch, n_colored):
+        """The colored P1^3 fan given by its 8 maximal cones closes to 27
+        members.  One CF2 pass over them is C(27, 2) = 351 solves; the CC2
+        tests are 27; CF1 tests the 1 + 6·2 + 12·4 + 8·8 = 125 faces of
+        the closure's members and the closure the 8·8 = 64 faces of the
+        input members: 351 + 27 + 125 + 64 = 567.  A second CF2 pass would
+        add 351."""
+        inputs = load_perfbench("inputs")
+        f = inputs.p1_fan(random.Random(1), 3, 3, n_colored)
+        d = inputs.build_p1_datum(f)
+        fan = sphfan.ColoredFan(inputs.build_p1_cones(f, maximal_only=True))
+        argv = ["validate", files("d.json", docio.serialize_datum(d)),
+                files("f.json", docio.serialize_fan(fan)), "--autocomplete"]
+        solves = []
+        solve = lp.FeasibilitySystem.solve
+
+        def count(system):
+            solves.append(system)
+            return solve(system)
+        monkeypatch.setattr(lp.FeasibilitySystem, "solve", count)
+        code, out = run(capsys, *argv)
+        assert len(solves) == 567
+        # CC1 and CC2 per member, then CF1 and CF2 of the fan
+        checks = json.loads(out)["checks"]
+        assert code == 0 and len(checks) == 2 * 27 + 2
+        assert all(c["result"] == "pass" for c in checks)
+
     def test_parse_error_exits_2(self, files, capsys):
         code, _ = run(capsys, "validate", files("d.json", DATUM),
                       files("f.json", "{bad"))

@@ -321,9 +321,23 @@ def half_plane_action():
                             GroupElement("s", Mat([[-1, 0], [0, 1]]), {"a": "b", "b": "a"})])
 
 
+def seeds_around(a, seed, rng):
+    """Seed lists mixing seed with its colored faces, a copy of it with
+    its generators reordered, and images of it and of its faces."""
+    faces = spherical.colored_faces(a.datum, seed)
+    gens = list(seed.cone.generators)
+    rng.shuffle(gens)
+    reordered = ColoredCone(Cone(a.datum.rank, gens), seed.palette)
+    image, face_image = (apply_element(a, rng.choice(a.elements), cc)
+                         for cc in (seed, rng.choice(faces)))
+    return ([rng.choice(faces), seed], [reordered, seed, image], [face_image, image],
+            faces[::-1], [seed, *rng.sample(faces, 2), reordered])
+
+
 class TestInvariantClosureAgainstReference:
-    """The worklist must give the pass-by-pass fixed point's fan, byte for
-    byte, or the same CF2 witness."""
+    """Closing the seeds' orbit and then its faces must give the fan of
+    the pass-by-pass fixed point, which maps faces and takes faces of
+    images, byte for byte, or the same CF2 witness."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_twisted_actions(self, seed):
@@ -333,6 +347,8 @@ class TestInvariantClosureAgainstReference:
             d, seeds, a = bench_inputs.build_twisted(t)
             got = assert_same_closure(a, seeds)
             assert len(docio.parse_fan(got, d)) == t.n_cones
+            for more in seeds_around(a, seeds[0], rng):
+                assert_same_closure(a, more)
 
     def test_duplicate_keys_keep_the_first(self):
         d, (seed,), a = bench_inputs.build_twisted(
@@ -365,6 +381,15 @@ class TestInvariantClosureAgainstReference:
                      for _ in range(rng.randint(1, 3))]
             cf2 += not isinstance(assert_same_closure(a, seeds), str)
         assert 0 < cf2 < 40
+        d, _, a = bench_inputs.build_twisted(bench_inputs.sign_changes(rng, 3))
+        cf2 = 0
+        for _ in range(20):
+            seeds = [ColoredCone(Cone(3, [random_vec(rng, 3, -1, 1)
+                                          for _ in range(rng.randint(0, 3))]),
+                                 [c for c in d.colors if rng.random() < 0.3])
+                     for _ in range(rng.randint(1, 2))]
+            cf2 += not isinstance(assert_same_closure(a, seeds), str)
+        assert 0 < cf2 < 20
 
     def test_cf2_violation(self):
         v = Cone(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
@@ -391,6 +416,16 @@ class TestInvariantClosureAgainstReference:
                                                 {"a": "b", "b": "a"})])
         got = assert_same_closure(mirrors, [ColoredCone(Cone(2, [(1, 0), (1, 1)]))])
         assert len(docio.parse_fan(got, d)) == 17
+        # sublists of B_2 and B_3, mostly missing the identity or a composite
+        rng = random.Random(191)
+        groups = 0
+        for n in (2, 2, 3, 3, 3):
+            d, (seed,), b = bench_inputs.build_twisted(bench_inputs.twisted_p1(rng, n))
+            sub = GaloisAction(d, rng.sample(b.elements, rng.randint(1, 4)))
+            groups += validate_action(sub).ok
+            for seeds in ([seed], *seeds_around(sub, seed, rng)):
+                assert_same_closure(sub, seeds)
+        assert groups < 5
 
 
 class TestGeneratorLookupAgainstKeyOnly:
@@ -449,13 +484,15 @@ class TestGeneratorLookupAgainstKeyOnly:
 
 
 class TestInvariantClosureCounts:
-    """Each member's colored faces once, and one image per element."""
+    """Only the seeds' orbit is walked: each orbit member's colored faces
+    once, and one image of it per element.  The faces themselves are
+    never mapped or walked."""
 
-    @pytest.mark.parametrize("make, members", [
-        (lambda rng: bench_inputs.twisted_p1(rng, 2), 9),
-        (lambda rng: bench_inputs.sign_changes(rng, 3), 27),
+    @pytest.mark.parametrize("make, members, orbit_size", [
+        (lambda rng: bench_inputs.twisted_p1(rng, 2), 9, 4),
+        (lambda rng: bench_inputs.sign_changes(rng, 3), 27, 8),
     ])
-    def test_work_per_member(self, monkeypatch, make, members):
+    def test_work_per_member(self, monkeypatch, make, members, orbit_size):
         d, seeds, a = bench_inputs.build_twisted(make(random.Random(1)))
         faces_of, images = [], []
         colored_faces, apply = spherical.colored_faces, galois.apply_element
@@ -472,8 +509,10 @@ class TestInvariantClosureCounts:
         monkeypatch.setattr(galois, "apply_element", count_images)
         fan = invariant_closure(a, seeds)
         assert len(fan) == members
-        assert len(faces_of) == len(set(faces_of)) == members
-        assert len(images) == len(a.elements) * members
+        assert len(faces_of) == len(set(faces_of)) == orbit_size
+        assert len(images) == len(a.elements) * orbit_size
+        # the orbit members are the top-dimensional members
+        assert set(faces_of) == {cc.key for cc in fan if cc.cone.dim == d.rank}
 
 
 def assert_same_image(m: Mat, c: Cone, got: Cone):

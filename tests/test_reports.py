@@ -26,8 +26,8 @@ CASES = [
                     "rho_equivariant", "failures"), {},
      {"has_identity": True, "closed": True, "has_inverses": True, "unimodular": True,
       "v_stable": True, "rho_equivariant": True, "failures": ()},
-     {"has_identity": False, "closed": False, "has_inverses": False, "unimodular": False,
-      "v_stable": False, "rho_equivariant": False}),
+     # each flag is the emptiness of its part of failures, so ok reads failures
+     {"failures": ("no identity element",)}),
     (InvarianceReport, ("failures",), {},
      {"failures": ()},
      {"failures": (("sigma", 1),)}),
