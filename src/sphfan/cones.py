@@ -8,10 +8,12 @@ dimension are read off it with no LP.  Only whether relative interiors
 meet inside V needs one: ``_meet_system`` makes it, int rows A and an
 int rhs b with y >= 0 (see :mod:`sphfan.lp`), built only when read.  It
 settles the infeasible-row presolve from two sign masks cached per
-cone, so an LP the presolve ends builds no row.  ``Fraction`` appears
-only at the boundary: the constructor accepts rationals, and
-``generators``, ``facets``, ``span_equations`` and the witnesses of
-``relints_meet_in`` are Fraction views.
+cone, so an LP the presolve ends builds no row.  A system relint(C) ∩ V
+is kept on V, one per distinct cone C (its generators in order), and
+solved once, so CC2 and the face tests that meet C again share one
+simplex run.  ``Fraction`` appears only at the boundary: the constructor
+accepts rationals, and ``generators``, ``facets``, ``span_equations``
+and the witnesses of ``relints_meet_in`` are Fraction views.
 """
 
 from __future__ import annotations
@@ -254,7 +256,8 @@ class Cone(Frozen):
 
     def relint_meets(self, v: "Cone") -> bool:
         """Whether relint(self) meets v: ``relint_meets_cone`` without
-        assembling the witness."""
+        assembling the witness.  The system is kept on v and solved once,
+        so asking again about the same generators runs no simplex."""
         return _meet_system([self, v]).solve() is not None
 
     def intersect(self, other: "Cone") -> "Cone":
@@ -312,6 +315,13 @@ class Cone(Frozen):
                 if min(col) < 0:
                     neg |= 1 << k
         return pos, neg
+
+    @cached_property
+    def _meets(self) -> dict[tuple[tuple[int, ...], ...], FeasibilitySystem]:
+        """The two-cone meet systems whose last cone is this one, by the
+        first cone's ``_ints`` in order: each is built and solved once, and
+        lives as long as this cone."""
+        return {}
 
     @cached_property
     def _col_sums(self) -> tuple[int, ...]:
@@ -397,6 +407,14 @@ def _meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
     is >= 0 and row k's rhs is bound * (other's k-th sum) - (first's k-th
     sum).  The rows are built only when read.
 
+    A two-cone system relint(first) ∩ V is kept on V (``V._meets``), one
+    per distinct first cone, keyed by its generators in order, so the
+    same rows, and with them the same pivots and witness, come back.  The
+    lookup runs after the rank check and ``_signs`` (the int check) have
+    run on every cone, so a bad cone raises as on a fresh system:
+    (True, 0) == (1, 0), and an earlier lookup would hide it.  Three-cone
+    (CF2) systems are not kept: each pair is asked once.
+
     The infeasible-row rule of LP presolve (Andersen & Andersen 1995) is
     settled here from the cones' ``_signs``, with no row built.  Row k
     has a nonzero rhs and no coefficient of its sign, so no y >= 0 meets
@@ -419,8 +437,13 @@ def _meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
         opos, oneg = other._signs
         nonzero = pos | neg | opos | oneg if i < len(others) - 1 else pos | neg
         one_signed |= nonzero & ~((pos | oneg) & (neg | opos))
-    return FeasibilitySystem.deferred(nvars, partial(_meet_rows, first, others),
-                                      one_signed != 0)
+    kept = others[0]._meets if len(others) == 1 else {}
+    system = kept.get(first._ints)
+    if system is None:
+        system = FeasibilitySystem.deferred(nvars, partial(_meet_rows, first, others),
+                                            one_signed != 0)
+        kept[first._ints] = system
+    return system
 
 
 def _meet_rows(first: Cone, others: Sequence[Cone]) -> tuple[tuple, tuple]:

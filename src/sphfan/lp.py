@@ -28,6 +28,14 @@ below, or by a caller.  The rule only detects, so every system that
 reaches the simplex is the one it always was, and pivots and witnesses
 are those of the simplex alone.
 
+A system runs the presolve or the simplex once, on its first ``solve``,
+and keeps the answer; each later ``solve`` hands out that answer in a
+list of its own.  ``sphfan.cones._meet_system`` keeps one system per
+distinct cone on V (see there), so a repeated face or CC2 test is one
+more ``solve`` call, counted and replayed like the first, but no more
+simplex.  A kept system has the rows a fresh one would have, so its
+answer, witness included, is the one a fresh system would give.
+
 When oracle cross-checking is enabled (CLI flag ``--oracle``), every
 verdict, certified ones included, is replayed through the independent
 Fourier-Motzkin eliminator of :mod:`sphfan.fourier_motzkin`, and a
@@ -112,6 +120,9 @@ def _solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int],
     return y, d
 
 
+_UNSOLVED = object()
+
+
 class FeasibilitySystem(Frozen):
     """``A y = b`` with ``y >= 0``: int rows ``equalities`` of length
     ``nvars`` and an int ``rhs``.  Any other entry raises ``TypeError``,
@@ -120,7 +131,7 @@ class FeasibilitySystem(Frozen):
     ``one_signed_row`` is True only for a ``deferred`` system that its
     maker certified by the infeasible-row rule."""
 
-    __slots__ = ("nvars", "one_signed_row", "_rows")
+    __slots__ = ("nvars", "one_signed_row", "_rows", "_sol")
 
     def __init__(self, equalities: tuple[tuple[int, ...], ...], rhs: tuple[int, ...],
                  nvars: int):
@@ -133,6 +144,7 @@ class FeasibilitySystem(Frozen):
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "one_signed_row", False)
         object.__setattr__(self, "_rows", (equalities, rhs))
+        object.__setattr__(self, "_sol", _UNSOLVED)
 
     @classmethod
     def deferred(cls, nvars: int, build: Callable[[], tuple],
@@ -145,6 +157,7 @@ class FeasibilitySystem(Frozen):
         object.__setattr__(system, "nvars", nvars)
         object.__setattr__(system, "one_signed_row", one_signed_row)
         object.__setattr__(system, "_rows", build)
+        object.__setattr__(system, "_sol", _UNSOLVED)
         return system
 
     def _built_rows(self) -> tuple:
@@ -165,15 +178,23 @@ class FeasibilitySystem(Frozen):
 
     def solve(self) -> Optional[tuple[list[int], int]]:
         """``(numerators, d)`` with d > 0 and y = numerators / d a basic
-        solution, or None if the system is infeasible."""
-        sol = None if self.one_signed_row else _solve_eq_nonneg(*self._built_rows(), self.nvars)
+        solution, or None if the system is infeasible.
+
+        The presolve or the simplex runs on the first call only; later
+        calls return the kept answer, each with a list of its own, so a
+        caller changing it changes no later answer.  Every call is still
+        replayed by the oracle when that is on."""
+        sol = self._sol
+        if sol is _UNSOLVED:
+            sol = None if self.one_signed_row else _solve_eq_nonneg(*self._built_rows(), self.nvars)
+            object.__setattr__(self, "_sol", sol)
         if _cross_check:
             fm = fourier_motzkin.feasible(self._as_inequalities(), self.nvars)
             if fm != (sol is not None):
                 raise OracleDisagreement(
                     f"simplex says {'feasible' if sol is not None else 'infeasible'}, "
                     f"Fourier-Motzkin says {'feasible' if fm else 'infeasible'}")
-        return sol
+        return None if sol is None else (list(sol[0]), sol[1])
 
     def _as_inequalities(self):
         """The same system as a list of (coeffs, rhs) rows meaning c.y >= rhs."""

@@ -12,11 +12,13 @@ from itertools import chain
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
-from sphfan.cones import (Cone, DimensionMismatch, cones_equal,
+from sphfan import cones as cones_module
+from sphfan.cones import (Cone, DimensionMismatch, _meet_rows, cones_equal,
                           dual_description, relint_meets_cone)
 from sphfan.docio import serialize_fan
 from sphfan.fourier_motzkin import Ineq, feasible
 from sphfan.galois import ActionReport, GaloisAction, apply_element
+from sphfan.lp import FeasibilitySystem
 from sphfan.morphisms import FanMorphism
 from sphfan.rational import (Mat, Vec, bareiss, integer_rows, is_zero_vec,
                              primitive_ints, rat)
@@ -974,6 +976,25 @@ def closure_outcome(close, *args):
         return serialize_fan(close(*args))
     except FanAxiomError as e:
         return ("CF2", e.witness)
+
+
+def fresh_meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
+    """``cones._meet_system`` with nothing kept: the rows of ``_meet_rows``
+    built now, in a new system on every call, with no presolve, so each
+    ``solve()`` runs the simplex afresh."""
+    rows, rhs = _meet_rows(cones[0], cones[1:])
+    return FeasibilitySystem(rows, rhs, sum(len(c._ints) for c in cones))
+
+
+def without_kept_systems(fn, *args):
+    """``fn(*args)`` with every meet system made by ``fresh_meet_system``:
+    the reference for the systems kept on V."""
+    kept = cones_module._meet_system
+    cones_module._meet_system = fresh_meet_system
+    try:
+        return fn(*args)
+    finally:
+        cones_module._meet_system = kept
 
 
 def random_valid_colored_cone(rng: random.Random, d: SphericalDatum,

@@ -247,6 +247,7 @@ class TestInfeasibleRowPresolve:
         monkeypatch.setattr(lp, "_solve_eq_nonneg", recorded)
         rng = random.Random(1512)
         seen = {"separated": 0, "certified": 0, "meets": 0, "apart": 0}
+        repeats = 0
         for _ in range(300):
             n = rng.randint(1, 4)
             separated = rng.random() < 0.5
@@ -276,6 +277,7 @@ class TestInfeasibleRowPresolve:
             # the shifted system is the one the Fraction simplex makes of the
             # unshifted reference, so the int simplex gets the same tableau,
             # takes the same pivots and returns the same witness
+            solved = []
             for triple in ([c1, c2, v], [c1, v], [c2, v]):
                 new = _meet_system(triple)
                 old = reference_meet_system([c._ints for c in triple], n, 0)
@@ -285,9 +287,14 @@ class TestInfeasibleRowPresolve:
                 a, b, _ = reference_shift(old)
                 tableaux.clear()
                 y = new.solve()
-                # only a system the presolve leaves reaches the simplex
+                # only the first solve of a system the presolve leaves reaches
+                # the simplex: [c2, v] is the kept [c1, v] when c2 has c1's
+                # generators in c1's order
                 assert new.one_signed_row == presolve_certifies(old)
-                assert tableaux == ([] if new.one_signed_row
+                repeat = any(new is s for s in solved)
+                repeats += repeat
+                solved.append(new)
+                assert tableaux == ([] if new.one_signed_row or repeat
                                     else [(list(map(tuple, a)), b, new.nvars)])
                 want = reference_solve(old)
                 assert (y is None) == (want is None)
@@ -302,6 +309,7 @@ class TestInfeasibleRowPresolve:
                 seen["certified"] += presolve_certifies(system)
                 seen["meets" if x is not None else "apart"] += 1
         assert min(seen.values()) > 20, seen
+        assert repeats > 0
 
 
 def _signed_cone(rng, n):
@@ -370,6 +378,9 @@ class TestSignMaskPresolve:
         solved = []
         monkeypatch.setattr(FeasibilitySystem, "solve", solved.append)
         ray, line = Cone(2, [(1, 0)]), Cone(2, [(1, 0), (-1, 0)])
+        # line keeps the system of ray, and (True, 0) == (1, 0): only the
+        # int check, run before the lookup, tells the bad cone from ray
+        kept = _meet_system([ray, line])
         for bad in (Fraction(1), True, 1.0):
             cone = Cone._of_ints(2, [(bad, 0)])
             # certified against the opposite ray, left to the simplex
@@ -379,6 +390,7 @@ class TestSignMaskPresolve:
                 with pytest.raises(TypeError, match="must be ints"):
                     _meet_system(cones).solve()
         assert solved == []
+        assert _meet_system([Cone(2, [(1, 0)]), line]) is kept
 
 
 def test_solve_is_the_only_lp_entry_point():

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from sphfan import cones, lp, rational, spherical
-from sphfan.cones import Cone, cones_equal
+from sphfan.cones import Cone, cones_equal, relints_meet_in
 from sphfan.spherical import (ColoredCone, ColoredFan, FanAxiomError,
                               RankMismatchError, SphericalDatum,
                               UnknownColorError, colored_cones_equal,
@@ -18,11 +18,13 @@ from sphfan.spherical import (ColoredCone, ColoredFan, FanAxiomError,
                               orbit_count, validate_colored_cone,
                               validate_colored_fan)
 
-from helpers import (KeyOnlyColoredFan, closure_outcome, intersect_cc1,
-                     key_only_faces_closure, key_only_validate_colored_fan,
-                     load_perfbench, presolve_certifies, random_cone, random_datum,
+from helpers import (KeyOnlyColoredFan, closure_outcome, fresh_meet_system,
+                     intersect_cc1, key_only_faces_closure,
+                     key_only_validate_colored_fan, load_perfbench,
+                     presolve_certifies, random_cone, random_datum,
                      random_valid_colored_cone, random_vec, reference_colored_faces,
-                     reference_meet_system)
+                     reference_meet_system, reference_relints_meet_in,
+                     without_kept_systems)
 
 bench_inputs = load_perfbench("inputs")
 
@@ -282,6 +284,59 @@ class TestColoredFacesWork:
         assert outcomes == [True, False]
 
 
+class TestSimplexRuns:
+    """Pinned work at both LP counters: ``FeasibilitySystem.solve`` calls
+    and simplex runs (``lp._solve_eq_nonneg``), on the complete P1^n fan,
+    whose 3^n members are the orthant cones of the sign vectors in
+    {0, +, -}^n, with V = Q^n.
+
+    - ``validate_colored_fan`` calls ``solve()`` once per CF2 pair, CC2
+      test and face test: C(3^n, 2) + 3^n + 5^n, since a member with k
+      rays is simplicial with 2^k faces, and summing 2^k over the sign
+      vectors gives (1 + 2 + 2)^n.  That is 351 + 27 + 125 = 503 for
+      n = 3 and 3,240 + 81 + 625 = 3,946 for n = 4.
+    - Two distinct members differ on some axis, where one is nonzero and
+      the other has no entry of its sign, so the infeasible-row presolve
+      settles every CF2 pair.  V has entries of both signs on every axis,
+      so no (cone, V) system is settled.  Each face of a member is a
+      member, on the same generators in the same order, so the CC2 and
+      face tests ask 3^n distinct systems, each solved once: 27 and 81
+      simplex runs (152 = 27 + 125 and 706 = 81 + 625 when every test
+      ran its own).
+    - ``faces_closure`` from the 2^n maximal cones calls ``solve()``
+      2^n · 2^n times for faces and C(3^n, 2) times for CF2, and runs the
+      simplex once per distinct face, 3^n times: for n = 4, 256 + 3,240
+      = 3,496 calls and 81 runs (256 when every face test ran its own).
+    """
+
+    @pytest.mark.parametrize("n, calls, runs, closure_calls",
+                             [(3, 503, 27, 64 + 351), (4, 3946, 81, 256 + 3240)])
+    @pytest.mark.parametrize("colored", [False, True])
+    def test_complete_p1(self, monkeypatch, n, calls, runs, closure_calls, colored):
+        counts = Counter()
+        simplex, solve = lp._solve_eq_nonneg, lp.FeasibilitySystem.solve
+
+        def counted_simplex(*args):
+            counts["runs"] += 1
+            return simplex(*args)
+
+        def counted_solve(system):
+            counts["calls"] += 1
+            return solve(system)
+        monkeypatch.setattr(lp, "_solve_eq_nonneg", counted_simplex)
+        monkeypatch.setattr(lp.FeasibilitySystem, "solve", counted_solve)
+        f = bench_inputs.p1_fan(random.Random(1), n, n, n if colored else 0)
+        assert validate_colored_fan(bench_inputs.build_p1_datum(f),
+                                    ColoredFan(bench_inputs.build_p1_cones(f))).ok
+        assert counts == {"calls": calls, "runs": runs}
+        assert calls == f.validate_lp_calls
+        counts.clear()
+        fan = faces_closure(bench_inputs.build_p1_datum(f),
+                            bench_inputs.build_p1_cones(f, maximal_only=True))
+        assert len(fan) == f.n_cones == runs
+        assert counts == {"calls": closure_calls, "runs": runs}
+
+
 def orthant_faces(signs, rho):
     """The faces of the orthant cone(s_i e_i), each colored by the colors
     whose rho image is one of its generators."""
@@ -448,10 +503,10 @@ class TestFacesClosure:
         assert orbit_count(fan) == 9  # 4 quadrants + 4 rays + origin
 
 
-def proper_datum(rng: random.Random) -> SphericalDatum:
-    """A datum of rank 2 or 3 whose V is a nonzero cone other than the
-    whole space, with one to three colors."""
-    n = rng.randint(2, 3)
+def proper_datum(rng: random.Random, max_rank: int = 3) -> SphericalDatum:
+    """A datum of rank 2 to ``max_rank`` whose V is a nonzero cone other
+    than the whole space, with one to three colors."""
+    n = rng.randint(2, max_rank)
     while True:
         v = Cone(n, [random_vec(rng, n, -2, 2) for _ in range(rng.randint(1, n + 1))])
         if any(not v.contains(tuple(-x for x in g)) for g in v.generators):
@@ -591,6 +646,64 @@ class TestGeneratorLookupAgainstKeyOnly:
             assert got == closure_outcome(key_only_faces_closure, d, tops)
             outcomes[isinstance(got, str)] += 1
         assert min(outcomes.values()) > 5
+
+
+class TestKeptMeetSystems:
+    """Each (cone, V) system is kept on V and solved once; the answers
+    must be those of a fresh system solved afresh on every call."""
+
+    def test_reports_against_fresh_systems(self, monkeypatch):
+        rng = random.Random(22)
+        cf2 = ranks = 0
+        runs, path = Counter(), [None]
+        simplex = lp._solve_eq_nonneg
+
+        def counted(*args):
+            runs[path[0]] += 1
+            return simplex(*args)
+        monkeypatch.setattr(lp, "_solve_eq_nonneg", counted)
+        for _ in range(400):
+            d = proper_datum(rng, max_rank=4)
+            path[0] = "inputs"
+            members = random_members(rng, d, redundant=False)
+            fan = ColoredFan(members)
+            path[0] = "kept"
+            got = validate_colored_fan(d, fan)
+            path[0] = "fresh"
+            want = without_kept_systems(validate_colored_fan, d, fan)
+            assert repr(got) == repr(want)
+            assert report_form(got) == report_form(want)
+            path[0] = "closures"
+            tops = [cc for cc in members if cc.cone.dim == max(m.cone.dim for m in members)]
+            assert (closure_outcome(faces_closure, d, tops)
+                    == without_kept_systems(closure_outcome, faces_closure, d, tops))
+            cf2 += len(got.cf2_failures)
+            ranks |= 1 << d.rank
+        # CF2 fails often, every rank is drawn, and kept systems save runs
+        assert cf2 > 50 and ranks == 0b11100
+        assert runs["kept"] < runs["fresh"] / 2, runs
+
+    def test_a_kept_system_answers_alike(self):
+        rng = random.Random(23)
+        answers = Counter()
+        for _ in range(200):
+            d = proper_datum(rng, max_rank=4)
+            v = d.valuation_cone
+            c = random_top(rng, d).cone
+            system = cones._meet_system([c, v])
+            assert cones._meet_system([Cone._of_ints(d.rank, c._ints), v]) is system
+            want = fresh_meet_system([c, v]).solve()
+            first = system.solve()
+            assert first == system.solve() == want
+            answers[first is None] += 1
+            if first is not None:
+                # the caller owns the list it got; the next answer is kept
+                first[0].append(1)
+                first[0][0] += 1
+                assert system.solve() == want
+                assert system.solve()[0] is not system.solve()[0]
+            assert relints_meet_in(c, None, v) == reference_relints_meet_in(c, None, v)
+        assert min(answers.values()) > 20, answers
 
 
 class TestDualWork:
