@@ -9,10 +9,9 @@ from .morphisms import (FanMorphism, is_morphism_of_cones, is_morphism_of_fans,
 from .rational import Mat, Vec, format_rat, parse_rat
 from .spherical import (ColoredCone, ColoredFan, FanAxiomError, SphericalDatum,
                         UnknownColorError, colored_cones_equal, colored_faces,
-                        faces_closure, fans_equal, is_simple,
-                        is_strictly_convex_colored, is_strictly_convex_fan,
-                        maximal_cones, orbit_count, validate_colored_cone,
-                        validate_colored_fan)
+                        faces_closure, fans_equal, is_strictly_convex_colored,
+                        is_strictly_convex_fan, maximal_cones, orbit_count,
+                        validate_colored_cone, validate_colored_fan)
 
 __all__ = [
     "Cone", "cones_equal", "relint_meets_cone", "relints_meet_in",
@@ -22,7 +21,7 @@ __all__ = [
     "is_morphism_of_cones", "is_morphism_of_fans", "validate_morphism",
     "Mat", "Vec", "format_rat", "parse_rat", "ColoredCone", "ColoredFan",
     "FanAxiomError", "SphericalDatum", "UnknownColorError", "colored_cones_equal",
-    "colored_faces", "faces_closure", "fans_equal", "is_simple",
-    "is_strictly_convex_colored", "is_strictly_convex_fan", "maximal_cones",
-    "orbit_count", "validate_colored_cone", "validate_colored_fan",
+    "colored_faces", "faces_closure", "fans_equal", "is_strictly_convex_colored",
+    "is_strictly_convex_fan", "maximal_cones", "orbit_count", "validate_colored_cone",
+    "validate_colored_fan",
 ]

@@ -2,7 +2,8 @@
 
 Commands: validate, faces, invariant, morphism.  Stdout carries exactly
 one JSON report; human-readable summaries go to stderr.  Exit status:
-0 pass, 1 semantic failure, 2 input/parse failure.
+0 pass, 1 semantic failure, 2 input/parse failure (a file that is missing,
+unreadable or not UTF-8 text included).
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ import sys
 
 from . import docio, galois, lp, morphisms, spherical
 from .docio import ParseError, dump_json
-from .rational import format_rat
-from .spherical import (ColoredFan, FanAxiomError, RankMismatchError,
-                        UnknownColorError)
+from .rational import RankMismatchError, format_rat
+from .spherical import ColoredFan, FanAxiomError, UnknownColorError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -44,6 +44,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror}")
+    except UnicodeDecodeError:
+        raise InputError(f"cannot read {path}: not UTF-8 text")
 
 
 def _load_datum(path: str):

@@ -25,17 +25,14 @@ from operator import mul, neg
 from typing import Iterable, Optional, Sequence
 
 from .lp import FeasibilitySystem
-from .rational import (Frozen, Mat, Vec, _combine, _echelon, _idot, _pivots,
-                       _reduce_ints, all_ints, bareiss, integer_rows, primitive_ints, rat, vec)
-
-
-class DimensionMismatch(ValueError):
-    pass
+from .rational import (Frozen, Mat, RankMismatchError, Vec, _combine, _echelon, _idot,
+                       _pivots, _reduce_ints, all_ints, bareiss, integer_rows,
+                       primitive_ints, rat, vec)
 
 
 def _check_dim(n: int, v: Sequence[Fraction]) -> None:
     if len(v) != n:
-        raise DimensionMismatch(f"expected a vector of length {n}, got {len(v)}")
+        raise RankMismatchError(f"expected a vector of length {n}, got {len(v)}")
 
 
 def _divide_by_pivots(basis: Sequence[Sequence[int]]) -> list[Vec]:
@@ -268,7 +265,7 @@ class Cone(Frozen):
         distinct, since the rays are zero in every pivot column.
         """
         if self.ambient_rank != other.ambient_rank:
-            raise DimensionMismatch("intersect: ambient ranks differ")
+            raise RankMismatchError("intersect: ambient ranks differ")
         ineqs: list[tuple[int, ...]] = []
         for cone in (self, other):
             eqs, facets = cone._idual
@@ -291,7 +288,7 @@ class Cone(Frozen):
         yet validated.
         """
         if self._ints and m.ncols != self.ambient_rank:
-            raise ValueError(f"dimension mismatch: {m.ncols} cols vs {self.ambient_rank}")
+            raise RankMismatchError(f"dimension mismatch: {m.ncols} cols vs {self.ambient_rank}")
         return Cone(m.nrows, [tuple(_idot(row, g) for row in m.ints) for g in self._ints])
 
     @cached_property
@@ -432,7 +429,7 @@ def _meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
     one_signed = 0
     for i, other in enumerate(others):
         if other.ambient_rank != first.ambient_rank:
-            raise DimensionMismatch("relint test: ambient ranks differ")
+            raise RankMismatchError("relint test: ambient ranks differ")
         nvars += len(other._ints)
         opos, oneg = other._signs
         nonzero = pos | neg | opos | oneg if i < len(others) - 1 else pos | neg

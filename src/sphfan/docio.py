@@ -5,6 +5,10 @@ travel as integers or "p/q" strings; float literals are a parse error.
 Unknown fields, a key repeated in any object and a fan member equal to
 an earlier one are rejected, structural errors carry the field path, and
 serialization is deterministic (sorted keys, canonical rational strings).
+Rational literals are decided by ``rational.rat`` and rank errors by
+``rational.RankMismatchError``: this module attaches the field path to a
+literal's error, and reports a vector of the wrong length or a ragged
+matrix as a ParseError at its path before any value is built.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from typing import Any, Iterable, Optional
 from .cones import Cone
 from .galois import GaloisAction, GroupElement
 from .morphisms import FanMorphism
-from .rational import Mat, format_rat, parse_rat
+from .rational import Mat, format_rat, rat
 from .spherical import ColoredCone, ColoredFan, SphericalDatum, UnknownColorError
 
 FORMAT_VERSION = "1"
@@ -92,16 +96,13 @@ def _expect_str(value, path: str) -> str:
 
 
 def _rat_at(value, path: str) -> Fraction:
-    if isinstance(value, bool):
-        raise ParseError("expected a rational (int or 'p/q' string)", path=path)
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return parse_rat(value)
-        except ValueError as e:
-            raise ParseError(str(e), path=path) from e
-    raise ParseError("expected a rational (int or 'p/q' string)", path=path)
+    """``rational.rat`` of a JSON value, failing as a ParseError at path."""
+    try:
+        return rat(value)
+    except TypeError as e:
+        raise ParseError("expected a rational (int or 'p/q' string)", path=path) from e
+    except ValueError as e:
+        raise ParseError(str(e), path=path) from e
 
 
 def _vector_at(value, path: str, rank: Optional[int] = None) -> tuple:
@@ -149,12 +150,6 @@ def _envelope(text: str, kind: str) -> Any:
     if doc["version"] != FORMAT_VERSION:
         raise ParseError(f"unsupported version {doc['version']!r}", path="$.version")
     return doc["payload"]
-
-
-def detect_kind(text: str) -> str:
-    doc = _load_json(text)
-    _expect_object(doc, "$", {"kind": True, "version": True, "payload": True})
-    return _expect_str(doc["kind"], "$.kind")
 
 
 # ----------------------------------------------------------------- datum

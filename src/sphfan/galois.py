@@ -14,9 +14,8 @@ from itertools import chain
 from typing import Mapping, NamedTuple, Sequence
 
 from .cones import cones_equal
-from .rational import Frozen, Mat
-from .spherical import (ColoredCone, ColoredFan, RankMismatchError,
-                        SphericalDatum, _distinct, faces_closure)
+from .rational import Frozen, Mat, RankMismatchError
+from .spherical import ColoredCone, ColoredFan, SphericalDatum, _distinct, faces_closure
 # not called here: the benchmark's tracer wraps this name in this module
 from .spherical import colored_cones_equal  # noqa: F401
 

@@ -50,7 +50,7 @@ from itertools import chain
 from typing import Callable, Optional, Sequence
 
 from . import fourier_motzkin
-from .rational import Frozen, all_ints
+from .rational import Frozen, RankMismatchError, all_ints
 
 _cross_check = False
 
@@ -126,7 +126,8 @@ _UNSOLVED = object()
 class FeasibilitySystem(Frozen):
     """``A y = b`` with ``y >= 0``: int rows ``equalities`` of length
     ``nvars`` and an int ``rhs``.  Any other entry raises ``TypeError``,
-    so only ints reach the tableau's floor divisions.
+    so only ints reach the tableau's floor divisions, and a row or rhs
+    of another length raises ``RankMismatchError``.
 
     ``one_signed_row`` is True only for a ``deferred`` system that its
     maker certified by the infeasible-row rule."""
@@ -138,9 +139,9 @@ class FeasibilitySystem(Frozen):
         if not all_ints(chain(chain.from_iterable(equalities), rhs, (nvars,))):
             raise TypeError("FeasibilitySystem entries must be ints")
         if not {nvars}.issuperset(map(len, equalities)):
-            raise ValueError("equality row length does not match variable count")
+            raise RankMismatchError("equality row length does not match variable count")
         if len(rhs) != len(equalities):
-            raise ValueError("rhs length does not match equality count")
+            raise RankMismatchError("rhs length does not match equality count")
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "one_signed_row", False)
         object.__setattr__(self, "_rows", (equalities, rhs))

@@ -12,9 +12,8 @@ from __future__ import annotations
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .cones import Cone, cones_equal
-from .rational import Frozen, Mat, Vec
-from .spherical import (ColoredCone, ColoredFan, RankMismatchError,
-                        SphericalDatum, UnknownColorError)
+from .rational import Frozen, Mat, RankMismatchError, Vec
+from .spherical import ColoredCone, ColoredFan, SphericalDatum, UnknownColorError
 
 
 class FanMorphism(Frozen):

@@ -8,6 +8,13 @@ The two exact eliminations live here and run on ints: ``bareiss`` for
 rank and determinant, ``_echelon`` for the reduced row echelon basis
 that kernels and the double description's lineality read.  No floats
 anywhere.
+
+Two rules are decided here for the whole library.  ``rat`` is the one
+reader of a rational literal: an int, a Fraction, or a 'p/q' string
+checked by ``parse_rat``; the document reader calls it and only adds the
+field path.  ``RankMismatchError`` is the one error for two ranks,
+lengths or shapes that should agree, raised by ``Mat`` here and by the
+cones, the LP, the spherical data, the Galois actions and the morphisms.
 """
 
 from __future__ import annotations
@@ -21,6 +28,10 @@ from typing import Iterable, Sequence
 Vec = tuple[Fraction, ...]
 
 _RAT_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+class RankMismatchError(ValueError):
+    """Two ranks, lengths or shapes that must agree do not."""
 
 
 def rat(x: int | str | Fraction) -> Fraction:
@@ -62,10 +73,6 @@ def format_rat(q: Fraction) -> str:
 
 def vec(entries: Iterable) -> Vec:
     return tuple(rat(e) for e in entries)
-
-
-def is_zero_vec(u: Sequence[Fraction]) -> bool:
-    return all(a == 0 for a in u)
 
 
 def all_ints(values: Iterable) -> bool:
@@ -199,7 +206,7 @@ class Mat(Frozen):
     def __init__(self, rows: Iterable[Iterable]):
         grid = [[rat(e) for e in row] for row in rows]
         if grid and any(len(r) != len(grid[0]) for r in grid):
-            raise ValueError("ragged rows")
+            raise RankMismatchError("ragged rows")
         den = lcm(*(e.denominator for row in grid for e in row))
         self._store([[e.numerator * (den // e.denominator) for e in row] for row in grid],
                     den, len(grid[0]) if grid else 0)
@@ -233,7 +240,7 @@ class Mat(Frozen):
 
     def matvec(self, v: Sequence[Fraction]) -> Vec:
         if len(v) != self.ncols:
-            raise ValueError(f"dimension mismatch: {self.ncols} cols vs {len(v)}")
+            raise RankMismatchError(f"dimension mismatch: {self.ncols} cols vs {len(v)}")
         scale = lcm(*(a.denominator for a in v))
         vi = [a.numerator * (scale // a.denominator) for a in v]
         d = self.den * scale
@@ -241,7 +248,7 @@ class Mat(Frozen):
 
     def matmul(self, other: "Mat") -> "Mat":
         if self.ncols != other.nrows:
-            raise ValueError("shape mismatch in matmul")
+            raise RankMismatchError("shape mismatch in matmul")
         cols = list(zip(*other.ints))
         out = object.__new__(Mat)
         out._store([[_idot(row, col) for col in cols] for row in self.ints],
@@ -271,7 +278,7 @@ class Mat(Frozen):
     def det(self) -> Fraction:
         """The last Bareiss pivot of the grid is det(den * self) = den**n det(self)."""
         if self.nrows != self.ncols:
-            raise ValueError("determinant of a non-square matrix")
+            raise RankMismatchError("determinant of a non-square matrix")
         n = self.nrows
         if n == 0:
             return Fraction(1)
@@ -283,5 +290,5 @@ class Mat(Frozen):
     def is_integral_unimodular(self) -> bool:
         """True iff square, all entries integers, and det = ±1."""
         if self.nrows != self.ncols:
-            raise ValueError("unimodularity requires a square matrix")
+            raise RankMismatchError("unimodularity requires a square matrix")
         return self.den == 1 and abs(self.det()) == 1

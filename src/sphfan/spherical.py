@@ -18,14 +18,10 @@ from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .cones import Cone, cones_equal, relint_meets_cone, relints_meet_in
-from .rational import Frozen, Vec, is_zero_vec, rat
+from .rational import Frozen, RankMismatchError, Vec, rat
 
 
 class UnknownColorError(KeyError):
-    pass
-
-
-class RankMismatchError(ValueError):
     pass
 
 
@@ -222,7 +218,7 @@ def is_strictly_convex_colored(d: SphericalDatum, cc: ColoredCone) -> bool:
     _check(d, cc)
     if not cc.cone.is_strictly_convex():
         return False
-    return all(not is_zero_vec(d.rho[f]) for f in cc.palette)
+    return all(any(d.rho[f]) for f in cc.palette)
 
 
 def colored_faces(d: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
@@ -255,8 +251,6 @@ def colored_faces(d: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
 
 def validate_colored_fan(d: SphericalDatum, fan: ColoredFan) -> ColoredFanReport:
     """Per-cone CC1/CC2, then CF1 (face closure) and CF2 (pairwise)."""
-    for cc in fan:
-        _check(d, cc)
     reports = tuple(validate_colored_cone(d, cc) for cc in fan)
 
     cf1_missing = [(i, face) for i, cc in enumerate(fan)
@@ -295,10 +289,6 @@ def maximal_cones(d: SphericalDatum, fan: ColoredFan) -> list[ColoredCone]:
     for i, cc in enumerate(fan):
         proper |= {fan.index(f) for f in colored_faces(d, cc)} - {i}
     return [cc for i, cc in enumerate(fan) if i not in proper]
-
-
-def is_simple(d: SphericalDatum, fan: ColoredFan) -> bool:
-    return len(maximal_cones(d, fan)) == 1
 
 
 def orbit_count(fan: ColoredFan) -> int:

@@ -13,19 +13,19 @@ from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from sphfan import cones as cones_module
-from sphfan.cones import (Cone, DimensionMismatch, _meet_rows, cones_equal,
-                          dual_description, relint_meets_cone)
+from sphfan.cones import (Cone, _meet_rows, cones_equal, dual_description,
+                          relint_meets_cone)
 from sphfan.docio import serialize_fan
 from sphfan.fourier_motzkin import Ineq, feasible
 from sphfan.galois import ActionReport, GaloisAction, apply_element
 from sphfan.lp import FeasibilitySystem
 from sphfan.morphisms import FanMorphism
-from sphfan.rational import (Mat, Vec, bareiss, integer_rows, is_zero_vec,
+from sphfan.rational import (Mat, RankMismatchError, Vec, bareiss, integer_rows,
                              primitive_ints, rat)
 from sphfan.spherical import (ColoredCone, ColoredConeReport, ColoredFan,
-                              ColoredFanReport, FanAxiomError, RankMismatchError,
-                              SphericalDatum, _cf2_failures, colored_faces,
-                              faces_closure, validate_colored_cone)
+                              ColoredFanReport, FanAxiomError, SphericalDatum,
+                              _cf2_failures, colored_faces, faces_closure,
+                              validate_colored_cone)
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -388,10 +388,10 @@ class ReferenceCone:
         for g in generators:
             v = tuple(rat(e) for e in g)
             if len(v) != ambient_rank:
-                raise DimensionMismatch(
+                raise RankMismatchError(
                     f"expected a vector of length {ambient_rank}, got {len(v)}")
             p = primitive(v)
-            if is_zero_vec(p) or p in seen:
+            if not any(p) or p in seen:
                 continue
             seen.add(p)
             gens.append(p)
@@ -445,7 +445,7 @@ class ReferenceCone:
 
     def relint_contains(self, x) -> bool:
         if not self.generators:
-            return is_zero_vec(x)
+            return not any(x)
         gens = self.generators
         rows = []
         for k in range(self.ambient_rank):
@@ -629,7 +629,7 @@ def _reference_extreme_filter(rays, processed, n, lin_dim):
     seen = set()
     for r in rays:
         p = primitive(r)
-        if is_zero_vec(p) or p in seen:
+        if not any(p) or p in seen:
             continue
         tight = [a for a in processed if dot(a, r) == 0]
         if Mat(tight).rank() == target if tight else target == 0:

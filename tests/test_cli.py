@@ -181,10 +181,16 @@ class TestValidate:
         assert code == 2 and captured.out == ""
         assert captured.err.startswith("sphfan: error: not a rational literal")
 
-    def test_missing_file_exits_2(self, files, capsys):
-        code, _ = run(capsys, "validate", files("d.json", DATUM),
-                      "/nonexistent/fan.json")
-        assert code == 2
+    def test_missing_file_exits_2(self, files, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"\xff\xfe\x00")
+        for path, reason in (("/nonexistent/fan.json", "No such file"),
+                             (str(bad), "not UTF-8 text")):
+            code = main(["validate", files("d.json", DATUM), path])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert captured.err.startswith(f"sphfan: error: cannot read {path}: {reason}")
+            assert "Traceback" not in captured.err
 
     def test_reports_are_deterministic(self, files, capsys):
         d = files("d.json", DATUM)

@@ -193,11 +193,6 @@ PLANE_DATUM = """
 """
 
 
-def test_detect_kind():
-    assert docio.detect_kind(MINIMAL_DATUM) == "datum"
-    assert docio.detect_kind(P1_FAN) == "fan"
-
-
 class TestFirstOccurrence:
     def test_fan_keeps_the_first_of_equal_members(self):
         quad = ColoredCone(Cone(2, [(1, 0), (0, 1)]))
@@ -308,10 +303,11 @@ class TestRepeatedKeys:
                                        [["1", "0"]]))
 
     def test_first_listed_of_two_repeats(self):
+        # the repeat is found while the JSON is read, before the envelope
         for text, key in (('{"a": 1, "b": 1, "b": 2, "a": 2}', "a"),
                           ('{"b": 1, "a": 1, "a": 2, "b": 2}', "b")):
             with pytest.raises(ParseError, match=f"repeated key '{key}'"):
-                docio.detect_kind(text)
+                docio.parse_datum(text)
 
     def test_linear_in_the_number_of_keys(self):
         # counting each key's occurrences one key at a time took about 30 s

@@ -11,6 +11,7 @@ from sphfan import lp
 from sphfan.cones import Cone, _meet_system, relints_meet_in
 from sphfan.fourier_motzkin import feasible
 from sphfan.lp import FeasibilitySystem
+from sphfan.rational import RankMismatchError
 
 from helpers import (as_fractions, one_sign_row, presolve_certifies, reference_feasible,
                      reference_meet_system, reference_relints_meet_in, reference_shift,
@@ -119,15 +120,15 @@ class TestFeasibilitySystem:
             FeasibilitySystem(eqs, rhs, nvars)
 
     def test_row_length_must_match_the_variable_count(self):
-        with pytest.raises(ValueError, match="row length"):
+        with pytest.raises(RankMismatchError, match="row length"):
             FeasibilitySystem(((1, 2), (1,)), (0, 0), 2)
-        with pytest.raises(ValueError, match="row length"):
+        with pytest.raises(RankMismatchError, match="row length"):
             FeasibilitySystem(((1, 2, 3),), (0,), 2)
 
     def test_rhs_length_must_match_the_equality_count(self):
-        with pytest.raises(ValueError, match="rhs length"):
+        with pytest.raises(RankMismatchError, match="rhs length"):
             FeasibilitySystem(((1, 2),), (0, 1), 2)
-        with pytest.raises(ValueError, match="rhs length"):
+        with pytest.raises(RankMismatchError, match="rhs length"):
             FeasibilitySystem((), (0,), 1)
 
     def test_immutable(self):

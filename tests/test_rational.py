@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from sphfan import rational
+from sphfan import rational, spherical
 from sphfan.cones import Cone
 from sphfan.galois import GaloisAction, GroupElement
 from sphfan.lp import FeasibilitySystem
 from sphfan.morphisms import FanMorphism
-from sphfan.rational import Mat, format_rat, parse_rat
+from sphfan.rational import Mat, RankMismatchError, format_rat, parse_rat
 from sphfan.spherical import ColoredCone, ColoredFan, SphericalDatum
 
 from helpers import (primitive, reference_det, reference_is_integral_unimodular,
@@ -136,7 +136,7 @@ class TestUnimodular:
         assert not Mat([[Fraction(1, 2), 0], [0, 2]]).is_integral_unimodular()
 
     def test_non_square_raises(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(RankMismatchError):
             Mat([[1, 0]]).is_integral_unimodular()
 
     def test_inverse_of_unimodular_is_unimodular(self):
@@ -275,6 +275,27 @@ def test_the_int_core_has_one_form():
                 path.name, names)
 
 
+_SHAPE_CHECKS = [
+    ("ragged", lambda: Mat([[1, 0], [1]])),
+    ("matvec", lambda: Mat.identity(2).matvec((Fraction(1),))),
+    ("matmul", lambda: Mat.identity(2).matmul(Mat.identity(3))),
+    ("det", lambda: Mat([[1, 0]]).det()),
+    ("intersect", lambda: Cone(2).intersect(Cone(3))),
+    ("image", lambda: Cone(2, [(1, 0)]).image(Mat.identity(3))),
+    ("action", lambda: GaloisAction(SphericalDatum(2, Cone(2)),
+                                    [GroupElement("g", Mat.identity(3), {})])),
+]
+
+
+@pytest.mark.parametrize("check", [c for _, c in _SHAPE_CHECKS],
+                         ids=[name for name, _ in _SHAPE_CHECKS])
+def test_shape_checks_raise_the_one_rank_error(check):
+    assert spherical.RankMismatchError is RankMismatchError
+    assert issubclass(RankMismatchError, ValueError)
+    with pytest.raises(RankMismatchError):
+        check()
+
+
 def _frozen_instances() -> list:
     """One instance of each value type built on ``rational.Frozen``."""
     d = SphericalDatum(1, Cone(1, [(1,), (-1,)]), ["a"], {"a": (1,)})
@@ -330,11 +351,21 @@ def test_each_fact_has_one_home():
                     name, stmt.name)
     assert overrides == [("rational.py", "Frozen")] * 2
 
-    fm = trees["fourier_motzkin.py"]
-    used = ({n.id for n in ast.walk(fm) if isinstance(n, ast.Name)}
-            | {n.attr for n in ast.walk(fm) if isinstance(n, ast.Attribute)}
-            | {a.name for n in ast.walk(fm) if isinstance(n, ast.ImportFrom) for a in n.names})
-    assert not used & {"gcd", "lcm"}
+    def used(tree) -> set[str]:
+        return ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+                | {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}
+                | {a.name for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)
+                   for a in n.names})
+
+    assert not used(trees["fourier_motzkin.py"]) & {"gcd", "lcm"}
+
+    # one error for ranks that disagree, and one reader of rational
+    # literals, which docio calls through rat
+    homes = [name for name, tree in trees.items() for n in ast.walk(tree)
+             if isinstance(n, ast.ClassDef) and n.name == "RankMismatchError"]
+    assert homes == ["rational.py"]
+    assert not any("DimensionMismatch" in used(tree) for tree in trees.values())
+    assert "parse_rat" not in used(trees["docio.py"])
 
     # docio reads a datum's colors only to write them out; every membership
     # test goes through SphericalDatum.check_colors or permutes_colors
