@@ -3,7 +3,8 @@
 Commands: validate, faces, invariant, morphism.  Stdout carries exactly
 one JSON report; human-readable summaries go to stderr.  Exit status:
 0 pass, 1 semantic failure, 2 input/parse failure (a file that is missing,
-unreadable or not UTF-8 text included).
+unreadable or not UTF-8 text included, and a result with an integer too
+long to write).
 """
 
 from __future__ import annotations
@@ -271,7 +272,8 @@ def main(argv=None) -> int:
     lp.set_oracle_cross_check(args.oracle)
     try:
         return args.func(args)
-    except (ParseError, InputError, UnknownColorError, RankMismatchError) as e:
+    except (ParseError, InputError, UnknownColorError, RankMismatchError,
+            OverflowError) as e:
         print(f"sphfan: error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except lp.OracleDisagreement as e:

@@ -6,12 +6,17 @@ description pass and cached, and the canonical key is read off it.
 Point questions (x in C, x in relint C, the face holding x) and the
 dimension are read off it with no LP.  Only whether relative interiors
 meet inside V needs one: ``_meet_system`` makes it, int rows A and an
-int rhs b with y >= 0 (see :mod:`sphfan.lp`), built only when read.  It
-settles the infeasible-row presolve from two sign masks cached per
-cone, so an LP the presolve ends builds no row.  A system relint(C) ∩ V
-is kept on V, one per distinct cone C (its generators in order), and
-solved once, so CC2 and the face tests that meet C again share one
-simplex run.  ``Fraction`` appears only at the boundary: the constructor
+int rhs b with y >= 0 (see :mod:`sphfan.lp`), built only when read.  A
+system relint(C) ∩ V is kept on V, one per distinct cone C (its
+generators in order), and solved once, so CC2 and the face tests that
+meet C again share one simplex run.  A new system settles the
+infeasible-row presolve from two sign masks cached per cone, so an LP
+the presolve ends builds no row.
+
+A cone's generators are ints by construction: the constructor is the one
+gate for outside values, and ``faces`` and ``intersect`` make cones only
+from int rows the library computed.  So nothing downstream checks them
+again.  ``Fraction`` appears only at the boundary: the constructor
 accepts rationals, and ``generators``, ``facets``, ``span_equations``
 and the witnesses of ``relints_meet_in`` are Fraction views.
 """
@@ -20,7 +25,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import chain
 from operator import mul, neg
 from typing import Iterable, Optional, Sequence
 
@@ -118,12 +122,19 @@ class Cone(Frozen):
     """Rational polyhedral cone, cone(generators) in Q^ambient_rank.
 
     The generators are kept as primitive int tuples in ``_ints``; the
-    public ``generators`` is their Fraction view.
+    public ``generators`` is their Fraction view.  Every cone holds only
+    such tuples (see ``__init__`` and ``_of_ints``).
     """
 
     __slots__ = ("ambient_rank", "_ints", "__dict__")
 
     def __init__(self, ambient_rank: int, generators: Iterable[Iterable] = ()):
+        """The one constructor that takes outside values, and so the one
+        int gate.  A generator of plain ints is taken as it is; any other
+        is read entry by entry by ``rat``, which takes Fractions and 'p/q'
+        strings and raises ``TypeError`` on bools, floats and other types.
+        Each generator is scaled to a primitive int tuple, and zero and
+        repeated generators are dropped."""
         gens = []
         seen = set()
         for g in generators:
@@ -142,8 +153,12 @@ class Cone(Frozen):
     @classmethod
     def _of_ints(cls, ambient_rank: int, ints: Iterable[tuple[int, ...]],
                  dim: Optional[int] = None) -> "Cone":
-        """The cone on generators already primitive, nonzero and distinct,
-        with ``dim`` preset when the caller knows it."""
+        """The cone on ``ints``, with ``dim`` preset when the caller knows it.
+
+        The contract: ``ints`` are already primitive, nonzero and distinct
+        int tuples, and nothing checks them.  Both callers meet it by
+        construction: ``faces`` takes subsets of a cone's ``_ints``, and
+        ``intersect`` takes the output of ``_dual_ints``."""
         cone = object.__new__(cls)
         object.__setattr__(cone, "ambient_rank", ambient_rank)
         object.__setattr__(cone, "_ints", tuple(ints))
@@ -293,11 +308,8 @@ class Cone(Frozen):
 
     @cached_property
     def _cols(self) -> tuple[tuple[int, ...], ...]:
-        """The generators by axis, for every meet system the cone is in.
-        Their entries are checked here, once per cone, so only ints reach
-        the simplex's floor divisions."""
-        if not all_ints(chain.from_iterable(self._ints)):
-            raise TypeError("cone generators must be ints")
+        """The generators by axis, for every meet system the cone is in:
+        ints, as every cone's generators are."""
         return tuple(zip(*self._ints)) if self._ints else ((),) * self.ambient_rank
 
     @cached_property
@@ -407,15 +419,14 @@ def _meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
     A two-cone system relint(first) ∩ V is kept on V (``V._meets``), one
     per distinct first cone, keyed by its generators in order, so the
     same rows, and with them the same pivots and witness, come back.  The
-    lookup runs after the rank check and ``_signs`` (the int check) have
-    run on every cone, so a bad cone raises as on a fresh system:
-    (True, 0) == (1, 0), and an earlier lookup would hide it.  Three-cone
-    (CF2) systems are not kept: each pair is asked once.
+    lookup comes right after the rank check, and a hit reads no cone's
+    masks.  Three-cone (CF2) systems are not kept: each pair is asked
+    once.
 
-    The infeasible-row rule of LP presolve (Andersen & Andersen 1995) is
-    settled here from the cones' ``_signs``, with no row built.  Row k
-    has a nonzero rhs and no coefficient of its sign, so no y >= 0 meets
-    it, exactly when
+    For a new system, the infeasible-row rule of LP presolve (Andersen &
+    Andersen 1995) is settled from the cones' ``_signs``, with no row
+    built.  Row k has a nonzero rhs and no coefficient of its sign, so no
+    y >= 0 meets it, exactly when
     - first has no entry of one sign on axis k, and other none of the
       opposite sign, and
     - first is nonzero on axis k, or other's multipliers are bounded by 1
@@ -424,22 +435,20 @@ def _meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
     sum of terms of the opposite sign, one of them nonzero.
     """
     first, others = cones[0], cones[1:]
-    pos, neg = first._signs
-    nvars = len(first._ints)
-    one_signed = 0
-    for i, other in enumerate(others):
-        if other.ambient_rank != first.ambient_rank:
-            raise RankMismatchError("relint test: ambient ranks differ")
-        nvars += len(other._ints)
-        opos, oneg = other._signs
-        nonzero = pos | neg | opos | oneg if i < len(others) - 1 else pos | neg
-        one_signed |= nonzero & ~((pos | oneg) & (neg | opos))
+    if any(other.ambient_rank != first.ambient_rank for other in others):
+        raise RankMismatchError("relint test: ambient ranks differ")
     kept = others[0]._meets if len(others) == 1 else {}
     system = kept.get(first._ints)
     if system is None:
-        system = FeasibilitySystem.deferred(nvars, partial(_meet_rows, first, others),
-                                            one_signed != 0)
-        kept[first._ints] = system
+        pos, neg = first._signs
+        one_signed = 0
+        for i, other in enumerate(others):
+            opos, oneg = other._signs
+            nonzero = pos | neg | opos | oneg if i < len(others) - 1 else pos | neg
+            one_signed |= nonzero & ~((pos | oneg) & (neg | opos))
+        system = kept[first._ints] = FeasibilitySystem.deferred(
+            sum(len(c._ints) for c in cones), partial(_meet_rows, first, others),
+            one_signed != 0)
     return system
 
 

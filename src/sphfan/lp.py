@@ -36,6 +36,11 @@ more ``solve`` call, counted and replayed like the first, but no more
 simplex.  A kept system has the rows a fresh one would have, so its
 answer, witness included, is the one a fresh system would give.
 
+A deferred system's rows are not checked when built: they are read off
+cone generators, which are ints by construction of
+``sphfan.cones.Cone``.  A system built from outside rows goes through
+``FeasibilitySystem.__init__``, which checks every entry.
+
 When oracle cross-checking is enabled (CLI flag ``--oracle``), every
 verdict, certified ones included, is replayed through the independent
 Fourier-Motzkin eliminator of :mod:`sphfan.fourier_motzkin`, and a
@@ -151,9 +156,11 @@ class FeasibilitySystem(Frozen):
     def deferred(cls, nvars: int, build: Callable[[], tuple],
                  one_signed_row: bool) -> "FeasibilitySystem":
         """The system whose ``(equalities, rhs)`` ``build()`` returns when
-        they are first read, unchecked: the caller vouches for int rows of
-        length ``nvars``.  With ``one_signed_row`` the caller vouches for
-        a row no y >= 0 meets, and ``solve`` builds none."""
+        they are first read, unchecked: the caller vouches for rows of
+        length ``nvars``, and the ``Cone`` type, whose generators the rows
+        are read from, vouches for their ints.  With ``one_signed_row``
+        the caller vouches for a row no y >= 0 meets, and ``solve``
+        builds none."""
         system = object.__new__(cls)
         object.__setattr__(system, "nvars", nvars)
         object.__setattr__(system, "one_signed_row", one_signed_row)

@@ -9,17 +9,20 @@ rank and determinant, ``_echelon`` for the reduced row echelon basis
 that kernels and the double description's lineality read.  No floats
 anywhere.
 
-Two rules are decided here for the whole library.  ``rat`` is the one
+Three rules are decided here for the whole library.  ``rat`` is the one
 reader of a rational literal: an int, a Fraction, or a 'p/q' string
 checked by ``parse_rat``; the document reader calls it and only adds the
-field path.  ``RankMismatchError`` is the one error for two ranks,
-lengths or shapes that should agree, raised by ``Mat`` here and by the
-cones, the LP, the spherical data, the Galois actions and the morphisms.
+field path.  ``format_rat`` is the one writer of one, for the CLI
+reports and every document the library serializes.
+``RankMismatchError`` is the one error for two ranks, lengths or shapes
+that should agree, raised by ``Mat`` here and by the cones, the LP, the
+spherical data, the Galois actions and the morphisms.
 """
 
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -65,10 +68,20 @@ def parse_rat(s: str) -> Fraction:
 
 
 def format_rat(q: Fraction) -> str:
-    """Canonical string form: 'p/q' in lowest terms, or 'p' when q = 1."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    """Canonical string form: 'p/q' in lowest terms, or 'p' when q = 1.
+
+    An integer past the interpreter's digit limit for int-to-str
+    conversion, which bounds that quadratic conversion, raises
+    ``OverflowError`` naming the limit.
+    """
+    try:
+        if q.denominator == 1:
+            return str(q.numerator)
+        return f"{q.numerator}/{q.denominator}"
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise OverflowError(f"a result has an integer of more than {limit} digits, "
+                            "the interpreter's limit for writing one") from None
 
 
 def vec(entries: Iterable) -> Vec:

@@ -54,6 +54,15 @@ PLANE_DATUM = """
              "colors": []}}
 """
 
+SPACE_DATUM = """
+{"kind": "datum", "version": "1",
+ "payload": {"rank": 3,
+             "valuation_cone": {"generators": [["1", "0", "0"], ["-1", "0", "0"],
+                                               ["0", "1", "0"], ["0", "-1", "0"],
+                                               ["0", "0", "1"], ["0", "0", "-1"]]},
+             "colors": []}}
+"""
+
 QUAD_FAN = """
 {"kind": "fan", "version": "1",
  "payload": {"cones": [{"generators": [], "colors": []},
@@ -337,6 +346,20 @@ class TestDecodeLimits:
         code, out = run(capsys, "validate", files("d.json", DATUM),
                         files("f.json", deep))
         assert code == 2 and out == ""
+
+    @pytest.mark.parametrize("command", ["validate", "faces"])
+    def test_result_past_the_digit_limit_exits_2(self, files, capsys, command):
+        # each denominator is read (3,914 / 3,817 / 3,845 digits), but the
+        # ray's primitive generator, which the CC2 witness is, has entries
+        # of about 7,700 digits, past the limit for writing them
+        ray = [f"1/{d}" for d in (2 ** 13000, 3 ** 8000, 5 ** 5500)]
+        fan = json.dumps({"kind": "fan", "version": "1", "payload": {
+            "cones": [{"generators": [ray], "colors": []}]}})
+        code = main([command, files("d.json", SPACE_DATUM), files("f.json", fan)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("sphfan: error:")
+        assert f"more than {sys.get_int_max_str_digits()} digits" in captured.err
 
 
 COLORED_DATUM = """

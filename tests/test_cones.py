@@ -1,12 +1,15 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sphfan.cones import (Cone, _divide_by_pivots, cones_equal, dual_description,
-                          relint_meets_cone, relints_meet_in)
+from sphfan.cones import (Cone, _divide_by_pivots, _meet_system, cones_equal,
+                          dual_description, relint_meets_cone, relints_meet_in)
 from sphfan.lp import FeasibilitySystem
-from sphfan.rational import RankMismatchError, _echelon, bareiss, integer_rows
+from sphfan.rational import (Mat, RankMismatchError, _echelon, all_ints, bareiss,
+                             format_rat, integer_rows)
 
 from helpers import (ReferenceCone, brute_force_faces, dot, fm_relint_meets_cone,
                      load_perfbench, random_cone, random_vec, reference_cones_equal,
@@ -48,11 +51,15 @@ class TestConstruction:
             Cone(2, [(1, 0, 0)])
 
     @pytest.mark.parametrize("bad, error", [(True, TypeError), (1.5, TypeError),
-                                            (None, TypeError), ("1.5", ValueError)])
+                                            (1.0, TypeError), (None, TypeError),
+                                            ("1.5", ValueError)])
     def test_rejects_bools_floats_and_bad_strings(self, bad, error):
-        # the plain-int fast path must not let a bool through
-        with pytest.raises(error):
-            Cone(2, [(1, 0), (bad, 1)])
+        # the plain-int fast path must not let a bool through; and since
+        # (True, 0) == (1, 0) and 1.0 == 1, a bool or a float let in would
+        # share the kept meet systems of an int cone
+        for gens in ([(1, 0), (bad, 1)], [(bad, 0)]):
+            with pytest.raises(error):
+                Cone(2, gens)
 
     def test_int_fraction_and_string_entries_agree(self):
         want = Cone(2, [(2, -4), (0, 3), (1, -2)])
@@ -61,6 +68,57 @@ class TestConstruction:
             got = Cone(2, gens)
             assert got.generators == want.generators == ((F(1), F(-2)), (F(0), F(1)))
             assert got.key == want.key
+
+
+ENTRIES = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def rational_rows(draw, n, min_rows=0, max_rows=5):
+    """``min_rows`` to ``max_rows`` rows of n rationals, each entry given
+    as an int (when integral), a Fraction or a 'p/q' string."""
+    rows = draw(st.lists(st.lists(st.tuples(ENTRIES, st.integers(0, 2)),
+                                  min_size=n, max_size=n),
+                         min_size=min_rows, max_size=max_rows))
+    return [[(int(q) if q.denominator == 1 else q, q, format_rat(q))[form]
+             for q, form in row] for row in rows]
+
+
+def assert_int_generators(c: Cone) -> None:
+    """The invariant every cone keeps: primitive, nonzero and distinct
+    int tuples of the ambient rank."""
+    assert all_ints(x for g in c._ints for x in g)
+    assert all(type(g) is tuple and len(g) == c.ambient_rank and gcd(*g) == 1
+               for g in c._ints)
+    assert len(set(c._ints)) == len(c._ints)
+
+
+class TestIntsByConstruction:
+    """A cone's generators are primitive int tuples by construction: the
+    constructor is the one gate for outside values (what it rejects is in
+    ``TestConstruction``), and the cones the library derives keep the
+    property, so the meet systems and the simplex read them with no
+    further check."""
+
+    # derandomized: the same 50 examples on every run
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_given_and_derived_cones_have_int_generators(self, data):
+        n = data.draw(st.integers(1, 3))
+        c = Cone(n, data.draw(rational_rows(n)))
+        other = Cone(n, data.draw(rational_rows(n)))
+        assert_int_generators(c)
+        for face in c.faces():
+            assert_int_generators(face)
+        assert_int_generators(c.intersect(other))
+        m = data.draw(st.integers(1, 3))
+        assert_int_generators(c.image(Mat(data.draw(rational_rows(n, m, m)))))
+
+    def test_a_rational_cone_meets_through_the_int_system(self):
+        ray, line = Cone(2, [(1, 0)]), Cone(2, [(1, 0), (-1, 0)])
+        kept = _meet_system([ray, line])
+        for gens in ([(Fraction(2), 0)], [("1/3", "0")], [(1, 0)]):
+            assert _meet_system([Cone(2, gens), line]) is kept
 
 
 class TestContains:

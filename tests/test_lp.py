@@ -375,24 +375,6 @@ class TestSignMaskPresolve:
             verdicts.add((system.one_signed_row, y is None))
         assert verdicts == {(True, True), (False, True), (False, False)}
 
-    def test_a_non_int_generator_raises_before_any_solve(self, monkeypatch):
-        solved = []
-        monkeypatch.setattr(FeasibilitySystem, "solve", solved.append)
-        ray, line = Cone(2, [(1, 0)]), Cone(2, [(1, 0), (-1, 0)])
-        # line keeps the system of ray, and (True, 0) == (1, 0): only the
-        # int check, run before the lookup, tells the bad cone from ray
-        kept = _meet_system([ray, line])
-        for bad in (Fraction(1), True, 1.0):
-            cone = Cone._of_ints(2, [(bad, 0)])
-            # certified against the opposite ray, left to the simplex
-            # against the line; in every position
-            for cones in ([cone, Cone(2, [(-1, 0)])], [cone, line], [ray, cone],
-                          [cone, ray, line], [ray, cone, line], [ray, line, cone]):
-                with pytest.raises(TypeError, match="must be ints"):
-                    _meet_system(cones).solve()
-        assert solved == []
-        assert _meet_system([Cone(2, [(1, 0)]), line]) is kept
-
 
 def test_solve_is_the_only_lp_entry_point():
     # the benchmark counts LPs at FeasibilitySystem.solve, so a module that

@@ -40,6 +40,14 @@ class TestParseFormat:
         assert format_rat(Fraction(-6, -4)) == "3/2"
         assert format_rat(Fraction(6, -4)) == "-3/2"
 
+    def test_past_the_digit_limit_raises_overflow(self):
+        limit = sys.get_int_max_str_digits()
+        big = 10 ** limit
+        assert format_rat(Fraction(big - 2, 3)).endswith("/3")
+        for q in (Fraction(big), Fraction(1, big), Fraction(big + 1, 3)):
+            with pytest.raises(OverflowError, match=f"more than {limit} digits"):
+                format_rat(q)
+
     @given(st.fractions())
     def test_round_trip(self, q):
         assert parse_rat(format_rat(q)) == q
