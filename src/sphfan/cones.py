@@ -16,9 +16,11 @@ the presolve ends builds no row.
 A cone's generators are ints by construction: the constructor is the one
 gate for outside values, and ``faces`` and ``intersect`` make cones only
 from int rows the library computed.  So nothing downstream checks them
-again.  ``Fraction`` appears only at the boundary: the constructor
-accepts rationals, and ``generators``, ``facets``, ``span_equations``
-and the witnesses of ``relints_meet_in`` are Fraction views.
+again.  The point questions read an outside point by the constructor's
+rule, ``_int_vector``.  ``Fraction`` appears only at the boundary: the
+constructor and the point questions accept rationals, and
+``generators``, ``facets``, ``span_equations`` and the witnesses of
+``relints_meet_in`` are Fraction views.
 """
 
 from __future__ import annotations
@@ -31,12 +33,22 @@ from typing import Iterable, Optional, Sequence
 from .lp import FeasibilitySystem
 from .rational import (Frozen, Mat, RankMismatchError, Vec, _combine, _echelon, _idot,
                        _pivots, _reduce_ints, all_ints, bareiss, integer_rows,
-                       primitive_ints, rat, vec)
+                       primitive_ints, rat)
 
 
 def _check_dim(n: int, v: Sequence[Fraction]) -> None:
     if len(v) != n:
         raise RankMismatchError(f"expected a vector of length {n}, got {len(v)}")
+
+
+def _int_vector(v: Iterable) -> Sequence[int]:
+    """v read by the one rule for outside vectors: a vector of plain ints
+    is taken as it is; any other is read entry by entry by ``rat``, which
+    takes Fractions and 'p/q' strings and raises ``TypeError`` on bools,
+    floats and other types, and is scaled by the lcm of its denominators,
+    so only its direction is kept."""
+    v = tuple(v)
+    return v if all_ints(v) else integer_rows([[rat(e) for e in v]])[0]
 
 
 def _divide_by_pivots(basis: Sequence[Sequence[int]]) -> list[Vec]:
@@ -130,17 +142,12 @@ class Cone(Frozen):
 
     def __init__(self, ambient_rank: int, generators: Iterable[Iterable] = ()):
         """The one constructor that takes outside values, and so the one
-        int gate.  A generator of plain ints is taken as it is; any other
-        is read entry by entry by ``rat``, which takes Fractions and 'p/q'
-        strings and raises ``TypeError`` on bools, floats and other types.
-        Each generator is scaled to a primitive int tuple, and zero and
-        repeated generators are dropped."""
+        int gate.  Each generator is read by ``_int_vector``, scaled to a
+        primitive int tuple, and zero and repeated generators are dropped."""
         gens = []
         seen = set()
         for g in generators:
-            v = tuple(g)
-            if not all_ints(v):
-                (v,) = integer_rows([[rat(e) for e in v]])
+            v = _int_vector(g)
             _check_dim(ambient_rank, v)
             p = primitive_ints(v)
             if not any(p) or p in seen:
@@ -221,14 +228,14 @@ class Cone(Frozen):
         """n minus the number of span equations, read off the dual."""
         return self.ambient_rank - len(self._idual[0])
 
-    def _face_facets(self, x: Sequence[Fraction]) -> Optional[list[int]]:
+    def _face_facets(self, x: Iterable) -> Optional[list[int]]:
         """The indices of the facets vanishing at x, which cut out the
-        smallest face holding x, or None if x lies outside.  x is scaled
-        once to ints by the lcm of its denominators, so the signs of int
-        dot products decide."""
-        _check_dim(self.ambient_rank, x)
+        smallest face holding x, or None if x lies outside.  x is read by
+        the constructor's rule, ``_int_vector``, so the signs of int dot
+        products decide."""
+        xi = _int_vector(x)
+        _check_dim(self.ambient_rank, xi)
         eqs, facets = self._idual
-        (xi,) = integer_rows([x])
         if any(_idot(w, xi) for w in eqs):
             return None
         tight = []
@@ -240,11 +247,12 @@ class Cone(Frozen):
                 tight.append(i)
         return tight
 
-    def contains(self, x: Sequence[Fraction]) -> bool:
-        """Membership: x on every span equation and on no facet's negative side."""
+    def contains(self, x: Sequence) -> bool:
+        """Membership: x on every span equation and on no facet's negative
+        side.  Entries may be ints, Fractions or 'p/q' strings."""
         return self._face_facets(x) is not None
 
-    def _carrier(self, x: Sequence[Fraction]) -> Optional[frozenset[tuple[int, ...]]]:
+    def _carrier(self, x: Sequence) -> Optional[frozenset[tuple[int, ...]]]:
         """The generators of the smallest face holding x, or None if x lies
         outside: those tight on every facet that vanishes at x."""
         tight = self._face_facets(x)
@@ -264,7 +272,7 @@ class Cone(Frozen):
         """True iff x is a strictly positive combination of the generators,
         i.e. its smallest face is the cone itself: no facet vanishes at x.
         Entries may be ints, Fractions or 'p/q' strings."""
-        return self._face_facets(vec(x)) == []
+        return self._face_facets(x) == []
 
     def relint_meets(self, v: "Cone") -> bool:
         """Whether relint(self) meets v: ``relint_meets_cone`` without

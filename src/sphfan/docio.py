@@ -70,14 +70,14 @@ def _load_json(text: str) -> Any:
         raise ParseError("invalid JSON: nested too deeply") from e
 
 
-def _expect_object(value, path: str, fields: dict) -> dict:
-    """Check dict shape: required keys exactly, no extras."""
+def _expect_object(value, path: str, fields: tuple[str, ...]) -> dict:
+    """Check dict shape: exactly the keys ``fields``, each required."""
     if not isinstance(value, dict):
         raise ParseError("expected an object", path=path)
     extra = set(value) - set(fields)
     if extra:
         raise ParseError(f"unknown fields {sorted(extra)}", path=path)
-    missing = [k for k, required in fields.items() if required and k not in value]
+    missing = [k for k in fields if k not in value]
     if missing:
         raise ParseError(f"missing fields {missing}", path=path)
     return value
@@ -141,7 +141,7 @@ def _int_at(value, path: str) -> int:
 
 def _envelope(text: str, kind: str) -> Any:
     doc = _load_json(text)
-    _expect_object(doc, "$", {"kind": True, "version": True, "payload": True})
+    _expect_object(doc, "$", ("kind", "version", "payload"))
     got = _expect_str(doc["kind"], "$.kind")
     if got not in KINDS:
         raise ParseError(f"unknown document kind {got!r}", path="$.kind")
@@ -156,18 +156,17 @@ def _envelope(text: str, kind: str) -> Any:
 
 def parse_datum(text: str) -> SphericalDatum:
     p = _envelope(text, "datum")
-    _expect_object(p, "$.payload", {"rank": True, "valuation_cone": True, "colors": True})
+    _expect_object(p, "$.payload", ("rank", "valuation_cone", "colors"))
     rank = _int_at(p["rank"], "$.payload.rank")
     if rank < 0:
         raise ParseError("rank must be nonnegative", path="$.payload.rank")
-    vc = _expect_object(p["valuation_cone"], "$.payload.valuation_cone",
-                        {"generators": True})
+    vc = _expect_object(p["valuation_cone"], "$.payload.valuation_cone", ("generators",))
     gens = _vectors_at(vc["generators"], "$.payload.valuation_cone.generators", rank)
     colors = []
     rho = {}
     for i, entry in enumerate(_expect_list(p["colors"], "$.payload.colors")):
         path = f"$.payload.colors[{i}]"
-        _expect_object(entry, path, {"name": True, "rho": True})
+        _expect_object(entry, path, ("name", "rho"))
         name = _expect_str(entry["name"], f"{path}.name")
         if name in rho:
             raise ParseError(f"duplicate color {name!r}", path=path)
@@ -191,11 +190,11 @@ def serialize_datum(d: SphericalDatum) -> str:
 
 def parse_fan(text: str, datum: SphericalDatum) -> ColoredFan:
     p = _envelope(text, "fan")
-    _expect_object(p, "$.payload", {"cones": True})
+    _expect_object(p, "$.payload", ("cones",))
     members = []
     for i, entry in enumerate(_expect_list(p["cones"], "$.payload.cones")):
         path = f"$.payload.cones[{i}]"
-        _expect_object(entry, path, {"generators": True, "colors": True})
+        _expect_object(entry, path, ("generators", "colors"))
         gens = _vectors_at(entry["generators"], f"{path}.generators", datum.rank)
         palette = [_expect_str(c, f"{path}.colors[{j}]")
                    for j, c in enumerate(_expect_list(entry["colors"], f"{path}.colors"))]
@@ -226,12 +225,12 @@ def serialize_fan(fan: ColoredFan) -> str:
 
 def parse_action(text: str, datum: SphericalDatum) -> GaloisAction:
     p = _envelope(text, "action")
-    _expect_object(p, "$.payload", {"elements": True})
+    _expect_object(p, "$.payload", ("elements",))
     elements = []
     names = set()
     for i, entry in enumerate(_expect_list(p["elements"], "$.payload.elements")):
         path = f"$.payload.elements[{i}]"
-        _expect_object(entry, path, {"name": True, "matrix": True, "color_perm": True})
+        _expect_object(entry, path, ("name", "matrix", "color_perm"))
         name = _expect_str(entry["name"], f"{path}.name")
         if name in names:
             raise ParseError(f"duplicate element name {name!r}", path=f"{path}.name")
@@ -270,8 +269,7 @@ def serialize_action(a: GaloisAction) -> str:
 def parse_morphism(text: str, source: SphericalDatum,
                    target: SphericalDatum) -> FanMorphism:
     p = _envelope(text, "morphism")
-    _expect_object(p, "$.payload",
-                   {"matrix": True, "domain_colors": True, "color_map": True})
+    _expect_object(p, "$.payload", ("matrix", "domain_colors", "color_map"))
     rows = _expect_list(p["matrix"], "$.payload.matrix")
     matrix = _matrix_at([_vector_at(row, f"$.payload.matrix[{r}]")
                          for r, row in enumerate(rows)], "$.payload.matrix")

@@ -1,22 +1,21 @@
 """Fourier-Motzkin elimination on integer rows.
 
 Serves as the independent feasibility oracle next to the simplex path:
-it imports nothing from :mod:`sphfan.lp`.  Only non-strict inequalities
-are needed: every system produced by the cone machinery is of the form
-``c . x >= rhs``.
+it imports nothing from :mod:`sphfan.lp`, and reads the one LP shape
+the library builds, int rows A and an int rhs b with y >= 0, as it is.
 
-Each row is scaled once to a primitive integer tuple, coefficients and
-right-hand side together, and the rows are kept in a dict from
-coefficient tuple to the tightest right-hand side.  Elimination then
-runs in two phases, on Python ints only:
-
-1. Equalities first.  An opposite pair ``c . x >= r``, ``-c . x >= r2``
-   with ``r + r2 > 0`` is a contradiction; with ``r + r2 == 0`` it pins
-   ``c . x = r``, and one of its variables is substituted away in every
-   other row by the fraction-free step ``row * p - row[var] * eq``
-   (``p = eq[var] > 0``), which grows nothing.
-2. Then the remaining variables, fewest new rows first.  Each row
-   carries its history, the set of phase-2 input rows it combines
+1. One ``_echelon`` pass on the augmented rows [A | b] (the library's
+   reduced row echelon form, which the double description and the
+   kernels also use; the simplex does not).  A pivot in the rhs column
+   is a row 0 = r != 0, so the system is infeasible.  Otherwise each
+   pivot row, with pivot column p and entry a_p > 0, solves for
+   y_p = (r - sum_free a_j y_j) / a_p, and y_p >= 0 becomes the row
+   sum_free -a_j y_j >= -r over the free (non-pivot) variables; each
+   free variable keeps y_j >= 0.  Rows are scaled once to primitive
+   integer tuples, and kept in a dict from coefficient tuple to the
+   tightest right-hand side.
+2. Then the free variables are eliminated, fewest new rows first.  Each
+   row carries its history, the set of input rows it combines
    (Chernikov's rule, 1965, as restated by Imbert, "Fourier's
    elimination: which to choose?", 1993): after k eliminations, the
    multipliers of a combination of more than k + 1 input rows are no
@@ -35,26 +34,15 @@ runs in two phases, on Python ints only:
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Sequence
 
-from .rational import all_ints, integer_rows, primitive_ints
-
-Ineq = tuple[tuple[Fraction, ...], Fraction]
+from .rational import _echelon, primitive_ints
 
 
 def _primitive_row(vals: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """(coefficients, rhs) of an int row divided by the gcd of all its entries."""
     p = primitive_ints(vals)
     return p[:-1], p[-1]
-
-
-def _int_row(coeffs: Sequence, rhs) -> tuple[tuple[int, ...], int]:
-    """An int-or-Fraction row scaled to a primitive int row, same direction."""
-    vals = list(coeffs) + [rhs]
-    if not all_ints(vals):
-        (vals,) = integer_rows([vals])
-    return _primitive_row(vals)
 
 
 def _tighten(rows: dict[tuple[int, ...], int], c: tuple[int, ...], r: int) -> bool:
@@ -70,37 +58,6 @@ def _tighten(rows: dict[tuple[int, ...], int], c: tuple[int, ...], r: int) -> bo
     return True
 
 
-def _substitute_equalities(rows: dict[tuple[int, ...], int]) -> bool:
-    """Substitute away every equality in place; False on a contradiction."""
-    while True:
-        # the first opposite pair that is no slab: c . x >= r, -c . x >= r2
-        # with r + r2 >= 0
-        for c, r in rows.items():
-            r2 = rows.get(tuple(-x for x in c))
-            if r2 is not None and r + r2 >= 0:
-                break
-        else:
-            return True
-        if r + r2 > 0:
-            return False
-        var = next(i for i, x in enumerate(c) if x != 0)
-        if c[var] < 0:
-            c, r = tuple(-x for x in c), -r
-        neg = tuple(-x for x in c)
-        p = c[var]
-        old = rows.copy()
-        rows.clear()
-        for c2, r2 in old.items():
-            if c2 == c or c2 == neg:
-                continue
-            f = c2[var]
-            if f:
-                c2, r2 = _primitive_row([x * p - f * y for x, y in zip(c2, c)]
-                                        + [r2 * p - f * r])
-            if not _tighten(rows, c2, r2):
-                return False
-
-
 def _keep(table: dict, c: tuple[int, ...], r: int, h: int) -> None:
     """Add row (c, r) with history bitmask h unless a kept row dominates it."""
     kept = table.get(c)
@@ -114,19 +71,30 @@ def _keep(table: dict, c: tuple[int, ...], r: int, h: int) -> None:
     kept.append((r, h))
 
 
-def feasible(ineqs: Sequence[Ineq], nvars: int) -> bool:
-    """Decide whether {x : c . x >= rhs for all rows} is nonempty.
-
-    Entries may be ints or Fractions.
-    """
+def feasible(equalities: Sequence[Sequence[int]], rhs: Sequence[int], nvars: int) -> bool:
+    """Decide whether {y : A·y = b, y >= 0} is nonempty, for int rows A
+    of length ``nvars`` (``equalities``) and an int b (``rhs``)."""
     rows: dict[tuple[int, ...], int] = {}
-    for coeffs, rhs in ineqs:
-        if not _tighten(rows, *_int_row(coeffs, rhs)):
+    pivots = set()
+    for row in _echelon([(*a, r) for a, r in zip(equalities, rhs)]):
+        p = next(j for j, x in enumerate(row) if x)
+        if p == nvars:
             return False
-    if not _substitute_equalities(rows):
-        return False
+        pivots.add(p)
+        # y_p >= 0 is  sum_free -a_j y_j >= -r
+        neg = [-x for x in row]
+        neg[p] = 0
+        if not _tighten(rows, *_primitive_row(neg)):
+            return False
+    for j in set(range(nvars)) - pivots:
+        _tighten(rows, tuple(int(i == j) for i in range(nvars)), 0)
+    return _eliminate(rows, nvars)
 
-    # phase 2: rows are (coefficients, rhs, history bitmask)
+
+def _eliminate(rows: dict[tuple[int, ...], int], nvars: int) -> bool:
+    """Decide whether {x : c . x >= r for every (c, r) in rows} is
+    nonempty, rows keyed by primitive int coefficients, none all zero."""
+    # rows are (coefficients, rhs, history bitmask)
     work = [(c, r, 1 << i) for i, (c, r) in enumerate(rows.items())]
     remaining = [v for v in range(nvars) if any(c[v] for c, _, _ in work)]
     eliminated = 0

@@ -44,9 +44,11 @@ cone generators, which are ints by construction of
 When oracle cross-checking is enabled (CLI flag ``--oracle``), every
 verdict, certified ones included, is replayed through the independent
 Fourier-Motzkin eliminator of :mod:`sphfan.fourier_motzkin`, and a
-disagreement raises :class:`OracleDisagreement`.  The eliminator shares
-no code with the simplex: it runs on primitive int rows, substitutes the
-equalities first and bounds row growth by Chernikov's rule.
+disagreement raises :class:`OracleDisagreement`.  The eliminator reads
+the same int rows A, b and shares no code with the simplex: one reduced
+echelon pass on [A | b] solves for the pivot variables, their bounds
+y_p >= 0 become inequalities in the free ones, and the free variables
+are eliminated under Chernikov's bound on row growth.
 """
 
 from __future__ import annotations
@@ -197,18 +199,9 @@ class FeasibilitySystem(Frozen):
             sol = None if self.one_signed_row else _solve_eq_nonneg(*self._built_rows(), self.nvars)
             object.__setattr__(self, "_sol", sol)
         if _cross_check:
-            fm = fourier_motzkin.feasible(self._as_inequalities(), self.nvars)
+            fm = fourier_motzkin.feasible(self.equalities, self.rhs, self.nvars)
             if fm != (sol is not None):
                 raise OracleDisagreement(
                     f"simplex says {'feasible' if sol is not None else 'infeasible'}, "
                     f"Fourier-Motzkin says {'feasible' if fm else 'infeasible'}")
         return None if sol is None else (list(sol[0]), sol[1])
-
-    def _as_inequalities(self):
-        """The same system as a list of (coeffs, rhs) rows meaning c.y >= rhs."""
-        ineqs = []
-        for row, r in zip(self.equalities, self.rhs):
-            ineqs += [(tuple(row), r), (tuple(-c for c in row), -r)]
-        for i in range(self.nvars):
-            ineqs.append((tuple(1 if j == i else 0 for j in range(self.nvars)), 0))
-        return ineqs

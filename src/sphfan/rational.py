@@ -6,8 +6,8 @@ one int grid over a common positive denominator, and its arithmetic
 runs on that grid; its Fraction entries, ``rows``, are built when read.
 The two exact eliminations live here and run on ints: ``bareiss`` for
 rank and determinant, ``_echelon`` for the reduced row echelon basis
-that kernels and the double description's lineality read.  No floats
-anywhere.
+that kernels, the double description's lineality and the
+Fourier-Motzkin oracle's first pass read.  No floats anywhere.
 
 Three rules are decided here for the whole library.  ``rat`` is the one
 reader of a rational literal: an int, a Fraction, or a 'p/q' string
@@ -38,7 +38,10 @@ class RankMismatchError(ValueError):
 
 
 def rat(x: int | str | Fraction) -> Fraction:
-    """Build an exact rational from an int, Fraction, or 'p/q' string."""
+    """Build an exact rational from an int, Fraction, or 'p/q' string.
+    A Fraction is immutable, so it is returned as it is."""
+    if type(x) is Fraction:
+        return x
     if isinstance(x, bool):
         raise TypeError("booleans are not rationals")
     if isinstance(x, (int, Fraction)):
@@ -82,10 +85,6 @@ def format_rat(q: Fraction) -> str:
         limit = sys.get_int_max_str_digits()
         raise OverflowError(f"a result has an integer of more than {limit} digits, "
                             "the interpreter's limit for writing one") from None
-
-
-def vec(entries: Iterable) -> Vec:
-    return tuple(rat(e) for e in entries)
 
 
 def all_ints(values: Iterable) -> bool:

@@ -16,7 +16,7 @@ from sphfan import cones as cones_module
 from sphfan.cones import (Cone, _meet_rows, cones_equal, dual_description,
                           relint_meets_cone)
 from sphfan.docio import serialize_fan
-from sphfan.fourier_motzkin import Ineq, feasible
+from sphfan.fourier_motzkin import _eliminate, _primitive_row, _tighten
 from sphfan.galois import ActionReport, GaloisAction, apply_element
 from sphfan.lp import FeasibilitySystem
 from sphfan.morphisms import FanMorphism
@@ -252,6 +252,36 @@ def reference_meet_system(blocks: Sequence[Sequence[tuple[int, ...]]], n: int,
     nvars = sum(len(b) for b in blocks)
     bounds = [1] * (nvars - len(blocks[-1])) + [last_bound] * len(blocks[-1])
     return ReferenceSystem(tuple(rows), (0,) * len(rows), tuple(bounds))
+
+
+Ineq = tuple[tuple[Fraction, ...], Fraction]
+
+
+def as_inequalities(equalities: Sequence[Sequence[int]], rhs: Sequence[int],
+                    nvars: int) -> list[Ineq]:
+    """A·y = b, y >= 0 as rows (coeffs, rhs) meaning c . y >= rhs: each
+    equality as two opposite rows, and one unit row per variable.  The
+    form ``lp.FeasibilitySystem`` once handed the oracle, kept so the
+    Fraction eliminator ``reference_feasible`` can check its verdicts."""
+    ineqs = []
+    for row, r in zip(equalities, rhs):
+        ineqs += [(tuple(row), r), (tuple(-c for c in row), -r)]
+    for i in range(nvars):
+        ineqs.append((tuple(1 if j == i else 0 for j in range(nvars)), 0))
+    return ineqs
+
+
+def eliminate(ineqs: Sequence[Ineq], nvars: int) -> bool:
+    """Whether {x : c . x >= rhs for all rows} is nonempty, for general
+    rows of ints or Fractions and free x: each row scaled to a primitive
+    int row, then ``fourier_motzkin._eliminate`` alone, with no echelon
+    pass and no double description."""
+    rows: dict[tuple[int, ...], int] = {}
+    for coeffs, r in ineqs:
+        (ints,) = integer_rows([[*coeffs, r]])
+        if not _tighten(rows, *_primitive_row(ints)):
+            return False
+    return _eliminate(rows, nvars)
 
 
 def _reference_normalize(coeffs: Sequence[Fraction], rhs: Fraction) -> Ineq:
@@ -805,9 +835,9 @@ def random_pointed_cone(rng: random.Random, max_rank: int = 4,
 def brute_force_faces(c: Cone) -> list[Cone]:
     """Independent face oracle: subset + supporting-functional feasibility.
 
-    For every subset T of generators, decide by Fourier-Motzkin whether
-    some w satisfies w.g = 0 on T and w.g >= 1 off T; each feasible T
-    contributes the face cone(T).
+    For every subset T of generators, decide by Fourier-Motzkin
+    (``eliminate``) whether some w satisfies w.g = 0 on T and w.g >= 1
+    off T; each feasible T contributes the face cone(T).
     """
     gens = c.generators
     n = c.ambient_rank
@@ -822,13 +852,13 @@ def brute_force_faces(c: Cone) -> list[Cone]:
             ineqs.append((tuple(-x for x in gens[i]), Fraction(0)))
         for i in rest:
             ineqs.append((gens[i], Fraction(1)))
-        if feasible(ineqs, n):
+        if eliminate(ineqs, n):
             faces.append(Cone(n, [gens[i] for i in t]))
     return faces
 
 
 def fm_relint_meets_cone(c: Cone, v: Cone) -> bool:
-    """Fourier-Motzkin reformulation of relint(c) ∩ v != ∅."""
+    """Fourier-Motzkin reformulation of relint(c) ∩ v != ∅, by ``eliminate``."""
     gc, gv = c.generators, v.generators
     n = c.ambient_rank
     nvars = len(gc) + len(gv)
@@ -845,7 +875,7 @@ def fm_relint_meets_cone(c: Cone, v: Cone) -> bool:
         coeffs = [g[k] for g in gc] + [-h[k] for h in gv]
         ineqs.append((tuple(coeffs), Fraction(0)))
         ineqs.append((tuple(-x for x in coeffs), Fraction(0)))
-    return feasible(ineqs, nvars)
+    return eliminate(ineqs, nvars)
 
 
 def random_datum(rng: random.Random, max_rank: int = 3,

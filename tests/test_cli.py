@@ -13,7 +13,7 @@ import sphfan
 from sphfan import docio, fourier_motzkin, lp
 from sphfan.cli import main
 
-from helpers import load_perfbench, presolve_certifies, reference_feasible
+from helpers import as_inequalities, load_perfbench, presolve_certifies, reference_feasible
 
 DATUM = """
 {"kind": "datum", "version": "1",
@@ -419,9 +419,9 @@ class TestOracleOnBenchmarkDocuments:
         systems = {}
         feasible = fourier_motzkin.feasible
 
-        def record(ineqs, nvars):
-            verdict = feasible(ineqs, nvars)
-            systems[tuple(ineqs), nvars] = verdict
+        def record(equalities, rhs, nvars):
+            verdict = feasible(equalities, rhs, nvars)
+            systems[equalities, rhs, nvars] = verdict
             return verdict
         monkeypatch.setattr(fourier_motzkin, "feasible", record)
         for argv in argvs:
@@ -429,8 +429,8 @@ class TestOracleOnBenchmarkDocuments:
             assert with_oracle[0] == 1
             assert with_oracle == run(capsys, *argv[1:])
         assert {True, False} <= set(systems.values())
-        for (ineqs, nvars), verdict in systems.items():
-            assert verdict == reference_feasible(ineqs, nvars)
+        for (equalities, rhs, nvars), verdict in systems.items():
+            assert verdict == reference_feasible(as_inequalities(equalities, rhs, nvars), nvars)
 
 
 def test_repeated_key_exits_2(files, capsys):
@@ -485,9 +485,9 @@ class TestOracleCoversThePresolve:
         replays = []
         feasible = fourier_motzkin.feasible
 
-        def count(ineqs, nvars):
+        def count(equalities, rhs, nvars):
             replays.append(nvars)
-            return feasible(ineqs, nvars)
+            return feasible(equalities, rhs, nvars)
         monkeypatch.setattr(fourier_motzkin, "feasible", count)
         code, out = run(capsys, *argv)
         assert code == 1
@@ -512,7 +512,7 @@ class TestOracleCoversThePresolve:
         assert certified == list(map(presolve_certifies, without_oracle))
 
     def test_a_certified_verdict_is_cross_checked(self, argv, solved, capsys, monkeypatch):
-        monkeypatch.setattr(fourier_motzkin, "feasible", lambda ineqs, nvars: True)
+        monkeypatch.setattr(fourier_motzkin, "feasible", lambda equalities, rhs, nvars: True)
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -136,6 +136,16 @@ class TestContains:
         with pytest.raises(RankMismatchError):
             quadrant().contains((F(1),))
 
+    @pytest.mark.parametrize("method", ["contains", "relint_contains"])
+    def test_points_are_read_by_the_constructors_rule(self, method):
+        # bools and floats are no rationals; a 'p/q' string is the Fraction
+        ask = getattr(Cone(2, [(1, 0)]), method)
+        for bad in ((True, 0), (1.0, 0)):
+            with pytest.raises(TypeError):
+                ask(bad)
+        assert ask(("1/2", "0")) == ask((Fraction(1, 2), 0)) is True
+        assert ask(("-1/2", "0")) == ask((Fraction(-1, 2), 0)) is False
+
 
 def random_member_point(rng: random.Random, gens) -> tuple:
     """A nonnegative rational combination of some of the generators."""

@@ -13,9 +13,10 @@ from sphfan.fourier_motzkin import feasible
 from sphfan.lp import FeasibilitySystem
 from sphfan.rational import RankMismatchError
 
-from helpers import (as_fractions, one_sign_row, presolve_certifies, reference_feasible,
-                     reference_meet_system, reference_relints_meet_in, reference_shift,
-                     reference_solve, reference_solve_eq_nonneg, shifted_rhs)
+from helpers import (as_fractions, eliminate, one_sign_row, presolve_certifies,
+                     reference_feasible, reference_meet_system, reference_relints_meet_in,
+                     reference_shift, reference_solve, reference_solve_eq_nonneg,
+                     shifted_rhs)
 
 
 def F(x):
@@ -67,7 +68,7 @@ class TestFeasibilitySystem:
             rhs = tuple(rng.randint(-3, 3) for _ in range(neq))
             sys_ = FeasibilitySystem(eqs, rhs, nvars)
             witness = as_fractions(sys_.solve())
-            assert feasible(sys_._as_inequalities(), nvars) == (witness is not None)
+            assert feasible(eqs, rhs, nvars) == (witness is not None)
             if witness is not None:
                 for row, b in zip(eqs, rhs):
                     assert sum(c * x for c, x in zip(row, witness)) == b
@@ -385,7 +386,7 @@ def test_solve_is_the_only_lp_entry_point():
     internal = {node.name for node in ast.walk(ast.parse(Path(lp.__file__).read_text()))
                 if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
                 and not node.name.startswith("__")}
-    assert internal == {"_solve_eq_nonneg", "_as_inequalities", "_built_rows"}
+    assert internal == {"_solve_eq_nonneg", "_built_rows"}
     builders = []
     for path in paths:
         if path.name != "lp.py":
@@ -412,9 +413,9 @@ class TestCrossCheck:
         replays = []
         fm = lp.fourier_motzkin.feasible
 
-        def count(ineqs, nvars):
-            replays.append((ineqs, nvars))
-            return fm(ineqs, nvars)
+        def count(equalities, rhs, nvars):
+            replays.append((equalities, rhs, nvars))
+            return fm(equalities, rhs, nvars)
         monkeypatch.setattr(lp.fourier_motzkin, "feasible", count)
         sys_ = FeasibilitySystem(((1, -1),), (0,), 2)
         lp.set_oracle_cross_check(True)
@@ -422,22 +423,45 @@ class TestCrossCheck:
             assert sys_.solve() == ([0, 0], 1)
         finally:
             lp.set_oracle_cross_check(False)
-        assert replays == [([((1, -1), 0), ((-1, 1), 0), ((1, 0), 0), ((0, 1), 0)], 2)]
+        # the oracle reads the system's own rows
+        assert replays == [(((1, -1),), (0,), 2)]
 
 
 class TestFourierMotzkin:
+    """``feasible`` on A·y = b, y >= 0, the one shape ``lp`` holds."""
+
     def test_simple_box(self):
-        # x >= 1, -x >= -2
-        assert feasible([((F(1),), F(1)), ((F(-1),), F(-2))], 1)
+        # 1 <= y0 <= 2: y0 + y1 = 2, y0 - y2 = 1
+        assert feasible(((1, 1, 0), (1, 0, -1)), (2, 1), 3)
 
     def test_empty_box(self):
-        assert not feasible([((F(1),), F(3)), ((F(-1),), F(-2))], 1)
+        # 3 <= y0 <= 2
+        assert not feasible(((1, 1, 0), (1, 0, -1)), (2, 3), 3)
 
     def test_no_constraints(self):
-        assert feasible([], 2)
+        assert feasible((), (), 2)
+
+    def test_no_variables(self):
+        assert feasible((), (), 0)
+        assert feasible(((), ()), (0, 0), 0)
+        assert not feasible(((),), (1,), 0)
 
     def test_constant_contradiction(self):
-        assert not feasible([((F(0),), F(1))], 1)
+        # a zero row with rhs != 0 is a pivot in the rhs column
+        assert not feasible(((0,),), (1,), 1)
+        assert not feasible(((0, 0), (1, 1)), (-2, 1), 2)
+
+    def test_dependent_rows(self):
+        assert feasible(((1, 1), (2, 2), (-1, -1)), (1, 2, -1), 2)
+        assert not feasible(((1, 1), (2, 2)), (1, 3), 2)
+
+    def test_pivot_row_contradiction(self):
+        # y0 = -1: the pivot row has no free part and a negative rhs
+        assert not feasible(((1,),), (-1,), 1)
+        assert not feasible(((1, 0), (0, 1)), (1, -1), 2)
+        # y0 = -1 shows only after the echelon pass
+        assert not feasible(((1, 1), (1, 2)), (-1, -1), 2)
+        assert feasible(((1, 1), (1, 2)), (1, 1), 2)
 
 
 def random_fm_system(rng, max_rows=7, max_vars=5):
@@ -477,7 +501,8 @@ def random_fm_system(rng, max_rows=7, max_vars=5):
 
 
 class TestFourierMotzkinAgainstReference:
-    """The integer eliminator must give the Fraction eliminator's verdict."""
+    """The integer elimination, run by ``eliminate`` on general rows,
+    must give the Fraction eliminator's verdict."""
 
     def test_random_systems(self):
         rng = random.Random(1965)
@@ -485,7 +510,7 @@ class TestFourierMotzkinAgainstReference:
         kinds = {"zero": 0, "opposite": 0, "sum": 0, "rational": 0, "nvars=0": 0}
         for _ in range(5000):
             rows, nvars, made = random_fm_system(rng)
-            got = feasible(rows, nvars)
+            got = eliminate(rows, nvars)
             assert got == reference_feasible(rows, nvars), (rows, nvars)
             seen[got] += 1
             for k in made & kinds.keys():
@@ -503,7 +528,7 @@ class TestFourierMotzkinAgainstReference:
                 ((-1, 0, -2, 1), 2), ((1, -2, 1, 2), 0), ((-1, -2, 1, -1), 0),
                 ((0, 1, 2, 1), 1)]
         assert not reference_feasible(rows, 4)
-        assert not feasible(rows, 4)
+        assert not eliminate(rows, 4)
 
     def test_larger_systems_against_the_simplex(self):
         # past the size at which the Fraction eliminator's rows explode
@@ -518,7 +543,30 @@ class TestFourierMotzkinAgainstReference:
             eqs = [[x for v in c for x in (v, -v)] + [-1 if j == i else 0 for j in range(m)]
                    for i, (c, _) in enumerate(rows)]
             system = int_system(eqs, [r for _, r in rows])
-            got = feasible(rows, nvars)
+            got = eliminate(rows, nvars)
             assert got == (system.solve() is not None), (rows, nvars)
             seen[got] += 1
         assert min(seen.values()) > 300
+
+
+class TestFourierMotzkinAgainstTheSimplex:
+    """On the one shape, the oracle's verdict is that of the int simplex
+    and of the Fraction simplex."""
+
+    def test_random_systems(self):
+        rng = random.Random(1512)
+        seen = {True: 0, False: 0}
+        for _ in range(3000):
+            nvars = rng.randint(0, 6)
+            a = [[rng.randint(-3, 3) for _ in range(nvars)] for _ in range(rng.randint(0, 5))]
+            b = [rng.randint(-3, 3) for _ in a]
+            if a and rng.random() < 0.3:
+                # a multiple of the first row, consistent or not
+                k = rng.choice([-2, -1, 2])
+                a.append([k * x for x in a[0]])
+                b.append(k * b[0] + rng.choice([0, 0, 1]))
+            got = feasible(a, b, nvars)
+            assert got == (lp._solve_eq_nonneg(a, b, nvars) is not None), (a, b, nvars)
+            assert got == (reference_solve_eq_nonneg(a, b) is not None), (a, b, nvars)
+            seen[got] += 1
+        assert min(seen.values()) > 500, seen
