@@ -2,7 +2,9 @@
 
 A cone stores its generators as primitive int vectors; the dual (facet)
 description is computed lazily on ints by an incremental double
-description pass and cached, and the canonical key is read off it.
+description pass and cached, and the canonical key is read off it.  The
+same pass gives each facet's tight set as an int bitset over the
+generators, and the face lattice is closed on those bitsets.
 Point questions (x in C, x in relint C, the face holding x) and the
 dimension are read off it with no LP.  Only whether relative interiors
 meet inside V needs one: ``_meet_system`` makes it, int rows A and an
@@ -28,7 +30,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, partial
 from operator import mul, neg
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .lp import FeasibilitySystem
 from .rational import (Frozen, Mat, RankMismatchError, Vec, _combine, _echelon, _idot,
@@ -56,18 +58,20 @@ def _divide_by_pivots(basis: Sequence[Sequence[int]]) -> list[Vec]:
     return [tuple(Fraction(x, r[p]) for x in r) for r, p in zip(basis, _pivots(basis))]
 
 
-def _dual_ints(ineqs: Sequence[Sequence[int]],
-               n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+def _dual_ints(ineqs: Sequence[Sequence[int]], n: int) -> tuple[
+        list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
     """``dual_description`` of int rows, in int form.
 
-    Returns the ``_echelon`` basis of the lineality space and the extreme
-    rays, each primitive and reduced modulo that basis.  Incremental
-    double description on primitive integer vectors (Fukuda & Prodon
-    1996): after each inequality, ``lin`` spans the lineality space L and
-    the rays are the extreme rays modulo L, each once.  Every ray carries
-    Z(r), the indices of the processed inequalities tight on it, fixed
-    when it is made: vectors of L are tight on all of them, and a new
-    ray p*u + q*v (p, q > 0) is tight exactly where u and v both are.
+    Returns the ``_echelon`` basis of the lineality space, the extreme
+    rays, each primitive and reduced modulo that basis, and each ray's
+    tight set Z(r) as a bitset: bit k is set iff ineqs[k] vanishes on r.
+    So when the rows are a cone's generators, Z of each facet is the set
+    of generators it vanishes on.  Incremental double description on
+    primitive integer vectors (Fukuda & Prodon 1996): after each
+    inequality, ``lin`` spans the lineality space L and the rays are the
+    extreme rays modulo L, each once.  Every ray's Z is fixed when it is
+    made: vectors of L are tight on all processed rows, and a new ray
+    p*u + q*v (p, q > 0) is tight exactly where u and v both are.
 
     An inequality not vanishing on L turns one l0 in L into a ray and
     moves the other rays along l0 onto its hyperplane.  Otherwise each
@@ -77,11 +81,19 @@ def _dual_ints(ineqs: Sequence[Sequence[int]],
     rays whose sets contain Z(u) ∩ Z(v) are the extreme rays of the
     smallest face holding u and v, which is a 2-face iff there are no
     others.  So every step keeps the list minimal, with no filtering.
+
+    A pair is scanned only if |Z(u) ∩ Z(v)| >= n - dim L - 2.  That set
+    is the equality set of the smallest face F holding u and v, since
+    u + v lies in its relative interior, and a face's span is cut out by
+    its equality set, so dim F = n - rank of those rows.  Adjacent rays
+    span a 2-face modulo L, dim F = dim L + 2, so the rows have rank
+    n - dim L - 2, and there are at least that many.
     """
     lin = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    rays: list[tuple[tuple[int, ...], frozenset[int]]] = []
+    rays: list[tuple[tuple[int, ...], int]] = []
 
     for k, a in enumerate(ineqs):
+        bit = 1 << k
         dots = [_idot(a, l) for l in lin]
         hit = next((i for i, s in enumerate(dots) if s != 0), None)
         if hit is not None:
@@ -90,26 +102,28 @@ def _dual_ints(ineqs: Sequence[Sequence[int]],
                 l0, s0 = tuple(-x for x in l0), -s0
             lin = [_combine(s0, l, s, l0) if s != 0 else l
                    for i, (l, s) in enumerate(zip(lin, dots)) if i != hit]
-            rays = [(_combine(s0, r, _idot(a, r), l0), z | {k}) for r, z in rays]
-            rays.append((l0, frozenset(range(k))))
+            rays = [(_combine(s0, r, _idot(a, r), l0), z | bit) for r, z in rays]
+            rays.append((l0, bit - 1))
             continue
         dots = [_idot(a, r) for r, _ in rays]
         pos = [i for i, s in enumerate(dots) if s > 0]
         neg = [i for i, s in enumerate(dots) if s < 0]
+        need = n - len(lin) - 2
         new = []
         for i in pos:
+            zi = rays[i][1]
             for j in neg:
-                common = rays[i][1] & rays[j][1]
-                if any(common <= z for h, (_, z) in enumerate(rays) if h != i and h != j):
+                common = zi & rays[j][1]
+                if common.bit_count() < need or any(
+                        common & z == common for h, (_, z) in enumerate(rays) if h != i and h != j):
                     continue
-                new.append((_combine(dots[i], rays[j][0], dots[j], rays[i][0]),
-                            common | {k}))
+                new.append((_combine(dots[i], rays[j][0], dots[j], rays[i][0]), common | bit))
         rays = ([rays[i] for i in pos]
-                + [(r, z | {k}) for (r, z), s in zip(rays, dots) if s == 0] + new)
+                + [(r, z | bit) for (r, z), s in zip(rays, dots) if s == 0] + new)
 
     basis = _echelon(lin)
     pivots = _pivots(basis)
-    return basis, [_reduce_ints(r, basis, pivots) for r, _ in rays]
+    return basis, [_reduce_ints(r, basis, pivots) for r, _ in rays], [z for _, z in rays]
 
 
 def dual_description(ineqs: Sequence[Vec], n: int) -> tuple[list[Vec], list[Vec]]:
@@ -122,7 +136,7 @@ def dual_description(ineqs: Sequence[Vec], n: int) -> tuple[list[Vec], list[Vec]
     representative of its ray.  So two inequality lists describe the
     same cone iff the bases are equal and the rays are equal as sets.
     """
-    basis, rays = _dual_ints(integer_rows(ineqs), n)
+    basis, rays, _ = _dual_ints(integer_rows(ineqs), n)
     return _divide_by_pivots(basis), [tuple(Fraction(x) for x in r) for r in rays]
 
 
@@ -186,11 +200,13 @@ class Cone(Frozen):
         return not self._ints
 
     @cached_property
-    def _idual(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """(span_equations, facets) as int rows: the ``_echelon`` basis of
-        the dual cone's lineality and its reduced primitive extreme rays."""
-        lin, rays = _dual_ints(self._ints, self.ambient_rank)
-        return tuple(lin), tuple(rays)
+    def _idual(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...],
+                              tuple[int, ...]]:
+        """(span_equations, facets, tight sets) in int form: the ``_echelon``
+        basis of the dual cone's lineality, its reduced primitive extreme
+        rays, and for each facet the bitset of the generators it vanishes
+        on, all from one ``_dual_ints`` pass over the generators."""
+        return tuple(map(tuple, _dual_ints(self._ints, self.ambient_rank)))
 
     @cached_property
     def facets(self) -> tuple[Vec, ...]:
@@ -220,7 +236,7 @@ class Cone(Frozen):
         primitive rows with positive pivots match RREF rows one to one,
         so the int form is canonical too.
         """
-        eqs, facets = self._idual
+        eqs, facets, _ = self._idual
         return self.ambient_rank, eqs, tuple(sorted(facets))
 
     @cached_property
@@ -235,7 +251,7 @@ class Cone(Frozen):
         products decide."""
         xi = _int_vector(x)
         _check_dim(self.ambient_rank, xi)
-        eqs, facets = self._idual
+        eqs, facets, _ = self._idual
         if any(_idot(w, xi) for w in eqs):
             return None
         tight = []
@@ -254,18 +270,21 @@ class Cone(Frozen):
 
     def _carrier(self, x: Sequence) -> Optional[frozenset[tuple[int, ...]]]:
         """The generators of the smallest face holding x, or None if x lies
-        outside: those tight on every facet that vanishes at x."""
+        outside: those tight on every facet that vanishes at x, the AND of
+        their tight sets."""
         tight = self._face_facets(x)
         if tight is None:
             return None
-        return frozenset(g for i, g in enumerate(self._ints)
-                         if all(i in self._tight_sets[f] for f in tight))
+        s = (1 << len(self._ints)) - 1
+        for f in tight:
+            s &= self._tight_sets[f]
+        return frozenset(self._ints[i] for i in _bits(s))
 
     def is_strictly_convex(self) -> bool:
         """Pointed, holding no line: C is pointed iff its dual C∨ is
         full-dimensional, i.e. the dual's span equations and facets have
         rank n."""
-        eqs, facets = self._idual
+        eqs, facets, _ = self._idual
         return len(bareiss(eqs + facets)[1]) == self.ambient_rank
 
     def relint_contains(self, x: Sequence) -> bool:
@@ -291,12 +310,12 @@ class Cone(Frozen):
             raise RankMismatchError("intersect: ambient ranks differ")
         ineqs: list[tuple[int, ...]] = []
         for cone in (self, other):
-            eqs, facets = cone._idual
+            eqs, facets, _ = cone._idual
             ineqs.extend(facets)
             for w in eqs:
                 ineqs.append(w)
                 ineqs.append(_neg(w))
-        lin, rays = _dual_ints(ineqs, self.ambient_rank)
+        lin, rays, _ = _dual_ints(ineqs, self.ambient_rank)
         gens = list(rays)
         for l in lin:
             gens.append(l)
@@ -351,54 +370,66 @@ class Cone(Frozen):
         cone whose systems the presolve ends never build them."""
         return tuple(map(_neg, self._cols))
 
-    @cached_property
-    def _tight_sets(self) -> tuple[frozenset[int], ...]:
-        """For each facet, the indices of the generators it vanishes on."""
-        gens = self._ints
-        return tuple(frozenset(i for i, g in enumerate(gens) if _idot(w, g) == 0)
-                     for w in self._idual[1])
+    @property
+    def _tight_sets(self) -> tuple[int, ...]:
+        """For each facet, the bitset of the generators it vanishes on: bit
+        i is set iff the facet is tight on generator i.  The facets are the
+        dual's extreme rays with the generators as inequalities, so these
+        are read off ``_idual`` with no dot product."""
+        return self._idual[2]
 
     def faces(self) -> list["Cone"]:
         """All faces, self and the minimal face included, each once, by
-        dimension and then by sorted generator indices.
+        dimension and then by generator indices, each face listing its
+        generators in index order.
 
         A face is generated by the generators it contains, and the
         generators a face contains are those tight on the facets
         containing it.  So the faces correspond one-to-one to the
-        intersections of facet tight-sets (the empty intersection being
-        all generators), and the list needs no dedupe.
+        intersections of facet tight sets (the empty intersection being
+        all generators), and the list needs no dedupe.  The sets are
+        bitsets over the generator indices.
 
         The dimensions come off the face lattice, which is graded
         (Ziegler, Lectures on Polytopes, 2.2), with one rank, self's.
         Each cover G ⋗ F is F = G ∩ t for some facet t of self, and a
         face strictly inside another has a smaller dimension, so
-        dim(u) = min(dim(s) - 1) over the pairs u = s & t != s.  The
-        closure records each such s under u, and the sets are read in
-        decreasing size, so every s has its dimension before it is used.
-        Each face lists its generators in the iteration order of the
-        first intersection that found it.
+        dim(u) = min(dim(s) - 1) over the pairs u = s & t != s.  Such an s
+        has more bits than u, so the sets are closed layer by layer, in
+        decreasing popcount: when u's layer is reached every s above it
+        has been met, and the running minimum is its dimension.  Each face
+        is decoded once, visiting only its set bits, into the index list
+        that is both its sort key and its generators.
         """
         gens = self._ints
         tight_sets = self._tight_sets
-        all_idx = frozenset(range(len(gens)))
-        above = {all_idx: []}
-        queue = [all_idx]
-        while queue:
-            s = queue.pop()
-            for t in tight_sets:
-                u = s & t
-                if u == s:
-                    continue
-                if u in above:
-                    above[u].append(s)
-                else:
-                    above[u] = [s]
-                    queue.append(u)
-        dims = {}
-        for s in sorted(above, key=len, reverse=True):
-            dims[s] = min(dims[a] for a in above[s]) - 1 if above[s] else self.dim
-        return [Cone._of_ints(self.ambient_rank, [gens[i] for i in s], dims[s])
-                for s in sorted(above, key=lambda s: (dims[s], sorted(s)))]
+        top = (1 << len(gens)) - 1
+        dims = {top: self.dim}
+        layers: list[list[int]] = [[] for _ in range(len(gens))] + [[top]]
+        for layer in reversed(layers):
+            for s in layer:
+                d = dims[s] - 1
+                for t in tight_sets:
+                    u = s & t
+                    if u == s:
+                        continue
+                    if u in dims:
+                        if d < dims[u]:
+                            dims[u] = d
+                    else:
+                        dims[u] = d
+                        layers[u.bit_count()].append(u)
+        order = sorted((d, list(_bits(s))) for s, d in dims.items())
+        return [Cone._of_ints(self.ambient_rank, [gens[i] for i in idx], d)
+                for d, idx in order]
+
+
+def _bits(s: int) -> Iterator[int]:
+    """The indices of the set bits of s, in increasing order."""
+    while s:
+        low = s & -s
+        yield low.bit_length() - 1
+        s ^= low
 
 
 def cones_equal(a: Cone, b: Cone) -> bool:

@@ -9,6 +9,7 @@ not determine.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .cones import Cone, cones_equal
@@ -55,8 +56,10 @@ class MorphismReport(NamedTuple):
 
 
 def _first_outside(a: Cone, b: Cone) -> Optional[Vec]:
-    """The first generator of a that b does not contain, or None."""
-    return next((g for g in a.generators if not b.contains(g)), None)
+    """The first generator of a that b does not contain, or None: asked in
+    ints, returned as a Fraction vector."""
+    g = next((g for g in a._ints if not b.contains(g)), None)
+    return None if g is None else tuple(map(Fraction, g))
 
 
 def validate_morphism(m: FanMorphism) -> MorphismReport:

@@ -18,7 +18,7 @@ from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .cones import Cone, cones_equal, relint_meets_cone, relints_meet_in
-from .rational import Frozen, RankMismatchError, Vec, rat
+from .rational import Frozen, RankMismatchError, Vec, integer_rows, rat
 
 
 class UnknownColorError(KeyError):
@@ -34,9 +34,13 @@ class FanAxiomError(ValueError):
 
 
 class SphericalDatum(Frozen):
-    """The input tuple: rank, valuation cone V, color set D, map rho."""
+    """The input tuple: rank, valuation cone V, color set D, map rho.
 
-    __slots__ = ("rank", "valuation_cone", "colors", "rho")
+    ``rho`` holds the images as Fraction vectors; ``_rho_ints`` holds each
+    image's direction once as an int vector, scaled by the lcm of its
+    denominators, which the point questions of the cones read as it is."""
+
+    __slots__ = ("rank", "valuation_cone", "colors", "rho", "_rho_ints")
 
     def __init__(self, rank: int, valuation_cone: Cone,
                  colors: Sequence[str] = (),
@@ -61,6 +65,8 @@ class SphericalDatum(Frozen):
         object.__setattr__(self, "valuation_cone", valuation_cone)
         object.__setattr__(self, "colors", tuple(colors))
         object.__setattr__(self, "rho", images)
+        object.__setattr__(self, "_rho_ints",
+                           {c: tuple(integer_rows([v])[0]) for c, v in images.items()})
 
     def check_colors(self, palette: Iterable[str]) -> None:
         unknown = set(palette) - set(self.colors)
@@ -201,11 +207,11 @@ def validate_colored_cone(d: SphericalDatum, cc: ColoredCone) -> ColoredConeRepo
     palette = sorted(cc.palette)
 
     detail = ""
-    outside = next((f for f in palette if not c.contains(d.rho[f])), None)
+    outside = next((f for f in palette if not c.contains(d._rho_ints[f])), None)
     if outside is not None:
         detail = f"rho({outside}) lies outside the cone"
     elif not all(v.contains(g) for g in c._ints):
-        regen = Cone(d.rank, [d.rho[f] for f in palette] + list(c.intersect(v)._ints))
+        regen = Cone(d.rank, [d._rho_ints[f] for f in palette] + list(c.intersect(v)._ints))
         if not cones_equal(regen, c):
             detail = "cone is not generated by rho(palette) and cone ∩ V"
 
@@ -238,7 +244,7 @@ def colored_faces(d: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
     """
     _check(d, cc)
     v = d.valuation_cone
-    carriers = {f: cc.cone._carrier(d.rho[f]) for f in cc.palette}
+    carriers = {f: cc.cone._carrier(d._rho_ints[f]) for f in cc.palette}
     out = []
     for face in cc.cone.faces():
         if not face.relint_meets(v):

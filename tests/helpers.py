@@ -20,7 +20,8 @@ from sphfan.fourier_motzkin import _eliminate, _primitive_row, _tighten
 from sphfan.galois import ActionReport, GaloisAction, apply_element
 from sphfan.lp import FeasibilitySystem
 from sphfan.morphisms import FanMorphism
-from sphfan.rational import (Mat, RankMismatchError, Vec, bareiss, integer_rows,
+from sphfan.rational import (Mat, RankMismatchError, Vec, _combine, _echelon, _idot,
+                             _pivots, _reduce_ints, bareiss, integer_rows,
                              primitive_ints, rat)
 from sphfan.spherical import (ColoredCone, ColoredConeReport, ColoredFan,
                               ColoredFanReport, FanAxiomError, SphericalDatum,
@@ -453,7 +454,7 @@ class ReferenceCone:
                 if u not in closed:
                     closed.add(u)
                     queue.append(u)
-        out = [ReferenceCone(self.ambient_rank, [gens[i] for i in s])
+        out = [ReferenceCone(self.ambient_rank, [gens[i] for i in sorted(s)])
                for s in sorted(closed, key=sorted)]
         out.sort(key=lambda c: c.dim)
         return out
@@ -580,7 +581,7 @@ def reference_lineality(c: Cone) -> tuple[Vec, ...]:
     """``Cone.lineality_basis`` as it was: the Fraction kernel of the dual's
     span equations and facets, a basis of the largest linear subspace in
     c.  ``Cone.is_strictly_convex`` must answer ``not reference_lineality(c)``."""
-    eqs, facets = c._idual
+    eqs, facets, _ = c._idual
     rows = eqs + facets
     if not rows:
         return tuple(Mat.identity(c.ambient_rank).rows)
@@ -666,6 +667,65 @@ def _reference_extreme_filter(rays, processed, n, lin_dim):
             seen.add(p)
             out.append(r)
     return out
+
+
+def reference_dual_ints(ineqs: Sequence[Sequence[int]],
+                        n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The int double description ``cones._dual_ints`` replaced, with each
+    tight set a frozenset of indices and every pair of rays on opposite
+    sides tested for adjacency.  Kept as the reference the bitset version
+    must match, in value and order.
+
+    Returns the ``_echelon`` basis of the lineality space and the extreme
+    rays, each primitive and reduced modulo that basis.  Incremental
+    double description on primitive integer vectors (Fukuda & Prodon
+    1996): after each inequality, ``lin`` spans the lineality space L and
+    the rays are the extreme rays modulo L, each once.  Every ray carries
+    Z(r), the indices of the processed inequalities tight on it, fixed
+    when it is made: vectors of L are tight on all of them, and a new
+    ray p*u + q*v (p, q > 0) is tight exactly where u and v both are.
+
+    An inequality not vanishing on L turns one l0 in L into a ray and
+    moves the other rays along l0 onto its hyperplane.  Otherwise each
+    adjacent pair of rays on opposite sides gives a new ray on the
+    hyperplane: u and v are adjacent iff no third ray r has
+    Z(r) ⊇ Z(u) ∩ Z(v).  This is exact because the list is minimal: the
+    rays whose sets contain Z(u) ∩ Z(v) are the extreme rays of the
+    smallest face holding u and v, which is a 2-face iff there are no
+    others.  So every step keeps the list minimal, with no filtering.
+    """
+    lin = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
+    rays: list[tuple[tuple[int, ...], frozenset[int]]] = []
+
+    for k, a in enumerate(ineqs):
+        dots = [_idot(a, l) for l in lin]
+        hit = next((i for i, s in enumerate(dots) if s != 0), None)
+        if hit is not None:
+            l0, s0 = lin[hit], dots[hit]
+            if s0 < 0:
+                l0, s0 = tuple(-x for x in l0), -s0
+            lin = [_combine(s0, l, s, l0) if s != 0 else l
+                   for i, (l, s) in enumerate(zip(lin, dots)) if i != hit]
+            rays = [(_combine(s0, r, _idot(a, r), l0), z | {k}) for r, z in rays]
+            rays.append((l0, frozenset(range(k))))
+            continue
+        dots = [_idot(a, r) for r, _ in rays]
+        pos = [i for i, s in enumerate(dots) if s > 0]
+        neg = [i for i, s in enumerate(dots) if s < 0]
+        new = []
+        for i in pos:
+            for j in neg:
+                common = rays[i][1] & rays[j][1]
+                if any(common <= z for h, (_, z) in enumerate(rays) if h != i and h != j):
+                    continue
+                new.append((_combine(dots[i], rays[j][0], dots[j], rays[i][0]),
+                            common | {k}))
+        rays = ([rays[i] for i in pos]
+                + [(r, z | {k}) for (r, z), s in zip(rays, dots) if s == 0] + new)
+
+    basis = _echelon(lin)
+    pivots = _pivots(basis)
+    return basis, [_reduce_ints(r, basis, pivots) for r, _ in rays]
 
 
 def reference_det(m: Mat) -> Fraction:

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -52,6 +53,17 @@ class TestValidateMorphism:
         r = validate_morphism(m)
         assert not r.v_onto_v
         assert r.v_counterexample is not None
+
+    def test_counterexample_is_asked_in_ints_and_given_as_fractions(self, monkeypatch):
+        points = []
+        face_facets = Cone._face_facets
+        monkeypatch.setattr(Cone, "_face_facets",
+                            lambda c, x: points.append(x) or face_facets(c, x))
+        m = FanMorphism(plane_datum(), SphericalDatum(1, Cone(1, [(1,)])), Mat([[1, 0]]))
+        r = validate_morphism(m)
+        assert r.v_counterexample == (Fraction(-1),)
+        assert all(type(x) is Fraction for x in r.v_counterexample)
+        assert points and all(type(x) is int for p in points for x in p)
 
     def test_non_surjective(self):
         m = FanMorphism(plane_datum(), line_datum(), Mat([[0, 0]]))

@@ -65,6 +65,22 @@ class TestDatum:
         with pytest.raises(RankMismatchError):
             SphericalDatum(2, full_line())
 
+    def test_point_questions_read_rho_in_ints(self, monkeypatch):
+        # each rho image's int direction is made once, by the datum, and
+        # CC1 and colored_faces hand it to the cone's point questions
+        d = SphericalDatum(2, full_plane(), ["a", "b"],
+                           {"a": ("1/2", "1/3"), "b": (0, Fraction(-2, 3))})
+        assert d._rho_ints == {"a": (3, 2), "b": (0, -2)}
+        points = []
+        face_facets = Cone._face_facets
+        monkeypatch.setattr(Cone, "_face_facets",
+                            lambda c, x: points.append(x) or face_facets(c, x))
+        cc = ColoredCone(Cone(2, [(1, 0), (0, 1), (0, -1)]), ["a", "b"])
+        assert validate_colored_cone(d, cc).ok
+        faces = colored_faces(d, cc)
+        assert points and all(rational.all_ints(x) for x in points)
+        assert [f.key for f in faces] == [f.key for f in reference_colored_faces(d, cc)]
+
 
 class TestValidateColoredCone:
     def test_zero_cone_over_line(self):
