@@ -155,7 +155,7 @@ def cmd_faces(args) -> int:
             faces_out.append({
                 "of": idx,
                 "dim": face.cone.dim,
-                "generators": [_fmt_vec(g) for g in face.cone.generators],
+                "generators": [_fmt_vec(g) for g in face.cone._ints],
                 "colors": sorted(face.palette),
             })
     faces_out.sort(key=lambda f: (f["dim"], f["of"]))

@@ -11,9 +11,10 @@ meet inside V needs one: ``_meet_system`` makes it, int rows A and an
 int rhs b with y >= 0 (see :mod:`sphfan.lp`), built only when read.  A
 system relint(C) ∩ V is kept on V, one per distinct cone C (its
 generators in order), and solved once, so CC2 and the face tests that
-meet C again share one simplex run.  A new system settles the
+meet C again share one simplex run.  A new face test is settled "yes"
+when V holds C's generator sum, and a new system otherwise settles the
 infeasible-row presolve from two sign masks cached per cone, so an LP
-the presolve ends builds no row.
+either certificate ends builds no row.
 
 A cone's generators are ints by construction: the constructor is the one
 gate for outside values, and ``faces`` and ``intersect`` make cones only
@@ -296,8 +297,10 @@ class Cone(Frozen):
     def relint_meets(self, v: "Cone") -> bool:
         """Whether relint(self) meets v: ``relint_meets_cone`` without
         assembling the witness.  The system is kept on v and solved once,
-        so asking again about the same generators runs no simplex."""
-        return _meet_system([self, v]).solve() is not None
+        so asking again about the same generators runs no simplex.  This
+        asker reads no point, so when v holds the generator sum the
+        system is certified feasible and runs no simplex at all."""
+        return _meet_system([self, v], point_free=True).solve() is not None
 
     def intersect(self, other: "Cone") -> "Cone":
         """Intersection, via the union of the two facet descriptions.
@@ -444,7 +447,7 @@ def relint_meets_cone(c: Cone, v: Cone) -> Optional[Vec]:
     return relints_meet_in(c, None, v)
 
 
-def _meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
+def _meet_system(cones: Sequence[Cone], point_free: bool = False) -> FeasibilitySystem:
     """relint(cones[0]) [∩ relint(cones[1])] ∩ cones[-1] as an LP, the only
     one in this module: whether relative interiors meet inside V.
 
@@ -462,7 +465,17 @@ def _meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
     masks.  Three-cone (CF2) systems are not kept: each pair is asked
     once.
 
-    For a new system, the infeasible-row rule of LP presolve (Andersen &
+    ``point_free`` says the asker reads no point, only the verdict, as
+    the face test ``Cone.relint_meets`` does; it asks two-cone systems
+    only.  For such an asker a new system is first certified feasible by
+    an interior point: with every multiplier of first 1, x = sum(g_i)
+    lies in relint(first), so x in V means relint(first) meets V (for
+    first = {0}, x = 0 lies in V).  The test reads V's int dual, and a
+    certified system computes no sign mask.  It is kept like any other,
+    but an asker that reads a point and finds it replaces it with a
+    system the simplex solves, so every witness is the simplex's.
+
+    Otherwise, the infeasible-row rule of LP presolve (Andersen &
     Andersen 1995) is settled from the cones' ``_signs``, with no row
     built.  Row k has a nonzero rhs and no coefficient of its sign, so no
     y >= 0 meets it, exactly when
@@ -478,16 +491,19 @@ def _meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
         raise RankMismatchError("relint test: ambient ranks differ")
     kept = others[0]._meets if len(others) == 1 else {}
     system = kept.get(first._ints)
-    if system is None:
+    if system is not None and (point_free or not system.interior_point):
+        return system
+    interior = point_free and others[0]._face_facets(first._col_sums) is not None
+    one_signed = 0
+    if not interior:
         pos, neg = first._signs
-        one_signed = 0
         for i, other in enumerate(others):
             opos, oneg = other._signs
             nonzero = pos | neg | opos | oneg if i < len(others) - 1 else pos | neg
             one_signed |= nonzero & ~((pos | oneg) & (neg | opos))
-        system = kept[first._ints] = FeasibilitySystem.deferred(
-            sum(len(c._ints) for c in cones), partial(_meet_rows, first, others),
-            one_signed != 0)
+    system = kept[first._ints] = FeasibilitySystem.deferred(
+        sum(len(c._ints) for c in cones), partial(_meet_rows, first, others),
+        one_signed != 0, interior)
     return system
 
 

@@ -179,7 +179,7 @@ def serialize_datum(d: SphericalDatum) -> str:
     payload = {
         "rank": d.rank,
         "valuation_cone": {"generators": [[format_rat(x) for x in g]
-                                          for g in d.valuation_cone.generators]},
+                                          for g in d.valuation_cone._ints]},
         "colors": [{"name": c, "rho": [format_rat(x) for x in d.rho[c]]}
                    for c in d.colors],
     }
@@ -215,7 +215,7 @@ def parse_fan(text: str, datum: SphericalDatum) -> ColoredFan:
 
 def serialize_fan(fan: ColoredFan) -> str:
     payload = {"cones": [
-        {"generators": [[format_rat(x) for x in g] for g in cc.cone.generators],
+        {"generators": [[format_rat(x) for x in g] for g in cc.cone._ints],
          "colors": sorted(cc.palette)}
         for cc in fan.cones]}
     return _dump("fan", payload)

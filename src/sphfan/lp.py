@@ -17,16 +17,22 @@ Signs and ratio comparisons are therefore those of the rational tableau,
 so Bland's rule takes the same pivots, and the witness, int numerators
 over d, is the same rational point.
 
-A meet system that the "infeasible row" rule of LP presolve (Andersen &
+Two presolve certificates, in the manner of LP presolve (Andersen &
 Andersen, "Presolving in linear programming", Math. Programming 71,
-1995) proves infeasible is certified by ``sphfan.cones._meet_system``
-from sign masks cached per cone, and made by ``FeasibilitySystem.deferred``.
-It still goes through ``solve``, so every LP is counted there, but
-``solve`` answers None without building a row.  The rows of a deferred
-system are built on first read: by the simplex, by the oracle replay
-below, or by a caller.  The rule only detects, so every system that
-reaches the simplex is the one it always was, and pivots and witnesses
-are those of the simplex alone.
+1995), are settled by ``sphfan.cones._meet_system`` and handed to
+``FeasibilitySystem.deferred``:
+- ``one_signed_row``: the "infeasible row" rule, read off sign masks
+  cached per cone, proves the system infeasible;
+- ``interior_point``: a point of the first cone's relative interior lies
+  in V, which proves it feasible.  Only a caller that reads no point
+  gets such a system, and ``solve`` answers it ``([], 1)``, the one
+  point-free answer: no numerators, d = 1.
+A certified system still goes through ``solve``, so every LP is counted
+there, but ``solve`` answers it without building a row or running the
+simplex.  The rows of a deferred system are built on first read: by the
+simplex, by the oracle replay below, or by a caller.  The certificates
+only decide, so every system that reaches the simplex is the one it
+always was, and pivots and witnesses are those of the simplex alone.
 
 A system runs the presolve or the simplex once, on its first ``solve``,
 and keeps the answer; each later ``solve`` hands out that answer in a
@@ -137,9 +143,10 @@ class FeasibilitySystem(Frozen):
     of another length raises ``RankMismatchError``.
 
     ``one_signed_row`` is True only for a ``deferred`` system that its
-    maker certified by the infeasible-row rule."""
+    maker certified infeasible by the infeasible-row rule, and
+    ``interior_point`` only for one it certified feasible by a point."""
 
-    __slots__ = ("nvars", "one_signed_row", "_rows", "_sol")
+    __slots__ = ("nvars", "one_signed_row", "interior_point", "_rows", "_sol")
 
     def __init__(self, equalities: tuple[tuple[int, ...], ...], rhs: tuple[int, ...],
                  nvars: int):
@@ -151,21 +158,24 @@ class FeasibilitySystem(Frozen):
             raise RankMismatchError("rhs length does not match equality count")
         object.__setattr__(self, "nvars", nvars)
         object.__setattr__(self, "one_signed_row", False)
+        object.__setattr__(self, "interior_point", False)
         object.__setattr__(self, "_rows", (equalities, rhs))
         object.__setattr__(self, "_sol", _UNSOLVED)
 
     @classmethod
     def deferred(cls, nvars: int, build: Callable[[], tuple],
-                 one_signed_row: bool) -> "FeasibilitySystem":
+                 one_signed_row: bool, interior_point: bool) -> "FeasibilitySystem":
         """The system whose ``(equalities, rhs)`` ``build()`` returns when
         they are first read, unchecked: the caller vouches for rows of
         length ``nvars``, and the ``Cone`` type, whose generators the rows
         are read from, vouches for their ints.  With ``one_signed_row``
-        the caller vouches for a row no y >= 0 meets, and ``solve``
-        builds none."""
+        the caller vouches for a row no y >= 0 meets, with
+        ``interior_point`` for some y >= 0 meeting every row and for
+        reading no point, and ``solve`` builds no row for either."""
         system = object.__new__(cls)
         object.__setattr__(system, "nvars", nvars)
         object.__setattr__(system, "one_signed_row", one_signed_row)
+        object.__setattr__(system, "interior_point", interior_point)
         object.__setattr__(system, "_rows", build)
         object.__setattr__(system, "_sol", _UNSOLVED)
         return system
@@ -188,7 +198,8 @@ class FeasibilitySystem(Frozen):
 
     def solve(self) -> Optional[tuple[list[int], int]]:
         """``(numerators, d)`` with d > 0 and y = numerators / d a basic
-        solution, or None if the system is infeasible.
+        solution, or None if the system is infeasible; ``([], 1)``, with
+        no point, if ``interior_point`` certified it.
 
         The presolve or the simplex runs on the first call only; later
         calls return the kept answer, each with a list of its own, so a
@@ -196,7 +207,8 @@ class FeasibilitySystem(Frozen):
         replayed by the oracle when that is on."""
         sol = self._sol
         if sol is _UNSOLVED:
-            sol = None if self.one_signed_row else _solve_eq_nonneg(*self._built_rows(), self.nvars)
+            sol = (None if self.one_signed_row else ([], 1) if self.interior_point
+                   else _solve_eq_nonneg(*self._built_rows(), self.nvars))
             object.__setattr__(self, "_sol", sol)
         if _cross_check:
             fm = fourier_motzkin.feasible(self.equalities, self.rhs, self.nvars)

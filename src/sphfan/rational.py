@@ -70,8 +70,9 @@ def parse_rat(s: str) -> Fraction:
     return Fraction(int(s))
 
 
-def format_rat(q: Fraction) -> str:
-    """Canonical string form: 'p/q' in lowest terms, or 'p' when q = 1.
+def format_rat(q: Fraction | int) -> str:
+    """Canonical string form: 'p/q' in lowest terms, or 'p' when q = 1,
+    so an int, whose denominator is 1, is written as its Fraction.
 
     An integer past the interpreter's digit limit for int-to-str
     conversion, which bounds that quadratic conversion, raises

@@ -237,8 +237,9 @@ def colored_faces(d: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
     rho(f) lies in a face iff the carrier is among the face's generators,
     and no face needs a dual description of its own.  The relative
     interiors are tested with ``Cone.relint_meets``, which asks the
-    same LP as ``relint_meets_cone`` but assembles no witness.  That LP
-    is kept on V, one per distinct cone, and solved once: the top face
+    same LP as ``relint_meets_cone`` but assembles no witness, so a face
+    whose generator sum lies in V is settled with no simplex run.  That
+    LP is kept on V, one per distinct cone, and solved once: the top face
     repeats the CC2 test of cc, and a face shared by several members, or
     itself a member, is solved by the first of them.
     """

@@ -1068,10 +1068,11 @@ def closure_outcome(close, *args):
         return ("CF2", e.witness)
 
 
-def fresh_meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
+def fresh_meet_system(cones: Sequence[Cone], point_free: bool = False) -> FeasibilitySystem:
     """``cones._meet_system`` with nothing kept: the rows of ``_meet_rows``
     built now, in a new system on every call, with no presolve, so each
-    ``solve()`` runs the simplex afresh."""
+    ``solve()`` runs the simplex afresh.  ``point_free`` is ignored: no
+    certificate answers here, whoever asks."""
     rows, rhs = _meet_rows(cones[0], cones[1:])
     return FeasibilitySystem(rows, rhs, sum(len(c._ints) for c in cones))
 

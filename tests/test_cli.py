@@ -463,7 +463,8 @@ P1_SQUARED_WITH_A_RAY = json.dumps({"kind": "fan", "version": "1", "payload": {"
 
 class TestOracleCoversThePresolve:
     """``--oracle`` replays the verdicts that the infeasible-row presolve
-    settles, like every other verdict; only the replay builds their rows."""
+    and the interior point settle, like every other verdict; only the
+    replay builds their rows."""
 
     @pytest.fixture
     def argv(self, files):
@@ -522,6 +523,26 @@ class TestOracleCoversThePresolve:
         try:
             with pytest.raises(lp.OracleDisagreement):
                 solved[-1].solve()
+        finally:
+            lp.set_oracle_cross_check(False)
+
+    def test_an_interior_point_verdict_is_cross_checked(self, argv, solved, capsys,
+                                                        monkeypatch):
+        # --autocomplete closes the fan first, so the first solve() is the
+        # face test of {0}, whose generator sum 0 lies in V: certified
+        # feasible with no simplex run, and still replayed
+        monkeypatch.setattr(fourier_motzkin, "feasible", lambda equalities, rhs, nvars: False)
+        assert main(argv + ["--autocomplete"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sphfan: oracle disagreement: simplex says feasible")
+        assert len(solved) == 1 and solved[0].interior_point
+        assert lp._solve_eq_nonneg(solved[0].equalities, solved[0].rhs,
+                                   solved[0].nvars) is not None
+        lp.set_oracle_cross_check(True)
+        try:
+            with pytest.raises(lp.OracleDisagreement):
+                solved[0].solve()
         finally:
             lp.set_oracle_cross_check(False)
 

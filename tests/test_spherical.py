@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from sphfan import cones, lp, rational, spherical
+from sphfan import cones, fourier_motzkin, lp, rational, spherical
 from sphfan.cones import Cone, cones_equal, relints_meet_in
 from sphfan.spherical import (ColoredCone, ColoredFan, FanAxiomError,
                               RankMismatchError, SphericalDatum,
@@ -234,7 +234,9 @@ class TestColoredFacesAgainstReference:
 class TestColoredFacesWork:
     """Pinned work: no rank (the parent's dimension comes off its dual),
     one ``faces()`` per ``colored_faces``, and, with no face key asked,
-    one double description, the parent's."""
+    two double descriptions: the parent's, for its face lattice, and V's,
+    whose facets the interior-point test of the first face reads (V is
+    new with each datum, so no earlier call computed them)."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_no_rank_one_faces_one_dual(self, seed, monkeypatch):
@@ -261,7 +263,7 @@ class TestColoredFacesWork:
             calls.clear()
             out = colored_faces(d, cc)
             assert len(out) == p.n_faces
-            assert calls == {"dual": 1, "faces": 1}
+            assert calls == {"dual": 2, "faces": 1}
             assert "_idual" in vars(cc.cone)
             assert not any("_idual" in vars(f.cone) for f in out)
 
@@ -320,10 +322,18 @@ class TestSimplexRuns:
       face tests ask 3^n distinct systems, each solved once: 27 and 81
       simplex runs (152 = 27 + 125 and 706 = 81 + 625 when every test
       ran its own).
+    - CC2 asks each member before ``colored_faces`` does, and reads a
+      point, so the face tests of validation find systems the simplex
+      solved: the interior-point certificate changes no count above.
     - ``faces_closure`` from the 2^n maximal cones calls ``solve()``
-      2^n · 2^n times for faces and C(3^n, 2) times for CF2, and runs the
-      simplex once per distinct face, 3^n times: for n = 4, 256 + 3,240
-      = 3,496 calls and 81 runs (256 when every face test ran its own).
+      2^n · 2^n times for faces and C(3^n, 2) times for CF2: for n = 4,
+      256 + 3,240 = 3,496 calls.  It runs the simplex 0 times.  Each face
+      test is asked first by ``Cone.relint_meets``, which reads no point,
+      and V = Q^n holds every generator sum, so each of the 3^n distinct
+      face systems is certified feasible by an interior point; the CF2
+      pairs are all settled by the presolve, as above.  (That was 81
+      runs for n = 4 with one run per distinct face, and 256 when every
+      face test ran its own.)
     """
 
     @pytest.mark.parametrize("n, calls, runs, closure_calls",
@@ -351,7 +361,8 @@ class TestSimplexRuns:
         fan = faces_closure(bench_inputs.build_p1_datum(f),
                             bench_inputs.build_p1_cones(f, maximal_only=True))
         assert len(fan) == f.n_cones == runs
-        assert counts == {"calls": closure_calls, "runs": runs}
+        assert counts == {"calls": closure_calls}
+        assert counts["runs"] == 0
 
 
 class TestSignMasks:
@@ -761,14 +772,71 @@ class TestKeptMeetSystems:
         assert min(answers.values()) > 20, answers
 
 
+class TestInteriorPointCertificate:
+    """A face test (``Cone.relint_meets``) whose system meets V at the
+    face's generator sum is certified feasible and runs no simplex.  On
+    random data with a proper V, every certified system must be feasible
+    for the simplex and for Fourier-Motzkin, ``colored_faces`` must equal
+    its all-simplex reference, and a CC2 witness asked after a certified
+    face test of the same cone must still be the simplex's."""
+
+    def test_certified_systems_are_feasible(self, monkeypatch):
+        rng = random.Random(31)
+        certified, asked = [], Counter()
+        make = cones._meet_system
+
+        def recorded(cs, point_free=False):
+            system = make(cs, point_free)
+            asked[point_free, system.interior_point] += 1
+            if system.interior_point:
+                certified.append((cs, system))
+            return system
+        monkeypatch.setattr(cones, "_meet_system", recorded)
+        for _ in range(200):
+            d = proper_datum(rng, max_rank=4)
+            cc = random_top(rng, d)
+            got = colored_faces(d, cc)
+            assert repr(got) == repr(without_kept_systems(colored_faces, d, cc))
+        for cs, system in certified:
+            assert system.solve() == ([], 1)
+            assert fresh_meet_system(cs).solve() is not None
+            assert fourier_motzkin.feasible(system.equalities, system.rhs, system.nvars)
+        # only face tests are certified, and many are while many are not
+        assert asked[False, True] == 0
+        assert len(certified) > 200 and asked[True, False] > 100, asked
+
+    def test_cc2_after_a_certified_face_test(self):
+        rng = random.Random(37)
+        replaced = 0
+        for _ in range(150):
+            d = proper_datum(rng, max_rank=4)
+            v = d.valuation_cone
+            fan = faces_closure(d, [random_top(rng, d)])
+            before = {cc.cone._ints: v._meets[cc.cone._ints].interior_point for cc in fan}
+            got = validate_colored_fan(d, fan)
+            assert report_form(got) == report_form(
+                without_kept_systems(validate_colored_fan, d, fan))
+            for cc, r in zip(fan, got.cone_reports):
+                assert r.cc2_witness == reference_relints_meet_in(cc.cone, None, v)
+                system = v._meets[cc.cone._ints]
+                assert not system.interior_point
+                replaced += before[cc.cone._ints]
+        # most members were certified by the closure's face tests, and
+        # CC2 replaced each with a system the simplex solves
+        assert replaced > 200, replaced
+
+
 class TestDualWork:
     """Pinned double descriptions, counted at ``cones._dual_ints``: on the
     complete uncolored P1^n fan, validation runs one per member key and
     one for V's facets, read by the CC1 containment scan; ``faces_closure``
-    runs one per member key and one per maximal cone, for its face
-    lattice.  No face, regenerated cone or intersection runs one."""
+    runs one per member key, one per maximal cone, for its face lattice,
+    and one for V's facets, read by the interior-point test of the first
+    face: 3^n + 2^n + 1, that is 27 + 8 + 1 = 36 for n = 3 and
+    81 + 16 + 1 = 98 for n = 4.  No face, regenerated cone or
+    intersection runs one."""
 
-    @pytest.mark.parametrize("n, validate, closure", [(3, 28, 35), (4, 82, 97)])
+    @pytest.mark.parametrize("n, validate, closure", [(3, 28, 36), (4, 82, 98)])
     def test_complete_p1(self, monkeypatch, n, validate, closure):
         calls = []
         dual = cones._dual_ints
@@ -785,7 +853,7 @@ class TestDualWork:
         maximal = bench_inputs.build_p1_cones(f, maximal_only=True)
         fan = faces_closure(bench_inputs.build_p1_datum(f), maximal)
         assert len(fan) == f.n_cones
-        assert len(calls) == closure == len(fan) + len(maximal)
+        assert len(calls) == closure == len(fan) + len(maximal) + 1
 
     def test_colored_cones_equal_by_generator_set(self, monkeypatch):
         calls = []
