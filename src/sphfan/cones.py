@@ -7,14 +7,18 @@ same pass gives each facet's tight set as an int bitset over the
 generators, and the face lattice is closed on those bitsets.
 Point questions (x in C, x in relint C, the face holding x) and the
 dimension are read off it with no LP.  Only whether relative interiors
-meet inside V needs one: ``_meet_system`` makes it, int rows A and an
-int rhs b with y >= 0 (see :mod:`sphfan.lp`), built only when read.  A
-system relint(C) ∩ V is kept on V, one per distinct cone C (its
-generators in order), and solved once, so CC2 and the face tests that
-meet C again share one simplex run.  A new face test is settled "yes"
-when V holds C's generator sum, and a new system otherwise settles the
-infeasible-row presolve from two sign masks cached per cone, so an LP
-either certificate ends builds no row.
+meet inside V needs one: int rows A and an int rhs b with y >= 0 (see
+:mod:`sphfan.lp`), built only when read, by one builder per shape:
+- ``_meet_system``, relint(C) ∩ V for CC2 and the face tests, kept on V
+  one per distinct C (its generators in order) and solved once.  A new
+  face test is settled "yes" when V holds C's generator sum, and a new
+  system otherwise by the infeasible-row rule on two sign masks cached
+  per cone.
+- ``_pair_systems``, relint(C1) ∩ relint(C2) ∩ V for each pair of a CF2
+  pass (``meeting_pairs``), settled "no" when one hyperplane index, the
+  sign masks widened from the axes to the cones' facet hyperplanes,
+  shows the relative interiors disjoint.
+A settled system builds no row and runs no simplex.
 
 A cone's generators are ints by construction: the constructor is the one
 gate for outside values, and ``faces`` and ``intersect`` make cones only
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import chain
 from operator import mul, neg
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -357,9 +362,9 @@ class Cone(Frozen):
 
     @cached_property
     def _meets(self) -> dict[tuple[tuple[int, ...], ...], FeasibilitySystem]:
-        """The two-cone meet systems whose last cone is this one, by the
-        first cone's ``_ints`` in order: each is built and solved once, and
-        lives as long as this cone."""
+        """The meet systems relint(C) ∩ self of ``_meet_system``, by C's
+        ``_ints`` in order: each is built and solved once, and lives as
+        long as this cone."""
         return {}
 
     @cached_property
@@ -370,7 +375,7 @@ class Cone(Frozen):
     def _neg_cols(self) -> tuple[tuple[int, ...], ...]:
         """``_cols`` negated: only the rows of a meet system read them, for
         a cone after the first, so a face tested by ``relint_meets`` and a
-        cone whose systems the presolve ends never build them."""
+        cone whose systems a certificate settles never build them."""
         return tuple(map(_neg, self._cols))
 
     @property
@@ -448,67 +453,60 @@ def relint_meets_cone(c: Cone, v: Cone) -> Optional[Vec]:
 
 
 def _meet_system(cones: Sequence[Cone], point_free: bool = False) -> FeasibilitySystem:
-    """relint(cones[0]) [∩ relint(cones[1])] ∩ cones[-1] as an LP, the only
-    one in this module: whether relative interiors meet inside V.
+    """relint(C) ∩ V as an LP, for cones = [C, V]: whether C's relative
+    interior meets V.  It is kept on V (``V._meets``), one per distinct
+    C, keyed by its generators in order, so the same rows, and with them
+    the same pivots and witness, come back.  The lookup comes right after
+    the rank check, and a hit reads no cone's masks.
+
+    The rows are those of ``_meet_rows``, built only when read.  A
+    system is certified before it is solved, in one of two ways.
+
+    ``point_free`` says the asker reads no point, only the verdict, as
+    the face test ``Cone.relint_meets`` does.  For such an asker a new
+    system is first certified feasible by an interior point: with every
+    multiplier of C 1, x = sum(g_i) lies in relint(C), so x in V means
+    relint(C) meets V (for C = {0}, x = 0 lies in V).  The test reads V's
+    int dual, and a certified system computes no sign mask.  It is kept
+    like any other, but an asker that reads a point and finds it
+    replaces it with a system the simplex solves, so every witness is the
+    simplex's.
+
+    Otherwise, the infeasible-row rule of LP presolve (Andersen &
+    Andersen 1995) is settled from the cones' ``_signs``, with no row
+    built.  Row k has a nonzero rhs and no coefficient of its sign, so no
+    y >= 0 meets it, exactly when C is nonzero on axis k, and C has no
+    entry of one sign there and V none of the opposite sign: relint(C)
+    lies strictly on one side of x_k = 0 and V on the other.
+    """
+    first, v = cones
+    if first.ambient_rank != v.ambient_rank:
+        raise RankMismatchError("relint test: ambient ranks differ")
+    system = v._meets.get(first._ints)
+    if system is not None and (point_free or not system.interior_point):
+        return system
+    interior = point_free and v._face_facets(first._col_sums) is not None
+    apart = 0
+    if not interior:
+        pos, neg = first._signs
+        vpos, vneg = v._signs
+        apart = (pos | neg) & ~((pos | vneg) & (neg | vpos))
+    system = v._meets[first._ints] = FeasibilitySystem.deferred(
+        len(first._ints) + len(v._ints), partial(_meet_rows, first, (v,)), apart != 0, interior)
+    return system
+
+
+def _meet_rows(first: Cone, others: Sequence[Cone]) -> tuple[tuple, tuple]:
+    """relint(first) [∩ relint(others[0])] ∩ others[-1] as int rows A and
+    an int rhs b with y >= 0.
 
     sum(l_i g_i) = sum(m_j h_j) = sum(n_k k_k), one multiplier per
     generator; the last cone's are >= 0, all others >= 1.  Row k is the
     first cone's k-th coordinates, then minus the other's.  The bounds
     are shifted out here (l = y + 1, m = y + 1, n = y), so every variable
     is >= 0 and row k's rhs is bound * (other's k-th sum) - (first's k-th
-    sum).  The rows are built only when read.
-
-    A two-cone system relint(first) ∩ V is kept on V (``V._meets``), one
-    per distinct first cone, keyed by its generators in order, so the
-    same rows, and with them the same pivots and witness, come back.  The
-    lookup comes right after the rank check, and a hit reads no cone's
-    masks.  Three-cone (CF2) systems are not kept: each pair is asked
-    once.
-
-    ``point_free`` says the asker reads no point, only the verdict, as
-    the face test ``Cone.relint_meets`` does; it asks two-cone systems
-    only.  For such an asker a new system is first certified feasible by
-    an interior point: with every multiplier of first 1, x = sum(g_i)
-    lies in relint(first), so x in V means relint(first) meets V (for
-    first = {0}, x = 0 lies in V).  The test reads V's int dual, and a
-    certified system computes no sign mask.  It is kept like any other,
-    but an asker that reads a point and finds it replaces it with a
-    system the simplex solves, so every witness is the simplex's.
-
-    Otherwise, the infeasible-row rule of LP presolve (Andersen &
-    Andersen 1995) is settled from the cones' ``_signs``, with no row
-    built.  Row k has a nonzero rhs and no coefficient of its sign, so no
-    y >= 0 meets it, exactly when
-    - first has no entry of one sign on axis k, and other none of the
-      opposite sign, and
-    - first is nonzero on axis k, or other's multipliers are bounded by 1
-      and other is:
-    the row's coefficients then share one sign or are 0, and its rhs is a
-    sum of terms of the opposite sign, one of them nonzero.
+    sum).
     """
-    first, others = cones[0], cones[1:]
-    if any(other.ambient_rank != first.ambient_rank for other in others):
-        raise RankMismatchError("relint test: ambient ranks differ")
-    kept = others[0]._meets if len(others) == 1 else {}
-    system = kept.get(first._ints)
-    if system is not None and (point_free or not system.interior_point):
-        return system
-    interior = point_free and others[0]._face_facets(first._col_sums) is not None
-    one_signed = 0
-    if not interior:
-        pos, neg = first._signs
-        for i, other in enumerate(others):
-            opos, oneg = other._signs
-            nonzero = pos | neg | opos | oneg if i < len(others) - 1 else pos | neg
-            one_signed |= nonzero & ~((pos | oneg) & (neg | opos))
-    system = kept[first._ints] = FeasibilitySystem.deferred(
-        sum(len(c._ints) for c in cones), partial(_meet_rows, first, others),
-        one_signed != 0, interior)
-    return system
-
-
-def _meet_rows(first: Cone, others: Sequence[Cone]) -> tuple[tuple, tuple]:
-    """The rows and rhs of ``_meet_system``."""
     widths = [len(c._ints) for c in others]
     rows, rhs = [], []
     for i, other in enumerate(others):
@@ -521,18 +519,107 @@ def _meet_rows(first: Cone, others: Sequence[Cone]) -> tuple[tuple, tuple]:
     return tuple(rows), tuple(rhs)
 
 
-def relints_meet_in(c1: Cone, c2: Optional[Cone], v: Cone) -> Optional[Vec]:
-    """Witness x ∈ relint(c1) [∩ relint(c2)] ∩ v, or None.
-
-    Feasibility of ``_meet_system``, the only question here that needs
-    an LP; the witness is scale-free, so no extra normalization variable
-    is needed.  The simplex's point is int numerators y over one d > 0,
-    and ``_meet_system`` shifted c1's multipliers by 1, so l = (y + d) / d;
-    this is the one place that makes a Fraction of it.
-    """
-    sol = _meet_system([c1] + ([c2] if c2 is not None else []) + [v]).solve()
-    if sol is None:
-        return None
+def _witness(c1: Cone, sol: tuple[list[int], int]) -> Vec:
+    """The point of relint(c1) a meet system's solution names: int
+    numerators y over d > 0, with c1's multipliers shifted by 1, so
+    l = (y + d) / d.  The one place that makes a Fraction of it."""
     y, d = sol
     nums = [x + d for x in y[:len(c1._ints)]]
     return tuple(Fraction(sum(map(mul, nums, col)), d) for col in c1._cols)
+
+
+def relints_meet_in(c1: Cone, c2: Optional[Cone], v: Cone) -> Optional[Vec]:
+    """Witness x ∈ relint(c1) [∩ relint(c2)] ∩ v, or None.
+
+    Feasibility of a meet system, the only question here that needs an
+    LP; the witness is scale-free, so no extra normalization variable is
+    needed.  With c2, this is ``meeting_pairs`` on [c1, c2]; without, the
+    system is ``_meet_system``'s, kept on v.
+    """
+    if c2 is not None:
+        return next((w for _, _, w in meeting_pairs([c1, c2], v)), None)
+    sol = _meet_system([c1, v]).solve()
+    return None if sol is None else _witness(c1, sol)
+
+
+def _hyperplane_signs(cs: Sequence[Cone]) -> list[tuple[int, int]]:
+    """The index: per cone, ``_signs`` widened from the axes (bits 0 to
+    n - 1) to the other distinct facet normals and span equations of the
+    cones, up to sign, read off ``_idual``.  Each distinct generator is
+    dotted with each of those once."""
+    n = cs[0].ambient_rank
+    planes: dict[tuple[int, ...], None] = {}
+    for c in cs:
+        eqs, facets, _ = c._idual
+        for w in chain(eqs, facets):
+            if w.count(0) < n - 1:
+                planes.setdefault(w if next(filter(None, w)) > 0 else _neg(w))
+    if not planes:
+        return [c._signs for c in cs]
+    seen: dict[tuple[int, ...], tuple[int, int]] = {}
+    out = []
+    for c in cs:
+        pos, neg = c._signs
+        for g in c._ints:
+            signs = seen.get(g)
+            if signs is None:
+                p = q = 0
+                for h, w in enumerate(planes, n):
+                    s = _idot(w, g)
+                    if s > 0:
+                        p |= 1 << h
+                    elif s < 0:
+                        q |= 1 << h
+                signs = seen[g] = p, q
+            pos |= signs[0]
+            neg |= signs[1]
+        out.append((pos, neg))
+    return out
+
+
+def _pair_systems(cs: Sequence[Cone],
+                  v: Cone) -> Iterator[tuple[int, int, FeasibilitySystem]]:
+    """(i, j, the unkept system of relint(cs[i]) ∩ relint(cs[j]) ∩ v, on
+    ``_meet_rows``) for each pair i < j, in order, lazily.
+
+    A pair is certified infeasible when the index (``_hyperplane_signs``)
+    shows the relative interiors disjoint.  Their points are the
+    combinations with every multiplier > 0, so relint(C) lies in w > 0
+    when w is >= 0 on C's generators and > 0 on one, in w < 0 likewise,
+    and C in w = 0 when w is 0 on all.  Two cones on different ones of
+    these sides of some w are disjoint: w is <= 0 on one's generators,
+    >= 0 on the other's and nonzero on some, a bit set in
+    (p | q | r | s) & ~((p | s) & (q | r)) for masks (p, q) and (r, s).
+    That ignores v, so it is sound whatever v is; on the axes it is the
+    infeasible-row rule against cs[j], which is also applied against v,
+    as in ``_meet_system``.
+    """
+    n = v.ambient_rank
+    if any(c.ambient_rank != n for c in cs):
+        raise RankMismatchError("relint test: ambient ranks differ")
+    if len(cs) < 2:
+        return
+    index = _hyperplane_signs(cs)
+    vpos, vneg = v._signs
+    widths = [len(c._ints) for c in cs]
+    for i, c1 in enumerate(cs):
+        pos, neg = c1._signs
+        off_v = (pos | neg) & ~((pos | vneg) & (neg | vpos))
+        p, q = index[i]
+        pq = p | q
+        width = widths[i] + len(v._ints)
+        for j in range(i + 1, len(cs)):
+            r, s = index[j]
+            apart = off_v or (pq | r | s) & ~((p | s) & (q | r))
+            yield i, j, FeasibilitySystem.deferred(
+                width + widths[j], partial(_meet_rows, c1, (cs[j], v)), apart != 0, False)
+
+
+def meeting_pairs(cs: Sequence[Cone], v: Cone) -> Iterator[tuple[int, int, Vec]]:
+    """The CF2 pass: (i, j, witness x ∈ relint(cs[i]) ∩ relint(cs[j]) ∩ v)
+    for each pair i < j whose relative interiors meet inside v, in order,
+    lazily, so a consumer that stops early solves no more LPs."""
+    for i, j, system in _pair_systems(cs, v):
+        sol = system.solve()
+        if sol is not None:
+            yield i, j, _witness(cs[i], sol)

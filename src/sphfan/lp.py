@@ -2,11 +2,11 @@
 
 A :class:`FeasibilitySystem` is int rows A, an int rhs b and a variable
 count; ``solve`` finds y >= 0 with A·y = b or reports infeasibility.
-That system is the only LP the library builds:
-``sphfan.cones._meet_system`` asks whether relative interiors meet
-inside V, with the bounds of its multipliers shifted into the rhs.  Point
-questions and dimensions of cones are read off their int facet
-descriptions.
+That system is the only LP the library builds, and ``sphfan.cones``
+alone makes it: ``_meet_system`` for relint(C) ∩ V (CC2 and the face
+tests), ``_pair_systems`` for relint(C1) ∩ relint(C2) ∩ V (CF2), with
+the bounds of the multipliers shifted into the rhs.  Point questions
+and dimensions of cones are read off their int facet descriptions.
 
 The workhorse is a phase-1 simplex with Bland's rule, so termination is
 unconditional and every answer is exact.  It pivots fraction-free
@@ -17,12 +17,14 @@ Signs and ratio comparisons are therefore those of the rational tableau,
 so Bland's rule takes the same pivots, and the witness, int numerators
 over d, is the same rational point.
 
-Two presolve certificates, in the manner of LP presolve (Andersen &
-Andersen, "Presolving in linear programming", Math. Programming 71,
-1995), are settled by ``sphfan.cones._meet_system`` and handed to
+Certificates in the manner of LP presolve (Andersen & Andersen,
+"Presolving in linear programming", Math. Programming 71, 1995) are
+settled by the builders in ``sphfan.cones`` and handed to
 ``FeasibilitySystem.deferred``:
-- ``one_signed_row``: the "infeasible row" rule, read off sign masks
-  cached per cone, proves the system infeasible;
+- ``certified_infeasible``: the relative interiors are disjoint, which
+  the hyperplane index of a CF2 pass shows, or the "infeasible row"
+  rule, read off the sign masks cached per cone (the index's coordinate
+  case);
 - ``interior_point``: a point of the first cone's relative interior lies
   in V, which proves it feasible.  Only a caller that reads no point
   gets such a system, and ``solve`` answers it ``([], 1)``, the one
@@ -50,11 +52,13 @@ cone generators, which are ints by construction of
 When oracle cross-checking is enabled (CLI flag ``--oracle``), every
 verdict, certified ones included, is replayed through the independent
 Fourier-Motzkin eliminator of :mod:`sphfan.fourier_motzkin`, and a
-disagreement raises :class:`OracleDisagreement`.  The eliminator reads
-the same int rows A, b and shares no code with the simplex: one reduced
-echelon pass on [A | b] solves for the pivot variables, their bounds
-y_p >= 0 become inequalities in the free ones, and the free variables
-are eliminated under Chernikov's bound on row growth.
+disagreement raises :class:`OracleDisagreement`, which names the
+verdict's source: the simplex, a certificate of infeasibility, or an
+interior point.  The eliminator reads the same int rows A, b and shares
+no code with the simplex: one reduced echelon pass on [A | b] solves for
+the pivot variables, their bounds y_p >= 0 become inequalities in the
+free ones, and the free variables are eliminated under Chernikov's
+bound on row growth.
 """
 
 from __future__ import annotations
@@ -74,7 +78,8 @@ def set_oracle_cross_check(enabled: bool) -> None:
 
 
 class OracleDisagreement(RuntimeError):
-    """Simplex and Fourier-Motzkin disagreed on a feasibility verdict."""
+    """Fourier-Motzkin disagreed with a feasibility verdict of the simplex
+    or of a certificate."""
 
 
 def _solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int],
@@ -142,11 +147,11 @@ class FeasibilitySystem(Frozen):
     so only ints reach the tableau's floor divisions, and a row or rhs
     of another length raises ``RankMismatchError``.
 
-    ``one_signed_row`` is True only for a ``deferred`` system that its
-    maker certified infeasible by the infeasible-row rule, and
-    ``interior_point`` only for one it certified feasible by a point."""
+    ``certified_infeasible`` is True only for a ``deferred`` system that
+    its maker certified infeasible, and ``interior_point`` only for one
+    it certified feasible by a point."""
 
-    __slots__ = ("nvars", "one_signed_row", "interior_point", "_rows", "_sol")
+    __slots__ = ("nvars", "certified_infeasible", "interior_point", "_rows", "_sol")
 
     def __init__(self, equalities: tuple[tuple[int, ...], ...], rhs: tuple[int, ...],
                  nvars: int):
@@ -157,24 +162,25 @@ class FeasibilitySystem(Frozen):
         if len(rhs) != len(equalities):
             raise RankMismatchError("rhs length does not match equality count")
         object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "one_signed_row", False)
+        object.__setattr__(self, "certified_infeasible", False)
         object.__setattr__(self, "interior_point", False)
         object.__setattr__(self, "_rows", (equalities, rhs))
         object.__setattr__(self, "_sol", _UNSOLVED)
 
     @classmethod
     def deferred(cls, nvars: int, build: Callable[[], tuple],
-                 one_signed_row: bool, interior_point: bool) -> "FeasibilitySystem":
+                 certified_infeasible: bool, interior_point: bool) -> "FeasibilitySystem":
         """The system whose ``(equalities, rhs)`` ``build()`` returns when
         they are first read, unchecked: the caller vouches for rows of
         length ``nvars``, and the ``Cone`` type, whose generators the rows
-        are read from, vouches for their ints.  With ``one_signed_row``
-        the caller vouches for a row no y >= 0 meets, with
-        ``interior_point`` for some y >= 0 meeting every row and for
-        reading no point, and ``solve`` builds no row for either."""
+        are read from, vouches for their ints.  With
+        ``certified_infeasible`` the caller vouches for no y >= 0 meeting
+        every row, with ``interior_point`` for some y >= 0 meeting every
+        row and for reading no point, and ``solve`` builds no row for
+        either."""
         system = object.__new__(cls)
         object.__setattr__(system, "nvars", nvars)
-        object.__setattr__(system, "one_signed_row", one_signed_row)
+        object.__setattr__(system, "certified_infeasible", certified_infeasible)
         object.__setattr__(system, "interior_point", interior_point)
         object.__setattr__(system, "_rows", build)
         object.__setattr__(system, "_sol", _UNSOLVED)
@@ -207,13 +213,15 @@ class FeasibilitySystem(Frozen):
         replayed by the oracle when that is on."""
         sol = self._sol
         if sol is _UNSOLVED:
-            sol = (None if self.one_signed_row else ([], 1) if self.interior_point
+            sol = (None if self.certified_infeasible else ([], 1) if self.interior_point
                    else _solve_eq_nonneg(*self._built_rows(), self.nvars))
             object.__setattr__(self, "_sol", sol)
         if _cross_check:
             fm = fourier_motzkin.feasible(self.equalities, self.rhs, self.nvars)
             if fm != (sol is not None):
+                source = ("certificate" if self.certified_infeasible
+                          else "interior point" if self.interior_point else "simplex")
                 raise OracleDisagreement(
-                    f"simplex says {'feasible' if sol is not None else 'infeasible'}, "
+                    f"{source} says {'feasible' if sol is not None else 'infeasible'}, "
                     f"Fourier-Motzkin says {'feasible' if fm else 'infeasible'}")
         return None if sol is None else (list(sol[0]), sol[1])

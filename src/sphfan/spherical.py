@@ -17,7 +17,10 @@ from __future__ import annotations
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
-from .cones import Cone, cones_equal, relint_meets_cone, relints_meet_in
+# relints_meet_in is no longer called here, but stays a name of this
+# module: perfbench/tracing.py wraps it where sphfan looks it up
+from .cones import (Cone, cones_equal, meeting_pairs, relint_meets_cone,  # noqa: F401
+                    relints_meet_in)
 from .rational import Frozen, RankMismatchError, Vec, integer_rows, rat
 
 
@@ -275,12 +278,9 @@ def validate_colored_fan(d: SphericalDatum, fan: ColoredFan) -> ColoredFanReport
 def _cf2_failures(d: SphericalDatum,
                   members: Sequence[ColoredCone]) -> Iterator[tuple[int, int, Vec]]:
     """(i, j, witness) for each pair i < j whose relative interiors meet
-    inside V, lazily: a consumer that stops early solves no more LPs."""
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            w = relints_meet_in(members[i].cone, members[j].cone, d.valuation_cone)
-            if w is not None:
-                yield i, j, w
+    inside V, lazily: a consumer that stops early solves no more LPs.  One
+    CF2 pass, ``cones.meeting_pairs``, over the members' cones."""
+    return meeting_pairs([cc.cone for cc in members], d.valuation_cone)
 
 
 def is_strictly_convex_fan(d: SphericalDatum, fan: ColoredFan) -> bool:

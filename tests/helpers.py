@@ -8,7 +8,7 @@ import random
 import sys
 from collections import deque
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, product
 from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
@@ -1069,23 +1069,94 @@ def closure_outcome(close, *args):
 
 
 def fresh_meet_system(cones: Sequence[Cone], point_free: bool = False) -> FeasibilitySystem:
-    """``cones._meet_system`` with nothing kept: the rows of ``_meet_rows``
-    built now, in a new system on every call, with no presolve, so each
-    ``solve()`` runs the simplex afresh.  ``point_free`` is ignored: no
-    certificate answers here, whoever asks."""
+    """A meet system with nothing kept: the rows of ``_meet_rows`` for
+    relint(cones[0]) [∩ relint(cones[1])] ∩ cones[-1], built now, in a new
+    system on every call, with no presolve, so each ``solve()`` runs the
+    simplex afresh.  ``point_free`` is ignored: no certificate answers
+    here, whoever asks."""
     rows, rhs = _meet_rows(cones[0], cones[1:])
     return FeasibilitySystem(rows, rhs, sum(len(c._ints) for c in cones))
 
 
+def fresh_pair_systems(cs: Sequence[Cone], v: Cone):
+    """``cones._pair_systems`` with no index and no certificate: the
+    ``fresh_meet_system`` of every pair i < j, in order."""
+    for i in range(len(cs)):
+        for j in range(i + 1, len(cs)):
+            yield i, j, fresh_meet_system([cs[i], cs[j], v])
+
+
 def without_kept_systems(fn, *args):
-    """``fn(*args)`` with every meet system made by ``fresh_meet_system``:
-    the reference for the systems kept on V."""
-    kept = cones_module._meet_system
+    """``fn(*args)`` with every meet system made by ``fresh_meet_system``
+    and every CF2 pass by ``fresh_pair_systems``: the all-LP reference for
+    the systems kept on V and for the certificates."""
+    kept = cones_module._meet_system, cones_module._pair_systems
     cones_module._meet_system = fresh_meet_system
+    cones_module._pair_systems = fresh_pair_systems
     try:
         return fn(*args)
     finally:
-        cones_module._meet_system = kept
+        cones_module._meet_system, cones_module._pair_systems = kept
+
+
+def reference_index_certifies(cs: Sequence[Cone], v: Cone) -> list[bool]:
+    """Whether ``cones._pair_systems`` should certify each pair i < j of
+    cs, in order, with V's rows: the infeasible-row rule on the three-cone
+    system (``presolve_certifies``), or some hyperplane of the index, a
+    facet normal or span equation of a cone of cs from the Fraction
+    ``reference_dual_description``, that has the two cones on different
+    sides (``_side``), neither of them split."""
+    n = v.ambient_rank
+    planes = []
+    for c in cs:
+        eqs, facets = reference_dual_description(c.generators, n)
+        planes += eqs + facets
+    sides = [[_side(c, w) for w in planes] for c in cs]
+    out = []
+    for i in range(len(cs)):
+        for j in range(i + 1, len(cs)):
+            rows = reference_meet_system([cs[i]._ints, cs[j]._ints, v._ints], n, 0)
+            out.append(presolve_certifies(rows) or any(
+                a is not None and b is not None and a != b for a, b in zip(sides[i], sides[j])))
+    return out
+
+
+def _side(c: Cone, w: Sequence[Fraction]):
+    """1, -1 or 0 when the relative interior of c lies in w > 0, w < 0 or
+    w = 0, None when c has generators on both sides of w."""
+    signs = {(d > 0) - (d < 0) for d in (dot(w, g) for g in c.generators)}
+    if {1, -1} <= signs:
+        return None
+    return max(signs, key=abs, default=0)
+
+
+def cube_face_fan(n: int, rng: random.Random | None = None) -> tuple[SphericalDatum, ColoredFan]:
+    """(datum, fan): the complete face fan of the n-cube [-1, 1]^n with
+    V = Q^n and no colors.  Its 3^n members are {0} and the cones over the
+    proper faces, one per sign vector s != 0 in {0, 1, -1}^n, generated by
+    the vertices that agree with s where s is nonzero, by dimension.  Each
+    member lists its vertices in one global order, so a face of a member
+    lists them as that face's member does.  With ``rng``, every vector is
+    moved by a random signed permutation of the coordinates."""
+    perm = list(range(n))
+    signs = [1] * n
+    if rng is not None:
+        rng.shuffle(perm)
+        signs = [rng.choice((1, -1)) for _ in range(n)]
+
+    def move(x):
+        return tuple(signs[i] * x[perm[i]] for i in range(n))
+
+    vertices = list(product((1, -1), repeat=n))
+    faces = sorted((s for s in product((0, 1, -1), repeat=n) if any(s)),
+                   key=lambda s: s.count(0))
+    members = [ColoredCone(Cone(n))] + [
+        ColoredCone(Cone(n, [move(x) for x in vertices
+                             if all(a == 0 or a == b for a, b in zip(s, x))]))
+        for s in faces]
+    axes = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    space = Cone(n, axes + [tuple(-x for x in e) for e in axes])
+    return SphericalDatum(n, space), ColoredFan(members)
 
 
 def random_valid_colored_cone(rng: random.Random, d: SphericalDatum,

@@ -462,9 +462,10 @@ P1_SQUARED_WITH_A_RAY = json.dumps({"kind": "fan", "version": "1", "payload": {"
 
 
 class TestOracleCoversThePresolve:
-    """``--oracle`` replays the verdicts that the infeasible-row presolve
-    and the interior point settle, like every other verdict; only the
-    replay builds their rows."""
+    """``--oracle`` replays the verdicts that the certificates settle (the
+    infeasible-row presolve, the hyperplane index of the CF2 pass and the
+    interior point), like every other verdict; only the replay builds
+    their rows, and a disagreement names the verdict's source."""
 
     @pytest.fixture
     def argv(self, files):
@@ -496,15 +497,16 @@ class TestOracleCoversThePresolve:
                     if c["axiom"] == "CF2" and c["result"] == "fail"]
         assert [c["subject"] for c in failures] == ["cone[5]∩cone[9]"]
         assert len(replays) == len(solved)
-        # the presolve settles all C(10, 2) CF2 pairs but the one that meets
+        # the presolve settles all C(10, 2) CF2 pairs but the one that meets,
+        # so the hyperplane index has none left to settle
         assert sum(map(presolve_certifies, solved)) == 44
 
     def test_rows_are_built_only_when_read(self, argv, solved, capsys):
         code, out = run(capsys, *argv[1:])
         assert (code, out) == run(capsys, *argv)
         without_oracle, with_oracle = solved[:len(solved) // 2], solved[len(solved) // 2:]
-        certified = [s.one_signed_row for s in without_oracle]
-        assert certified == [s.one_signed_row for s in with_oracle]
+        certified = [s.certified_infeasible for s in without_oracle]
+        assert certified == [s.certified_infeasible for s in with_oracle]
         assert sum(certified) == 44
         # without the oracle a certified system builds no row and every
         # other one is built by the simplex; the replay reads them all
@@ -517,7 +519,7 @@ class TestOracleCoversThePresolve:
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("sphfan: oracle disagreement: simplex says infeasible")
+        assert captured.err.startswith("sphfan: oracle disagreement: certificate says infeasible")
         assert presolve_certifies(solved[-1])
         lp.set_oracle_cross_check(True)
         try:
@@ -535,7 +537,7 @@ class TestOracleCoversThePresolve:
         assert main(argv + ["--autocomplete"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("sphfan: oracle disagreement: simplex says feasible")
+        assert captured.err.startswith("sphfan: oracle disagreement: interior point says feasible")
         assert len(solved) == 1 and solved[0].interior_point
         assert lp._solve_eq_nonneg(solved[0].equalities, solved[0].rhs,
                                    solved[0].nvars) is not None

@@ -8,19 +8,38 @@ from pathlib import Path
 import pytest
 
 from sphfan import lp
-from sphfan.cones import Cone, _meet_system, relints_meet_in
+from sphfan.cones import Cone, _meet_system, _pair_systems, relints_meet_in
 from sphfan.fourier_motzkin import feasible
 from sphfan.lp import FeasibilitySystem
 from sphfan.rational import RankMismatchError
 
 from helpers import (as_fractions, eliminate, one_sign_row, presolve_certifies,
-                     reference_feasible, reference_meet_system, reference_relints_meet_in,
-                     reference_shift, reference_solve, reference_solve_eq_nonneg,
-                     shifted_rhs)
+                     reference_feasible, reference_index_certifies, reference_meet_system,
+                     reference_relints_meet_in, reference_shift, reference_solve,
+                     reference_solve_eq_nonneg, shifted_rhs)
 
 
 def F(x):
     return Fraction(x)
+
+
+def meet_system(cones):
+    """The system the library asks for relint(cones[0]) ∩ cones[-1], or for
+    relint(cones[0]) ∩ relint(cones[1]) ∩ cones[2]: ``_meet_system``, or
+    the one pair of ``_pair_systems`` on [cones[0], cones[1]]."""
+    if len(cones) == 2:
+        return _meet_system(cones)
+    ((_, _, system),) = _pair_systems(cones[:2], cones[2])
+    return system
+
+
+def certifies(cones):
+    """Whether ``meet_system(cones)`` should be certified: the
+    infeasible-row rule, and for a pair the hyperplane index too."""
+    if len(cones) == 2:
+        return presolve_certifies(reference_meet_system([c._ints for c in cones],
+                                                        cones[0].ambient_rank, 0))
+    return reference_index_certifies(cones[:2], cones[2])[0]
 
 
 def int_system(a, b):
@@ -239,7 +258,8 @@ class TestInfeasibleRowPresolve:
 
     def test_meet_systems_of_cone_triples(self, monkeypatch):
         # c1 and c2 on opposite sides of x_k = 0 (c2 possibly inside it):
-        # the meet system is certified; arbitrary triples are compared too
+        # the meet system is certified; arbitrary triples are compared too,
+        # and the pair systems certified beyond the row rule are counted
         tableaux = []
         solve = lp._solve_eq_nonneg
 
@@ -249,7 +269,7 @@ class TestInfeasibleRowPresolve:
         monkeypatch.setattr(lp, "_solve_eq_nonneg", recorded)
         rng = random.Random(1512)
         seen = {"separated": 0, "certified": 0, "meets": 0, "apart": 0}
-        repeats = 0
+        repeats = beyond_rows = 0
         for _ in range(300):
             n = rng.randint(1, 4)
             separated = rng.random() < 0.5
@@ -272,7 +292,7 @@ class TestInfeasibleRowPresolve:
                          for _ in range(rng.randint(0, 2 * n))])
             if not c1._ints or not c2._ints:
                 continue
-            system = _meet_system([c1, c2, v])
+            system = meet_system([c1, c2, v])
             x = as_fractions(system.solve())
             assert x == reference_solve(system)
             assert (relints_meet_in(c1, c2, v) is None) == (x is None)
@@ -281,7 +301,7 @@ class TestInfeasibleRowPresolve:
             # takes the same pivots and returns the same witness
             solved = []
             for triple in ([c1, c2, v], [c1, v], [c2, v]):
-                new = _meet_system(triple)
+                new = meet_system(triple)
                 old = reference_meet_system([c._ints for c in triple], n, 0)
                 assert new.equalities == old.equalities
                 assert new.rhs == shifted_rhs(old)
@@ -289,14 +309,16 @@ class TestInfeasibleRowPresolve:
                 a, b, _ = reference_shift(old)
                 tableaux.clear()
                 y = new.solve()
-                # only the first solve of a system the presolve leaves reaches
-                # the simplex: [c2, v] is the kept [c1, v] when c2 has c1's
-                # generators in c1's order
-                assert new.one_signed_row == presolve_certifies(old)
+                # only the first solve of a system no certificate settles
+                # reaches the simplex: [c2, v] is the kept [c1, v] when c2 has
+                # c1's generators in c1's order
+                assert new.certified_infeasible == certifies(triple)
+                assert new.certified_infeasible >= presolve_certifies(old)
+                beyond_rows += new.certified_infeasible > presolve_certifies(old)
                 repeat = any(new is s for s in solved)
                 repeats += repeat
                 solved.append(new)
-                assert tableaux == ([] if new.one_signed_row or repeat
+                assert tableaux == ([] if new.certified_infeasible or repeat
                                     else [(list(map(tuple, a)), b, new.nvars)])
                 want = reference_solve(old)
                 assert (y is None) == (want is None)
@@ -311,7 +333,7 @@ class TestInfeasibleRowPresolve:
                 seen["certified"] += presolve_certifies(system)
                 seen["meets" if x is not None else "apart"] += 1
         assert min(seen.values()) > 20, seen
-        assert repeats > 0
+        assert repeats > 0 and beyond_rows > 0
 
 
 def _signed_cone(rng, n):
@@ -323,28 +345,35 @@ def _signed_cone(rng, n):
 
 
 class TestSignMaskPresolve:
-    """``_meet_system`` settles the infeasible-row rule from each cone's
-    sign masks; the reference applies it row by row to the system built
-    from the generators with the bounds shifted out."""
+    """``_meet_system`` and ``_pair_systems`` settle the infeasible-row rule
+    from each cone's sign masks; the reference applies it row by row to
+    the system built from the generators with the bounds shifted out.  A
+    pair is certified by the hyperplane index too, whose axis case the
+    rule against the second cone is."""
 
     def test_masks_agree_with_the_row_rule(self):
         rng = random.Random(1995)
         seen = {"certified": 0, "left": 0, "pair 0-1 only": 0, "pair 0-2 only": 0}
+        index_only = 0
         zero_at = set()
         for _ in range(4000):
             n = rng.randint(1, 4)
             cones = [_signed_cone(rng, n) for _ in range(rng.choice([2, 3]))]
             ref = reference_meet_system([c._ints for c in cones], n, 0)
-            system = _meet_system(cones)
-            assert system.one_signed_row == presolve_certifies(ref)
-            seen["certified" if system.one_signed_row else "left"] += 1
+            system = meet_system(cones)
+            assert system.certified_infeasible == certifies(cones)
+            if system.certified_infeasible and not presolve_certifies(ref):
+                index_only += 1
+                continue
+            assert system.certified_infeasible == presolve_certifies(ref)
+            seen["certified" if system.certified_infeasible else "left"] += 1
             zero_at |= {(len(cones), i) for i, c in enumerate(cones) if c.is_zero}
-            if len(cones) == 3 and system.one_signed_row:
+            if len(cones) == 3 and system.certified_infeasible:
                 pairs = [presolve_certifies(reference_meet_system(
                     [cones[0]._ints, cones[i]._ints], n, 1 if i == 1 else 0)) for i in (1, 2)]
                 if pairs != [True, True]:
                     seen[f"pair 0-{pairs.index(True) + 1} only"] += 1
-        assert min(seen.values()) > 100, seen
+        assert min(seen.values()) > 100 and index_only > 5, (seen, index_only)
         assert zero_at == {(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)}
 
     def test_only_systems_the_rule_leaves_reach_the_simplex(self, monkeypatch):
@@ -361,10 +390,10 @@ class TestSignMaskPresolve:
             n = rng.randint(1, 3)
             cones = [_signed_cone(rng, n) for _ in range(rng.choice([2, 3]))]
             ref = reference_meet_system([c._ints for c in cones], n, 0)
-            system = _meet_system(cones)
+            system = meet_system(cones)
             tableaux.clear()
             y = system.solve()
-            if system.one_signed_row:
+            if system.certified_infeasible:
                 # settled with no row built
                 assert y is None and tableaux == [] and callable(system._rows)
             else:
@@ -373,14 +402,15 @@ class TestSignMaskPresolve:
             assert as_fractions(y) == reference_solve(system)
             assert system.equalities == ref.equalities
             assert system.rhs == shifted_rhs(ref)
-            verdicts.add((system.one_signed_row, y is None))
+            verdicts.add((system.certified_infeasible, y is None))
         assert verdicts == {(True, True), (False, True), (False, False)}
 
 
 def test_solve_is_the_only_lp_entry_point():
     # the benchmark counts LPs at FeasibilitySystem.solve, so a module that
     # reached the simplex another way would solve LPs nobody counts; and
-    # cones._meet_system is the one place outside lp that builds a system
+    # cones builds every system outside lp, one builder per system shape:
+    # _meet_system for relint(C) ∩ V, _pair_systems for a CF2 pair
     paths = sorted(Path(lp.__file__).parent.glob("*.py"))
     assert {"cones.py", "spherical.py"} <= {p.name for p in paths}
     internal = {node.name for node in ast.walk(ast.parse(Path(lp.__file__).read_text()))
@@ -393,7 +423,7 @@ def test_solve_is_the_only_lp_entry_point():
             text = path.read_text()
             assert not any(name in text for name in internal), path.name
             builders += [(path.name, where) for where in _constructions(ast.parse(text))]
-    assert builders == [("cones.py", "_meet_system")]
+    assert builders == [("cones.py", "_meet_system"), ("cones.py", "_pair_systems")]
 
 
 def _constructions(tree, where=None):

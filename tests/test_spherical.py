@@ -19,13 +19,13 @@ from sphfan.spherical import (ColoredCone, ColoredFan, FanAxiomError,
                               orbit_count, validate_colored_cone,
                               validate_colored_fan)
 
-from helpers import (KeyOnlyColoredFan, closure_outcome, fresh_meet_system,
+from helpers import (KeyOnlyColoredFan, closure_outcome, cube_face_fan, fresh_meet_system,
                      intersect_cc1, key_only_faces_closure,
                      key_only_validate_colored_fan, load_perfbench,
                      presolve_certifies, random_cone, random_datum,
                      random_valid_colored_cone, random_vec, reference_colored_faces,
-                     reference_meet_system, reference_relints_meet_in,
-                     without_kept_systems)
+                     reference_index_certifies, reference_meet_system,
+                     reference_relints_meet_in, without_kept_systems)
 
 bench_inputs = load_perfbench("inputs")
 
@@ -271,7 +271,12 @@ class TestColoredFacesWork:
         # a face only stands first in a meet system, so its negated columns
         # are never read, nor built; V is read negated, and so is the second
         # cone of a CF2 pair whose rows are built, which happens just when
-        # the presolve leaves the pair to the simplex
+        # no certificate settles the pair.  The cube closure is the faces
+        # of one cone, and two faces F != G of a cone are split by one of
+        # its facets (one with G on it and F not, say), so the index
+        # settles every pair; so it does in the P1 fan, on the axes.  An
+        # extra ray through the relative interior of a 2-cone of the P1
+        # fan leaves that pair to the simplex.
         seen = []
         colored = spherical.colored_faces
 
@@ -283,24 +288,26 @@ class TestColoredFacesWork:
         rng = random.Random(14)
         d_cube, cube = bench_inputs.build_pointed(bench_inputs.cube_cone(rng, 4, 2))
         p1 = bench_inputs.p1_fan(rng, 3, 3, 2)
+        extra = bench_inputs.p1_fan(rng, 3, 3, 2, 1)
         outcomes = []
-        for d, fan in ((d_cube, faces_closure(d_cube, [cube])),
-                       (bench_inputs.build_p1_datum(p1),
-                        ColoredFan(bench_inputs.build_p1_cones(p1)))):
+        for d, fan, ok in ((d_cube, faces_closure(d_cube, [cube]), True),
+                           (bench_inputs.build_p1_datum(p1),
+                            ColoredFan(bench_inputs.build_p1_cones(p1)), True),
+                           (bench_inputs.build_p1_datum(extra),
+                            ColoredFan(bench_inputs.build_p1_cones(extra)), False)):
             seen.clear()
-            assert validate_colored_fan(d, fan).ok
+            assert validate_colored_fan(d, fan).ok == ok
             assert len(seen) > len(fan)
             assert not any("_neg_cols" in vars(face.cone) for face in seen)
             assert "_neg_cols" in vars(d.valuation_cone)
-            v = d.valuation_cone
-            simplex_second = [
-                any(not presolve_certifies(reference_meet_system(
-                    [a.cone._ints, b.cone._ints, v._ints], d.rank, 0)) for a in fan.cones[:j])
-                for j, b in enumerate(fan.cones)]
+            pairs = [(i, j) for i in range(len(fan)) for j in range(i + 1, len(fan))]
+            certified = reference_index_certifies([cc.cone for cc in fan], d.valuation_cone)
+            left = {pair for pair, c in zip(pairs, certified) if not c}
+            simplex_second = [any((i, j) in left for i in range(j)) for j in range(len(fan))]
             assert ["_neg_cols" in vars(cc.cone) for cc in fan] == simplex_second
-            outcomes.append(any(simplex_second))
-        # the cube's faces leave some pairs to the simplex, the P1 fan none
-        assert outcomes == [True, False]
+            outcomes.append(len(left))
+        # the index leaves the extra ray's pair alone to the simplex
+        assert outcomes == [0, 0, 1]
 
 
 class TestSimplexRuns:
@@ -364,6 +371,55 @@ class TestSimplexRuns:
         assert counts == {"calls": closure_calls}
         assert counts["runs"] == 0
 
+    def test_complete_cube_face_fan(self, monkeypatch):
+        """The complete face fan of the 4-cube (``cube_face_fan``): 81
+        members, {0} and the cones over the proper faces, one per sign
+        vector s != 0 in {0, +, -}^4, with V = Q^4.
+
+        Validation calls ``solve()`` 3,240 + 81 + 625 = 3,946 times: the
+        cone over an f-face has 3^f + 1 faces, and summing over the 2^(4-f)
+        C(4, f) f-faces, plus {0}'s one, gives 32 + 128 + 240 + 224 + 1.
+        It runs the simplex 81 times, one CC2 test per member:
+        - each face of a member is a member on the same generators in the
+          same order, so the face tests find the systems CC2 solved;
+        - no CF2 pair reaches the simplex.  Members over the faces s != t
+          have disjoint relative interiors, and the index shows it.  If
+          s_k = -t_k != 0 for some k, the axis x_k splits them, which the
+          sign masks see.  Otherwise, say s_k != 0 = t_k, take l with
+          t_l != 0: w = s_k e_k - t_l e_l, a facet normal of the maximal
+          member over x_k = s_k, is >= 0 on s's vertices and <= 0 on t's,
+          which have v_l = t_l, with one < 0, at v_k = -s_k.  {0} lies on
+          every axis, where every other member is one-signed.
+        With the sign masks alone, 1,080 pairs, split by no axis, ran the
+        simplex: 1,161 runs.
+
+        ``faces_closure`` from the 8 maximal cones calls ``solve()``
+        8 · 28 + 3,240 = 3,464 times and runs the simplex 0 times: V holds
+        every generator sum, so each face test is certified feasible by an
+        interior point, and the index settles every pair as above.
+        """
+        counts = Counter()
+        simplex, solve = lp._solve_eq_nonneg, lp.FeasibilitySystem.solve
+
+        def counted_simplex(*args):
+            counts["runs"] += 1
+            return simplex(*args)
+
+        def counted_solve(system):
+            counts["calls"] += 1
+            return solve(system)
+        monkeypatch.setattr(lp, "_solve_eq_nonneg", counted_simplex)
+        monkeypatch.setattr(lp.FeasibilitySystem, "solve", counted_solve)
+        d, fan = cube_face_fan(4)
+        assert len(fan) == 81
+        assert validate_colored_fan(d, fan).ok
+        assert counts == {"calls": 3946, "runs": 81}
+        counts.clear()
+        maximal = [cc for cc in fan if cc.cone.dim == 4]
+        assert len(maximal) == 8
+        assert fans_equal(faces_closure(d, maximal), fan)
+        assert counts == {"calls": 8 * 28 + 3240}
+
 
 class TestSignMasks:
     """``cones._meet_system`` looks up the system kept on V before it reads
@@ -372,9 +428,9 @@ class TestSignMasks:
 
     Validating the complete colored P1^3 fan asks 351 CF2 systems, 27 CC2
     systems and 125 face systems (see ``TestSimplexRuns``).  No CF2
-    system is kept, and between them the CF2 systems read the masks of
-    all 27 members and of V.  The CC2 systems, one per member, read those
-    same masks.  Each face is a fresh cone on a member's generators in the
+    system is kept, and the CF2 pass reads the masks of all 27 members
+    and of V once, for its index.  The CC2 systems, one per member, read
+    those same masks.  Each face is a fresh cone on a member's generators in the
     member's order, so its system is the member's kept one and it
     computes no mask.  That makes 27 + 1 = 28 computes, against 153 =
     28 + 125 when every face computed its own before the lookup.
@@ -824,6 +880,91 @@ class TestInteriorPointCertificate:
         # most members were certified by the closure's face tests, and
         # CC2 replaced each with a system the simplex solves
         assert replaced > 200, replaced
+
+
+class TestHyperplaneIndex:
+    """A CF2 pass (``cones._pair_systems``) certifies a pair infeasible when
+    the hyperplane index shows its relative interiors disjoint, or the
+    infeasible-row rule settles its system.  On random fans (a proper V
+    of rank 2 to 4; cube face fans moved by a signed permutation; P1
+    subfans with extra rays, each of which meets one 2-cone), every
+    certified pair must be infeasible for the simplex and for
+    Fourier-Motzkin, each certificate must be the Fraction reference's,
+    so every pair the row rule settles is certified, and reports and
+    closures must equal those of the all-LP path."""
+
+    def fans(self):
+        rng = random.Random(28)
+        for _ in range(80):
+            d = proper_datum(rng, max_rank=4)
+            yield "proper", d, random_members(rng, d, redundant=rng.random() < 0.5)
+        for n in (3, 3, 4):
+            d, fan = cube_face_fan(n, rng)
+            yield "cube", d, list(fan)
+        for _ in range(6):
+            n = rng.randint(2, 3)
+            f = bench_inputs.p1_fan(rng, n, rng.randint(1, n), rng.randint(0, n),
+                                    rng.randint(1, 2))
+            yield "p1", *sheared(rng, bench_inputs.build_p1_datum(f),
+                                 bench_inputs.build_p1_cones(f))
+
+    def test_certified_pairs_are_infeasible(self):
+        seen = Counter()
+        for kind, d, members in self.fans():
+            v = d.valuation_cone
+            cs = [cc.cone for cc in ColoredFan(members)]
+            want = reference_index_certifies(cs, v)
+            got = list(cones._pair_systems(cs, v))
+            assert [(i, j) for i, j, _ in got] == [
+                (i, j) for i in range(len(cs)) for j in range(i + 1, len(cs))]
+            for (i, j, system), certified in zip(got, want):
+                assert system.certified_infeasible == certified
+                rows = reference_meet_system([cs[i]._ints, cs[j]._ints, v._ints], d.rank, 0)
+                rule = presolve_certifies(rows)
+                assert certified >= rule
+                seen[kind, "rule" if rule else "index" if certified else "left"] += 1
+                if certified and (kind != "cube" or one_in_seven(i, j)):
+                    assert fresh_meet_system([cs[i], cs[j], v]).solve() is None
+                    assert not fourier_motzkin.feasible(system.equalities, system.rhs,
+                                                        system.nvars)
+        # the index certifies pairs the row rule leaves, on every kind of
+        # fan, and pairs are left to the simplex on the proper and P1 fans
+        assert all(seen[kind, "index"] > 20 for kind in ("proper", "cube", "p1")), seen
+        assert seen["proper", "left"] > 20 and seen["p1", "left"] > 5, seen
+        assert seen["cube", "left"] == 0, seen
+
+    def test_reports_against_the_all_lp_path(self):
+        cf2 = Counter()
+        for kind, d, members in self.fans():
+            fan = ColoredFan(members)
+            got = validate_colored_fan(d, fan)
+            assert repr(got) == repr(without_kept_systems(validate_colored_fan, d, fan))
+            tops = [cc for cc in members if cc.cone.dim == max(m.cone.dim for m in members)]
+            assert (closure_outcome(faces_closure, d, tops)
+                    == without_kept_systems(closure_outcome, faces_closure, d, tops))
+            cf2[kind, got.cf2] += 1
+        assert cf2["proper", False] > 10 and cf2["proper", True] > 10, cf2
+        assert cf2["p1", False] == 6 and cf2["cube", True] == 3, cf2
+
+
+def sheared(rng: random.Random, d: SphericalDatum, members: list) -> tuple:
+    """(d, members) moved by a random unimodular shear, so that few of
+    their facets lie on the axes the sign masks see."""
+    n = d.rank
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(3):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-1, 1, 2))
+        m[i] = [a + c * b for a, b in zip(m[i], m[j])]
+    mat = rational.Mat(m)
+    rho = {f: tuple(sum(a * x for a, x in zip(row, r)) for row in m) for f, r in d.rho.items()}
+    return (SphericalDatum(n, d.valuation_cone.image(mat), d.colors, rho),
+            [ColoredCone(cc.cone.image(mat), cc.palette) for cc in members])
+
+
+def one_in_seven(i: int, j: int) -> bool:
+    """One pair in seven of a cube face fan, for the slow replays."""
+    return (i * 31 + j) % 7 == 0
 
 
 class TestDualWork:
