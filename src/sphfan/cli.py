@@ -13,7 +13,7 @@ import argparse
 import os
 import sys
 
-from . import docio, galois, lp, morphisms, spherical
+from . import docio, lp, spherical
 from .docio import ParseError, dump_json
 from .rational import RankMismatchError, format_rat
 from .spherical import ColoredFan, FanAxiomError, UnknownColorError
@@ -163,6 +163,7 @@ def cmd_faces(args) -> int:
 
 
 def cmd_invariant(args) -> int:
+    from . import galois
     d = _load_datum(args.datum)
     fan = docio.parse_fan(_read(args.fan), d)
     action = docio.parse_action(_read(args.action), d)
@@ -202,6 +203,7 @@ def cmd_invariant(args) -> int:
 
 
 def cmd_morphism(args) -> int:
+    from . import morphisms
     src = _load_datum(args.src_datum)
     tgt = _load_datum(args.tgt_datum)
     m = docio.parse_morphism(_read(args.morphism), src, tgt)

@@ -15,9 +15,9 @@ meet inside V needs one: int rows A and an int rhs b with y >= 0 (see
   system otherwise by the infeasible-row rule on two sign masks cached
   per cone.
 - ``_pair_systems``, relint(C1) ∩ relint(C2) ∩ V for each pair of a CF2
-  pass (``meeting_pairs``), settled "no" when one hyperplane index, the
-  sign masks widened from the axes to the cones' facet hyperplanes,
-  shows the relative interiors disjoint.
+  pass (``meeting_pairs``), settled "no" when the sign masks, or else
+  one hyperplane index, the masks widened from the axes to the cones'
+  facet hyperplanes, show the relative interiors disjoint.
 A settled system builds no row and runs no simplex.
 
 A cone's generators are ints by construction: the constructor is the one
@@ -33,7 +33,7 @@ constructor and the point questions accept rationals, and
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import partial
 from itertools import chain
 from operator import mul, neg
 from typing import Iterable, Iterator, Optional, Sequence
@@ -42,6 +42,27 @@ from .lp import FeasibilitySystem
 from .rational import (Frozen, Mat, RankMismatchError, Vec, _combine, _echelon, _idot,
                        _pivots, _reduce_ints, all_ints, bareiss, integer_rows,
                        primitive_ints, rat)
+
+
+class _lazy:
+    """A cached attribute with no lock (``functools.cached_property`` takes
+    one on each first read on Python 3.11): the first read stores
+    ``func(obj)`` in the instance ``__dict__``, which later reads find
+    before this non-data descriptor.  ``Frozen`` still refuses assigning
+    and deleting it."""
+
+    def __init__(self, func):
+        self.func = func
+        self.__doc__ = func.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
 
 
 def _check_dim(n: int, v: Sequence[Fraction]) -> None:
@@ -196,7 +217,7 @@ class Cone(Frozen):
     def __repr__(self):
         return f"Cone({self.ambient_rank}, {[tuple(map(str, g)) for g in self._ints]})"
 
-    @cached_property
+    @_lazy
     def generators(self) -> tuple[Vec, ...]:
         """Primitive integer generators as Fraction vectors, in input order."""
         return tuple(tuple(Fraction(x) for x in g) for g in self._ints)
@@ -205,7 +226,7 @@ class Cone(Frozen):
     def is_zero(self) -> bool:
         return not self._ints
 
-    @cached_property
+    @_lazy
     def _idual(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...],
                               tuple[int, ...]]:
         """(span_equations, facets, tight sets) in int form: the ``_echelon``
@@ -214,17 +235,17 @@ class Cone(Frozen):
         on, all from one ``_dual_ints`` pass over the generators."""
         return tuple(map(tuple, _dual_ints(self._ints, self.ambient_rank)))
 
-    @cached_property
+    @_lazy
     def facets(self) -> tuple[Vec, ...]:
         """Inward facet normals (extreme rays of the dual cone)."""
         return tuple(tuple(Fraction(x) for x in w) for w in self._idual[1])
 
-    @cached_property
+    @_lazy
     def span_equations(self) -> tuple[Vec, ...]:
         """Normals w with span(cone) = {x : w . x = 0 for all w}, in RREF."""
         return tuple(_divide_by_pivots(self._idual[0]))
 
-    @cached_property
+    @_lazy
     def _gens_key(self) -> tuple:
         """(ambient_rank, generator set): equal only for equal cones, with
         no double description.  Generators are kept primitive, nonzero and
@@ -234,7 +255,7 @@ class Cone(Frozen):
         zero cones of different ranks apart."""
         return self.ambient_rank, frozenset(self._ints)
 
-    @cached_property
+    @_lazy
     def key(self) -> tuple:
         """Hashable canonical form, equal iff the cones are equal.
 
@@ -245,7 +266,7 @@ class Cone(Frozen):
         eqs, facets, _ = self._idual
         return self.ambient_rank, eqs, tuple(sorted(facets))
 
-    @cached_property
+    @_lazy
     def dim(self) -> int:
         """n minus the number of span equations, read off the dual."""
         return self.ambient_rank - len(self._idual[0])
@@ -341,13 +362,13 @@ class Cone(Frozen):
             raise RankMismatchError(f"dimension mismatch: {m.ncols} cols vs {self.ambient_rank}")
         return Cone(m.nrows, [tuple(_idot(row, g) for row in m.ints) for g in self._ints])
 
-    @cached_property
+    @_lazy
     def _cols(self) -> tuple[tuple[int, ...], ...]:
         """The generators by axis, for every meet system the cone is in:
         ints, as every cone's generators are."""
         return tuple(zip(*self._ints)) if self._ints else ((),) * self.ambient_rank
 
-    @cached_property
+    @_lazy
     def _signs(self) -> tuple[int, int]:
         """Two masks over the axes: bit k of the first is set when some
         generator is > 0 on axis k, of the second when some is < 0."""
@@ -360,18 +381,18 @@ class Cone(Frozen):
                     neg |= 1 << k
         return pos, neg
 
-    @cached_property
+    @_lazy
     def _meets(self) -> dict[tuple[tuple[int, ...], ...], FeasibilitySystem]:
         """The meet systems relint(C) ∩ self of ``_meet_system``, by C's
         ``_ints`` in order: each is built and solved once, and lives as
         long as this cone."""
         return {}
 
-    @cached_property
+    @_lazy
     def _col_sums(self) -> tuple[int, ...]:
         return tuple(map(sum, self._cols))
 
-    @cached_property
+    @_lazy
     def _neg_cols(self) -> tuple[tuple[int, ...], ...]:
         """``_cols`` negated: only the rows of a meet system read them, for
         a cone after the first, so a face tested by ``relint_meets`` and a
@@ -582,35 +603,41 @@ def _pair_systems(cs: Sequence[Cone],
     """(i, j, the unkept system of relint(cs[i]) ∩ relint(cs[j]) ∩ v, on
     ``_meet_rows``) for each pair i < j, in order, lazily.
 
-    A pair is certified infeasible when the index (``_hyperplane_signs``)
-    shows the relative interiors disjoint.  Their points are the
-    combinations with every multiplier > 0, so relint(C) lies in w > 0
-    when w is >= 0 on C's generators and > 0 on one, in w < 0 likewise,
-    and C in w = 0 when w is 0 on all.  Two cones on different ones of
-    these sides of some w are disjoint: w is <= 0 on one's generators,
-    >= 0 on the other's and nonzero on some, a bit set in
-    (p | q | r | s) & ~((p | s) & (q | r)) for masks (p, q) and (r, s).
-    That ignores v, so it is sound whatever v is; on the axes it is the
-    infeasible-row rule against cs[j], which is also applied against v,
-    as in ``_meet_system``.
+    A pair is certified infeasible when sign masks show the relative
+    interiors disjoint.  Their points are the combinations with every
+    multiplier > 0, so relint(C) lies in w > 0 when w is >= 0 on C's
+    generators and > 0 on one, in w < 0 likewise, and C in w = 0 when w
+    is 0 on all.  Two cones on different ones of these sides of some w
+    are disjoint: w is <= 0 on one's generators, >= 0 on the other's and
+    nonzero on some, a bit set in (p | q | r | s) & ~((p | s) & (q | r))
+    for masks (p, q) and (r, s).  That ignores v, so it is sound whatever
+    v is.  On the axes (``_signs``) it is the infeasible-row rule against
+    cs[j], which is also applied against v, as in ``_meet_system``; only
+    a pair those leave open reads the index (``_hyperplane_signs``),
+    which is built then, once, and widens the masks to the facet
+    hyperplanes.
     """
     n = v.ambient_rank
     if any(c.ambient_rank != n for c in cs):
         raise RankMismatchError("relint test: ambient ranks differ")
     if len(cs) < 2:
         return
-    index = _hyperplane_signs(cs)
+    index = None
+    signs = [c._signs for c in cs]
     vpos, vneg = v._signs
     widths = [len(c._ints) for c in cs]
     for i, c1 in enumerate(cs):
-        pos, neg = c1._signs
+        pos, neg = signs[i]
         off_v = (pos | neg) & ~((pos | vneg) & (neg | vpos))
-        p, q = index[i]
-        pq = p | q
         width = widths[i] + len(v._ints)
         for j in range(i + 1, len(cs)):
-            r, s = index[j]
-            apart = off_v or (pq | r | s) & ~((p | s) & (q | r))
+            r, s = signs[j]
+            apart = off_v or (pos | neg | r | s) & ~((pos | s) & (neg | r))
+            if not apart:
+                if index is None:
+                    index = _hyperplane_signs(cs)
+                (p, q), (r, s) = index[i], index[j]
+                apart = (p | q | r | s) & ~((p | s) & (q | r))
             yield i, j, FeasibilitySystem.deferred(
                 width + widths[j], partial(_meet_rows, c1, (cs[j], v)), apart != 0, False)
 

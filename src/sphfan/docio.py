@@ -16,13 +16,15 @@ from __future__ import annotations
 import json
 from collections import Counter
 from fractions import Fraction
-from typing import Any, Iterable, Optional
+from typing import TYPE_CHECKING, Any, Iterable, Optional
 
 from .cones import Cone
-from .galois import GaloisAction, GroupElement
-from .morphisms import FanMorphism
 from .rational import Mat, format_rat, rat
 from .spherical import ColoredCone, ColoredFan, SphericalDatum, UnknownColorError
+
+if TYPE_CHECKING:  # imported when parsed: validate and faces load neither module
+    from .galois import GaloisAction
+    from .morphisms import FanMorphism
 
 FORMAT_VERSION = "1"
 KINDS = ("datum", "fan", "action", "morphism")
@@ -224,6 +226,7 @@ def serialize_fan(fan: ColoredFan) -> str:
 # ---------------------------------------------------------------- action
 
 def parse_action(text: str, datum: SphericalDatum) -> GaloisAction:
+    from .galois import GaloisAction, GroupElement
     p = _envelope(text, "action")
     _expect_object(p, "$.payload", ("elements",))
     elements = []
@@ -268,6 +271,7 @@ def serialize_action(a: GaloisAction) -> str:
 
 def parse_morphism(text: str, source: SphericalDatum,
                    target: SphericalDatum) -> FanMorphism:
+    from .morphisms import FanMorphism
     p = _envelope(text, "morphism")
     _expect_object(p, "$.payload", ("matrix", "domain_colors", "color_map"))
     rows = _expect_list(p["matrix"], "$.payload.matrix")

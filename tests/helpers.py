@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import random
+import subprocess
 import sys
 from collections import deque
 from fractions import Fraction
@@ -44,6 +45,18 @@ def load_perfbench(name: str):
     sys.modules[name] = module  # dataclasses look their module up here
     spec.loader.exec_module(module)
     return module
+
+
+def run_probe(source: str, *argv: str) -> str:
+    """The stdout of ``python -c source *argv`` in a fresh interpreter that
+    imports sphfan from the tree under test; the probe must exit 0."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cones_module.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", source, *argv], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:

@@ -1,9 +1,7 @@
 import contextlib
 import io
 import json
-import os
 import random
-import subprocess
 import sys
 
 import pytest
@@ -13,7 +11,9 @@ import sphfan
 from sphfan import docio, fourier_motzkin, lp
 from sphfan.cli import main
 
-from helpers import as_inequalities, load_perfbench, presolve_certifies, reference_feasible
+from helpers import (as_inequalities, load_perfbench, presolve_certifies, reference_feasible,
+                     run_probe)
+from test_readme import fenced
 
 DATUM = """
 {"kind": "datum", "version": "1",
@@ -672,10 +672,32 @@ def test_cli_import_skips_dataclasses_and_inspect():
     imports them cannot fail the test."""
     probe = ("import sys; before = set(sys.modules); import sphfan.cli; "
              "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
-    src = os.path.dirname(os.path.dirname(os.path.abspath(sphfan.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, env=env, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_probe(probe) == "[]"
+
+
+# runs cli.main on argv, then prints its exit code and which of the two
+# modules that only one subcommand each needs it loaded
+COMMAND_PROBE = """
+import contextlib, io, sys
+from sphfan import cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.main(sys.argv[1:])
+print(code, *sorted({"sphfan.galois", "sphfan.morphisms"} & set(sys.modules)))
+"""
+
+
+def test_each_command_loads_only_the_modules_it_runs(files):
+    """``validate`` on README's documents loads neither ``galois`` nor
+    ``morphisms``; ``invariant`` loads ``galois`` alone and ``morphism``
+    ``morphisms`` alone."""
+    datum, fan = fenced("json")
+    runs = {
+        "0": ["validate", files("rd.json", datum), files("rf.json", fan), "--strict"],
+        "0 sphfan.galois": ["invariant", files("d.json", DATUM), files("f.json", P1_FAN),
+                            files("a.json", NEGATION), "--closure"],
+        "0 sphfan.morphisms": ["morphism", files("sd.json", PLANE_DATUM),
+                               files("td.json", DATUM), files("m.json", PROJECTION),
+                               files("sf.json", QUAD_FAN), files("tf.json", P1_FAN)],
+    }
+    for want, argv in runs.items():
+        assert run_probe(COMMAND_PROBE, *argv) == want, argv

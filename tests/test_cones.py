@@ -1,12 +1,13 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphfan.cones import (Cone, _divide_by_pivots, _dual_ints, _meet_system, cones_equal,
-                          dual_description, relint_meets_cone, relints_meet_in)
+from sphfan.cones import (Cone, _divide_by_pivots, _dual_ints, _lazy, _meet_system,
+                          cones_equal, dual_description, relint_meets_cone, relints_meet_in)
 from sphfan.lp import FeasibilitySystem
 from sphfan.rational import (Mat, RankMismatchError, _echelon, _idot, all_ints, bareiss,
                              format_rat, integer_rows)
@@ -91,6 +92,31 @@ def assert_int_generators(c: Cone) -> None:
     assert all(type(g) is tuple and len(g) == c.ambient_rank and gcd(*g) == 1
                for g in c._ints)
     assert len(set(c._ints)) == len(c._ints)
+
+
+def test_lazy_attributes_are_computed_once_and_frozen(monkeypatch):
+    """Each lazy attribute of a cone runs its function on the first read
+    only, and is then held in the instance ``__dict__``; assigning or
+    deleting it raises ``AttributeError``, as for any attribute."""
+    lazy = {name: attr for name, attr in vars(Cone).items() if isinstance(attr, _lazy)}
+    assert {"generators", "_idual", "key", "dim", "_signs", "_meets"} <= set(lazy)
+    calls = Counter()
+    for name, attr in lazy.items():
+        def spy(cone, func=attr.func, name=name):
+            calls[name] += 1
+            return func(cone)
+        monkeypatch.setattr(attr, "func", spy)
+    c = Cone(3, [(1, 0, 0), (0, 1, 0), (1, 1, 1)])
+    first = {name: getattr(c, name) for name in lazy}
+    assert all(getattr(c, name) is first[name] for name in lazy)
+    assert calls == Counter(dict.fromkeys(lazy, 1))
+    for name in lazy:
+        assert vars(c)[name] is first[name]
+        with pytest.raises(AttributeError):
+            setattr(c, name, None)
+        with pytest.raises(AttributeError):
+            delattr(c, name)
+        assert getattr(c, name) is first[name]
 
 
 class TestIntsByConstruction:

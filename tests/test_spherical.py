@@ -1,5 +1,4 @@
 import ast
-import functools
 import random
 from collections import Counter
 from fractions import Fraction
@@ -443,7 +442,7 @@ class TestSignMasks:
         def counted(cone):
             computed.append(cone)
             return signs(cone)
-        prop = functools.cached_property(counted)
+        prop = cones._lazy(counted)
         prop.__set_name__(Cone, "_signs")
         monkeypatch.setattr(Cone, "_signs", prop)
         f = bench_inputs.p1_fan(random.Random(1), 3, 3, 3)
@@ -945,6 +944,28 @@ class TestHyperplaneIndex:
             cf2[kind, got.cf2] += 1
         assert cf2["proper", False] > 10 and cf2["proper", True] > 10, cf2
         assert cf2["p1", False] == 6 and cf2["cube", True] == 3, cf2
+
+    def test_the_index_is_built_only_for_a_pair_the_axes_leave_open(self, monkeypatch):
+        """The index reads every cone's double description (``_dual_ints``),
+        so a pass whose pairs the axis masks settle builds none: here the
+        cone over the cyclic polytope C(16,7), with 440 facets, and a ray
+        that is 0 on axis 1, where each generator of the first is > 0.
+        Two rays on the same open quadrant need the index: the span
+        equation of one has the other on its negative side."""
+        runs = []
+        dual_ints = cones._dual_ints
+
+        def counted(ineqs, n):
+            runs.append(n)
+            return dual_ints(ineqs, n)
+        monkeypatch.setattr(cones, "_dual_ints", counted)
+        axes = [tuple(int(i == j) for j in range(8)) for i in range(8)]
+        space = Cone(8, axes + [tuple(-x for x in e) for e in axes])
+        cyclic = Cone(8, [tuple(t ** e for e in range(8)) for t in range(1, 17)])
+        assert relints_meet_in(cyclic, Cone(8, [(1, 0, 0, 0, 0, 0, 0, 1)]), space) is None
+        assert runs == []
+        assert relints_meet_in(Cone(2, [(1, 1)]), Cone(2, [(1, 2)]), full_plane()) is None
+        assert runs == [2, 2]
 
 
 def sheared(rng: random.Random, d: SphericalDatum, members: list) -> tuple:
