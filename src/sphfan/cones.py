@@ -4,7 +4,9 @@ A cone stores its generators as primitive int vectors; the dual (facet)
 description is computed lazily on ints by an incremental double
 description pass and cached, and the canonical key is read off it.  The
 same pass gives each facet's tight set as an int bitset over the
-generators, and the face lattice is closed on those bitsets.
+generators, and the face lattice is closed on bitsets by one routine,
+``_face_lattice``, which ``Cone.faces`` and the face table of
+:mod:`sphfan.spherical` share.
 Point questions (x in C, x in relint C, the face holding x) and the
 dimension are read off it with no LP.  Only whether relative interiors
 meet inside V needs one: int rows A and an int rhs b with y >= 0 (see
@@ -21,13 +23,14 @@ meet inside V needs one: int rows A and an int rhs b with y >= 0 (see
 A settled system builds no row and runs no simplex.
 
 A cone's generators are ints by construction: the constructor is the one
-gate for outside values, and ``faces`` and ``intersect`` make cones only
-from int rows the library computed.  So nothing downstream checks them
-again.  The point questions read an outside point by the constructor's
-rule, ``_int_vector``.  ``Fraction`` appears only at the boundary: the
-constructor and the point questions accept rationals, and
-``generators``, ``facets``, ``span_equations`` and the witnesses of
-``relints_meet_in`` are Fraction views.
+gate for outside values, and ``faces``, ``intersect`` and the face table
+of :mod:`sphfan.spherical` make cones only from int rows the library
+computed.  So nothing downstream checks them again.  The point questions
+read an outside point by the constructor's rule, ``_int_vector``.
+``Fraction`` appears only at the boundary: the constructor and the point
+questions accept rationals, and ``generators``, ``facets``,
+``span_equations`` and the witnesses of ``relints_meet_in`` are Fraction
+views.
 """
 
 from __future__ import annotations
@@ -101,7 +104,8 @@ def _dual_ints(ineqs: Sequence[Sequence[int]], n: int) -> tuple[
     p*u + q*v (p, q > 0) is tight exactly where u and v both are.
 
     An inequality not vanishing on L turns one l0 in L into a ray and
-    moves the other rays along l0 onto its hyperplane.  Otherwise each
+    moves the other rays along l0 onto its hyperplane; a ray already on it
+    stays as it is.  Otherwise each
     adjacent pair of rays on opposite sides gives a new ray on the
     hyperplane: u and v are adjacent iff no third ray r has
     Z(r) ⊇ Z(u) ∩ Z(v).  This is exact because the list is minimal: the
@@ -129,7 +133,9 @@ def _dual_ints(ineqs: Sequence[Sequence[int]], n: int) -> tuple[
                 l0, s0 = tuple(-x for x in l0), -s0
             lin = [_combine(s0, l, s, l0) if s != 0 else l
                    for i, (l, s) in enumerate(zip(lin, dots)) if i != hit]
-            rays = [(_combine(s0, r, _idot(a, r), l0), z | bit) for r, z in rays]
+            # primitive(s0 * r) = r for a ray r on the hyperplane, as s0 > 0
+            rays = [(_combine(s0, r, s, l0) if (s := _idot(a, r)) else r, z | bit)
+                    for r, z in rays]
             rays.append((l0, bit - 1))
             continue
         dots = [_idot(a, r) for r, _ in rays]
@@ -204,8 +210,9 @@ class Cone(Frozen):
         """The cone on ``ints``, with ``dim`` preset when the caller knows it.
 
         The contract: ``ints`` are already primitive, nonzero and distinct
-        int tuples, and nothing checks them.  Both callers meet it by
-        construction: ``faces`` takes subsets of a cone's ``_ints``, and
+        int tuples, and nothing checks them.  The callers meet it by
+        construction: ``faces`` and the face table of
+        :mod:`sphfan.spherical` take subsets of a cone's ``_ints``, and
         ``intersect`` takes the output of ``_dual_ints``."""
         cone = object.__new__(cls)
         object.__setattr__(cone, "ambient_rank", ambient_rank)
@@ -295,17 +302,17 @@ class Cone(Frozen):
         side.  Entries may be ints, Fractions or 'p/q' strings."""
         return self._face_facets(x) is not None
 
-    def _carrier(self, x: Sequence) -> Optional[frozenset[tuple[int, ...]]]:
-        """The generators of the smallest face holding x, or None if x lies
-        outside: those tight on every facet that vanishes at x, the AND of
-        their tight sets."""
+    def _carrier(self, x: Sequence) -> Optional[int]:
+        """The generators of the smallest face holding x as a bitset over
+        their indices, or None if x lies outside: those tight on every
+        facet that vanishes at x, the AND of their tight sets."""
         tight = self._face_facets(x)
         if tight is None:
             return None
         s = (1 << len(self._ints)) - 1
         for f in tight:
             s &= self._tight_sets[f]
-        return frozenset(self._ints[i] for i in _bits(s))
+        return s
 
     def is_strictly_convex(self) -> bool:
         """Pointed, holding no line: C is pointed iff its dual C∨ is
@@ -410,47 +417,49 @@ class Cone(Frozen):
     def faces(self) -> list["Cone"]:
         """All faces, self and the minimal face included, each once, by
         dimension and then by generator indices, each face listing its
-        generators in index order.
-
-        A face is generated by the generators it contains, and the
-        generators a face contains are those tight on the facets
-        containing it.  So the faces correspond one-to-one to the
-        intersections of facet tight sets (the empty intersection being
-        all generators), and the list needs no dedupe.  The sets are
-        bitsets over the generator indices.
-
-        The dimensions come off the face lattice, which is graded
-        (Ziegler, Lectures on Polytopes, 2.2), with one rank, self's.
-        Each cover G ⋗ F is F = G ∩ t for some facet t of self, and a
-        face strictly inside another has a smaller dimension, so
-        dim(u) = min(dim(s) - 1) over the pairs u = s & t != s.  Such an s
-        has more bits than u, so the sets are closed layer by layer, in
-        decreasing popcount: when u's layer is reached every s above it
-        has been met, and the running minimum is its dimension.  Each face
-        is decoded once, visiting only its set bits, into the index list
-        that is both its sort key and its generators.
-        """
+        generators in index order: ``_face_lattice`` on the generator
+        indices, each face decoded once, visiting only its set bits, into
+        the index list that is both its sort key and its generators."""
         gens = self._ints
-        tight_sets = self._tight_sets
-        top = (1 << len(gens)) - 1
-        dims = {top: self.dim}
-        layers: list[list[int]] = [[] for _ in range(len(gens))] + [[top]]
-        for layer in reversed(layers):
-            for s in layer:
-                d = dims[s] - 1
-                for t in tight_sets:
-                    u = s & t
-                    if u == s:
-                        continue
-                    if u in dims:
-                        if d < dims[u]:
-                            dims[u] = d
-                    else:
-                        dims[u] = d
-                        layers[u.bit_count()].append(u)
-        order = sorted((d, list(_bits(s))) for s, d in dims.items())
+        dims = _face_lattice((1 << len(gens)) - 1, self._tight_sets, self.dim)
         return [Cone._of_ints(self.ambient_rank, [gens[i] for i in idx], d)
-                for d, idx in order]
+                for d, idx in sorted((d, list(_bits(s))) for s, d in dims.items())]
+
+
+def _face_lattice(top: int, tight_sets: Sequence[int], dim: int) -> dict[int, int]:
+    """{bitset: dimension} of every face of a cone of dimension ``dim``
+    whose generators are the bits of ``top``, from its facets' tight sets
+    on those bits.
+
+    A face is generated by the generators it contains, and the generators
+    a face contains are those tight on the facets containing it.  So the
+    faces correspond one-to-one to the intersections of facet tight sets
+    (the empty intersection being all generators), and need no dedupe.
+
+    The dimensions come off the face lattice, which is graded (Ziegler,
+    Lectures on Polytopes, 2.2), with one rank, the cone's.  Each cover
+    G ⋗ F is F = G ∩ t for some facet t, and a face strictly inside another
+    has a smaller dimension, so dim(u) = min(dim(s) - 1) over the pairs
+    u = s & t != s.  Such an s has more bits than u, so the sets are closed
+    layer by layer, in decreasing popcount: when u's layer is reached every
+    s above it has been met, and the running minimum is its dimension.
+    """
+    dims = {top: dim}
+    layers: list[list[int]] = [[] for _ in range(top.bit_count())] + [[top]]
+    for layer in reversed(layers):
+        for s in layer:
+            d = dims[s] - 1
+            for t in tight_sets:
+                u = s & t
+                if u == s:
+                    continue
+                if u in dims:
+                    if d < dims[u]:
+                        dims[u] = d
+                else:
+                    dims[u] = d
+                    layers[u.bit_count()].append(u)
+    return dims
 
 
 def _bits(s: int) -> Iterator[int]:

@@ -51,7 +51,8 @@ cone generators, which are ints by construction of
 
 When oracle cross-checking is enabled (CLI flag ``--oracle``), every
 verdict, certified ones included, is replayed through the independent
-Fourier-Motzkin eliminator of :mod:`sphfan.fourier_motzkin`, and a
+Fourier-Motzkin eliminator of :mod:`sphfan.fourier_motzkin`, which is
+imported only then, so a process without the oracle never loads it, and a
 disagreement raises :class:`OracleDisagreement`, which names the
 verdict's source: the simplex, a certificate of infeasibility, or an
 interior point.  The eliminator reads the same int rows A, b and shares
@@ -63,18 +64,22 @@ bound on row growth.
 
 from __future__ import annotations
 
+from importlib import import_module
 from itertools import chain
 from typing import Callable, Optional, Sequence
 
-from . import fourier_motzkin
 from .rational import Frozen, RankMismatchError, all_ints
 
-_cross_check = False
+# the Fourier-Motzkin module while the cross-check is on, else None
+_oracle = None
 
 
 def set_oracle_cross_check(enabled: bool) -> None:
-    global _cross_check
-    _cross_check = enabled
+    """Replay every verdict through :mod:`sphfan.fourier_motzkin`, which
+    is imported here, when ``enabled``; ``solve`` reads its ``feasible``
+    at each call."""
+    global _oracle
+    _oracle = import_module(".fourier_motzkin", __package__) if enabled else None
 
 
 class OracleDisagreement(RuntimeError):
@@ -216,8 +221,8 @@ class FeasibilitySystem(Frozen):
             sol = (None if self.certified_infeasible else ([], 1) if self.interior_point
                    else _solve_eq_nonneg(*self._built_rows(), self.nvars))
             object.__setattr__(self, "_sol", sol)
-        if _cross_check:
-            fm = fourier_motzkin.feasible(self.equalities, self.rhs, self.nvars)
+        if _oracle is not None:
+            fm = _oracle.feasible(self.equalities, self.rhs, self.nvars)
             if fm != (sol is not None):
                 source = ("certificate" if self.certified_infeasible
                           else "interior point" if self.interior_point else "simplex")

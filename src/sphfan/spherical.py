@@ -10,17 +10,24 @@ Colored cones are pairs (cone, palette); the two cone axioms are
 Colored fans additionally satisfy face closure (CF1) and uniqueness of
 the cone whose relative interior contains any given valuation vector
 (CF2, decided pairwise).
+
+The colored faces of a list of colored cones are found once, on one
+generator numbering (``_FaceTable``): a face is the int bitset of the
+generators it holds, read off facet–generator incidences as in Kaibel
+and Pfetsch, "Computing the face lattice of a polytope from its
+vertex-facet incidences" (2002).  CF1, ``maximal_cones``, the face
+closure and ``colored_faces`` all read such a table, and a face becomes a
+``Cone`` only when it is tested, reported or kept.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 # relints_meet_in is no longer called here, but stays a name of this
 # module: perfbench/tracing.py wraps it where sphfan looks it up
-from .cones import (Cone, cones_equal, meeting_pairs, relint_meets_cone,  # noqa: F401
-                    relints_meet_in)
+from .cones import (Cone, _bits, _face_lattice, _lazy, cones_equal,  # noqa: F401
+                    meeting_pairs, relint_meets_cone, relints_meet_in)
 from .rational import Frozen, RankMismatchError, Vec, integer_rows, rat
 
 
@@ -133,7 +140,7 @@ class ColoredFan(Frozen):
     Of equal colored cones the first is kept, generators as given
     (``_distinct``); ``index`` finds a member."""
 
-    __slots__ = ("cones", "_by_gens", "_by_key")
+    __slots__ = ("cones", "_by_gens", "__dict__")
 
     def __init__(self, cones: Iterable[ColoredCone]):
         members = tuple(_distinct(cones))
@@ -143,7 +150,20 @@ class ColoredFan(Frozen):
             raise RankMismatchError("fan members have mixed ambient ranks")
         object.__setattr__(self, "cones", members)
         object.__setattr__(self, "_by_gens", {cc._gens_key: i for i, cc in enumerate(members)})
-        object.__setattr__(self, "_by_key", {cc.key: i for i, cc in enumerate(members)})
+
+    @classmethod
+    def _of_distinct(cls, members: Sequence[ColoredCone]) -> "ColoredFan":
+        """The fan of members known to be pairwise distinct colored cones of
+        one rank, at least one, kept as they are with no key computed."""
+        fan = object.__new__(cls)
+        object.__setattr__(fan, "cones", tuple(members))
+        object.__setattr__(fan, "_by_gens", {cc._gens_key: i for i, cc in enumerate(members)})
+        return fan
+
+    @_lazy
+    def _by_key(self) -> dict[tuple, int]:
+        """Built on the first lookup the generator sets do not settle."""
+        return {cc.key: i for i, cc in enumerate(self.cones)}
 
     def __len__(self):
         return len(self.cones)
@@ -230,41 +250,114 @@ def is_strictly_convex_colored(d: SphericalDatum, cc: ColoredCone) -> bool:
     return all(any(d.rho[f]) for f in cc.palette)
 
 
+class _FaceTable:
+    """The colored faces of a list of colored cones, on one generator
+    numbering.
+
+    Each distinct generator gets one bit, so a face of any of the cones is
+    the int of the generators it holds, and faces with equal ints are the
+    same cone.  Each cone's facet tight sets and its palette's carriers
+    (``Cone._carrier``) are rewritten on those bits once, and its lattice
+    is closed on them (``cones._face_lattice``).  A face is generated by
+    the generators it contains, so rho(f) lies in a face iff its carrier
+    is among the face's generators.
+
+    Each face occurrence asks ``Cone.relint_meets`` once, of a cone that
+    exists when it can: a given cone with the face's generator set, which
+    is the same cone, and otherwise the face ``Cone`` built, in the index
+    order of its cone, for the first occurrence of its bitset.  That LP is
+    kept on V, one per distinct cone, and solved once.  A face becomes a
+    ``Cone`` only for that test, or when it is reported or kept
+    (``cone``), and a face kept from the cone that built it for the test
+    is that Cone.
+    """
+
+    def __init__(self, d: SphericalDatum, ccs: Sequence[ColoredCone]):
+        number: dict[tuple[int, ...], int] = {}
+        self.bits = []
+        for cc in ccs:
+            _check(d, cc)
+            self.bits.append([1 << number.setdefault(g, len(number)) for g in cc.cone._ints])
+        self.d, self.ccs, self.sets = d, ccs, [sum(bits) for bits in self.bits]
+        # the cone each bitset's relint test asks: the first given cone on
+        # it, else the face Cone built for its first occurrence
+        self.tested = {s: cc.cone for s, cc in reversed(list(zip(self.sets, ccs)))}
+        # every cone read so far is pointed, its generators extreme rays
+        self.extreme = True
+
+    def colored(self, i: int) -> list[tuple[int, list[int], int, frozenset[str],
+                                             Optional[Cone]]]:
+        """(dimension, generator indices, bitset, palette, Cone) of each
+        colored face of cone i, in that order: a face whose relative
+        interior meets V, with the palette {f : rho(f) in face}, cone i's
+        own face included.  The Cone is the one cone i built for the face's
+        test, or None."""
+        cc, bits = self.ccs[i], self.bits[i]
+
+        # cone i's generator indices to the numbering, and back below: on
+        # cone 0, numbered first and in order, both are the identity
+        def rebit(s: int) -> int:
+            return s if i == 0 else sum([m for k, m in enumerate(bits) if s >> k & 1])
+        dims = _face_lattice(self.sets[i], [rebit(t) for t in cc.cone._tight_sets], cc.cone.dim)
+        self.extreme = self.extreme and dims.get(0) == 0 and all(m in dims for m in bits)
+        carriers = [(f, rebit(c)) for f in cc.palette
+                    if (c := cc.cone._carrier(self.d._rho_ints[f])) is not None]
+        out = []
+        for dim, idx, b in sorted((dim, list(_bits(b)) if i == 0 else
+                                   [k for k, m in enumerate(bits) if b & m], b)
+                                  for b, dim in dims.items()):
+            face, built = self.tested.get(b), None
+            if face is None:
+                face = built = self.tested[b] = self.cone(i, dim, idx)
+            if face.relint_meets(self.d.valuation_cone):
+                out.append((dim, idx, b, frozenset(f for f, c in carriers if c & b == c), built))
+        return out
+
+    def cone(self, i: int, dim: int, idx: list[int]) -> Cone:
+        """The face of cone i on its generators idx, in cone i's order."""
+        ints = self.ccs[i].cone._ints
+        return Cone._of_ints(self.d.rank, [ints[k] for k in idx], dim)
+
+    def colored_cone(self, i: int, dim: int, idx: list[int], b: int, palette: frozenset[str],
+                     built: Optional[Cone]) -> ColoredCone:
+        """The colored face, on the Cone built for its test if cone i
+        built it, else on a new one."""
+        return ColoredCone(self.cone(i, dim, idx) if built is None else built, palette)
+
+
 def colored_faces(d: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
     """Colored faces of cc: faces whose relative interior meets V, with
-    the induced palette {f : rho(f) in face}.  cc itself is included.
+    the induced palette {f : rho(f) in face}, cc itself included, by
+    dimension and then by generator indices.  The face table over [cc]:
+    no face needs a dual description of its own, and the top face repeats
+    the CC2 test of cc."""
+    table = _FaceTable(d, [cc])
+    return [table.colored_cone(0, *face) for face in table.colored(0)]
 
-    Each color's carrier, the generators of the smallest face of cc
-    holding rho(f) (None if rho(f) lies outside cc), is read once off
-    cc's facets.  A face is generated by the generators it contains, so
-    rho(f) lies in a face iff the carrier is among the face's generators,
-    and no face needs a dual description of its own.  The relative
-    interiors are tested with ``Cone.relint_meets``, which asks the
-    same LP as ``relint_meets_cone`` but assembles no witness, so a face
-    whose generator sum lies in V is settled with no simplex run.  That
-    LP is kept on V, one per distinct cone, and solved once: the top face
-    repeats the CC2 test of cc, and a face shared by several members, or
-    itself a member, is solved by the first of them.
-    """
-    _check(d, cc)
-    v = d.valuation_cone
-    carriers = {f: cc.cone._carrier(d._rho_ints[f]) for f in cc.palette}
-    out = []
-    for face in cc.cone.faces():
-        if not face.relint_meets(v):
-            continue
-        gens = set(face._ints)
-        palette = {f for f, c in carriers.items() if c is not None and c <= gens}
-        out.append(ColoredCone(face, palette))
-    return out
+
+def _face_members(d: SphericalDatum,
+                  fan: ColoredFan) -> Iterator[tuple[int, Optional[int], Optional[ColoredCone]]]:
+    """(i, j, face) for each colored face of each member i, from one face
+    table over the members: j is the position of the member equal to the
+    face, or None.  A member with the face's bitset and palette is it;
+    otherwise the face becomes a ``ColoredCone``, also yielded, and asks
+    ``fan.index``, for members given with other generators."""
+    table = _FaceTable(d, fan.cones)
+    members = {(s, cc.palette): i for i, (s, cc) in enumerate(zip(table.sets, fan))}
+    for i in range(len(fan)):
+        for face in table.colored(i):
+            j = members.get(face[2:4])  # by bitset and palette
+            cc = None if j is not None else table.colored_cone(i, *face)
+            yield i, j if cc is None else fan.index(cc), cc
 
 
 def validate_colored_fan(d: SphericalDatum, fan: ColoredFan) -> ColoredFanReport:
-    """Per-cone CC1/CC2, then CF1 (face closure) and CF2 (pairwise)."""
+    """Per-cone CC1/CC2, then CF1 (face closure) and CF2 (pairwise).
+    CF1 reads the face table over the members; each member's missing
+    faces are listed by dimension, then by generator indices."""
     reports = tuple(validate_colored_cone(d, cc) for cc in fan)
 
-    cf1_missing = [(i, face) for i, cc in enumerate(fan)
-                   for face in colored_faces(d, cc) if fan.index(face) is None]
+    cf1_missing = [(i, face) for i, j, face in _face_members(d, fan) if j is None]
     cf2_failures = list(_cf2_failures(d, fan.cones))
     return ColoredFanReport(
         cone_reports=reports,
@@ -292,9 +385,7 @@ def maximal_cones(d: SphericalDatum, fan: ColoredFan) -> list[ColoredCone]:
 
     The fan is "simple" (one closed orbit) iff exactly one maximal cone.
     """
-    proper: set[Optional[int]] = set()
-    for i, cc in enumerate(fan):
-        proper |= {fan.index(f) for f in colored_faces(d, cc)} - {i}
+    proper = {j for i, j, _ in _face_members(d, fan) if j != i}
     return [cc for i, cc in enumerate(fan) if i not in proper]
 
 
@@ -322,8 +413,24 @@ def faces_closure(d: SphericalDatum, cones: Sequence[ColoredCone]) -> ColoredFan
     return fan
 
 
-def _faces_fan(d: SphericalDatum, cones: Iterable[ColoredCone]) -> ColoredFan:
+def _faces_fan(d: SphericalDatum, cones: Sequence[ColoredCone]) -> ColoredFan:
     """The fan of the colored faces of the given cones, ordered by
-    dimension, each at its first occurrence; CF2 is not checked."""
-    faces = chain.from_iterable(colored_faces(d, cc) for cc in cones)
-    return ColoredFan(sorted(faces, key=lambda cc: cc.cone.dim))
+    dimension, each at its first occurrence; CF2 is not checked.
+
+    The occurrences, cone by cone and each cone's faces as
+    ``colored_faces`` lists them, are read off one face table, and only
+    the first of each bitset and palette becomes a colored cone.  A face
+    of a pointed cone whose generators are extreme rays is pointed, and
+    its generators are exactly its extreme rays.  So when every given cone
+    is such, as its own lattice shows (its bottom face is {0} and each
+    generator is a face), equal faces have equal bitsets, and the fan
+    computes no key.  Otherwise ``ColoredFan`` tells the faces apart by
+    key, and an empty list raises there."""
+    table = _FaceTable(d, cones)
+    found = sorted(((i, face) for i in range(len(cones)) for face in table.colored(i)),
+                   key=lambda m: m[1][0])
+    first: dict[tuple[int, frozenset[str]], tuple] = {}
+    for i, face in found:
+        first.setdefault(face[2:4], (i, face))  # by bitset and palette
+    kept = [table.colored_cone(i, *face) for i, face in first.values()]
+    return ColoredFan._of_distinct(kept) if table.extreme and kept else ColoredFan(kept)

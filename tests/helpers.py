@@ -14,7 +14,7 @@ from math import gcd, lcm
 from typing import NamedTuple, Sequence
 
 from sphfan import cones as cones_module
-from sphfan.cones import (Cone, _meet_rows, cones_equal, dual_description,
+from sphfan.cones import (Cone, _bits, _meet_rows, cones_equal, dual_description,
                           relint_meets_cone)
 from sphfan.docio import serialize_fan
 from sphfan.fourier_motzkin import _eliminate, _primitive_row, _tighten
@@ -974,6 +974,55 @@ def reference_colored_faces(d: SphericalDatum, cc: ColoredCone) -> list[ColoredC
             continue
         out.append(ColoredCone(face, {f for f in cc.palette if face.contains(d.rho[f])}))
     return out
+
+
+def pre_table_colored_faces(d: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
+    """``colored_faces`` as it was before the face table: a ``ColoredCone``
+    for each face of ``cc.cone.faces()`` whose relative interior meets V
+    (``Cone.relint_meets``), its palette read off the carriers."""
+    v = d.valuation_cone
+    carriers = {}
+    for f in cc.palette:
+        c = cc.cone._carrier(d._rho_ints[f])
+        carriers[f] = None if c is None else {cc.cone._ints[i] for i in _bits(c)}
+    out = []
+    for face in cc.cone.faces():
+        if not face.relint_meets(v):
+            continue
+        gens = set(face._ints)
+        palette = {f for f, c in carriers.items() if c is not None and c <= gens}
+        out.append(ColoredCone(face, palette))
+    return out
+
+
+def pre_table_validate_colored_fan(d: SphericalDatum, fan: ColoredFan) -> ColoredFanReport:
+    """``validate_colored_fan`` with CF1 as it was before the face table:
+    every colored face of every member looked up by ``fan.index``."""
+    reports = tuple(validate_colored_cone(d, cc) for cc in fan)
+    missing = [(i, face) for i, cc in enumerate(fan)
+               for face in pre_table_colored_faces(d, cc) if fan.index(face) is None]
+    failures = list(_cf2_failures(d, fan.cones))
+    return ColoredFanReport(cone_reports=reports, cf1=not missing, cf1_missing=tuple(missing),
+                            cf2=not failures, cf2_failures=tuple(failures))
+
+
+def pre_table_maximal_cones(d: SphericalDatum, fan: ColoredFan) -> list[ColoredCone]:
+    """``maximal_cones`` as it was before the face table."""
+    proper: set = set()
+    for i, cc in enumerate(fan):
+        proper |= {fan.index(f) for f in pre_table_colored_faces(d, cc)} - {i}
+    return [cc for i, cc in enumerate(fan) if i not in proper]
+
+
+def pre_table_faces_closure(d: SphericalDatum, cones) -> ColoredFan:
+    """``faces_closure`` as it was before the face table: every colored
+    face of every given cone, sorted by dimension, into ``ColoredFan``."""
+    faces = chain.from_iterable(pre_table_colored_faces(d, cc) for cc in cones)
+    fan = ColoredFan(sorted(faces, key=lambda cc: cc.cone.dim))
+    failure = next(_cf2_failures(d, fan.cones), None)
+    if failure is not None:
+        raise FanAxiomError("CF2 violation", witness=failure[2])
+    return fan
 
 
 class KeyOnlyColoredFan:

@@ -682,17 +682,21 @@ import contextlib, io, sys
 from sphfan import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = cli.main(sys.argv[1:])
-print(code, *sorted({"sphfan.galois", "sphfan.morphisms"} & set(sys.modules)))
+print(code, *sorted({"sphfan.fourier_motzkin", "sphfan.galois", "sphfan.morphisms"}
+                    & set(sys.modules)))
 """
 
 
 def test_each_command_loads_only_the_modules_it_runs(files):
     """``validate`` on README's documents loads neither ``galois`` nor
     ``morphisms``; ``invariant`` loads ``galois`` alone and ``morphism``
-    ``morphisms`` alone."""
+    ``morphisms`` alone.  None of them loads ``fourier_motzkin``, which
+    only ``--oracle`` runs, and ``--oracle validate`` loads it."""
     datum, fan = fenced("json")
     runs = {
         "0": ["validate", files("rd.json", datum), files("rf.json", fan), "--strict"],
+        "0 sphfan.fourier_motzkin": ["--oracle", "validate", files("rd.json", datum),
+                                     files("rf.json", fan), "--strict"],
         "0 sphfan.galois": ["invariant", files("d.json", DATUM), files("f.json", P1_FAN),
                             files("a.json", NEGATION), "--closure"],
         "0 sphfan.morphisms": ["morphism", files("sd.json", PLANE_DATUM),

@@ -6,11 +6,12 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sphfan import cones
 from sphfan.cones import (Cone, _divide_by_pivots, _dual_ints, _lazy, _meet_system,
                           cones_equal, dual_description, relint_meets_cone, relints_meet_in)
 from sphfan.lp import FeasibilitySystem
-from sphfan.rational import (Mat, RankMismatchError, _echelon, _idot, all_ints, bareiss,
-                             format_rat, integer_rows)
+from sphfan.rational import (Mat, RankMismatchError, _combine, _echelon, _idot, all_ints,
+                             bareiss, format_rat, integer_rows)
 
 from helpers import (ReferenceCone, brute_force_faces, dot, fm_relint_meets_cone,
                      load_perfbench, random_cone, random_vec, reference_cones_equal,
@@ -579,7 +580,8 @@ class TestRelint:
         c, edge = quadrant(), (F(3), F(0))
         assert c.contains(edge) and not c.relint_contains(edge)
         assert "_tight_sets" not in vars(c)
-        assert c._carrier(edge) == {(1, 0)} and c._carrier((F(1), F(1))) == set(c._ints)
+        # carriers are bitsets over the generator indices
+        assert c._carrier(edge) == 0b01 and c._carrier((F(1), F(1))) == 0b11
         assert c._carrier((F(-1), F(1))) is None
 
     def test_partition_into_face_relints(self):
@@ -836,9 +838,27 @@ class TestBitsetDualAgainstFrozenset:
                     outside += 1
                     continue
                 zero = [w for w in facets if _idot(w, x) == 0]
-                assert c._carrier(x) == frozenset(
-                    g for g in gens if all(_idot(w, g) == 0 for w in zero))
+                assert c._carrier(x) == sum(
+                    1 << i for i, g in enumerate(gens) if all(_idot(w, g) == 0 for w in zero))
         assert outside > 200
+
+    def test_a_ray_on_a_new_lineality_hyperplane_is_kept(self, monkeypatch):
+        """On the signed rank-4 orthant, each generator row meets the
+        lineality left by the rows before it, and every ray made so far
+        lies on its hyperplane, as a·r = 0 for distinct axes.  Such a ray
+        is kept as it is, so no ``_combine`` runs; moving each one along
+        l0 took 0 + 1 + 2 + 3 = 6."""
+        combined = []
+
+        def counted(*args):
+            combined.append(args)
+            return _combine(*args)
+        monkeypatch.setattr(cones, "_combine", counted)
+        gens = [(1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0), (0, 0, 0, -1)]
+        basis, rays, tight = cones._dual_ints(gens, 4)
+        assert combined == []
+        assert (basis, rays) == reference_dual_ints(gens, 4)
+        assert sorted(rays) == sorted(gens) and tight == [0b1110, 0b1101, 0b1011, 0b0111]
 
 
 def as_given(rng: random.Random, gens) -> list:

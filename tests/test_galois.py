@@ -495,17 +495,18 @@ class TestInvariantClosureCounts:
     def test_work_per_member(self, monkeypatch, make, members, orbit_size):
         d, seeds, a = bench_inputs.build_twisted(make(random.Random(1)))
         faces_of, images = [], []
-        colored_faces, apply = spherical.colored_faces, galois.apply_element
+        colored, apply = spherical._FaceTable.colored, galois.apply_element
 
-        def count_faces(datum, cc):
-            faces_of.append(cc.key)
-            return colored_faces(datum, cc)
+        # the orbit members whose colored faces the closure's face table walks
+        def count_faces(table, i):
+            faces_of.append(table.ccs[i].key)
+            return colored(table, i)
 
         def count_images(action, e, cc):
             images.append(cc.key)
             return apply(action, e, cc)
 
-        monkeypatch.setattr(spherical, "colored_faces", count_faces)
+        monkeypatch.setattr(spherical._FaceTable, "colored", count_faces)
         monkeypatch.setattr(galois, "apply_element", count_images)
         fan = invariant_closure(a, seeds)
         assert len(fan) == members

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from sphfan import lp
+from sphfan import fourier_motzkin, lp
 from sphfan.cones import Cone, _meet_system, _pair_systems, relints_meet_in
 from sphfan.fourier_motzkin import feasible
 from sphfan.lp import FeasibilitySystem
@@ -441,12 +441,12 @@ def _constructions(tree, where=None):
 class TestCrossCheck:
     def test_hook_replays_through_fm(self, monkeypatch):
         replays = []
-        fm = lp.fourier_motzkin.feasible
+        fm = fourier_motzkin.feasible
 
         def count(equalities, rhs, nvars):
             replays.append((equalities, rhs, nvars))
             return fm(equalities, rhs, nvars)
-        monkeypatch.setattr(lp.fourier_motzkin, "feasible", count)
+        monkeypatch.setattr(fourier_motzkin, "feasible", count)
         sys_ = FeasibilitySystem(((1, -1),), (0,), 2)
         lp.set_oracle_cross_check(True)
         try:

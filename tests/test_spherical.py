@@ -2,6 +2,7 @@ import ast
 import random
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from sphfan.spherical import (ColoredCone, ColoredFan, FanAxiomError,
 from helpers import (KeyOnlyColoredFan, closure_outcome, cube_face_fan, fresh_meet_system,
                      intersect_cc1, key_only_faces_closure,
                      key_only_validate_colored_fan, load_perfbench,
+                     pre_table_colored_faces, pre_table_faces_closure,
+                     pre_table_maximal_cones, pre_table_validate_colored_fan,
                      presolve_certifies, random_cone, random_datum,
                      random_valid_colored_cone, random_vec, reference_colored_faces,
                      reference_index_certifies, reference_meet_system,
@@ -232,10 +235,12 @@ class TestColoredFacesAgainstReference:
 
 class TestColoredFacesWork:
     """Pinned work: no rank (the parent's dimension comes off its dual),
-    one ``faces()`` per ``colored_faces``, and, with no face key asked,
-    two double descriptions: the parent's, for its face lattice, and V's,
-    whose facets the interior-point test of the first face reads (V is
-    new with each datum, so no earlier call computed them)."""
+    one lattice closure (``cones._face_lattice``, which ``faces()`` and
+    the face table share) per ``faces()`` and per ``colored_faces``, and,
+    with no face key asked, two double descriptions: the parent's, for its
+    face lattice, and V's, whose facets the interior-point test of the
+    first face reads (V is new with each datum, so no earlier call
+    computed them)."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_no_rank_one_faces_one_dual(self, seed, monkeypatch):
@@ -250,19 +255,21 @@ class TestColoredFacesWork:
         monkeypatch.setattr(rational, "bareiss", rank)
         monkeypatch.setattr(cones, "bareiss", rank, raising=False)
         monkeypatch.setattr(cones, "_dual_ints", counted("dual", cones._dual_ints))
-        monkeypatch.setattr(Cone, "faces", counted("faces", Cone.faces))
+        lattice = counted("lattice", cones._face_lattice)
+        monkeypatch.setattr(cones, "_face_lattice", lattice)
+        monkeypatch.setattr(spherical, "_face_lattice", lattice)
         rng = random.Random(seed)
         for p in (bench_inputs.cube_cone(rng, 4, 2), bench_inputs.cube_cone(rng, 5, 3),
                   bench_inputs.cyclic_cone(rng, tuple(range(-3, 4)))):
             calls.clear()
             faces = Cone(p.rank, p.generators).faces()
             assert len(faces) == p.n_faces
-            assert calls == {"dual": 1, "faces": 1}
+            assert calls == {"dual": 1, "lattice": 1}
             d, cc = bench_inputs.build_pointed(p)
             calls.clear()
             out = colored_faces(d, cc)
             assert len(out) == p.n_faces
-            assert calls == {"dual": 2, "faces": 1}
+            assert calls == {"dual": 2, "lattice": 1}
             assert "_idual" in vars(cc.cone)
             assert not any("_idual" in vars(f.cone) for f in out)
 
@@ -275,15 +282,18 @@ class TestColoredFacesWork:
         # its facets (one with G on it and F not, say), so the index
         # settles every pair; so it does in the P1 fan, on the axes.  An
         # extra ray through the relative interior of a 2-cone of the P1
-        # fan leaves that pair to the simplex.
+        # fan leaves that pair to the simplex.  The faces collected are
+        # those the face table builds (``_FaceTable.cone``): CF1 of these
+        # closed fans tests each face on its member and builds none, so
+        # each member's colored faces are listed after the validation.
         seen = []
-        colored = spherical.colored_faces
+        build = spherical._FaceTable.cone
 
-        def recorded(d, cc):
-            out = colored(d, cc)
-            seen.extend(out)
-            return out
-        monkeypatch.setattr(spherical, "colored_faces", recorded)
+        def recorded(table, *args):
+            face = build(table, *args)
+            seen.append(face)
+            return face
+        monkeypatch.setattr(spherical._FaceTable, "cone", recorded)
         rng = random.Random(14)
         d_cube, cube = bench_inputs.build_pointed(bench_inputs.cube_cone(rng, 4, 2))
         p1 = bench_inputs.p1_fan(rng, 3, 3, 2)
@@ -296,8 +306,10 @@ class TestColoredFacesWork:
                             ColoredFan(bench_inputs.build_p1_cones(extra)), False)):
             seen.clear()
             assert validate_colored_fan(d, fan).ok == ok
+            for cc in fan:
+                colored_faces(d, cc)
             assert len(seen) > len(fan)
-            assert not any("_neg_cols" in vars(face.cone) for face in seen)
+            assert not any("_neg_cols" in vars(face) for face in seen)
             assert "_neg_cols" in vars(d.valuation_cone)
             pairs = [(i, j) for i in range(len(fan)) for j in range(i + 1, len(fan))]
             certified = reference_index_certifies([cc.cone for cc in fan], d.valuation_cone)
@@ -769,6 +781,161 @@ class TestGeneratorLookupAgainstKeyOnly:
         assert min(outcomes.values()) > 5
 
 
+def extreme(cc: ColoredCone) -> bool:
+    """Pointed, with every generator on an extreme ray: as many rays
+    among the faces as generators."""
+    c = cc.cone
+    return c.is_strictly_convex() and sum(f.dim == 1 for f in c.faces()) == len(c._ints)
+
+
+def with_line(cc: ColoredCone) -> ColoredCone:
+    """cc with the negative of its first generator added: a cone with a line."""
+    gens = cc.cone.generators
+    return ColoredCone(Cone(cc.cone.ambient_rank, gens + (tuple(-x for x in gens[0]),)),
+                       cc.palette) if gens else cc
+
+
+def table_members(rng: random.Random, d: SphericalDatum) -> list:
+    """One or two colored cones, one of them sometimes with a line, and
+    most of their colored faces, shuffled.  A member is sometimes given
+    with a redundant generator, with its generators in another order than
+    its faces list them, or under another palette than the one its face
+    induces (the same generator set, so a CF1 miss)."""
+    tops = [random_top(rng, d) for _ in range(rng.randint(1, 2))]
+    if rng.random() < 0.3:
+        tops[0] = with_line(tops[0])
+    members = []
+    for cc in tops + [f for cc in tops for f in pre_table_colored_faces(d, cc)
+                      if rng.random() < 0.8]:
+        r = rng.random()
+        if r < 0.15:
+            cc = with_redundant(rng, cc)
+        elif r < 0.3:
+            cc = ColoredCone(Cone(d.rank, rng.sample(cc.cone.generators,
+                                                     len(cc.cone.generators))), cc.palette)
+        elif r < 0.4:
+            cc = ColoredCone(cc.cone, [f for f in d.colors if rng.random() < 0.5])
+        members.append(cc)
+    rng.shuffle(members)
+    return members
+
+
+class TestFaceTableAgainstReference:
+    """CF1, ``maximal_cones``, ``faces_closure`` and ``colored_faces`` read
+    one face table; each must give what the body it replaced gives
+    (``pre_table_*`` in helpers): reports and maximal cones equal by repr,
+    witnesses included, closures with the same bytes or the same CF2
+    witness, and the same number of ``solve()`` calls, on every case."""
+
+    def test_random_fans(self, monkeypatch):
+        rng = random.Random(181)
+        calls = Counter()
+        solve = lp.FeasibilitySystem.solve
+
+        def counted(system):
+            calls["solve"] += 1
+            return solve(system)
+        monkeypatch.setattr(lp.FeasibilitySystem, "solve", counted)
+
+        def outcome(fn, *args):
+            calls.clear()
+            return repr(fn(*args)), calls["solve"]
+        seen = Counter()
+        for _ in range(150):
+            d = proper_datum(rng, max_rank=4)
+            members = table_members(rng, d)
+            fan = ColoredFan(members)
+            got = outcome(validate_colored_fan, d, fan)
+            assert got == outcome(pre_table_validate_colored_fan, d, fan)
+            assert (outcome(maximal_cones, d, fan)
+                    == outcome(pre_table_maximal_cones, d, fan))
+            tops = [cc for cc in members if cc.cone.dim == max(m.cone.dim for m in members)]
+            assert (outcome(closure_outcome, faces_closure, d, tops)
+                    == outcome(closure_outcome, pre_table_faces_closure, d, tops))
+            for cc in members:
+                assert outcome(colored_faces, d, cc) == outcome(pre_table_colored_faces, d, cc)
+            report = validate_colored_fan(d, fan)
+            seen["cf1 fails"] += not report.cf1
+            seen["cf1 miss on a member's generator set"] += any(
+                face.cone._gens_key in {m.cone._gens_key for m in fan}
+                for _, face in report.cf1_missing)
+            seen["line"] += any(not cc.cone.is_strictly_convex() for cc in tops)
+            seen["closure key path"] += not all(extreme(cc) for cc in tops)
+            seen["closure CF2 fails"] += isinstance(
+                closure_outcome(faces_closure, d, tops), tuple)
+            seen["several maximal"] += len(maximal_cones(d, fan)) > 1
+            seen[f"rank {d.rank}"] += 1
+        assert min(seen.values()) > 10 and len(seen) == 9, seen
+        assert seen["closure key path"] < 140, seen
+
+    def test_only_tested_or_kept_faces_become_cones(self, monkeypatch):
+        """On the complete colored P1^3 fan every face of a member is a
+        member, tested on that member: CF1 and ``maximal_cones`` build no
+        face ``Cone``.  The closure from the 8 maximal cones builds one per
+        member of the closed fan: the 19 lower faces once each, for the
+        first test of each bitset, and kept as they are, and a new Cone
+        for each maximal cone's own face, tested on the given cone."""
+        built = []
+        cone = spherical._FaceTable.cone
+
+        def recorded(table, *args):
+            built.append(cone(table, *args))
+            return built[-1]
+        monkeypatch.setattr(spherical._FaceTable, "cone", recorded)
+        f = bench_inputs.p1_fan(random.Random(1), 3, 3, 3)
+        d, fan = bench_inputs.build_p1_datum(f), ColoredFan(bench_inputs.build_p1_cones(f))
+        assert validate_colored_fan(d, fan).ok and len(maximal_cones(d, fan)) == 8
+        assert built == []
+        top = bench_inputs.build_p1_cones(f, maximal_only=True)
+        closed = faces_closure(bench_inputs.build_p1_datum(f), top)
+        assert len(built) == len(closed) == 27
+        assert {id(cc.cone) for cc in closed} == {id(c) for c in built}
+
+    def test_closure_of_extreme_cones_keys_no_face(self, monkeypatch):
+        """Tops that are pointed with extreme generators: building the
+        closed fan (``_faces_fan``, the closure before its CF2 pass, whose
+        hyperplane index may read the members' facets) runs a double
+        description for the tops and V only.  With one top given with a
+        redundant generator or a line, faces are keyed, and the closure
+        still equals the reference."""
+        rng = random.Random(191)
+        rows = []
+        dual = cones._dual_ints
+
+        def counted(ineqs, n):
+            rows.append(tuple(ineqs))
+            return dual(ineqs, n)
+        monkeypatch.setattr(cones, "_dual_ints", counted)
+        seen = Counter()
+        for _ in range(120):
+            d = proper_datum(rng, max_rank=4)
+            tops = []
+            while len(tops) < rng.randint(1, 3):
+                cc = random_top(rng, d)
+                if cc.cone.is_strictly_convex():
+                    rays = [f._ints[0] for f in cc.cone.faces() if f.dim == 1]
+                    tops.append(ColoredCone(Cone(d.rank, rng.sample(rays, len(rays))),
+                                            cc.palette))
+            spoiled = rng.random() < 0.4
+            if spoiled:
+                spoil = with_line if rng.random() < 0.5 else partial(with_redundant, rng)
+                tops[0] = spoil(tops[0])
+                spoiled = not extreme(tops[0])
+            # fresh tops with distinct generator lists, so a row list read
+            # twice, or not a top's or V's, is a face's key
+            tops = list({cc.cone._ints: ColoredCone(Cone._of_ints(d.rank, cc.cone._ints),
+                                                    cc.palette) for cc in tops}.values())
+            given = {cc.cone._ints for cc in tops} | {d.valuation_cone._ints}
+            rows.clear()
+            spherical._faces_fan(d, tops)
+            keyed = len(set(rows)) < len(rows) or not given.issuperset(rows)
+            assert keyed == spoiled
+            assert (closure_outcome(faces_closure, d, tops)
+                    == closure_outcome(pre_table_faces_closure, d, tops))
+            seen[spoiled] += 1
+        assert min(seen[True], seen[False]) > 20, seen
+
+
 class TestKeptMeetSystems:
     """Each (cone, V) system is kept on V and solved once; the answers
     must be those of a fresh system solved afresh on every call."""
@@ -991,14 +1158,17 @@ def one_in_seven(i: int, j: int) -> bool:
 class TestDualWork:
     """Pinned double descriptions, counted at ``cones._dual_ints``: on the
     complete uncolored P1^n fan, validation runs one per member key and
-    one for V's facets, read by the CC1 containment scan; ``faces_closure``
-    runs one per member key, one per maximal cone, for its face lattice,
-    and one for V's facets, read by the interior-point test of the first
-    face: 3^n + 2^n + 1, that is 27 + 8 + 1 = 36 for n = 3 and
-    81 + 16 + 1 = 98 for n = 4.  No face, regenerated cone or
-    intersection runs one."""
+    one for V's facets, read by the CC1 containment scan: 3^n + 1, that is
+    28 for n = 3 and 82 for n = 4.  ``faces_closure`` runs one per maximal
+    cone, for its face lattice, and one for V's facets, read by the
+    interior-point test of the first face: 2^n + 1, that is 8 + 1 = 9 for
+    n = 3 and 16 + 1 = 17 for n = 4.  The maximal cones are simplicial,
+    so pointed with extreme generators, and the closure tells their faces
+    apart by generator set with no member key; it ran one per member key
+    too, 3^n + 2^n + 1 (36 and 98), before the face table.  No face,
+    regenerated cone or intersection runs one."""
 
-    @pytest.mark.parametrize("n, validate, closure", [(3, 28, 36), (4, 82, 98)])
+    @pytest.mark.parametrize("n, validate, closure", [(3, 28, 9), (4, 82, 17)])
     def test_complete_p1(self, monkeypatch, n, validate, closure):
         calls = []
         dual = cones._dual_ints
@@ -1015,7 +1185,7 @@ class TestDualWork:
         maximal = bench_inputs.build_p1_cones(f, maximal_only=True)
         fan = faces_closure(bench_inputs.build_p1_datum(f), maximal)
         assert len(fan) == f.n_cones
-        assert len(calls) == closure == len(fan) + len(maximal) + 1
+        assert len(calls) == closure == len(maximal) + 1
 
     def test_colored_cones_equal_by_generator_set(self, monkeypatch):
         calls = []
