@@ -119,44 +119,63 @@ def _dual_ints(ineqs: Sequence[Sequence[int]], n: int) -> tuple[
     its equality set, so dim F = n - rank of those rows.  Adjacent rays
     span a 2-face modulo L, dim F = dim L + 2, so the rows have rank
     n - dim L - 2, and there are at least that many.
+
+    Three loops stop early; none changes a value or an order.  The
+    lineality search stops at the first vector of L with a nonzero dot:
+    the vectors before it lie on the hyperplane and are kept as they are.
+    The adjacency scan counts the tight sets that contain Z(u) ∩ Z(v) and
+    stops at the third, since Z(u) and Z(v) always do.  And when L ends
+    as 0 (the described cone is pointed; for a cone's generators, the
+    cone is full-dimensional) the rays are returned with no ``_echelon``
+    pass: each is a unit vector, a ``_combine`` output or the negation of
+    one, so primitive, and there is no basis to reduce it modulo.
     """
-    lin = [tuple(1 if i == j else 0 for j in range(n)) for i in range(n)]
-    rays: list[tuple[tuple[int, ...], int]] = []
+    lin = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+    rays, tight = [], []
 
     for k, a in enumerate(ineqs):
         bit = 1 << k
-        dots = [_idot(a, l) for l in lin]
-        hit = next((i for i, s in enumerate(dots) if s != 0), None)
-        if hit is not None:
-            l0, s0 = lin[hit], dots[hit]
+        s0 = 0
+        for hit, l0 in enumerate(lin):
+            if s0 := sum(map(mul, a, l0)):
+                break
+        if s0:
             if s0 < 0:
-                l0, s0 = tuple(-x for x in l0), -s0
-            lin = [_combine(s0, l, s, l0) if s != 0 else l
-                   for i, (l, s) in enumerate(zip(lin, dots)) if i != hit]
+                l0, s0 = _neg(l0), -s0
+            lin = lin[:hit] + [_combine(s0, l, s, l0) if (s := sum(map(mul, a, l))) else l
+                               for l in lin[hit + 1:]]
             # primitive(s0 * r) = r for a ray r on the hyperplane, as s0 > 0
-            rays = [(_combine(s0, r, s, l0) if (s := _idot(a, r)) else r, z | bit)
-                    for r, z in rays]
-            rays.append((l0, bit - 1))
+            rays = [_combine(s0, r, s, l0) if (s := sum(map(mul, a, r))) else r for r in rays]
+            rays.append(l0)
+            tight = [z | bit for z in tight] + [bit - 1]
             continue
-        dots = [_idot(a, r) for r, _ in rays]
-        pos = [i for i, s in enumerate(dots) if s > 0]
-        neg = [i for i, s in enumerate(dots) if s < 0]
+        dots = [sum(map(mul, a, r)) for r in rays]
+        pos, negs, zero = [], [], []
+        for h, s in enumerate(dots):
+            (pos if s > 0 else negs if s else zero).append(h)
         need = n - len(lin) - 2
-        new = []
+        new, new_tight = [], []
         for i in pos:
-            zi = rays[i][1]
-            for j in neg:
-                common = zi & rays[j][1]
-                if common.bit_count() < need or any(
-                        common & z == common for h, (_, z) in enumerate(rays) if h != i and h != j):
+            zi, ri, si = tight[i], rays[i], dots[i]
+            for j in negs:
+                common = zi & tight[j]
+                if common.bit_count() < need:
                     continue
-                new.append((_combine(dots[i], rays[j][0], dots[j], rays[i][0]), common | bit))
-        rays = ([rays[i] for i in pos]
-                + [(r, z | bit) for (r, z), s in zip(rays, dots) if s == 0] + new)
+                c = 0
+                for z in tight:
+                    if common & z == common and (c := c + 1) > 2:
+                        break
+                else:
+                    new.append(_combine(si, rays[j], dots[j], ri))
+                    new_tight.append(common | bit)
+        rays = [rays[h] for h in pos + zero] + new
+        tight = [tight[h] for h in pos] + [tight[h] | bit for h in zero] + new_tight
 
+    if not lin:
+        return [], rays, tight
     basis = _echelon(lin)
     pivots = _pivots(basis)
-    return basis, [_reduce_ints(r, basis, pivots) for r, _ in rays], [z for _, z in rays]
+    return basis, [_reduce_ints(r, basis, pivots) for r in rays], tight
 
 
 def dual_description(ineqs: Sequence[Vec], n: int) -> tuple[list[Vec], list[Vec]]:

@@ -96,7 +96,7 @@ def all_ints(values: Iterable) -> bool:
 def primitive_ints(ints: Sequence[int]) -> tuple[int, ...]:
     """Divide integers by their gcd; a zero vector stays as it is."""
     g = gcd(*ints)
-    return tuple(i // g for i in ints) if g > 1 else tuple(ints)
+    return tuple([i // g for i in ints]) if g > 1 else tuple(ints)
 
 
 def _idot(u: Sequence[int], v: Sequence[int]) -> int:
@@ -159,8 +159,9 @@ def _echelon(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """
     work = [primitive_ints(r) for r in rows if any(r)]
     out: list[tuple[int, ...]] = []
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
+    for col in range(len(rows[0]) if rows else 0):
+        if not work:
+            break
         piv = next((r for r in work if r[col] != 0), None)
         if piv is None:
             continue

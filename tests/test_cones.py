@@ -793,6 +793,16 @@ def random_int_system(rng: random.Random, n: int, k: int) -> list[tuple[int, ...
     return rows
 
 
+def assert_dual_as_reference(ineqs, n):
+    """``_dual_ints`` gives the reference's basis and rays in its order,
+    and each tight set is exactly the rows vanishing on its ray."""
+    basis, rays, tight = _dual_ints(ineqs, n)
+    assert (basis, rays) == reference_dual_ints(ineqs, n)
+    assert tight == [sum(1 << k for k, a in enumerate(ineqs) if _idot(a, r) == 0)
+                     for r in rays]
+    return basis, rays
+
+
 class TestBitsetDualAgainstFrozenset:
     """``_dual_ints`` on bitsets with the popcount prefilter against the
     frozenset version it replaced (``reference_dual_ints``): the same
@@ -805,18 +815,43 @@ class TestBitsetDualAgainstFrozenset:
         for _ in range(20000):
             n = rng.randint(0, 6)
             ineqs = random_int_system(rng, n, rng.randint(0, 12))
-            basis, rays, tight = _dual_ints(ineqs, n)
-            assert (basis, rays) == reference_dual_ints(ineqs, n)
-            assert tight == [sum(1 << k for k, a in enumerate(ineqs) if _idot(a, r) == 0)
-                             for r in rays]
+            basis, rays = assert_dual_as_reference(ineqs, n)
             shrinking += 0 < len(basis) < n - 1
             many_rays += len(rays) > n
         assert shrinking > 3000 and many_rays > 500
 
+    def test_random_int_systems_of_rank_7_and_8(self):
+        rng = random.Random(139)
+        shrinking = many_rays = 0
+        for _ in range(400):
+            n = rng.randint(7, 8)
+            ineqs = random_int_system(rng, n, rng.randint(0, 20))
+            basis, rays = assert_dual_as_reference(ineqs, n)
+            shrinking += 0 < len(basis) < n - 1
+            many_rays += len(rays) > n
+        assert shrinking > 150 and many_rays > 40
+
     def test_cyclic_cones(self):
         for ts in (tuple(range(-3, 4)), tuple(range(-4, 5))):
             gens = Cone(5, bench_inputs.cyclic_cone(random.Random(3), ts).generators)._ints
-            assert _dual_ints(gens, 5)[:2] == reference_dual_ints(gens, 5)
+            assert_dual_as_reference(gens, 5)
+
+    @pytest.mark.parametrize("r", [6, 7])
+    def test_cube_cones(self, r):
+        """The cone over the (r-1)-cube, pointed and full-dimensional:
+        2(r-1) facets and no lineality."""
+        gens = Cone(r, bench_inputs.cube_cone(random.Random(5), r).generators)._ints
+        basis, rays = assert_dual_as_reference(gens, r)
+        assert basis == [] and len(rays) == 2 * (r - 1)
+
+    def test_rank_8_cyclic_cone(self):
+        """The cone over the cyclic 7-polytope on 18 points of the moment
+        curve, t = -9..8: 2·C(14,3) = 728 facets (McMullen's upper bound
+        theorem), the largest such cone the frozenset reference runs on
+        in a test."""
+        gens = [tuple(t ** e for e in range(8)) for t in range(-9, 9)]
+        basis, rays = assert_dual_as_reference(gens, 8)
+        assert basis == [] and len(rays) == 728
 
     def test_tight_sets_and_carriers(self):
         rng = random.Random(137)
@@ -859,6 +894,26 @@ class TestBitsetDualAgainstFrozenset:
         assert combined == []
         assert (basis, rays) == reference_dual_ints(gens, 4)
         assert sorted(rays) == sorted(gens) and tight == [0b1110, 0b1101, 0b1011, 0b0111]
+
+    @pytest.mark.parametrize("gens, n, echelons", [
+        (bench_inputs.cube_cone(random.Random(7), 5).generators, 5, 0),
+        ([(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0),
+          (0, 0, -1, 0), (0, 0, 0, 1)], 4, 0),
+        ([(1, 0, 0, 2), (0, 1, 0, 1), (0, 0, 1, -1), (1, 1, 1, 2)], 4, 1),
+    ], ids=["cube", "half-space", "in-a-hyperplane"])
+    def test_a_pointed_dual_runs_no_echelon(self, monkeypatch, gens, n, echelons):
+        """A full-dimensional cone, the rank-5 cube cone or a half-space,
+        has a pointed dual, so the rays come out as the pass made them,
+        with no ``_echelon`` run.  A cone in a hyperplane has a dual that
+        holds the normal line, put in canonical form by one run."""
+        calls = []
+
+        def counted(rows):
+            calls.append(rows)
+            return _echelon(rows)
+        monkeypatch.setattr(cones, "_echelon", counted)
+        basis, _ = assert_dual_as_reference(Cone(n, gens)._ints, n)
+        assert len(calls) == echelons and len(basis) == echelons
 
 
 def as_given(rng: random.Random, gens) -> list:
