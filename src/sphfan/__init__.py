@@ -24,18 +24,7 @@ _HOMES = {
 # the defining submodule of each public name
 _HOME = {name: module for module, names in _HOMES.items() for name in names}
 
-__all__ = [
-    "Cone", "cones_equal", "relint_meets_cone", "relints_meet_in",
-    "GaloisAction", "GroupElement", "apply_element",
-    "invariant_closure", "is_invariant_fan", "orbit", "validate_action",
-    "FeasibilitySystem", "OracleDisagreement", "FanMorphism",
-    "is_morphism_of_cones", "is_morphism_of_fans", "validate_morphism",
-    "Mat", "Vec", "format_rat", "parse_rat", "ColoredCone", "ColoredFan",
-    "FanAxiomError", "SphericalDatum", "UnknownColorError", "colored_cones_equal",
-    "colored_faces", "faces_closure", "fans_equal", "is_strictly_convex_colored",
-    "is_strictly_convex_fan", "maximal_cones", "orbit_count", "validate_colored_cone",
-    "validate_colored_fan",
-]
+__all__ = list(_HOME)
 
 
 def __getattr__(name: str):

@@ -4,23 +4,22 @@ A cone stores its generators as primitive int vectors; the dual (facet)
 description is computed lazily on ints by an incremental double
 description pass and cached, and the canonical key is read off it.  The
 same pass gives each facet's tight set as an int bitset over the
-generators, and the face lattice is closed on bitsets by one routine,
-``_face_lattice``, which ``Cone.faces`` and the face table of
-:mod:`sphfan.spherical` share.
+generators, and one walk, ``Cone._ordered_faces``, closes the face
+lattice on those bitsets and lists the faces in order; ``Cone.faces`` and
+the face table of :mod:`sphfan.spherical` both read it.
 Point questions (x in C, x in relint C, the face holding x) and the
 dimension are read off it with no LP.  Only whether relative interiors
 meet inside V needs one: int rows A and an int rhs b with y >= 0 (see
 :mod:`sphfan.lp`), built only when read, by one builder per shape:
 - ``_meet_system``, relint(C) ∩ V for CC2 and the face tests, kept on V
   one per distinct C (its generators in order) and solved once.  A new
-  face test is settled "yes" when V holds C's generator sum, and a new
-  system otherwise by the infeasible-row rule on two sign masks cached
-  per cone.
+  face test is settled "yes" when V holds C's generator sum.
 - ``_pair_systems``, relint(C1) ∩ relint(C2) ∩ V for each pair of a CF2
-  pass (``meeting_pairs``), settled "no" when the sign masks, or else
-  one hyperplane index, the masks widened from the axes to the cones'
-  facet hyperplanes, show the relative interiors disjoint.
-A settled system builds no row and runs no simplex.
+  pass (``meeting_pairs``).
+Both settle a system "no" by one rule, ``_apart``, on two sign masks per
+cone: over the axes, cached per cone, and for a CF2 pair left open, over
+the facet hyperplanes of one index per pass.  A settled system builds no
+row and runs no simplex.
 
 A cone's generators are ints by construction: the constructor is the one
 gate for outside values, and ``faces``, ``intersect`` and the face table
@@ -209,7 +208,12 @@ class Cone(Frozen):
     def __init__(self, ambient_rank: int, generators: Iterable[Iterable] = ()):
         """The one constructor that takes outside values, and so the one
         int gate.  Each generator is read by ``_int_vector``, scaled to a
-        primitive int tuple, and zero and repeated generators are dropped."""
+        primitive int tuple, and zero and repeated generators are dropped.
+        The rank is a plain int (not a bool, as for ``all_ints``) and >= 0."""
+        if type(ambient_rank) is not int:
+            raise TypeError(f"ambient rank must be an int, got {ambient_rank!r}")
+        if ambient_rank < 0:
+            raise ValueError(f"ambient rank must be >= 0, got {ambient_rank}")
         gens = []
         seen = set()
         for g in generators:
@@ -330,7 +334,7 @@ class Cone(Frozen):
             return None
         s = (1 << len(self._ints)) - 1
         for f in tight:
-            s &= self._tight_sets[f]
+            s &= self._idual[2][f]
         return s
 
     def is_strictly_convex(self) -> bool:
@@ -384,7 +388,7 @@ class Cone(Frozen):
         the constructor then normalises, since m may be singular or not
         yet validated.
         """
-        if self._ints and m.ncols != self.ambient_rank:
+        if m.ncols != self.ambient_rank:
             raise RankMismatchError(f"dimension mismatch: {m.ncols} cols vs {self.ambient_rank}")
         return Cone(m.nrows, [tuple(_idot(row, g) for row in m.ints) for g in self._ints])
 
@@ -425,24 +429,23 @@ class Cone(Frozen):
         cone whose systems a certificate settles never build them."""
         return tuple(map(_neg, self._cols))
 
-    @property
-    def _tight_sets(self) -> tuple[int, ...]:
-        """For each facet, the bitset of the generators it vanishes on: bit
-        i is set iff the facet is tight on generator i.  The facets are the
-        dual's extreme rays with the generators as inequalities, so these
-        are read off ``_idual`` with no dot product."""
-        return self._idual[2]
+    def _ordered_faces(self) -> list[tuple[int, list[int], int]]:
+        """(dimension, generator indices, bitset) of every face, self and
+        the minimal face included, each once, by dimension and then by
+        generator indices: ``_face_lattice`` on the facets' tight sets
+        (``_idual``), each face decoded once, visiting only its set bits,
+        into the index list that is both its sort key and its generators.
+        The one face walk: ``faces`` and the face table of
+        :mod:`sphfan.spherical` read it."""
+        dims = _face_lattice((1 << len(self._ints)) - 1, self._idual[2], self.dim)
+        return sorted((d, list(_bits(s)), s) for s, d in dims.items())
 
     def faces(self) -> list["Cone"]:
-        """All faces, self and the minimal face included, each once, by
-        dimension and then by generator indices, each face listing its
-        generators in index order: ``_face_lattice`` on the generator
-        indices, each face decoded once, visiting only its set bits, into
-        the index list that is both its sort key and its generators."""
+        """All faces as ``_ordered_faces`` lists them, each listing its
+        generators in index order."""
         gens = self._ints
-        dims = _face_lattice((1 << len(gens)) - 1, self._tight_sets, self.dim)
         return [Cone._of_ints(self.ambient_rank, [gens[i] for i in idx], d)
-                for d, idx in sorted((d, list(_bits(s))) for s, d in dims.items())]
+                for d, idx, _ in self._ordered_faces()]
 
 
 def _face_lattice(top: int, tight_sets: Sequence[int], dim: int) -> dict[int, int]:
@@ -501,6 +504,25 @@ def relint_meets_cone(c: Cone, v: Cone) -> Optional[Vec]:
     return relints_meet_in(c, None, v)
 
 
+def _apart(a: tuple[int, int], b: tuple[int, int]) -> int:
+    """The bits of the hyperplanes that show relint(C1) and relint(C2)
+    disjoint, from their sign masks a = (p, q) and b = (r, s): bit h of
+    the first mask is set when some generator is > 0 on hyperplane h, of
+    the second when some is < 0.
+
+    A relative interior's points are the combinations with every
+    multiplier > 0, so relint(C) lies in w > 0 when w is >= 0 on C's
+    generators and > 0 on one, in w < 0 likewise, and C lies in w = 0
+    when w is 0 on all; C is split when w has both signs on it.  Two
+    cones on different ones of these three sides of some w are disjoint:
+    w is <= 0 on one's generators, >= 0 on the other's and nonzero on
+    some, a bit set in (p | q | r | s) & ~((p | s) & (q | r)).  It is
+    the "infeasible row" rule of LP presolve (Andersen & Andersen 1995)
+    for a meet system's row of w, decided with no row built."""
+    (p, q), (r, s) = a, b
+    return (p | q | r | s) & ~((p | s) & (q | r))
+
+
 def _meet_system(cones: Sequence[Cone], point_free: bool = False) -> FeasibilitySystem:
     """relint(C) ∩ V as an LP, for cones = [C, V]: whether C's relative
     interior meets V.  It is kept on V (``V._meets``), one per distinct
@@ -521,12 +543,10 @@ def _meet_system(cones: Sequence[Cone], point_free: bool = False) -> Feasibility
     replaces it with a system the simplex solves, so every witness is the
     simplex's.
 
-    Otherwise, the infeasible-row rule of LP presolve (Andersen &
-    Andersen 1995) is settled from the cones' ``_signs``, with no row
-    built.  Row k has a nonzero rhs and no coefficient of its sign, so no
-    y >= 0 meets it, exactly when C is nonzero on axis k, and C has no
-    entry of one sign there and V none of the opposite sign: relint(C)
-    lies strictly on one side of x_k = 0 and V on the other.
+    Otherwise the system is certified infeasible when ``_apart`` on the
+    cones' ``_signs`` finds an axis that C is nonzero on, with no row
+    built: relint(C) lies strictly on one side of x_k = 0 and V on the
+    other, or on it.
     """
     first, v = cones
     if first.ambient_rank != v.ambient_rank:
@@ -538,8 +558,7 @@ def _meet_system(cones: Sequence[Cone], point_free: bool = False) -> Feasibility
     apart = 0
     if not interior:
         pos, neg = first._signs
-        vpos, vneg = v._signs
-        apart = (pos | neg) & ~((pos | vneg) & (neg | vpos))
+        apart = (pos | neg) & _apart(first._signs, v._signs)
     system = v._meets[first._ints] = FeasibilitySystem.deferred(
         len(first._ints) + len(v._ints), partial(_meet_rows, first, (v,)), apart != 0, interior)
     return system
@@ -631,19 +650,12 @@ def _pair_systems(cs: Sequence[Cone],
     """(i, j, the unkept system of relint(cs[i]) ∩ relint(cs[j]) ∩ v, on
     ``_meet_rows``) for each pair i < j, in order, lazily.
 
-    A pair is certified infeasible when sign masks show the relative
-    interiors disjoint.  Their points are the combinations with every
-    multiplier > 0, so relint(C) lies in w > 0 when w is >= 0 on C's
-    generators and > 0 on one, in w < 0 likewise, and C in w = 0 when w
-    is 0 on all.  Two cones on different ones of these sides of some w
-    are disjoint: w is <= 0 on one's generators, >= 0 on the other's and
-    nonzero on some, a bit set in (p | q | r | s) & ~((p | s) & (q | r))
-    for masks (p, q) and (r, s).  That ignores v, so it is sound whatever
-    v is.  On the axes (``_signs``) it is the infeasible-row rule against
-    cs[j], which is also applied against v, as in ``_meet_system``; only
-    a pair those leave open reads the index (``_hyperplane_signs``),
-    which is built then, once, and widens the masks to the facet
-    hyperplanes.
+    A pair is certified infeasible when ``_apart`` shows relint(cs[i])
+    apart from v, as in ``_meet_system``, or from relint(cs[j]), on the
+    axes (``_signs``); only a pair those leave open reads the index
+    (``_hyperplane_signs``), which is built then, once, and widens the
+    masks to the facet hyperplanes.  The second test ignores v, so it is
+    sound whatever v is.
     """
     n = v.ambient_rank
     if any(c.ambient_rank != n for c in cs):
@@ -652,20 +664,17 @@ def _pair_systems(cs: Sequence[Cone],
         return
     index = None
     signs = [c._signs for c in cs]
-    vpos, vneg = v._signs
     widths = [len(c._ints) for c in cs]
     for i, c1 in enumerate(cs):
         pos, neg = signs[i]
-        off_v = (pos | neg) & ~((pos | vneg) & (neg | vpos))
+        off_v = (pos | neg) & _apart(signs[i], v._signs)
         width = widths[i] + len(v._ints)
         for j in range(i + 1, len(cs)):
-            r, s = signs[j]
-            apart = off_v or (pos | neg | r | s) & ~((pos | s) & (neg | r))
+            apart = off_v or _apart(signs[i], signs[j])
             if not apart:
                 if index is None:
                     index = _hyperplane_signs(cs)
-                (p, q), (r, s) = index[i], index[j]
-                apart = (p | q | r | s) & ~((p | s) & (q | r))
+                apart = _apart(index[i], index[j])
             yield i, j, FeasibilitySystem.deferred(
                 width + widths[j], partial(_meet_rows, c1, (cs[j], v)), apart != 0, False)
 

@@ -21,10 +21,9 @@ Certificates in the manner of LP presolve (Andersen & Andersen,
 "Presolving in linear programming", Math. Programming 71, 1995) are
 settled by the builders in ``sphfan.cones`` and handed to
 ``FeasibilitySystem.deferred``:
-- ``certified_infeasible``: the relative interiors are disjoint, which
-  the hyperplane index of a CF2 pass shows, or the "infeasible row"
-  rule, read off the sign masks cached per cone (the index's coordinate
-  case);
+- ``certified_infeasible``: ``sphfan.cones._apart`` finds the sets
+  disjoint on the sign masks cached per cone, or for a CF2 pair on those
+  of the pass's hyperplane index;
 - ``interior_point``: a point of the first cone's relative interior lies
   in V, which proves it feasible.  Only a caller that reads no point
   gets such a system, and ``solve`` answers it ``([], 1)``, the one

@@ -26,8 +26,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 # relints_meet_in is no longer called here, but stays a name of this
 # module: perfbench/tracing.py wraps it where sphfan looks it up
-from .cones import (Cone, _bits, _face_lattice, _lazy, cones_equal,  # noqa: F401
-                    meeting_pairs, relint_meets_cone, relints_meet_in)
+from .cones import (Cone, _lazy, cones_equal, meeting_pairs,  # noqa: F401
+                    relint_meets_cone, relints_meet_in)
 from .rational import Frozen, RankMismatchError, Vec, integer_rows, rat
 
 
@@ -256,11 +256,12 @@ class _FaceTable:
 
     Each distinct generator gets one bit, so a face of any of the cones is
     the int of the generators it holds, and faces with equal ints are the
-    same cone.  Each cone's facet tight sets and its palette's carriers
-    (``Cone._carrier``) are rewritten on those bits once, and its lattice
-    is closed on them (``cones._face_lattice``).  A face is generated by
-    the generators it contains, so rho(f) lies in a face iff its carrier
-    is among the face's generators.
+    same cone.  Each cone's faces are read off its own face walk
+    (``Cone._ordered_faces``), in its own numbering, and only a face's
+    bitset is moved to the table's bits.  A face is generated by the
+    generators it contains, so rho(f) lies in a face iff its carrier
+    (``Cone._carrier``, in the cone's own numbering) is among the face's
+    generators.
 
     Each face occurrence asks ``Cone.relint_meets`` once, of a cone that
     exists when it can: a given cone with the face's generator set, which
@@ -293,24 +294,21 @@ class _FaceTable:
         own face included.  The Cone is the one cone i built for the face's
         test, or None."""
         cc, bits = self.ccs[i], self.bits[i]
-
-        # cone i's generator indices to the numbering, and back below: on
-        # cone 0, numbered first and in order, both are the identity
-        def rebit(s: int) -> int:
-            return s if i == 0 else sum([m for k, m in enumerate(bits) if s >> k & 1])
-        dims = _face_lattice(self.sets[i], [rebit(t) for t in cc.cone._tight_sets], cc.cone.dim)
-        self.extreme = self.extreme and dims.get(0) == 0 and all(m in dims for m in bits)
-        carriers = [(f, rebit(c)) for f in cc.palette
+        faces = cc.cone._ordered_faces()
+        # the bottom face is {0} and each generator is a face of its own
+        self.extreme = (self.extreme and faces[0] == (0, [], 0)
+                        and sum(len(idx) == 1 for _, idx, _ in faces) == len(bits))
+        carriers = [(f, c) for f in cc.palette
                     if (c := cc.cone._carrier(self.d._rho_ints[f])) is not None]
         out = []
-        for dim, idx, b in sorted((dim, list(_bits(b)) if i == 0 else
-                                   [k for k, m in enumerate(bits) if b & m], b)
-                                  for b, dim in dims.items()):
+        for dim, idx, s in faces:
+            # cone 0 is numbered first and in order, so its bits are the table's
+            b = s if i == 0 else sum([bits[k] for k in idx])
             face, built = self.tested.get(b), None
             if face is None:
                 face = built = self.tested[b] = self.cone(i, dim, idx)
             if face.relint_meets(self.d.valuation_cone):
-                out.append((dim, idx, b, frozenset(f for f, c in carriers if c & b == c), built))
+                out.append((dim, idx, b, frozenset(f for f, c in carriers if c & s == c), built))
         return out
 
     def cone(self, i: int, dim: int, idx: list[int]) -> Cone:

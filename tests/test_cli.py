@@ -3,6 +3,7 @@ import io
 import json
 import random
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -662,6 +663,130 @@ def test_mutated_documents_exit_0_1_or_2(tmp_path_factory, data):
     assert code in (0, 1, 2)
     if code == 2:
         assert out.getvalue() == ""
+
+
+def _benchmark_cases(workdir: str) -> list[tuple[list[str], list, list[str]]]:
+    """(argv before the paths, documents, argv after them) for README's
+    datum and fan and for the first documents of each kind that the
+    ``cli_twisted`` workload writes for seed 1: a P1^2 and a P1^3 fan
+    with extra rays, the B2 action on P1^2 and a projection P1^3 -> P1^2.
+    Ranks 1-3, so each run takes milliseconds."""
+    readme = [json.loads(doc) for doc in fenced("json")]
+    load_perfbench("inputs")
+    argvs = [c.argv for c in load_perfbench("workloads").cli_twisted(random.Random(1), workdir)]
+
+    def docs(argv):
+        return [json.loads(Path(a).read_text(encoding="utf-8")) for a in argv
+                if a.endswith(".json")]
+    val2, val3 = (next(a for a in argvs if a[2].endswith(f"{tag}-0-datum.json"))
+                  for tag in ("v2", "v3"))
+    b2 = next(a for a in argvs if a[1].endswith("b2-datum.json"))
+    mor = next(a for a in argvs if a[0] == "morphism")
+    cases = []
+    for fan in (readme, docs(val2), docs(val3)):
+        cases += [(["validate"], fan, []), (["validate"], fan, ["--strict", "--autocomplete"]),
+                  (["faces"], fan, [])]
+    return cases + [(["invariant"], docs(b2), []), (["morphism"], docs(mor), [])]
+
+
+# replacement values of the seeded mutations, by kind
+SEEDED_VALUES = {
+    "type": [None, True, False, "x", "1/2", 7, [], {}, [["1"]], {"name": "a"}],
+    "float": [0.5, -1.0, 2.0, 1e300],
+    "int": [-1, -3, 0, 10 ** 40, -(10 ** 40), 2 ** 64],
+    "empty": [[]],
+    "entry": ["-1", "0", "2", "1/2", -1, 3, 10 ** 40],
+}
+SEEDED_KINDS = ["drop", "extra", "type", "float", "int", "empty", "repeat", "length", "entry",
+                "rename"]
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _seeded_mutation(doc, rng: random.Random):
+    """One mutation of a deep copy of doc, of a kind drawn by rng: a key
+    dropped or added, a value replaced by another JSON type, a float, a
+    huge or negative int or an empty list, a list item repeated, a vector
+    or palette one entry short or long, an entry of one replaced by
+    another rational (which keeps most documents parseable), or an
+    element or color name, or a color map's image, repeated."""
+    doc = json.loads(json.dumps(doc))
+    nodes = [(path + (key,), _at(doc, path + (key,))) for path, key in _paths(doc)]
+    kind = rng.choice(SEEDED_KINDS)
+    named = [n for _, n in nodes if isinstance(n, list) and len(n) > 1
+             and all(isinstance(e, dict) and "name" in e for e in n)]
+    maps = [n for _, n in nodes if isinstance(n, dict) and len(n) > 1
+            and all(isinstance(e, str) for e in n.values())]
+    if kind == "rename" and (named or maps):
+        node = rng.choice(named + maps)
+        if isinstance(node, list):
+            i, j = rng.sample(range(len(node)), 2)
+            node[j]["name"] = node[i]["name"]
+        else:
+            i, j = rng.sample(list(node), 2)
+            node[j] = node[i]
+        return doc
+    if kind in ("drop", "extra"):
+        node = rng.choice([doc] + [n for _, n in nodes if isinstance(n, dict) and n])
+        if kind == "drop":
+            del node[rng.choice(list(node))]
+        else:
+            node[rng.choice(["extra", "rank", "name", "x"])] = rng.choice(SEEDED_VALUES["type"])
+        return doc
+    lists = [n for _, n in nodes if isinstance(n, list) and n]
+    if kind == "repeat" and lists:
+        node = rng.choice(lists)
+        node.append(json.loads(json.dumps(rng.choice(node))))
+        return doc
+    flat = [n for n in lists if all(isinstance(e, (int, str)) for e in n)]
+    if kind == "length" and flat:
+        node = rng.choice(flat)
+        if rng.random() < 0.5:
+            node.append(node[0])
+        else:
+            node.pop()
+        return doc
+    if kind == "entry" and flat:
+        node = rng.choice(flat)
+        node[rng.randrange(len(node))] = rng.choice(SEEDED_VALUES["entry"])
+        return doc
+    path, node = rng.choice(nodes)
+    values = [v for v in SEEDED_VALUES.get(kind, SEEDED_VALUES["type"])
+              if type(v) is not type(node) or kind != "type" and v != node]
+    _at(doc, path[:-1])[path[-1]] = rng.choice(values or [None])
+    return doc
+
+
+def test_seeded_mutations_of_readme_and_benchmark_documents_exit_0_1_or_2(tmp_path):
+    """300 seeded mutations of README's documents and of the benchmark's,
+    through ``validate``, ``faces``, ``invariant`` and ``morphism`` in
+    process: each run returns 0, 1 or 2 with no exception, and exit 2
+    writes nothing to stdout.  Enough mutations get past the parser that
+    every exit code is met."""
+    rng = random.Random(7)
+    cases = _benchmark_cases(str(tmp_path))
+    codes = {0: 0, 1: 0, 2: 0}
+    for n in range(300):
+        head, docs, tail = cases[n % len(cases)]
+        docs = list(docs)
+        i = rng.randrange(len(docs))
+        docs[i] = _seeded_mutation(docs[i], rng)
+        paths = []
+        for k, doc in enumerate(docs):
+            p = tmp_path / f"mutated{k}.json"
+            p.write_text(json.dumps(doc))
+            paths.append(str(p))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(head + paths + tail)
+        assert code in codes, (n, head, i, docs[i])
+        assert code != 2 or out.getvalue() == ""
+        codes[code] += 1
+    assert all(codes.values()), codes
 
 
 def test_cli_import_skips_dataclasses_and_inspect():

@@ -235,8 +235,9 @@ class TestColoredFacesAgainstReference:
 
 class TestColoredFacesWork:
     """Pinned work: no rank (the parent's dimension comes off its dual),
-    one lattice closure (``cones._face_lattice``, which ``faces()`` and
-    the face table share) per ``faces()`` and per ``colored_faces``, and,
+    one lattice closure (``cones._face_lattice``, called only by the face
+    walk ``Cone._ordered_faces``, which ``faces()`` and the face table
+    read) per ``faces()`` and per ``colored_faces``, and,
     with no face key asked, two double descriptions: the parent's, for its
     face lattice, and V's, whose facets the interior-point test of the
     first face reads (V is new with each datum, so no earlier call
@@ -257,7 +258,6 @@ class TestColoredFacesWork:
         monkeypatch.setattr(cones, "_dual_ints", counted("dual", cones._dual_ints))
         lattice = counted("lattice", cones._face_lattice)
         monkeypatch.setattr(cones, "_face_lattice", lattice)
-        monkeypatch.setattr(spherical, "_face_lattice", lattice)
         rng = random.Random(seed)
         for p in (bench_inputs.cube_cone(rng, 4, 2), bench_inputs.cube_cone(rng, 5, 3),
                   bench_inputs.cyclic_cone(rng, tuple(range(-3, 4)))):
