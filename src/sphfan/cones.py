@@ -41,7 +41,7 @@ from operator import mul, neg
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .lp import FeasibilitySystem
-from .rational import (Frozen, Mat, RankMismatchError, Vec, _combine, _echelon, _idot,
+from .rational import (Frozen, Mat, RankMismatchError, Vec, _combine, _idot,
                        _pivots, _reduce_ints, all_ints, bareiss, integer_rows,
                        primitive_ints, rat)
 
@@ -119,15 +119,34 @@ def _dual_ints(ineqs: Sequence[Sequence[int]], n: int) -> tuple[
     span a 2-face modulo L, dim F = dim L + 2, so the rows have rank
     n - dim L - 2, and there are at least that many.
 
-    Three loops stop early; none changes a value or an order.  The
-    lineality search stops at the first vector of L with a nonzero dot:
-    the vectors before it lie on the hyperplane and are kept as they are.
+    ``lin`` is kept in the form ``_echelon`` gives, so it needs no echelon
+    pass: each row primitive with a positive pivot, pivots increasing, and
+    each row zero in the other rows' pivot columns.  The identity starts
+    so.  An inequality that is nonzero on L takes as l0 the last row with
+    a nonzero dot, so the rows after it lie on the hyperplane and stay as
+    they are, and combines only the rows before it: a row l with pivot
+    p < pivot(l0) becomes primitive(s0*l - s*l0), s0 > 0.  l0 is zero in
+    every column up to p (its pivot is later) and in every other row's
+    pivot column, so the new row keeps pivot p with a positive entry and
+    stays zero in the other rows' pivot columns; only the column of l0's
+    pivot, which no row then holds, gains entries.  So ``lin`` always
+    equals ``_echelon(lin)``, the one such basis of L.  Which l0 is taken
+    changes no output: the new L is L ∩ {a = 0}, of codimension 1 in L,
+    so any two l0 with positive dots agree up to a positive factor modulo
+    the new L, and so do the rays moved along them.  A later step reads a
+    ray only modulo the L of its time (a row vanishing on L reads the same
+    sign on every representative; any other row moves it along L), so the
+    tight sets, the order and the rays, reduced at the end, are the same
+    for every choice.
+
+    Two loops stop early; neither changes a value or an order.  The
+    lineality search stops at the last vector of L with a nonzero dot.
     The adjacency scan counts the tight sets that contain Z(u) ∩ Z(v) and
-    stops at the third, since Z(u) and Z(v) always do.  And when L ends
-    as 0 (the described cone is pointed; for a cone's generators, the
-    cone is full-dimensional) the rays are returned with no ``_echelon``
-    pass: each is a unit vector, a ``_combine`` output or the negation of
-    one, so primitive, and there is no basis to reduce it modulo.
+    stops at the third, since Z(u) and Z(v) always do.  When L ends as 0
+    (the described cone is pointed; for a cone's generators, the cone is
+    full-dimensional) the rays are returned as they are: each is a unit
+    vector, a ``_combine`` output or the negation of one, so primitive,
+    and there is no basis to reduce it modulo.
     """
     lin = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
     rays, tight = [], []
@@ -135,14 +154,15 @@ def _dual_ints(ineqs: Sequence[Sequence[int]], n: int) -> tuple[
     for k, a in enumerate(ineqs):
         bit = 1 << k
         s0 = 0
-        for hit, l0 in enumerate(lin):
-            if s0 := sum(map(mul, a, l0)):
+        for hit in reversed(range(len(lin))):
+            if s0 := sum(map(mul, a, lin[hit])):
                 break
         if s0:
+            l0 = lin[hit]
             if s0 < 0:
                 l0, s0 = _neg(l0), -s0
-            lin = lin[:hit] + [_combine(s0, l, s, l0) if (s := sum(map(mul, a, l))) else l
-                               for l in lin[hit + 1:]]
+            lin = [_combine(s0, l, s, l0) if (s := sum(map(mul, a, l))) else l
+                   for l in lin[:hit]] + lin[hit + 1:]
             # primitive(s0 * r) = r for a ray r on the hyperplane, as s0 > 0
             rays = [_combine(s0, r, s, l0) if (s := sum(map(mul, a, r))) else r for r in rays]
             rays.append(l0)
@@ -172,9 +192,8 @@ def _dual_ints(ineqs: Sequence[Sequence[int]], n: int) -> tuple[
 
     if not lin:
         return [], rays, tight
-    basis = _echelon(lin)
-    pivots = _pivots(basis)
-    return basis, [_reduce_ints(r, basis, pivots) for r in rays], tight
+    pivots = _pivots(lin)
+    return lin, [_reduce_ints(r, lin, pivots) for r in rays], tight
 
 
 def dual_description(ineqs: Sequence[Vec], n: int) -> tuple[list[Vec], list[Vec]]:
@@ -224,8 +243,8 @@ class Cone(Frozen):
                 continue
             seen.add(p)
             gens.append(p)
-        object.__setattr__(self, "ambient_rank", ambient_rank)
-        object.__setattr__(self, "_ints", tuple(gens))
+        Cone._set_ambient_rank(self, ambient_rank)
+        Cone._set_ints(self, tuple(gens))
 
     @classmethod
     def _of_ints(cls, ambient_rank: int, ints: Iterable[tuple[int, ...]],
@@ -238,8 +257,8 @@ class Cone(Frozen):
         :mod:`sphfan.spherical` take subsets of a cone's ``_ints``, and
         ``intersect`` takes the output of ``_dual_ints``."""
         cone = object.__new__(cls)
-        object.__setattr__(cone, "ambient_rank", ambient_rank)
-        object.__setattr__(cone, "_ints", tuple(ints))
+        cls._set_ambient_rank(cone, ambient_rank)
+        cls._set_ints(cone, tuple(ints))
         if dim is not None:
             cone.__dict__["dim"] = dim
         return cone
@@ -425,8 +444,8 @@ class Cone(Frozen):
     @_lazy
     def _neg_cols(self) -> tuple[tuple[int, ...], ...]:
         """``_cols`` negated: only the rows of a meet system read them, for
-        a cone after the first, so a face tested by ``relint_meets`` and a
-        cone whose systems a certificate settles never build them."""
+        a cone after the first, so a face tested point-free and a cone
+        whose systems a certificate settles never build them."""
         return tuple(map(_neg, self._cols))
 
     def _ordered_faces(self) -> list[tuple[int, list[int], int]]:

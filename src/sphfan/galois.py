@@ -24,9 +24,9 @@ class GroupElement(Frozen):
     __slots__ = ("name", "matrix", "color_perm")
 
     def __init__(self, name: str, matrix: Mat, color_perm: Mapping[str, str]):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "color_perm", dict(color_perm))
+        GroupElement._set_name(self, name)
+        GroupElement._set_matrix(self, matrix)
+        GroupElement._set_color_perm(self, dict(color_perm))
 
 
 class GaloisAction(Frozen):
@@ -43,8 +43,8 @@ class GaloisAction(Frozen):
                 raise RankMismatchError(f"element {e.name!r} matrix is not rank x rank")
             if not datum.permutes_colors(e.color_perm):
                 raise ValueError(f"element {e.name!r} color map is not a permutation of the colors")
-        object.__setattr__(self, "datum", datum)
-        object.__setattr__(self, "elements", tuple(elements))
+        GaloisAction._set_datum(self, datum)
+        GaloisAction._set_elements(self, tuple(elements))
 
     def element(self, name: str) -> GroupElement:
         for e in self.elements:

@@ -102,20 +102,23 @@ def _solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int],
     d = 1
 
     while True:
-        enter = next((j for j in range(n) if cost[j] < 0), None)
-        if enter is None:
+        for enter in range(n):
+            if cost[enter] < 0:
+                break
+        else:
             break
         leave = None
         for i in range(m):
-            t = tab[i][enter]
+            row = tab[i]
+            t = row[enter]
             if t > 0:
                 # ratio rhs_i / t, compared by cross-multiplication
                 if leave is None:
-                    leave, num, den = i, tab[i][-1], t
+                    leave, num, den = i, row[-1], t
                     continue
-                lhs, rhs = tab[i][-1] * den, num * t
+                lhs, rhs = row[-1] * den, num * t
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, num, den = i, tab[i][-1], t
+                    leave, num, den = i, row[-1], t
         if leave is None:
             # phase-1 objective is bounded below by 0, so this cannot happen
             raise RuntimeError("unbounded phase-1 problem")
@@ -165,11 +168,11 @@ class FeasibilitySystem(Frozen):
             raise RankMismatchError("equality row length does not match variable count")
         if len(rhs) != len(equalities):
             raise RankMismatchError("rhs length does not match equality count")
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "certified_infeasible", False)
-        object.__setattr__(self, "interior_point", False)
-        object.__setattr__(self, "_rows", (equalities, rhs))
-        object.__setattr__(self, "_sol", _UNSOLVED)
+        FeasibilitySystem._set_nvars(self, nvars)
+        FeasibilitySystem._set_certified_infeasible(self, False)
+        FeasibilitySystem._set_interior_point(self, False)
+        FeasibilitySystem._set_rows(self, (equalities, rhs))
+        FeasibilitySystem._set_sol(self, _UNSOLVED)
 
     @classmethod
     def deferred(cls, nvars: int, build: Callable[[], tuple],
@@ -183,11 +186,11 @@ class FeasibilitySystem(Frozen):
         row and for reading no point, and ``solve`` builds no row for
         either."""
         system = object.__new__(cls)
-        object.__setattr__(system, "nvars", nvars)
-        object.__setattr__(system, "certified_infeasible", certified_infeasible)
-        object.__setattr__(system, "interior_point", interior_point)
-        object.__setattr__(system, "_rows", build)
-        object.__setattr__(system, "_sol", _UNSOLVED)
+        cls._set_nvars(system, nvars)
+        cls._set_certified_infeasible(system, certified_infeasible)
+        cls._set_interior_point(system, interior_point)
+        cls._set_rows(system, build)
+        cls._set_sol(system, _UNSOLVED)
         return system
 
     def _built_rows(self) -> tuple:
@@ -195,7 +198,7 @@ class FeasibilitySystem(Frozen):
         rows = self._rows
         if callable(rows):
             rows = rows()
-            object.__setattr__(self, "_rows", rows)
+            FeasibilitySystem._set_rows(self, rows)
         return rows
 
     @property
@@ -219,7 +222,7 @@ class FeasibilitySystem(Frozen):
         if sol is _UNSOLVED:
             sol = (None if self.certified_infeasible else ([], 1) if self.interior_point
                    else _solve_eq_nonneg(*self._built_rows(), self.nvars))
-            object.__setattr__(self, "_sol", sol)
+            FeasibilitySystem._set_sol(self, sol)
         if _oracle is not None:
             fm = _oracle.feasible(self.equalities, self.rhs, self.nvars)
             if fm != (sol is not None):

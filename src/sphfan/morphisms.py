@@ -34,11 +34,11 @@ class FanMorphism(Frozen):
         if set(color_map) != set(domain_colors):
             raise UnknownColorError("color_map domain must equal domain_colors")
         target.check_colors(color_map.values())
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "linear_map", linear_map)
-        object.__setattr__(self, "domain_colors", frozenset(domain_colors))
-        object.__setattr__(self, "color_map", color_map)
+        FanMorphism._set_source(self, source)
+        FanMorphism._set_target(self, target)
+        FanMorphism._set_linear_map(self, linear_map)
+        FanMorphism._set_domain_colors(self, frozenset(domain_colors))
+        FanMorphism._set_color_map(self, color_map)
 
     def push_cone(self, c: Cone) -> Cone:
         return c.image(self.linear_map)

@@ -193,10 +193,19 @@ def _reduce_ints(v: Sequence[int], basis: Sequence[Sequence[int]],
 
 class Frozen:
     """Base of the immutable value types: assigning or deleting an
-    attribute raises ``AttributeError``.  Constructors set slots only
-    through ``object.__setattr__``, which goes past this guard."""
+    attribute raises ``AttributeError``.  Constructors set slots past this
+    guard through the slot's own descriptor: for each slot ``name`` (or
+    ``_name``) a subclass gets ``_set_name``, the descriptor's ``__set__``
+    bound once, called as ``Cls._set_name(obj, value)``.  That skips the
+    name lookup ``object.__setattr__`` makes on every call."""
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        for name in vars(cls).get("__slots__", ()):
+            if name != "__dict__":
+                setattr(cls, "_set_" + name.lstrip("_"), vars(cls)[name].__set__)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -229,10 +238,10 @@ class Mat(Frozen):
         """Store int rows over den, both divided by their common gcd, so
         ``den`` is the least denominator."""
         g = gcd(den, *(x for row in ints for x in row))
-        object.__setattr__(self, "den", den // g)
-        object.__setattr__(self, "ints", tuple(tuple(x // g for x in row) for row in ints))
-        object.__setattr__(self, "nrows", len(ints))
-        object.__setattr__(self, "ncols", ncols)
+        Mat._set_den(self, den // g)
+        Mat._set_ints(self, tuple(tuple(x // g for x in row) for row in ints))
+        Mat._set_nrows(self, len(ints))
+        Mat._set_ncols(self, ncols)
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.den == other.den and self.ints == other.ints

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
+from . import cones
 # relints_meet_in is no longer called here, but stays a name of this
 # module: perfbench/tracing.py wraps it where sphfan looks it up
 from .cones import (Cone, _lazy, cones_equal, meeting_pairs,  # noqa: F401
@@ -71,12 +72,12 @@ class SphericalDatum(Frozen):
         extra = set(rho) - set(colors)
         if extra:
             raise UnknownColorError(f"rho defined on unknown colors: {sorted(extra)}")
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "valuation_cone", valuation_cone)
-        object.__setattr__(self, "colors", tuple(colors))
-        object.__setattr__(self, "rho", images)
-        object.__setattr__(self, "_rho_ints",
-                           {c: tuple(integer_rows([v])[0]) for c, v in images.items()})
+        SphericalDatum._set_rank(self, rank)
+        SphericalDatum._set_valuation_cone(self, valuation_cone)
+        SphericalDatum._set_colors(self, tuple(colors))
+        SphericalDatum._set_rho(self, images)
+        SphericalDatum._set_rho_ints(
+            self, {c: tuple(integer_rows([v])[0]) for c, v in images.items()})
 
     def check_colors(self, palette: Iterable[str]) -> None:
         unknown = set(palette) - set(self.colors)
@@ -94,8 +95,8 @@ class ColoredCone(Frozen):
     __slots__ = ("cone", "palette")
 
     def __init__(self, cone: Cone, palette: Iterable[str] = ()):
-        object.__setattr__(self, "cone", cone)
-        object.__setattr__(self, "palette", frozenset(palette))
+        ColoredCone._set_cone(self, cone)
+        ColoredCone._set_palette(self, frozenset(palette))
 
     def __repr__(self):
         return f"ColoredCone({self.cone!r}, {sorted(self.palette)})"
@@ -148,16 +149,16 @@ class ColoredFan(Frozen):
             raise ValueError("a colored fan must be nonempty")
         if len({cc.cone.ambient_rank for cc in members}) != 1:
             raise RankMismatchError("fan members have mixed ambient ranks")
-        object.__setattr__(self, "cones", members)
-        object.__setattr__(self, "_by_gens", {cc._gens_key: i for i, cc in enumerate(members)})
+        ColoredFan._set_cones(self, members)
+        ColoredFan._set_by_gens(self, {cc._gens_key: i for i, cc in enumerate(members)})
 
     @classmethod
     def _of_distinct(cls, members: Sequence[ColoredCone]) -> "ColoredFan":
         """The fan of members known to be pairwise distinct colored cones of
         one rank, at least one, kept as they are with no key computed."""
         fan = object.__new__(cls)
-        object.__setattr__(fan, "cones", tuple(members))
-        object.__setattr__(fan, "_by_gens", {cc._gens_key: i for i, cc in enumerate(members)})
+        ColoredFan._set_cones(fan, tuple(members))
+        ColoredFan._set_by_gens(fan, {cc._gens_key: i for i, cc in enumerate(members)})
         return fan
 
     @_lazy
@@ -263,14 +264,16 @@ class _FaceTable:
     (``Cone._carrier``, in the cone's own numbering) is among the face's
     generators.
 
-    Each face occurrence asks ``Cone.relint_meets`` once, of a cone that
-    exists when it can: a given cone with the face's generator set, which
-    is the same cone, and otherwise the face ``Cone`` built, in the index
-    order of its cone, for the first occurrence of its bitset.  That LP is
-    kept on V, one per distinct cone, and solved once.  A face becomes a
-    ``Cone`` only for that test, or when it is reported or kept
-    (``cone``), and a face kept from the cone that built it for the test
-    is that Cone.
+    A face's relint test is looked up once per distinct bitset, at its
+    first occurrence: the system ``cones._meet_system`` gives, point-free
+    as ``Cone.relint_meets`` asks, for a cone that exists when it can (a
+    given cone with the face's generator set, which is the same cone,
+    and otherwise the face ``Cone`` built, in the index order of its
+    cone).  The table keeps that system, and each occurrence, the first
+    included, calls its ``solve()`` once: every face test is counted, and
+    the LP, kept on V too, is solved once.  A face becomes a ``Cone``
+    only for that test, or when it is reported or kept (``cone``), and a
+    face kept from the cone that built it for the test is that Cone.
     """
 
     def __init__(self, d: SphericalDatum, ccs: Sequence[ColoredCone]):
@@ -280,9 +283,10 @@ class _FaceTable:
             _check(d, cc)
             self.bits.append([1 << number.setdefault(g, len(number)) for g in cc.cone._ints])
         self.d, self.ccs, self.sets = d, ccs, [sum(bits) for bits in self.bits]
-        # the cone each bitset's relint test asks: the first given cone on
-        # it, else the face Cone built for its first occurrence
-        self.tested = {s: cc.cone for s, cc in reversed(list(zip(self.sets, ccs)))}
+        # the first given cone on each bitset, which its relint test asks
+        self.given = {s: cc.cone for s, cc in reversed(list(zip(self.sets, ccs)))}
+        # each bitset's relint test, kept from its first occurrence
+        self.systems = {}
         # every cone read so far is pointed, its generators extreme rays
         self.extreme = True
 
@@ -304,10 +308,14 @@ class _FaceTable:
         for dim, idx, s in faces:
             # cone 0 is numbered first and in order, so its bits are the table's
             b = s if i == 0 else sum([bits[k] for k in idx])
-            face, built = self.tested.get(b), None
-            if face is None:
-                face = built = self.tested[b] = self.cone(i, dim, idx)
-            if face.relint_meets(self.d.valuation_cone):
+            system, built = self.systems.get(b), None
+            if system is None:
+                face = self.given.get(b)
+                if face is None:
+                    face = built = self.cone(i, dim, idx)
+                system = self.systems[b] = cones._meet_system(
+                    [face, self.d.valuation_cone], point_free=True)
+            if system.solve() is not None:
                 out.append((dim, idx, b, frozenset(f for f, c in carriers if c & s == c), built))
         return out
 

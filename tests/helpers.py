@@ -155,6 +155,64 @@ def reference_solve_eq_nonneg(a, b):
     return y
 
 
+def generator_bland_solve(a, b, n: int, seen=None):
+    """The fraction-free Bland simplex ``lp._solve_eq_nonneg`` replaced,
+    its body kept as it was (the entering column from ``next()`` over a
+    generator, each row looked up twice in the ratio test), as the
+    reference the leaner loop must match in (y, d).  ``seen``, a Counter if given,
+    counts the pivots with p != d and the ratio ties broken by the lower
+    basis index, so a test can show it met both."""
+    tab = [list(row) + [r] if r >= 0 else [-x for x in row] + [-r]
+           for row, r in zip(a, b)]
+    m = len(tab)
+    tab.append([-sum(col) for col in zip(*tab)] if tab else [0] * (n + 1))
+    cost = tab[m]
+    basis = [n + i for i in range(m)]
+    d = 1
+
+    while True:
+        enter = next((j for j in range(n) if cost[j] < 0), None)
+        if enter is None:
+            break
+        leave = None
+        for i in range(m):
+            t = tab[i][enter]
+            if t > 0:
+                if leave is None:
+                    leave, num, den = i, tab[i][-1], t
+                    continue
+                lhs, rhs = tab[i][-1] * den, num * t
+                if seen is not None and lhs == rhs:
+                    seen["tie"] += 1
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave, num, den = i, tab[i][-1], t
+        if leave is None:
+            raise RuntimeError("unbounded phase-1 problem")
+        prow = tab[leave]
+        p = prow[enter]
+        if seen is not None and p != d:
+            seen["p != d"] += 1
+        for i, row in enumerate(tab):
+            if i == leave:
+                continue
+            f = row[enter]
+            if f:
+                tab[i] = [(x * p - f * y) // d for x, y in zip(row, prow)]
+            elif p != d:
+                tab[i] = [x * p // d for x in row]
+        cost = tab[m]
+        d = p
+        basis[leave] = enter
+
+    if cost[-1] != 0:
+        return None
+    y = [0] * n
+    for i, bv in enumerate(basis):
+        if bv < n:
+            y[bv] = tab[i][-1]
+    return y, d
+
+
 class ReferenceSystem(NamedTuple):
     """``A x = b`` with per-variable lower bounds (None = free): the general
     system the references solve on the Fraction simplex, independent of

@@ -6,7 +6,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sphfan import cones
+from sphfan import cones, rational
 from sphfan.cones import (Cone, _divide_by_pivots, _dual_ints, _lazy, _meet_system,
                           cones_equal, dual_description, relint_meets_cone, relints_meet_in)
 from sphfan.lp import FeasibilitySystem
@@ -916,25 +916,59 @@ class TestBitsetDualAgainstFrozenset:
         assert (basis, rays) == reference_dual_ints(gens, 4)
         assert sorted(rays) == sorted(gens) and tight == [0b1110, 0b1101, 0b1011, 0b0111]
 
-    @pytest.mark.parametrize("gens, n, echelons", [
+    @pytest.mark.parametrize("gens, n, lineality", [
         (bench_inputs.cube_cone(random.Random(7), 5).generators, 5, 0),
         ([(1, 0, 0, 0), (-1, 0, 0, 0), (0, 1, 0, 0), (0, -1, 0, 0), (0, 0, 1, 0),
           (0, 0, -1, 0), (0, 0, 0, 1)], 4, 0),
         ([(1, 0, 0, 2), (0, 1, 0, 1), (0, 0, 1, -1), (1, 1, 1, 2)], 4, 1),
     ], ids=["cube", "half-space", "in-a-hyperplane"])
-    def test_a_pointed_dual_runs_no_echelon(self, monkeypatch, gens, n, echelons):
-        """A full-dimensional cone, the rank-5 cube cone or a half-space,
-        has a pointed dual, so the rays come out as the pass made them,
-        with no ``_echelon`` run.  A cone in a hyperplane has a dual that
-        holds the normal line, put in canonical form by one run."""
+    def test_no_dual_runs_echelon(self, monkeypatch, gens, n, lineality):
+        """No double description runs ``_echelon``: the lineality basis is
+        kept in its form as the pass goes.  A full-dimensional cone, the
+        rank-5 cube cone or a half-space, has a pointed dual, so the rays
+        come out as the pass made them; a cone in a hyperplane has a dual
+        that holds the normal line, whose basis row the pass leaves in
+        canonical form (one run before the basis was kept reduced)."""
         calls = []
 
         def counted(rows):
             calls.append(rows)
             return _echelon(rows)
-        monkeypatch.setattr(cones, "_echelon", counted)
+        monkeypatch.setattr(rational, "_echelon", counted)
+        monkeypatch.setattr(cones, "_echelon", counted, raising=False)
         basis, _ = assert_dual_as_reference(Cone(n, gens)._ints, n)
-        assert len(calls) == echelons and len(basis) == echelons
+        assert calls == [] and len(basis) == lineality
+
+    def test_random_systems_with_lineality(self):
+        """Systems of rank 0 to 7 in ambient rank 1 to 8, always below
+        it, so the dual has a nonzero lineality space: combinations of a
+        few base rows (unit rows among them), with zero, repeated and
+        opposite rows.  The rays match the reference in order, and the
+        basis, which no echelon pass touched, is its own ``_echelon``."""
+        rng = random.Random(149)
+        multi = 0
+        for _ in range(2000):
+            n = rng.randint(1, 8)
+            base = [tuple(rng.randint(-3, 3) for _ in range(n))
+                    for _ in range(rng.randint(0, n - 1))]
+            for k in rng.sample(range(len(base)), len(base) // 3):
+                unit = rng.randrange(n)
+                base[k] = tuple(int(i == unit) for i in range(n))
+            rows = []
+            for _ in range(rng.randint(0, 12)):
+                kind = rng.randrange(6)
+                if kind == 0 or not base:
+                    rows.append((0,) * n)
+                elif kind == 1 and rows:
+                    rows.append(tuple(-x for x in rng.choice(rows)))
+                else:
+                    coef = [rng.randint(-2, 2) for _ in base]
+                    rows.append(tuple(sum(c * b[i] for c, b in zip(coef, base))
+                                      for i in range(n)))
+            basis, _ = assert_dual_as_reference(rows, n)
+            assert basis and basis == _echelon(basis)
+            multi += len(basis) > 1
+        assert multi > 1000
 
 
 def as_given(rng: random.Random, gens) -> list:

@@ -1,5 +1,6 @@
 import ast
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import lcm
@@ -13,10 +14,10 @@ from sphfan.fourier_motzkin import feasible
 from sphfan.lp import FeasibilitySystem
 from sphfan.rational import RankMismatchError
 
-from helpers import (as_fractions, eliminate, one_sign_row, presolve_certifies,
-                     reference_feasible, reference_index_certifies, reference_meet_system,
-                     reference_relints_meet_in, reference_shift, reference_solve,
-                     reference_solve_eq_nonneg, shifted_rhs)
+from helpers import (as_fractions, eliminate, generator_bland_solve, one_sign_row,
+                     presolve_certifies, reference_feasible, reference_index_certifies,
+                     reference_meet_system, reference_relints_meet_in, reference_shift,
+                     reference_solve, reference_solve_eq_nonneg, shifted_rhs)
 
 
 def F(x):
@@ -199,6 +200,27 @@ class TestAgainstFractionSimplex:
         assert solve_fractions(a, b) == want
         y = reference_solve_eq_nonneg(a, b)
         assert tuple(y) == want and all(type(v) is Fraction for v in y)
+
+
+class TestAgainstGeneratorBland:
+    """The Bland loop that finds the entering column by a ``for``/``else``
+    loop against the loop it replaced (``generator_bland_solve``): the
+    same (y, d) on random int systems with entries -4..4, where pivots
+    with p != d and ratio ties both occur, and on systems with no row or
+    no column."""
+
+    def test_same_numerators_and_denominator(self):
+        rng = random.Random(2011)
+        seen, verdicts = Counter(), Counter()
+        for _ in range(5000):
+            nvars, m = rng.randint(0, 6), rng.randint(0, 5)
+            a = [[rng.randint(-4, 4) for _ in range(nvars)] for _ in range(m)]
+            b = [rng.randint(-4, 4) for _ in range(m)]
+            got = lp._solve_eq_nonneg(a, b, nvars)
+            assert got == generator_bland_solve(a, b, nvars, seen), (a, b, nvars)
+            verdicts[got is None] += 1
+        assert seen["p != d"] > 2000 and seen["tie"] > 300, seen
+        assert min(verdicts.values()) > 1000, verdicts
 
 
 def _plant_row(rng, a, b, kind):

@@ -331,23 +331,25 @@ class TestSimplexRuns:
       test and face test: C(3^n, 2) + 3^n + 5^n, since a member with k
       rays is simplicial with 2^k faces, and summing 2^k over the sign
       vectors gives (1 + 2 + 2)^n.  That is 351 + 27 + 125 = 503 for
-      n = 3 and 3,240 + 81 + 625 = 3,946 for n = 4.
+      n = 3, 3,240 + 81 + 625 = 3,946 for n = 4 and 29,403 + 243 +
+      3,125 = 32,771 for n = 5.
     - Two distinct members differ on some axis, where one is nonzero and
       the other has no entry of its sign, so the infeasible-row presolve
       settles every CF2 pair.  V has entries of both signs on every axis,
       so no (cone, V) system is settled.  Each face of a member is a
       member, on the same generators in the same order, so the CC2 and
-      face tests ask 3^n distinct systems, each solved once: 27 and 81
-      simplex runs (152 = 27 + 125 and 706 = 81 + 625 when every test
+      face tests ask 3^n distinct systems, each solved once: 27, 81 and
+      243 simplex runs (152 = 27 + 125 and 706 = 81 + 625 when every test
       ran its own).
     - CC2 asks each member before ``colored_faces`` does, and reads a
       point, so the face tests of validation find systems the simplex
       solved: the interior-point certificate changes no count above.
     - ``faces_closure`` from the 2^n maximal cones calls ``solve()``
       2^n · 2^n times for faces and C(3^n, 2) times for CF2: for n = 4,
-      256 + 3,240 = 3,496 calls.  It runs the simplex 0 times.  Each face
-      test is asked first by ``Cone.relint_meets``, which reads no point,
-      and V = Q^n holds every generator sum, so each of the 3^n distinct
+      256 + 3,240 = 3,496 calls, and for n = 5, 1,024 + 29,403 = 30,427.
+      It runs the simplex 0 times.  Each face test is asked first by the
+      face table, point-free as ``Cone.relint_meets`` asks it, and
+      V = Q^n holds every generator sum, so each of the 3^n distinct
       face systems is certified feasible by an interior point; the CF2
       pairs are all settled by the presolve, as above.  (That was 81
       runs for n = 4 with one run per distinct face, and 256 when every
@@ -355,7 +357,8 @@ class TestSimplexRuns:
     """
 
     @pytest.mark.parametrize("n, calls, runs, closure_calls",
-                             [(3, 503, 27, 64 + 351), (4, 3946, 81, 256 + 3240)])
+                             [(3, 503, 27, 64 + 351), (4, 3946, 81, 256 + 3240),
+                              (5, 32771, 243, 1024 + 29403)])
     @pytest.mark.parametrize("colored", [False, True])
     def test_complete_p1(self, monkeypatch, n, calls, runs, closure_calls, colored):
         counts = Counter()
@@ -430,6 +433,63 @@ class TestSimplexRuns:
         assert len(maximal) == 8
         assert fans_equal(faces_closure(d, maximal), fan)
         assert counts == {"calls": 8 * 28 + 3240}
+
+
+class TestFaceTableReuse:
+    """The face table looks each distinct face bitset's relint test up
+    once (``cones._meet_system``) and calls ``solve()`` on the kept system
+    at every occurrence, so every face test is still one ``solve()`` call.
+
+    - CF1 of the complete colored P1^3 fan reads a table over its 27
+      members.  Each member has 2^k faces for its k rays, 5^3 = 125
+      occurrences in all, and each face is a member on the same
+      generators: 27 distinct bitsets, so 27 lookups (125 before the
+      table kept the systems) and 125 face ``solve()`` calls.
+    - The face closure of P1^4 from its 16 maximal cones reads 16 · 16 =
+      256 occurrences of the 3^4 = 81 distinct faces: 81 lookups (256
+      before) and 256 face ``solve()`` calls.  Its CF2 pass builds its
+      systems in ``cones._pair_systems``, with no lookup.
+    """
+
+    def count(self, monkeypatch):
+        counts, phase = Counter(), [""]
+        solve, make, members = (lp.FeasibilitySystem.solve, cones._meet_system,
+                                spherical._face_members)
+
+        def counted_solve(system):
+            counts["solve", phase[0]] += 1
+            return solve(system)
+
+        def counted_make(cs, point_free=False):
+            counts["lookup", phase[0]] += 1
+            return make(cs, point_free)
+
+        def cf1(*args):
+            phase[0] = "CF1"
+            yield from members(*args)
+            phase[0] = ""
+        monkeypatch.setattr(lp.FeasibilitySystem, "solve", counted_solve)
+        monkeypatch.setattr(cones, "_meet_system", counted_make)
+        monkeypatch.setattr(spherical, "_face_members", cf1)
+        return counts
+
+    def test_cf1_of_the_complete_colored_p1_cube(self, monkeypatch):
+        counts = self.count(monkeypatch)
+        f = bench_inputs.p1_fan(random.Random(1), 3, 3, 3)
+        d, fan = bench_inputs.build_p1_datum(f), ColoredFan(bench_inputs.build_p1_cones(f))
+        assert validate_colored_fan(d, fan).ok
+        assert counts["lookup", "CF1"] == 27 and counts["solve", "CF1"] == 125
+        # CC2, one lookup and one solve per member, and CF2, one solve per pair
+        assert counts["lookup", ""] == 27 and counts["solve", ""] == 27 + 351
+
+    def test_the_p1_4_closure(self, monkeypatch):
+        counts = self.count(monkeypatch)
+        f = bench_inputs.p1_fan(random.Random(1), 4, 4, 4)
+        maximal = bench_inputs.build_p1_cones(f, maximal_only=True)
+        assert len(maximal) == 16
+        fan = faces_closure(bench_inputs.build_p1_datum(f), maximal)
+        assert len(fan) == 81
+        assert counts["lookup", ""] == 81 and counts["solve", ""] == 256 + 3240
 
 
 class TestSignMasks:
