@@ -21,15 +21,20 @@ cone: over the axes, cached per cone, and for a CF2 pair left open, over
 the facet hyperplanes of one index per pass.  A settled system builds no
 row and runs no simplex.
 
-A cone's generators are ints by construction: the constructor is the one
-gate for outside values, and ``faces``, ``intersect`` and the face table
-of :mod:`sphfan.spherical` make cones only from int rows the library
-computed.  So nothing downstream checks them again.  The point questions
-read an outside point by the constructor's rule, ``_int_vector``.
-``Fraction`` appears only at the boundary: the constructor and the point
-questions accept rationals, and ``generators``, ``facets``,
-``span_equations`` and the witnesses of ``relints_meet_in`` are Fraction
-views.
+A cone's generators are ints by construction: outside values pass one
+gate, ``_int_vector``, which the constructor and the public point
+questions (``contains``, ``relint_contains``) call, and ``faces``,
+``intersect`` and the face table of :mod:`sphfan.spherical` make cones
+only from int rows the library computed.  So nothing downstream checks
+them again.  The point questions share an int core, ``_face_facets``,
+which reads no outside value and so skips the gate; the internal callers
+ask it, or ``_holds`` for many points at once, with int tuples the
+library built: CC1 with the rho images ``_rho_ints`` and the generators
+of C against V, the face table with the rho images (``_carrier``), and
+``_meet_system`` with a generator sum.  ``Fraction`` appears only at the
+boundary: the constructor and the point questions accept rationals, and
+``generators``, ``facets``, ``span_equations`` and the witnesses of
+``relints_meet_in`` are Fraction views.
 """
 
 from __future__ import annotations
@@ -67,19 +72,18 @@ class _lazy:
         return value
 
 
-def _check_dim(n: int, v: Sequence[Fraction]) -> None:
-    if len(v) != n:
-        raise RankMismatchError(f"expected a vector of length {n}, got {len(v)}")
-
-
-def _int_vector(v: Iterable) -> Sequence[int]:
-    """v read by the one rule for outside vectors: a vector of plain ints
-    is taken as it is; any other is read entry by entry by ``rat``, which
-    takes Fractions and 'p/q' strings and raises ``TypeError`` on bools,
-    floats and other types, and is scaled by the lcm of its denominators,
-    so only its direction is kept."""
+def _int_vector(v: Iterable, n: int) -> Sequence[int]:
+    """v read by the one rule for outside vectors, the gate: a vector of
+    plain ints is taken as it is; any other is read entry by entry by
+    ``rat``, which takes Fractions and 'p/q' strings and raises
+    ``TypeError`` on bools, floats and other types, and is scaled by the
+    lcm of its denominators, so only its direction is kept.  Then a
+    length other than n raises ``RankMismatchError``."""
     v = tuple(v)
-    return v if all_ints(v) else integer_rows([[rat(e) for e in v]])[0]
+    xi = v if all_ints(v) else integer_rows([[rat(e) for e in v]])[0]
+    if len(xi) != n:
+        raise RankMismatchError(f"expected a vector of length {n}, got {len(xi)}")
+    return xi
 
 
 def _divide_by_pivots(basis: Sequence[Sequence[int]]) -> list[Vec]:
@@ -227,22 +231,18 @@ class Cone(Frozen):
     def __init__(self, ambient_rank: int, generators: Iterable[Iterable] = ()):
         """The one constructor that takes outside values, and so the one
         int gate.  Each generator is read by ``_int_vector``, scaled to a
-        primitive int tuple, and zero and repeated generators are dropped.
-        The rank is a plain int (not a bool, as for ``all_ints``) and >= 0."""
+        primitive int tuple, and zero generators are dropped; of repeated
+        ones one dict keeps the first, in order.  The rank is a plain int
+        (not a bool, as for ``all_ints``) and >= 0."""
         if type(ambient_rank) is not int:
             raise TypeError(f"ambient rank must be an int, got {ambient_rank!r}")
         if ambient_rank < 0:
             raise ValueError(f"ambient rank must be >= 0, got {ambient_rank}")
-        gens = []
-        seen = set()
+        gens = {}
         for g in generators:
-            v = _int_vector(g)
-            _check_dim(ambient_rank, v)
-            p = primitive_ints(v)
-            if not any(p) or p in seen:
-                continue
-            seen.add(p)
-            gens.append(p)
+            p = primitive_ints(_int_vector(g, ambient_rank))
+            if any(p):
+                gens[p] = None  # a repeat keeps the first one's place
         Cone._set_ambient_rank(self, ambient_rank)
         Cone._set_ints(self, tuple(gens))
 
@@ -320,13 +320,16 @@ class Cone(Frozen):
         """n minus the number of span equations, read off the dual."""
         return self.ambient_rank - len(self._idual[0])
 
-    def _face_facets(self, x: Iterable) -> Optional[list[int]]:
-        """The indices of the facets vanishing at x, which cut out the
-        smallest face holding x, or None if x lies outside.  x is read by
-        the constructor's rule, ``_int_vector``, so the signs of int dot
-        products decide."""
-        xi = _int_vector(x)
-        _check_dim(self.ambient_rank, xi)
+    def _face_facets(self, xi: Sequence[int]) -> Optional[list[int]]:
+        """The indices of the facets vanishing at xi, which cut out the
+        smallest face holding xi, or None if xi lies outside: the int core
+        of the point questions, decided by the signs of int dot products.
+
+        The core reads no outside value: xi is a plain int vector of
+        length n, which nothing checks.  The public point questions pass
+        it through the gate, ``_int_vector``, and the internal callers
+        hand it int tuples the library built (rho's ``_rho_ints``, a
+        cone's generator sums), so they skip the gate."""
         eqs, facets, _ = self._idual
         if any(_idot(w, xi) for w in eqs):
             return None
@@ -339,16 +342,29 @@ class Cone(Frozen):
                 tight.append(i)
         return tight
 
+    def _holds(self, points: Sequence[Sequence[int]]) -> bool:
+        """Whether every int point lies in the cone, as one test of all of
+        them against the rows of ``_idual``: the int core of ``contains``
+        for a list of points, such as another cone's ``_ints``."""
+        eqs, facets, _ = self._idual
+        return (not any(_idot(w, x) for w in eqs for x in points)
+                and all(_idot(w, x) >= 0 for w in facets for x in points))
+
     def contains(self, x: Sequence) -> bool:
         """Membership: x on every span equation and on no facet's negative
-        side.  Entries may be ints, Fractions or 'p/q' strings."""
-        return self._face_facets(x) is not None
+        side.  Entries may be ints, Fractions or 'p/q' strings: x is an
+        outside value, so it passes the gate, ``_int_vector``, which raises
+        ``TypeError`` on a bool or float and ``RankMismatchError`` on a
+        wrong length, before the int core ``_face_facets`` reads it."""
+        return self._face_facets(_int_vector(x, self.ambient_rank)) is not None
 
-    def _carrier(self, x: Sequence) -> Optional[int]:
-        """The generators of the smallest face holding x as a bitset over
-        their indices, or None if x lies outside: those tight on every
-        facet that vanishes at x, the AND of their tight sets."""
-        tight = self._face_facets(x)
+    def _carrier(self, xi: Sequence[int]) -> Optional[int]:
+        """The generators of the smallest face holding xi as a bitset over
+        their indices, or None if xi lies outside: those tight on every
+        facet that vanishes at xi, the AND of their tight sets.  xi is an
+        int point the library built, such as a ``_rho_ints`` image, so it
+        goes to the int core ``_face_facets`` with no gate."""
+        tight = self._face_facets(xi)
         if tight is None:
             return None
         s = (1 << len(self._ints)) - 1
@@ -366,8 +382,9 @@ class Cone(Frozen):
     def relint_contains(self, x: Sequence) -> bool:
         """True iff x is a strictly positive combination of the generators,
         i.e. its smallest face is the cone itself: no facet vanishes at x.
-        Entries may be ints, Fractions or 'p/q' strings."""
-        return self._face_facets(x) == []
+        Entries may be ints, Fractions or 'p/q' strings; x passes the gate
+        as in ``contains``."""
+        return self._face_facets(_int_vector(x, self.ambient_rank)) == []
 
     def relint_meets(self, v: "Cone") -> bool:
         """Whether relint(self) meets v: ``relint_meets_cone`` without
@@ -443,9 +460,10 @@ class Cone(Frozen):
 
     @_lazy
     def _neg_cols(self) -> tuple[tuple[int, ...], ...]:
-        """``_cols`` negated: only the rows of a meet system read them, for
-        a cone after the first, so a face tested point-free and a cone
-        whose systems a certificate settles never build them."""
+        """``_cols`` negated, for a cone after the first in a meet system:
+        V's are read when a system on V is made (``_meet_system``), a CF2
+        pair's second cone's only when the pair's rows are built, and a
+        cone that only stands first, such as a face, never builds them."""
         return tuple(map(_neg, self._cols))
 
     def _ordered_faces(self) -> list[tuple[int, list[int], int]]:
@@ -549,15 +567,19 @@ def _meet_system(cones: Sequence[Cone], point_free: bool = False) -> Feasibility
     the same pivots and witness, come back.  The lookup comes right after
     the rank check, and a hit reads no cone's masks.
 
-    The rows are those of ``_meet_rows``, built only when read.  A
-    system is certified before it is solved, in one of two ways.
+    The rows are those of ``_meet_rows``, built only when read, from the
+    columns of C and V the system holds.  It holds no cone: a kept system
+    holding V would close a cycle, V → ``V._meets`` → system → V, which
+    only the cyclic collector frees.  A system is certified before it is
+    solved, in one of two ways.
 
     ``point_free`` says the asker reads no point, only the verdict, as
     the face test ``Cone.relint_meets`` does.  For such an asker a new
     system is first certified feasible by an interior point: with every
     multiplier of C 1, x = sum(g_i) lies in relint(C), so x in V means
-    relint(C) meets V (for C = {0}, x = 0 lies in V).  The test reads V's
-    int dual, and a certified system computes no sign mask.  It is kept
+    relint(C) meets V (for C = {0}, x = 0 lies in V).  The test hands
+    x, an int tuple, to V's int core ``_face_facets``, and a certified
+    system computes no sign mask.  It is kept
     like any other, but an asker that reads a point and finds it
     replaces it with a system the simplex solves, so every witness is the
     simplex's.
@@ -578,14 +600,18 @@ def _meet_system(cones: Sequence[Cone], point_free: bool = False) -> Feasibility
     if not interior:
         pos, neg = first._signs
         apart = (pos | neg) & _apart(first._signs, v._signs)
+    rows = partial(_meet_rows, first._cols, first._col_sums, ((v._neg_cols, v._col_sums),))
     system = v._meets[first._ints] = FeasibilitySystem.deferred(
-        len(first._ints) + len(v._ints), partial(_meet_rows, first, (v,)), apart != 0, interior)
+        len(first._ints) + len(v._ints), rows, apart != 0, interior)
     return system
 
 
-def _meet_rows(first: Cone, others: Sequence[Cone]) -> tuple[tuple, tuple]:
-    """relint(first) [∩ relint(others[0])] ∩ others[-1] as int rows A and
-    an int rhs b with y >= 0.
+def _meet_rows(cols: Sequence[tuple[int, ...]], sums: Sequence[int],
+               others: Sequence[tuple[Sequence[tuple[int, ...]], Sequence[int]]]
+               ) -> tuple[tuple, tuple]:
+    """relint(C1) [∩ relint(C2)] ∩ V as int rows A and an int rhs b with
+    y >= 0, from C1's ``_cols`` and ``_col_sums`` and, for each other
+    cone in order, its (``_neg_cols``, ``_col_sums``).
 
     sum(l_i g_i) = sum(m_j h_j) = sum(n_k k_k), one multiplier per
     generator; the last cone's are >= 0, all others >= 1.  Row k is the
@@ -594,25 +620,35 @@ def _meet_rows(first: Cone, others: Sequence[Cone]) -> tuple[tuple, tuple]:
     is >= 0 and row k's rhs is bound * (other's k-th sum) - (first's k-th
     sum).
     """
-    widths = [len(c._ints) for c in others]
+    # a cone's columns are as long as it has generators; with no column
+    # (rank 0) there is no row to pad
+    widths = [len(neg[0]) if neg else 0 for neg, _ in others]
     rows, rhs = [], []
-    for i, other in enumerate(others):
+    for i, (neg_cols, other_sums) in enumerate(others):
         bound = 0 if i == len(others) - 1 else 1
         before = (0,) * sum(widths[:i])
         after = (0,) * sum(widths[i + 1:])
-        rows += [col + before + minus + after
-                 for col, minus in zip(first._cols, other._neg_cols)]
-        rhs += [bound * s - s0 for s, s0 in zip(other._col_sums, first._col_sums)]
+        rows += [col + before + minus + after for col, minus in zip(cols, neg_cols)]
+        rhs += [bound * s - s0 for s, s0 in zip(other_sums, sums)]
     return tuple(rows), tuple(rhs)
+
+
+def _pair_rows(c1: Cone, c2: Cone, v: Cone) -> tuple[tuple, tuple]:
+    """``_meet_rows`` of relint(c1) ∩ relint(c2) ∩ v, read off the cones
+    when the rows are built, so c2 negates its columns only then."""
+    return _meet_rows(c1._cols, c1._col_sums,
+                      ((c2._neg_cols, c2._col_sums), (v._neg_cols, v._col_sums)))
 
 
 def _witness(c1: Cone, sol: tuple[list[int], int]) -> Vec:
     """The point of relint(c1) a meet system's solution names: int
     numerators y over d > 0, with c1's multipliers shifted by 1, so
-    l = (y + d) / d.  The one place that makes a Fraction of it."""
+    l = (y + d) / d.  The one place that makes a Fraction of it; over
+    d = 1 each coordinate is ``Fraction(int)``, which runs no gcd."""
     y, d = sol
     nums = [x + d for x in y[:len(c1._ints)]]
-    return tuple(Fraction(sum(map(mul, nums, col)), d) for col in c1._cols)
+    sums = [sum(map(mul, nums, col)) for col in c1._cols]
+    return tuple(map(Fraction, sums)) if d == 1 else tuple(Fraction(s, d) for s in sums)
 
 
 def relints_meet_in(c1: Cone, c2: Optional[Cone], v: Cone) -> Optional[Vec]:
@@ -667,7 +703,7 @@ def _hyperplane_signs(cs: Sequence[Cone]) -> list[tuple[int, int]]:
 def _pair_systems(cs: Sequence[Cone],
                   v: Cone) -> Iterator[tuple[int, int, FeasibilitySystem]]:
     """(i, j, the unkept system of relint(cs[i]) ∩ relint(cs[j]) ∩ v, on
-    ``_meet_rows``) for each pair i < j, in order, lazily.
+    ``_pair_rows``) for each pair i < j, in order, lazily.
 
     A pair is certified infeasible when ``_apart`` shows relint(cs[i])
     apart from v, as in ``_meet_system``, or from relint(cs[j]), on the
@@ -695,7 +731,7 @@ def _pair_systems(cs: Sequence[Cone],
                     index = _hyperplane_signs(cs)
                 apart = _apart(index[i], index[j])
             yield i, j, FeasibilitySystem.deferred(
-                width + widths[j], partial(_meet_rows, c1, (cs[j], v)), apart != 0, False)
+                width + widths[j], partial(_pair_rows, c1, cs[j], v), apart != 0, False)
 
 
 def meeting_pairs(cs: Sequence[Cone], v: Cone) -> Iterator[tuple[int, int, Vec]]:

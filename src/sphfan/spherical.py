@@ -32,6 +32,10 @@ from .cones import (Cone, _lazy, cones_equal, meeting_pairs,  # noqa: F401
 from .rational import Frozen, RankMismatchError, Vec, integer_rows, rat
 
 
+# the palette of every face whose cone carries no color, shared
+_NO_COLORS: frozenset[str] = frozenset()
+
+
 class UnknownColorError(KeyError):
     pass
 
@@ -80,7 +84,8 @@ class SphericalDatum(Frozen):
             self, {c: tuple(integer_rows([v])[0]) for c, v in images.items()})
 
     def check_colors(self, palette: Iterable[str]) -> None:
-        unknown = set(palette) - set(self.colors)
+        # rho is keyed by exactly the colors
+        unknown = set(palette).difference(self.rho)
         if unknown:
             raise UnknownColorError(f"unknown colors: {sorted(unknown)}")
 
@@ -231,10 +236,10 @@ def validate_colored_cone(d: SphericalDatum, cc: ColoredCone) -> ColoredConeRepo
     palette = sorted(cc.palette)
 
     detail = ""
-    outside = next((f for f in palette if not c.contains(d._rho_ints[f])), None)
+    outside = next((f for f in palette if c._face_facets(d._rho_ints[f]) is None), None)
     if outside is not None:
         detail = f"rho({outside}) lies outside the cone"
-    elif not all(v.contains(g) for g in c._ints):
+    elif not v._holds(c._ints):
         regen = Cone(d.rank, [d._rho_ints[f] for f in palette] + list(c.intersect(v)._ints))
         if not cones_equal(regen, c):
             detail = "cone is not generated by rho(palette) and cone ∩ V"
@@ -316,7 +321,8 @@ class _FaceTable:
                 system = self.systems[b] = cones._meet_system(
                     [face, self.d.valuation_cone], point_free=True)
             if system.solve() is not None:
-                out.append((dim, idx, b, frozenset(f for f, c in carriers if c & s == c), built))
+                palette = frozenset(f for f, c in carriers if c & s == c) if carriers else _NO_COLORS
+                out.append((dim, idx, b, palette, built))
         return out
 
     def cone(self, i: int, dim: int, idx: list[int]) -> Cone:

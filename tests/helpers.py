@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import importlib.util
 import os
 import random
 import subprocess
 import sys
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from itertools import chain, product
 from math import gcd, lcm
@@ -22,7 +23,7 @@ from sphfan.galois import ActionReport, GaloisAction, apply_element
 from sphfan.lp import FeasibilitySystem
 from sphfan.morphisms import FanMorphism
 from sphfan.rational import (Mat, RankMismatchError, Vec, _combine, _echelon, _idot,
-                             _pivots, _reduce_ints, bareiss, integer_rows,
+                             _pivots, _reduce_ints, all_ints, bareiss, integer_rows,
                              primitive_ints, rat)
 from sphfan.spherical import (ColoredCone, ColoredConeReport, ColoredFan,
                               ColoredFanReport, FanAxiomError, SphericalDatum,
@@ -1194,7 +1195,8 @@ def fresh_meet_system(cones: Sequence[Cone], point_free: bool = False) -> Feasib
     system on every call, with no presolve, so each ``solve()`` runs the
     simplex afresh.  ``point_free`` is ignored: no certificate answers
     here, whoever asks."""
-    rows, rhs = _meet_rows(cones[0], cones[1:])
+    rows, rhs = _meet_rows(cones[0]._cols, cones[0]._col_sums,
+                           [(c._neg_cols, c._col_sums) for c in cones[1:]])
     return FeasibilitySystem(rows, rhs, sum(len(c._ints) for c in cones))
 
 
@@ -1299,3 +1301,40 @@ def random_valid_colored_cone(rng: random.Random, d: SphericalDatum,
         if validate_colored_cone(d, cc).ok:
             return cc
     return None
+
+
+def seed_cone_ints(ambient_rank: int, generators) -> tuple[tuple[int, ...], ...]:
+    """The generators ``Cone(ambient_rank, generators)`` kept before its
+    constructor deduped with one dict: each read to ints (``TypeError`` on
+    a bool or float), then checked for length (``RankMismatchError``),
+    made primitive, and kept unless zero or seen before, by a set."""
+    gens, seen = [], set()
+    for g in generators:
+        v = tuple(g)
+        v = v if all_ints(v) else integer_rows([[rat(e) for e in v]])[0]
+        if len(v) != ambient_rank:
+            raise RankMismatchError(f"expected a vector of length {ambient_rank}, got {len(v)}")
+        p = primitive_ints(v)
+        if any(p) and p not in seen:
+            seen.add(p)
+            gens.append(p)
+    return tuple(gens)
+
+
+def cyclic_garbage(call, *args) -> Counter:
+    """The objects ``call(*args)`` leaves that only the cyclic collector
+    frees, counted by type ('module.qualname'): the collector is disabled
+    during the call, then run once, keeping what it finds to be counted.
+    A call whose inputs are built inside it, and dropped when it returns,
+    leaves none when nothing it made holds a reference cycle."""
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        call(*args)
+        gc.collect()
+        return Counter(f"{type(o).__module__}.{type(o).__qualname__}" for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()

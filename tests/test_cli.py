@@ -10,10 +10,10 @@ from hypothesis import given, settings, strategies as st
 
 import sphfan
 from sphfan import docio, fourier_motzkin, lp
-from sphfan.cli import main
+from sphfan.cli import build_parser, main
 
-from helpers import (as_inequalities, load_perfbench, presolve_certifies, reference_feasible,
-                     run_probe)
+from helpers import (as_inequalities, cyclic_garbage, load_perfbench, presolve_certifies,
+                     reference_feasible, run_probe)
 from test_readme import fenced
 
 DATUM = """
@@ -146,6 +146,28 @@ class TestValidate:
         # the closure itself, the zero cone, passes
         assert all(c["result"] == "pass" for c in checks[len(failing):])
         assert json.loads(out)["overall"] == "fail"
+
+    @pytest.mark.parametrize("command", [["validate"], ["validate", "--autocomplete"],
+                                         ["faces"]],
+                             ids=["validate", "validate --autocomplete", "faces"])
+    def test_leaves_no_cyclic_garbage(self, files, capsys, command):
+        """An in-process run on the colored P1^3 fan given by its maximal
+        cones leaves only the reference cycles of the standard library's
+        parts: the argument parser ``main`` builds and the indenting JSON
+        encoder of ``dump_json``.  The datum, its V and the meet systems
+        kept on V are freed by reference counting, those of the face tests
+        included, which no simplex run replaces in ``faces``."""
+        inputs = load_perfbench("inputs")
+        f = inputs.p1_fan(random.Random(1), 3, 3, 3)
+        argv = [command[0], files("d.json", docio.serialize_datum(inputs.build_p1_datum(f))),
+                files("f.json", docio.serialize_fan(
+                    sphfan.ColoredFan(inputs.build_p1_cones(f, maximal_only=True))))]
+        argv += command[1:]
+        garbage = cyclic_garbage(main, argv)
+        report = json.loads(capsys.readouterr().out)
+        stdlib = (cyclic_garbage(lambda: build_parser().parse_args(argv))
+                  + cyclic_garbage(docio.dump_json, report))
+        assert garbage == stdlib
 
     @pytest.mark.parametrize("n_colored", [1, 2, 3])
     def test_autocomplete_runs_cf2_once(self, files, capsys, monkeypatch, n_colored):

@@ -16,7 +16,8 @@ from sphfan.rational import (Mat, RankMismatchError, _combine, _echelon, _idot, 
 from helpers import (ReferenceCone, brute_force_faces, dot, fm_relint_meets_cone,
                      load_perfbench, random_cone, random_vec, reference_cones_equal,
                      reference_contains, reference_dual_description, reference_dual_ints,
-                     reference_lineality, reference_relints_meet_in, reference_rref)
+                     reference_lineality, reference_relints_meet_in, reference_rref,
+                     seed_cone_ints)
 
 bench_inputs = load_perfbench("inputs")
 
@@ -84,6 +85,45 @@ class TestConstruction:
                 c.image(m)
         image = Cone(2).image(m)
         assert image.ambient_rank == 1 and image.is_zero
+
+    def test_generators_order_and_errors_as_before(self):
+        # one dict keeps each primitive generator's first occurrence, in
+        # order, as the set and list did; the first bad generator raises
+        # the error it raised, a bad entry before a wrong length
+        rng = random.Random(227)
+        outcomes = Counter()
+        for _ in range(3000):
+            n = rng.randint(1, 5)
+            gens, made = [], []
+            for _ in range(rng.randint(0, 7)):
+                if made and rng.random() < 0.3:
+                    # a repeat, scaled, as ints, Fractions or strings
+                    t = rng.randint(1, 3)
+                    g = [t * x for x in rng.choice(made)]
+                else:
+                    g = [rng.randint(-2, 2) for _ in range(n)]
+                made.append(list(g))
+                kind = rng.random()
+                if kind < 0.2:
+                    g = [Fraction(x, 2) for x in g]
+                elif kind < 0.3:
+                    g = [f"{x}/3" for x in g]
+                elif kind < 0.33:
+                    g[rng.randrange(n)] = rng.choice([True, 1.5])
+                elif kind < 0.36:
+                    g = g + [0] if rng.random() < 0.5 else g[1:]
+                gens.append(tuple(g))
+            try:
+                want = seed_cone_ints(n, gens)
+            except (TypeError, RankMismatchError) as e:
+                with pytest.raises(type(e)) as got:
+                    Cone(n, iter(gens))
+                assert str(got.value) == str(e)
+                outcomes[type(e).__name__] += 1
+                continue
+            assert Cone(n, iter(gens))._ints == want
+            outcomes[len(want) < len(gens)] += 1
+        assert min(outcomes.values()) > 50 and len(outcomes) == 4
 
     def test_int_fraction_and_string_entries_agree(self):
         want = Cone(2, [(2, -4), (0, 3), (1, -2)])
@@ -187,11 +227,18 @@ class TestContains:
 
     @pytest.mark.parametrize("method", ["contains", "relint_contains"])
     def test_points_are_read_by_the_constructors_rule(self, method):
-        # bools and floats are no rationals; a 'p/q' string is the Fraction
+        # bools and floats are no rationals; a 'p/q' string is the Fraction.
+        # The int core reads a point unchecked, and its dot products zip,
+        # so a short int point would be read as padded: the public
+        # questions keep the gate, a bool or float raising before a length
+        # is read, and a wrong length raising for plain int points too
         ask = getattr(Cone(2, [(1, 0)]), method)
-        for bad in ((True, 0), (1.0, 0)):
+        for bad in ((True, 0), (1.0, 0), (F(1), False), (0.5,), (1, 0, True)):
             with pytest.raises(TypeError):
                 ask(bad)
+        for short_or_long in ((1,), (1, 0, 0), (F(1),), ("1", "0", "0"), ()):
+            with pytest.raises(RankMismatchError):
+                ask(short_or_long)
         assert ask(("1/2", "0")) == ask((Fraction(1, 2), 0)) is True
         assert ask(("-1/2", "0")) == ask((Fraction(-1, 2), 0)) is False
 

@@ -5,12 +5,13 @@ from fractions import Fraction
 from functools import partial
 from itertools import chain
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
-from sphfan import cones, fourier_motzkin, lp, rational, spherical
+from sphfan import cones, fourier_motzkin, galois, lp, rational, spherical
 from sphfan.cones import Cone, cones_equal, relints_meet_in
-from sphfan.spherical import (ColoredCone, ColoredFan, FanAxiomError,
+from sphfan.spherical import (ColoredCone, ColoredFan, ColoredFanReport, FanAxiomError,
                               RankMismatchError, SphericalDatum,
                               UnknownColorError, colored_cones_equal,
                               colored_faces, faces_closure, fans_equal,
@@ -19,14 +20,14 @@ from sphfan.spherical import (ColoredCone, ColoredFan, FanAxiomError,
                               orbit_count, validate_colored_cone,
                               validate_colored_fan)
 
-from helpers import (KeyOnlyColoredFan, closure_outcome, cube_face_fan, fresh_meet_system,
-                     intersect_cc1, key_only_faces_closure,
+from helpers import (KeyOnlyColoredFan, closure_outcome, cube_face_fan, cyclic_garbage, dot,
+                     fresh_meet_system, intersect_cc1, key_only_faces_closure,
                      key_only_validate_colored_fan, load_perfbench,
                      pre_table_colored_faces, pre_table_faces_closure,
                      pre_table_maximal_cones, pre_table_validate_colored_fan,
                      presolve_certifies, random_cone, random_datum,
                      random_valid_colored_cone, random_vec, reference_colored_faces,
-                     reference_index_certifies, reference_meet_system,
+                     reference_contains, reference_index_certifies, reference_meet_system,
                      reference_relints_meet_in, without_kept_systems)
 
 bench_inputs = load_perfbench("inputs")
@@ -69,14 +70,18 @@ class TestDatum:
 
     def test_point_questions_read_rho_in_ints(self, monkeypatch):
         # each rho image's int direction is made once, by the datum, and
-        # CC1 and colored_faces hand it to the cone's point questions
+        # CC1 and colored_faces hand it to the int core of the cone's point
+        # questions, which no gate guards; so does CC1's one test of the
+        # cone's generators against V
         d = SphericalDatum(2, full_plane(), ["a", "b"],
                            {"a": ("1/2", "1/3"), "b": (0, Fraction(-2, 3))})
         assert d._rho_ints == {"a": (3, 2), "b": (0, -2)}
         points = []
-        face_facets = Cone._face_facets
+        face_facets, holds = Cone._face_facets, Cone._holds
         monkeypatch.setattr(Cone, "_face_facets",
                             lambda c, x: points.append(x) or face_facets(c, x))
+        monkeypatch.setattr(Cone, "_holds",
+                            lambda c, xs: points.extend(xs) or holds(c, xs))
         cc = ColoredCone(Cone(2, [(1, 0), (0, 1), (0, -1)]), ["a", "b"])
         assert validate_colored_cone(d, cc).ok
         faces = colored_faces(d, cc)
@@ -696,10 +701,10 @@ class TestFacesClosure:
         assert orbit_count(fan) == 9  # 4 quadrants + 4 rays + origin
 
 
-def proper_datum(rng: random.Random, max_rank: int = 3) -> SphericalDatum:
-    """A datum of rank 2 to ``max_rank`` whose V is a nonzero cone other
-    than the whole space, with one to three colors."""
-    n = rng.randint(2, max_rank)
+def proper_datum(rng: random.Random, max_rank: int = 3, min_rank: int = 2) -> SphericalDatum:
+    """A datum of rank ``min_rank`` to ``max_rank`` whose V is a nonzero
+    cone other than the whole space, with one to three colors."""
+    n = rng.randint(min_rank, max_rank)
     while True:
         v = Cone(n, [random_vec(rng, n, -2, 2) for _ in range(rng.randint(1, n + 1))])
         if any(not v.contains(tuple(-x for x in g)) for g in v.generators):
@@ -746,6 +751,153 @@ def report_form(rep):
     """A fan report with each missing face as (index, generators, palette)."""
     return rep._replace(cf1_missing=tuple((i, f.cone.generators, f.palette)
                                           for i, f in rep.cf1_missing))
+
+
+def face_facets_by_fractions(c: Cone, x) -> Optional[list[int]]:
+    """The facets vanishing at x by Fraction dot products on the public
+    ``facets``, or None when x lies outside (``reference_contains``)."""
+    if not reference_contains(c, x):
+        return None
+    return [i for i, w in enumerate(c.facets) if dot(w, x) == 0]
+
+
+class TestIntCoreAgainstGate:
+    """The int core that CC1, CC2 and the face table ask with no gate
+    (``Cone._face_facets``, ``_carrier``, ``_holds``), and the witness made
+    over d = 1 with no gcd, against the gated public point questions and
+    Fraction references, on data of ranks 1-5 with a proper V."""
+
+    def int_points(self, rng: random.Random, d: SphericalDatum, cones) -> list:
+        """Int points the library builds (rho images, generators and
+        generator sums) and random ones."""
+        n = d.rank
+        points = list(d._rho_ints.values()) + [tuple(rng.randint(-2, 2) for _ in range(n))
+                                               for _ in range(3)]
+        for c in cones:
+            points += list(c._ints) + [c._col_sums]
+        return points
+
+    def test_core_answers_as_the_gate(self):
+        rng = random.Random(191)
+        seen = Counter()
+        for _ in range(150):
+            d = proper_datum(rng, 5, min_rank=1)
+            cs = [random_top(rng, d), random_top(rng, d)]
+            cones_asked = [cc.cone for cc in cs] + [d.valuation_cone]
+            for c in cones_asked:
+                for xi in self.int_points(rng, d, cones_asked):
+                    tight = c._face_facets(xi)
+                    assert tight == face_facets_by_fractions(c, xi)
+                    assert c.contains(xi) == (tight is not None)
+                    assert c.relint_contains(xi) == (tight == [])
+                    # the gate reads a rational point to the same direction
+                    xf = tuple(Fraction(x, 6) for x in xi)
+                    assert c.contains(xf) == (tight is not None)
+                    assert c.relint_contains(xf) == (tight == [])
+                    carrier = None if tight is None else sum(
+                        1 << k for k, g in enumerate(c.generators)
+                        if all(dot(c.facets[i], g) == 0 for i in tight))
+                    assert c._carrier(xi) == carrier
+                    seen["outside" if tight is None else "relint" if not tight else "face"] += 1
+        assert min(seen.values()) > 500
+
+    def test_one_shot_containment(self):
+        rng = random.Random(193)
+        seen = Counter()
+        for _ in range(300):
+            d = proper_datum(rng, 5, min_rank=1)
+            cs = [cc.cone for cc in (random_top(rng, d), random_top(rng, d))]
+            v = d.valuation_cone
+            for a, b in ((cs[0], v), (cs[1], v), (v, cs[0]), (cs[0], cs[1]), (cs[1], cs[1])):
+                got = b._holds(a._ints)
+                assert got == all(b.contains(g) for g in a._ints)
+                seen[got] += 1
+            points = [tuple(rng.randint(-2, 2) for _ in range(d.rank))
+                      for _ in range(rng.randint(0, 3))]
+            assert v._holds(points) == all(v.contains(x) for x in points)
+        assert min(seen[True], seen[False]) > 300
+
+    def test_reports_against_the_key_only_path(self):
+        rng = random.Random(197)
+        cc1 = Counter()
+        for _ in range(200):
+            d = proper_datum(rng, 5, min_rank=1)
+            cc = random_top(rng, d)
+            rep = validate_colored_cone(d, cc)
+            assert (rep.cc1, rep.cc1_detail) == intersect_cc1(d, cc)
+            cc1[rep.cc1_detail[:4]] += 1
+            fan = ColoredFan(random_members(rng, d, redundant=rng.random() < 0.5))
+            got = validate_colored_fan(d, fan)
+            assert report_form(got) == report_form(key_only_validate_colored_fan(d, fan))
+        # CC1 held, failed on a rho image and failed on the regenerated cone
+        assert min(cc1.values()) > 5 and len(cc1) == 3
+
+    def test_witness_as_the_general_path(self):
+        rng = random.Random(199)
+        over = Counter()
+        for _ in range(400):
+            d = proper_datum(rng, 5, min_rank=1)
+            c = random_top(rng, d).cone
+            den = rng.choice([1, rng.randint(2, 12)])
+            y = [rng.randint(0, 20) for _ in range(len(c._ints) + rng.randint(0, 3))]
+            got = cones._witness(c, (y, den))
+            nums = [x + den for x in y[:len(c._ints)]]
+            want = tuple(Fraction(sum(l * g[k] for l, g in zip(nums, c._ints)), den)
+                         for k in range(d.rank))
+            assert got == want
+            assert [(type(x), x.numerator, x.denominator) for x in got] == [
+                (Fraction, x.numerator, x.denominator) for x in want]
+            over[den == 1] += 1
+        assert min(over.values()) > 150
+
+
+def closure_of_maximal_p1(n: int, n_colored: int) -> ColoredFan:
+    f = bench_inputs.p1_fan(random.Random(n), n, n, n_colored)
+    return faces_closure(bench_inputs.build_p1_datum(f),
+                         bench_inputs.build_p1_cones(f, maximal_only=True))
+
+
+def validate_complete_p1(n: int) -> ColoredFanReport:
+    f = bench_inputs.p1_fan(random.Random(n), n, n, n)
+    return validate_colored_fan(bench_inputs.build_p1_datum(f),
+                                ColoredFan(bench_inputs.build_p1_cones(f)))
+
+
+def cube_colored_faces() -> list[ColoredCone]:
+    return colored_faces(*bench_inputs.build_pointed(
+        bench_inputs.cube_cone(random.Random(0), 5, 2)))
+
+
+def cube_faces() -> list[Cone]:
+    p = bench_inputs.cube_cone(random.Random(0), 5, 2)
+    return Cone(p.rank, p.generators).faces()
+
+
+def twisted_closure(t) -> ColoredFan:
+    _, seeds, action = bench_inputs.build_twisted(t)
+    return galois.invariant_closure(action, seeds)
+
+
+class TestNoCyclicGarbage:
+    """A call leaves nothing that only the cyclic collector frees.  The
+    meet systems kept on V (``V._meets``) hold the columns their rows are
+    built from, not V, so V, its systems and their builders are freed by
+    reference counting once the caller drops V.  Each call builds its
+    inputs, with ``perfbench/inputs.py``, and drops them when it returns."""
+
+    @pytest.mark.parametrize("call, args", [
+        (closure_of_maximal_p1, (3, 3)),
+        (closure_of_maximal_p1, (4, 2)),
+        (cube_colored_faces, ()),
+        (twisted_closure, (bench_inputs.twisted_p1(random.Random(0), 2),)),
+        (twisted_closure, (bench_inputs.sign_changes(random.Random(0), 3),)),
+        (validate_complete_p1, (3,)),
+        (cube_faces, ()),
+    ], ids=["faces_closure P1^3", "faces_closure P1^4", "colored_faces 4-cube",
+            "invariant_closure B2", "invariant_closure (Z2)^3", "validate P1^3",
+            "faces 4-cube"])
+    def test_call(self, call, args):
+        assert cyclic_garbage(call, *args) == Counter()
 
 
 class TestGeneratorLookupAgainstKeyOnly:
