@@ -331,11 +331,11 @@ class Cone(Frozen):
         hand it int tuples the library built (rho's ``_rho_ints``, a
         cone's generator sums), so they skip the gate."""
         eqs, facets, _ = self._idual
-        if any(_idot(w, xi) for w in eqs):
+        if eqs and any(sum(map(mul, w, xi)) for w in eqs):
             return None
         tight = []
         for i, w in enumerate(facets):
-            s = _idot(w, xi)
+            s = sum(map(mul, w, xi))
             if s < 0:
                 return None
             if s == 0:
@@ -347,8 +347,8 @@ class Cone(Frozen):
         them against the rows of ``_idual``: the int core of ``contains``
         for a list of points, such as another cone's ``_ints``."""
         eqs, facets, _ = self._idual
-        return (not any(_idot(w, x) for w in eqs for x in points)
-                and all(_idot(w, x) >= 0 for w in facets for x in points))
+        return (not any(sum(map(mul, w, x)) for w in eqs for x in points)
+                and all(sum(map(mul, w, x)) >= 0 for w in facets for x in points))
 
     def contains(self, x: Sequence) -> bool:
         """Membership: x on every span equation and on no facet's negative
@@ -475,7 +475,7 @@ class Cone(Frozen):
         The one face walk: ``faces`` and the face table of
         :mod:`sphfan.spherical` read it."""
         dims = _face_lattice((1 << len(self._ints)) - 1, self._idual[2], self.dim)
-        return sorted((d, list(_bits(s)), s) for s, d in dims.items())
+        return sorted([(d, _bits(s), s) for s, d in dims.items()])
 
     def faces(self) -> list["Cone"]:
         """All faces as ``_ordered_faces`` lists them, each listing its
@@ -521,12 +521,15 @@ def _face_lattice(top: int, tight_sets: Sequence[int], dim: int) -> dict[int, in
     return dims
 
 
-def _bits(s: int) -> Iterator[int]:
-    """The indices of the set bits of s, in increasing order."""
+def _bits(s: int) -> list[int]:
+    """The indices of the set bits of s, in increasing order, as a list
+    built in a plain loop: a generator costs more per face than it saves."""
+    out = []
     while s:
         low = s & -s
-        yield low.bit_length() - 1
+        out.append(low.bit_length() - 1)
         s ^= low
+    return out
 
 
 def cones_equal(a: Cone, b: Cone) -> bool:
@@ -710,7 +713,9 @@ def _pair_systems(cs: Sequence[Cone],
     axes (``_signs``); only a pair those leave open reads the index
     (``_hyperplane_signs``), which is built then, once, and widens the
     masks to the facet hyperplanes.  The second test ignores v, so it is
-    sound whatever v is.
+    sound whatever v is.  Each cone's masks and width are read once, and
+    cs[i]'s test against v once per i, so a pair costs at most one
+    ``_apart`` on the axes, its ``partial`` and its system.
     """
     n = v.ambient_rank
     if any(c.ambient_rank != n for c in cs):
@@ -718,20 +723,19 @@ def _pair_systems(cs: Sequence[Cone],
     if len(cs) < 2:
         return
     index = None
-    signs = [c._signs for c in cs]
-    widths = [len(c._ints) for c in cs]
-    for i, c1 in enumerate(cs):
-        pos, neg = signs[i]
-        off_v = (pos | neg) & _apart(signs[i], v._signs)
-        width = widths[i] + len(v._ints)
-        for j in range(i + 1, len(cs)):
-            apart = off_v or _apart(signs[i], signs[j])
+    members = [(c, c._signs, len(c._ints)) for c in cs]
+    for i, (c1, s1, w1) in enumerate(members):
+        pos, neg = s1
+        off_v = (pos | neg) & _apart(s1, v._signs)
+        width = w1 + len(v._ints)
+        for j, (c2, s2, w2) in enumerate(members[i + 1:], i + 1):
+            apart = off_v or _apart(s1, s2)
             if not apart:
                 if index is None:
                     index = _hyperplane_signs(cs)
                 apart = _apart(index[i], index[j])
             yield i, j, FeasibilitySystem.deferred(
-                width + widths[j], partial(_pair_rows, c1, cs[j], v), apart != 0, False)
+                width + w2, partial(_pair_rows, c1, c2, v), apart != 0, False)
 
 
 def meeting_pairs(cs: Sequence[Cone], v: Cone) -> Iterator[tuple[int, int, Vec]]:

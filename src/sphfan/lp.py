@@ -15,7 +15,12 @@ tableau of Python ints, cost row included, is always d times the
 rational tableau, where d > 0 is the last pivot (1 before the first).
 Signs and ratio comparisons are therefore those of the rational tableau,
 so Bland's rule takes the same pivots, and the witness, int numerators
-over d, is the same rational point.
+over d, is the same rational point.  A pivot on p = tab[r][e] sets each
+entry x of another row to (x*p - f*y) / d, f being that row's entry in
+column e and y the pivot row's in x's column, an exact division.  When
+p == d, d divides x*d - f*y and so f*y: the update is x - f*y // d, and
+x - f*y when d is also 1, as in every pivot of the P1 fans; a row with
+f == 0 stays as it is.  Only a pivot with p != d rescales every row.
 
 Certificates in the manner of LP presolve (Andersen & Andersen,
 "Presolving in linear programming", Math. Programming 71, 1995) are
@@ -29,14 +34,15 @@ settled by the builders in ``sphfan.cones`` and handed to
   gets such a system, and ``solve`` answers it ``([], 1)``, the one
   point-free answer: no numerators, d = 1.
 A certified system still goes through ``solve``, so every LP is counted
-there, but ``solve`` answers it without building a row or running the
-simplex.  The rows of a deferred system are built on first read: by the
-simplex, by the oracle replay below, or by a caller.  The certificates
-only decide, so every system that reaches the simplex is the one it
-always was, and pivots and witnesses are those of the simplex alone.
+there, but it holds its answer from ``deferred`` on, and ``solve`` hands
+that out without building a row or running the simplex.  The rows of
+a deferred system are built on first read: by the simplex, by the
+oracle replay below, or by a caller.  The certificates only decide, so
+every system that reaches the simplex is the one it always was, and
+pivots and witnesses are those of the simplex alone.
 
-A system runs the presolve or the simplex once, on its first ``solve``,
-and keeps the answer; each later ``solve`` hands out that answer in a
+Any other system runs the simplex once, on its first ``solve``, and
+keeps the answer; each later ``solve`` hands out that answer in a
 list of its own.  ``sphfan.cones._meet_system`` keeps one system per
 distinct cone on V (see there), so a repeated face or CC2 test is one
 more ``solve`` call, counted and replayed like the first, but no more
@@ -90,7 +96,7 @@ def _solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int],
                      n: int) -> Optional[tuple[list[int], int]]:
     """y >= 0 with a @ y = b on n int columns, as int numerators over one
     common denominator d > 0, or None.  Phase-1 simplex, Bland's rule."""
-    tab = [list(row) + [r] if r >= 0 else [-x for x in row] + [-r]
+    tab = [[*row, r] if r >= 0 else [-x for x in row] + [-r]
            for row, r in zip(a, b)]
     m = len(tab)
     # The artificial columns are never read, so they are not stored.  The
@@ -125,13 +131,17 @@ def _solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int],
         prow = tab[leave]
         p = prow[enter]
         for i, row in enumerate(tab):
-            if i == leave:
-                continue
             f = row[enter]
-            if f:
-                tab[i] = [(x * p - f * y) // d for x, y in zip(row, prow)]
-            elif p != d:
-                tab[i] = [x * p // d for x in row]
+            if i == leave or not f and p == d:
+                continue
+            if p != d:
+                tab[i] = ([(x * p - f * y) // d for x, y in zip(row, prow)] if f
+                          else [x * p // d for x in row])
+            elif d == 1:
+                tab[i] = [x - f * y for x, y in zip(row, prow)]
+            else:
+                # d divides x * d - f * y, so it divides f * y
+                tab[i] = [x - f * y // d for x, y in zip(row, prow)]
         cost = tab[m]
         d = p
         basis[leave] = enter
@@ -174,8 +184,8 @@ class FeasibilitySystem(Frozen):
         FeasibilitySystem._set_rows(self, (equalities, rhs))
         FeasibilitySystem._set_sol(self, _UNSOLVED)
 
-    @classmethod
-    def deferred(cls, nvars: int, build: Callable[[], tuple],
+    @staticmethod
+    def deferred(nvars: int, build: Callable[[], tuple],
                  certified_infeasible: bool, interior_point: bool) -> "FeasibilitySystem":
         """The system whose ``(equalities, rhs)`` ``build()`` returns when
         they are first read, unchecked: the caller vouches for rows of
@@ -183,14 +193,15 @@ class FeasibilitySystem(Frozen):
         are read from, vouches for their ints.  With
         ``certified_infeasible`` the caller vouches for no y >= 0 meeting
         every row, with ``interior_point`` for some y >= 0 meeting every
-        row and for reading no point, and ``solve`` builds no row for
-        either."""
-        system = object.__new__(cls)
-        cls._set_nvars(system, nvars)
-        cls._set_certified_infeasible(system, certified_infeasible)
-        cls._set_interior_point(system, interior_point)
-        cls._set_rows(system, build)
-        cls._set_sol(system, _UNSOLVED)
+        row and for reading no point: such a system holds its answer from
+        here on, and ``solve`` builds no row for it."""
+        system = object.__new__(FeasibilitySystem)
+        FeasibilitySystem._set_nvars(system, nvars)
+        FeasibilitySystem._set_certified_infeasible(system, certified_infeasible)
+        FeasibilitySystem._set_interior_point(system, interior_point)
+        FeasibilitySystem._set_rows(system, build)
+        FeasibilitySystem._set_sol(system, None if certified_infeasible else ([], 1)
+                                   if interior_point else _UNSOLVED)
         return system
 
     def _built_rows(self) -> tuple:
@@ -214,14 +225,14 @@ class FeasibilitySystem(Frozen):
         solution, or None if the system is infeasible; ``([], 1)``, with
         no point, if ``interior_point`` certified it.
 
-        The presolve or the simplex runs on the first call only; later
-        calls return the kept answer, each with a list of its own, so a
-        caller changing it changes no later answer.  Every call is still
-        replayed by the oracle when that is on."""
+        A certified system holds its answer from ``deferred``; any other
+        runs the simplex on the first call only.  Later calls return the
+        kept answer, each with a list of its own, so a caller changing it
+        changes no later answer.  Every call is still replayed by the
+        oracle when that is on."""
         sol = self._sol
         if sol is _UNSOLVED:
-            sol = (None if self.certified_infeasible else ([], 1) if self.interior_point
-                   else _solve_eq_nonneg(*self._built_rows(), self.nvars))
+            sol = _solve_eq_nonneg(*self._built_rows(), self.nvars)
             FeasibilitySystem._set_sol(self, sol)
         if _oracle is not None:
             fm = _oracle.feasible(self.equalities, self.rhs, self.nvars)

@@ -56,9 +56,11 @@ class MorphismReport(NamedTuple):
 
 
 def _first_outside(a: Cone, b: Cone) -> Optional[Vec]:
-    """The first generator of a that b does not contain, or None: asked in
-    ints, returned as a Fraction vector."""
-    g = next((g for g in a._ints if not b.contains(g)), None)
+    """The first generator of a that b does not contain, or None.  Both
+    lie in the target's space, whose rank the morphism fixed, so a's int
+    generators go to b's int core with no gate; the answer is a Fraction
+    vector."""
+    g = next((g for g in a._ints if b._face_facets(g) is None), None)
     return None if g is None else tuple(map(Fraction, g))
 
 
@@ -86,15 +88,25 @@ def _mapped_palette(m: FanMorphism, cc1: ColoredCone) -> set[str]:
     return {m.color_map[f] for f in cc1.palette & m.domain_colors}
 
 
+def _target_rank(m: FanMorphism, c2: Cone) -> None:
+    """Raise ``RankMismatchError`` unless c2 lies in the target's space,
+    where the pushed cones lie."""
+    if c2.ambient_rank != m.target.rank:
+        raise RankMismatchError(f"target cone of rank {c2.ambient_rank}, expected {m.target.rank}")
+
+
 def _maps_into(image: Cone, mapped: set[str], cc2: ColoredCone) -> bool:
-    """The pushed cone inside C2, and the mapped colors inside F2."""
+    """The pushed cone inside C2, and the mapped colors inside F2.  The
+    pushed generators are ints of C2's rank, which the caller checked, so
+    they are tested at once against C2's int core."""
     # the pushed generators are positive multiples of the nonzero m·g,
     # and the zero images it drops lie in every cone
-    return all(cc2.cone.contains(g) for g in image._ints) and mapped <= cc2.palette
+    return cc2.cone._holds(image._ints) and mapped <= cc2.palette
 
 
 def is_morphism_of_cones(m: FanMorphism, cc1: ColoredCone, cc2: ColoredCone) -> bool:
     """Image of C1 inside C2, and mapped domain colors of F1 inside F2."""
+    _target_rank(m, cc2.cone)
     return _maps_into(m.push_cone(cc1.cone), _mapped_palette(m, cc1), cc2)
 
 
@@ -109,6 +121,8 @@ class FanMorphismReport(NamedTuple):
 
 def is_morphism_of_fans(m: FanMorphism, f1: ColoredFan,
                         f2: ColoredFan) -> FanMorphismReport:
+    # the members of a fan share one rank, so one check covers f2
+    _target_rank(m, f2.cones[0].cone)
     matches = []
     for cc1 in f1:
         # each source cone is pushed, and its colors mapped, once

@@ -279,13 +279,19 @@ class _FaceTable:
     the LP, kept on V too, is solved once.  A face becomes a ``Cone``
     only for that test, or when it is reported or kept (``cone``), and a
     face kept from the cone that built it for the test is that Cone.
+
+    Each cone's rank and palette are checked against the datum (``_check``)
+    as it is numbered, unless ``checked`` says its caller has checked
+    them, as ``validate_colored_fan`` has, cone by cone, in
+    ``validate_colored_cone``.
     """
 
-    def __init__(self, d: SphericalDatum, ccs: Sequence[ColoredCone]):
+    def __init__(self, d: SphericalDatum, ccs: Sequence[ColoredCone], checked: bool = False):
         number: dict[tuple[int, ...], int] = {}
         self.bits = []
         for cc in ccs:
-            _check(d, cc)
+            if not checked:
+                _check(d, cc)
             self.bits.append([1 << number.setdefault(g, len(number)) for g in cc.cone._ints])
         self.d, self.ccs, self.sets = d, ccs, [sum(bits) for bits in self.bits]
         # the first given cone on each bitset, which its relint test asks
@@ -306,19 +312,19 @@ class _FaceTable:
         faces = cc.cone._ordered_faces()
         # the bottom face is {0} and each generator is a face of its own
         self.extreme = (self.extreme and faces[0] == (0, [], 0)
-                        and sum(len(idx) == 1 for _, idx, _ in faces) == len(bits))
+                        and [len(idx) for _, idx, _ in faces].count(1) == len(bits))
         carriers = [(f, c) for f in cc.palette
                     if (c := cc.cone._carrier(self.d._rho_ints[f])) is not None]
-        out = []
+        systems, given, out = self.systems, self.given, []
         for dim, idx, s in faces:
             # cone 0 is numbered first and in order, so its bits are the table's
-            b = s if i == 0 else sum([bits[k] for k in idx])
-            system, built = self.systems.get(b), None
+            b = s if i == 0 else sum(map(bits.__getitem__, idx))
+            system, built = systems.get(b), None
             if system is None:
-                face = self.given.get(b)
+                face = given.get(b)
                 if face is None:
                     face = built = self.cone(i, dim, idx)
-                system = self.systems[b] = cones._meet_system(
+                system = systems[b] = cones._meet_system(
                     [face, self.d.valuation_cone], point_free=True)
             if system.solve() is not None:
                 palette = frozenset(f for f, c in carriers if c & s == c) if carriers else _NO_COLORS
@@ -347,14 +353,15 @@ def colored_faces(d: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
     return [table.colored_cone(0, *face) for face in table.colored(0)]
 
 
-def _face_members(d: SphericalDatum,
-                  fan: ColoredFan) -> Iterator[tuple[int, Optional[int], Optional[ColoredCone]]]:
+def _face_members(d: SphericalDatum, fan: ColoredFan, checked: bool = False
+                  ) -> Iterator[tuple[int, Optional[int], Optional[ColoredCone]]]:
     """(i, j, face) for each colored face of each member i, from one face
     table over the members: j is the position of the member equal to the
     face, or None.  A member with the face's bitset and palette is it;
     otherwise the face becomes a ``ColoredCone``, also yielded, and asks
-    ``fan.index``, for members given with other generators."""
-    table = _FaceTable(d, fan.cones)
+    ``fan.index``, for members given with other generators.  ``checked``
+    is the table's: the members were checked by the caller."""
+    table = _FaceTable(d, fan.cones, checked)
     members = {(s, cc.palette): i for i, (s, cc) in enumerate(zip(table.sets, fan))}
     for i in range(len(fan)):
         for face in table.colored(i):
@@ -365,11 +372,12 @@ def _face_members(d: SphericalDatum,
 
 def validate_colored_fan(d: SphericalDatum, fan: ColoredFan) -> ColoredFanReport:
     """Per-cone CC1/CC2, then CF1 (face closure) and CF2 (pairwise).
-    CF1 reads the face table over the members; each member's missing
-    faces are listed by dimension, then by generator indices."""
+    CF1 reads the face table over the members, which checks no member
+    again: ``validate_colored_cone`` has checked each.  Each member's
+    missing faces are listed by dimension, then by generator indices."""
     reports = tuple(validate_colored_cone(d, cc) for cc in fan)
 
-    cf1_missing = [(i, face) for i, j, face in _face_members(d, fan) if j is None]
+    cf1_missing = [(i, face) for i, j, face in _face_members(d, fan, True) if j is None]
     cf2_failures = list(_cf2_failures(d, fan.cones))
     return ColoredFanReport(
         cone_reports=reports,

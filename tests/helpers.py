@@ -161,8 +161,10 @@ def generator_bland_solve(a, b, n: int, seen=None):
     its body kept as it was (the entering column from ``next()`` over a
     generator, each row looked up twice in the ratio test), as the
     reference the leaner loop must match in (y, d).  ``seen``, a Counter if given,
-    counts the pivots with p != d and the ratio ties broken by the lower
-    basis index, so a test can show it met both."""
+    counts the pivots with p != d, with p == d == 1 and with p == d > 1,
+    whose row updates the leaner loop takes by three branches, and the
+    ratio ties broken by the lower basis index, so a test can show it met
+    each."""
     tab = [list(row) + [r] if r >= 0 else [-x for x in row] + [-r]
            for row, r in zip(a, b)]
     m = len(tab)
@@ -191,8 +193,8 @@ def generator_bland_solve(a, b, n: int, seen=None):
             raise RuntimeError("unbounded phase-1 problem")
         prow = tab[leave]
         p = prow[enter]
-        if seen is not None and p != d:
-            seen["p != d"] += 1
+        if seen is not None:
+            seen["p != d" if p != d else "p == d == 1" if d == 1 else "p == d > 1"] += 1
         for i, row in enumerate(tab):
             if i == leave:
                 continue

@@ -204,10 +204,12 @@ class TestAgainstFractionSimplex:
 
 class TestAgainstGeneratorBland:
     """The Bland loop that finds the entering column by a ``for``/``else``
-    loop against the loop it replaced (``generator_bland_solve``): the
-    same (y, d) on random int systems with entries -4..4, where pivots
-    with p != d and ratio ties both occur, and on systems with no row or
-    no column."""
+    loop and updates a row by ``x - f*y`` when p == d == 1 and by
+    ``x - f*y // d`` when p == d > 1, against the loop it replaced
+    (``generator_bland_solve``): the same (y, d) on random int systems
+    with entries -4..4, where pivots with p != d, with p == d == 1 and
+    with p == d > 1 and ratio ties all occur, and on systems with no row
+    or no column."""
 
     def test_same_numerators_and_denominator(self):
         rng = random.Random(2011)
@@ -220,6 +222,7 @@ class TestAgainstGeneratorBland:
             assert got == generator_bland_solve(a, b, nvars, seen), (a, b, nvars)
             verdicts[got is None] += 1
         assert seen["p != d"] > 2000 and seen["tie"] > 300, seen
+        assert seen["p == d == 1"] > 200 and seen["p == d > 1"] > 100, seen
         assert min(verdicts.values()) > 1000, verdicts
 
 

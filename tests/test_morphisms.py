@@ -134,6 +134,40 @@ class TestMorphismOfFans:
         rep = is_morphism_of_fans(m, f1, f2)
         assert rep.matches == (0,)
 
+    def test_target_fan_of_another_rank(self, monkeypatch):
+        """A target fan outside the target's space raises, checked once per
+        fan: also when every pushed cone is {0}, which asks no point."""
+        plane_fan = ColoredFan([ColoredCone(Cone(2, [(1, 0)]))])
+        quad_fan = faces_closure(plane_datum(),
+                                 [ColoredCone(Cone(2, [(1, 0), (0, 1)]))])
+        zero = FanMorphism(plane_datum(), line_datum(), Mat([[0, 0]]))
+        checks = []
+        face_facets = Cone._face_facets
+        monkeypatch.setattr(Cone, "_face_facets",
+                            lambda c, x: checks.append(x) or face_facets(c, x))
+        for m in (projection(), zero):
+            with pytest.raises(RankMismatchError):
+                is_morphism_of_fans(m, quad_fan, plane_fan)
+            with pytest.raises(RankMismatchError):
+                is_morphism_of_cones(m, quad_fan.cones[-1], plane_fan.cones[0])
+        assert checks == []
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_no_point_passes_the_gate(self, seed, monkeypatch):
+        """The pushed generators and V's generators are ints the library
+        built, so ``validate_morphism`` and ``is_morphism_of_fans`` ask the
+        int core and never the public ``Cone.contains``."""
+        def refused(cone, x):
+            raise AssertionError("Cone.contains called")
+        monkeypatch.setattr(Cone, "contains", refused)
+        for drop in range(3):
+            p = bench_inputs.projection(random.Random(seed), 3, drop, 2)
+            m = bench_inputs.build_projection(p)
+            assert validate_morphism(m).ok
+            report = is_morphism_of_fans(m, ColoredFan(bench_inputs.build_p1_cones(p.source)),
+                                         ColoredFan(bench_inputs.build_p1_cones(p.target)))
+            assert list(report.matches) == p.matches()
+
 
 class TestProperties:
     def test_monotone_in_target(self):

@@ -127,6 +127,38 @@ class TestValidateColoredCone:
             validate_colored_cone(p1_datum(), ColoredCone(Cone(2)))
 
 
+class TestEachMemberCheckedOnce:
+    """``validate_colored_fan`` checks each member's rank and palette once:
+    in ``validate_colored_cone``, whose checked members its face table
+    does not check again.  Every other entry point still checks them."""
+
+    def test_complete_colored_p1_cubed(self, monkeypatch):
+        counts = Counter()
+        check_colors = SphericalDatum.check_colors
+
+        def counted(d, palette):
+            counts["check_colors"] += 1
+            return check_colors(d, palette)
+        f = bench_inputs.p1_fan(random.Random(1), 3, 3, 3)
+        d, fan = bench_inputs.build_p1_datum(f), ColoredFan(bench_inputs.build_p1_cones(f))
+        monkeypatch.setattr(SphericalDatum, "check_colors", counted)
+        assert validate_colored_fan(d, fan).ok
+        assert counts == {"check_colors": 27}
+
+    def test_every_entry_point_still_checks(self):
+        d = p1_datum()
+        fan = ColoredFan([ColoredCone(Cone(1, [(1,)])), ColoredCone(Cone(1), ["nope"])])
+        for call in (validate_colored_fan, maximal_cones):
+            with pytest.raises(UnknownColorError):
+                call(d, fan)
+        with pytest.raises(UnknownColorError):
+            faces_closure(d, fan.cones)
+        with pytest.raises(UnknownColorError):
+            colored_faces(d, fan.cones[1])
+        with pytest.raises(RankMismatchError):
+            maximal_cones(d, ColoredFan([ColoredCone(Cone(2))]))
+
+
 class TestStrictConvexity:
     def test_zero(self):
         assert is_strictly_convex_colored(p1_datum(), ColoredCone(Cone(1)))
