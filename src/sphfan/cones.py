@@ -13,7 +13,8 @@ meet inside V needs one: int rows A and an int rhs b with y >= 0 (see
 :mod:`sphfan.lp`), built only when read, by one builder per shape:
 - ``_meet_system``, relint(C) ∩ V for CC2 and the face tests, kept on V
   one per distinct C (its generators in order) and solved once.  A new
-  face test is settled "yes" when V holds C's generator sum.
+  system is settled "yes" when V holds C's generator sum, which is then
+  the CC2 witness.
 - ``_pair_systems``, relint(C1) ∩ relint(C2) ∩ V for each pair of a CF2
   pass (``meeting_pairs``).
 Both settle a system "no" by one rule, ``_apart``, on two sign masks per
@@ -388,11 +389,12 @@ class Cone(Frozen):
 
     def relint_meets(self, v: "Cone") -> bool:
         """Whether relint(self) meets v: ``relint_meets_cone`` without
-        assembling the witness.  The system is kept on v and solved once,
-        so asking again about the same generators runs no simplex.  This
-        asker reads no point, so when v holds the generator sum the
-        system is certified feasible and runs no simplex at all."""
-        return _meet_system([self, v], point_free=True).solve() is not None
+        assembling the witness, on the same system, kept on v and solved
+        once, so asking again about the same generators runs no simplex.
+        When v holds the generator sum, which lies in relint(self), the
+        system is certified feasible and runs no simplex at all, and that
+        sum is the witness ``relint_meets_cone`` gives."""
+        return _meet_system([self, v]).solve() is not None
 
     def intersect(self, other: "Cone") -> "Cone":
         """Intersection, via the union of the two facet descriptions.
@@ -563,46 +565,38 @@ def _apart(a: tuple[int, int], b: tuple[int, int]) -> int:
     return (p | q | r | s) & ~((p | s) & (q | r))
 
 
-def _meet_system(cones: Sequence[Cone], point_free: bool = False) -> FeasibilitySystem:
+def _meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
     """relint(C) ∩ V as an LP, for cones = [C, V]: whether C's relative
     interior meets V.  It is kept on V (``V._meets``), one per distinct
     C, keyed by its generators in order, so the same rows, and with them
-    the same pivots and witness, come back.  The lookup comes right after
-    the rank check, and a hit reads no cone's masks.
+    the same answer, come back.  The lookup comes right after the rank
+    check, and a hit reads no cone's masks.
 
     The rows are those of ``_meet_rows``, built only when read, from the
     columns of C and V the system holds.  It holds no cone: a kept system
     holding V would close a cycle, V → ``V._meets`` → system → V, which
-    only the cyclic collector frees.  A system is certified before it is
-    solved, in one of two ways.
+    only the cyclic collector frees.  A new system is certified before it
+    is solved, in one of two ways.
 
-    ``point_free`` says the asker reads no point, only the verdict, as
-    the face test ``Cone.relint_meets`` does.  For such an asker a new
-    system is first certified feasible by an interior point: with every
-    multiplier of C 1, x = sum(g_i) lies in relint(C), so x in V means
-    relint(C) meets V (for C = {0}, x = 0 lies in V).  The test hands
-    x, an int tuple, to V's int core ``_face_facets``, and a certified
-    system computes no sign mask.  It is kept
-    like any other, but an asker that reads a point and finds it
-    replaces it with a system the simplex solves, so every witness is the
-    simplex's.
+    First, feasible by an interior point: with every multiplier of C 1,
+    x = sum(g_i) lies in relint(C), so x in V means relint(C) meets V
+    (for C = {0}, x = 0 lies in V).  The test hands x, an int tuple, to
+    V's int core ``_face_facets``, and a certified system computes no
+    sign mask.  Its witness is x itself (``relints_meet_in``).
 
     Otherwise the system is certified infeasible when ``_apart`` on the
     cones' ``_signs`` finds an axis that C is nonzero on, with no row
     built: relint(C) lies strictly on one side of x_k = 0 and V on the
-    other, or on it.
+    other, or on it.  Only a system that both leave open runs the simplex.
     """
     first, v = cones
     if first.ambient_rank != v.ambient_rank:
         raise RankMismatchError("relint test: ambient ranks differ")
     system = v._meets.get(first._ints)
-    if system is not None and (point_free or not system.interior_point):
+    if system is not None:
         return system
-    interior = point_free and v._face_facets(first._col_sums) is not None
-    apart = 0
-    if not interior:
-        pos, neg = first._signs
-        apart = (pos | neg) & _apart(first._signs, v._signs)
+    interior = v._face_facets(first._col_sums) is not None
+    apart = not interior and (first._signs[0] | first._signs[1]) & _apart(first._signs, v._signs)
     rows = partial(_meet_rows, first._cols, first._col_sums, ((v._neg_cols, v._col_sums),))
     system = v._meets[first._ints] = FeasibilitySystem.deferred(
         len(first._ints) + len(v._ints), rows, apart != 0, interior)
@@ -659,12 +653,18 @@ def relints_meet_in(c1: Cone, c2: Optional[Cone], v: Cone) -> Optional[Vec]:
 
     Feasibility of a meet system, the only question here that needs an
     LP; the witness is scale-free, so no extra normalization variable is
-    needed.  With c2, this is ``meeting_pairs`` on [c1, c2]; without, the
-    system is ``_meet_system``'s, kept on v.
+    needed.  With c2, this is ``meeting_pairs`` on [c1, c2], and the
+    witness is the simplex's.  Without, the system is ``_meet_system``'s,
+    kept on v, and the witness is by rule: the sum of c1's generators
+    when v holds it, the point that certified the system, else the
+    simplex's.
     """
     if c2 is not None:
         return next((w for _, _, w in meeting_pairs([c1, c2], v)), None)
-    sol = _meet_system([c1, v]).solve()
+    system = _meet_system([c1, v])
+    sol = system.solve()
+    if system.interior_point:
+        return tuple(map(Fraction, c1._col_sums))
     return None if sol is None else _witness(c1, sol)
 
 

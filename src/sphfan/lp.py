@@ -29,17 +29,19 @@ settled by the builders in ``sphfan.cones`` and handed to
 - ``certified_infeasible``: ``sphfan.cones._apart`` finds the sets
   disjoint on the sign masks cached per cone, or for a CF2 pair on those
   of the pass's hyperplane index;
-- ``interior_point``: a point of the first cone's relative interior lies
-  in V, which proves it feasible.  Only a caller that reads no point
-  gets such a system, and ``solve`` answers it ``([], 1)``, the one
-  point-free answer: no numerators, d = 1.
+- ``interior_point``: for relint(C) ∩ V, the sum of C's generators,
+  a point of relint(C), lies in V, which proves it feasible.  ``solve``
+  answers it ``([], 1)``, the one point-free answer: no numerators,
+  d = 1.  That sum is then the witness (``sphfan.cones.relints_meet_in``):
+  CC2's witness is C's generator sum when V holds it, and otherwise the
+  simplex's point, as every CF2 witness is.
 A certified system still goes through ``solve``, so every LP is counted
 there, but it holds its answer from ``deferred`` on, and ``solve`` hands
 that out without building a row or running the simplex.  The rows of
 a deferred system are built on first read: by the simplex, by the
 oracle replay below, or by a caller.  The certificates only decide, so
-every system that reaches the simplex is the one it always was, and
-pivots and witnesses are those of the simplex alone.
+every system that reaches the simplex is the one it always was, with
+the same pivots and the same point.
 
 Any other system runs the simplex once, on its first ``solve``, and
 keeps the answer; each later ``solve`` hands out that answer in a
@@ -47,7 +49,7 @@ list of its own.  ``sphfan.cones._meet_system`` keeps one system per
 distinct cone on V (see there), so a repeated face or CC2 test is one
 more ``solve`` call, counted and replayed like the first, but no more
 simplex.  A kept system has the rows a fresh one would have, so its
-answer, witness included, is the one a fresh system would give.
+answer is the one a fresh system would give.
 
 A deferred system's rows are not checked when built: they are read off
 cone generators, which are ints by construction of
@@ -193,8 +195,8 @@ class FeasibilitySystem(Frozen):
         are read from, vouches for their ints.  With
         ``certified_infeasible`` the caller vouches for no y >= 0 meeting
         every row, with ``interior_point`` for some y >= 0 meeting every
-        row and for reading no point: such a system holds its answer from
-        here on, and ``solve`` builds no row for it."""
+        row, which ``solve`` names by no point: such a system holds its
+        answer from here on, and ``solve`` builds no row for it."""
         system = object.__new__(FeasibilitySystem)
         FeasibilitySystem._set_nvars(system, nvars)
         FeasibilitySystem._set_certified_infeasible(system, certified_infeasible)

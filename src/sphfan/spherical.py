@@ -229,6 +229,10 @@ def validate_colored_cone(d: SphericalDatum, cc: ColoredCone) -> ColoredConeRepo
     otherwise the regenerated cone is compared by ``cones_equal``, by
     generator set first and otherwise by canonical key.  CC1 holds iff
     ``cc1_detail``, the first failed test, is empty.
+
+    CC2's witness is by rule (``relints_meet_in``): the sum of the
+    generators, a point of relint(C), when V holds it, with no simplex
+    run; otherwise the simplex's point, or None when relint(C) misses V.
     """
     _check(d, cc)
     c = cc.cone
@@ -270,10 +274,10 @@ class _FaceTable:
     generators.
 
     A face's relint test is looked up once per distinct bitset, at its
-    first occurrence: the system ``cones._meet_system`` gives, point-free
-    as ``Cone.relint_meets`` asks, for a cone that exists when it can (a
-    given cone with the face's generator set, which is the same cone,
-    and otherwise the face ``Cone`` built, in the index order of its
+    first occurrence: the system ``cones._meet_system`` gives, which
+    ``Cone.relint_meets`` and CC2 ask too, for a cone that exists when it
+    can (a given cone with the face's generator set, which is the same
+    cone, and otherwise the face ``Cone`` built, in the index order of its
     cone).  The table keeps that system, and each occurrence, the first
     included, calls its ``solve()`` once: every face test is counted, and
     the LP, kept on V too, is solved once.  A face becomes a ``Cone``
@@ -315,7 +319,7 @@ class _FaceTable:
                         and [len(idx) for _, idx, _ in faces].count(1) == len(bits))
         carriers = [(f, c) for f in cc.palette
                     if (c := cc.cone._carrier(self.d._rho_ints[f])) is not None]
-        systems, given, out = self.systems, self.given, []
+        systems, given, v, out = self.systems, self.given, self.d.valuation_cone, []
         for dim, idx, s in faces:
             # cone 0 is numbered first and in order, so its bits are the table's
             b = s if i == 0 else sum(map(bits.__getitem__, idx))
@@ -324,8 +328,7 @@ class _FaceTable:
                 face = given.get(b)
                 if face is None:
                     face = built = self.cone(i, dim, idx)
-                system = systems[b] = cones._meet_system(
-                    [face, self.d.valuation_cone], point_free=True)
+                system = systems[b] = cones._meet_system([face, v])
             if system.solve() is not None:
                 palette = frozenset(f for f, c in carriers if c & s == c) if carriers else _NO_COLORS
                 out.append((dim, idx, b, palette, built))

@@ -563,7 +563,9 @@ class ReferenceCone:
 def reference_relints_meet_in(c1, c2, v):
     """``relints_meet_in`` as it was, with Fraction bounds, solved on the
     Fraction simplex, and a witness summed in Fraction arithmetic; takes
-    ``ReferenceCone`` or ``Cone``."""
+    ``ReferenceCone`` or ``Cone``.  Without c2 the witness is by CC2's
+    rule: the generator sum when ``reference_holds`` finds it in v, else
+    the simplex's."""
     cones = [c1] + ([c2] if c2 is not None else []) + [v]
     n = c1.ambient_rank
     blocks = [c.generators for c in cones]
@@ -592,6 +594,8 @@ def reference_relints_meet_in(c1, c2, v):
     sol = reference_solve(ReferenceSystem(tuple(rows), (0,) * len(rows), tuple(bounds)))
     if sol is None:
         return None
+    if c2 is None and reference_holds(v, generator_sum(c1)):
+        return generator_sum(c1)
     witness = zero_vec(n)
     for i, g in enumerate(blocks[0]):
         witness = tuple(w + sol[offsets[0] + i] * gk for w, gk in zip(witness, g))
@@ -1191,12 +1195,11 @@ def closure_outcome(close, *args):
         return ("CF2", e.witness)
 
 
-def fresh_meet_system(cones: Sequence[Cone], point_free: bool = False) -> FeasibilitySystem:
+def fresh_meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
     """A meet system with nothing kept: the rows of ``_meet_rows`` for
     relint(cones[0]) [∩ relint(cones[1])] ∩ cones[-1], built now, in a new
     system on every call, with no presolve, so each ``solve()`` runs the
-    simplex afresh.  ``point_free`` is ignored: no certificate answers
-    here, whoever asks."""
+    simplex afresh: no certificate answers here."""
     rows, rhs = _meet_rows(cones[0]._cols, cones[0]._col_sums,
                            [(c._neg_cols, c._col_sums) for c in cones[1:]])
     return FeasibilitySystem(rows, rhs, sum(len(c._ints) for c in cones))
@@ -1210,17 +1213,53 @@ def fresh_pair_systems(cs: Sequence[Cone], v: Cone):
             yield i, j, fresh_meet_system([cs[i], cs[j], v])
 
 
+def generator_sum(c) -> Vec:
+    """The sum of c's generators in Fraction arithmetic, the point of
+    relint(c) with every multiplier 1; takes ``ReferenceCone`` or ``Cone``."""
+    return tuple(sum((g[k] for g in c.generators), Fraction(0))
+                 for k in range(c.ambient_rank))
+
+
+def reference_holds(v, x) -> bool:
+    """Whether x = sum(m_j h_j) with every m_j >= 0 over v's generators
+    h_j, by the Fraction eliminator ``reference_feasible``: no facet, no
+    double description and no code of ``Cone._face_facets``."""
+    gens = v.generators
+    rows = [tuple(h[k] for h in gens) for k in range(v.ambient_rank)]
+    return reference_feasible(as_inequalities(rows, x, len(gens)), len(gens))
+
+
+# the library's own, which the CF2 path of the reference below calls
+_relints_meet_in = cones_module.relints_meet_in
+
+
+def fresh_relints_meet_in(c1: Cone, c2, v: Cone):
+    """``cones.relints_meet_in`` on systems with nothing kept: the
+    simplex of ``fresh_meet_system`` decides, and without c2 the witness
+    is by CC2's rule, decided by the references: the Fraction generator
+    sum when ``reference_holds`` finds it in v, else the simplex's."""
+    if c2 is not None:
+        return _relints_meet_in(c1, c2, v)
+    sol = fresh_meet_system([c1, v]).solve()
+    if sol is None:
+        return None
+    x = generator_sum(c1)
+    return x if reference_holds(v, x) else cones_module._witness(c1, sol)
+
+
 def without_kept_systems(fn, *args):
-    """``fn(*args)`` with every meet system made by ``fresh_meet_system``
-    and every CF2 pass by ``fresh_pair_systems``: the all-LP reference for
-    the systems kept on V and for the certificates."""
-    kept = cones_module._meet_system, cones_module._pair_systems
+    """``fn(*args)`` with every meet system made by ``fresh_meet_system``,
+    every CF2 pass by ``fresh_pair_systems`` and every CC2 witness by
+    ``fresh_relints_meet_in``: the all-LP reference for the systems kept
+    on V and for the certificates."""
+    kept = cones_module._meet_system, cones_module._pair_systems, cones_module.relints_meet_in
     cones_module._meet_system = fresh_meet_system
     cones_module._pair_systems = fresh_pair_systems
+    cones_module.relints_meet_in = fresh_relints_meet_in
     try:
         return fn(*args)
     finally:
-        cones_module._meet_system, cones_module._pair_systems = kept
+        cones_module._meet_system, cones_module._pair_systems, cones_module.relints_meet_in = kept
 
 
 def reference_index_certifies(cs: Sequence[Cone], v: Cone) -> list[bool]:

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import sys
+from operator import or_
 from pathlib import Path
 
 import pytest
@@ -525,15 +526,21 @@ class TestOracleCoversThePresolve:
         assert sum(map(presolve_certifies, solved)) == 44
 
     def test_rows_are_built_only_when_read(self, argv, solved, capsys):
+        # 82 solve() calls: 10 CC2 tests, 27 face occurrences (1 for {0},
+        # 2 for each of the 5 rays, 4 for each of the 4 quadrants) and
+        # C(10, 2) = 45 CF2 pairs.  V = Q^2 holds every generator sum, so
+        # each CC2 and face system is certified by the interior point
         code, out = run(capsys, *argv[1:])
         assert (code, out) == run(capsys, *argv)
         without_oracle, with_oracle = solved[:len(solved) // 2], solved[len(solved) // 2:]
         certified = [s.certified_infeasible for s in without_oracle]
+        interior = [s.interior_point for s in without_oracle]
         assert certified == [s.certified_infeasible for s in with_oracle]
-        assert sum(certified) == 44
+        assert interior == [s.interior_point for s in with_oracle]
+        assert (len(without_oracle), sum(certified), sum(interior)) == (82, 44, 37)
         # without the oracle a certified system builds no row and every
         # other one is built by the simplex; the replay reads them all
-        assert [callable(s._rows) for s in without_oracle] == certified
+        assert [callable(s._rows) for s in without_oracle] == list(map(or_, certified, interior))
         assert not any(callable(s._rows) for s in with_oracle)
         assert certified == list(map(presolve_certifies, without_oracle))
 

@@ -14,10 +14,11 @@ from sphfan.fourier_motzkin import feasible
 from sphfan.lp import FeasibilitySystem
 from sphfan.rational import RankMismatchError
 
-from helpers import (as_fractions, eliminate, generator_bland_solve, one_sign_row,
-                     presolve_certifies, reference_feasible, reference_index_certifies,
-                     reference_meet_system, reference_relints_meet_in, reference_shift,
-                     reference_solve, reference_solve_eq_nonneg, shifted_rhs)
+from helpers import (as_fractions, eliminate, generator_bland_solve, generator_sum,
+                     one_sign_row, presolve_certifies, reference_feasible, reference_holds,
+                     reference_index_certifies, reference_meet_system,
+                     reference_relints_meet_in, reference_shift, reference_solve,
+                     reference_solve_eq_nonneg, shifted_rhs)
 
 
 def F(x):
@@ -41,6 +42,13 @@ def certifies(cones):
         return presolve_certifies(reference_meet_system([c._ints for c in cones],
                                                         cones[0].ambient_rank, 0))
     return reference_index_certifies(cones[:2], cones[2])[0]
+
+
+def interior(cones):
+    """Whether ``meet_system(cones)`` should be certified feasible by the
+    interior point: relint(C) ∩ V alone, when V holds C's generator sum
+    (by the Fraction eliminator, with no facet of V)."""
+    return len(cones) == 2 and reference_holds(cones[1], generator_sum(cones[0]))
 
 
 def int_system(a, b):
@@ -294,7 +302,7 @@ class TestInfeasibleRowPresolve:
         monkeypatch.setattr(lp, "_solve_eq_nonneg", recorded)
         rng = random.Random(1512)
         seen = {"separated": 0, "certified": 0, "meets": 0, "apart": 0}
-        repeats = beyond_rows = 0
+        repeats = beyond_rows = interiors = 0
         for _ in range(300):
             n = rng.randint(1, 4)
             separated = rng.random() < 0.5
@@ -339,15 +347,19 @@ class TestInfeasibleRowPresolve:
                 # c1's generators in c1's order
                 assert new.certified_infeasible == certifies(triple)
                 assert new.certified_infeasible >= presolve_certifies(old)
+                assert new.interior_point == interior(triple)
                 beyond_rows += new.certified_infeasible > presolve_certifies(old)
+                interiors += new.interior_point
                 repeat = any(new is s for s in solved)
                 repeats += repeat
                 solved.append(new)
-                assert tableaux == ([] if new.certified_infeasible or repeat
+                assert tableaux == ([] if new.certified_infeasible or new.interior_point or repeat
                                     else [(list(map(tuple, a)), b, new.nvars)])
                 want = reference_solve(old)
                 assert (y is None) == (want is None)
-                if y is not None:
+                if new.interior_point:
+                    assert y == ([], 1)
+                elif y is not None:
                     assert tuple(x + lb for x, lb in zip(as_fractions(y), old.lower_bounds)) == want
             assert relints_meet_in(c1, c2, v) == reference_relints_meet_in(c1, c2, v)
             assert relints_meet_in(c1, None, v) == reference_relints_meet_in(c1, None, v)
@@ -358,7 +370,7 @@ class TestInfeasibleRowPresolve:
                 seen["certified"] += presolve_certifies(system)
                 seen["meets" if x is not None else "apart"] += 1
         assert min(seen.values()) > 20, seen
-        assert repeats > 0 and beyond_rows > 0
+        assert repeats > 0 and beyond_rows > 0 and interiors > 20, interiors
 
 
 def _signed_cone(rng, n):
@@ -418,17 +430,23 @@ class TestSignMaskPresolve:
             system = meet_system(cones)
             tableaux.clear()
             y = system.solve()
+            assert system.interior_point == interior(cones)
             if system.certified_infeasible:
                 # settled with no row built
                 assert y is None and tableaux == [] and callable(system._rows)
+            elif system.interior_point:
+                # settled feasible with no row built, and no point named
+                assert y == ([], 1) and tableaux == [] and callable(system._rows)
             else:
                 a, b, _ = reference_shift(ref)
                 assert tableaux == [(list(map(tuple, a)), b, system.nvars)]
-            assert as_fractions(y) == reference_solve(system)
+            want = reference_solve(system)
+            assert (want is not None) if system.interior_point else as_fractions(y) == want
             assert system.equalities == ref.equalities
             assert system.rhs == shifted_rhs(ref)
-            verdicts.add((system.certified_infeasible, y is None))
-        assert verdicts == {(True, True), (False, True), (False, False)}
+            verdicts.add((system.certified_infeasible, system.interior_point, y is None))
+        assert verdicts == {(True, False, True), (False, True, False),
+                            (False, False, True), (False, False, False)}
 
 
 def test_solve_is_the_only_lp_entry_point():

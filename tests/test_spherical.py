@@ -17,18 +17,20 @@ from sphfan.spherical import (ColoredCone, ColoredFan, ColoredFanReport, FanAxio
                               colored_faces, faces_closure, fans_equal,
                               is_strictly_convex_colored,
                               is_strictly_convex_fan, maximal_cones,
-                              orbit_count, validate_colored_cone,
+                              orbit_count, relint_meets_cone, validate_colored_cone,
                               validate_colored_fan)
 
 from helpers import (KeyOnlyColoredFan, closure_outcome, cube_face_fan, cyclic_garbage, dot,
-                     fresh_meet_system, intersect_cc1, key_only_faces_closure,
+                     fm_relint_meets_cone, fresh_meet_system, generator_sum,
+                     intersect_cc1, key_only_faces_closure,
                      key_only_validate_colored_fan, load_perfbench,
                      pre_table_colored_faces, pre_table_faces_closure,
                      pre_table_maximal_cones, pre_table_validate_colored_fan,
                      presolve_certifies, random_cone, random_datum,
                      random_valid_colored_cone, random_vec, reference_colored_faces,
-                     reference_contains, reference_index_certifies, reference_meet_system,
-                     reference_relints_meet_in, without_kept_systems)
+                     reference_contains, reference_holds, reference_index_certifies,
+                     reference_meet_system, reference_relints_meet_in,
+                     without_kept_systems)
 
 bench_inputs = load_perfbench("inputs")
 
@@ -372,32 +374,29 @@ class TestSimplexRuns:
       3,125 = 32,771 for n = 5.
     - Two distinct members differ on some axis, where one is nonzero and
       the other has no entry of its sign, so the infeasible-row presolve
-      settles every CF2 pair.  V has entries of both signs on every axis,
-      so no (cone, V) system is settled.  Each face of a member is a
-      member, on the same generators in the same order, so the CC2 and
-      face tests ask 3^n distinct systems, each solved once: 27, 81 and
-      243 simplex runs (152 = 27 + 125 and 706 = 81 + 625 when every test
-      ran its own).
-    - CC2 asks each member before ``colored_faces`` does, and reads a
-      point, so the face tests of validation find systems the simplex
-      solved: the interior-point certificate changes no count above.
+      settles every CF2 pair.  Each face of a member is a member, on the
+      same generators in the same order, so the CC2 and face tests ask
+      3^n distinct systems: 27, 81 and 243.  V = Q^n holds every
+      generator sum, so each of them is certified feasible by an interior
+      point, and CC2 takes that sum as its witness.  So validation runs
+      the simplex 0 times.  (That was 27, 81 and 243 runs while CC2 read
+      the simplex's point, and 152 = 27 + 125 and 706 = 81 + 625 when
+      every test ran its own.)
     - ``faces_closure`` from the 2^n maximal cones calls ``solve()``
       2^n · 2^n times for faces and C(3^n, 2) times for CF2: for n = 4,
       256 + 3,240 = 3,496 calls, and for n = 5, 1,024 + 29,403 = 30,427.
-      It runs the simplex 0 times.  Each face test is asked first by the
-      face table, point-free as ``Cone.relint_meets`` asks it, and
-      V = Q^n holds every generator sum, so each of the 3^n distinct
-      face systems is certified feasible by an interior point; the CF2
-      pairs are all settled by the presolve, as above.  (That was 81
-      runs for n = 4 with one run per distinct face, and 256 when every
-      face test ran its own.)
+      It runs the simplex 0 times, for the same two reasons: each of the
+      3^n distinct face systems is certified feasible by an interior
+      point, and the presolve settles every CF2 pair.  (That was 81 runs
+      for n = 4 with one run per distinct face, and 256 when every face
+      test ran its own.)
     """
 
-    @pytest.mark.parametrize("n, calls, runs, closure_calls",
+    @pytest.mark.parametrize("n, calls, members, closure_calls",
                              [(3, 503, 27, 64 + 351), (4, 3946, 81, 256 + 3240),
                               (5, 32771, 243, 1024 + 29403)])
     @pytest.mark.parametrize("colored", [False, True])
-    def test_complete_p1(self, monkeypatch, n, calls, runs, closure_calls, colored):
+    def test_complete_p1(self, monkeypatch, n, calls, members, closure_calls, colored):
         counts = Counter()
         simplex, solve = lp._solve_eq_nonneg, lp.FeasibilitySystem.solve
 
@@ -413,12 +412,13 @@ class TestSimplexRuns:
         f = bench_inputs.p1_fan(random.Random(1), n, n, n if colored else 0)
         assert validate_colored_fan(bench_inputs.build_p1_datum(f),
                                     ColoredFan(bench_inputs.build_p1_cones(f))).ok
-        assert counts == {"calls": calls, "runs": runs}
+        assert counts == {"calls": calls}
+        assert counts["runs"] == 0
         assert calls == f.validate_lp_calls
         counts.clear()
         fan = faces_closure(bench_inputs.build_p1_datum(f),
                             bench_inputs.build_p1_cones(f, maximal_only=True))
-        assert len(fan) == f.n_cones == runs
+        assert len(fan) == f.n_cones == members == 3 ** n
         assert counts == {"calls": closure_calls}
         assert counts["runs"] == 0
 
@@ -430,9 +430,12 @@ class TestSimplexRuns:
         Validation calls ``solve()`` 3,240 + 81 + 625 = 3,946 times: the
         cone over an f-face has 3^f + 1 faces, and summing over the 2^(4-f)
         C(4, f) f-faces, plus {0}'s one, gives 32 + 128 + 240 + 224 + 1.
-        It runs the simplex 81 times, one CC2 test per member:
+        It runs the simplex 0 times (81 while CC2 read the simplex's point,
+        one run per member):
         - each face of a member is a member on the same generators in the
-          same order, so the face tests find the systems CC2 solved;
+          same order, so the face tests find the systems CC2 made, and V
+          holds every generator sum, so each is certified feasible by an
+          interior point;
         - no CF2 pair reaches the simplex.  Members over the faces s != t
           have disjoint relative interiors, and the index shows it.  If
           s_k = -t_k != 0 for some k, the axis x_k splits them, which the
@@ -442,7 +445,7 @@ class TestSimplexRuns:
           which have v_l = t_l, with one < 0, at v_k = -s_k.  {0} lies on
           every axis, where every other member is one-signed.
         With the sign masks alone, 1,080 pairs, split by no axis, ran the
-        simplex: 1,161 runs.
+        simplex: 1,161 runs, with the 81 CC2 runs of that time.
 
         ``faces_closure`` from the 8 maximal cones calls ``solve()``
         8 · 28 + 3,240 = 3,464 times and runs the simplex 0 times: V holds
@@ -464,7 +467,8 @@ class TestSimplexRuns:
         d, fan = cube_face_fan(4)
         assert len(fan) == 81
         assert validate_colored_fan(d, fan).ok
-        assert counts == {"calls": 3946, "runs": 81}
+        assert counts == {"calls": 3946}
+        assert counts["runs"] == 0
         counts.clear()
         maximal = [cc for cc in fan if cc.cone.dim == 4]
         assert len(maximal) == 8
@@ -497,9 +501,9 @@ class TestFaceTableReuse:
             counts["solve", phase[0]] += 1
             return solve(system)
 
-        def counted_make(cs, point_free=False):
+        def counted_make(cs):
             counts["lookup", phase[0]] += 1
-            return make(cs, point_free)
+            return make(cs)
 
         def cf1(*args):
             phase[0] = "CF1"
@@ -537,11 +541,12 @@ class TestSignMasks:
     Validating the complete colored P1^3 fan asks 351 CF2 systems, 27 CC2
     systems and 125 face systems (see ``TestSimplexRuns``).  No CF2
     system is kept, and the CF2 pass reads the masks of all 27 members
-    and of V once, for its index.  The CC2 systems, one per member, read
-    those same masks.  Each face is a fresh cone on a member's generators in the
-    member's order, so its system is the member's kept one and it
-    computes no mask.  That makes 27 + 1 = 28 computes, against 153 =
-    28 + 125 when every face computed its own before the lookup.
+    and of V once, for its index.  The CC2 systems, one per member, are
+    certified feasible by an interior point, so they read no mask.  Each
+    face is a fresh cone on a member's generators in the member's order,
+    so its system is the member's kept one and it computes no mask.  That
+    makes 27 + 1 = 28 computes, against 153 = 28 + 125 when every face
+    computed its own before the lookup.
     """
 
     def test_complete_colored_p1_computes_one_mask_per_cone(self, monkeypatch):
@@ -1225,9 +1230,14 @@ class TestKeptMeetSystems:
             system = cones._meet_system([c, v])
             assert cones._meet_system([Cone._of_ints(d.rank, c._ints), v]) is system
             want = fresh_meet_system([c, v]).solve()
+            if system.interior_point:
+                # the certificate's answer names no point; a fresh system
+                # must find one
+                assert want is not None
+                want = ([], 1)
             first = system.solve()
             assert first == system.solve() == want
-            answers[first is None] += 1
+            answers[system.interior_point, first is None] += 1
             if first is not None:
                 # the caller owns the list it got; the next answer is kept
                 first[0].append(1)
@@ -1235,25 +1245,33 @@ class TestKeptMeetSystems:
                 assert system.solve() == want
                 assert system.solve()[0] is not system.solve()[0]
             assert relints_meet_in(c, None, v) == reference_relints_meet_in(c, None, v)
-        assert min(answers.values()) > 20, answers
+        # many are feasible and many infeasible, and of the feasible ones
+        # some are certified and some solved by the simplex
+        feasible = answers[True, False] + answers[False, False]
+        assert min(feasible, answers[False, True]) > 20, answers
+        assert min(answers[True, False], answers[False, False]) > 10, answers
 
 
 class TestInteriorPointCertificate:
-    """A face test (``Cone.relint_meets``) whose system meets V at the
-    face's generator sum is certified feasible and runs no simplex.  On
-    random data with a proper V, every certified system must be feasible
-    for the simplex and for Fourier-Motzkin, ``colored_faces`` must equal
-    its all-simplex reference, and a CC2 witness asked after a certified
-    face test of the same cone must still be the simplex's."""
+    """A relint(C) ∩ V system (``cones._meet_system``) whose C has its
+    generator sum in V is certified feasible and runs no simplex, whoever
+    asks: a face test (``Cone.relint_meets``) or CC2.  On random data with
+    a proper V, a system must be certified exactly when a reference that
+    reads no facet of V finds the sum in V, every certified system must
+    be feasible for the simplex and for Fourier-Motzkin, ``colored_faces``
+    must equal its all-simplex reference, and a CC2 test asked after a
+    certified face test of the same cone must take the kept system and
+    give the generator sum as its witness."""
 
     def test_certified_systems_are_feasible(self, monkeypatch):
         rng = random.Random(31)
         certified, asked = [], Counter()
         make = cones._meet_system
 
-        def recorded(cs, point_free=False):
-            system = make(cs, point_free)
-            asked[point_free, system.interior_point] += 1
+        def recorded(cs):
+            system = make(cs)
+            assert system.interior_point == reference_holds(cs[1], generator_sum(cs[0]))
+            asked[system.interior_point] += 1
             if system.interior_point:
                 certified.append((cs, system))
             return system
@@ -1263,33 +1281,80 @@ class TestInteriorPointCertificate:
             cc = random_top(rng, d)
             got = colored_faces(d, cc)
             assert repr(got) == repr(without_kept_systems(colored_faces, d, cc))
+            assert validate_colored_cone(d, cc) == without_kept_systems(validate_colored_cone, d, cc)
         for cs, system in certified:
             assert system.solve() == ([], 1)
             assert fresh_meet_system(cs).solve() is not None
             assert fourier_motzkin.feasible(system.equalities, system.rhs, system.nvars)
-        # only face tests are certified, and many are while many are not
-        assert asked[False, True] == 0
-        assert len(certified) > 200 and asked[True, False] > 100, asked
+        # many systems are certified and many are not
+        assert len(certified) > 200 and asked[False] > 100, asked
 
     def test_cc2_after_a_certified_face_test(self):
         rng = random.Random(37)
-        replaced = 0
+        kept = 0
         for _ in range(150):
             d = proper_datum(rng, max_rank=4)
             v = d.valuation_cone
             fan = faces_closure(d, [random_top(rng, d)])
-            before = {cc.cone._ints: v._meets[cc.cone._ints].interior_point for cc in fan}
+            before = {cc.cone._ints: v._meets[cc.cone._ints] for cc in fan}
             got = validate_colored_fan(d, fan)
             assert report_form(got) == report_form(
                 without_kept_systems(validate_colored_fan, d, fan))
             for cc, r in zip(fan, got.cone_reports):
                 assert r.cc2_witness == reference_relints_meet_in(cc.cone, None, v)
                 system = v._meets[cc.cone._ints]
-                assert not system.interior_point
-                replaced += before[cc.cone._ints]
+                assert system is before[cc.cone._ints]
+                if system.interior_point:
+                    assert r.cc2_witness == generator_sum(cc.cone)
+                    kept += 1
         # most members were certified by the closure's face tests, and
-        # CC2 replaced each with a system the simplex solves
-        assert replaced > 200, replaced
+        # CC2 took each kept system, with the generator sum as its witness
+        assert kept > 200, kept
+
+
+def simplex_point(c: Cone, sol) -> tuple:
+    """The point of relint(c) that a meet system's solution names, summed
+    in Fraction arithmetic from c's public generators: the multipliers
+    are y / d shifted by 1."""
+    y, d = sol
+    return tuple(sum((((Fraction(yi, d) + 1) * g[k]) for yi, g in zip(y, c.generators)),
+                     Fraction(0)) for k in range(c.ambient_rank))
+
+
+class TestCC2WitnessRule:
+    """CC2's witness and ``relint_meets_cone``'s are by one rule: the sum
+    of C's generators when V holds it, otherwise the point of the simplex
+    on a fresh system (``fresh_meet_system``), otherwise None.  On random
+    data with a proper V (``proper_datum``, and ``random_datum``, whose V
+    is the whole space half the time), for a random cone and its faces,
+    each asked on a V of its own so that neither asker finds the other's
+    kept system: the sum is taken exactly when ``reference_holds``, which
+    reads V's generators and no facet, finds it in V; a witness lies in
+    relint(C) and in V; and the verdict is Fourier-Motzkin's."""
+
+    def test_witness_by_rule(self):
+        rng = random.Random(2101)
+        seen = Counter()
+        for i in range(240):
+            d = proper_datum(rng, max_rank=4) if i % 2 else random_datum(rng, max_rank=4)
+            vgens = d.valuation_cone.generators
+            top = (random_top(rng, d).cone if vgens else
+                   Cone(d.rank, [random_vec(rng, d.rank, -2, 2) for _ in range(d.rank)]))
+            for c in top.faces():
+                x = generator_sum(c)
+                sol = fresh_meet_system([c, d.valuation_cone]).solve()
+                holds = reference_holds(d.valuation_cone, x)
+                want = x if holds else None if sol is None else simplex_point(c, sol)
+                cc2 = validate_colored_cone(SphericalDatum(d.rank, Cone(d.rank, vgens)),
+                                            ColoredCone(c)).cc2_witness
+                v = Cone(d.rank, vgens)
+                assert cc2 == relint_meets_cone(c, v) == want
+                assert (want is not None) == fm_relint_meets_cone(c, v)
+                if want is not None:
+                    assert c.relint_contains(want) and v.contains(want)
+                seen["sum" if holds else "simplex" if sol is not None else "none"] += 1
+                seen["sum, not the simplex's"] += holds and simplex_point(c, sol) != x
+        assert min(seen.values()) > 30, seen
 
 
 class TestHyperplaneIndex:
