@@ -640,12 +640,10 @@ def _pair_rows(c1: Cone, c2: Cone, v: Cone) -> tuple[tuple, tuple]:
 def _witness(c1: Cone, sol: tuple[list[int], int]) -> Vec:
     """The point of relint(c1) a meet system's solution names: int
     numerators y over d > 0, with c1's multipliers shifted by 1, so
-    l = (y + d) / d.  The one place that makes a Fraction of it; over
-    d = 1 each coordinate is ``Fraction(int)``, which runs no gcd."""
+    l = (y + d) / d.  The one place that makes a Fraction of it."""
     y, d = sol
     nums = [x + d for x in y[:len(c1._ints)]]
-    sums = [sum(map(mul, nums, col)) for col in c1._cols]
-    return tuple(map(Fraction, sums)) if d == 1 else tuple(Fraction(s, d) for s in sums)
+    return tuple(Fraction(sum(map(mul, nums, col)), d) for col in c1._cols)
 
 
 def relints_meet_in(c1: Cone, c2: Optional[Cone], v: Cone) -> Optional[Vec]:

@@ -16,11 +16,11 @@ rational tableau, where d > 0 is the last pivot (1 before the first).
 Signs and ratio comparisons are therefore those of the rational tableau,
 so Bland's rule takes the same pivots, and the witness, int numerators
 over d, is the same rational point.  A pivot on p = tab[r][e] sets each
-entry x of another row to (x*p - f*y) / d, f being that row's entry in
-column e and y the pivot row's in x's column, an exact division.  When
-p == d, d divides x*d - f*y and so f*y: the update is x - f*y // d, and
-x - f*y when d is also 1, as in every pivot of the P1 fans; a row with
-f == 0 stays as it is.  Only a pivot with p != d rescales every row.
+entry x of every other row to (x*p - f*y) / d, f being that row's entry
+in column e and y the pivot row's in x's column, an exact division, one
+update for every pivot.  The simplex runs only on the systems no
+certificate settles: none in a round of the benchmark's P1 fans or cube
+cones, and ten in a round of its twisted fans.
 
 Certificates in the manner of LP presolve (Andersen & Andersen,
 "Presolving in linear programming", Math. Programming 71, 1995) are
@@ -110,40 +110,29 @@ def _solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int],
     d = 1
 
     while True:
-        for enter in range(n):
-            if cost[enter] < 0:
-                break
-        else:
+        enter = next((j for j in range(n) if cost[j] < 0), None)
+        if enter is None:
             break
         leave = None
         for i in range(m):
-            row = tab[i]
-            t = row[enter]
+            t = tab[i][enter]
             if t > 0:
                 # ratio rhs_i / t, compared by cross-multiplication
                 if leave is None:
-                    leave, num, den = i, row[-1], t
+                    leave, num, den = i, tab[i][-1], t
                     continue
-                lhs, rhs = row[-1] * den, num * t
+                lhs, rhs = tab[i][-1] * den, num * t
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave, num, den = i, row[-1], t
+                    leave, num, den = i, tab[i][-1], t
         if leave is None:
             # phase-1 objective is bounded below by 0, so this cannot happen
             raise RuntimeError("unbounded phase-1 problem")
         prow = tab[leave]
         p = prow[enter]
         for i, row in enumerate(tab):
-            f = row[enter]
-            if i == leave or not f and p == d:
-                continue
-            if p != d:
-                tab[i] = ([(x * p - f * y) // d for x, y in zip(row, prow)] if f
-                          else [x * p // d for x in row])
-            elif d == 1:
-                tab[i] = [x - f * y for x, y in zip(row, prow)]
-            else:
-                # d divides x * d - f * y, so it divides f * y
-                tab[i] = [x - f * y // d for x, y in zip(row, prow)]
+            if i != leave:
+                f = row[enter]
+                tab[i] = [(x * p - f * y) // d for x, y in zip(row, prow)]
         cost = tab[m]
         d = p
         basis[leave] = enter

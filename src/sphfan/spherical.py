@@ -15,9 +15,11 @@ The colored faces of a list of colored cones are found once, on one
 generator numbering (``_FaceTable``): a face is the int bitset of the
 generators it holds, read off facet–generator incidences as in Kaibel
 and Pfetsch, "Computing the face lattice of a polytope from its
-vertex-facet incidences" (2002).  CF1, ``maximal_cones``, the face
-closure and ``colored_faces`` all read such a table, and a face becomes a
-``Cone`` only when it is tested, reported or kept.
+vertex-facet incidences" (2002).  CC1 and CC2, CF1, ``maximal_cones``,
+the face closure and ``colored_faces`` all read such a table, which
+checks each cone against the datum and locates each of its rho images
+once, and a face becomes a ``Cone`` only when it is tested, reported or
+kept.
 """
 
 from __future__ import annotations
@@ -220,37 +222,9 @@ def _check(d: SphericalDatum, cc: ColoredCone) -> None:
 
 
 def validate_colored_cone(d: SphericalDatum, cc: ColoredCone) -> ColoredConeReport:
-    """Decide CC1 and CC2 independently, with witnesses.
-
-    CC1 is equivalent to: rho(palette) lies in the cone, and the cone is
-    regenerated by rho(palette) together with generators of its
-    intersection with V.  A cone whose generators all lie in V is its
-    own intersection with V, so then CC1 holds with no intersection;
-    otherwise the regenerated cone is compared by ``cones_equal``, by
-    generator set first and otherwise by canonical key.  CC1 holds iff
-    ``cc1_detail``, the first failed test, is empty.
-
-    CC2's witness is by rule (``relints_meet_in``): the sum of the
-    generators, a point of relint(C), when V holds it, with no simplex
-    run; otherwise the simplex's point, or None when relint(C) misses V.
-    """
-    _check(d, cc)
-    c = cc.cone
-    v = d.valuation_cone
-    palette = sorted(cc.palette)
-
-    detail = ""
-    outside = next((f for f in palette if c._face_facets(d._rho_ints[f]) is None), None)
-    if outside is not None:
-        detail = f"rho({outside}) lies outside the cone"
-    elif not v._holds(c._ints):
-        regen = Cone(d.rank, [d._rho_ints[f] for f in palette] + list(c.intersect(v)._ints))
-        if not cones_equal(regen, c):
-            detail = "cone is not generated by rho(palette) and cone ∩ V"
-
-    witness = relint_meets_cone(c, v)
-    return ColoredConeReport(cc1=not detail, cc2=witness is not None,
-                             cc2_witness=witness, cc1_detail=detail)
+    """Decide CC1 and CC2 independently, with witnesses: the report of
+    the face table over [cc] (``_FaceTable.report``)."""
+    return _FaceTable(d, [cc]).report(0)
 
 
 def is_strictly_convex_colored(d: SphericalDatum, cc: ColoredCone) -> bool:
@@ -285,18 +259,20 @@ class _FaceTable:
     face kept from the cone that built it for the test is that Cone.
 
     Each cone's rank and palette are checked against the datum (``_check``)
-    as it is numbered, unless ``checked`` says its caller has checked
-    them, as ``validate_colored_fan`` has, cone by cone, in
-    ``validate_colored_cone``.
+    as it is numbered, and each color f of its palette is located once, as
+    the pair (f, carrier of rho(f)), or (f, None) when rho(f) lies outside
+    the cone: CC1 (``report``) and the palettes of the faces (``colored``)
+    read those pairs, so each (cone, color) is one rho test.
     """
 
-    def __init__(self, d: SphericalDatum, ccs: Sequence[ColoredCone], checked: bool = False):
+    def __init__(self, d: SphericalDatum, ccs: Sequence[ColoredCone]):
         number: dict[tuple[int, ...], int] = {}
-        self.bits = []
+        self.bits, self.carriers = [], []
         for cc in ccs:
-            if not checked:
-                _check(d, cc)
+            _check(d, cc)
             self.bits.append([1 << number.setdefault(g, len(number)) for g in cc.cone._ints])
+            self.carriers.append([(f, cc.cone._carrier(d._rho_ints[f]))
+                                  for f in sorted(cc.palette)])
         self.d, self.ccs, self.sets = d, ccs, [sum(bits) for bits in self.bits]
         # the first given cone on each bitset, which its relint test asks
         self.given = {s: cc.cone for s, cc in reversed(list(zip(self.sets, ccs)))}
@@ -304,6 +280,37 @@ class _FaceTable:
         self.systems = {}
         # every cone read so far is pointed, its generators extreme rays
         self.extreme = True
+
+    def report(self, i: int) -> ColoredConeReport:
+        """CC1 and CC2 of cone i, decided independently, with witnesses.
+
+        CC1 is equivalent to: rho(palette) lies in the cone, and the cone
+        is regenerated by rho(palette) together with generators of its
+        intersection with V.  A color whose carrier is None lies outside.
+        A cone whose generators all lie in V is its own intersection with
+        V, so then CC1 holds with no intersection; otherwise the
+        regenerated cone is compared by ``cones_equal``, by generator set
+        first and otherwise by canonical key.  CC1 holds iff
+        ``cc1_detail``, the first failed test, is empty.
+
+        CC2's witness is by rule (``relints_meet_in``): the sum of the
+        generators, a point of relint(C), when V holds it, with no simplex
+        run; otherwise the simplex's point, or None when relint(C) misses
+        V."""
+        d, c, carriers = self.d, self.ccs[i].cone, self.carriers[i]
+        v = d.valuation_cone
+        detail = ""
+        outside = next((f for f, s in carriers if s is None), None)
+        if outside is not None:
+            detail = f"rho({outside}) lies outside the cone"
+        elif not v._holds(c._ints):
+            regen = Cone(d.rank, [d._rho_ints[f] for f, _ in carriers] + list(c.intersect(v)._ints))
+            if not cones_equal(regen, c):
+                detail = "cone is not generated by rho(palette) and cone ∩ V"
+
+        witness = relint_meets_cone(c, v)
+        return ColoredConeReport(cc1=not detail, cc2=witness is not None,
+                                 cc2_witness=witness, cc1_detail=detail)
 
     def colored(self, i: int) -> list[tuple[int, list[int], int, frozenset[str],
                                              Optional[Cone]]]:
@@ -317,8 +324,7 @@ class _FaceTable:
         # the bottom face is {0} and each generator is a face of its own
         self.extreme = (self.extreme and faces[0] == (0, [], 0)
                         and [len(idx) for _, idx, _ in faces].count(1) == len(bits))
-        carriers = [(f, c) for f in cc.palette
-                    if (c := cc.cone._carrier(self.d._rho_ints[f])) is not None]
+        carriers = [(f, c) for f, c in self.carriers[i] if c is not None]
         systems, given, v, out = self.systems, self.given, self.d.valuation_cone, []
         for dim, idx, s in faces:
             # cone 0 is numbered first and in order, so its bits are the table's
@@ -356,15 +362,13 @@ def colored_faces(d: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
     return [table.colored_cone(0, *face) for face in table.colored(0)]
 
 
-def _face_members(d: SphericalDatum, fan: ColoredFan, checked: bool = False
+def _face_members(table: _FaceTable, fan: ColoredFan
                   ) -> Iterator[tuple[int, Optional[int], Optional[ColoredCone]]]:
-    """(i, j, face) for each colored face of each member i, from one face
+    """(i, j, face) for each colored face of each member i, from the face
     table over the members: j is the position of the member equal to the
     face, or None.  A member with the face's bitset and palette is it;
     otherwise the face becomes a ``ColoredCone``, also yielded, and asks
-    ``fan.index``, for members given with other generators.  ``checked``
-    is the table's: the members were checked by the caller."""
-    table = _FaceTable(d, fan.cones, checked)
+    ``fan.index``, for members given with other generators."""
     members = {(s, cc.palette): i for i, (s, cc) in enumerate(zip(table.sets, fan))}
     for i in range(len(fan)):
         for face in table.colored(i):
@@ -375,12 +379,13 @@ def _face_members(d: SphericalDatum, fan: ColoredFan, checked: bool = False
 
 def validate_colored_fan(d: SphericalDatum, fan: ColoredFan) -> ColoredFanReport:
     """Per-cone CC1/CC2, then CF1 (face closure) and CF2 (pairwise).
-    CF1 reads the face table over the members, which checks no member
-    again: ``validate_colored_cone`` has checked each.  Each member's
-    missing faces are listed by dimension, then by generator indices."""
-    reports = tuple(validate_colored_cone(d, cc) for cc in fan)
-
-    cf1_missing = [(i, face) for i, j, face in _face_members(d, fan, True) if j is None]
+    One face table over the members checks each against the datum and
+    locates its rho images once; its reports are CC1/CC2, and CF1 reads
+    its faces.  Each member's missing faces are listed by dimension, then
+    by generator indices."""
+    table = _FaceTable(d, fan.cones)
+    reports = tuple(map(table.report, range(len(fan))))
+    cf1_missing = [(i, face) for i, j, face in _face_members(table, fan) if j is None]
     cf2_failures = list(_cf2_failures(d, fan.cones))
     return ColoredFanReport(
         cone_reports=reports,
@@ -408,7 +413,7 @@ def maximal_cones(d: SphericalDatum, fan: ColoredFan) -> list[ColoredCone]:
 
     The fan is "simple" (one closed orbit) iff exactly one maximal cone.
     """
-    proper = {j for i, j, _ in _face_members(d, fan) if j != i}
+    proper = {j for i, j, _ in _face_members(_FaceTable(d, fan.cones), fan) if j != i}
     return [cc for i, cc in enumerate(fan) if i not in proper]
 
 

@@ -159,12 +159,12 @@ def reference_solve_eq_nonneg(a, b):
 def generator_bland_solve(a, b, n: int, seen=None):
     """The fraction-free Bland simplex ``lp._solve_eq_nonneg`` replaced,
     its body kept as it was (the entering column from ``next()`` over a
-    generator, each row looked up twice in the ratio test), as the
-    reference the leaner loop must match in (y, d).  ``seen``, a Counter if given,
-    counts the pivots with p != d, with p == d == 1 and with p == d > 1,
-    whose row updates the leaner loop takes by three branches, and the
-    ratio ties broken by the lower basis index, so a test can show it met
-    each."""
+    generator, each row looked up twice in the ratio test, a row with
+    f == 0 rescaled only when p != d), as the reference that loop must
+    match in (y, d).  ``seen``, a Counter if given, counts the pivots with
+    p != d, with p == d == 1 and with p == d > 1, on all of which that
+    loop takes its one row update, and the ratio ties broken by the lower
+    basis index, so a test can show it met each."""
     tab = [list(row) + [r] if r >= 0 else [-x for x in row] + [-r]
            for row, r in zip(a, b)]
     m = len(tab)

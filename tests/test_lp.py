@@ -211,13 +211,12 @@ class TestAgainstFractionSimplex:
 
 
 class TestAgainstGeneratorBland:
-    """The Bland loop that finds the entering column by a ``for``/``else``
-    loop and updates a row by ``x - f*y`` when p == d == 1 and by
-    ``x - f*y // d`` when p == d > 1, against the loop it replaced
-    (``generator_bland_solve``): the same (y, d) on random int systems
-    with entries -4..4, where pivots with p != d, with p == d == 1 and
-    with p == d > 1 and ratio ties all occur, and on systems with no row
-    or no column."""
+    """The Bland loop, whose one row update ``(x*p - f*y) // d`` serves
+    every pivot, against the loop it replaced (``generator_bland_solve``):
+    the same (y, d) on random int systems with entries -4..4, where the
+    pivot mix covers that update on p != d pivots and on p == d pivots,
+    both with d == 1 and with d > 1, ratio ties occur, and on systems
+    with no row or no column."""
 
     def test_same_numerators_and_denominator(self):
         rng = random.Random(2011)

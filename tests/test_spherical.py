@@ -130,9 +130,10 @@ class TestValidateColoredCone:
 
 
 class TestEachMemberCheckedOnce:
-    """``validate_colored_fan`` checks each member's rank and palette once:
-    in ``validate_colored_cone``, whose checked members its face table
-    does not check again.  Every other entry point still checks them."""
+    """``validate_colored_fan`` checks each member's rank and palette once
+    and tests each of its rho images once, in its one face table: CC1 and
+    the face palettes read the same carriers.  Every other entry point
+    still checks them."""
 
     def test_complete_colored_p1_cubed(self, monkeypatch):
         counts = Counter()
@@ -146,6 +147,41 @@ class TestEachMemberCheckedOnce:
         monkeypatch.setattr(SphericalDatum, "check_colors", counted)
         assert validate_colored_fan(d, fan).ok
         assert counts == {"check_colors": 27}
+
+    def test_one_rho_test_per_member_and_color(self, monkeypatch):
+        # a rho test is Cone._face_facets on a rho image by a member's cone;
+        # the 27 members carry 27 (member, color) pairs in all, and CC1 and
+        # the face table once tested each pair apart (54 tests)
+        f = bench_inputs.p1_fan(random.Random(1), 3, 3, 3)
+        d, fan = bench_inputs.build_p1_datum(f), ColoredFan(bench_inputs.build_p1_cones(f))
+        assert sum(len(cc.palette) for cc in fan) == 27
+        images, face_facets, tests = set(d._rho_ints.values()), Cone._face_facets, [0]
+
+        def counted(c, xi):
+            tests[0] += c is not d.valuation_cone and tuple(xi) in images
+            return face_facets(c, xi)
+        monkeypatch.setattr(Cone, "_face_facets", counted)
+        assert validate_colored_fan(d, fan).ok
+        assert tests == [27]
+
+    def test_every_member_is_checked_before_any_lp(self, monkeypatch):
+        # the last member's unknown color raises before any solve() call,
+        # with the message validate_colored_cone gives that member alone
+        f = bench_inputs.p1_fan(random.Random(1), 3, 3, 3)
+        d, members = bench_inputs.build_p1_datum(f), bench_inputs.build_p1_cones(f)
+        bad = ColoredCone(members[-1].cone, ["nope"])
+        with pytest.raises(UnknownColorError) as alone:
+            validate_colored_cone(d, bad)
+        calls, solve = [0], lp.FeasibilitySystem.solve
+
+        def counted(system):
+            calls[0] += 1
+            return solve(system)
+        monkeypatch.setattr(lp.FeasibilitySystem, "solve", counted)
+        with pytest.raises(UnknownColorError) as raised:
+            validate_colored_fan(d, ColoredFan(members + [bad]))
+        assert raised.value.args == alone.value.args == ("unknown colors: ['nope']",)
+        assert calls == [0]
 
     def test_every_entry_point_still_checks(self):
         d = p1_datum()
