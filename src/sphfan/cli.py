@@ -146,17 +146,22 @@ def cmd_faces(args) -> int:
     ok = True
     faces_out = []
     for idx, cc in targets:
-        r = spherical.validate_colored_cone(d, cc)
+        # one face table gives the cone's report and its colored faces, so
+        # each (cone, color) is located once; a face is listed straight
+        # from the table, on the cone's generators in index order
+        table = spherical._FaceTable(d, [cc])
+        r = table.report(0)
         checks += _cone_checks(f"cone[{idx}]", r)
         if not r.ok:
             ok = False
             continue
-        for face in spherical.colored_faces(d, cc):
+        gens = cc.cone._ints
+        for dim, face, _, palette, _ in table.colored(0):
             faces_out.append({
                 "of": idx,
-                "dim": face.cone.dim,
-                "generators": [_fmt_vec(g) for g in face.cone._ints],
-                "colors": sorted(face.palette),
+                "dim": dim,
+                "generators": [_fmt_vec(gens[k]) for k in face],
+                "colors": sorted(palette),
             })
     faces_out.sort(key=lambda f: (f["dim"], f["of"]))
     return _emit({"checks": checks, "faces": faces_out}, ok)

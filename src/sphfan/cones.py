@@ -5,8 +5,9 @@ description is computed lazily on ints by an incremental double
 description pass and cached, and the canonical key is read off it.  The
 same pass gives each facet's tight set as an int bitset over the
 generators, and one walk, ``Cone._ordered_faces``, closes the face
-lattice on those bitsets and lists the faces in order; ``Cone.faces`` and
-the face table of :mod:`sphfan.spherical` both read it.
+lattice on those bitsets and lists the faces in order, or, for a
+simplicial cone, lists the subsets of its generators with no closure;
+``Cone.faces`` and the face table of :mod:`sphfan.spherical` both read it.
 Point questions (x in C, x in relint C, the face holding x) and the
 dimension are read off it with no LP.  Only whether relative interiors
 meet inside V needs one: int rows A and an int rhs b with y >= 0 (see
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, combinations
 from operator import mul, neg
 from typing import Iterable, Iterator, Optional, Sequence
 
@@ -471,12 +472,21 @@ class Cone(Frozen):
     def _ordered_faces(self) -> list[tuple[int, list[int], int]]:
         """(dimension, generator indices, bitset) of every face, self and
         the minimal face included, each once, by dimension and then by
-        generator indices: ``_face_lattice`` on the facets' tight sets
-        (``_idual``), each face decoded once, visiting only its set bits,
-        into the index list that is both its sort key and its generators.
-        The one face walk: ``faces`` and the face table of
-        :mod:`sphfan.spherical` read it."""
-        dims = _face_lattice((1 << len(self._ints)) - 1, self._idual[2], self.dim)
+        generator indices.  The one face walk: ``faces`` and the face
+        table of :mod:`sphfan.spherical` read it.
+
+        A cone with as many generators as its dimension is simplicial:
+        its generators are linearly independent, so every subset of them
+        spans a face of dimension its size, and the faces are the Boolean
+        lattice of the subsets (``_subsets``), listed with no closure.
+        Any other cone's come from ``_face_lattice`` on the facets' tight
+        sets (``_idual``), each face decoded once, visiting only its set
+        bits, into the index list that is both its sort key and its
+        generators."""
+        k = len(self._ints)
+        if k == self.dim:
+            return _subsets(k)
+        dims = _face_lattice((1 << k) - 1, self._idual[2], self.dim)
         return sorted([(d, _bits(s), s) for s, d in dims.items()])
 
     def faces(self) -> list["Cone"]:
@@ -521,6 +531,14 @@ def _face_lattice(top: int, tight_sets: Sequence[int], dim: int) -> dict[int, in
                     dims[u] = d
                     layers[u.bit_count()].append(u)
     return dims
+
+
+def _subsets(k: int) -> list[tuple[int, list[int], int]]:
+    """(size, indices, bitset) of every subset of range(k), by size and
+    then by indices, as ``combinations`` yields them: the faces of a
+    simplicial cone on k generators, in ``_ordered_faces``' order."""
+    return [(r, list(idx), sum(1 << i for i in idx))
+            for r in range(k + 1) for idx in combinations(range(k), r)]
 
 
 def _bits(s: int) -> list[int]:
@@ -713,7 +731,8 @@ def _pair_systems(cs: Sequence[Cone],
     masks to the facet hyperplanes.  The second test ignores v, so it is
     sound whatever v is.  Each cone's masks and width are read once, and
     cs[i]'s test against v once per i, so a pair costs at most one
-    ``_apart`` on the axes, its ``partial`` and its system.
+    ``_apart`` on the axes, written out in the loop, its ``partial`` and
+    its system.
     """
     n = v.ambient_rank
     if any(c.ambient_rank != n for c in cs):
@@ -724,10 +743,12 @@ def _pair_systems(cs: Sequence[Cone],
     members = [(c, c._signs, len(c._ints)) for c in cs]
     for i, (c1, s1, w1) in enumerate(members):
         pos, neg = s1
-        off_v = (pos | neg) & _apart(s1, v._signs)
+        either = pos | neg
+        off_v = either & _apart(s1, v._signs)
         width = w1 + len(v._ints)
-        for j, (c2, s2, w2) in enumerate(members[i + 1:], i + 1):
-            apart = off_v or _apart(s1, s2)
+        for j, (c2, (r, s), w2) in enumerate(members[i + 1:], i + 1):
+            # _apart(s1, (r, s)), written out: this line runs once per pair
+            apart = off_v or (either | r | s) & ~((pos | s) & (neg | r))
             if not apart:
                 if index is None:
                     index = _hyperplane_signs(cs)

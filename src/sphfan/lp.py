@@ -35,13 +35,15 @@ settled by the builders in ``sphfan.cones`` and handed to
   d = 1.  That sum is then the witness (``sphfan.cones.relints_meet_in``):
   CC2's witness is C's generator sum when V holds it, and otherwise the
   simplex's point, as every CF2 witness is.
-A certified system still goes through ``solve``, so every LP is counted
-there, but it holds its answer from ``deferred`` on, and ``solve`` hands
-that out without building a row or running the simplex.  The rows of
-a deferred system are built on first read: by the simplex, by the
-oracle replay below, or by a caller.  The certificates only decide, so
-every system that reaches the simplex is the one it always was, with
-the same pivots and the same point.
+A certificate is the system's stored answer, set by ``deferred`` in the
+slot where ``solve`` keeps the simplex's (``_APART`` for no,
+``_INTERIOR`` for yes), and the two flags are read off that slot.  A
+certified system still goes through ``solve``, so every LP is counted
+there, and ``solve`` hands its answer out without building a row or
+running the simplex.  The rows of a deferred system are built on first
+read: by the simplex, by the oracle replay below, or by a caller.  The
+certificates only decide, so every system that reaches the simplex is
+the one it always was, with the same pivots and the same point.
 
 Any other system runs the simplex once, on its first ``solve``, and
 keeps the answer; each later ``solve`` hands out that answer in a
@@ -146,7 +148,14 @@ def _solve_eq_nonneg(a: Sequence[Sequence[int]], b: Sequence[int],
     return y, d
 
 
+# A system's answer slot holds ``_UNSOLVED`` until the simplex runs, then
+# its answer, None or (numerators, d).  A certificate stores its answer
+# there from the start: ``_APART`` for no, ``_INTERIOR``, the point-free
+# ([], 1), for yes.  An answer is truthy iff it is feasible, and each
+# kind is told apart by identity.
 _UNSOLVED = object()
+_APART = ()
+_INTERIOR = ([], 1)
 
 
 class FeasibilitySystem(Frozen):
@@ -157,9 +166,9 @@ class FeasibilitySystem(Frozen):
 
     ``certified_infeasible`` is True only for a ``deferred`` system that
     its maker certified infeasible, and ``interior_point`` only for one
-    it certified feasible by a point."""
+    it certified feasible by a point: both read the stored answer."""
 
-    __slots__ = ("nvars", "certified_infeasible", "interior_point", "_rows", "_sol")
+    __slots__ = ("nvars", "_rows", "_sol")
 
     def __init__(self, equalities: tuple[tuple[int, ...], ...], rhs: tuple[int, ...],
                  nvars: int):
@@ -169,11 +178,9 @@ class FeasibilitySystem(Frozen):
             raise RankMismatchError("equality row length does not match variable count")
         if len(rhs) != len(equalities):
             raise RankMismatchError("rhs length does not match equality count")
-        FeasibilitySystem._set_nvars(self, nvars)
-        FeasibilitySystem._set_certified_infeasible(self, False)
-        FeasibilitySystem._set_interior_point(self, False)
-        FeasibilitySystem._set_rows(self, (equalities, rhs))
-        FeasibilitySystem._set_sol(self, _UNSOLVED)
+        _set_nvars(self, nvars)
+        _set_rows(self, (equalities, rhs))
+        _set_sol(self, _UNSOLVED)
 
     @staticmethod
     def deferred(nvars: int, build: Callable[[], tuple],
@@ -184,23 +191,29 @@ class FeasibilitySystem(Frozen):
         are read from, vouches for their ints.  With
         ``certified_infeasible`` the caller vouches for no y >= 0 meeting
         every row, with ``interior_point`` for some y >= 0 meeting every
-        row, which ``solve`` names by no point: such a system holds its
-        answer from here on, and ``solve`` builds no row for it."""
+        row, which ``solve`` names by no point.  A certificate is the
+        stored answer, set here, so ``solve`` builds no row for it."""
         system = object.__new__(FeasibilitySystem)
-        FeasibilitySystem._set_nvars(system, nvars)
-        FeasibilitySystem._set_certified_infeasible(system, certified_infeasible)
-        FeasibilitySystem._set_interior_point(system, interior_point)
-        FeasibilitySystem._set_rows(system, build)
-        FeasibilitySystem._set_sol(system, None if certified_infeasible else ([], 1)
-                                   if interior_point else _UNSOLVED)
+        _set_nvars(system, nvars)
+        _set_rows(system, build)
+        _set_sol(system, _APART if certified_infeasible else _INTERIOR
+                 if interior_point else _UNSOLVED)
         return system
+
+    @property
+    def certified_infeasible(self) -> bool:
+        return self._sol is _APART
+
+    @property
+    def interior_point(self) -> bool:
+        return self._sol is _INTERIOR
 
     def _built_rows(self) -> tuple:
         """``(equalities, rhs)``, built now if they were deferred."""
         rows = self._rows
         if callable(rows):
             rows = rows()
-            FeasibilitySystem._set_rows(self, rows)
+            _set_rows(self, rows)
         return rows
 
     @property
@@ -224,13 +237,18 @@ class FeasibilitySystem(Frozen):
         sol = self._sol
         if sol is _UNSOLVED:
             sol = _solve_eq_nonneg(*self._built_rows(), self.nvars)
-            FeasibilitySystem._set_sol(self, sol)
+            _set_sol(self, sol)
         if _oracle is not None:
             fm = _oracle.feasible(self.equalities, self.rhs, self.nvars)
-            if fm != (sol is not None):
-                source = ("certificate" if self.certified_infeasible
-                          else "interior point" if self.interior_point else "simplex")
+            if fm != bool(sol):
+                source = ("certificate" if sol is _APART
+                          else "interior point" if sol is _INTERIOR else "simplex")
                 raise OracleDisagreement(
-                    f"{source} says {'feasible' if sol is not None else 'infeasible'}, "
+                    f"{source} says {'feasible' if sol else 'infeasible'}, "
                     f"Fourier-Motzkin says {'feasible' if fm else 'infeasible'}")
-        return None if sol is None else (list(sol[0]), sol[1])
+        return (list(sol[0]), sol[1]) if sol else None
+
+
+_set_nvars = FeasibilitySystem._set_nvars
+_set_rows = FeasibilitySystem._set_rows
+_set_sol = FeasibilitySystem._set_sol

@@ -242,7 +242,10 @@ class _FaceTable:
     the int of the generators it holds, and faces with equal ints are the
     same cone.  Each cone's faces are read off its own face walk
     (``Cone._ordered_faces``), in its own numbering, and only a face's
-    bitset is moved to the table's bits.  A face is generated by the
+    bitset is moved to the table's bits.  A simplicial cone's walk
+    depends only on its generator count k, the subsets of range(k), so
+    the table lists it once per k and every simplicial cone on k
+    generators reads that one list.  A face is generated by the
     generators it contains, so rho(f) lies in a face iff its carrier
     (``Cone._carrier``, in the cone's own numbering) is among the face's
     generators.
@@ -280,6 +283,8 @@ class _FaceTable:
         self.systems = {}
         # every cone read so far is pointed, its generators extreme rays
         self.extreme = True
+        # the face walk of the simplicial cones, by generator count
+        self.subsets = {}
 
     def report(self, i: int) -> ColoredConeReport:
         """CC1 and CC2 of cone i, decided independently, with witnesses.
@@ -309,8 +314,7 @@ class _FaceTable:
                 detail = "cone is not generated by rho(palette) and cone ∩ V"
 
         witness = relint_meets_cone(c, v)
-        return ColoredConeReport(cc1=not detail, cc2=witness is not None,
-                                 cc2_witness=witness, cc1_detail=detail)
+        return ColoredConeReport(not detail, witness is not None, witness, detail)
 
     def colored(self, i: int) -> list[tuple[int, list[int], int, frozenset[str],
                                              Optional[Cone]]]:
@@ -319,11 +323,19 @@ class _FaceTable:
         interior meets V, with the palette {f : rho(f) in face}, cone i's
         own face included.  The Cone is the one cone i built for the face's
         test, or None."""
-        cc, bits = self.ccs[i], self.bits[i]
-        faces = cc.cone._ordered_faces()
-        # the bottom face is {0} and each generator is a face of its own
-        self.extreme = (self.extreme and faces[0] == (0, [], 0)
-                        and [len(idx) for _, idx, _ in faces].count(1) == len(bits))
+        cone, bits = self.ccs[i].cone, self.bits[i]
+        k = len(bits)
+        if k == cone.dim:
+            # simplicial: the walk is the Boolean lattice on k generators,
+            # listed once per k, and each generator is an extreme ray
+            faces = self.subsets.get(k)
+            if faces is None:
+                faces = self.subsets[k] = cone._ordered_faces()
+        else:
+            faces = cone._ordered_faces()
+            # the bottom face is {0} and each generator is a face of its own
+            self.extreme = (self.extreme and faces[0] == (0, [], 0)
+                            and [len(idx) for _, idx, _ in faces].count(1) == k)
         carriers = [(f, c) for f, c in self.carriers[i] if c is not None]
         systems, given, v, out = self.systems, self.given, self.d.valuation_cone, []
         for dim, idx, s in faces:

@@ -3,6 +3,7 @@ import io
 import json
 import random
 import sys
+from collections import Counter
 from operator import or_
 from pathlib import Path
 
@@ -10,8 +11,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sphfan
-from sphfan import docio, fourier_motzkin, lp
+from sphfan import docio, fourier_motzkin, lp, spherical
 from sphfan.cli import build_parser, main
+from sphfan.cones import Cone
 
 from helpers import (as_inequalities, cyclic_garbage, load_perfbench, presolve_certifies,
                      reference_feasible, run_probe)
@@ -274,6 +276,44 @@ class TestFaces:
         code, _ = run(capsys, "faces", files("d.json", DATUM),
                       files("f.json", P1_FAN), "--cone", "9")
         assert code == 2
+
+    def test_one_face_table_per_listed_cone(self, files, capsys, monkeypatch):
+        """The complete colored P1^3 fan (27 members): each listed cone's
+        report and colored faces come from one face table, so each
+        (member, color) is located once, by one ``Cone._carrier``; two
+        tables per cone would make 54 of each.  The 152 ``solve()`` calls
+        are the 27 CC2 tests and the 125 face tests of the members, and the
+        listing is the one ``validate_colored_cone`` and ``colored_faces``
+        give."""
+        inputs = load_perfbench("inputs")
+        f = inputs.p1_fan(random.Random(1), 3, 3, 3)
+        d, fan = inputs.build_p1_datum(f), sphfan.ColoredFan(inputs.build_p1_cones(f))
+        argv = ["faces", files("d.json", docio.serialize_datum(d)),
+                files("f.json", docio.serialize_fan(fan))]
+        calls = Counter()
+
+        def counted(owner, name):
+            fn = getattr(owner, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            monkeypatch.setattr(owner, name, wrapper)
+        for owner, name in ((spherical._FaceTable, "__init__"), (Cone, "_carrier"),
+                            (lp.FeasibilitySystem, "solve")):
+            counted(owner, name)
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert calls == {"__init__": 27, "_carrier": 27, "solve": 152}
+        monkeypatch.undo()
+        faces = [{"of": i, "dim": face.cone.dim,
+                  "generators": [list(map(str, g)) for g in face.cone._ints],
+                  "colors": sorted(face.palette)}
+                 for i, cc in enumerate(fan) for face in spherical.colored_faces(d, cc)]
+        report = json.loads(out)
+        assert report["faces"] == sorted(faces, key=lambda x: (x["dim"], x["of"]))
+        assert [c["result"] for c in report["checks"]] == ["pass"] * 54
+        assert all(spherical.validate_colored_cone(d, cc).ok for cc in fan)
 
 
 class TestInvariant:

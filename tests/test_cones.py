@@ -623,6 +623,71 @@ class TestFaceDimensions:
         assert unordered == 0
 
 
+_face_lattice = cones._face_lattice  # as imported, so never a test's counter
+
+
+def lattice_faces(c: Cone) -> list[tuple[int, list[int], int]]:
+    """The face walk by the general closure, ``_face_lattice`` on the
+    facets' tight sets, decoded and sorted, for any cone."""
+    dims = _face_lattice((1 << len(c._ints)) - 1, c._idual[2], c.dim)
+    return sorted((d, cones._bits(s), s) for s, d in dims.items())
+
+
+class TestBooleanFaceWalk:
+    """A simplicial cone (as many generators as its dimension) lists its
+    faces as the subsets of its generators, with no lattice closure; every
+    cone's walk equals the closure's, element by element."""
+
+    def test_equals_the_lattice_path(self, monkeypatch):
+        rng = random.Random(4111)
+        seen = Counter()
+        closures = []
+        monkeypatch.setattr(cones, "_face_lattice",
+                            lambda *args: closures.append(args) or _face_lattice(*args))
+        for _ in range(600):
+            n = rng.randint(1, 6)
+            kind = rng.choice(["simplicial", "plain", "lower", "lineality", "zero"])
+            if kind == "zero":
+                gens = []
+            elif kind == "simplicial":
+                gens = [random_vec(rng, n, -3, 3) for _ in range(rng.randint(1, n))]
+            else:
+                gens = [random_vec(rng, n, -3, 3) for _ in range(rng.randint(1, n + 3))]
+                if kind == "lower" and n > 1:
+                    gens = [g[:-1] + (0,) for g in gens]
+                elif kind == "lineality":
+                    gens.append(tuple(-x for x in rng.choice(gens)))
+            c = Cone(n, gens)
+            simplicial = len(c._ints) == c.dim
+            closures.clear()
+            got = c._ordered_faces()
+            assert len(closures) == (not simplicial)
+            assert got == lattice_faces(c)
+            seen["simplicial" if simplicial else "other"] += 1
+            seen["lower"] += 0 < c.dim < n
+            seen["lineality"] += not c.is_strictly_convex()
+            seen["zero"] += not c._ints
+            seen["lower simplicial"] += simplicial and 0 < c.dim < n
+        assert min(seen.values()) > 30, seen
+
+    @pytest.mark.parametrize("c", [
+        Cone(3),
+        Cone(1, [(1,)]),
+        Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]),
+        Cone(4, [(1, 2, 0, 0), (0, 1, -1, 0)]),
+        Cone(2, [(1, 0), (-1, 0)]),
+        Cone(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)]),
+    ], ids=["zero", "ray", "orthant", "lower", "line", "redundant"])
+    def test_special_cones(self, c):
+        assert c._ordered_faces() == lattice_faces(c)
+
+    def test_subsets_by_size_then_indices(self):
+        assert cones._subsets(0) == [(0, [], 0)]
+        assert cones._subsets(3) == [
+            (0, [], 0), (1, [0], 1), (1, [1], 2), (1, [2], 4),
+            (2, [0, 1], 3), (2, [0, 2], 5), (2, [1, 2], 6), (3, [0, 1, 2], 7)]
+
+
 class TestRelint:
     def test_quadrant_interior(self):
         assert quadrant().relint_contains((F(1), F(1)))

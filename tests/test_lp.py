@@ -499,6 +499,66 @@ class TestCrossCheck:
         assert replays == [(((1, -1),), (0,), 2)]
 
 
+FEASIBLE = (((1, 1),), (2,))
+INFEASIBLE = (((1, 1),), (-1,))
+
+# (kind, system maker, certified_infeasible, interior_point, answer, source)
+KINDS = [
+    ("certified no", lambda: FeasibilitySystem.deferred(2, lambda: INFEASIBLE, True, False),
+     True, False, None, "certificate"),
+    ("interior point", lambda: FeasibilitySystem.deferred(2, lambda: FEASIBLE, False, True),
+     False, True, ([], 1), "interior point"),
+    ("simplex yes", lambda: FeasibilitySystem(*FEASIBLE, 2), False, False, ([2, 0], 1), "simplex"),
+    ("simplex no", lambda: FeasibilitySystem(*INFEASIBLE, 2), False, False, None, "simplex"),
+]
+
+
+@pytest.mark.parametrize("kind, make, certified, interior, answer, source", KINDS,
+                         ids=[k[0] for k in KINDS])
+class TestFourKindsOfSystem:
+    """A system certified infeasible, one certified by an interior point,
+    and one the simplex solves either way: the flags read the stored
+    answer, each ``solve`` hands out a list of its own, the flags cannot
+    be set, and the oracle names the answer's source when it disagrees."""
+
+    def test_flags_and_answer(self, kind, make, certified, interior, answer, source):
+        system = make()
+        assert (system.certified_infeasible, system.interior_point) == (certified, interior)
+        assert system.solve() == system.solve() == answer
+        assert (system.certified_infeasible, system.interior_point) == (certified, interior)
+        assert (system.equalities, system.rhs, system.nvars) == (*(
+            INFEASIBLE if answer is None else FEASIBLE), 2)
+
+    def test_each_solve_returns_its_own_list(self, kind, make, certified, interior, answer,
+                                             source):
+        system = make()
+        first = system.solve()
+        if first is not None:
+            first[0].append(7)
+            second = system.solve()
+            assert second == answer and second[0] is not first[0]
+
+    def test_flags_are_read_only(self, kind, make, certified, interior, answer, source):
+        system = make()
+        for name in ("certified_infeasible", "interior_point", "_sol", "_rows"):
+            with pytest.raises(AttributeError, match="FeasibilitySystem is immutable"):
+                setattr(system, name, True)
+        assert system.solve() == answer
+
+    def test_a_disagreement_names_its_source(self, kind, make, certified, interior, answer,
+                                             source, monkeypatch):
+        monkeypatch.setattr(fourier_motzkin, "feasible", lambda *rows: answer is None)
+        system = make()
+        lp.set_oracle_cross_check(True)
+        try:
+            with pytest.raises(lp.OracleDisagreement) as e:
+                system.solve()
+        finally:
+            lp.set_oracle_cross_check(False)
+        said, fm = ("infeasible", "feasible") if answer is None else ("feasible", "infeasible")
+        assert str(e.value) == f"{source} says {said}, Fourier-Motzkin says {fm}"
+
+
 class TestFourierMotzkin:
     """``feasible`` on A·y = b, y >= 0, the one shape ``lp`` holds."""
 

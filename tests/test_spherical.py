@@ -348,6 +348,25 @@ class TestColoredFacesWork:
             assert "_idual" in vars(cc.cone)
             assert not any("_idual" in vars(f.cone) for f in out)
 
+    def test_simplicial_fan_runs_no_lattice_closure(self, monkeypatch):
+        """Every member of the complete colored P1^3 fan is simplicial, so
+        its face walk is the Boolean lattice of its generators: validating
+        the fan closes no lattice, where a closure per member would make
+        27, and the face table lists the subsets once per generator count
+        0..3, four lists for 27 members.  The report is the one the
+        pre-table path gives."""
+        f = bench_inputs.p1_fan(random.Random(1), 3, 3, 3)
+        d, fan = bench_inputs.build_p1_datum(f), ColoredFan(bench_inputs.build_p1_cones(f))
+        calls = Counter()
+        for name in ("_face_lattice", "_subsets"):
+            fn = getattr(cones, name)
+            monkeypatch.setattr(cones, name,
+                                lambda *args, fn=fn, name=name: calls.update([name]) or fn(*args))
+        report = validate_colored_fan(d, fan)
+        assert calls == {"_subsets": 4}
+        monkeypatch.undo()
+        assert report == pre_table_validate_colored_fan(d, fan) and report.ok
+
     def test_faces_never_negate(self, monkeypatch):
         # a face only stands first in a meet system, so its negated columns
         # are never read, nor built; V is read negated, and so is the second
