@@ -145,18 +145,19 @@ def cmd_faces(args) -> int:
     checks = []
     ok = True
     faces_out = []
-    for idx, cc in targets:
-        # one face table gives the cone's report and its colored faces, so
-        # each (cone, color) is located once; a face is listed straight
-        # from the table, on the cone's generators in index order
-        table = spherical._FaceTable(d, [cc])
-        r = table.report(0)
+    # one face table over the listed cones gives each one's report and
+    # colored faces, so each (cone, color) is located once and a face
+    # shared by two cones is tested once; a face is listed straight from
+    # the table, on the cone's generators in index order
+    table = spherical._FaceTable(d, [cc for _, cc in targets])
+    for k, (idx, cc) in enumerate(targets):
+        r = table.report(k)
         checks += _cone_checks(f"cone[{idx}]", r)
         if not r.ok:
             ok = False
             continue
         gens = cc.cone._ints
-        for dim, face, _, palette, _ in table.colored(0):
+        for dim, face, _, palette, _ in table.colored(k):
             faces_out.append({
                 "of": idx,
                 "dim": dim,

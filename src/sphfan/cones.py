@@ -12,12 +12,12 @@ Point questions (x in C, x in relint C, the face holding x) and the
 dimension are read off it with no LP.  Only whether relative interiors
 meet inside V needs one: int rows A and an int rhs b with y >= 0 (see
 :mod:`sphfan.lp`), built only when read, by one builder per shape:
-- ``_meet_system``, relint(C) ∩ V for CC2 and the face tests, kept on V
-  one per distinct C (its generators in order) and solved once.  A new
-  system is settled "yes" when V holds C's generator sum, which is then
-  the CC2 witness.
+- ``_meet_system``, relint(C) ∩ V for CC2 and the face tests, a new
+  system on each call.  It is settled "yes" when V holds C's generator
+  sum, which is then the CC2 witness (``_meet_witness``).
 - ``_pair_systems``, relint(C1) ∩ relint(C2) ∩ V for each pair of a CF2
   pass (``meeting_pairs``).
+Both read their rows off the cones with one builder, ``_meet_rows``.
 Both settle a system "no" by one rule, ``_apart``, on two sign masks per
 cone: over the axes, cached per cone, and for a CF2 pair left open, over
 the facet hyperplanes of one index per pass.  A settled system builds no
@@ -388,15 +388,6 @@ class Cone(Frozen):
         as in ``contains``."""
         return self._face_facets(_int_vector(x, self.ambient_rank)) == []
 
-    def relint_meets(self, v: "Cone") -> bool:
-        """Whether relint(self) meets v: ``relint_meets_cone`` without
-        assembling the witness, on the same system, kept on v and solved
-        once, so asking again about the same generators runs no simplex.
-        When v holds the generator sum, which lies in relint(self), the
-        system is certified feasible and runs no simplex at all, and that
-        sum is the witness ``relint_meets_cone`` gives."""
-        return _meet_system([self, v]).solve() is not None
-
     def intersect(self, other: "Cone") -> "Cone":
         """Intersection, via the union of the two facet descriptions.
 
@@ -451,21 +442,13 @@ class Cone(Frozen):
         return pos, neg
 
     @_lazy
-    def _meets(self) -> dict[tuple[tuple[int, ...], ...], FeasibilitySystem]:
-        """The meet systems relint(C) ∩ self of ``_meet_system``, by C's
-        ``_ints`` in order: each is built and solved once, and lives as
-        long as this cone."""
-        return {}
-
-    @_lazy
     def _col_sums(self) -> tuple[int, ...]:
         return tuple(map(sum, self._cols))
 
     @_lazy
     def _neg_cols(self) -> tuple[tuple[int, ...], ...]:
-        """``_cols`` negated, for a cone after the first in a meet system:
-        V's are read when a system on V is made (``_meet_system``), a CF2
-        pair's second cone's only when the pair's rows are built, and a
+        """``_cols`` negated, for a cone after the first in a meet system,
+        read only when the system's rows are built (``_meet_rows``): a
         cone that only stands first, such as a face, never builds them."""
         return tuple(map(_neg, self._cols))
 
@@ -585,22 +568,16 @@ def _apart(a: tuple[int, int], b: tuple[int, int]) -> int:
 
 def _meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
     """relint(C) ∩ V as an LP, for cones = [C, V]: whether C's relative
-    interior meets V.  It is kept on V (``V._meets``), one per distinct
-    C, keyed by its generators in order, so the same rows, and with them
-    the same answer, come back.  The lookup comes right after the rank
-    check, and a hit reads no cone's masks.
-
-    The rows are those of ``_meet_rows``, built only when read, from the
-    columns of C and V the system holds.  It holds no cone: a kept system
-    holding V would close a cycle, V → ``V._meets`` → system → V, which
-    only the cyclic collector frees.  A new system is certified before it
-    is solved, in one of two ways.
+    interior meets V.  Each call makes a new system, whose rows are those
+    of ``_meet_rows``, built only when read; the face table of
+    :mod:`sphfan.spherical` keeps one per face for as long as it lives.
+    The system is certified before it is solved, in one of two ways.
 
     First, feasible by an interior point: with every multiplier of C 1,
     x = sum(g_i) lies in relint(C), so x in V means relint(C) meets V
     (for C = {0}, x = 0 lies in V).  The test hands x, an int tuple, to
     V's int core ``_face_facets``, and a certified system computes no
-    sign mask.  Its witness is x itself (``relints_meet_in``).
+    sign mask.  Its witness is x itself (``_meet_witness``).
 
     Otherwise the system is certified infeasible when ``_apart`` on the
     cones' ``_signs`` finds an axis that C is nonzero on, with no row
@@ -610,23 +587,17 @@ def _meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
     first, v = cones
     if first.ambient_rank != v.ambient_rank:
         raise RankMismatchError("relint test: ambient ranks differ")
-    system = v._meets.get(first._ints)
-    if system is not None:
-        return system
     interior = v._face_facets(first._col_sums) is not None
     apart = not interior and (first._signs[0] | first._signs[1]) & _apart(first._signs, v._signs)
-    rows = partial(_meet_rows, first._cols, first._col_sums, ((v._neg_cols, v._col_sums),))
-    system = v._meets[first._ints] = FeasibilitySystem.deferred(
-        len(first._ints) + len(v._ints), rows, apart != 0, interior)
-    return system
+    return FeasibilitySystem.deferred(len(first._ints) + len(v._ints),
+                                      partial(_meet_rows, (first, v)), apart != 0, interior)
 
 
-def _meet_rows(cols: Sequence[tuple[int, ...]], sums: Sequence[int],
-               others: Sequence[tuple[Sequence[tuple[int, ...]], Sequence[int]]]
-               ) -> tuple[tuple, tuple]:
+def _meet_rows(cones: Sequence[Cone]) -> tuple[tuple, tuple]:
     """relint(C1) [∩ relint(C2)] ∩ V as int rows A and an int rhs b with
-    y >= 0, from C1's ``_cols`` and ``_col_sums`` and, for each other
-    cone in order, its (``_neg_cols``, ``_col_sums``).
+    y >= 0, for cones = [C1, V] or [C1, C2, V], read off the cones when
+    the rows are built: C1's ``_cols`` and ``_col_sums`` and each other
+    cone's ``_neg_cols`` and ``_col_sums``.
 
     sum(l_i g_i) = sum(m_j h_j) = sum(n_k k_k), one multiplier per
     generator; the last cone's are >= 0, all others >= 1.  Row k is the
@@ -635,24 +606,16 @@ def _meet_rows(cols: Sequence[tuple[int, ...]], sums: Sequence[int],
     is >= 0 and row k's rhs is bound * (other's k-th sum) - (first's k-th
     sum).
     """
-    # a cone's columns are as long as it has generators; with no column
-    # (rank 0) there is no row to pad
-    widths = [len(neg[0]) if neg else 0 for neg, _ in others]
+    first, others = cones[0], cones[1:]
+    widths = [len(c._ints) for c in others]
     rows, rhs = [], []
-    for i, (neg_cols, other_sums) in enumerate(others):
+    for i, c in enumerate(others):
         bound = 0 if i == len(others) - 1 else 1
         before = (0,) * sum(widths[:i])
         after = (0,) * sum(widths[i + 1:])
-        rows += [col + before + minus + after for col, minus in zip(cols, neg_cols)]
-        rhs += [bound * s - s0 for s, s0 in zip(other_sums, sums)]
+        rows += [col + before + minus + after for col, minus in zip(first._cols, c._neg_cols)]
+        rhs += [bound * s - s0 for s, s0 in zip(c._col_sums, first._col_sums)]
     return tuple(rows), tuple(rhs)
-
-
-def _pair_rows(c1: Cone, c2: Cone, v: Cone) -> tuple[tuple, tuple]:
-    """``_meet_rows`` of relint(c1) ∩ relint(c2) ∩ v, read off the cones
-    when the rows are built, so c2 negates its columns only then."""
-    return _meet_rows(c1._cols, c1._col_sums,
-                      ((c2._neg_cols, c2._col_sums), (v._neg_cols, v._col_sums)))
 
 
 def _witness(c1: Cone, sol: tuple[list[int], int]) -> Vec:
@@ -664,24 +627,30 @@ def _witness(c1: Cone, sol: tuple[list[int], int]) -> Vec:
     return tuple(Fraction(sum(map(mul, nums, col)), d) for col in c1._cols)
 
 
+def _meet_witness(c: Cone, system: FeasibilitySystem) -> Optional[Vec]:
+    """CC2's witness x ∈ relint(c) ∩ V, or None, from c's system
+    relint(c) ∩ V (``_meet_system``), solved here once: by rule, the sum
+    of c's generators when V holds it, the point that certified the
+    system, else the simplex's.  ``relints_meet_in`` and the face table's
+    CC2 both read it."""
+    sol = system.solve()
+    if system.interior_point:
+        return tuple(map(Fraction, c._col_sums))
+    return None if sol is None else _witness(c, sol)
+
+
 def relints_meet_in(c1: Cone, c2: Optional[Cone], v: Cone) -> Optional[Vec]:
     """Witness x ∈ relint(c1) [∩ relint(c2)] ∩ v, or None.
 
     Feasibility of a meet system, the only question here that needs an
     LP; the witness is scale-free, so no extra normalization variable is
     needed.  With c2, this is ``meeting_pairs`` on [c1, c2], and the
-    witness is the simplex's.  Without, the system is ``_meet_system``'s,
-    kept on v, and the witness is by rule: the sum of c1's generators
-    when v holds it, the point that certified the system, else the
-    simplex's.
+    witness is the simplex's.  Without, it is ``_meet_witness`` on a new
+    ``_meet_system``.
     """
     if c2 is not None:
         return next((w for _, _, w in meeting_pairs([c1, c2], v)), None)
-    system = _meet_system([c1, v])
-    sol = system.solve()
-    if system.interior_point:
-        return tuple(map(Fraction, c1._col_sums))
-    return None if sol is None else _witness(c1, sol)
+    return _meet_witness(c1, _meet_system([c1, v]))
 
 
 def _hyperplane_signs(cs: Sequence[Cone]) -> list[tuple[int, int]]:
@@ -721,8 +690,8 @@ def _hyperplane_signs(cs: Sequence[Cone]) -> list[tuple[int, int]]:
 
 def _pair_systems(cs: Sequence[Cone],
                   v: Cone) -> Iterator[tuple[int, int, FeasibilitySystem]]:
-    """(i, j, the unkept system of relint(cs[i]) ∩ relint(cs[j]) ∩ v, on
-    ``_pair_rows``) for each pair i < j, in order, lazily.
+    """(i, j, the system of relint(cs[i]) ∩ relint(cs[j]) ∩ v, on
+    ``_meet_rows``) for each pair i < j, in order, lazily.
 
     A pair is certified infeasible when ``_apart`` shows relint(cs[i])
     apart from v, as in ``_meet_system``, or from relint(cs[j]), on the
@@ -754,7 +723,7 @@ def _pair_systems(cs: Sequence[Cone],
                     index = _hyperplane_signs(cs)
                 apart = _apart(index[i], index[j])
             yield i, j, FeasibilitySystem.deferred(
-                width + w2, partial(_pair_rows, c1, c2, v), apart != 0, False)
+                width + w2, partial(_meet_rows, (c1, c2, v)), apart != 0, False)
 
 
 def meeting_pairs(cs: Sequence[Cone], v: Cone) -> Iterator[tuple[int, int, Vec]]:

@@ -47,11 +47,10 @@ the one it always was, with the same pivots and the same point.
 
 Any other system runs the simplex once, on its first ``solve``, and
 keeps the answer; each later ``solve`` hands out that answer in a
-list of its own.  ``sphfan.cones._meet_system`` keeps one system per
-distinct cone on V (see there), so a repeated face or CC2 test is one
-more ``solve`` call, counted and replayed like the first, but no more
-simplex.  A kept system has the rows a fresh one would have, so its
-answer is the one a fresh system would give.
+list of its own.  The face table of ``sphfan.spherical`` keeps one
+relint(C) ∩ V system per face for as long as it lives, so a repeated
+face test, or CC2 after its top face's, is one more ``solve`` call,
+counted and replayed like the first, but no more simplex.
 
 A deferred system's rows are not checked when built: they are read off
 cone generators, which are ints by construction of

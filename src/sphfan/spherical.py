@@ -27,8 +27,9 @@ from __future__ import annotations
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from . import cones
-# relints_meet_in is no longer called here, but stays a name of this
-# module: perfbench/tracing.py wraps it where sphfan looks it up
+# relint_meets_cone and relints_meet_in are no longer called here, but
+# stay names of this module: perfbench/tracing.py wraps them where sphfan
+# looks them up
 from .cones import (Cone, _lazy, cones_equal, meeting_pairs,  # noqa: F401
                     relint_meets_cone, relints_meet_in)
 from .rational import Frozen, RankMismatchError, Vec, integer_rows, rat
@@ -250,16 +251,18 @@ class _FaceTable:
     (``Cone._carrier``, in the cone's own numbering) is among the face's
     generators.
 
-    A face's relint test is looked up once per distinct bitset, at its
-    first occurrence: the system ``cones._meet_system`` gives, which
-    ``Cone.relint_meets`` and CC2 ask too, for a cone that exists when it
-    can (a given cone with the face's generator set, which is the same
-    cone, and otherwise the face ``Cone`` built, in the index order of its
-    cone).  The table keeps that system, and each occurrence, the first
-    included, calls its ``solve()`` once: every face test is counted, and
-    the LP, kept on V too, is solved once.  A face becomes a ``Cone``
-    only for that test, or when it is reported or kept (``cone``), and a
-    face kept from the cone that built it for the test is that Cone.
+    The table is the one keeper of relint(C) ∩ V answers.  A face's
+    relint test is made once per distinct bitset, at its first
+    occurrence: the system ``cones._meet_system`` gives for a cone that
+    exists when it can (the first given cone with the face's generator
+    set, which is the same cone, and otherwise the face ``Cone`` built,
+    in the index order of its cone).  The table keeps that system, and
+    each occurrence, the first included, calls its ``solve()`` once:
+    every face test is counted, and the LP is solved once.  CC2 of that
+    given cone (``report``) reads the same system, its top face's.  A
+    face becomes a ``Cone`` only for that test, or when it is reported or
+    kept (``cone``), and a face kept from the cone that built it for the
+    test is that Cone.
 
     Each cone's rank and palette are checked against the datum (``_check``)
     as it is numbered, and each color f of its palette is located once, as
@@ -279,7 +282,9 @@ class _FaceTable:
         self.d, self.ccs, self.sets = d, ccs, [sum(bits) for bits in self.bits]
         # the first given cone on each bitset, which its relint test asks
         self.given = {s: cc.cone for s, cc in reversed(list(zip(self.sets, ccs)))}
-        # each bitset's relint test, kept from its first occurrence
+        # each bitset's relint test, kept from its first occurrence, and by
+        # its generators the CC2 test of a cone listing them in another
+        # order than the first given cone on its bitset
         self.systems = {}
         # every cone read so far is pointed, its generators extreme rays
         self.extreme = True
@@ -298,10 +303,14 @@ class _FaceTable:
         first and otherwise by canonical key.  CC1 holds iff
         ``cc1_detail``, the first failed test, is empty.
 
-        CC2's witness is by rule (``relints_meet_in``): the sum of the
+        CC2's witness is by rule (``cones._meet_witness``): the sum of the
         generators, a point of relint(C), when V holds it, with no simplex
         run; otherwise the simplex's point, or None when relint(C) misses
-        V."""
+        V.  Its system is the table's for the cone's bitset when the first
+        given cone on it lists its generators in its order, and so has the
+        same rows; a cone listing them in another order has a system of
+        its own order, kept under its generators, so its witness is its
+        own."""
         d, c, carriers = self.d, self.ccs[i].cone, self.carriers[i]
         v = d.valuation_cone
         detail = ""
@@ -313,7 +322,12 @@ class _FaceTable:
             if not cones_equal(regen, c):
                 detail = "cone is not generated by rho(palette) and cone ∩ V"
 
-        witness = relint_meets_cone(c, v)
+        b = self.sets[i]
+        key = b if self.given[b]._ints == c._ints else c._ints
+        system = self.systems.get(key)
+        if system is None:
+            system = self.systems[key] = cones._meet_system([c, v])
+        witness = cones._meet_witness(c, system)
         return ColoredConeReport(not detail, witness is not None, witness, detail)
 
     def colored(self, i: int) -> list[tuple[int, list[int], int, frozenset[str],
@@ -398,7 +412,7 @@ def validate_colored_fan(d: SphericalDatum, fan: ColoredFan) -> ColoredFanReport
     table = _FaceTable(d, fan.cones)
     reports = tuple(map(table.report, range(len(fan))))
     cf1_missing = [(i, face) for i, j, face in _face_members(table, fan) if j is None]
-    cf2_failures = list(_cf2_failures(d, fan.cones))
+    cf2_failures = list(meeting_pairs([cc.cone for cc in fan], d.valuation_cone))
     return ColoredFanReport(
         cone_reports=reports,
         cf1=not cf1_missing,
@@ -406,14 +420,6 @@ def validate_colored_fan(d: SphericalDatum, fan: ColoredFan) -> ColoredFanReport
         cf2=not cf2_failures,
         cf2_failures=tuple(cf2_failures),
     )
-
-
-def _cf2_failures(d: SphericalDatum,
-                  members: Sequence[ColoredCone]) -> Iterator[tuple[int, int, Vec]]:
-    """(i, j, witness) for each pair i < j whose relative interiors meet
-    inside V, lazily: a consumer that stops early solves no more LPs.  One
-    CF2 pass, ``cones.meeting_pairs``, over the members' cones."""
-    return meeting_pairs([cc.cone for cc in members], d.valuation_cone)
 
 
 def is_strictly_convex_fan(d: SphericalDatum, fan: ColoredFan) -> bool:
@@ -441,11 +447,11 @@ def faces_closure(d: SphericalDatum, cones: Sequence[ColoredCone]) -> ColoredFan
     interior misses V, or whose palette holds a color f with rho(f)
     outside the cone, is dropped (the second with its face under the
     smaller palette kept).  Raises FanAxiomError (with witness) on a CF2
-    violation, found by the lazy pass of ``_cf2_failures``; the returned
+    violation, found by the lazy CF2 pass, ``meeting_pairs``; the returned
     fan is ordered by dimension, then first occurrence.
     """
     fan = _faces_fan(d, cones)
-    failure = next(_cf2_failures(d, fan.cones), None)
+    failure = next(meeting_pairs([cc.cone for cc in fan], d.valuation_cone), None)
     if failure is not None:
         raise FanAxiomError(
             "CF2 violation: two cones share a valuation point in their "

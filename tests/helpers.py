@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 from sphfan import cones as cones_module
 from sphfan.cones import (Cone, _bits, _meet_rows, cones_equal, dual_description,
-                          relint_meets_cone)
+                          meeting_pairs, relint_meets_cone)
 from sphfan.docio import serialize_fan
 from sphfan.fourier_motzkin import _eliminate, _primitive_row, _tighten
 from sphfan.galois import ActionReport, GaloisAction, apply_element
@@ -27,8 +27,7 @@ from sphfan.rational import (Mat, RankMismatchError, Vec, _combine, _echelon, _i
                              primitive_ints, rat)
 from sphfan.spherical import (ColoredCone, ColoredConeReport, ColoredFan,
                               ColoredFanReport, FanAxiomError, SphericalDatum,
-                              _cf2_failures, colored_faces, faces_closure,
-                              validate_colored_cone)
+                              colored_faces, faces_closure, validate_colored_cone)
 
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -1044,7 +1043,7 @@ def reference_colored_faces(d: SphericalDatum, cc: ColoredCone) -> list[ColoredC
 def pre_table_colored_faces(d: SphericalDatum, cc: ColoredCone) -> list[ColoredCone]:
     """``colored_faces`` as it was before the face table: a ``ColoredCone``
     for each face of ``cc.cone.faces()`` whose relative interior meets V
-    (``Cone.relint_meets``), its palette read off the carriers."""
+    (``relint_meets_cone``), its palette read off the carriers."""
     v = d.valuation_cone
     carriers = {}
     for f in cc.palette:
@@ -1052,7 +1051,7 @@ def pre_table_colored_faces(d: SphericalDatum, cc: ColoredCone) -> list[ColoredC
         carriers[f] = None if c is None else {cc.cone._ints[i] for i in _bits(c)}
     out = []
     for face in cc.cone.faces():
-        if not face.relint_meets(v):
+        if relint_meets_cone(face, v) is None:
             continue
         gens = set(face._ints)
         palette = {f for f, c in carriers.items() if c is not None and c <= gens}
@@ -1066,7 +1065,7 @@ def pre_table_validate_colored_fan(d: SphericalDatum, fan: ColoredFan) -> Colore
     reports = tuple(validate_colored_cone(d, cc) for cc in fan)
     missing = [(i, face) for i, cc in enumerate(fan)
                for face in pre_table_colored_faces(d, cc) if fan.index(face) is None]
-    failures = list(_cf2_failures(d, fan.cones))
+    failures = list(meeting_pairs([cc.cone for cc in fan], d.valuation_cone))
     return ColoredFanReport(cone_reports=reports, cf1=not missing, cf1_missing=tuple(missing),
                             cf2=not failures, cf2_failures=tuple(failures))
 
@@ -1084,7 +1083,7 @@ def pre_table_faces_closure(d: SphericalDatum, cones) -> ColoredFan:
     face of every given cone, sorted by dimension, into ``ColoredFan``."""
     faces = chain.from_iterable(pre_table_colored_faces(d, cc) for cc in cones)
     fan = ColoredFan(sorted(faces, key=lambda cc: cc.cone.dim))
-    failure = next(_cf2_failures(d, fan.cones), None)
+    failure = next(meeting_pairs([cc.cone for cc in fan], d.valuation_cone), None)
     if failure is not None:
         raise FanAxiomError("CF2 violation", witness=failure[2])
     return fan
@@ -1145,7 +1144,7 @@ def key_only_validate_colored_fan(d: SphericalDatum, fan) -> ColoredFanReport:
         reports.append(ColoredConeReport(cc1=cc1, cc2=witness is not None,
                                          cc2_witness=witness, cc1_detail=detail))
     missing = key_only_cf1_missing(d, fan)
-    failures = list(_cf2_failures(d, fan.cones))
+    failures = list(meeting_pairs([cc.cone for cc in fan], d.valuation_cone))
     return ColoredFanReport(cone_reports=tuple(reports), cf1=not missing,
                             cf1_missing=tuple(missing), cf2=not failures,
                             cf2_failures=tuple(failures))
@@ -1154,7 +1153,7 @@ def key_only_validate_colored_fan(d: SphericalDatum, fan) -> ColoredFanReport:
 def _key_only_closed_fan(d: SphericalDatum, face_lists) -> KeyOnlyColoredFan:
     fan = KeyOnlyColoredFan(sorted(chain.from_iterable(face_lists),
                                    key=lambda cc: cc.cone.dim))
-    failure = next(_cf2_failures(d, fan.cones), None)
+    failure = next(meeting_pairs([cc.cone for cc in fan], d.valuation_cone), None)
     if failure is not None:
         raise FanAxiomError("CF2 violation", witness=failure[2])
     return fan
@@ -1196,12 +1195,10 @@ def closure_outcome(close, *args):
 
 
 def fresh_meet_system(cones: Sequence[Cone]) -> FeasibilitySystem:
-    """A meet system with nothing kept: the rows of ``_meet_rows`` for
+    """A meet system with no certificate: the rows of ``_meet_rows`` for
     relint(cones[0]) [∩ relint(cones[1])] ∩ cones[-1], built now, in a new
-    system on every call, with no presolve, so each ``solve()`` runs the
-    simplex afresh: no certificate answers here."""
-    rows, rhs = _meet_rows(cones[0]._cols, cones[0]._col_sums,
-                           [(c._neg_cols, c._col_sums) for c in cones[1:]])
+    system on every call, so its first ``solve()`` runs the simplex."""
+    rows, rhs = _meet_rows(cones)
     return FeasibilitySystem(rows, rhs, sum(len(c._ints) for c in cones))
 
 
@@ -1225,41 +1222,42 @@ def reference_holds(v, x) -> bool:
     h_j, by the Fraction eliminator ``reference_feasible``: no facet, no
     double description and no code of ``Cone._face_facets``."""
     gens = v.generators
-    rows = [tuple(h[k] for h in gens) for k in range(v.ambient_rank)]
-    return reference_feasible(as_inequalities(rows, x, len(gens)), len(gens))
+    return _holds_by_axis([tuple(h[k] for h in gens) for k in range(v.ambient_rank)],
+                          x, len(gens))
 
 
-# the library's own, which the CF2 path of the reference below calls
-_relints_meet_in = cones_module.relints_meet_in
+def _holds_by_axis(rows: Sequence[Sequence], x, m: int) -> bool:
+    """``reference_holds`` on V's m generators given by axis."""
+    return reference_feasible(as_inequalities(rows, x, m), m)
 
 
-def fresh_relints_meet_in(c1: Cone, c2, v: Cone):
-    """``cones.relints_meet_in`` on systems with nothing kept: the
-    simplex of ``fresh_meet_system`` decides, and without c2 the witness
-    is by CC2's rule, decided by the references: the Fraction generator
-    sum when ``reference_holds`` finds it in v, else the simplex's."""
-    if c2 is not None:
-        return _relints_meet_in(c1, c2, v)
-    sol = fresh_meet_system([c1, v]).solve()
+def fresh_meet_witness(c: Cone, system: FeasibilitySystem):
+    """``cones._meet_witness`` on a ``fresh_meet_system`` of [c, V]: the
+    simplex decides, and the witness is by CC2's rule, decided by the
+    references: the Fraction generator sum when the Fraction eliminator
+    finds it in V, read off the system's columns after c's (V's
+    generators negated, by axis), else the simplex's point."""
+    sol = system.solve()
     if sol is None:
         return None
-    x = generator_sum(c1)
-    return x if reference_holds(v, x) else cones_module._witness(c1, sol)
+    x, k = generator_sum(c), len(c._ints)
+    v_rows = [tuple(-y for y in row[k:]) for row in system.equalities]
+    return x if _holds_by_axis(v_rows, x, system.nvars - k) else cones_module._witness(c, sol)
 
 
 def without_kept_systems(fn, *args):
     """``fn(*args)`` with every meet system made by ``fresh_meet_system``,
     every CF2 pass by ``fresh_pair_systems`` and every CC2 witness by
-    ``fresh_relints_meet_in``: the all-LP reference for the systems kept
-    on V and for the certificates."""
-    kept = cones_module._meet_system, cones_module._pair_systems, cones_module.relints_meet_in
+    ``fresh_meet_witness``: the all-LP reference for the certificates
+    and for the systems the face table keeps."""
+    kept = cones_module._meet_system, cones_module._pair_systems, cones_module._meet_witness
     cones_module._meet_system = fresh_meet_system
     cones_module._pair_systems = fresh_pair_systems
-    cones_module.relints_meet_in = fresh_relints_meet_in
+    cones_module._meet_witness = fresh_meet_witness
     try:
         return fn(*args)
     finally:
-        cones_module._meet_system, cones_module._pair_systems, cones_module.relints_meet_in = kept
+        cones_module._meet_system, cones_module._pair_systems, cones_module._meet_witness = kept
 
 
 def reference_index_certifies(cs: Sequence[Cone], v: Cone) -> list[bool]:

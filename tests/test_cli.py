@@ -157,9 +157,8 @@ class TestValidate:
         """An in-process run on the colored P1^3 fan given by its maximal
         cones leaves only the reference cycles of the standard library's
         parts: the argument parser ``main`` builds and the indenting JSON
-        encoder of ``dump_json``.  The datum, its V and the meet systems
-        kept on V are freed by reference counting, those of the face tests
-        included, which no simplex run replaces in ``faces``."""
+        encoder of ``dump_json``.  The datum, its V, the face table and
+        the meet systems it keeps are freed by reference counting."""
         inputs = load_perfbench("inputs")
         f = inputs.p1_fan(random.Random(1), 3, 3, 3)
         argv = [command[0], files("d.json", docio.serialize_datum(inputs.build_p1_datum(f))),
@@ -277,14 +276,14 @@ class TestFaces:
                       files("f.json", P1_FAN), "--cone", "9")
         assert code == 2
 
-    def test_one_face_table_per_listed_cone(self, files, capsys, monkeypatch):
-        """The complete colored P1^3 fan (27 members): each listed cone's
-        report and colored faces come from one face table, so each
-        (member, color) is located once, by one ``Cone._carrier``; two
-        tables per cone would make 54 of each.  The 152 ``solve()`` calls
-        are the 27 CC2 tests and the 125 face tests of the members, and the
-        listing is the one ``validate_colored_cone`` and ``colored_faces``
-        give."""
+    def test_one_face_table_per_call(self, files, capsys, monkeypatch):
+        """The complete colored P1^3 fan (27 members): the listed cones'
+        reports and colored faces come from one face table over them, so
+        each (member, color) is located once, by one ``Cone._carrier``;
+        two tables per cone would make 54 tables and 54 rho tests.  The 152
+        ``solve()`` calls are the 27 CC2 tests and the 125 face tests of
+        the members, and the listing is the one ``validate_colored_cone``
+        and ``colored_faces`` give."""
         inputs = load_perfbench("inputs")
         f = inputs.p1_fan(random.Random(1), 3, 3, 3)
         d, fan = inputs.build_p1_datum(f), sphfan.ColoredFan(inputs.build_p1_cones(f))
@@ -304,7 +303,7 @@ class TestFaces:
             counted(owner, name)
         code, out = run(capsys, *argv)
         assert code == 0
-        assert calls == {"__init__": 27, "_carrier": 27, "solve": 152}
+        assert calls == {"__init__": 1, "_carrier": 27, "solve": 152}
         monkeypatch.undo()
         faces = [{"of": i, "dim": face.cone.dim,
                   "generators": [list(map(str, g)) for g in face.cone._ints],
@@ -314,6 +313,39 @@ class TestFaces:
         assert report["faces"] == sorted(faces, key=lambda x: (x["dim"], x["of"]))
         assert [c["result"] for c in report["checks"]] == ["pass"] * 54
         assert all(spherical.validate_colored_cone(d, cc).ok for cc in fan)
+
+    def test_a_face_two_listed_cones_share_runs_one_simplex(self, files, capsys, monkeypatch):
+        """V = cone((1, 1), (1, -1)), a proper cone, and two listed cones
+        that share the ray (0, 1): its generator sum lies outside V and no
+        sign mask sets it apart, so only the simplex decides its face test.
+        The one face table of the call tests it once, as a V that kept one
+        system per generator tuple did: one simplex run for the 10
+        ``solve()`` calls (2 CC2 tests and 8 face tests; every other system
+        is certified)."""
+        datum = """
+        {"kind": "datum", "version": "1",
+         "payload": {"rank": 2,
+                     "valuation_cone": {"generators": [["1", "1"], ["1", "-1"]]},
+                     "colors": [{"name": "a", "rho": ["0", "1"]}]}}
+        """
+        fan = """
+        {"kind": "fan", "version": "1",
+         "payload": {"cones": [{"generators": [["0", "1"], ["1", "0"]], "colors": ["a"]},
+                               {"generators": [["0", "1"], ["2", "1"]], "colors": ["a"]}]}}
+        """
+        calls = Counter()
+        solve, simplex = lp.FeasibilitySystem.solve, lp._solve_eq_nonneg
+        monkeypatch.setattr(lp.FeasibilitySystem, "solve",
+                            lambda system: calls.update(["solve"]) or solve(system))
+        monkeypatch.setattr(lp, "_solve_eq_nonneg",
+                            lambda *args: calls.update(["simplex"]) or simplex(*args))
+        code, out = run(capsys, "faces", files("d.json", datum), files("f.json", fan))
+        assert code == 0
+        assert calls == {"solve": 10, "simplex": 1}
+        # the shared ray misses V, so neither cone lists it
+        listed = [(f["of"], f["generators"]) for f in json.loads(out)["faces"]]
+        assert listed == [(0, []), (1, []), (0, [["1", "0"]]), (1, [["2", "1"]]),
+                          (0, [["0", "1"], ["1", "0"]]), (1, [["0", "1"], ["2", "1"]])]
 
 
 class TestInvariant:

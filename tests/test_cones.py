@@ -162,7 +162,8 @@ def test_lazy_attributes_are_computed_once_and_frozen(monkeypatch):
     only, and is then held in the instance ``__dict__``; assigning or
     deleting it raises ``AttributeError``, as for any attribute."""
     lazy = {name: attr for name, attr in vars(Cone).items() if isinstance(attr, _lazy)}
-    assert {"generators", "_idual", "key", "dim", "_signs", "_meets"} <= set(lazy)
+    assert set(lazy) == {"generators", "_idual", "facets", "span_equations", "_gens_key",
+                         "key", "dim", "_cols", "_signs", "_col_sums", "_neg_cols"}
     calls = Counter()
     for name, attr in lazy.items():
         def spy(cone, func=attr.func, name=name):
@@ -205,9 +206,12 @@ class TestIntsByConstruction:
 
     def test_a_rational_cone_meets_through_the_int_system(self):
         ray, line = Cone(2, [(1, 0)]), Cone(2, [(1, 0), (-1, 0)])
-        kept = _meet_system([ray, line])
+        ints = _meet_system([ray, line])
         for gens in ([(Fraction(2), 0)], [("1/3", "0")], [(1, 0)]):
-            assert _meet_system([Cone(2, gens), line]) is kept
+            system = _meet_system([Cone(2, gens), line])
+            assert (system.equalities, system.rhs, system.nvars) == (
+                ints.equalities, ints.rhs, ints.nvars)
+            assert system.solve() == ints.solve() == ([], 1)
 
 
 class TestContains:
@@ -774,9 +778,9 @@ class TestRelintMeets:
                 assert c.relint_contains(w) and v.contains(w)
 
     def test_yes_no_query_on_faces(self):
-        # relint_meets asks relint_meets_cone's question without the witness:
-        # every face of random cones, the zero face among them, against
-        # random V, the zero cone, the whole space and a V with lineality
+        # relint_meets_cone's yes/no answer against Fourier-Motzkin's: every
+        # face of random cones, the zero face among them, against random V,
+        # the zero cone, the whole space and a V with lineality
         rng = random.Random(1513)
         seen = {"meets": 0, "apart": 0, "zero face": 0, "rank 1": 0}
         for _ in range(80):
@@ -791,8 +795,7 @@ class TestRelintMeets:
                 seen["zero face"] += face.is_zero
                 seen["rank 1"] += n == 1
                 for v in vs:
-                    got = face.relint_meets(v)
-                    assert got == (relint_meets_cone(face, v) is not None)
+                    got = relint_meets_cone(face, v) is not None
                     assert got == fm_relint_meets_cone(face, v)
                     seen["meets" if got else "apart"] += 1
         assert min(seen.values()) > 20, seen
@@ -801,7 +804,7 @@ class TestRelintMeets:
         for c, v in ((Cone(2), Cone(3)), (quadrant(), Cone(1, [(1,)])),
                      (Cone(1, [(1,)]), quadrant())):
             with pytest.raises(RankMismatchError):
-                c.relint_meets(v)
+                relint_meets_cone(c, v)
 
 
 class TestDoubleDescription:

@@ -341,18 +341,22 @@ class TestInfeasibleRowPresolve:
                 a, b, _ = reference_shift(old)
                 tableaux.clear()
                 y = new.solve()
-                # only the first solve of a system no certificate settles
-                # reaches the simplex: [c2, v] is the kept [c1, v] when c2 has
-                # c1's generators in c1's order
+                # every system no certificate settles reaches the simplex,
+                # as nothing keeps a system: when c2 has c1's generators in
+                # c1's order, [c2, v] is a new system with [c1, v]'s rows
+                # and answer
                 assert new.certified_infeasible == certifies(triple)
                 assert new.certified_infeasible >= presolve_certifies(old)
                 assert new.interior_point == interior(triple)
                 beyond_rows += new.certified_infeasible > presolve_certifies(old)
                 interiors += new.interior_point
-                repeat = any(new is s for s in solved)
-                repeats += repeat
-                solved.append(new)
-                assert tableaux == ([] if new.certified_infeasible or new.interior_point or repeat
+                key = tuple(c._ints for c in triple)
+                for earlier, prev, answer in solved:
+                    if earlier == key:
+                        assert prev is not new and answer == y
+                        repeats += 1
+                solved.append((key, new, y))
+                assert tableaux == ([] if new.certified_infeasible or new.interior_point
                                     else [(list(map(tuple, a)), b, new.nvars)])
                 want = reference_solve(old)
                 assert (y is None) == (want is None)

@@ -1,4 +1,5 @@
 import ast
+import gc
 import random
 from collections import Counter
 from fractions import Fraction
@@ -370,9 +371,10 @@ class TestColoredFacesWork:
     def test_faces_never_negate(self, monkeypatch):
         # a face only stands first in a meet system, so its negated columns
         # are never read, nor built; V is read negated, and so is the second
-        # cone of a CF2 pair whose rows are built, which happens just when
-        # no certificate settles the pair.  The cube closure is the faces
-        # of one cone, and two faces F != G of a cone are split by one of
+        # cone of a CF2 pair, only when a system's rows are built, which
+        # happens just when no certificate settles the system (V = Q^n holds
+        # every generator sum, so only a CF2 pair can).  The cube closure is
+        # the faces of one cone, and two faces F != G of a cone are split by one of
         # its facets (one with G on it and F not, say), so the index
         # settles every pair; so it does in the P1 fan, on the axes.  An
         # extra ray through the relative interior of a 2-cone of the P1
@@ -404,10 +406,10 @@ class TestColoredFacesWork:
                 colored_faces(d, cc)
             assert len(seen) > len(fan)
             assert not any("_neg_cols" in vars(face) for face in seen)
-            assert "_neg_cols" in vars(d.valuation_cone)
             pairs = [(i, j) for i in range(len(fan)) for j in range(i + 1, len(fan))]
             certified = reference_index_certifies([cc.cone for cc in fan], d.valuation_cone)
             left = {pair for pair, c in zip(pairs, certified) if not c}
+            assert ("_neg_cols" in vars(d.valuation_cone)) == bool(left)
             simplex_second = [any((i, j) in left for i in range(j)) for j in range(len(fan))]
             assert ["_neg_cols" in vars(cc.cone) for cc in fan] == simplex_second
             outcomes.append(len(left))
@@ -532,15 +534,18 @@ class TestSimplexRuns:
 
 
 class TestFaceTableReuse:
-    """The face table looks each distinct face bitset's relint test up
-    once (``cones._meet_system``) and calls ``solve()`` on the kept system
-    at every occurrence, so every face test is still one ``solve()`` call.
+    """The face table makes each distinct face bitset's relint test once
+    (``cones._meet_system``) and calls ``solve()`` on the kept system at
+    every occurrence, so every face test is still one ``solve()`` call.
+    CC2 of the first member on a bitset reads the same system.
 
     - CF1 of the complete colored P1^3 fan reads a table over its 27
       members.  Each member has 2^k faces for its k rays, 5^3 = 125
       occurrences in all, and each face is a member on the same
-      generators: 27 distinct bitsets, so 27 lookups (125 before the
-      table kept the systems) and 125 face ``solve()`` calls.
+      generators: 27 distinct bitsets, whose systems the 27 CC2 tests,
+      asked first, have made.  So CF1 makes none (27 while CC2 kept its
+      own systems on V, 125 before the table kept them) and calls
+      ``solve()`` 125 times.
     - The face closure of P1^4 from its 16 maximal cones reads 16 · 16 =
       256 occurrences of the 3^4 = 81 distinct faces: 81 lookups (256
       before) and 256 face ``solve()`` calls.  Its CF2 pass builds its
@@ -574,8 +579,8 @@ class TestFaceTableReuse:
         f = bench_inputs.p1_fan(random.Random(1), 3, 3, 3)
         d, fan = bench_inputs.build_p1_datum(f), ColoredFan(bench_inputs.build_p1_cones(f))
         assert validate_colored_fan(d, fan).ok
-        assert counts["lookup", "CF1"] == 27 and counts["solve", "CF1"] == 125
-        # CC2, one lookup and one solve per member, and CF2, one solve per pair
+        assert counts["lookup", "CF1"] == 0 and counts["solve", "CF1"] == 125
+        # CC2, one system and one solve per member, and CF2, one solve per pair
         assert counts["lookup", ""] == 27 and counts["solve", ""] == 27 + 351
 
     def test_the_p1_4_closure(self, monkeypatch):
@@ -589,19 +594,17 @@ class TestFaceTableReuse:
 
 
 class TestSignMasks:
-    """``cones._meet_system`` looks up the system kept on V before it reads
-    any cone's sign masks (``Cone._signs``), so only a new system computes
-    them, each cone's once.
+    """A cone's sign masks (``Cone._signs``) are computed once, and only
+    for a system no interior point certifies or for a CF2 pass.
 
     Validating the complete colored P1^3 fan asks 351 CF2 systems, 27 CC2
-    systems and 125 face systems (see ``TestSimplexRuns``).  No CF2
-    system is kept, and the CF2 pass reads the masks of all 27 members
-    and of V once, for its index.  The CC2 systems, one per member, are
-    certified feasible by an interior point, so they read no mask.  Each
-    face is a fresh cone on a member's generators in the member's order,
-    so its system is the member's kept one and it computes no mask.  That
-    makes 27 + 1 = 28 computes, against 153 = 28 + 125 when every face
-    computed its own before the lookup.
+    systems and 125 face tests (see ``TestSimplexRuns``).  The CF2 pass
+    reads the masks of all 27 members and of V once, for its index.  The
+    CC2 systems, one per member, are certified feasible by an interior
+    point, so they read no mask.  Each face's bitset is a member's, so
+    its test is on the member's CC2 system, which the face table keeps,
+    and it computes no mask.  That makes 27 + 1 = 28 computes, against
+    153 = 28 + 125 when every face computed its own.
     """
 
     def test_complete_colored_p1_computes_one_mask_per_cone(self, monkeypatch):
@@ -619,13 +622,6 @@ class TestSignMasks:
         assert validate_colored_fan(d, fan).ok
         assert len(computed) == 28
         assert {id(c) for c in computed} == {id(cc.cone) for cc in fan} | {id(d.valuation_cone)}
-
-    def test_a_kept_hit_computes_no_mask(self):
-        v = Cone(2, [(1, 0), (-1, 0), (0, 1), (0, -1)])
-        kept = cones._meet_system([Cone(2, [(1, 0), (0, 1)]), v])
-        c2 = Cone(2, [(1, 0), ("0", "1/2")])
-        assert cones._meet_system([c2, v]) is kept
-        assert "_signs" not in vars(c2) and "_cols" not in vars(c2)
 
 
 def orthant_faces(signs, rho):
@@ -971,11 +967,12 @@ def twisted_closure(t) -> ColoredFan:
 
 
 class TestNoCyclicGarbage:
-    """A call leaves nothing that only the cyclic collector frees.  The
-    meet systems kept on V (``V._meets``) hold the columns their rows are
-    built from, not V, so V, its systems and their builders are freed by
-    reference counting once the caller drops V.  Each call builds its
-    inputs, with ``perfbench/inputs.py``, and drops them when it returns."""
+    """A call leaves nothing that only the cyclic collector frees: the
+    meet systems hold the cones their rows are built from, and no cone
+    holds a system, so the face table, its systems and their builders
+    are freed by reference counting when the call returns.  Each call
+    builds its inputs, with ``perfbench/inputs.py``, and drops them when
+    it returns."""
 
     @pytest.mark.parametrize("call, args", [
         (closure_of_maximal_p1, (3, 3)),
@@ -990,6 +987,22 @@ class TestNoCyclicGarbage:
             "faces 4-cube"])
     def test_call(self, call, args):
         assert cyclic_garbage(call, *args) == Counter()
+
+
+def test_a_datum_keeps_no_meet_system():
+    """Validating a fan leaves no LP system alive once the report and the
+    fan are dropped, though the datum, and with it V, is kept: the face
+    table of the call is the one keeper of relint(C) ∩ V systems, and it
+    goes with the call.  On the complete colored P1^5 fan (243 members),
+    a V that kept one system per member's generators held 243."""
+    def alive() -> int:
+        gc.collect()
+        return sum(isinstance(o, lp.FeasibilitySystem) for o in gc.get_objects())
+    f = bench_inputs.p1_fan(random.Random(5), 5, 5, 5)
+    d = bench_inputs.build_p1_datum(f)
+    before = alive()
+    assert validate_colored_fan(d, ColoredFan(bench_inputs.build_p1_cones(f))).ok
+    assert alive() - before == 0
 
 
 class TestGeneratorLookupAgainstKeyOnly:
@@ -1241,8 +1254,9 @@ class TestFaceTableAgainstReference:
 
 
 class TestKeptMeetSystems:
-    """Each (cone, V) system is kept on V and solved once; the answers
-    must be those of a fresh system solved afresh on every call."""
+    """Each (cone, V) system is kept by the face table of a call and solved
+    once; the answers must be those of a fresh system solved afresh on
+    every call."""
 
     def test_reports_against_fresh_systems(self, monkeypatch):
         rng = random.Random(22)
@@ -1275,48 +1289,88 @@ class TestKeptMeetSystems:
         assert cf2 > 50 and ranks == 0b11100
         assert runs["kept"] < runs["fresh"] / 2, runs
 
-    def test_a_kept_system_answers_alike(self):
-        rng = random.Random(23)
-        answers = Counter()
-        for _ in range(200):
-            d = proper_datum(rng, max_rank=4)
+
+def straddling(rng: random.Random, d: SphericalDatum) -> ColoredCone:
+    """A colored cone on a point of V and two or three random vectors:
+    its generator sum often lies outside V while its relative interior
+    meets V, so the simplex decides its CC2."""
+    n = d.rank
+    gens = [combination(rng, n, d.valuation_cone.generators)]
+    gens += [random_vec(rng, n, -3, 3) for _ in range(rng.randint(2, 3))]
+    return ColoredCone(Cone(n, gens), [f for f in d.colors if rng.random() < 0.5])
+
+
+def with_twins(rng: random.Random, d: SphericalDatum, members: list) -> list:
+    """members with a twin after some of them: the same generators in
+    reversed order, under the palette with one color more or less, so
+    the fan keeps both."""
+    out = list(members)
+    for cc in members:
+        if len(cc.cone._ints) > 1 and d.colors and rng.random() < 0.5:
+            out.append(ColoredCone(Cone(d.rank, cc.cone.generators[::-1]),
+                                   cc.palette ^ {rng.choice(d.colors)}))
+    return out
+
+
+class TestTwinMembers:
+    """A member on the generator set of an earlier one, in another order
+    (a twin), asks CC2 on a system of its own generators, so its witness
+    is its own simplex point; every other member's CC2 reads its top
+    face's system in the face table.  On seeded fans with twins and a V
+    that is no linear space (``random_datum``), ``validate_colored_fan``,
+    each call on a datum of its own, must give the reports, witnesses
+    included, of the all-LP reference and of each member's
+    ``validate_colored_cone``, and run the simplex exactly as often as
+    when V kept one system per generator tuple."""
+
+    def test_reports_and_simplex_runs(self, monkeypatch):
+        rng = random.Random(3907)
+        runs = Counter()
+        simplex, path = lp._solve_eq_nonneg, [None]
+
+        def counted(*args):
+            runs[path[0]] += 1
+            return simplex(*args)
+        monkeypatch.setattr(lp, "_solve_eq_nonneg", counted)
+        seen = Counter()
+        while seen["fans"] < 600:
+            d = random_datum(rng, max_rank=4)
             v = d.valuation_cone
-            c = random_top(rng, d).cone
-            system = cones._meet_system([c, v])
-            assert cones._meet_system([Cone._of_ints(d.rank, c._ints), v]) is system
-            want = fresh_meet_system([c, v]).solve()
-            if system.interior_point:
-                # the certificate's answer names no point; a fresh system
-                # must find one
-                assert want is not None
-                want = ([], 1)
-            first = system.solve()
-            assert first == system.solve() == want
-            answers[system.interior_point, first is None] += 1
-            if first is not None:
-                # the caller owns the list it got; the next answer is kept
-                first[0].append(1)
-                first[0][0] += 1
-                assert system.solve() == want
-                assert system.solve()[0] is not system.solve()[0]
-            assert relints_meet_in(c, None, v) == reference_relints_meet_in(c, None, v)
-        # many are feasible and many infeasible, and of the feasible ones
-        # some are certified and some solved by the simplex
-        feasible = answers[True, False] + answers[False, False]
-        assert min(feasible, answers[False, True]) > 20, answers
-        assert min(answers[True, False], answers[False, False]) > 10, answers
+            if all(v.contains(tuple(-x for x in g)) for g in v.generators):
+                continue
+            members = random_members(rng, d, redundant=False)
+            fan = ColoredFan(with_twins(rng, d, members + [straddling(rng, d) for _ in range(3)]))
+            d = SphericalDatum(d.rank, Cone(d.rank, v.generators), d.colors, d.rho)
+            path[0] = "call"
+            got = validate_colored_fan(d, fan)
+            path[0] = None
+            assert repr(got) == repr(without_kept_systems(validate_colored_fan, d, fan))
+            assert got.cone_reports == tuple(validate_colored_cone(d, cc) for cc in fan)
+            first = {}
+            for cc, r in zip(fan, got.cone_reports):
+                twin = first.setdefault(cc.cone._gens_key, (cc, r))
+                if twin[0] is not cc:
+                    seen["twins"] += 1
+                    seen["twin witness differs"] += r.cc2_witness != twin[1].cc2_witness
+            seen["fans"] += 1
+        # many twins, and a few whose own simplex point is another than
+        # the earlier member's, which the table's system would have given
+        assert seen["twins"] > 500 and seen["twin witness differs"] >= 5, seen
+        # 11,596 when V kept one system per generator tuple: no call runs
+        # more than it did then, so none runs fewer either
+        assert runs["call"] == 11596, runs
 
 
 class TestInteriorPointCertificate:
     """A relint(C) ∩ V system (``cones._meet_system``) whose C has its
     generator sum in V is certified feasible and runs no simplex, whoever
-    asks: a face test (``Cone.relint_meets``) or CC2.  On random data with
-    a proper V, a system must be certified exactly when a reference that
-    reads no facet of V finds the sum in V, every certified system must
-    be feasible for the simplex and for Fourier-Motzkin, ``colored_faces``
-    must equal its all-simplex reference, and a CC2 test asked after a
-    certified face test of the same cone must take the kept system and
-    give the generator sum as its witness."""
+    asks: a face test or CC2.  On random data with a proper V, a system
+    must be certified exactly when a reference that reads no facet of V
+    finds the sum in V, every certified system must be feasible for the
+    simplex and for Fourier-Motzkin, ``colored_faces`` must equal its
+    all-simplex reference, and a CC2 test asked after a certified face
+    test of the same cone, in one face table, must take the kept system
+    and give the generator sum as its witness."""
 
     def test_certified_systems_are_feasible(self, monkeypatch):
         rng = random.Random(31)
@@ -1344,26 +1398,37 @@ class TestInteriorPointCertificate:
         # many systems are certified and many are not
         assert len(certified) > 200 and asked[False] > 100, asked
 
-    def test_cc2_after_a_certified_face_test(self):
+    def test_cc2_after_a_certified_face_test(self, monkeypatch):
+        # the closure's members listed top down, as ``sphfan faces`` lists
+        # them (each member's report, then its colored faces, off one
+        # table): a member that is a face of an earlier one finds its
+        # system made by that face test
         rng = random.Random(37)
+        made = Counter()
+        make = cones._meet_system
+        monkeypatch.setattr(cones, "_meet_system", lambda cs: made.update(["system"]) or make(cs))
         kept = 0
         for _ in range(150):
             d = proper_datum(rng, max_rank=4)
             v = d.valuation_cone
             fan = faces_closure(d, [random_top(rng, d)])
-            before = {cc.cone._ints: v._meets[cc.cone._ints] for cc in fan}
-            got = validate_colored_fan(d, fan)
-            assert report_form(got) == report_form(
-                without_kept_systems(validate_colored_fan, d, fan))
-            for cc, r in zip(fan, got.cone_reports):
+            members = fan.cones[::-1]
+            table = spherical._FaceTable(d, members)
+            for i, cc in enumerate(members):
+                before, n = table.systems.get(table.sets[i]), made["system"]
+                r = table.report(i)
                 assert r.cc2_witness == reference_relints_meet_in(cc.cone, None, v)
-                system = v._meets[cc.cone._ints]
-                assert system is before[cc.cone._ints]
-                if system.interior_point:
-                    assert r.cc2_witness == generator_sum(cc.cone)
-                    kept += 1
-        # most members were certified by the closure's face tests, and
-        # CC2 took each kept system, with the generator sum as its witness
+                if before is not None:
+                    assert made["system"] == n
+                    if before.interior_point:
+                        assert r.cc2_witness == generator_sum(cc.cone)
+                        kept += 1
+                table.colored(i)
+            assert report_form(validate_colored_fan(d, fan)) == report_form(
+                without_kept_systems(validate_colored_fan, d, fan))
+        # most members were certified by an earlier member's face tests,
+        # and CC2 took each kept system, with the generator sum as its
+        # witness
         assert kept > 200, kept
 
 
@@ -1382,10 +1447,10 @@ class TestCC2WitnessRule:
     on a fresh system (``fresh_meet_system``), otherwise None.  On random
     data with a proper V (``proper_datum``, and ``random_datum``, whose V
     is the whole space half the time), for a random cone and its faces,
-    each asked on a V of its own so that neither asker finds the other's
-    kept system: the sum is taken exactly when ``reference_holds``, which
-    reads V's generators and no facet, finds it in V; a witness lies in
-    relint(C) and in V; and the verdict is Fourier-Motzkin's."""
+    each asked on a V of its own: the sum is taken exactly when
+    ``reference_holds``, which reads V's generators and no facet, finds it
+    in V; a witness lies in relint(C) and in V; and the verdict is
+    Fourier-Motzkin's."""
 
     def test_witness_by_rule(self):
         rng = random.Random(2101)
