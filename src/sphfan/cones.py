@@ -2,9 +2,13 @@
 
 A cone stores its generators as primitive int vectors; the dual (facet)
 description is computed lazily on ints by an incremental double
-description pass and cached, and the canonical key is read off it.  The
-same pass gives each facet's tight set as an int bitset over the
-generators, and one walk, ``Cone._ordered_faces``, closes the face
+description pass and cached, and the canonical key is read off it.  A
+caller that reads the dual of every cone in a list computes them together
+(``_fill_duals``), through one trie of the pass's states by generator
+prefix, so a linearly independent prefix the cones share is stepped
+once: one step per cone in a face-closed simplicial fan whose cones list
+their generators in one order.  The same pass gives each facet's tight set as an int bitset over
+the generators, and one walk, ``Cone._ordered_faces``, closes the face
 lattice on those bitsets and lists the faces in order, or, for a
 simplicial cone, lists the subsets of its generators with no closure;
 ``Cone.faces`` and the face table of :mod:`sphfan.spherical` both read it.
@@ -49,7 +53,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 
 from .lp import FeasibilitySystem
 from .rational import (Frozen, Mat, RankMismatchError, Vec, _combine, _idot,
-                       _pivots, _reduce_ints, all_ints, bareiss, integer_rows,
+                       _pivots, all_ints, bareiss, integer_rows,
                        primitive_ints, rat)
 
 
@@ -93,7 +97,7 @@ def _divide_by_pivots(basis: Sequence[Sequence[int]]) -> list[Vec]:
     return [tuple(Fraction(x, r[p]) for x in r) for r, p in zip(basis, _pivots(basis))]
 
 
-def _dual_ints(ineqs: Sequence[Sequence[int]], n: int) -> tuple[
+def _dual_ints(ineqs: Sequence[Sequence[int]], n: int, trie: Optional[dict] = None) -> tuple[
         list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
     """``dual_description`` of int rows, in int form.
 
@@ -145,20 +149,55 @@ def _dual_ints(ineqs: Sequence[Sequence[int]], n: int) -> tuple[
     tight sets, the order and the rays, reduced at the end, are the same
     for every choice.
 
+    ``lin`` carries its pivot columns, ``piv``: range(n) for the identity,
+    and a step drops the column of the row l0 it removes, as the others
+    keep theirs.  So the final reduction of the rays modulo L needs no pass
+    to find the pivots: row by row, a ray nonzero in the row's pivot column
+    becomes a ``_combine`` of the two.  Each ray is made primitive (a unit
+    vector, a ``_combine`` output or the negation of one), and so it stays.
+    When L ends as 0 (the described cone is pointed; for a cone's
+    generators, the cone is full-dimensional) the rays are returned as
+    they are.
+
     Two loops stop early; neither changes a value or an order.  The
     lineality search stops at the last vector of L with a nonzero dot.
     The adjacency scan counts the tight sets that contain Z(u) ∩ Z(v) and
-    stops at the third, since Z(u) and Z(v) always do.  When L ends as 0
-    (the described cone is pointed; for a cone's generators, the cone is
-    full-dimensional) the rays are returned as they are: each is a unit
-    vector, a ``_combine`` output or the negation of one, so primitive,
-    and there is no basis to reduce it modulo.
-    """
-    lin = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
-    rays, tight = [], []
+    stops at the third, since Z(u) and Z(v) always do.
 
-    for k, a in enumerate(ineqs):
-        bit = 1 << k
+    ``trie``, when given, keeps the state after each prefix of rows that
+    the calls on it stepped, so calls whose rows share a prefix step it
+    once (``_fill_duals``).  It maps n to a root node; a node is (state,
+    children): the state is ``lin``, ``piv``, the rays and their tight sets
+    after the node's prefix, the empty one at the root, and the children
+    are keyed by the next row, so the rows must be hashable.  A call
+    resumes from the longest stored prefix of ``ineqs`` and stores each
+    state it steps while its prefix is linearly independent: such a state,
+    after k rows, holds n vectors (n - k in ``lin``, k rays), so a call
+    stores at most n states of n vectors.  The first row in the span of
+    the rows before it ends the storing, as past it the ray list can grow
+    with every row; every prefix of a simplicial cone's generators is
+    independent, and so stored.  The output is exact and the same as with
+    no trie: the pass is deterministic, so the state after a prefix
+    depends only on n and the prefix; bit k of a tight set is row k, which
+    has the same index in every call sharing the prefix; and a stored
+    state is never changed, as every step binds new lists and callers copy
+    what they keep.  With no trie the loop is the same, and keeps nothing.
+    """
+    node = None if trie is None else trie.get(n)
+    if node is None:
+        identity = [(0,) * i + (1,) + (0,) * (n - 1 - i) for i in range(n)]
+        node = (identity, list(range(n)), [], []), {}
+        if trie is not None:
+            trie[n] = node
+    (lin, piv, rays, tight), below = node
+    start = 0
+    if trie is not None:
+        while start < len(ineqs) and ineqs[start] in below:
+            (lin, piv, rays, tight), below = below[ineqs[start]]
+            start += 1
+
+    for k in range(start, len(ineqs)):
+        a, bit = ineqs[k], 1 << k
         s0 = 0
         for hit in reversed(range(len(lin))):
             if s0 := sum(map(mul, a, lin[hit])):
@@ -169,37 +208,41 @@ def _dual_ints(ineqs: Sequence[Sequence[int]], n: int) -> tuple[
                 l0, s0 = _neg(l0), -s0
             lin = [_combine(s0, l, s, l0) if (s := sum(map(mul, a, l))) else l
                    for l in lin[:hit]] + lin[hit + 1:]
+            piv = piv[:hit] + piv[hit + 1:]
             # primitive(s0 * r) = r for a ray r on the hyperplane, as s0 > 0
             rays = [_combine(s0, r, s, l0) if (s := sum(map(mul, a, r))) else r for r in rays]
             rays.append(l0)
             tight = [z | bit for z in tight] + [bit - 1]
-            continue
-        dots = [sum(map(mul, a, r)) for r in rays]
-        pos, negs, zero = [], [], []
-        for h, s in enumerate(dots):
-            (pos if s > 0 else negs if s else zero).append(h)
-        need = n - len(lin) - 2
-        new, new_tight = [], []
-        for i in pos:
-            zi, ri, si = tight[i], rays[i], dots[i]
-            for j in negs:
-                common = zi & tight[j]
-                if common.bit_count() < need:
-                    continue
-                c = 0
-                for z in tight:
-                    if common & z == common and (c := c + 1) > 2:
-                        break
-                else:
-                    new.append(_combine(si, rays[j], dots[j], ri))
-                    new_tight.append(common | bit)
-        rays = [rays[h] for h in pos + zero] + new
-        tight = [tight[h] for h in pos] + [tight[h] | bit for h in zero] + new_tight
+        else:
+            trie = None  # a dependent row: this prefix and longer ones are not stored
+            dots = [sum(map(mul, a, r)) for r in rays]
+            pos, negs, zero = [], [], []
+            for h, s in enumerate(dots):
+                (pos if s > 0 else negs if s else zero).append(h)
+            need = n - len(lin) - 2
+            new, new_tight = [], []
+            for i in pos:
+                zi, ri, si = tight[i], rays[i], dots[i]
+                for j in negs:
+                    common = zi & tight[j]
+                    if common.bit_count() < need:
+                        continue
+                    c = 0
+                    for z in tight:
+                        if common & z == common and (c := c + 1) > 2:
+                            break
+                    else:
+                        new.append(_combine(si, rays[j], dots[j], ri))
+                        new_tight.append(common | bit)
+            rays = [rays[h] for h in pos + zero] + new
+            tight = [tight[h] for h in pos] + [tight[h] | bit for h in zero] + new_tight
+        if trie is not None:
+            below[a] = (lin, piv, rays, tight), {}
+            below = below[a][1]
 
-    if not lin:
-        return [], rays, tight
-    pivots = _pivots(lin)
-    return lin, [_reduce_ints(r, lin, pivots) for r in rays], tight
+    for l, p in zip(lin, piv):
+        rays = [_combine(l[p], r, r[p], l) if r[p] else r for r in rays]
+    return lin, rays, tight
 
 
 def dual_description(ineqs: Sequence[Vec], n: int) -> tuple[list[Vec], list[Vec]]:
@@ -278,13 +321,14 @@ class Cone(Frozen):
         return not self._ints
 
     @_lazy
-    def _idual(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...],
-                              tuple[int, ...]]:
+    def _idual(self, trie: Optional[dict] = None) -> tuple[
+            tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], tuple[int, ...]]:
         """(span_equations, facets, tight sets) in int form: the ``_echelon``
         basis of the dual cone's lineality, its reduced primitive extreme
         rays, and for each facet the bitset of the generators it vanishes
-        on, all from one ``_dual_ints`` pass over the generators."""
-        return tuple(map(tuple, _dual_ints(self._ints, self.ambient_rank)))
+        on, all from one ``_dual_ints`` pass over the generators, through
+        ``trie`` when ``_fill_duals`` computes it."""
+        return tuple(map(tuple, _dual_ints(self._ints, self.ambient_rank, trie)))
 
     @_lazy
     def facets(self) -> tuple[Vec, ...]:
@@ -478,6 +522,19 @@ class Cone(Frozen):
         gens = self._ints
         return [Cone._of_ints(self.ambient_rank, [gens[i] for i in idx], d)
                 for d, idx, _ in self._ordered_faces()]
+
+
+def _fill_duals(cs: Iterable[Cone], trie: dict) -> None:
+    """Computes ``_idual`` for each cone in cs that lacks it, all through
+    one trie of ``_dual_ints`` prefix states, so a linearly independent
+    generator prefix that cones share is stepped once: in a face-closed
+    simplicial fan listing each cone's generators in one order, one step
+    per cone.  A caller that
+    reads the dual of every cone it holds passes a new ``{}``; the trie
+    lives as long as the caller keeps it."""
+    for c in cs:
+        if "_idual" not in c.__dict__:
+            c.__dict__["_idual"] = Cone._idual.func(c, trie)
 
 
 def _face_lattice(top: int, tight_sets: Sequence[int], dim: int) -> dict[int, int]:

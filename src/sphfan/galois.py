@@ -143,7 +143,7 @@ def is_invariant_fan(a: GaloisAction, fan: ColoredFan) -> InvarianceReport:
 def orbit(a: GaloisAction, cc: ColoredCone) -> list[ColoredCone]:
     """The distinct images of cc (``spherical._distinct``), each at its
     first element."""
-    return list(_distinct(apply_element(a, e, cc) for e in a.elements))
+    return [cc for _, cc in _distinct(apply_element(a, e, cc) for e in a.elements)]
 
 
 def invariant_closure(a: GaloisAction, seeds: Sequence[ColoredCone]) -> ColoredFan:
@@ -168,7 +168,7 @@ def invariant_closure(a: GaloisAction, seeds: Sequence[ColoredCone]) -> ColoredF
     worklist = list(seeds)
     members = []
     # a list iterator also reads the items appended while it runs
-    for cc in _distinct(worklist):
+    for _, cc in _distinct(worklist):
         members.append(cc)
         worklist += orbit(a, cc)
     return faces_closure(a.datum, members)

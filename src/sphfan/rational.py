@@ -182,15 +182,6 @@ def _pivots(basis: Sequence[Sequence[int]]) -> list[int]:
     return [next(i for i, x in enumerate(r) if x != 0) for r in basis]
 
 
-def _reduce_ints(v: Sequence[int], basis: Sequence[Sequence[int]],
-                 pivots: Sequence[int]) -> tuple[int, ...]:
-    """The primitive representative of int v modulo the span of ``_echelon`` rows."""
-    for row, p in zip(basis, pivots):
-        if v[p] != 0:
-            v = _combine(row[p], v, v[p], row)
-    return primitive_ints(v)
-
-
 class Frozen:
     """Base of the immutable value types: assigning or deleting an
     attribute raises ``AttributeError``.  Constructors set slots past this

@@ -30,7 +30,7 @@ from . import cones
 # relint_meets_cone and relints_meet_in are no longer called here, but
 # stay names of this module: perfbench/tracing.py wraps them where sphfan
 # looks them up
-from .cones import (Cone, _lazy, cones_equal, meeting_pairs,  # noqa: F401
+from .cones import (Cone, _fill_duals, _lazy, cones_equal, meeting_pairs,  # noqa: F401
                     relint_meets_cone, relints_meet_in)
 from .rational import Frozen, RankMismatchError, Vec, integer_rows, rat
 
@@ -127,20 +127,27 @@ def colored_cones_equal(a: ColoredCone, b: ColoredCone) -> bool:
     return a._gens_key == b._gens_key or a.key == b.key
 
 
-def _distinct(ccs: Iterable[ColoredCone]) -> Iterator[ColoredCone]:
-    """Each colored cone whose key is new, in order, lazily.
+def _distinct(ccs: Iterable[ColoredCone]) -> Iterator[tuple[tuple, ColoredCone]]:
+    """(generator key, colored cone) of each colored cone whose key is new,
+    in order, lazily, each key read once.
 
     This is the library's one identity rule: a colored cone repeating a
     generator set and palette seen before is skipped with no key
-    computed, and the others are told apart by key."""
+    computed, and the others are told apart by key.  Their duals are
+    computed through one trie (``cones._fill_duals``), so a linearly
+    independent generator prefix the cones share is stepped once."""
     gens: set[tuple] = set()
     keys: set[tuple] = set()
+    trie: dict = {}
     for cc in ccs:
-        if cc._gens_key not in gens:
-            gens.add(cc._gens_key)
-            if cc.key not in keys:
-                keys.add(cc.key)
-                yield cc
+        g = cc._gens_key
+        if g not in gens:
+            gens.add(g)
+            _fill_duals((cc.cone,), trie)
+            k = cc.key
+            if k not in keys:
+                keys.add(k)
+                yield g, cc
 
 
 class ColoredFan(Frozen):
@@ -152,13 +159,14 @@ class ColoredFan(Frozen):
     __slots__ = ("cones", "_by_gens", "__dict__")
 
     def __init__(self, cones: Iterable[ColoredCone]):
-        members = tuple(_distinct(cones))
-        if not members:
+        by_gens = dict(_distinct(cones))
+        if not by_gens:
             raise ValueError("a colored fan must be nonempty")
+        members = tuple(by_gens.values())
         if len({cc.cone.ambient_rank for cc in members}) != 1:
             raise RankMismatchError("fan members have mixed ambient ranks")
         ColoredFan._set_cones(self, members)
-        ColoredFan._set_by_gens(self, {cc._gens_key: i for i, cc in enumerate(members)})
+        ColoredFan._set_by_gens(self, {g: i for i, g in enumerate(by_gens)})
 
     @classmethod
     def _of_distinct(cls, members: Sequence[ColoredCone]) -> "ColoredFan":
@@ -471,7 +479,9 @@ def _faces_fan(d: SphericalDatum, cones: Sequence[ColoredCone]) -> ColoredFan:
     is such, as its own lattice shows (its bottom face is {0} and each
     generator is a face), equal faces have equal bitsets, and the fan
     computes no key.  Otherwise ``ColoredFan`` tells the faces apart by
-    key, and an empty list raises there."""
+    key, and an empty list raises there.  The table reads the dual of each
+    given cone, so they are computed together first (``_fill_duals``)."""
+    _fill_duals([cc.cone for cc in cones], {})
     table = _FaceTable(d, cones)
     found = sorted(((i, face) for i in range(len(cones)) for face in table.colored(i)),
                    key=lambda m: m[1][0])

@@ -23,7 +23,7 @@ from sphfan.galois import ActionReport, GaloisAction, apply_element
 from sphfan.lp import FeasibilitySystem
 from sphfan.morphisms import FanMorphism
 from sphfan.rational import (Mat, RankMismatchError, Vec, _combine, _echelon, _idot,
-                             _pivots, _reduce_ints, all_ints, bareiss, integer_rows,
+                             _pivots, all_ints, bareiss, integer_rows,
                              primitive_ints, rat)
 from sphfan.spherical import (ColoredCone, ColoredConeReport, ColoredFan,
                               ColoredFanReport, FanAxiomError, SphericalDatum,
@@ -746,6 +746,15 @@ def _reference_extreme_filter(rays, processed, n, lin_dim):
     return out
 
 
+def reference_reduce_ints(v: Sequence[int], basis: Sequence[Sequence[int]],
+                          pivots: Sequence[int]) -> tuple[int, ...]:
+    """The primitive representative of int v modulo the span of ``_echelon`` rows."""
+    for row, p in zip(basis, pivots):
+        if v[p] != 0:
+            v = _combine(row[p], v, v[p], row)
+    return primitive_ints(v)
+
+
 def reference_dual_ints(ineqs: Sequence[Sequence[int]],
                         n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """The int double description ``cones._dual_ints`` replaced, with each
@@ -802,7 +811,22 @@ def reference_dual_ints(ineqs: Sequence[Sequence[int]],
 
     basis = _echelon(lin)
     pivots = _pivots(basis)
-    return basis, [_reduce_ints(r, basis, pivots) for r, _ in rays]
+    return basis, [reference_reduce_ints(r, basis, pivots) for r, _ in rays]
+
+
+def trie_states(trie: dict) -> dict[tuple, tuple]:
+    """{(rank, generator prefix): state} of every node of a ``_dual_ints``
+    trie but the roots: one per step the pass took.  The trie maps a rank
+    to its root, and a node's children by their generator to nodes; a
+    node is (state after its prefix, children), the root's prefix empty."""
+    out = {}
+    work = [(n, (), children) for n, (_, children) in trie.items()]
+    while work:
+        n, prefix, children = work.pop()
+        for a, (state, below) in children.items():
+            out[n, prefix + (a,)] = state
+            work.append((n, prefix + (a,), below))
+    return out
 
 
 def reference_det(m: Mat) -> Fraction:

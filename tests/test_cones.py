@@ -2,6 +2,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from math import gcd
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,7 @@ from helpers import (ReferenceCone, brute_force_faces, dot, fm_relint_meets_cone
                      load_perfbench, random_cone, random_vec, reference_cones_equal,
                      reference_contains, reference_dual_description, reference_dual_ints,
                      reference_lineality, reference_relints_meet_in, reference_rref,
-                     seed_cone_ints)
+                     seed_cone_ints, trie_states)
 
 bench_inputs = load_perfbench("inputs")
 
@@ -1084,6 +1085,146 @@ class TestBitsetDualAgainstFrozenset:
             assert basis and basis == _echelon(basis)
             multi += len(basis) > 1
         assert multi > 1000
+
+
+def simplicial_faces(rng: random.Random, n: int, k: int) -> list[Cone]:
+    """The faces of a random simplicial cone on k <= n linearly independent
+    generators, each listing its generators in index order, as
+    ``Cone.faces`` does: a face-closed simplicial list in library order."""
+    while True:
+        gens = [tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(k)]
+        if len(bareiss(gens)[1]) == k:
+            return Cone(n, gens).faces()
+
+
+def shared_dual_lists(rng: random.Random) -> Iterator[tuple[str, list[Cone]]]:
+    """(kind, cones) lists whose duals share one trie, each cone new, with
+    no dual computed (``Cone._of_ints``): face-closed simplicial fans in
+    library order, the complete P1^n fan among them, and the same with
+    each cone's generators shuffled; lists that add lower-dimensional
+    cones, cones with lineality, cones with a redundant generator, the
+    zero cone, repeated members and cones of a second rank."""
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        fan = [c for _ in range(rng.randint(1, 3))
+               for c in simplicial_faces(rng, n, rng.randint(0, n))]
+        if rng.random() < 0.25:
+            f = bench_inputs.p1_fan(rng, min(n, 4), min(n, 4), 0)
+            n = f.n
+            fan = [cc.cone for cc in bench_inputs.build_p1_cones(f)]
+        yield "library order", [Cone._of_ints(n, c._ints) for c in fan]
+        yield "shuffled", [Cone._of_ints(n, rng.sample(c._ints, len(c._ints))) for c in fan]
+        mixed = [Cone._of_ints(n, c._ints) for c in rng.sample(fan, min(len(fan), 6))]
+        for _ in range(rng.randint(1, 6)):
+            m = rng.randint(1, 5) if rng.random() < 0.3 else n
+            gens = [random_vec(rng, m, -3, 3) for _ in range(rng.randint(0, m + 2))]
+            shape = rng.randrange(4)
+            if shape == 0 and gens:
+                gens.append(tuple(-x for x in gens[0]))  # a line
+            elif shape == 1 and len(gens) > 1:
+                gens.append(tuple(a + 2 * b for a, b in zip(gens[0], gens[1])))  # redundant
+            mixed.append(Cone(m, gens))
+        twin = rng.choice(mixed)
+        mixed += [Cone(n), twin, Cone._of_ints(twin.ambient_rank, twin._ints)]
+        yield "mixed", mixed
+
+
+def own_dual(c: Cone) -> tuple:
+    """c's ``_idual`` as a per-cone ``_dual_ints`` pass with no trie gives it."""
+    return tuple(map(tuple, _dual_ints(c._ints, c.ambient_rank)))
+
+
+class TestSharedDuals:
+    """``cones._fill_duals`` steps each linearly independent generator
+    prefix of a list once, through one trie of ``_dual_ints`` states.  Every cone's ``_idual``,
+    facet order included, must be its own per-cone pass's and the
+    reference's: the pass is deterministic, so the state after a prefix
+    depends only on (rank, prefix); bit k of a tight set is generator k in
+    every cone sharing the prefix; and no stored state is changed."""
+
+    def test_against_per_cone_duals_and_the_reference(self):
+        rng = random.Random(401)
+        kinds, resumed = Counter(), 0
+        for kind, cs in shared_dual_lists(rng):
+            trie = {}
+            cones._fill_duals(cs, trie)
+            for c in cs:
+                assert c._idual == own_dual(c), (kind, c)
+                basis, rays = reference_dual_ints(c._ints, c.ambient_rank)
+                assert (list(c._idual[0]), list(c._idual[1])) == (basis, rays)
+            steps = sum(len(c._ints) for c in {id(c): c for c in cs}.values())
+            resumed += len(trie_states(trie)) < steps
+            kinds[kind] += 1
+            # a later fill on the same trie resumes from the stored states,
+            # leaves them as they were and gives every cone its own dual
+            stored = trie_states(trie)
+            before = {k: tuple(map(list, v)) for k, v in stored.items()}
+            later = [Cone._of_ints(c.ambient_rank, c._ints) for c in cs]
+            later += [random_cone(rng, max_rank=5) for _ in range(3)]
+            cones._fill_duals(later, trie)
+            assert all(c._idual == own_dual(c) for c in later)
+            assert all(a._idual == b._idual for a, b in zip(cs, later))
+            after = trie_states(trie)
+            assert all(after[k] is stored[k] for k in stored)
+            assert {k: tuple(map(list, after[k])) for k in stored} == before
+        assert kinds == {"library order": 200, "shuffled": 200, "mixed": 200}
+        assert resumed > 300, resumed
+
+    def test_the_trie_keeps_independent_prefixes_only(self):
+        """The trie holds the prefixes of each cone's generators up to its
+        first generator in the span of those before it, and no longer
+        ones: each state after k independent rows holds n vectors, n - k
+        of the lineality basis and k rays, so the trie holds at most n
+        states of n vectors per cone.  The mixed lists hold cones whose
+        later generators are dependent."""
+        rng = random.Random(403)
+        cut = 0
+        for _, cs in shared_dual_lists(rng):
+            trie = {}
+            cones._fill_duals(cs, trie)
+            expected = set()
+            for c in cs:
+                k = max(k for k in range(len(c._ints) + 1)
+                        if len(_echelon(c._ints[:k])) == k)
+                cut += k < len(c._ints)
+                expected |= {(c.ambient_rank, c._ints[:j]) for j in range(1, k + 1)}
+            stored = trie_states(trie)
+            assert set(stored) == expected
+            assert all(len(lin) == len(piv) == n - len(prefix) == n - len(rays)
+                       and len(tight) == len(prefix)
+                       for (n, prefix), (lin, piv, rays, tight) in stored.items())
+        assert cut > 300, cut
+
+    def test_a_cone_with_a_dual_runs_none(self, monkeypatch):
+        """A repeated cone, or one whose dual is computed, runs no double
+        description: three cones, one of them twice and one with its dual
+        read before, take one pass."""
+        calls = []
+        dual = cones._dual_ints
+
+        def counted(*args):
+            calls.append(args)
+            return dual(*args)
+        monkeypatch.setattr(cones, "_dual_ints", counted)
+        a, b = Cone(2, [(1, 0), (0, 1)]), Cone(2, [(1, 0)])
+        assert b.dim == 1
+        calls.clear()
+        cones._fill_duals([a, b, a], {})
+        assert len(calls) == 1 and a._idual == own_dual(a)
+
+    @pytest.mark.parametrize("k", [0, 1, 3, 5])
+    def test_boolean_faces_step_once_per_face(self, k):
+        """The faces of a simplicial k-cone list every subset of its
+        generators in index order, and a prefix of a subset so listed is
+        another such subset.  So the trie holds one node per nonempty
+        subset, 2^k - 1 (0, 1, 7, 31), where per-cone duals step
+        sum_j j·C(k, j) = k·2^(k-1) generators (0, 1, 12, 80)."""
+        faces = simplicial_faces(random.Random(k), 5, k)
+        trie = {}
+        cones._fill_duals(faces, trie)
+        assert len(trie_states(trie)) == 2 ** k - 1
+        assert sum(len(f._ints) for f in faces) == k * 2 ** k // 2
+        assert all(f._idual == own_dual(f) for f in faces)
 
 
 def as_given(rng: random.Random, gens) -> list:

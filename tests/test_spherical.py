@@ -30,7 +30,7 @@ from helpers import (KeyOnlyColoredFan, closure_outcome, cube_face_fan, cyclic_g
                      presolve_certifies, random_cone, random_datum,
                      random_valid_colored_cone, random_vec, reference_colored_faces,
                      reference_contains, reference_holds, reference_index_certifies,
-                     reference_meet_system, reference_relints_meet_in,
+                     reference_meet_system, reference_relints_meet_in, trie_states,
                      without_kept_systems)
 
 bench_inputs = load_perfbench("inputs")
@@ -1219,9 +1219,9 @@ class TestFaceTableAgainstReference:
         rows = []
         dual = cones._dual_ints
 
-        def counted(ineqs, n):
+        def counted(ineqs, n, trie=None):
             rows.append(tuple(ineqs))
-            return dual(ineqs, n)
+            return dual(ineqs, n, trie)
         monkeypatch.setattr(cones, "_dual_ints", counted)
         seen = Counter()
         for _ in range(120):
@@ -1551,9 +1551,9 @@ class TestHyperplaneIndex:
         runs = []
         dual_ints = cones._dual_ints
 
-        def counted(ineqs, n):
+        def counted(ineqs, n, trie=None):
             runs.append(n)
-            return dual_ints(ineqs, n)
+            return dual_ints(ineqs, n, trie)
         monkeypatch.setattr(cones, "_dual_ints", counted)
         axes = [tuple(int(i == j) for j in range(8)) for i in range(8)]
         space = Cone(8, axes + [tuple(-x for x in e) for e in axes])
@@ -1615,6 +1615,79 @@ class TestDualWork:
         fan = faces_closure(bench_inputs.build_p1_datum(f), maximal)
         assert len(fan) == f.n_cones
         assert len(calls) == closure == len(maximal) + 1
+
+    @pytest.mark.parametrize("n, nodes, per_cone", [(3, 26, 54), (4, 80, 216)])
+    def test_one_step_per_generator_prefix(self, monkeypatch, n, nodes, per_cone):
+        """The fan's members share one trie of ``_dual_ints`` states
+        (``cones._fill_duals``), one node per step.  The member of a sign
+        vector s lists ray(i, s_i) for its nonzero s_i by increasing i, so
+        a prefix of its generators is the member of s cut after a nonzero
+        entry, another nonzero sign vector: 3^n - 1 nodes, 26 and 80.
+        Per-cone duals step every member's generators, each coordinate
+        nonzero in 2·3^(n-1) sign vectors: 2n·3^(n-1), 54 and 216."""
+        tries = []
+        dual = cones._dual_ints
+
+        def captured(ineqs, rank, trie=None):
+            tries.append(trie)
+            return dual(ineqs, rank, trie)
+        monkeypatch.setattr(cones, "_dual_ints", captured)
+        f = bench_inputs.p1_fan(random.Random(1), n, n, 0)
+        fan = ColoredFan(bench_inputs.build_p1_cones(f))
+        assert len(tries) == len(fan) == 3 ** n and len({id(t) for t in tries}) == 1
+        assert len(trie_states(tries[0])) == nodes == 3 ** n - 1
+        assert sum(len(cc.cone._ints) for cc in fan) == per_cone == 2 * n * 3 ** (n - 1)
+        assert all(cc.cone._idual == tuple(map(tuple, dual(cc.cone._ints, n))) for cc in fan)
+
+    @pytest.mark.parametrize("n, nodes, per_cone", [(3, 14, 24), (4, 30, 64)])
+    def test_closure_steps_each_prefix_of_the_given_cones_once(
+            self, monkeypatch, n, nodes, per_cone):
+        """``faces_closure`` reads the dual of every given cone, and
+        ``_faces_fan`` computes them through one trie.  The 2^n maximal
+        cones of complete P1^n list ray(i, s_i) for i = 0..n-1, so their
+        prefixes of length k are the 2^k sign vectors on the first k
+        coordinates: 2^(n+1) - 2 nodes, 14 and 30, where per-cone duals
+        step n·2^n generators, 24 and 64.  V's dual is read by one more
+        pass, with no trie."""
+        tries = []
+        dual = cones._dual_ints
+
+        def captured(ineqs, rank, trie=None):
+            tries.append(trie)
+            return dual(ineqs, rank, trie)
+        monkeypatch.setattr(cones, "_dual_ints", captured)
+        f = bench_inputs.p1_fan(random.Random(1), n, n, 0)
+        maximal = bench_inputs.build_p1_cones(f, maximal_only=True)
+        assert len(faces_closure(bench_inputs.build_p1_datum(f), maximal)) == 3 ** n
+        shared = [t for t in tries if t is not None]
+        assert len(shared) == len(maximal) == 2 ** n and len(tries) == 2 ** n + 1
+        assert len({id(t) for t in shared}) == 1
+        assert len(trie_states(shared[0])) == nodes == 2 ** (n + 1) - 2
+        assert sum(len(cc.cone._ints) for cc in maximal) == per_cone == n * 2 ** n
+        assert all(cc.cone._idual == tuple(map(tuple, dual(cc.cone._ints, n)))
+                   for cc in maximal)
+
+    def test_a_repeated_member_runs_none(self, monkeypatch):
+        """Of members with one generator set and palette only the first
+        runs a double description; equal cones on other generator sets
+        run one each, for their keys: the P1^3 members given twice, the
+        second time as new cones, and the 20 members of two or three
+        generators once more with their generator sum added: 27 + 20
+        passes for 27 members."""
+        calls = []
+        dual = cones._dual_ints
+
+        def counted(*args):
+            calls.append(args)
+            return dual(*args)
+        monkeypatch.setattr(cones, "_dual_ints", counted)
+        members = bench_inputs.build_p1_cones(bench_inputs.p1_fan(random.Random(2), 3, 3, 0))
+        again = [ColoredCone(Cone(3, cc.cone._ints), cc.palette) for cc in members]
+        redundant = [ColoredCone(Cone(3, cc.cone._ints + (tuple(map(sum, zip(*cc.cone._ints))),)),
+                                 cc.palette) for cc in members if len(cc.cone._ints) > 1]
+        fan = ColoredFan(members + again + redundant)
+        assert len(fan) == 27 and all(cc is m for cc, m in zip(fan, members))
+        assert len(redundant) == 20 and len(calls) == 27 + 20
 
     def test_colored_cones_equal_by_generator_set(self, monkeypatch):
         calls = []
